@@ -213,8 +213,17 @@ class TrajectoryIndex:
 
     @classmethod
     def from_bytes(cls, buf) -> "TrajectoryIndex":
+        """Load an index; a malformed or truncated buffer raises ValueError."""
         if len(buf) < _HEADER.size or bytes(buf[:4]) != _MAGIC:
             raise ValueError("not an index file")
+        try:
+            return cls._parse(buf)
+        except struct.error as exc:
+            # fixed-size reads past the end of a cut-off directory or frame
+            raise ValueError(f"truncated or corrupt index: {exc}") from exc
+
+    @classmethod
+    def _parse(cls, buf) -> "TrajectoryIndex":
         (_, version, w, h, horizon, period, leaf_capacity, sample_count,
          max_speed, nobj) = _HEADER.unpack_from(buf, 0)
         if version != _VERSION:

@@ -59,11 +59,23 @@ class TimeIndex:
     def data_count(self) -> int:
         return len(self) - self.gap_count
 
-    def is_gap(self, offset: int) -> bool:
-        return bool(self._gapmap.access(offset))
-
     def gaps_upto(self, offset: int) -> int:
         return self._gapmap.rank1(offset)
+
+    def ordinal(self, offset: int) -> int | None:
+        """Data ordinal of the instant at window offset, None at a gap.
+
+        One rank on the gap map: the sparse form answers rank and
+        membership from a single bucket search, the dense form reads the
+        bit and ranks only when the instant has data.
+        """
+        gapmap = self._gapmap
+        if self._sparse:
+            gaps, gap = gapmap.rank1_member(offset)
+            return None if gap else offset - gaps
+        if gapmap.access(offset):
+            return None
+        return offset - gapmap.rank1(offset)
 
     def data_offset(self, ordinal: int) -> int:
         """Window offset of the ordinal-th instant that has data."""
@@ -155,11 +167,9 @@ class TrajectoryLog:
         t = self.time
         if i < t.first or i > t.last:
             return None
-        off = i - t.first + 1
-        gaps = t.gaps_upto(off)
-        if t.is_gap(off):
+        ordinal = t.ordinal(i - t.first + 1)
+        if ordinal is None:
             return None
-        ordinal = off - gaps
         return self.dx.value(ordinal), self.dy.value(ordinal)
 
     def count_data_upto(self, i: int) -> int:
@@ -171,12 +181,6 @@ class TrajectoryLog:
             return 0
         off = min(i, t.last) - t.first + 1
         return off - t.gaps_upto(off)
-
-    def map_instant(self, i: int) -> int:
-        """Data ordinals at or before local instant i."""
-        if not 1 <= i <= self.period - 1:
-            raise IndexError(f"local instant {i} out of range 1..{self.period - 1}")
-        return self.count_data_upto(i)
 
     def unmap_ordinal(self, j: int) -> int:
         """Local instant of the j-th data sample."""

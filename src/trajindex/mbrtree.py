@@ -125,13 +125,6 @@ class MbrTree:
                             max_speed, t_lo, t_hi, mbr_prune, speed_prune,
                             stats)
 
-    def intersects_interval(self, log: TrajectoryLog, region: Mbr,
-                            ord_lo: int, ord_hi: int, max_speed: int,
-                            t_lo: int, t_hi: int, **kwargs) -> bool:
-        hit = self.first_hit(log, region, ord_lo, ord_hi, max_speed,
-                             t_lo, t_hi, **kwargs)
-        return hit is not None
-
     def _search(self, p, box, log, r, olo, ohi, s, tlo, thi,
                 mbr_prune, speed_prune, stats) -> int | None:
         stats.nodes_visited += 1

@@ -1,21 +1,43 @@
 """Bit-level building blocks: rank/select bitmaps and unary-coded sums.
 
 Everything here is immutable once built and uses 1-based positions in its
-public API.  Bits live in little-endian uint64 words, least significant bit
-first, so word w holds positions 64*w+1 .. 64*w+64.  Serialized forms are
-length-prefixed frames (u32 payload length, then a u8 format version) so
-containers can skip over components they do not care about.
+public API.  Bits live in uint64 words, least significant bit first, so
+word w holds positions 64*w+1 .. 64*w+64.  Words and directories are kept
+in `array.array` containers, whose items read back as plain Python ints,
+so no query touches a numpy scalar.  On disk words are little-endian.
+Serialized forms are length-prefixed frames (u32 payload length, then a
+u8 format version) so containers can skip over components they do not
+care about.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import numpy as np
 
 _WORD_FULL = (1 << 64) - 1
-_SUPER = 8  # words per superblock, i.e. 512-bit superblocks
+_SUPER_SHIFT = 3
+_SUPER = 1 << _SUPER_SHIFT  # words per superblock, i.e. 512-bit superblocks
 _POP8 = bytes(bin(i).count("1") for i in range(256))
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _select_table() -> bytes:
+    # entry (k - 1) << 8 | b: 0-based position of the k-th set bit of byte b
+    table = bytearray(8 * 256)
+    for b in range(256):
+        set_bits = [i for i in range(8) if b >> i & 1]
+        for k, i in enumerate(set_bits):
+            table[k << 8 | b] = i
+    return bytes(table)
+
+
+_SELECT8 = _select_table()
 
 
 def write_frame(payload: bytes) -> bytes:
@@ -33,60 +55,79 @@ def read_frame(buf, offset: int) -> tuple[memoryview, int]:
     return memoryview(buf)[offset + 4 : end], end
 
 
+def _words_from(data) -> array:
+    """uint64 words from little-endian bytes (any buffer)."""
+    words = array("Q")
+    words.frombytes(data)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
+def _words_to_bytes(words: array) -> bytes:
+    if _BIG_ENDIAN:
+        words = array("Q", words)
+        words.byteswap()
+    return words.tobytes()
+
+
 def _select_in_word(word: int, k: int) -> int:
-    # position (1..64) of the k-th set bit; caller guarantees it exists
-    for byte_i in range(8):
-        b = (word >> (8 * byte_i)) & 0xFF
-        c = _POP8[b]
-        if k <= c:
-            bit = 0
-            while True:
-                if (b >> bit) & 1:
-                    k -= 1
-                    if k == 0:
-                        return 8 * byte_i + bit + 1
-                bit += 1
+    # position (1..64) of the k-th set bit; caller guarantees it exists.
+    # Halve to the right byte by popcount, then look the bit up.
+    pos = 1
+    c = (word & 0xFFFFFFFF).bit_count()
+    if k > c:
         k -= c
-    raise AssertionError("bit not found")
+        word >>= 32
+        pos = 33
+    c = (word & 0xFFFF).bit_count()
+    if k > c:
+        k -= c
+        word >>= 16
+        pos += 16
+    c = _POP8[word & 0xFF]
+    if k > c:
+        k -= c
+        word >>= 8
+        pos += 8
+    return pos + _SELECT8[(k - 1) << 8 | (word & 0xFF)]
 
 
 class BitVector:
     """Plain bitmap with constant-time rank and near-constant select.
 
-    Rank uses a two-level directory: cumulative counts per 512-bit
-    superblock plus a 16-bit in-superblock count per word, finished with a
-    popcount of the masked word.  Select binary-searches the superblock
-    counts, then scans at most eight words.  Both ones and zeros are
-    indexed so select works on either bit value.
+    Each bit value has a two-level directory: `_super1[s]` counts the ones
+    before 512-bit superblock s (one extra entry holds the total) and
+    `_block1[w]` counts the ones before word w inside its superblock (one
+    extra entry covers the word past the end); `_super0`/`_block0` do the
+    same for zeros, padding bits excluded.  Rank adds the two counts to a
+    popcount of the masked word.  Select bisects the superblock counts,
+    then bisects the at most eight per-word counts of that superblock,
+    which are monotone inside it, and finishes with a table-driven select
+    in the word.  All of it reads plain ints out of `array.array`s.
     """
 
-    def __init__(self, words: np.ndarray, n: int):
-        if n < 0 or len(words) != (n + 63) // 64:
+    def __init__(self, words: array, n: int):
+        """words: an array("Q") of (n + 63) // 64 words, kept as given."""
+        nw = len(words)
+        if n < 0 or nw != (n + 63) // 64:
             raise ValueError("word count does not match bit length")
         self._words = words
         self._n = n
-        nw = len(words)
-        self._last_mask = _WORD_FULL
-        if nw and n % 64:
-            self._last_mask = (1 << (n % 64)) - 1
-        pc = np.bitwise_count(words).astype(np.int64)
-        csum = np.zeros(nw + 1, dtype=np.int64)
-        np.cumsum(pc, out=csum[1:])
-        self._total = int(csum[-1])
-        nsuper = (nw + _SUPER - 1) // _SUPER
-        ends = np.minimum(np.arange(1, nsuper + 1) * _SUPER, nw)
-        self._super1_start = csum[: nw : _SUPER].copy() if nw else csum[:0]
-        self._super1_end = csum[ends] if nw else csum[:0]
-        self._block1 = (csum[:nw] - np.repeat(self._super1_start, _SUPER)[:nw]).astype(np.uint16)
-        # zero-side directory; padding bits in the last word are not counted
-        zpc = 64 - pc
-        if nw:
-            zpc[-1] = (n - 64 * (nw - 1)) - pc[-1]
-        zcsum = np.zeros(nw + 1, dtype=np.int64)
-        np.cumsum(zpc, out=zcsum[1:])
-        self._super0_start = zcsum[: nw : _SUPER].copy() if nw else zcsum[:0]
-        self._super0_end = zcsum[ends] if nw else zcsum[:0]
-        self._block0 = (zcsum[:nw] - np.repeat(self._super0_start, _SUPER)[:nw]).astype(np.uint16)
+        # cum[w]: ones in words 0..w-1, for w = 0..nw
+        cum = list(accumulate(map(int.bit_count, words), initial=0))
+        total = cum[-1]
+        sup = cum[::_SUPER]
+        if nw % _SUPER:
+            sup.append(total)
+        block = [c - cum[w - w % _SUPER] for w, c in enumerate(cum)]
+        sup0 = [64 * _SUPER * s - c for s, c in enumerate(sup)]
+        sup0[-1] = n - total  # padding bits of the last word are no zeros
+        self._super1 = array("q", sup)
+        self._block1 = array("H", block)
+        self._super0 = array("q", sup0)
+        self._block0 = array("H", [64 * (w % _SUPER) - block[w]
+                                   for w in range(nw)])
 
     @classmethod
     def from_bits(cls, bits) -> "BitVector":
@@ -96,7 +137,7 @@ class BitVector:
         pad = (-len(packed)) % 8
         if pad:
             packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-        return cls(packed.view("<u8"), n)
+        return cls(_words_from(packed), n)
 
     @classmethod
     def from_set_positions(cls, n: int, positions) -> "BitVector":
@@ -113,30 +154,28 @@ class BitVector:
 
     @property
     def count_ones(self) -> int:
-        return self._total
+        return self._super1[-1]
 
     @property
     def count_zeros(self) -> int:
-        return self._n - self._total
+        return self._super0[-1]
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self._n:
             raise IndexError(f"bit index {i} out of range 1..{self._n}")
-        return (int(self._words[(i - 1) >> 6]) >> ((i - 1) & 63)) & 1
+        i -= 1
+        return self._words[i >> 6] >> (i & 63) & 1
 
     def rank1(self, i: int) -> int:
         """Number of set bits among positions 1..i (i may be 0)."""
         if not 0 <= i <= self._n:
             raise IndexError(f"rank index {i} out of range 0..{self._n}")
-        if i == 0:
-            return 0
-        w, r = divmod(i, 64)
-        if w == len(self._words):
-            return self._total
-        base = int(self._super1_start[w >> 3]) + int(self._block1[w])
+        w = i >> 6
+        r = i & 63
         if r:
-            base += (int(self._words[w]) & ((1 << r) - 1)).bit_count()
-        return base
+            return (self._super1[w >> _SUPER_SHIFT] + self._block1[w]
+                    + (self._words[w] & ((1 << r) - 1)).bit_count())
+        return self._super1[w >> _SUPER_SHIFT] + self._block1[w]
 
     def rank0(self, i: int) -> int:
         if not 0 <= i <= self._n:
@@ -145,46 +184,46 @@ class BitVector:
 
     def select1(self, j: int) -> int:
         """Position of the j-th set bit, 1-based."""
-        if not 1 <= j <= self._total:
-            raise ValueError(f"select1({j}) out of range, only {self._total} ones")
-        sb = int(np.searchsorted(self._super1_end, j, side="left"))
-        rem = j - int(self._super1_start[sb])
-        base = sb * _SUPER
-        end = min(base + _SUPER, len(self._words))
-        w = base
-        while w + 1 < end and int(self._block1[w + 1]) < rem:
-            w += 1
-        rem -= int(self._block1[w])
-        return 64 * w + _select_in_word(int(self._words[w]), rem)
+        sup = self._super1
+        if not 1 <= j <= sup[-1]:
+            raise ValueError(f"select1({j}) out of range, only {sup[-1]} ones")
+        s = bisect_left(sup, j) - 1
+        rem = j - sup[s]
+        base = s << _SUPER_SHIFT
+        block = self._block1
+        w = bisect_left(block, rem, base + 1,
+                        min(base + _SUPER, len(self._words))) - 1
+        return 64 * w + _select_in_word(self._words[w], rem - block[w])
 
     def select0(self, j: int) -> int:
         """Position of the j-th unset bit, 1-based."""
-        total0 = self._n - self._total
-        if not 1 <= j <= total0:
-            raise ValueError(f"select0({j}) out of range, only {total0} zeros")
-        sb = int(np.searchsorted(self._super0_end, j, side="left"))
-        rem = j - int(self._super0_start[sb])
-        base = sb * _SUPER
-        end = min(base + _SUPER, len(self._words))
-        w = base
-        while w + 1 < end and int(self._block0[w + 1]) < rem:
-            w += 1
-        rem -= int(self._block0[w])
-        mask = self._last_mask if w == len(self._words) - 1 else _WORD_FULL
-        return 64 * w + _select_in_word(~int(self._words[w]) & mask, rem)
+        sup = self._super0
+        if not 1 <= j <= sup[-1]:
+            raise ValueError(f"select0({j}) out of range, only {sup[-1]} zeros")
+        s = bisect_left(sup, j) - 1
+        rem = j - sup[s]
+        base = s << _SUPER_SHIFT
+        block = self._block0
+        w = bisect_left(block, rem, base + 1,
+                        min(base + _SUPER, len(self._words))) - 1
+        # padding bits sit above every real bit, so the complement needs no
+        # mask: the rem-th zero always comes before them
+        return 64 * w + _select_in_word(self._words[w] ^ _WORD_FULL,
+                                        rem - block[w])
 
     def ones(self, start: int = 1):
         """Yield positions of set bits, beginning with the start-th one."""
         if start < 1:
             raise ValueError("start must be >= 1")
-        if start > self._total:
+        if start > self.count_ones:
             return
         p = self.select1(start)
+        words = self._words
         w = (p - 1) >> 6
-        cur = int(self._words[w]) >> ((p - 1) & 63) >> 1
+        cur = words[w] >> ((p - 1) & 63) >> 1
         yield p
         base = p
-        nw = len(self._words)
+        nw = len(words)
         while True:
             while cur:
                 low = cur & -cur
@@ -194,20 +233,23 @@ class BitVector:
             w += 1
             if w >= nw:
                 return
-            cur = int(self._words[w])
+            cur = words[w]
             base = 64 * w
 
     def zeros(self, start: int = 1):
         """Yield positions of unset bits, beginning with the start-th zero."""
         if start < 1:
             raise ValueError("start must be >= 1")
-        if start > self._n - self._total:
+        if start > self.count_zeros:
             return
         p = self.select0(start)
+        words = self._words
         w = (p - 1) >> 6
-        nw = len(self._words)
-        mask = self._last_mask if w == nw - 1 else _WORD_FULL
-        cur = (~int(self._words[w]) & mask) >> ((p - 1) & 63) >> 1
+        nw = len(words)
+        # complement of the last word, its padding bits cleared
+        last = (words[-1] ^ _WORD_FULL) & ((1 << (self._n - 64 * (nw - 1))) - 1)
+        cur = last if w == nw - 1 else words[w] ^ _WORD_FULL
+        cur = cur >> ((p - 1) & 63) >> 1
         yield p
         base = p
         while True:
@@ -218,8 +260,7 @@ class BitVector:
             w += 1
             if w >= nw:
                 return
-            mask = self._last_mask if w == nw - 1 else _WORD_FULL
-            cur = ~int(self._words[w]) & mask
+            cur = last if w == nw - 1 else words[w] ^ _WORD_FULL
             base = 64 * w
 
     def code_bits(self) -> int:
@@ -227,7 +268,7 @@ class BitVector:
         return self._n
 
     def to_bytes(self) -> bytes:
-        payload = struct.pack("<BQ", 1, self._n) + self._words.astype("<u8").tobytes()
+        payload = struct.pack("<BQ", 1, self._n) + _words_to_bytes(self._words)
         return write_frame(payload)
 
     @classmethod
@@ -236,14 +277,13 @@ class BitVector:
         version, n = struct.unpack_from("<BQ", payload, 0)
         if version != 1:
             raise ValueError(f"unsupported bitmap version {version}")
-        words = np.frombuffer(payload, dtype="<u8", offset=9).copy()
-        return cls(words, n), end
+        return cls(_words_from(payload[9:]), n), end
 
 
 class PackedIntArray:
     """Fixed-width unsigned integers packed back to back into uint64 words."""
 
-    def __init__(self, words: np.ndarray, count: int, width: int):
+    def __init__(self, words: array, count: int, width: int):
         if not 0 <= width <= 64:
             raise ValueError("width must be in 0..64")
         need = (count * width + 63) // 64
@@ -260,7 +300,7 @@ class PackedIntArray:
         if width == 0 or count == 0:
             if count and vals.max() > 0:
                 raise ValueError("nonzero value with zero width")
-            return cls(np.zeros(0, dtype="<u8"), count, width)
+            return cls(array("Q"), count, width)
         if width < 64 and vals.max() >> width:
             raise ValueError(f"value does not fit in {width} bits")
         bits = (vals[:, None] >> np.arange(width, dtype=np.uint64)) & np.uint64(1)
@@ -268,7 +308,7 @@ class PackedIntArray:
         pad = (-len(packed)) % 8
         if pad:
             packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-        return cls(packed.view("<u8"), count, width)
+        return cls(_words_from(packed), count, width)
 
     def __len__(self) -> int:
         return self._count
@@ -284,9 +324,9 @@ class PackedIntArray:
             return 0
         s = i * self._width
         w, off = s >> 6, s & 63
-        v = int(self._words[w]) >> off
+        v = self._words[w] >> off
         if off + self._width > 64:
-            v |= int(self._words[w + 1]) << (64 - off)
+            v |= self._words[w + 1] << (64 - off)
         return v & ((1 << self._width) - 1)
 
     def __iter__(self):
@@ -298,7 +338,7 @@ class PackedIntArray:
 
     def to_bytes(self) -> bytes:
         payload = struct.pack("<BQB", 1, self._count, self._width)
-        payload += self._words.astype("<u8").tobytes()
+        payload += _words_to_bytes(self._words)
         return write_frame(payload)
 
     @classmethod
@@ -307,8 +347,7 @@ class PackedIntArray:
         version, count, width = struct.unpack_from("<BQB", payload, 0)
         if version != 1:
             raise ValueError(f"unsupported packed array version {version}")
-        words = np.frombuffer(payload, dtype="<u8", offset=10).copy()
-        return cls(words, count, width), end
+        return cls(_words_from(payload[10:]), count, width), end
 
 
 class SparseBitVector:
@@ -317,8 +356,9 @@ class SparseBitVector:
     The low floor(log2(n/m)) bits of each (position - 1) go into a packed
     array; the high halves become a unary-coded bitmap where the j-th one
     sits at position high_j + j.  select1 is a single select on the high
-    bitmap, rank1 is a select0 plus a short binary search inside one high
-    bucket, so it costs O(log(n/m)).
+    bitmap; rank1 bounds one high bucket with two select0s and bisects
+    its lows, so it costs O(log(n/m)).  The same search also tells whether
+    the probed position is a member, which `rank1_member` returns.
     """
 
     def __init__(self, n: int, low_width: int, lows: PackedIntArray, high: BitVector):
@@ -363,28 +403,32 @@ class SparseBitVector:
         h = self._high.select1(j) - j
         return ((h << self._low_width) | self._lows[j - 1]) + 1
 
-    def _bucket_bounds(self, h: int) -> tuple[int, int]:
-        # members with high half < h, and <= h
-        lo = self._high.select0(h) - h if h else 0
-        hi = self._high.select0(h + 1) - (h + 1)
-        return lo, hi
+    def _search(self, i: int) -> tuple[int, bool]:
+        # (rank1(i), whether i is a member) for 1 <= i <= n and m > 0: the
+        # two select0s bound i's high bucket, one bisection over its lows
+        # finds the rank, and the low just below it says if i is in the set
+        v = i - 1
+        h = v >> self._low_width
+        lowv = v & ((1 << self._low_width) - 1)
+        high = self._high
+        lo = high.select0(h) - h if h else 0
+        r = bisect_right(self._lows, lowv, lo, high.select0(h + 1) - h - 1)
+        return r, r > lo and self._lows[r - 1] == lowv
 
     def rank1(self, i: int) -> int:
         if not 0 <= i <= self._n:
             raise IndexError(f"rank index {i} out of range 0..{self._n}")
         if i == 0 or self._m == 0:
             return 0
-        v = i - 1
-        h = v >> self._low_width
-        lowv = v & ((1 << self._low_width) - 1)
-        lo, hi = self._bucket_bounds(h)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._lows[mid] <= lowv:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return self._search(i)[0]
+
+    def rank1_member(self, i: int) -> tuple[int, bool]:
+        """(rank1(i), whether position i is set) from one bucket search."""
+        if not 1 <= i <= self._n:
+            raise IndexError(f"bit index {i} out of range 1..{self._n}")
+        if self._m == 0:
+            return 0, False
+        return self._search(i)
 
     def rank0(self, i: int) -> int:
         return i - self.rank1(i)
@@ -392,7 +436,7 @@ class SparseBitVector:
     def access(self, i: int) -> int:
         if not 1 <= i <= self._n:
             raise IndexError(f"bit index {i} out of range 1..{self._n}")
-        return self.rank1(i) - self.rank1(i - 1)
+        return int(self._m > 0 and self._search(i)[1])
 
     def select0(self, j: int) -> int:
         """Position of the j-th absent value, 1-based."""

@@ -132,6 +132,19 @@ class TestQuery:
                    "--from", "0"])
         assert rc == 2
 
+    def test_truncated_index_is_data_error(self, capsys, tmp_path,
+                                           built_index):
+        blob = built_index.read_bytes()
+        cut = tmp_path / "cut.idx"
+        # 60 bytes keep the header, the ids and the log count, and end
+        # inside the first log directory entry
+        assert len(blob) > 60
+        cut.write_bytes(blob[:60])
+        rc = main(["query", str(cut), "--object", str(REF_OBJECT),
+                   "--from", "9"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_region_is_data_error(self, capsys, built_index):
         rc = main(["query", str(built_index), "--region", "5,4,0,1",
                    "--from", "0"])

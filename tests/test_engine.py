@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,32 @@ class TestSerialization:
             TrajectoryIndex.from_bytes(b"not an index")
         with pytest.raises(ValueError):
             TrajectoryIndex.from_bytes(b"")
+
+    def test_every_truncation_is_a_value_error(self):
+        fleet = make_fleet(3, 40, (16, 16), seed=11, drop_rate=0.1)
+        blob = build_index(fleet.rows(), period=10, leaf_capacity=2,
+                           extent=fleet.extent).to_bytes()
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                TrajectoryIndex.from_bytes(blob[:cut])
+
+    @pytest.mark.parametrize("period, leaf, seed, kwargs, size, digest", [
+        (240, 16, 5, {"drop_rate": 0.03}, 65696,
+         "2c3a146259838f30dd067a0ef76d20c334d73aa36d8e062be0a9f1134b1ab475"),
+        (60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 160032,
+         "b778b4de6bb065acb2e565e8998e90a532c90194af708a697a81b6c5ff72a07f"),
+    ])
+    def test_bytes_match_recorded_digest(self, period, leaf, seed, kwargs,
+                                         size, digest):
+        # the file format is frozen: these digests were taken from an
+        # earlier build, the first fleet with sparse gap maps in every log,
+        # the second with mostly dense ones
+        fleet = make_fleet(12, 1500, (256, 256), seed, **kwargs)
+        blob = build_index(fleet.rows(), period, leaf, fleet.extent,
+                           horizon=fleet.horizon).to_bytes()
+        assert len(blob) == size
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert TrajectoryIndex.from_bytes(blob).to_bytes() == blob
 
     def test_component_sizes_cover_file(self, small_index):
         parts = small_index.component_bytes()

@@ -27,7 +27,7 @@ class TestTimeIndex:
         ti = TimeIndex(2, 10, [5, 6])
         assert len(ti) == 9
         assert ti.gap_count == 2 and ti.data_count == 7
-        assert ti.is_gap(5) and not ti.is_gap(4)
+        assert ti.ordinal(5) is None and ti.ordinal(4) == 4
         assert ti.gaps_upto(8) == 2
         assert ti.data_offset(5) == 7
         assert list(ti.data_offsets(3)) == [3, 4, 7, 8, 9]
@@ -77,9 +77,9 @@ class TestReferenceTrack:
             assert ref_log.position(t) is None
 
     def test_instant_ordinal_maps(self, ref_log):
-        assert ref_log.map_instant(9) == 6
-        assert ref_log.map_instant(1) == 0
-        assert ref_log.map_instant(12) == 7
+        assert ref_log.count_data_upto(9) == 6
+        assert ref_log.count_data_upto(1) == 0
+        assert ref_log.count_data_upto(12) == 7
         assert ref_log.unmap_ordinal(5) == 8
         assert ref_log.unmap_ordinal(1) == 2
         assert ref_log.unmap_ordinal(7) == 10
@@ -139,7 +139,7 @@ class TestRandomTracks:
             assert [log.unmap_ordinal(j) for j in range(1, count + 1)] == \
                 sorted(table)
             for j in range(1, count + 1):
-                assert log.map_instant(log.unmap_ordinal(j)) == j
+                assert log.count_data_upto(log.unmap_ordinal(j)) == j
 
     def test_scan_agrees_with_pointwise(self):
         rng = np.random.default_rng(78)
@@ -185,3 +185,70 @@ class TestRandomTracks:
             n_move = log.dx.pos.total + log.dx.neg.total
             budget = 4 * (n * math.log2(n_move / n + 2) + period + 64)
             assert log.code_bits() <= budget, (trial, log.code_bits(), budget)
+
+
+def gappy_rows(rng, window, gap_count):
+    """Track over local instants 2..window+1 with exactly gap_count gaps.
+
+    The gaps include a run of adjacent ones, the offsets next to both
+    window ends, and offsets on both edges of the sparse gap map's low
+    buckets; the rest are random.  Returns (rows, gap offsets, low width).
+    """
+    low_width = (window // gap_count).bit_length() - 1
+    bucket = 1 << low_width
+    run = int(rng.integers(3, window - 12))
+    must = {2, window - 1, *range(run, run + 6)}
+    must.update(list(range(bucket + 1, window, 7 * bucket))[:4])  # first in bucket
+    must.update(list(range(bucket, window, 5 * bucket))[:4])      # last in bucket
+    rest = [o for o in range(2, window) if o not in must]
+    extra = rng.choice(rest, size=gap_count - len(must), replace=False)
+    gaps = sorted(must | {int(o) for o in extra})
+    present = np.ones(window, dtype=bool)
+    present[np.array(gaps) - 1] = False
+    offsets = np.flatnonzero(present) + 1
+    xs = 5000 + np.cumsum(rng.integers(-4, 5, size=len(offsets)))
+    ys = 5000 + np.cumsum(rng.integers(-4, 5, size=len(offsets)))
+    rows = [(int(o) + 1, int(x), int(y)) for o, x, y in zip(offsets, xs, ys)]
+    return rows, gaps, low_width
+
+
+class TestSparseGapMap:
+    @pytest.mark.parametrize("window, density, seed", [
+        (2000, 0.01, 1), (2000, 0.05, 2), (1999, 0.09, 3), (2048, 0.03, 4),
+        (6000, 0.09, 5),  # high bitmap spans several superblocks
+    ])
+    def test_long_windows_match_reference(self, window, density, seed):
+        rng = np.random.default_rng(seed)
+        gap_count = int(density * window)
+        rows, gaps, low_width = gappy_rows(rng, window, gap_count)
+        period = window + 3  # local instants 1 and period-1 have no data
+        log = build_log(rows, 0, period)
+        ti = log.time
+        assert ti._sparse and (ti.first, ti.last) == (2, window + 1)
+        assert ti.gap_count == gap_count
+        assert ti._gapmap._low_width == low_width
+        table = {t: (x, y) for t, x, y in rows}
+        seen = 0
+        for i in range(1, period):
+            assert log.position(i) == table.get(i), i
+            seen += i in table
+            assert log.count_data_upto(i) == seen
+        gapset = set(gaps)
+        before = 0
+        for off in range(1, window + 1):
+            before += off in gapset
+            assert ti.gaps_upto(off) == before
+            assert ti.ordinal(off) == (None if off in gapset else off - before)
+
+    @pytest.mark.parametrize("gaps", [[1, 2, 3, 1000, 2000], [1], [2000],
+                                      list(range(1, 2001, 16))])
+    def test_gaps_on_the_first_and_last_offsets(self, gaps):
+        ti = TimeIndex(5, 2004, gaps)
+        assert ti._sparse
+        gapset = set(gaps)
+        before = 0
+        for off in range(1, 2001):
+            before += off in gapset
+            assert ti.ordinal(off) == (None if off in gapset else off - before)
+        assert list(ti.data_offsets()) == [o for o in range(1, 2001)
+                                           if o not in gapset]
