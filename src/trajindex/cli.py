@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +83,6 @@ def _build_parser() -> _Parser:
     n.add_argument("--seed", type=int, default=0)
     n.add_argument("--scale", type=float, default=1.0,
                    help="multiply the canonical repetition counts")
-    n.add_argument("--threads", type=int, default=1,
-                   help="fan queries out across threads (throughput mode)")
     n.add_argument("--output", help="write CSV here instead of stdout")
 
     o = sub.add_parser("oracle-check",
@@ -109,8 +106,8 @@ def _read_records(path: str, fmt: str):
 
 
 def _print_breakdown(ix: TrajectoryIndex, out) -> None:
-    parts = ix.component_bytes()
-    total = len(ix.to_bytes())
+    blob, parts = ix.encode()
+    total = len(blob)
     overhead = total - sum(parts.values())
     baseline = 9 * ix.sample_count
     print(f"objects: {len(ix.object_ids)}", file=out)
@@ -231,13 +228,8 @@ def _cmd_bench(args) -> int:
     lines = ["class,config,reps,mean_us,space_bytes"]
     for name, config, calls in bench_queries(ix, spec, args.seed):
         start = time.perf_counter()
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                for _ in pool.map(lambda c: c(), calls):
-                    pass
-        else:
-            for call in calls:
-                call()
+        for call in calls:
+            call()
         elapsed = time.perf_counter() - start
         mean_us = 1e6 * elapsed / len(calls)
         lines.append(f"{name},\"{config}\",{len(calls)},{mean_us:.2f},{space}")

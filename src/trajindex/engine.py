@@ -11,6 +11,7 @@ confirmed against the exact compressed positions.
 from __future__ import annotations
 
 import struct
+import zlib
 from collections import defaultdict
 
 import numpy as np
@@ -18,14 +19,12 @@ import numpy as np
 from trajindex.log import TrajectoryLog, build_log
 from trajindex.mbrtree import Mbr, MbrTree, TraversalStats, build_mbr_tree
 from trajindex.snapshot import Region, Snapshot, expanded_region
+from trajindex.succinct import BitVector, Reader, Writer
 
 _MAGIC = b"CTCT"
-_VERSION = 1
-_HEADER = struct.Struct("<4sHIIIIIQII")
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+_VERSION = 2
+_PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
+_CRC_AT = 6  # offset of the CRC field, which the CRC skips
 
 
 class TrajectoryIndex:
@@ -56,10 +55,6 @@ class TrajectoryIndex:
     @property
     def snapshots(self) -> list[Snapshot]:
         return self._snapshots
-
-    def log_for(self, period_start: int, oid: int) -> TrajectoryLog | None:
-        entry = self._logs.get((period_start, oid))
-        return entry[0] if entry else None
 
     def _check_instant(self, q: int) -> None:
         if not 0 <= q < self.horizon:
@@ -175,82 +170,82 @@ class TrajectoryIndex:
 
     # ------------------------------------------------------ serialization
 
-    def component_bytes(self) -> dict[str, int]:
-        snaps = sum(len(s.to_bytes()) for s in self._snapshots)
-        logs = sum(len(lg.to_bytes()) for lg, _ in self._logs.values())
-        trees = sum(len(t.to_bytes()) for _, t in self._logs.values())
-        return {"snapshots": snaps, "logs": logs, "trees": trees}
-
     def save(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        ids_blob = self._object_ids.astype("<u4").tobytes()
-        snap_blobs = [s.to_bytes() for s in self._snapshots]
-        period_keys = sorted(self._logs)
-        log_blobs = []
-        header = _HEADER.pack(_MAGIC, _VERSION,
-                              self.extent[0], self.extent[1], self.horizon,
-                              self.period, self.leaf_capacity,
-                              self.sample_count, self.max_speed,
-                              len(self._object_ids))
-        # layout: header, ids, log directory, snapshot directory, blobs
-        dir_size = 4 + len(period_keys) * 16 + 4 + len(snap_blobs) * 8
-        off = len(header) + len(ids_blob) + dir_size
-        directory = struct.pack("<I", len(period_keys))
-        for key in period_keys:
-            log, tree = self._logs[key]
-            blob = log.to_bytes() + tree.to_bytes()
-            directory += struct.pack("<IIQ", key[0], key[1], off)
-            log_blobs.append(blob)
-            off += len(blob)
-        directory += struct.pack("<I", len(snap_blobs))
-        for blob in snap_blobs:
-            directory += struct.pack("<Q", off)
-            off += len(blob)
-        return b"".join([header, ids_blob, directory] + log_blobs + snap_blobs)
+        return self.encode()[0]
+
+    def encode(self) -> tuple[bytes, dict[str, int]]:
+        """The file, and the bytes its snapshots, logs and trees take.
+
+        Layout, all little-endian, with no frames and no lengths the
+        reader can work out:
+          magic, u16 version, u32 CRC-32 of every other byte of the file;
+          u32 width, height, horizon, period, leaf capacity, sample count,
+          max speed, object count; the object ids as u32s;
+          then per period, in time order: its snapshot, a bitmap over the
+          object ids marking who has a log in the period, and those logs
+          in id order, each followed by its box tree.
+        """
+        ids = self._object_ids
+        w = Writer()
+        w.u32(*self.extent, self.horizon, self.period, self.leaf_capacity,
+              self.sample_count, self.max_speed, len(ids))
+        w.u32s(ids)
+        logged: dict[int, list[int]] = defaultdict(list)
+        for k, oid in sorted(self._logs):
+            logged[k].append(oid)
+        sizes = dict.fromkeys(("snapshots", "logs", "trees"), 0)
+        for i, snap in enumerate(self._snapshots):
+            k = i * self.period
+            mark = len(w)
+            snap.write(w)
+            sizes["snapshots"] += len(w) - mark
+            oids = logged[k]
+            BitVector.from_set_positions(
+                len(ids), np.searchsorted(ids, oids) + 1).write(w)
+            for oid in oids:
+                for part, name in zip(self._logs[(k, oid)], ("logs", "trees")):
+                    mark = len(w)
+                    part.write(w)
+                    sizes[name] += len(w) - mark
+        body = bytes(w)
+        head = _MAGIC + _VERSION.to_bytes(2, "little")
+        crc = zlib.crc32(body, zlib.crc32(head))
+        return head + crc.to_bytes(4, "little") + body, sizes
 
     @classmethod
     def from_bytes(cls, buf) -> "TrajectoryIndex":
-        """Load an index; a malformed or truncated buffer raises ValueError."""
-        if len(buf) < _HEADER.size or bytes(buf[:4]) != _MAGIC:
+        """Load an index; a malformed, truncated or corrupt buffer, or one
+        of another format version, raises ValueError."""
+        if len(buf) < _PREFIX.size or bytes(buf[:4]) != _MAGIC:
             raise ValueError("not an index file")
-        try:
-            return cls._parse(buf)
-        except struct.error as exc:
-            # fixed-size reads past the end of a cut-off directory or frame
-            raise ValueError(f"truncated or corrupt index: {exc}") from exc
-
-    @classmethod
-    def _parse(cls, buf) -> "TrajectoryIndex":
-        (_, version, w, h, horizon, period, leaf_capacity, sample_count,
-         max_speed, nobj) = _HEADER.unpack_from(buf, 0)
+        _, version, crc = _PREFIX.unpack_from(buf)
         if version != _VERSION:
-            raise ValueError(f"unsupported index version {version}")
-        off = _HEADER.size
-        object_ids = np.frombuffer(buf, dtype="<u4", count=nobj, offset=off).copy()
-        off += 4 * nobj
-        (nlogs,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        log_dir = []
-        for _ in range(nlogs):
-            k, oid, pos = struct.unpack_from("<IIQ", buf, off)
-            log_dir.append((k, oid, pos))
-            off += 16
-        (nsnaps,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        snap_offs = []
-        for _ in range(nsnaps):
-            (pos,) = struct.unpack_from("<Q", buf, off)
-            snap_offs.append(pos)
-            off += 8
+            raise ValueError(f"unsupported index version {version}; "
+                             f"only version {_VERSION} files can be read")
+        view = memoryview(buf)
+        body = view[_PREFIX.size:]
+        if zlib.crc32(body, zlib.crc32(view[:_CRC_AT])) != crc:
+            raise ValueError("index checksum mismatch: the file is corrupt")
+        r = Reader(body)
+        (w, h, horizon, period, leaf_capacity, sample_count, max_speed,
+         nobj) = (r.u32() for _ in range(8))
+        if period < 2 or leaf_capacity < 1:
+            raise ValueError(f"bad period {period} or leaf capacity {leaf_capacity}")
+        object_ids = r.u32s(nobj)
+        snapshots = []
         logs = {}
-        for k, oid, pos in log_dir:
-            log, next_off = TrajectoryLog.from_buffer(buf, pos, period)
-            tree, _ = MbrTree.from_buffer(buf, next_off, log.data_count)
-            logs[(k, oid)] = (log, tree)
-        snapshots = [Snapshot.from_buffer(buf, pos)[0] for pos in snap_offs]
+        for k in range(0, horizon, period):
+            snapshots.append(Snapshot.read(r, k, (w, h)))
+            for p in BitVector.read(r, nobj).ones():
+                oid = int(object_ids[p - 1])
+                log = TrajectoryLog.read(r, oid, k, period)
+                tree = MbrTree.read(r, log.data_count, leaf_capacity)
+                logs[(k, oid)] = (log, tree)
+        r.end()
         return cls(period, leaf_capacity, (w, h), horizon, max_speed,
                    sample_count, object_ids, snapshots, logs)
 

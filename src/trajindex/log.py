@@ -11,16 +11,14 @@ prefix-sum difference of the two streams reconstructs any position.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from trajindex.succinct import (
     BitVector,
+    Reader,
     SparseBitVector,
     UnaryDeltaStream,
-    read_frame,
-    write_frame,
+    Writer,
 )
 
 # below this fraction of missing instants the gap bitmap goes to the
@@ -87,25 +85,28 @@ class TimeIndex:
     def code_bits(self) -> int:
         return self._gapmap.code_bits()
 
-    def to_bytes(self) -> bytes:
-        payload = struct.pack("<BIIB", 1, self.first, self.last, int(self._sparse))
-        payload += self._gapmap.to_bytes()
-        return write_frame(payload)
+    def write(self, w: Writer) -> None:
+        w.u32(self.first, self.last, self.gap_count)
+        self._gapmap.write(w)
 
     @classmethod
-    def from_buffer(cls, buf, offset: int = 0) -> tuple["TimeIndex", int]:
-        payload, end = read_frame(buf, offset)
-        version, first, last, sparse = struct.unpack_from("<BIIB", payload, 0)
-        if version != 1:
-            raise ValueError(f"unsupported time index version {version}")
-        kind = SparseBitVector if sparse else BitVector
-        gapmap, _ = kind.from_buffer(payload, 10)
+    def read(cls, r: Reader) -> "TimeIndex":
+        """The window `write` stored; the gap count picks the bitmap kind."""
+        first, last, gaps = r.u32(), r.u32(), r.u32()
+        if first < 1 or last < first or gaps > last - first:
+            raise ValueError(f"bad time window {first}..{last} with {gaps} gaps")
         obj = cls.__new__(cls)
         obj.first = first
         obj.last = last
-        obj._sparse = bool(sparse)
-        obj._gapmap = gapmap
-        return obj, end
+        length = last - first + 1
+        obj._sparse = gaps < _SPARSE_GAP_DENSITY * length
+        if obj._sparse:
+            obj._gapmap = SparseBitVector.read(r, length, gaps)
+        else:
+            obj._gapmap = BitVector.read(r, length)
+            if obj.gap_count != gaps:
+                raise ValueError(f"gap bitmap holds {obj.gap_count} of {gaps} gaps")
+        return obj
 
 
 class AxisDeltas:
@@ -133,15 +134,17 @@ class AxisDeltas:
     def code_bits(self) -> int:
         return self.sign.code_bits() + self.pos.code_bits() + self.neg.code_bits()
 
-    def to_bytes(self) -> bytes:
-        return self.sign.to_bytes() + self.pos.to_bytes() + self.neg.to_bytes()
+    def write(self, w: Writer) -> None:
+        self.sign.write(w)
+        self.pos.write(w)
+        self.neg.write(w)
 
     @classmethod
-    def from_buffer(cls, buf, offset: int) -> tuple["AxisDeltas", int]:
-        sign, offset = BitVector.from_buffer(buf, offset)
-        pos, offset = UnaryDeltaStream.from_buffer(buf, offset)
-        neg, offset = UnaryDeltaStream.from_buffer(buf, offset)
-        return cls(sign, pos, neg), offset
+    def read(cls, r: Reader, count: int) -> "AxisDeltas":
+        """count steps: the sign bits say how many go to each stream."""
+        sign = BitVector.read(r, count)
+        pos = UnaryDeltaStream.read(r, sign.count_ones)
+        return cls(sign, pos, UnaryDeltaStream.read(r, sign.count_zeros))
 
 
 class TrajectoryLog:
@@ -229,23 +232,19 @@ class TrajectoryLog:
     def code_bits(self) -> int:
         return self.time.code_bits() + self.dx.code_bits() + self.dy.code_bits()
 
-    def to_bytes(self) -> bytes:
-        payload = struct.pack("<BII", 1, self.object_id, self.start)
-        payload += self.time.to_bytes()
-        payload += self.dx.to_bytes()
-        payload += self.dy.to_bytes()
-        return write_frame(payload)
+    def write(self, w: Writer) -> None:
+        """The window and both axes; id, start and period are the caller's."""
+        self.time.write(w)
+        self.dx.write(w)
+        self.dy.write(w)
 
     @classmethod
-    def from_buffer(cls, buf, offset: int, period: int) -> tuple["TrajectoryLog", int]:
-        payload, end = read_frame(buf, offset)
-        version, object_id, start = struct.unpack_from("<BII", payload, 0)
-        if version != 1:
-            raise ValueError(f"unsupported log version {version}")
-        time, off = TimeIndex.from_buffer(payload, 9)
-        dx, off = AxisDeltas.from_buffer(payload, off)
-        dy, _ = AxisDeltas.from_buffer(payload, off)
-        return cls(object_id, start, period, time, dx, dy), end
+    def read(cls, r: Reader, object_id: int, start: int,
+             period: int) -> "TrajectoryLog":
+        time = TimeIndex.read(r)
+        n = time.data_count
+        dx = AxisDeltas.read(r, n)
+        return cls(object_id, start, period, time, dx, AxisDeltas.read(r, n))
 
 
 def build_log(samples, start: int, period: int, object_id: int = 0) -> TrajectoryLog:

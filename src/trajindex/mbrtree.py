@@ -13,11 +13,10 @@ object can travel in the time remaining, the subtree cannot produce a hit.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from trajindex.log import TrajectoryLog
-from trajindex.succinct import PackedIntArray, read_frame, write_frame
+from trajindex.succinct import PackedIntArray, Reader, Writer
 
 
 @dataclass(frozen=True)
@@ -197,24 +196,29 @@ class MbrTree:
     def code_bits(self) -> int:
         return self._diffs_x.code_bits() + self._diffs_y.code_bits()
 
-    def to_bytes(self) -> bytes:
-        payload = struct.pack("<BIIBiiii", 1, self.leaf_capacity,
-                              self.leaf_count, self.width, self.root.xmin,
-                              self.root.xmax, self.root.ymin, self.root.ymax)
-        payload += self._diffs_x.to_bytes()
-        payload += self._diffs_y.to_bytes()
-        return write_frame(payload)
+    def write(self, w: Writer) -> None:
+        """Diff width, root box and diffs; the shape is the caller's."""
+        root = self.root
+        w.u32(self.width, root.xmin, root.xmax, root.ymin, root.ymax)
+        self._diffs_x.write(w)
+        self._diffs_y.write(w)
 
     @classmethod
-    def from_buffer(cls, buf, offset: int, data_count: int) -> tuple["MbrTree", int]:
-        payload, end = read_frame(buf, offset)
-        version, cap, leaves, width, x1, x2, y1, y2 = struct.unpack_from(
-            "<BIIBiiii", payload, 0)
-        if version != 1:
-            raise ValueError(f"unsupported tree version {version}")
-        dx, off = PackedIntArray.from_buffer(payload, 26)
-        dy, _ = PackedIntArray.from_buffer(payload, off)
-        return cls(cap, leaves, data_count, width, Mbr(x1, x2, y1, y2), dx, dy), end
+    def read(cls, r: Reader, data_count: int, leaf_capacity: int) -> "MbrTree":
+        """The tree over data_count ordinals, leaf_capacity to a leaf."""
+        width = r.u32()
+        root = Mbr(r.u32(), r.u32(), r.u32(), r.u32())
+        leaf_count = _leaf_count(data_count, leaf_capacity)
+        diffs = 2 * (2 * leaf_count - 2)  # two per axis for nodes 2..2L-1
+        dx = PackedIntArray.read(r, diffs, width)
+        dy = PackedIntArray.read(r, diffs, width)
+        return cls(leaf_capacity, leaf_count, data_count, width, root, dx, dy)
+
+
+def _leaf_count(n: int, leaf_capacity: int) -> int:
+    # leaves for n ordinals, padded to a power of two
+    leaves_needed = (n + leaf_capacity - 1) // leaf_capacity
+    return 1 << (leaves_needed - 1).bit_length()
 
 
 def build_mbr_tree(log: TrajectoryLog, leaf_capacity: int) -> MbrTree:
@@ -223,8 +227,7 @@ def build_mbr_tree(log: TrajectoryLog, leaf_capacity: int) -> MbrTree:
     n = log.data_count
     if n == 0:
         raise ValueError("cannot build a tree over an empty log")
-    leaves_needed = (n + leaf_capacity - 1) // leaf_capacity
-    leaf_count = 1 << (leaves_needed - 1).bit_length()
+    leaf_count = _leaf_count(n, leaf_capacity)
     node_count = 2 * leaf_count - 1
     pts = log.scan_positions(1, n)
     boxes: list[Mbr | None] = [None] * (node_count + 1)

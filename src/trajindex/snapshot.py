@@ -12,17 +12,11 @@ them apart from objects really present.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from trajindex.succinct import (
-    BitVector,
-    UnaryDeltaStream,
-    read_frame,
-    write_frame,
-)
+from trajindex.succinct import BitVector, Reader, UnaryDeltaStream, Writer
 
 
 @dataclass(frozen=True)
@@ -75,6 +69,11 @@ def morton_codes(x, y) -> np.ndarray:
     return _spread_bits(xs) | (_spread_bits(ys) << np.uint64(1))
 
 
+def _side(width: int, height: int) -> int:
+    # smallest power of two, at least 2, that covers the grid
+    return 1 << max(1, int(max(width, height) - 1).bit_length())
+
+
 class K2Tree:
     """Quadtree over a square power-of-two grid as per-level bitmaps.
 
@@ -95,7 +94,7 @@ class K2Tree:
     def build(cls, width: int, height: int, cells) -> "K2Tree":
         if width < 1 or height < 1:
             raise ValueError("extent must be positive")
-        side = 1 << max(1, int(max(width, height) - 1).bit_length())
+        side = _side(width, height)
         depth_total = side.bit_length() - 1
         arr = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
         codes = np.sort(morton_codes(arr[:, 0], arr[:, 1]))
@@ -164,25 +163,21 @@ class K2Tree:
     def code_bits(self) -> int:
         return sum(level.code_bits() for level in self.levels)
 
-    def to_bytes(self) -> bytes:
-        payload = struct.pack("<BIIIB", 1, self.width, self.height,
-                              self.side, len(self.levels))
+    def write(self, w: Writer) -> None:
         for level in self.levels:
-            payload += level.to_bytes()
-        return write_frame(payload)
+            level.write(w)
 
     @classmethod
-    def from_buffer(cls, buf, offset: int = 0) -> tuple["K2Tree", int]:
-        payload, end = read_frame(buf, offset)
-        version, width, height, side, depth = struct.unpack_from("<BIIIB", payload, 0)
-        if version != 1:
-            raise ValueError(f"unsupported quadtree version {version}")
+    def read(cls, r: Reader, width: int, height: int) -> "K2Tree":
+        """The tree over a width x height grid: the side fixes the depth,
+        and each level has four bits per one in the level above."""
+        side = _side(width, height)
         levels = []
-        off = 14
-        for _ in range(depth):
-            level, off = BitVector.from_buffer(payload, off)
-            levels.append(level)
-        return cls(width, height, side, levels), end
+        alive = 1
+        for _ in range(side.bit_length() - 1):
+            levels.append(BitVector.read(r, 4 * alive))
+            alive = levels[-1].count_ones
+        return cls(width, height, side, levels)
 
 
 class Snapshot:
@@ -268,23 +263,18 @@ class Snapshot:
         return (self.tree.code_bits() + 32 * len(self._perm)
                 + self._counts.code_bits() + self._entrants.code_bits())
 
-    def to_bytes(self) -> bytes:
-        payload = struct.pack("<BI", 1, self.instant)
-        payload += self.tree.to_bytes()
-        payload += write_frame(self._perm.astype("<u4").tobytes())
-        payload += self._counts.to_bytes()
-        payload += self._entrants.to_bytes()
-        return write_frame(payload)
+    def write(self, w: Writer) -> None:
+        """Quadtree, cell counts, ids and entrant bits; the instant and the
+        grid are the caller's."""
+        self.tree.write(w)
+        self._counts.write(w)
+        w.u32s(self._perm)
+        self._entrants.write(w)
 
     @classmethod
-    def from_buffer(cls, buf, offset: int = 0) -> tuple["Snapshot", int]:
-        payload, end = read_frame(buf, offset)
-        version, instant = struct.unpack_from("<BI", payload, 0)
-        if version != 1:
-            raise ValueError(f"unsupported snapshot version {version}")
-        tree, off = K2Tree.from_buffer(payload, 5)
-        perm_raw, off = read_frame(payload, off)
-        perm = np.frombuffer(perm_raw, dtype="<u4").copy()
-        counts, off = UnaryDeltaStream.from_buffer(payload, off)
-        entrants, _ = BitVector.from_buffer(payload, off)
-        return cls(instant, tree, perm, counts, entrants), end
+    def read(cls, r: Reader, instant: int,
+             extent: tuple[int, int]) -> "Snapshot":
+        tree = K2Tree.read(r, *extent)
+        counts = UnaryDeltaStream.read(r, tree.cell_count)
+        perm = r.u32s(counts.total)
+        return cls(instant, tree, perm, counts, BitVector.read(r, len(perm)))

@@ -4,10 +4,12 @@ Everything here is immutable once built and uses 1-based positions in its
 public API.  Bits live in uint64 words, least significant bit first, so
 word w holds positions 64*w+1 .. 64*w+64.  Words and directories are kept
 in `array.array` containers, whose items read back as plain Python ints,
-so no query touches a numpy scalar.  On disk words are little-endian.
-Serialized forms are length-prefixed frames (u32 payload length, then a
-u8 format version) so containers can skip over components they do not
-care about.
+so no query touches a numpy scalar.
+
+On disk there are no frames and no per-structure versions: each class
+`write`s only its words (and the few u32s it cannot derive) to a
+`Writer`, and `read`s them back from a `Reader` given the lengths its
+caller already knows.  Words and u32s are little-endian.
 """
 
 from __future__ import annotations
@@ -40,21 +42,6 @@ def _select_table() -> bytes:
 _SELECT8 = _select_table()
 
 
-def write_frame(payload: bytes) -> bytes:
-    return struct.pack("<I", len(payload)) + payload
-
-
-def read_frame(buf, offset: int) -> tuple[memoryview, int]:
-    """Return (payload view, offset past the frame)."""
-    if offset + 4 > len(buf):
-        raise ValueError("truncated frame header")
-    (length,) = struct.unpack_from("<I", buf, offset)
-    end = offset + 4 + length
-    if end > len(buf):
-        raise ValueError("truncated frame payload")
-    return memoryview(buf)[offset + 4 : end], end
-
-
 def _words_from(data) -> array:
     """uint64 words from little-endian bytes (any buffer)."""
     words = array("Q")
@@ -69,6 +56,56 @@ def _words_to_bytes(words: array) -> bytes:
         words = array("Q", words)
         words.byteswap()
     return words.tobytes()
+
+
+class Writer(bytearray):
+    """A buffer that appends little-endian u32s and uint64 word arrays."""
+
+    def u32(self, *values: int) -> None:
+        self += struct.pack(f"<{len(values)}I", *values)
+
+    def u32s(self, values: np.ndarray) -> None:
+        self += np.asarray(values, dtype="<u4").tobytes()
+
+    def words(self, words: array) -> None:
+        self += _words_to_bytes(words)
+
+
+class Reader:
+    """Cursor over what a `Writer` wrote.
+
+    Every read copies, so nothing built from it keeps the buffer alive.
+    Asking for more bytes than are left raises ValueError before anything
+    is allocated, so a corrupt length cannot ask for a huge array.
+    """
+
+    def __init__(self, buf):
+        self._buf = memoryview(buf)
+        self._pos = 0
+
+    def _take(self, size: int) -> memoryview:
+        end = self._pos + size
+        if size < 0 or end > len(self._buf):
+            raise ValueError(f"truncated input: {size} bytes wanted at offset "
+                             f"{self._pos}, {len(self._buf) - self._pos} left")
+        view = self._buf[self._pos:end]
+        self._pos = end
+        return view
+
+    def u32(self) -> int:
+        return int.from_bytes(self._take(4), "little")
+
+    def u32s(self, count: int) -> np.ndarray:
+        return np.frombuffer(self._take(4 * count), dtype="<u4").astype(np.uint32)
+
+    def words(self, count: int) -> array:
+        return _words_from(self._take(8 * count))
+
+    def end(self) -> None:
+        """Raise ValueError unless every byte has been read."""
+        left = len(self._buf) - self._pos
+        if left:
+            raise ValueError(f"{left} trailing bytes after the last record")
 
 
 def _select_in_word(word: int, k: int) -> int:
@@ -177,11 +214,6 @@ class BitVector:
                     + (self._words[w] & ((1 << r) - 1)).bit_count())
         return self._super1[w >> _SUPER_SHIFT] + self._block1[w]
 
-    def rank0(self, i: int) -> int:
-        if not 0 <= i <= self._n:
-            raise IndexError(f"rank index {i} out of range 0..{self._n}")
-        return i - self.rank1(i)
-
     def select1(self, j: int) -> int:
         """Position of the j-th set bit, 1-based."""
         sup = self._super1
@@ -267,17 +299,15 @@ class BitVector:
         """Bits of the payload itself, directories excluded."""
         return self._n
 
-    def to_bytes(self) -> bytes:
-        payload = struct.pack("<BQ", 1, self._n) + _words_to_bytes(self._words)
-        return write_frame(payload)
+    def write(self, w: Writer) -> None:
+        w.words(self._words)
 
     @classmethod
-    def from_buffer(cls, buf, offset: int = 0) -> tuple["BitVector", int]:
-        payload, end = read_frame(buf, offset)
-        version, n = struct.unpack_from("<BQ", payload, 0)
-        if version != 1:
-            raise ValueError(f"unsupported bitmap version {version}")
-        return cls(_words_from(payload[9:]), n), end
+    def read(cls, r: Reader, n: int) -> "BitVector":
+        words = r.words((n + 63) // 64)
+        if n % 64 and words[-1] >> n % 64:
+            raise ValueError("bitmap has bits set past its end")
+        return cls(words, n)
 
 
 class PackedIntArray:
@@ -336,18 +366,22 @@ class PackedIntArray:
     def code_bits(self) -> int:
         return self._count * self._width
 
-    def to_bytes(self) -> bytes:
-        payload = struct.pack("<BQB", 1, self._count, self._width)
-        payload += _words_to_bytes(self._words)
-        return write_frame(payload)
+    def write(self, w: Writer) -> None:
+        w.words(self._words)
 
     @classmethod
-    def from_buffer(cls, buf, offset: int = 0) -> tuple["PackedIntArray", int]:
-        payload, end = read_frame(buf, offset)
-        version, count, width = struct.unpack_from("<BQB", payload, 0)
-        if version != 1:
-            raise ValueError(f"unsupported packed array version {version}")
-        return cls(_words_from(payload[10:]), count, width), end
+    def read(cls, r: Reader, count: int, width: int) -> "PackedIntArray":
+        return cls(r.words((count * width + 63) // 64), count, width)
+
+
+def _low_width(n: int, m: int) -> int:
+    return max(0, (n // m).bit_length() - 1) if m else 0
+
+
+def _high_length(n: int, m: int, low_width: int) -> int:
+    # one zero per high bucket 0..(n - 1) >> low_width, so every bucket
+    # boundary is addressable with select0; no bits at all when m is 0
+    return m + ((n - 1) >> low_width) + 1 if m else 0
 
 
 class SparseBitVector:
@@ -377,17 +411,11 @@ class SparseBitVector:
                 raise ValueError("positions out of range")
             if np.any(np.diff(pos) <= 0):
                 raise ValueError("positions must be strictly increasing")
-        if m == 0:
-            return cls(n, 0, PackedIntArray.from_values([], 0), BitVector.from_bits([]))
-        low_width = max(0, (n // m).bit_length() - 1)
+        low_width = _low_width(n, m)
         v = pos - 1
-        highs = v >> low_width
         lows = PackedIntArray.from_values(v & ((1 << low_width) - 1), low_width)
-        # one zero per high bucket 0..max_bucket so every bucket boundary
-        # is addressable with select0
-        max_bucket = (n - 1) >> low_width
-        length = m + max_bucket + 1
-        high = BitVector.from_set_positions(length, highs + np.arange(1, m + 1))
+        high = BitVector.from_set_positions(_high_length(n, m, low_width),
+                                            (v >> low_width) + np.arange(1, m + 1))
         return cls(n, low_width, lows, high)
 
     def __len__(self) -> int:
@@ -429,9 +457,6 @@ class SparseBitVector:
         if self._m == 0:
             return 0, False
         return self._search(i)
-
-    def rank0(self, i: int) -> int:
-        return i - self.rank1(i)
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self._n:
@@ -487,21 +512,19 @@ class SparseBitVector:
     def code_bits(self) -> int:
         return len(self._high) + self._lows.code_bits()
 
-    def to_bytes(self) -> bytes:
-        payload = struct.pack("<BQB", 1, self._n, self._low_width)
-        payload += self._lows.to_bytes()
-        payload += self._high.to_bytes()
-        return write_frame(payload)
+    def write(self, w: Writer) -> None:
+        self._lows.write(w)
+        self._high.write(w)
 
     @classmethod
-    def from_buffer(cls, buf, offset: int = 0) -> tuple["SparseBitVector", int]:
-        payload, end = read_frame(buf, offset)
-        version, n, low_width = struct.unpack_from("<BQB", payload, 0)
-        if version != 1:
-            raise ValueError(f"unsupported sparse bitmap version {version}")
-        lows, off = PackedIntArray.from_buffer(payload, 10)
-        high, _ = BitVector.from_buffer(payload, off)
-        return cls(n, low_width, lows, high), end
+    def read(cls, r: Reader, n: int, m: int) -> "SparseBitVector":
+        """The m positions over [1, n] that `write` stored."""
+        low_width = _low_width(n, m)
+        lows = PackedIntArray.read(r, m, low_width)
+        high = BitVector.read(r, _high_length(n, m, low_width))
+        if high.count_ones != m:
+            raise ValueError(f"sparse bitmap holds {high.count_ones} of {m} ones")
+        return cls(n, low_width, lows, high)
 
 
 class UnaryDeltaStream:
@@ -542,9 +565,6 @@ class UnaryDeltaStream:
             return 0
         return self._members.select1(i) - i
 
-    def value_at(self, i: int) -> int:
-        return self.prefix_sum(i) - self.prefix_sum(i - 1)
-
     def prefix_iter(self, start: int = 0):
         """Yield prefix_sum(start+1), prefix_sum(start+2), ... cheaply."""
         if not 0 <= start <= self._count:
@@ -557,15 +577,12 @@ class UnaryDeltaStream:
     def code_bits(self) -> int:
         return self._members.code_bits()
 
-    def to_bytes(self) -> bytes:
-        payload = struct.pack("<BQ", 1, self._count) + self._members.to_bytes()
-        return write_frame(payload)
+    def write(self, w: Writer) -> None:
+        w.u32(len(self._members) - self._count)  # the total, without a select
+        self._members.write(w)
 
     @classmethod
-    def from_buffer(cls, buf, offset: int = 0) -> tuple["UnaryDeltaStream", int]:
-        payload, end = read_frame(buf, offset)
-        version, count = struct.unpack_from("<BQ", payload, 0)
-        if version != 1:
-            raise ValueError(f"unsupported delta stream version {version}")
-        members, _ = SparseBitVector.from_buffer(payload, 9)
-        return cls(members, count), end
+    def read(cls, r: Reader, count: int) -> "UnaryDeltaStream":
+        """A stream of count values; its total is the one stored number."""
+        total = r.u32()
+        return cls(SparseBitVector.read(r, total + count, count), count)

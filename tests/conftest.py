@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from trajindex.succinct import Reader, Writer
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 # acceptance tests append their verdict lines here; the summary hook prints
@@ -33,3 +35,19 @@ def ref_track():
 @pytest.fixture
 def ref_rows():
     return [(REF_OBJECT, t, x, y) for t, x, y in REF_TRACK]
+
+
+def round_trip(obj, *args):
+    """Write obj, read it back with `type(obj).read(reader, *args)`, check
+    that every byte was read and that writing the copy gives the same
+    bytes; return the copy."""
+    w = Writer()
+    obj.write(w)
+    blob = bytes(w)
+    r = Reader(blob)
+    back = type(obj).read(r, *args)
+    r.end()
+    again = Writer()
+    back.write(again)
+    assert again == blob
+    return back

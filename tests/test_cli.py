@@ -136,14 +136,21 @@ class TestQuery:
                                            built_index):
         blob = built_index.read_bytes()
         cut = tmp_path / "cut.idx"
-        # 60 bytes keep the header, the ids and the log count, and end
-        # inside the first log directory entry
+        # 60 bytes keep the header and the ids and end inside the first
+        # snapshot
         assert len(blob) > 60
         cut.write_bytes(blob[:60])
         rc = main(["query", str(cut), "--object", str(REF_OBJECT),
                    "--from", "9"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        flipped = bytearray(blob)
+        flipped[len(blob) // 2] ^= 0x10
+        cut.write_bytes(flipped)
+        rc = main(["query", str(cut), "--object", str(REF_OBJECT),
+                   "--from", "9"])
+        assert rc == 2
+        assert "checksum" in capsys.readouterr().err
 
     def test_bad_region_is_data_error(self, capsys, built_index):
         rc = main(["query", str(built_index), "--region", "5,4,0,1",
@@ -211,10 +218,10 @@ class TestBench:
                     for n, c, calls in bench_queries(ix, spec, seed)]
         assert stream(1) != stream(2)
 
-    def test_output_file_and_threads(self, tmp_path, built_index, capsys):
+    def test_output_file(self, tmp_path, built_index, capsys):
         out = tmp_path / "bench.csv"
         rc = main(["bench", str(built_index), "--scale", "0.0005",
-                   "--threads", "2", "--output", str(out)])
+                   "--output", str(out)])
         assert rc == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 7

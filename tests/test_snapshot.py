@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import round_trip
 from trajindex.snapshot import (
     K2Tree,
     Region,
@@ -134,8 +135,7 @@ class TestK2Tree:
 
     def test_round_trip(self):
         tree = K2Tree.build(40, 20, [(0, 0), (39, 19), (17, 3)])
-        back, _ = K2Tree.from_buffer(tree.to_bytes())
-        assert back.to_bytes() == tree.to_bytes()
+        back = round_trip(tree, 40, 20)
         assert back.report_cells(Region(0, 39, 0, 19)) == \
             tree.report_cells(Region(0, 39, 0, 19))
 
@@ -192,8 +192,7 @@ class TestSnapshot:
     def test_round_trip(self):
         rows = [(oid, oid % 11, oid % 7) for oid in range(1, 40)]
         snap = Snapshot.build(rows, 120, (11, 7), entrant_ids={3, 14})
-        back, _ = Snapshot.from_buffer(snap.to_bytes())
-        assert back.to_bytes() == snap.to_bytes()
+        back = round_trip(snap, 120, (11, 7))
         assert back.instant == 120
         assert back.position_of(14) == snap.position_of(14)
         assert back.is_entrant(14) and not back.is_entrant(15)
