@@ -120,10 +120,12 @@ class TrajectoryIndex:
         if q == k:
             return sorted(snap.range_report(region, include_entrants=False))
         wide = expanded_region(region, q, k, self.max_speed, self.extent)
+        box = Mbr(region.x1, region.x2, region.y1, region.y2)
         out = []
         for oid, _, _ in snap.range_report(wide):
             entry = self._logs.get((k, oid))
-            if entry is None:
+            # the root box bounds every position in the log
+            if entry is None or not entry[1].root.intersects(box):
                 continue
             pos = entry[0].position(q - k)
             if pos is not None and region.contains(pos[0], pos[1]):
@@ -139,6 +141,7 @@ class TrajectoryIndex:
         if first > last:
             raise ValueError("empty instant range")
         d = self.period
+        box = Mbr(region.x1, region.x2, region.y1, region.y2)
         found: set[int] = set()
         for k in range(first - first % d, last + 1, d):
             snap = self._snapshots[k // d]
@@ -149,7 +152,6 @@ class TrajectoryIndex:
             if lo > hi:
                 continue
             wide = expanded_region(region, hi, k, self.max_speed, self.extent)
-            box = Mbr(region.x1, region.x2, region.y1, region.y2)
             for oid, _, _ in snap.range_report(wide):
                 if oid in found:
                     continue
@@ -157,6 +159,10 @@ class TrajectoryIndex:
                 if entry is None:
                     continue
                 log, tree = entry
+                if mbr_prune and not tree.root.intersects(box):
+                    if stats is not None:
+                        stats.root_reject()
+                    continue
                 b1 = log.count_data_upto(lo - k - 1) + 1
                 e1 = log.count_data_upto(hi - k)
                 if b1 > e1:
@@ -236,6 +242,8 @@ class TrajectoryIndex:
         if period < 2 or leaf_capacity < 1:
             raise ValueError(f"bad period {period} or leaf capacity {leaf_capacity}")
         object_ids = r.u32s(nobj)
+        if np.any(object_ids[1:] <= object_ids[:-1]):
+            raise ValueError("object ids are not strictly increasing")
         snapshots = []
         logs = {}
         for k in range(0, horizon, period):

@@ -60,6 +60,13 @@ class TraversalStats:
         if self.events is not None:
             self.events.append((kind, node))
 
+    def root_reject(self) -> None:
+        """Count a search its caller skipped because the root box misses
+        the region: the root is visited and rejected, as in `first_hit`."""
+        self.nodes_visited += 1
+        self.event("visit", 1)
+        self.event("mbr_reject", 1)
+
 
 class MbrTree:
     """Bounding boxes over one log, heap order, differential storage."""
@@ -215,6 +222,9 @@ class MbrTree:
         return cls(leaf_capacity, leaf_count, data_count, width, root, dx, dy)
 
 
+_U32_MAX = (1 << 32) - 1  # the root box is stored as u32s
+
+
 def _leaf_count(n: int, leaf_capacity: int) -> int:
     # leaves for n ordinals, padded to a power of two
     leaves_needed = (n + leaf_capacity - 1) // leaf_capacity
@@ -243,6 +253,9 @@ def build_mbr_tree(log: TrajectoryLog, leaf_capacity: int) -> MbrTree:
         a, b = boxes[2 * p], boxes[2 * p + 1]
         boxes[p] = a if b is None else a.union(b)
     root = boxes[1]
+    if min(root.xmin, root.ymin) < 0 or max(root.xmax, root.ymax) > _U32_MAX:
+        raise ValueError(f"box {root} cannot be stored: coordinates must "
+                         f"lie in 0..{_U32_MAX}")
     diffs_x: list[int] = []
     diffs_y: list[int] = []
     for p in range(2, node_count + 1):

@@ -69,6 +69,13 @@ def morton_codes(x, y) -> np.ndarray:
     return _spread_bits(xs) | (_spread_bits(ys) << np.uint64(1))
 
 
+# a node's four children: their bits after the node's base, and their x
+# and y offsets in units of the child's side
+_CHILD_BIT = np.array([1, 2, 3, 4], dtype=np.int64)
+_CHILD_X = np.array([0, 1, 0, 1], dtype=np.int64)
+_CHILD_Y = np.array([0, 0, 1, 1], dtype=np.int64)
+
+
 def _side(width: int, height: int) -> int:
     # smallest power of two, at least 2, that covers the grid
     return 1 << max(1, int(max(width, height) - 1).bit_length())
@@ -127,38 +134,33 @@ class K2Tree:
         """Occupied cells intersecting region as (x, y, rank).
 
         Rank is the cell's 1-based index among all occupied cells in leaf
-        order, which is what the per-cell object lists are keyed by.
+        order, which is what the per-cell object lists are keyed by.  The
+        descent goes one level at a time: the four child bits of every
+        node still alive are read and ranked in one numpy pass, and the
+        children that are empty or miss the region are dropped.  Nodes
+        stay in bit order on every level, so the cells come out by rank.
         """
-        out: list[tuple[int, int, int]] = []
-        if not self.levels or len(self.levels[0]) == 0:
-            return out
         x1 = max(region.x1, 0)
         y1 = max(region.y1, 0)
         x2 = min(region.x2, self.width - 1)
         y2 = min(region.y2, self.height - 1)
         if x1 > x2 or y1 > y2:
-            return out
-        last = len(self.levels) - 1
-        stack = [(0, 0, 0, 0, self.side)]
-        while stack:
-            depth, bit_base, cx0, cy0, size = stack.pop()
-            half = size >> 1
-            level = self.levels[depth]
-            for c in range(4):
-                pos = bit_base + c + 1
-                if not level.access(pos):
-                    continue
-                cx = cx0 + (c & 1) * half
-                cy = cy0 + ((c >> 1) & 1) * half
-                if cx > x2 or cx + half - 1 < x1 or cy > y2 or cy + half - 1 < y1:
-                    continue
-                if depth == last:
-                    out.append((cx, cy, level.rank1(pos)))
-                else:
-                    stack.append((depth + 1, 4 * (level.rank1(pos) - 1),
-                                  cx, cy, half))
-        out.sort(key=lambda c: c[2])
-        return out
+            return []
+        base = np.zeros(1, dtype=np.int64)  # bits before a node's children
+        xs = ys = base
+        size = self.side
+        for level in self.levels:
+            size >>= 1
+            cx = (xs[:, None] + _CHILD_X * size).ravel()
+            cy = (ys[:, None] + _CHILD_Y * size).ravel()
+            bits, ranks = level.access_rank1((base[:, None] + _CHILD_BIT).ravel())
+            keep = (bits & (cx <= x2) & (cx + size > x1)
+                    & (cy <= y2) & (cy + size > y1))
+            xs, ys, ranks = cx[keep], cy[keep], ranks[keep]
+            if not len(ranks):
+                return []
+            base = 4 * (ranks - 1)
+        return list(zip(xs.tolist(), ys.tolist(), ranks.tolist()))
 
     def code_bits(self) -> int:
         return sum(level.code_bits() for level in self.levels)
@@ -192,12 +194,9 @@ class Snapshot:
         self._entrants = entrants
         self._by_id: dict[int, tuple[int, int, bool]] = {}
         full = Region(0, tree.width - 1, 0, tree.height - 1)
-        for x, y, rank in tree.report_cells(full):
-            lo = cell_counts.prefix_sum(rank - 1)
-            hi = cell_counts.prefix_sum(rank)
-            for idx in range(lo, hi):
-                oid = int(perm[idx])
-                self._by_id[oid] = (x, y, bool(entrants.access(idx + 1)))
+        for idx, x, y in self._occupants(full):
+            oid = int(perm[idx])
+            self._by_id[oid] = (x, y, bool(entrants.access(idx + 1)))
 
     @classmethod
     def build(cls, positions, instant: int, extent: tuple[int, int],
@@ -250,14 +249,27 @@ class Snapshot:
     def range_report(self, region: Region,
                      include_entrants: bool = True) -> list[tuple[int, int, int]]:
         """(object id, x, y) for every stored object inside region."""
-        out = []
-        for x, y, rank in self.tree.report_cells(region):
-            lo = self._counts.prefix_sum(rank - 1)
-            hi = self._counts.prefix_sum(rank)
+        perm, entrants = self._perm, self._entrants
+        return [(int(perm[idx]), x, y) for idx, x, y in self._occupants(region)
+                if include_entrants or not entrants.access(idx + 1)]
+
+    def _occupants(self, region: Region):
+        """Yield (index into perm, x, y) for every object in a cell that
+        meets region.  The cells come by rank, so one sequential walk over
+        the cell counts, from the first reported cell to the last, gives
+        every cell's slice of perm."""
+        cells = self.tree.report_cells(region)
+        if not cells:
+            return
+        at = cells[0][2] - 1  # the cell whose prefix sum `hi` holds
+        hi = self._counts.prefix_sum(at)
+        sums = self._counts.prefix_iter(at)
+        for x, y, rank in cells:
+            while at < rank:
+                lo, hi = hi, next(sums)
+                at += 1
             for idx in range(lo, hi):
-                if include_entrants or not self._entrants.access(idx + 1):
-                    out.append((int(self._perm[idx]), x, y))
-        return out
+                yield idx, x, y
 
     def code_bits(self) -> int:
         return (self.tree.code_bits() + 32 * len(self._perm)

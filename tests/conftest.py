@@ -1,4 +1,5 @@
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,11 @@ def round_trip(obj, *args):
     back.write(again)
     assert again == blob
     return back
+
+
+def restamp(blob) -> bytes:
+    """blob with its header CRC recomputed, so an edit to the body reaches
+    the parser instead of failing the checksum."""
+    blob = bytes(blob)
+    crc = zlib.crc32(blob[10:], zlib.crc32(blob[:6]))
+    return blob[:6] + crc.to_bytes(4, "little") + blob[10:]

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import REF_OBJECT, REF_TRACK
+from conftest import REF_OBJECT, REF_TRACK, restamp
 from synth import make_fleet
 from trajindex.cli import BenchSpec, bench_queries, main
 from trajindex.engine import TrajectoryIndex, build_index
@@ -151,6 +151,19 @@ class TestQuery:
                    "--from", "9"])
         assert rc == 2
         assert "checksum" in capsys.readouterr().err
+
+    def test_ids_out_of_order_is_data_error(self, capsys, tmp_path,
+                                            built_index):
+        # ids 3 and 7 swapped, the checksum stamped again to match
+        blob = built_index.read_bytes()
+        ids = (3).to_bytes(4, "little") + (7).to_bytes(4, "little")
+        assert blob[42:50] == ids
+        bad = tmp_path / "swapped.idx"
+        bad.write_bytes(restamp(blob[:42] + ids[4:] + ids[:4] + blob[50:]))
+        rc = main(["query", str(bad), "--object", str(REF_OBJECT),
+                   "--from", "9"])
+        assert rc == 2
+        assert "strictly increasing" in capsys.readouterr().err
 
     def test_bad_region_is_data_error(self, capsys, built_index):
         rc = main(["query", str(built_index), "--region", "5,4,0,1",

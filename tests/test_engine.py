@@ -3,10 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import REF_OBJECT, REF_PERIOD, REF_TRACK
+from conftest import REF_OBJECT, REF_PERIOD, REF_TRACK, restamp
 from synth import make_fleet
 from trajindex.engine import TrajectoryIndex, build_index, compute_max_speed
-from trajindex.mbrtree import TraversalStats
+from trajindex.log import build_log
+from trajindex.mbrtree import Mbr, TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region
 
@@ -255,6 +256,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="version 1"):
             TrajectoryIndex.from_bytes(old)
 
+    @pytest.mark.parametrize("order", [[2, 1, 3], [1, 1, 3]],
+                             ids=["swapped", "duplicate"])
+    def test_ids_out_of_order_are_rejected(self, tiny_blob, order):
+        # the ids follow the 10-byte prefix and eight u32 header fields
+        ids = np.frombuffer(tiny_blob, "<u4", count=3, offset=42)
+        assert list(ids) == [1, 2, 3]
+        bad = restamp(tiny_blob[:42] + np.array(order, "<u4").tobytes()
+                      + tiny_blob[54:])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TrajectoryIndex.from_bytes(bad)
+        assert TrajectoryIndex.from_bytes(restamp(tiny_blob)).object_ids == \
+            [1, 2, 3]
+
     @pytest.mark.parametrize("period, leaf, seed, kwargs, size, digest", [
         pytest.param(
             240, 16, 5, {"drop_rate": 0.03}, 36078,
@@ -310,3 +324,92 @@ class TestPeriodEdges:
             for oid in small_table.object_ids:
                 assert small_index.object_position(oid, k) == \
                     small_table.position(oid, k)
+
+
+def log_boxes(fleet, period):
+    """(object id, period start, root box) of every log, from the fleet's
+    own arrays: the box of the fixes strictly inside the period."""
+    out = []
+    for i, oid in enumerate(fleet.ids):
+        for k in range(0, fleet.horizon, period):
+            ts = k + 1 + np.flatnonzero(fleet.present[i, k + 1:k + period])
+            if len(ts):
+                xs, ys = fleet.xs[i, ts], fleet.ys[i, ts]
+                out.append((int(oid), k, Mbr(int(xs.min()), int(xs.max()),
+                                             int(ys.min()), int(ys.max()))))
+    return out
+
+
+class TestRootBoxFilter:
+    """Slice and interval queries skip a log whose root box misses the
+    region; the box is inclusive, so regions that only touch its edges
+    must still find the fixes on them."""
+
+    def edge_regions(self, box, extent):
+        w, h = extent
+        reach = 25
+        for x1, x2, y1, y2 in (
+                (box.xmax, box.xmax + reach, box.ymin, box.ymax),
+                (box.xmin - reach, box.xmin, box.ymin, box.ymax),
+                (box.xmin, box.xmax, box.ymax, box.ymax + reach),
+                (box.xmin, box.xmax, box.ymin - reach, box.ymin),
+                (box.xmax + 1, box.xmax + reach, box.ymin, box.ymax),
+                (box.xmin - reach, box.xmin - 1, box.ymin, box.ymax),
+                (box.xmax, box.xmax, box.ymax, box.ymax)):
+            x1, y1 = max(0, x1), max(0, y1)
+            x2, y2 = min(w - 1, x2), min(h - 1, y2)
+            if x1 <= x2 and y1 <= y2:
+                yield (x1, x2, y1, y2)
+
+    def test_edge_regions_match_oracle(self, small_fleet, small_index,
+                                       small_table):
+        rng = np.random.default_rng(66)
+        d = small_index.period
+        boxes = log_boxes(small_fleet, d)
+        touched = 0
+        for j in rng.choice(len(boxes), size=40, replace=False):
+            oid, k, box = boxes[j]
+            last = min(k + d - 1, small_table.horizon - 1)
+            for rect in self.edge_regions(box, small_fleet.extent):
+                region = Region(*rect)
+                want = oracle_interval(small_table, rect, k + 1, last)
+                assert small_index.time_interval(region, k + 1, last) == want
+                assert small_index.time_interval(
+                    region, k + 1, last, mbr_prune=False) == want
+                inside = [t for t in range(k + 1, last + 1)
+                          if (pos := small_table.position(oid, t))
+                          and region.contains(*pos)]
+                assert (oid in want) == bool(inside)
+                touched += bool(inside)
+                for q in inside[:2] + [int(rng.integers(k + 1, last + 1))]:
+                    assert small_index.time_slice(region, q) == \
+                        oracle_slice(small_table, rect, q)
+        assert touched > 40
+
+    def test_root_reject_counts_as_a_rejected_root_visit(self):
+        # object 1 stays in the far corner, object 2 is the only one inside
+        # the region; with speed 4 over 9 instants both are snapshot
+        # candidates, but the root box of 1's log misses the region
+        rows = ([(1, t, 30, 30) for t in range(10)]
+                + [(2, t, 14 + t % 2, 14) for t in range(10)])
+        ix = build_index(rows, period=10, leaf_capacity=2, extent=(40, 40),
+                         max_speed=4)
+        region = Region(10, 16, 10, 16)
+        stats = TraversalStats(trace=True)
+        assert ix.time_interval(region, 1, 9, stats=stats) == [2]
+        log = build_log([(t, 30, 30) for t in range(1, 10)], 0, 10)
+        alone = TraversalStats(trace=True)
+        assert build_mbr_tree(log, 2).first_hit(
+            log, Mbr(10, 16, 10, 16), 1, 9, 4, 1, 9, stats=alone) is None
+        assert alone.events == [("visit", 1), ("mbr_reject", 1)]
+        # one root visit and its rejection, in the order first_hit makes them
+        rejects = [i for i, e in enumerate(stats.events)
+                   if e == ("mbr_reject", 1)]
+        assert len(rejects) == 1
+        assert stats.events[rejects[0] - 1:rejects[0] + 1] == alone.events
+        assert stats.nodes_visited == \
+            sum(kind == "visit" for kind, _ in stats.events)
+        bare = TraversalStats(trace=True)
+        assert ix.time_interval(region, 1, 9, mbr_prune=False,
+                                stats=bare) == [2]
+        assert bare.positions_decoded > stats.positions_decoded

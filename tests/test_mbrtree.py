@@ -176,6 +176,18 @@ class TestSearch:
         with pytest.raises(IndexError):
             ref_tree.first_hit(ref_log, Mbr(0, 1, 0, 1), 3, 8, 3, 1, 5)
 
+    @pytest.mark.parametrize("rows", [
+        [(1, 3, 4), (2, 0, -1)],
+        [(1, -2, 4), (2, 0, 4)],
+        [(1, 1 << 32, 4)],
+    ])
+    def test_coordinates_outside_u32_are_rejected(self, rows):
+        # the log holds any integers, but the root box is stored as u32s
+        log = build_log(rows, 0, 6)
+        assert log.scan_positions(1, log.data_count) == rows
+        with pytest.raises(ValueError, match="must lie in 0"):
+            build_mbr_tree(log, 2)
+
     def test_single_leaf_tree(self):
         log = build_log([(1, 5, 5), (3, 8, 9)], 0, 6)
         tree = build_mbr_tree(log, 10)

@@ -133,6 +133,30 @@ class TestK2Tree:
                 # ranks are the cells' 1-based leaf-order indexes
                 assert [r for _, _, r in got] == sorted(r for _, _, r in got)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_report_matches_linear_filter_anywhere(self, data):
+        # odd and lopsided grids, empty ones, and regions that stick out of
+        # the grid or miss it altogether
+        w, h = data.draw(st.sampled_from([(1, 1), (3, 700), (1000, 5)])
+                         | st.tuples(st.integers(1, 70), st.integers(1, 70)))
+        cells = sorted(data.draw(st.sets(
+            st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+            max_size=min(w * h, 60))))
+        tree = K2Tree.build(w, h, cells)
+        codes = morton_codes([x for x, _ in cells], [y for _, y in cells])
+        rank = {c: r for r, (_, c) in
+                enumerate(sorted(zip(codes.tolist(), cells)), 1)}
+        x1 = data.draw(st.integers(-40, w + 40))
+        x2 = data.draw(st.integers(x1, w + 80))
+        y1 = data.draw(st.integers(-40, h + 40))
+        y2 = data.draw(st.integers(y1, h + 80))
+        want = sorted((x, y, rank[(x, y)]) for x, y in cells
+                      if x1 <= x <= x2 and y1 <= y <= y2)
+        got = tree.report_cells(Region(x1, x2, y1, y2))
+        assert got == sorted(want, key=lambda c: c[2])
+        assert all(type(v) is int for c in got for v in c)
+
     def test_round_trip(self):
         tree = K2Tree.build(40, 20, [(0, 0), (39, 19), (17, 3)])
         back = round_trip(tree, 40, 20)
