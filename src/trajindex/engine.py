@@ -10,6 +10,7 @@ confirmed against the exact compressed positions.
 
 from __future__ import annotations
 
+import gc
 import struct
 import zlib
 from collections import defaultdict
@@ -145,15 +146,20 @@ class TrajectoryIndex:
         found: set[int] = set()
         for k in range(first - first % d, last + 1, d):
             snap = self._snapshots[k // d]
-            if k >= first:
-                for oid, _, _ in snap.range_report(region, include_entrants=False):
-                    found.add(oid)
             lo, hi = max(first, k + 1), min(last, k + d - 1)
-            if lo > hi:
-                continue
-            wide = expanded_region(region, hi, k, self.max_speed, self.extent)
-            for oid, _, _ in snap.range_report(wide):
+            logged = lo <= hi  # else the window ends at the snapshot instant
+            wide = (expanded_region(region, hi, k, self.max_speed, self.extent)
+                    if logged else region)
+            # one probe serves the snapshot instant and the logs: when k is
+            # in the window, a non-entrant stored inside region is found
+            for oid, x, y in snap.range_report(wide):
                 if oid in found:
+                    continue
+                if (k >= first and region.contains(x, y)
+                        and not snap.is_entrant(oid)):
+                    found.add(oid)
+                    continue
+                if not logged:
                     continue
                 entry = self._logs.get((k, oid))
                 if entry is None:
@@ -225,7 +231,23 @@ class TrajectoryIndex:
     @classmethod
     def from_bytes(cls, buf) -> "TrajectoryIndex":
         """Load an index; a malformed, truncated or corrupt buffer, or one
-        of another format version, raises ValueError."""
+        of another format version, raises ValueError.
+
+        The cyclic garbage collector is paused while the parse allocates
+        its tens of thousands of small objects, which would otherwise set
+        off one full collection after another, and is put back as it was
+        however the parse ends.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._parse(buf)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def _parse(cls, buf) -> "TrajectoryIndex":
         if len(buf) < _PREFIX.size or bytes(buf[:4]) != _MAGIC:
             raise ValueError("not an index file")
         _, version, crc = _PREFIX.unpack_from(buf)

@@ -196,7 +196,8 @@ class TrajectoryLog:
         """Yield (local instant, x, y) for data ordinals frm..to.
 
         Sequential cursors over the gap bitmap and the four magnitude
-        streams keep the whole walk linear in to - frm.
+        streams keep the whole walk linear in to - frm; each stream opens
+        at its sum before frm with one select.
         """
         n = self.data_count
         if not 1 <= frm <= to <= n:
@@ -204,14 +205,12 @@ class TrajectoryLog:
         sx, sy = self.dx.sign, self.dy.sign
         px = sx.rank1(frm - 1)
         py = sy.rank1(frm - 1)
-        x_pos = self.dx.pos.prefix_sum(px)
-        x_neg = self.dx.neg.prefix_sum(frm - 1 - px)
-        y_pos = self.dy.pos.prefix_sum(py)
-        y_neg = self.dy.neg.prefix_sum(frm - 1 - py)
         it_xp = self.dx.pos.prefix_iter(px)
         it_xn = self.dx.neg.prefix_iter(frm - 1 - px)
         it_yp = self.dy.pos.prefix_iter(py)
         it_yn = self.dy.neg.prefix_iter(frm - 1 - py)
+        x_pos, x_neg = next(it_xp), next(it_xn)
+        y_pos, y_neg = next(it_yp), next(it_yn)
         offsets = self.time.data_offsets(frm)
         base = self.time.first - 1
         for j in range(frm, to + 1):

@@ -9,6 +9,7 @@ packed at the width of the largest difference in the tree.
 Interval search walks the tree pruning on time coverage, box overlap and a
 reachability bound: if a box sits further from the query region than the
 object can travel in the time remaining, the subtree cannot produce a hit.
+A box that lies wholly inside the region answers at once, with no decoding.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ class Mbr:
     def contains(self, x: int, y: int) -> bool:
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
 
+    def within(self, other: "Mbr") -> bool:
+        return (other.xmin <= self.xmin and self.xmax <= other.xmax
+                and other.ymin <= self.ymin and self.ymax <= other.ymax)
+
     def union(self, other: "Mbr") -> "Mbr":
         return Mbr(min(self.xmin, other.xmin), max(self.xmax, other.xmax),
                    min(self.ymin, other.ymin), max(self.ymax, other.ymax))
@@ -49,7 +54,20 @@ def _point_gap(r: Mbr, x: int, y: int) -> int:
 
 
 class TraversalStats:
-    """Counters for one or more searches; events recorded only when traced."""
+    """Counters for one or more searches; events recorded only when traced.
+
+    Each event is a (kind, node) pair.  The kinds:
+      "visit"        the search entered the node;
+      "mbr_reject"   the node's box misses the region: nothing below it;
+      "mbr_contain"  the node's box lies inside the region: its first
+                     ordinal in the window is the answer, nothing decoded;
+      "time_skip"    the node's subtree lies outside the ordinal window;
+      "speed_skip"   by the speed bound the object cannot be inside the
+                     region during the node's subtree, which is skipped;
+      "leaf_abort"   a leaf scan stopped because the object cannot reach
+                     the region before the leaf ends;
+      "hit"          a leaf scan decoded a position inside the region.
+    """
 
     def __init__(self, trace: bool = False):
         self.nodes_visited = 0
@@ -135,9 +153,16 @@ class MbrTree:
                 mbr_prune, speed_prune, stats) -> int | None:
         stats.nodes_visited += 1
         stats.event("visit", p)
-        if mbr_prune and not box.intersects(r):
-            stats.event("mbr_reject", p)
-            return None
+        if mbr_prune:
+            if not box.intersects(r):
+                stats.event("mbr_reject", p)
+                return None
+            if box.within(r):
+                # every position under p is in r, p meets the window, and
+                # the walk goes left first: p's first ordinal in the window
+                # is the earliest hit
+                stats.event("mbr_contain", p)
+                return log.unmap_ordinal(max(self.coverage(p)[0], olo))
         if p >= self.leaf_count:
             return self._scan_leaf(p, log, r, olo, ohi, s, speed_prune, stats)
         left, right = 2 * p, 2 * p + 1
@@ -189,15 +214,23 @@ class MbrTree:
     def _scan_leaf(self, p, log, r, olo, ohi, s, speed_prune, stats) -> int | None:
         cov = self.coverage(p)
         lo, hi = max(cov[0], olo), min(cov[1], ohi)
-        last_t = log.unmap_ordinal(hi)
-        for t, x, y in log.iter_positions(lo, hi):
+        last_t = None
+        for j, (t, x, y) in enumerate(log.iter_positions(lo, hi), lo):
             stats.positions_decoded += 1
             if r.contains(x, y):
                 stats.event("hit", p)
                 return t
-            if speed_prune and _point_gap(r, x, y) > s * (last_t - t):
-                stats.event("leaf_abort", p)
-                break
+            if not speed_prune:
+                continue
+            # instants rise with ordinals, so last_t - t >= hi - j; look
+            # last_t up only when that bound cannot rule the abort out
+            gap = _point_gap(r, x, y)
+            if gap > s * (hi - j):
+                if last_t is None:
+                    last_t = t if j == hi else log.unmap_ordinal(hi)
+                if gap > s * (last_t - t):
+                    stats.event("leaf_abort", p)
+                    break
         return None
 
     def code_bits(self) -> int:

@@ -262,8 +262,8 @@ class Snapshot:
         if not cells:
             return
         at = cells[0][2] - 1  # the cell whose prefix sum `hi` holds
-        hi = self._counts.prefix_sum(at)
         sums = self._counts.prefix_iter(at)
+        hi = next(sums)
         for x, y, rank in cells:
             while at < rank:
                 lo, hi = hi, next(sums)

@@ -410,6 +410,8 @@ class SparseBitVector:
     bitmap; rank1 bounds one high bucket with two select0s and bisects
     its lows, so it costs O(log(n/m)).  The same search also tells whether
     the probed position is a member, which `rank1_member` returns.
+    select0 bisects the few high buckets the j-th zero can fall in, with
+    select0s on the high bitmap, and walks the lows of one bucket.
     """
 
     def __init__(self, n: int, low_width: int, lows: PackedIntArray, high: BitVector):
@@ -481,19 +483,43 @@ class SparseBitVector:
         return int(self._m > 0 and self._search(i)[1])
 
     def select0(self, j: int) -> int:
-        """Position of the j-th absent value, 1-based."""
+        """Position of the j-th absent value, 1-based.
+
+        A high bucket spans 2**w values, w the low width, and the set has
+        m members, so the j-th zero falls in a bucket b between
+        (j - 1) >> w and (j - 1 + m) >> w.  Bisecting that range with select0 on the high
+        bitmap finds the last bucket with fewer than j zeros before it;
+        stepping over that bucket's members that lie at or below the
+        candidate then places the zero.
+        """
         total0 = self._n - self._m
         if not 1 <= j <= total0:
             raise ValueError(f"select0({j}) out of range, only {total0} zeros")
-        # largest c with select1(c) - c < j, then j zeros fit before one c+1
-        lo, hi = 0, self._m
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.select1(mid) - mid < j:
-                lo = mid
+        m = self._m
+        if m == 0:
+            return j
+        w = self._low_width
+        high = self._high
+        b = (j - 1) >> w
+        top = min((j - 1 + m) >> w, (self._n - 1) >> w)
+        # at: high position of the b-th zero, which ends bucket b - 1, so
+        # bucket b's members follow it and at - b members come before it
+        at = high.select0(b) if b else 0
+        while b < top:
+            mid = (b + top + 1) >> 1
+            p = high.select0(mid)
+            if (mid << w) - (p - mid) < j:
+                b, at = mid, p
             else:
-                hi = mid - 1
-        return j + lo
+                top = mid - 1
+        i = at - b
+        v = j - 1 + i  # 0-based value of the zero if no member of b is below it
+        lows, base = self._lows, b << w
+        while i < m and high.access(at + 1) and base + lows[i] <= v:
+            v += 1
+            i += 1
+            at += 1
+        return v + 1
 
     def ones(self, start: int = 1):
         """Yield member positions in order, beginning with the start-th."""
@@ -583,13 +609,17 @@ class UnaryDeltaStream:
         return self._members.select1(i) - i
 
     def prefix_iter(self, start: int = 0):
-        """Yield prefix_sum(start+1), prefix_sum(start+2), ... cheaply."""
+        """Yield prefix_sum(start), prefix_sum(start + 1), ... up to the
+        total; opening the walk costs one select."""
         if not 0 <= start <= self._count:
             raise IndexError(f"prefix index {start} out of range 0..{self._count}")
         j = start
-        for p in self._members.ones(start + 1):
-            j += 1
+        if j == 0:
+            yield 0
+            j = 1
+        for p in self._members.ones(j):
             yield p - j
+            j += 1
 
     def code_bits(self) -> int:
         return self._members.code_bits()

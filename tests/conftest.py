@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from trajindex.mbrtree import Mbr
 from trajindex.succinct import Reader, Writer
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -60,3 +61,13 @@ def restamp(blob) -> bytes:
     blob = bytes(blob)
     crc = zlib.crc32(blob[10:], zlib.crc32(blob[:6]))
     return blob[:6] + crc.to_bytes(4, "little") + blob[10:]
+
+
+def pulled_in(box: Mbr):
+    """box with each edge in turn pulled in by one cell, where it can be."""
+    if box.xmin < box.xmax:
+        yield Mbr(box.xmin + 1, box.xmax, box.ymin, box.ymax)
+        yield Mbr(box.xmin, box.xmax - 1, box.ymin, box.ymax)
+    if box.ymin < box.ymax:
+        yield Mbr(box.xmin, box.xmax, box.ymin + 1, box.ymax)
+        yield Mbr(box.xmin, box.xmax, box.ymin, box.ymax - 1)

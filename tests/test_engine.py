@@ -1,15 +1,16 @@
+import gc
 import hashlib
 
 import numpy as np
 import pytest
 
-from conftest import REF_OBJECT, REF_PERIOD, REF_TRACK, restamp
+from conftest import REF_OBJECT, REF_PERIOD, REF_TRACK, pulled_in, restamp
 from synth import make_fleet
 from trajindex.engine import TrajectoryIndex, build_index, compute_max_speed
 from trajindex.log import build_log
 from trajindex.mbrtree import Mbr, TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
-from trajindex.snapshot import Region
+from trajindex.snapshot import Region, Snapshot
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +252,24 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 TrajectoryIndex.from_bytes(tiny_blob + bytes([b]))
 
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_load_leaves_the_collector_as_it_was(self, tiny_blob, collecting):
+        flipped = bytearray(tiny_blob)
+        flipped[-1] ^= 1
+        was = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            TrajectoryIndex.from_bytes(tiny_blob)
+            assert gc.isenabled() == collecting
+            with pytest.raises(ValueError, match="checksum"):
+                TrajectoryIndex.from_bytes(bytes(flipped))
+            assert gc.isenabled() == collecting
+            with pytest.raises(ValueError, match="truncated"):
+                TrajectoryIndex.from_bytes(restamp(tiny_blob[:-5]))
+            assert gc.isenabled() == collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_version_one_file_is_rejected_by_name(self, tiny_blob):
         old = tiny_blob[:4] + (1).to_bytes(2, "little") + tiny_blob[6:]
         with pytest.raises(ValueError, match="version 1"):
@@ -413,3 +432,96 @@ class TestRootBoxFilter:
         assert ix.time_interval(region, 1, 9, mbr_prune=False,
                                 stats=bare) == [2]
         assert bare.positions_decoded > stats.positions_decoded
+
+
+class TestContainedIntervals:
+    """Interval queries whose region holds whole boxes, and windows that
+    start or end on a snapshot instant, where one snapshot probe serves
+    both the instant and the logs."""
+
+    def windows(self, d, horizon):
+        for k in range(0, horizon, d):
+            for b, e in ((k, k), (k, k + 1), (k, k + d // 2), (k, k + d),
+                         (k - d // 3, k), (k - 1, k), (k - 1, k + 1),
+                         (k + 1, k + d - 1), (k - 2 * d, k + d)):
+                b, e = max(0, b), min(horizon - 1, e)
+                if b <= e:
+                    yield b, e
+
+    def regions(self, fleet, period, rng):
+        w, h = fleet.extent
+        yield (0, w - 1, 0, h - 1)
+        boxes = log_boxes(fleet, period)
+        for j in rng.choice(len(boxes), size=6, replace=False):
+            box = boxes[j][2]
+            yield (box.xmin, box.xmax, box.ymin, box.ymax)
+            for r in pulled_in(box):
+                yield (r.xmin, r.xmax, r.ymin, r.ymax)
+        for _ in range(4):
+            x1 = int(rng.integers(0, w)); y1 = int(rng.integers(0, h))
+            yield (x1, min(w - 1, x1 + 120), y1, min(h - 1, y1 + 120))
+
+    def test_snapshot_edge_windows_match_oracle(self, small_fleet,
+                                                small_index, small_table):
+        d = small_index.period
+        horizon = small_table.horizon
+        # the fleet drops fixes, so some objects enter periods late
+        assert any(snap.is_entrant(int(oid))
+                   for snap in small_index.snapshots for oid in small_fleet.ids)
+        rng = np.random.default_rng(67)
+        regions = list(self.regions(small_fleet, d, rng))
+        checked = hits = 0
+        for rect in regions:
+            region = Region(*rect)
+            for b, e in self.windows(d, horizon):
+                want = oracle_interval(small_table, rect, b, e)
+                assert small_index.time_interval(region, b, e) == want
+                assert small_index.time_interval(
+                    region, b, e, mbr_prune=False) == want
+                checked += 1
+                hits += bool(want)
+        assert checked > 1000 and 0 < hits < checked
+
+    def test_entrant_inside_region_found_through_its_log(self):
+        # object 2 has no fix at instant 10, so the snapshot carries it at
+        # its first fix in the period (instant 14) as an entrant; it counts
+        # only for windows that reach instant 14
+        rows = ([(1, t, 3, 3) for t in range(20)]
+                + [(2, t, 20, 20) for t in range(10)]
+                + [(2, t, 8, 8) for t in range(14, 20)])
+        ix = build_index(rows, period=10, leaf_capacity=2, extent=(32, 32))
+        assert ix.snapshots[1].is_entrant(2)
+        region = Region(6, 10, 6, 10)
+        assert ix.time_interval(region, 10, 10) == []
+        assert ix.time_interval(region, 10, 13) == []
+        assert ix.time_interval(region, 10, 14) == [2]
+        assert ix.time_interval(region, 9, 19) == [2]
+        assert ix.time_interval(Region(0, 31, 0, 31), 10, 10) == [1]
+        assert ix.time_interval(Region(0, 31, 0, 31), 10, 13) == [1]
+        assert ix.time_interval(Region(0, 31, 0, 31), 10, 14) == [1, 2]
+
+    def test_one_snapshot_probe_per_period(self, small_index, monkeypatch):
+        calls = []
+        probe = Snapshot.range_report
+
+        def counted(snap, region, include_entrants=True):
+            calls.append(snap.instant)
+            return probe(snap, region, include_entrants)
+
+        monkeypatch.setattr(Snapshot, "range_report", counted)
+        d = small_index.period
+        for b, e in ((0, 0), (0, 5), (d, 3 * d), (d - 1, d + 1), (7, 2 * d - 1)):
+            calls.clear()
+            small_index.time_interval(Region(100, 300, 100, 300), b, e)
+            assert calls == list(range(b - b % d, e + 1, d))
+
+    def test_whole_grid_decodes_nothing(self, small_index, small_table):
+        w, h = small_index.extent
+        stats = TraversalStats(trace=True)
+        for b, e in ((1, 50), (61, 119), (0, 299)):
+            assert small_index.time_interval(Region(0, w - 1, 0, h - 1), b, e,
+                                             stats=stats) == \
+                oracle_interval(small_table, (0, w - 1, 0, h - 1), b, e)
+        assert stats.positions_decoded == 0
+        assert {k for k, _ in stats.events} <= {"visit", "mbr_contain"}
+

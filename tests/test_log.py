@@ -251,3 +251,23 @@ class TestSparseGapMap:
             assert ti.ordinal(off) == (None if off in gapset else off - before)
         assert list(ti.data_offsets()) == [o for o in range(1, 2001)
                                            if o not in gapset]
+
+    @pytest.mark.parametrize("window, gaps", [
+        (2000, [1, 2, 3, 1000, 2000]), (2000, [1]), (2000, [2000]),
+        (2000, list(range(1, 2001, 16))), (2000, list(range(700, 760))),
+        (2000, list(range(1, 190, 2)) + list(range(1811, 2001, 2))),
+        (1999, "random"), (6000, "random")])
+    def test_data_offsets_match_reference(self, window, gaps):
+        if gaps == "random":  # just under the 10% sparse threshold
+            rng = np.random.default_rng(window)
+            count = -(-window // 10) - 1
+            gaps = sorted(rng.choice(window, count, replace=False) + 1)
+        ti = TimeIndex(3, window + 2, gaps)
+        assert ti._sparse
+        gapset = set(gaps)
+        data = [o for o in range(1, window + 1) if o not in gapset]
+        assert [ti.data_offset(j) for j in range(1, len(data) + 1)] == data
+        for start in range(1, len(data) + 1):
+            assert next(ti.data_offsets(start)) == data[start - 1]
+        for start in (1, 2, len(data) // 2, len(data)):
+            assert list(ti.data_offsets(start)) == data[start - 1:]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import REF_PERIOD, round_trip
+from conftest import REF_PERIOD, pulled_in, round_trip
 from trajindex.log import build_log
 from trajindex.mbrtree import Mbr, MbrTree, TraversalStats, build_mbr_tree
 from trajindex.oracle import oracle_mbr
@@ -194,3 +194,89 @@ class TestSearch:
         assert tree.leaf_count == 1 and tree.node_count == 1
         assert tree.first_hit(log, Mbr(8, 8, 9, 9), 1, 2, 3, 1, 5) == 3
         assert tree.first_hit(log, Mbr(0, 1, 0, 1), 1, 2, 3, 1, 5) is None
+
+
+class TestContainment:
+    """A node whose box lies inside the region answers with its first
+    ordinal in the window; nothing below it is decoded."""
+
+    GRID = Mbr(0, 1023, 0, 1023)
+
+    def check(self, tree, log, rows, region, a, b, s):
+        want = next((t for t, x, y in rows[a - 1:b]
+                     if region.contains(x, y)), None)
+        window = (log.unmap_ordinal(a), log.unmap_ordinal(b))
+        stats = TraversalStats(trace=True)
+        assert tree.first_hit(log, region, a, b, s, *window,
+                              stats=stats) == want
+        for speed in (True, False):
+            assert tree.first_hit(log, region, a, b, s, *window,
+                                  mbr_prune=False, speed_prune=speed) == want
+        return want, stats
+
+    def test_matches_linear_scan(self):
+        rng = np.random.default_rng(45)
+        contained = 0
+        for trial in range(120):
+            log, rows = random_log(rng)
+            tree = build_mbr_tree(log, int(rng.integers(1, 6)))
+            s = observed_speed(rows)
+            n = log.data_count
+            leaves = [p for p in range(tree.leaf_count, tree.node_count + 1)
+                      if tree.coverage(p) is not None]
+            leaf = leaves[int(rng.integers(len(leaves)))]
+            regions = [self.GRID, tree.root, tree.node_box(leaf)]
+            regions += list(pulled_in(tree.root))
+            regions += list(pulled_in(tree.node_box(leaf)))
+            windows = [(1, n), tree.coverage(leaf)]
+            for _ in range(3):
+                a = int(rng.integers(1, n + 1))
+                windows.append((a, int(rng.integers(a, n + 1))))
+            for region in regions:
+                for a, b in windows:
+                    _, stats = self.check(tree, log, rows, region, a, b, s)
+                    contained += any(k == "mbr_contain" for k, _ in stats.events)
+        assert contained > 500
+
+    def test_whole_grid_answers_at_the_root(self):
+        rng = np.random.default_rng(46)
+        for trial in range(40):
+            log, rows = random_log(rng)
+            tree = build_mbr_tree(log, 3)
+            n = log.data_count
+            a = int(rng.integers(1, n + 1))
+            want, stats = self.check(tree, log, rows, self.GRID, a, n,
+                                     observed_speed(rows))
+            assert want == rows[a - 1][0]
+            assert stats.events == [("visit", 1), ("mbr_contain", 1)]
+            assert stats.positions_decoded == 0
+
+    def test_fires_on_the_equal_box_not_one_cell_short(self):
+        rng = np.random.default_rng(47)
+        shrunk_cases = 0
+        for trial in range(60):
+            log, rows = random_log(rng, period=int(rng.integers(20, 60)))
+            tree = build_mbr_tree(log, 2)
+            s = observed_speed(rows)
+            n = log.data_count
+            _, stats = self.check(tree, log, rows, tree.root, 1, n, s)
+            assert ("mbr_contain", 1) in stats.events
+            for region in pulled_in(tree.root):
+                _, stats = self.check(tree, log, rows, region, 1, n, s)
+                assert ("mbr_contain", 1) not in stats.events
+                shrunk_cases += 1
+            for p in range(tree.leaf_count, tree.node_count + 1):
+                cov = tree.coverage(p)
+                if cov is None:
+                    continue
+                # the window of one leaf: the walk goes down to it alone
+                path = {p >> i for i in range(p.bit_length())}
+                box = tree.node_box(p)
+                _, stats = self.check(tree, log, rows, box, *cov, s)
+                assert any(k == "mbr_contain" and q in path
+                           for k, q in stats.events)
+                for region in pulled_in(box):
+                    _, stats = self.check(tree, log, rows, region, *cov, s)
+                    assert not any(k == "mbr_contain" for k, _ in stats.events)
+        assert shrunk_cases > 100
+

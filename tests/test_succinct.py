@@ -172,13 +172,61 @@ class TestSparseBitVector:
         assert list(back.ones()) == [5, 17, 600, 999]
 
 
+def sparse_cases():
+    """(n, member positions) for the sparse select0 tests."""
+    rng = np.random.default_rng(57)
+    yield "empty-1", 1, []
+    yield "empty-100", 100, []
+    yield "one-run", 1000, list(range(10, 41))
+    # every member before the first zero, m a multiple of the bucket size:
+    # the first zero sits in the last bucket the search may try
+    yield "leading-run", 1000, list(range(1, 65))
+    yield "first-and-last", 500, [1, 2, 250, 499, 500]
+    yield "only-first", 64, [1]
+    yield "only-last", 64, [64]
+    # members on both edges of every other bucket: 2**w values a bucket
+    for n, m in ((1000, 40), (4096, 300)):
+        w = (n // m).bit_length() - 1
+        edges = sorted({p for b in range(1, (n - 1 >> w) + 1, 2)
+                        for p in ((b << w), (b << w) + 1) if p <= n})[:m]
+        yield f"bucket-edges-{n}", n, edges
+    # gap densities just under the 10% at which a gap map turns sparse
+    for n in (1999, 2000, 6000):
+        m = -(-n // 10) - 1
+        yield f"density-{n}", n, sorted(rng.choice(n, m, replace=False) + 1)
+    yield "runs-dense", 200, list(range(1, 20)) + list(range(182, 201))
+
+
+class TestSparseSelect0:
+    @pytest.mark.parametrize("name, n, members",
+                             [pytest.param(*c, id=c[0]) for c in sparse_cases()])
+    def test_every_zero_matches_brute_force(self, name, n, members):
+        sv = SparseBitVector.from_positions(n, members)
+
+        def no_select1(j):
+            raise AssertionError("select0 must not search with select1")
+
+        sv._high.select1 = no_select1
+        memberset = set(members)
+        zeros = [p for p in range(1, n + 1) if p not in memberset]
+        assert [sv.select0(j) for j in range(1, len(zeros) + 1)] == zeros
+        for j in (0, len(zeros) + 1):
+            with pytest.raises(ValueError):
+                sv.select0(j)
+        del sv._high.select1
+        for start in range(1, len(zeros) + 1, max(1, len(zeros) // 37)):
+            assert list(sv.zeros(start)) == zeros[start - 1:]
+        assert list(sv.zeros(len(zeros) + 1)) == []
+
+
 class TestUnaryDeltaStream:
     def test_known_values(self):
         st_ = UnaryDeltaStream.from_values([4, 3, 1, 0])
         assert len(st_) == 4 and st_.total == 8
         assert [st_.prefix_sum(i) for i in range(5)] == [0, 4, 7, 8, 8]
-        assert list(st_.prefix_iter()) == [4, 7, 8, 8]
-        assert list(st_.prefix_iter(2)) == [8, 8]
+        assert list(st_.prefix_iter()) == [0, 4, 7, 8, 8]
+        assert list(st_.prefix_iter(2)) == [7, 8, 8]
+        assert list(st_.prefix_iter(4)) == [8]
 
     def test_fourth_sum_lands_on_bit_sixteen(self):
         # values 2,1,2,7: the 4th terminator sits at bit 16, so the sum of
@@ -189,7 +237,7 @@ class TestUnaryDeltaStream:
 
     def test_empty_and_zeroes(self):
         empty = UnaryDeltaStream.from_values([])
-        assert empty.total == 0 and list(empty.prefix_iter()) == []
+        assert empty.total == 0 and list(empty.prefix_iter()) == [0]
         zs = UnaryDeltaStream.from_values([0, 0, 0])
         assert [zs.prefix_sum(i) for i in range(4)] == [0, 0, 0, 0]
 
@@ -204,7 +252,8 @@ class TestUnaryDeltaStream:
         expect = np.concatenate([[0], np.cumsum(values)]) if values else [0]
         for i in range(len(values) + 1):
             assert st_.prefix_sum(i) == expect[i]
-        assert list(st_.prefix_iter()) == list(expect[1:])
+        for start in range(len(values) + 1):
+            assert list(st_.prefix_iter(start)) == list(expect[start:])
         round_trip(st_, len(values))
 
 
