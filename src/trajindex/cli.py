@@ -1,4 +1,4 @@
-"""Command-line front end: build, query, stats, bench, oracle-check.
+"""Command-line front end: build, query, stats, oracle-check.
 
 Exit codes: 0 success, 1 usage error, 2 data or processing error.
 """
@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,33 +14,6 @@ from trajindex.engine import TrajectoryIndex, build_index
 from trajindex.ingest import NormalizeConfig, normalize, parse_binary, parse_csv
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region
-
-
-@dataclass(frozen=True)
-class BenchSpec:
-    """Workload shapes for the benchmark command.
-
-    Region classes are fixed cell sizes (clamped to the grid when it is
-    smaller); interval lengths pair with them.  Repetition counts follow
-    the usual measurement protocol and can be scaled down for quick runs.
-    """
-
-    small_region: tuple[int, int] = (272, 367)
-    large_region: tuple[int, int] = (2723, 3677)
-    small_interval: int = 36
-    large_interval: int = 90
-    object_reps: int = 20_000
-    trajectory_reps: int = 10_000
-    range_reps: int = 1_000
-
-    def scaled(self, factor: float) -> "BenchSpec":
-        if factor <= 0:
-            raise ValueError("scale must be positive")
-        return BenchSpec(self.small_region, self.large_region,
-                         self.small_interval, self.large_interval,
-                         max(1, int(self.object_reps * factor)),
-                         max(1, int(self.trajectory_reps * factor)),
-                         max(1, int(self.range_reps * factor)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,13 +48,6 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("stats", help="print size breakdown of an index file")
     s.add_argument("index")
-
-    n = sub.add_parser("bench", help="run the measurement workload, emit CSV")
-    n.add_argument("index")
-    n.add_argument("--seed", type=int, default=0)
-    n.add_argument("--scale", type=float, default=1.0,
-                   help="multiply the canonical repetition counts")
-    n.add_argument("--output", help="write CSV here instead of stdout")
 
     o = sub.add_parser("oracle-check",
                        help="build from raw reports and cross-check random "
@@ -173,75 +137,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _clamped_region(rng, extent, size) -> Region:
-    w = min(size[0], extent[0])
-    h = min(size[1], extent[1])
-    x1 = int(rng.integers(0, extent[0] - w + 1))
-    y1 = int(rng.integers(0, extent[1] - h + 1))
-    return Region(x1, x1 + w - 1, y1, y1 + h - 1)
-
-
-def bench_queries(ix: TrajectoryIndex, spec: BenchSpec, seed: int):
-    """The six measured classes with their deterministic query streams."""
-    rng = np.random.default_rng(seed)
-    ids = ix.object_ids
-    horizon = ix.horizon
-
-    def instants(count):
-        return rng.integers(0, horizon, size=count)
-
-    def windows(count, length):
-        first = rng.integers(0, max(1, horizon - length), size=count)
-        return [(int(b), min(int(b) + length - 1, horizon - 1)) for b in first]
-
-    object_qs = [(ids[int(i)], int(q)) for i, q in
-                 zip(rng.integers(0, len(ids), size=spec.object_reps),
-                     instants(spec.object_reps))]
-    yield ("object", f"n={spec.object_reps}",
-           [lambda oid=oid, q=q: ix.object_position(oid, q)
-            for oid, q in object_qs])
-    traj_qs = [(ids[int(i)], w) for i, w in
-               zip(rng.integers(0, len(ids), size=spec.trajectory_reps),
-                   windows(spec.trajectory_reps, spec.large_interval))]
-    yield ("trajectory", f"len={spec.large_interval},n={spec.trajectory_reps}",
-           [lambda oid=oid, w=w: ix.trajectory(oid, w[0], w[1])
-            for oid, w in traj_qs])
-    for label, size in (("S", spec.small_region), ("L", spec.large_region)):
-        slice_qs = [(_clamped_region(rng, ix.extent, size), int(q))
-                    for q in instants(spec.range_reps)]
-        yield (f"slice-{label}", f"region={size[0]}x{size[1]},n={spec.range_reps}",
-               [lambda r=r, q=q: ix.time_slice(r, q) for r, q in slice_qs])
-    for label, size, length in (("S", spec.small_region, spec.small_interval),
-                                ("L", spec.large_region, spec.large_interval)):
-        iv_qs = [(_clamped_region(rng, ix.extent, size), w)
-                 for w in windows(spec.range_reps, length)]
-        yield (f"interval-{label}",
-               f"region={size[0]}x{size[1]},len={length},n={spec.range_reps}",
-               [lambda r=r, w=w: ix.time_interval(r, w[0], w[1])
-                for r, w in iv_qs])
-
-
-def _cmd_bench(args) -> int:
-    ix = TrajectoryIndex.load(args.index)
-    spec = BenchSpec().scaled(args.scale)
-    space = len(ix.to_bytes())
-    lines = ["class,config,reps,mean_us,space_bytes"]
-    for name, config, calls in bench_queries(ix, spec, args.seed):
-        start = time.perf_counter()
-        for call in calls:
-            call()
-        elapsed = time.perf_counter() - start
-        mean_us = 1e6 * elapsed / len(calls)
-        lines.append(f"{name},\"{config}\",{len(calls)},{mean_us:.2f},{space}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def _cmd_oracle_check(args) -> int:
     records = _read_records(args.input, args.format)
     rows = sorted((r.object_id, r.instant, r.x, r.y) for r in records)
@@ -298,8 +193,6 @@ def main(argv=None) -> int:
             return _cmd_query(args, parser)
         if args.command == "stats":
             return _cmd_stats(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         return _cmd_oracle_check(args)
     except SystemExit:
         raise

@@ -23,7 +23,7 @@ from trajindex.snapshot import Region, Snapshot, expanded_region
 from trajindex.succinct import BitVector, Reader, Writer
 
 _MAGIC = b"CTCT"
-_VERSION = 2
+_VERSION = 3
 _PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
 _CRC_AT = 6  # offset of the CRC field, which the CRC skips
 
@@ -276,6 +276,9 @@ class TrajectoryIndex:
                 tree = MbrTree.read(r, log.data_count, leaf_capacity)
                 logs[(k, oid)] = (log, tree)
         r.end()
+        # every object sits in the snapshot of its first fix's period
+        if set().union(*(s.ids for s in snapshots)) != set(object_ids.tolist()):
+            raise ValueError("the snapshots do not hold exactly the listed objects")
         return cls(period, leaf_capacity, (w, h), horizon, max_speed,
                    sample_count, object_ids, snapshots, logs)
 

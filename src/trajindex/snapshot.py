@@ -1,9 +1,13 @@
-"""Grid snapshots: quadtree bitmaps over occupied cells plus object lists.
+"""Grid snapshots: a linear quadtree of object cells plus object ids.
 
-A snapshot fixes every object's cell at one instant.  Occupied cells go
-into a quadtree of per-level bitmaps (each node spends four bits on child
-occupancy, children addressed by rank), object ids are permuted into cell
-order, and a unary stream records how many ids land in each occupied cell.
+A snapshot fixes every object's cell at one instant.  Its rows, one per
+object, are sorted by the Morton code of their cell and then by id.  That
+order is a linear quadtree (Gargantini, "An effective way to represent
+quadtrees", CACM 1982): every quadtree node is a run of consecutive rows,
+so a region probe bisects one code range and filters the slice.  On disk
+the sorted codes are one Elias-Fano stream, followed by the ids in row
+order and a bitmap of entrants.
+
 Objects whose first sample comes after the snapshot instant are carried as
 entrants: they are positioned at that first sample so range probes can use
 them as candidates, and a bitmap marks them so instant queries can tell
@@ -12,11 +16,13 @@ them apart from objects really present.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from trajindex.succinct import BitVector, Reader, UnaryDeltaStream, Writer
+from trajindex.succinct import BitVector, Reader, SparseBitVector, Writer
 
 
 @dataclass(frozen=True)
@@ -52,93 +58,86 @@ def expanded_region(region: Region, q: int, k: int, max_speed: int,
                   max(0, region.y1 - reach), min(h - 1, region.y2 + reach))
 
 
-def _spread_bits(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.uint64)
-    v = (v | (v << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
-    v = (v | (v << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
-    v = (v | (v << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    v = (v | (v << np.uint64(2))) & np.uint64(0x3333333333333333)
-    v = (v | (v << np.uint64(1))) & np.uint64(0x5555555555555555)
-    return v
+def _spread(v):
+    # bit i of v to bit 2i, for v below 2**32: an int or a uint64 array
+    v = (v | (v << 16)) & 0x0000FFFF0000FFFF
+    v = (v | (v << 8)) & 0x00FF00FF00FF00FF
+    v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0F
+    v = (v | (v << 2)) & 0x3333333333333333
+    return (v | (v << 1)) & 0x5555555555555555
+
+
+def _compact(v: np.ndarray) -> np.ndarray:
+    # the inverse of _spread: bit 2i of v to bit i, odd bits dropped
+    v = v & 0x5555555555555555
+    v = (v | (v >> 1)) & 0x3333333333333333
+    v = (v | (v >> 2)) & 0x0F0F0F0F0F0F0F0F
+    v = (v | (v >> 4)) & 0x00FF00FF00FF00FF
+    v = (v | (v >> 8)) & 0x0000FFFF0000FFFF
+    return (v | (v >> 16)) & 0x00000000FFFFFFFF
+
+
+def morton(x, y):
+    """Interleave coordinate bits, x in the even positions."""
+    return _spread(x) | _spread(y) << 1
 
 
 def morton_codes(x, y) -> np.ndarray:
-    """Interleave coordinate bits, x in the even positions."""
-    xs = np.asarray(x, dtype=np.uint64)
-    ys = np.asarray(y, dtype=np.uint64)
-    return _spread_bits(xs) | (_spread_bits(ys) << np.uint64(1))
+    """morton over arrays of coordinates."""
+    return morton(np.asarray(x, dtype=np.uint64), np.asarray(y, dtype=np.uint64))
 
 
-# a node's four children: their bits after the node's base, and their x
-# and y offsets in units of the child's side
-_CHILD_BIT = np.array([1, 2, 3, 4], dtype=np.int64)
-_CHILD_X = np.array([0, 1, 0, 1], dtype=np.int64)
-_CHILD_Y = np.array([0, 0, 1, 1], dtype=np.int64)
-
-
-def _side(width: int, height: int) -> int:
-    # smallest power of two, at least 2, that covers the grid
-    return 1 << max(1, int(max(width, height) - 1).bit_length())
+def _top_code(width: int, height: int) -> int:
+    """The largest code on a width x height grid (a code grows with
+    either coordinate)."""
+    if not (1 <= width <= 1 << 32 and 1 <= height <= 1 << 32):
+        raise ValueError(f"grid {width}x{height} must be 1..2**32 cells a side")
+    return morton(width - 1, height - 1)
 
 
 class K2Tree:
-    """Quadtree over a square power-of-two grid as per-level bitmaps.
+    """The quadtree over a width x height grid, as a linear quadtree.
 
-    Level t holds four bits per node alive at depth t, in breadth-first
-    order; a set bit means the quadrant holds at least one occupied cell.
-    The last level's set bits are the occupied cells themselves, in
-    Morton order.
+    It holds the Morton code of every row in ascending order, so a cell
+    with several objects appears once per object, and the x and y decoded
+    from those codes.  A node of the paper's k²-tree (k = 2) at depth t is
+    the run of rows whose codes share their top 2t bits.
     """
 
-    def __init__(self, width: int, height: int, side: int,
-                 levels: list[BitVector]):
+    def __init__(self, width: int, height: int, codes: np.ndarray):
+        """codes: ascending uint64 Morton codes; a code out of order or off
+        the grid raises ValueError."""
+        _top_code(width, height)
+        xs = _compact(codes)
+        ys = _compact(codes >> 1)
+        if len(codes) and (np.any(codes[1:] < codes[:-1])
+                           or xs.max() >= width or ys.max() >= height):
+            raise ValueError(f"snapshot cells out of order or off the "
+                             f"{width}x{height} grid")
         self.width = width
         self.height = height
-        self.side = side
-        self.levels = levels
+        self._codes = array("Q", codes.tolist())
+        self.xs = array("q", xs.tolist())
+        self.ys = array("q", ys.tolist())
 
     @classmethod
     def build(cls, width: int, height: int, cells) -> "K2Tree":
-        if width < 1 or height < 1:
-            raise ValueError("extent must be positive")
-        side = _side(width, height)
-        depth_total = side.bit_length() - 1
+        """The column over (x, y) cells, which may repeat."""
         arr = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-        codes = np.sort(morton_codes(arr[:, 0], arr[:, 1]))
-        if len(codes) and len(np.unique(codes)) != len(codes):
-            raise ValueError("duplicate cells")
-        levels: list[BitVector] = []
-        bases = np.zeros(1, dtype=np.uint64)
-        for t in range(depth_total):
-            if len(bases) == 0 or len(codes) == 0:
-                levels.append(BitVector.from_bits(
-                    np.zeros(4 * len(bases), dtype=np.uint8)))
-                bases = bases[:0]
-                continue
-            step = np.uint64(1 << (2 * (depth_total - t - 1)))
-            bounds = bases[:, None] + np.arange(5, dtype=np.uint64) * step
-            cuts = np.searchsorted(codes, bounds.ravel()).reshape(-1, 5)
-            counts = np.diff(cuts, axis=1)
-            bits = counts.ravel() > 0
-            levels.append(BitVector.from_bits(bits))
-            child_bases = (bases[:, None]
-                           + np.arange(4, dtype=np.uint64) * step).ravel()
-            bases = child_bases[bits]
-        return cls(width, height, side, levels)
+        off = (arr < 0) | (arr >= (width, height))
+        if off.any():
+            x, y = arr[off.any(axis=1)][0]
+            raise ValueError(f"cell ({x}, {y}) outside {width}x{height} grid")
+        return cls(width, height, np.sort(morton_codes(arr[:, 0], arr[:, 1])))
 
-    @property
-    def cell_count(self) -> int:
-        return self.levels[-1].count_ones if self.levels else 0
+    def __len__(self) -> int:
+        return len(self._codes)
 
     def report_cells(self, region: Region) -> list[tuple[int, int, int]]:
-        """Occupied cells intersecting region as (x, y, rank).
+        """(x, y, row) for every row whose cell lies in region, by row.
 
-        Rank is the cell's 1-based index among all occupied cells in leaf
-        order, which is what the per-cell object lists are keyed by.  The
-        descent goes one level at a time: the four child bits of every
-        node still alive are read and ranked in one numpy pass, and the
-        children that are empty or miss the region are dropped.  Nodes
-        stay in bit order on every level, so the cells come out by rank.
+        Every cell of the region has a code between those of its lowest
+        and its highest corner, so the rows to test are one slice.
         """
         x1 = max(region.x1, 0)
         y1 = max(region.y1, 0)
@@ -146,140 +145,94 @@ class K2Tree:
         y2 = min(region.y2, self.height - 1)
         if x1 > x2 or y1 > y2:
             return []
-        base = np.zeros(1, dtype=np.int64)  # bits before a node's children
-        xs = ys = base
-        size = self.side
-        for level in self.levels:
-            size >>= 1
-            cx = (xs[:, None] + _CHILD_X * size).ravel()
-            cy = (ys[:, None] + _CHILD_Y * size).ravel()
-            bits, ranks = level.access_rank1((base[:, None] + _CHILD_BIT).ravel())
-            keep = (bits & (cx <= x2) & (cx + size > x1)
-                    & (cy <= y2) & (cy + size > y1))
-            xs, ys, ranks = cx[keep], cy[keep], ranks[keep]
-            if not len(ranks):
-                return []
-            base = 4 * (ranks - 1)
-        return list(zip(xs.tolist(), ys.tolist(), ranks.tolist()))
-
-    def code_bits(self) -> int:
-        return sum(level.code_bits() for level in self.levels)
+        codes = self._codes
+        lo = bisect_left(codes, morton(x1, y1))
+        hi = bisect_right(codes, morton(x2, y2), lo)
+        return [(x, y, row) for row, x, y in
+                zip(range(lo, hi), self.xs[lo:hi], self.ys[lo:hi])
+                if x1 <= x <= x2 and y1 <= y <= y2]
 
     def write(self, w: Writer) -> None:
-        for level in self.levels:
-            level.write(w)
+        """The row count, then the codes as one Elias-Fano stream: row j
+        (from 1) sets bit code + j, so equal codes stay apart.  The
+        stream's universe follows from the grid and the row count, so
+        nothing else is stored."""
+        m = len(self._codes)
+        w.u32(m)
+        codes = np.array(self._codes, dtype=np.uint64)
+        SparseBitVector.from_positions(
+            _top_code(self.width, self.height) + m,
+            codes + np.arange(1, m + 1, dtype=np.uint64)).write(w)
 
     @classmethod
     def read(cls, r: Reader, width: int, height: int) -> "K2Tree":
-        """The tree over a width x height grid: the side fixes the depth,
-        and each level has four bits per one in the level above."""
-        side = _side(width, height)
-        levels = []
-        alive = 1
-        for _ in range(side.bit_length() - 1):
-            levels.append(BitVector.read(r, 4 * alive))
-            alive = levels[-1].count_ones
-        return cls(width, height, side, levels)
+        top = _top_code(width, height)
+        m = r.u32()
+        stream = SparseBitVector.read(r, top + m, m)
+        codes = [p - j for j, p in enumerate(stream.ones(), 1)]
+        # corrupt lows can put a code below 0 or past the grid's top code
+        if codes and not 0 <= min(codes) <= max(codes) <= top:
+            raise ValueError(f"snapshot cell off the {width}x{height} grid")
+        return cls(width, height, np.array(codes, dtype=np.uint64))
 
 
 class Snapshot:
     """All object positions at one instant, probe-able by region."""
 
-    def __init__(self, instant: int, tree: K2Tree, perm: np.ndarray,
-                 cell_counts: UnaryDeltaStream, entrants: BitVector):
+    def __init__(self, instant: int, tree: K2Tree, perm, entrants: BitVector):
+        """perm: the object id of each row of tree; an id that appears
+        twice raises ValueError."""
+        perm = np.asarray(perm, dtype=np.int64)
+        order = np.argsort(perm, kind="stable")
+        ids = perm[order]
+        if np.any(ids[1:] == ids[:-1]):
+            raise ValueError(f"an object appears twice at instant {instant}")
         self.instant = instant
         self.tree = tree
-        self._perm = perm
-        self._counts = cell_counts
+        self._perm = array("q", perm.tolist())
         self._entrants = entrants
-        self._by_id: dict[int, tuple[int, int, bool]] = {}
-        full = Region(0, tree.width - 1, 0, tree.height - 1)
-        for idx, x, y in self._occupants(full):
-            oid = int(perm[idx])
-            self._by_id[oid] = (x, y, bool(entrants.access(idx + 1)))
+        # ids ascending and the row of each, to find a row by id
+        self.ids = array("q", ids.tolist())
+        self._rows = array("q", order.tolist())
 
     @classmethod
     def build(cls, positions, instant: int, extent: tuple[int, int],
               entrant_ids=frozenset()) -> "Snapshot":
         """positions: iterable of (object id, x, y); ids must be unique."""
-        rows = list(positions)
-        w, h = extent
-        seen = set()
-        for oid, x, y in rows:
-            if oid in seen:
-                raise ValueError(f"object {oid} appears twice at instant {instant}")
-            seen.add(oid)
-            if not (0 <= x < w and 0 <= y < h):
-                raise ValueError(f"object {oid} at ({x}, {y}) outside {w}x{h} grid")
-        if rows:
-            ids = np.array([r[0] for r in rows], dtype=np.uint32)
-            codes = morton_codes([r[1] for r in rows], [r[2] for r in rows])
-            order = np.lexsort((ids, codes))
-            ids = ids[order]
-            codes = codes[order]
-            xs = np.array([r[1] for r in rows], dtype=np.int64)[order]
-            ys = np.array([r[2] for r in rows], dtype=np.int64)[order]
-            boundary = np.flatnonzero(np.diff(codes)) + 1
-            starts = np.concatenate([[0], boundary])
-            ends = np.concatenate([boundary, [len(codes)]])
-            cells = np.column_stack([xs[starts], ys[starts]])
-            counts = ends - starts
-        else:
-            ids = np.zeros(0, dtype=np.uint32)
-            cells = np.zeros((0, 2), dtype=np.int64)
-            counts = np.zeros(0, dtype=np.int64)
-        tree = K2Tree.build(w, h, cells)
-        entrants = BitVector.from_bits(
-            np.array([oid in entrant_ids for oid in ids], dtype=np.uint8))
-        return cls(instant, tree, ids,
-                   UnaryDeltaStream.from_values(counts), entrants)
+        rows = sorted(positions, key=lambda r: (morton(r[1], r[2]), r[0]))
+        tree = K2Tree.build(*extent, [(x, y) for _, x, y in rows])
+        perm = [oid for oid, _, _ in rows]
+        entrants = BitVector.from_bits([oid in entrant_ids for oid in perm])
+        return cls(instant, tree, perm, entrants)
 
     @property
     def object_count(self) -> int:
         return len(self._perm)
 
+    def _row(self, oid: int) -> int | None:
+        ids = self.ids
+        i = bisect_left(ids, oid)
+        return self._rows[i] if i < len(ids) and ids[i] == oid else None
+
     def position_of(self, oid: int) -> tuple[int, int] | None:
-        entry = self._by_id.get(oid)
-        return (entry[0], entry[1]) if entry else None
+        row = self._row(oid)
+        return None if row is None else (self.tree.xs[row], self.tree.ys[row])
 
     def is_entrant(self, oid: int) -> bool:
-        entry = self._by_id.get(oid)
-        return bool(entry and entry[2])
+        row = self._row(oid)
+        return row is not None and bool(self._entrants.access(row + 1))
 
     def range_report(self, region: Region,
                      include_entrants: bool = True) -> list[tuple[int, int, int]]:
         """(object id, x, y) for every stored object inside region."""
         perm, entrants = self._perm, self._entrants
-        return [(int(perm[idx]), x, y) for idx, x, y in self._occupants(region)
-                if include_entrants or not entrants.access(idx + 1)]
-
-    def _occupants(self, region: Region):
-        """Yield (index into perm, x, y) for every object in a cell that
-        meets region.  The cells come by rank, so one sequential walk over
-        the cell counts, from the first reported cell to the last, gives
-        every cell's slice of perm."""
-        cells = self.tree.report_cells(region)
-        if not cells:
-            return
-        at = cells[0][2] - 1  # the cell whose prefix sum `hi` holds
-        sums = self._counts.prefix_iter(at)
-        hi = next(sums)
-        for x, y, rank in cells:
-            while at < rank:
-                lo, hi = hi, next(sums)
-                at += 1
-            for idx in range(lo, hi):
-                yield idx, x, y
-
-    def code_bits(self) -> int:
-        return (self.tree.code_bits() + 32 * len(self._perm)
-                + self._counts.code_bits() + self._entrants.code_bits())
+        return [(perm[row], x, y) for x, y, row in self.tree.report_cells(region)
+                if include_entrants or not entrants.access(row + 1)]
 
     def write(self, w: Writer) -> None:
-        """Quadtree, cell counts, ids and entrant bits; the instant and the
+        """Codes, ids in row order and entrant bits; the instant and the
         grid are the caller's."""
         self.tree.write(w)
-        self._counts.write(w)
         w.u32s(self._perm)
         self._entrants.write(w)
 
@@ -287,6 +240,5 @@ class Snapshot:
     def read(cls, r: Reader, instant: int,
              extent: tuple[int, int]) -> "Snapshot":
         tree = K2Tree.read(r, *extent)
-        counts = UnaryDeltaStream.read(r, tree.cell_count)
-        perm = r.u32s(counts.total)
-        return cls(instant, tree, perm, counts, BitVector.read(r, len(perm)))
+        perm = r.u32s(len(tree))
+        return cls(instant, tree, perm, BitVector.read(r, len(tree)))

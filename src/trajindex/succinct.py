@@ -4,8 +4,7 @@ Everything here is immutable once built and uses 1-based positions in its
 public API.  Bits live in uint64 words, least significant bit first, so
 word w holds positions 64*w+1 .. 64*w+64.  Words and directories are kept
 in `array.array` containers, whose items read back as plain Python ints,
-so no scalar query touches a numpy scalar; `BitVector.access_rank1`
-answers many positions at once through numpy views of the same arrays.
+so no scalar query touches a numpy scalar.
 
 On disk there are no frames and no per-structure versions: each class
 `write`s only its words (and the few u32s it cannot derive) to a
@@ -214,22 +213,6 @@ class BitVector:
             return (self._super1[w >> _SUPER_SHIFT] + self._block1[w]
                     + (self._words[w] & ((1 << r) - 1)).bit_count())
         return self._super1[w >> _SUPER_SHIFT] + self._block1[w]
-
-    def access_rank1(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bits and rank1 at many 1-based positions in one numpy pass.
-
-        The words and directories are read through numpy views made for
-        this call; nothing is cached on the bitmap.
-        """
-        p = np.asarray(positions, dtype=np.int64) - 1
-        w = p >> 6
-        # bit p of its word shifted to the top, with every lower bit kept
-        upto = (np.frombuffer(self._words, dtype=np.uint64)[w]
-                << (63 - (p & 63)).astype(np.uint64))
-        ranks = (np.frombuffer(self._super1, dtype=np.int64)[w >> _SUPER_SHIFT]
-                 + np.frombuffer(self._block1, dtype=np.uint16)[w]
-                 + np.bitwise_count(upto))
-        return upto >= np.uint64(1 << 63), ranks
 
     def select1(self, j: int) -> int:
         """Position of the j-th set bit, 1-based."""

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import REF_OBJECT, REF_TRACK, restamp
 from synth import make_fleet
-from trajindex.cli import BenchSpec, bench_queries, main
+from trajindex.cli import main
 from trajindex.engine import TrajectoryIndex, build_index
 from trajindex.ingest import RawRecord, write_binary
 
@@ -193,60 +193,6 @@ class TestOracleCheck:
                    "--leaf-size", "6", "--queries", "120", "--seed", "5"])
         assert rc == 0
         assert "ok: 120 queries" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_csv_shape_and_counts(self, capsys, built_index):
-        capsys.readouterr()
-        rc = main(["bench", str(built_index), "--scale", "0.0005",
-                   "--seed", "11"])
-        assert rc == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "class,config,reps,mean_us,space_bytes"
-        names = [ln.split(",")[0] for ln in lines[1:]]
-        assert names == ["object", "trajectory", "slice-S", "slice-L",
-                         "interval-S", "interval-L"]
-        spec = BenchSpec().scaled(0.0005)
-        reps = [int(ln.rsplit(",", 3)[1]) for ln in lines[1:]]
-        assert reps == [spec.object_reps, spec.trajectory_reps,
-                        spec.range_reps, spec.range_reps,
-                        spec.range_reps, spec.range_reps]
-
-    def test_same_seed_same_query_stream(self, built_index):
-        ix = TrajectoryIndex.load(built_index)
-        spec = BenchSpec().scaled(0.001)
-        runs = []
-        for _ in range(2):
-            results = []
-            for name, config, calls in bench_queries(ix, spec, seed=42):
-                results.append((name, config, [c() for c in calls]))
-            runs.append(results)
-        assert runs[0] == runs[1]
-
-    def test_different_seed_different_stream(self, built_index):
-        ix = TrajectoryIndex.load(built_index)
-        spec = BenchSpec().scaled(0.001)
-        def stream(seed):
-            return [(n, c, [q() for q in calls])
-                    for n, c, calls in bench_queries(ix, spec, seed)]
-        assert stream(1) != stream(2)
-
-    def test_output_file(self, tmp_path, built_index, capsys):
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", str(built_index), "--scale", "0.0005",
-                   "--output", str(out)])
-        assert rc == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 7
-
-    def test_canonical_counts(self):
-        spec = BenchSpec()
-        assert spec.object_reps == 20_000
-        assert spec.trajectory_reps == 10_000
-        assert spec.range_reps == 1_000
-        assert spec.small_region == (272, 367)
-        assert spec.large_region == (2723, 3677)
-        assert (spec.small_interval, spec.large_interval) == (36, 90)
 
 
 def test_console_script_installed():

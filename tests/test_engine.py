@@ -275,6 +275,39 @@ class TestSerialization:
         with pytest.raises(ValueError, match="version 1"):
             TrajectoryIndex.from_bytes(old)
 
+    def test_version_two_file_is_rejected_by_name(self, tiny_blob):
+        old = tiny_blob[:4] + (2).to_bytes(2, "little") + tiny_blob[6:]
+        with pytest.raises(ValueError, match="version 2"):
+            TrajectoryIndex.from_bytes(old)
+
+    def test_ids_the_snapshots_do_not_hold_are_rejected(self, tiny_blob):
+        # still strictly increasing, but object 4 is in no snapshot
+        bad = restamp(tiny_blob[:50] + (4).to_bytes(4, "little")
+                      + tiny_blob[54:])
+        with pytest.raises(ValueError, match="listed objects"):
+            TrajectoryIndex.from_bytes(bad)
+
+    def test_every_bit_flip_past_the_checksum_loads_the_same_ids_or_fails(self):
+        # the CRC is re-stamped, so every flip reaches the parser: it must
+        # end in ValueError or in an index over the very same objects
+        fleet = make_fleet(3, 8, (8, 8), seed=9, drop_rate=0.25)
+        ix = build_index(fleet.rows(), period=4, leaf_capacity=2,
+                         extent=fleet.extent)
+        assert sum(snap.is_entrant(oid) for snap in ix.snapshots
+                   for oid in ix.object_ids) == 1
+        blob = ix.to_bytes()
+        flipped = bytearray(blob)
+        for i in range(10, len(blob)):
+            for bit in range(8):
+                flipped[i] ^= 1 << bit
+                try:
+                    loaded = TrajectoryIndex.from_bytes(restamp(flipped))
+                except ValueError:
+                    pass
+                else:
+                    assert loaded.object_ids == [1, 2, 3], (i, bit)
+                flipped[i] ^= 1 << bit
+
     @pytest.mark.parametrize("order", [[2, 1, 3], [1, 1, 3]],
                              ids=["swapped", "duplicate"])
     def test_ids_out_of_order_are_rejected(self, tiny_blob, order):
@@ -290,18 +323,18 @@ class TestSerialization:
 
     @pytest.mark.parametrize("period, leaf, seed, kwargs, size, digest", [
         pytest.param(
-            240, 16, 5, {"drop_rate": 0.03}, 36078,
-            "8fea13408873abd714d26316eae3190d567b1a10c664548569c8626034eb543a",
+            240, 16, 5, {"drop_rate": 0.03}, 35742,
+            "3f953deca51ae6803fcdfd48b9f4b410bee4c336d45e8a967b0d975bd00c07ce",
             id="sparse-gaps"),
         pytest.param(
-            60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 62422,
-            "313e76985329ca89ae3aacb7159c378e87dcf0591cbadcaa568670539ad0029b",
+            60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 61222,
+            "2981437ef2234270b3823bb15f81cd06b28172d6d43df59dd6474be4309e328b",
             id="dense-gaps"),
     ])
     def test_bytes_match_recorded_digest(self, period, leaf, seed, kwargs,
                                          size, digest):
         # the file format is frozen: these digests were recorded when the
-        # format moved to version 2; the first fleet has sparse gap maps in
+        # format moved to version 3; the first fleet has sparse gap maps in
         # every log, the second mostly dense ones
         fleet = make_fleet(12, 1500, (256, 256), seed, **kwargs)
         blob = build_index(fleet.rows(), period, leaf, fleet.extent,

@@ -11,6 +11,7 @@ from trajindex.snapshot import (
     expanded_region,
     morton_codes,
 )
+from trajindex.succinct import Reader, Writer
 
 
 class TestRegion:
@@ -80,88 +81,102 @@ class TestMorton:
 
 class TestK2Tree:
     def test_hand_checked_grid(self):
-        t = K2Tree.build(4, 4, [(0, 0), (3, 3), (1, 2)])
-        assert t.side == 4 and len(t.levels) == 2
-        assert t.cell_count == 3
+        # codes: (0, 0) -> 0, (1, 2) -> 9, (3, 3) -> 15; (1, 2) holds two rows
+        t = K2Tree.build(4, 4, [(3, 3), (1, 2), (0, 0), (1, 2)])
+        assert len(t) == 4
         assert t.report_cells(Region(0, 3, 0, 3)) == \
-            [(0, 0, 1), (1, 2, 2), (3, 3, 3)]
-        assert t.report_cells(Region(1, 2, 1, 2)) == [(1, 2, 2)]
+            [(0, 0, 0), (1, 2, 1), (1, 2, 2), (3, 3, 3)]
+        assert t.report_cells(Region(1, 2, 1, 2)) == [(1, 2, 1), (1, 2, 2)]
         assert t.report_cells(Region(2, 3, 0, 1)) == []
+        # codes 0..10 span rows 0-2; the filter drops (1, 2)
+        assert t.report_cells(Region(0, 0, 0, 3)) == [(0, 0, 0)]
 
     def test_empty_grid(self):
         t = K2Tree.build(16, 16, [])
-        assert t.cell_count == 0
+        assert len(t) == 0
         assert t.report_cells(Region(0, 15, 0, 15)) == []
 
     def test_single_cell_grid(self):
-        t = K2Tree.build(1, 1, [(0, 0)])
-        assert t.report_cells(Region(0, 0, 0, 0)) == [(0, 0, 1)]
+        t = K2Tree.build(1, 1, [(0, 0), (0, 0)])
+        assert t.report_cells(Region(0, 0, 0, 0)) == [(0, 0, 0), (0, 0, 1)]
+        assert t.report_cells(Region(1, 4, 0, 0)) == []
 
-    def test_rejects_duplicates(self):
+    def test_rejects_cells_off_the_grid_or_out_of_order(self):
+        for cell in ((4, 0), (0, 4), (-1, 0)):
+            with pytest.raises(ValueError):
+                K2Tree.build(4, 4, [cell])
         with pytest.raises(ValueError):
-            K2Tree.build(8, 8, [(1, 1), (1, 1)])
-
-    def test_parent_bit_covers_children(self):
-        rng = np.random.default_rng(3)
-        for trial in range(30):
-            w = int(rng.integers(1, 50)); h = int(rng.integers(1, 50))
-            k = int(rng.integers(1, w * h + 1))
-            flat = rng.choice(w * h, size=k, replace=False)
-            tree = K2Tree.build(w, h, np.column_stack([flat % w, flat // w]))
-            for lvl in range(1, len(tree.levels)):
-                prev, cur = tree.levels[lvl - 1], tree.levels[lvl]
-                assert len(cur) == 4 * prev.count_ones
-                for j in range(1, prev.count_ones + 1):
-                    children = [cur.access(4 * (j - 1) + c) for c in (1, 2, 3, 4)]
-                    assert any(children)
+            K2Tree(4, 4, morton_codes([4], [0]))
+        with pytest.raises(ValueError):
+            K2Tree(4, 4, morton_codes([3, 1], [3, 1]))
+        with pytest.raises(ValueError):
+            K2Tree(0, 4, morton_codes([], []))
 
     def test_report_matches_linear_filter(self):
         rng = np.random.default_rng(4)
         for trial in range(40):
             w = int(rng.integers(1, 80)); h = int(rng.integers(1, 80))
-            k = int(rng.integers(0, min(w * h, 120) + 1))
-            flat = rng.choice(w * h, size=k, replace=False)
-            cells = {(int(f % w), int(f // w)) for f in flat}
-            tree = K2Tree.build(w, h, sorted(cells))
+            k = int(rng.integers(0, 121))
+            cells = [(int(x), int(y)) for x, y in
+                     zip(rng.integers(0, w, k), rng.integers(0, h, k))]
+            tree = K2Tree.build(w, h, cells)
             for q in range(6):
                 x1 = int(rng.integers(0, w)); x2 = int(rng.integers(x1, w))
                 y1 = int(rng.integers(0, h)); y2 = int(rng.integers(y1, h))
-                want = {c for c in cells
-                        if x1 <= c[0] <= x2 and y1 <= c[1] <= y2}
+                want = sorted(c for c in cells
+                              if x1 <= c[0] <= x2 and y1 <= c[1] <= y2)
                 got = tree.report_cells(Region(x1, x2, y1, y2))
-                assert {(x, y) for x, y, _ in got} == want
-                # ranks are the cells' 1-based leaf-order indexes
-                assert [r for _, _, r in got] == sorted(r for _, _, r in got)
+                assert sorted((x, y) for x, y, _ in got) == want
+                # rows come in order, each at most once
+                rows = [r for _, _, r in got]
+                assert rows == sorted(set(rows))
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_report_matches_linear_filter_anywhere(self, data):
-        # odd and lopsided grids, empty ones, and regions that stick out of
-        # the grid or miss it altogether
+        # odd and lopsided grids, empty ones, cells holding several rows,
+        # and regions that stick out of the grid or miss it altogether
         w, h = data.draw(st.sampled_from([(1, 1), (3, 700), (1000, 5)])
                          | st.tuples(st.integers(1, 70), st.integers(1, 70)))
-        cells = sorted(data.draw(st.sets(
+        cells = data.draw(st.lists(
             st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
-            max_size=min(w * h, 60))))
+            max_size=60))
+        cells += cells[:data.draw(st.integers(0, len(cells)))]
         tree = K2Tree.build(w, h, cells)
         codes = morton_codes([x for x, _ in cells], [y for _, y in cells])
-        rank = {c: r for r, (_, c) in
-                enumerate(sorted(zip(codes.tolist(), cells)), 1)}
+        by_row = [cell for _, cell in sorted(zip(codes.tolist(), cells))]
         x1 = data.draw(st.integers(-40, w + 40))
         x2 = data.draw(st.integers(x1, w + 80))
         y1 = data.draw(st.integers(-40, h + 40))
         y2 = data.draw(st.integers(y1, h + 80))
-        want = sorted((x, y, rank[(x, y)]) for x, y in cells
-                      if x1 <= x <= x2 and y1 <= y <= y2)
+        want = [(x, y, row) for row, (x, y) in enumerate(by_row)
+                if x1 <= x <= x2 and y1 <= y <= y2]
         got = tree.report_cells(Region(x1, x2, y1, y2))
-        assert got == sorted(want, key=lambda c: c[2])
+        assert got == want
         assert all(type(v) is int for c in got for v in c)
 
     def test_round_trip(self):
-        tree = K2Tree.build(40, 20, [(0, 0), (39, 19), (17, 3)])
+        cells = [(0, 0), (39, 19), (17, 3), (17, 3)]
+        tree = K2Tree.build(40, 20, cells)
         back = round_trip(tree, 40, 20)
         assert back.report_cells(Region(0, 39, 0, 19)) == \
             tree.report_cells(Region(0, 39, 0, 19))
+
+    def test_read_rejects_a_code_off_the_grid_or_too_many_rows(self):
+        w = Writer()
+        K2Tree.build(5, 8, [(4, 0)]).write(w)
+        with pytest.raises(ValueError, match="off the"):
+            K2Tree.read(Reader(bytes(w)), 4, 8)
+        w[:4] = (0xFFFFFFFF).to_bytes(4, "little")  # the row count
+        with pytest.raises(ValueError, match="truncated"):
+            K2Tree.read(Reader(bytes(w)), 5, 8)
+
+    def test_wide_grid_round_trip(self):
+        # codes past 2**32: a 24-bit y axis, as binary input allows
+        tree = K2Tree.build(1 << 16, 1 << 24, [(65535, 16777215), (1, 2)])
+        back = round_trip(tree, 1 << 16, 1 << 24)
+        assert back.report_cells(Region(0, 65535, 1, 16777215)) == \
+            [(1, 2, 0), (65535, 16777215, 1)]
 
 
 class TestSnapshot:
@@ -222,3 +237,13 @@ class TestSnapshot:
         assert back.is_entrant(14) and not back.is_entrant(15)
         full = Region(0, 10, 0, 6)
         assert sorted(back.range_report(full)) == sorted(snap.range_report(full))
+
+    def test_read_rejects_an_id_repeated(self):
+        snap = Snapshot.build([(4, 1, 1), (8, 2, 2)], 0, (8, 8))
+        w = Writer()
+        snap.write(w)
+        at = len(w) - 8 - 8  # two u32 ids, then one word of entrant bits
+        assert np.frombuffer(w, "<u4", 2, at).tolist() == [4, 8]
+        w[at + 4:at + 8] = w[at:at + 4]
+        with pytest.raises(ValueError, match="twice"):
+            Snapshot.read(Reader(bytes(w)), 0, (8, 8))

@@ -54,10 +54,6 @@ class TestBitVector:
         assert [bv.select0(j) for j in range(1, len(zeros) + 1)] == zeros
         assert list(bv.ones()) == ones
         assert list(bv.zeros()) == zeros
-        probe = rng.permutation(np.arange(1, n + 1))
-        got_bits, got_ranks = bv.access_rank1(probe)
-        assert got_bits.tolist() == bits[probe - 1].astype(bool).tolist()
-        assert got_ranks.tolist() == cum[probe].tolist()
 
     @given(st.lists(st.booleans(), max_size=300), st.data())
     @settings(max_examples=60, deadline=None)
