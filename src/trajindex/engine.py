@@ -10,7 +10,6 @@ confirmed against the exact compressed positions.
 
 from __future__ import annotations
 
-import gc
 import struct
 import zlib
 from collections import defaultdict
@@ -18,9 +17,9 @@ from collections import defaultdict
 import numpy as np
 
 from trajindex.log import TrajectoryLog, build_log
-from trajindex.mbrtree import Mbr, MbrTree, TraversalStats, build_mbr_tree
+from trajindex.mbrtree import Mbr, MbrTree, TraversalStats, build_mbr_tree_xy
 from trajindex.snapshot import Region, Snapshot, expanded_region
-from trajindex.succinct import BitVector, Reader, Writer
+from trajindex.succinct import U32_MAX, BitVector, Reader, Writer, gc_paused
 
 _MAGIC = b"CTCT"
 _VERSION = 3
@@ -233,18 +232,11 @@ class TrajectoryIndex:
         """Load an index; a malformed, truncated or corrupt buffer, or one
         of another format version, raises ValueError.
 
-        The cyclic garbage collector is paused while the parse allocates
-        its tens of thousands of small objects, which would otherwise set
-        off one full collection after another, and is put back as it was
-        however the parse ends.
+        The garbage collector is paused while the parse allocates its tens
+        of thousands of small objects.
         """
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with gc_paused():
             return cls._parse(buf)
-        finally:
-            if enabled:
-                gc.enable()
 
     @classmethod
     def _parse(cls, buf) -> "TrajectoryIndex":
@@ -288,23 +280,20 @@ class TrajectoryIndex:
             return cls.from_bytes(fh.read())
 
 
-def compute_max_speed(per_object: dict[int, np.ndarray]) -> int:
-    """Largest per-axis displacement rate between consecutive samples,
-    rounded up to whole cells per instant."""
-    worst = 0
-    for arr in per_object.values():
-        if len(arr) < 2:
-            continue
-        dt = np.diff(arr[:, 0])
-        for col in (1, 2):
-            step = np.abs(np.diff(arr[:, col]))
-            rate = int(np.max(_ceil_div_arr(step, dt)))
-            worst = max(worst, rate)
-    return worst
+def compute_max_speed(rows: np.ndarray) -> int:
+    """Largest per-axis displacement rate between consecutive samples of
+    one object, rounded up to whole cells per instant.  rows: (id,
+    instant, x, y), each object's rows together and in instant order."""
+    steps = np.diff(rows, axis=0)[rows[1:, 0] == rows[:-1, 0]]
+    if not len(steps):
+        return 0
+    moved = np.abs(steps[:, 2:]).max(axis=1)
+    return int((-(-moved // steps[:, 1])).max())
 
 
-def _ceil_div_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return -(-a // b)
+def _check_u32(name: str, value) -> None:
+    if not 0 <= value <= U32_MAX:
+        raise ValueError(f"{name} {value} does not fit in a u32")
 
 
 def build_index(samples, period: int, leaf_capacity: int,
@@ -312,69 +301,83 @@ def build_index(samples, period: int, leaf_capacity: int,
                 max_speed: int | None = None) -> TrajectoryIndex:
     """Build the index from (object id, instant, x, y) rows.
 
-    Rows must be sorted by object then instant, one row per object and
-    instant, all coordinates on the extent grid.  max_speed may widen the
-    computed bound but never narrow it.
+    Objects may come in any order, each object's instants strictly
+    increasing, all coordinates on the extent grid.  max_speed may widen
+    the computed bound but never narrow it.  Every value the file keeps
+    must fit its u32 field.
     """
     if period < 2:
         raise ValueError("period must be at least 2")
     if leaf_capacity < 1:
         raise ValueError("leaf capacity must be positive")
     w, h = extent
-    per_object: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    count = 0
-    t_max = 0
-    for oid, t, x, y in samples:
-        if not (0 <= x < w and 0 <= y < h):
-            raise ValueError(f"sample ({oid}, {t}, {x}, {y}) outside {w}x{h} grid")
-        if t < 0:
-            raise ValueError("negative instant")
-        rows = per_object[int(oid)]
-        if rows and t <= rows[-1][0]:
-            raise ValueError(
-                f"samples for object {oid} not strictly increasing at instant {t}")
-        rows.append((int(t), int(x), int(y)))
-        count += 1
-        t_max = max(t_max, int(t))
-    if not count:
+    for name, value in (("period", period), ("leaf capacity", leaf_capacity),
+                        ("width", w), ("height", h), ("horizon", horizon),
+                        ("max speed", max_speed)):
+        if value is not None:
+            _check_u32(name, value)
+    try:
+        rows = np.fromiter(samples, dtype=np.dtype((np.int64, 4)))
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"samples must be rows of four 64-bit integers: "
+                         f"{exc}") from None
+    if not len(rows):
         raise ValueError("no samples")
+    off = (rows[:, 2:] < 0) | (rows[:, 2:] >= (w, h))
+    if off.any():
+        oid, t, x, y = rows[off.any(axis=1)][0]
+        raise ValueError(f"sample ({oid}, {t}, {x}, {y}) outside {w}x{h} grid")
+    if rows[:, 1].min() < 0:
+        raise ValueError("negative instant")
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    oids, ts = rows[:, 0], rows[:, 1]
+    _check_u32("object id", oids[0])
+    _check_u32("object id", oids[-1])
+    back = (oids[1:] == oids[:-1]) & (ts[1:] <= ts[:-1])
+    if back.any():
+        oid, t = rows[np.argmax(back) + 1, :2]
+        raise ValueError(
+            f"samples for object {oid} not strictly increasing at instant {t}")
+    t_max = int(ts.max())
     if horizon is None:
+        if t_max >= U32_MAX:
+            raise ValueError(f"instant {t_max} does not fit: the horizon "
+                             f"after it must be a u32")
         horizon = t_max + 1
     elif horizon <= t_max:
         raise ValueError(f"horizon {horizon} does not cover instant {t_max}")
-    arrays = {oid: np.array(rows, dtype=np.int64)
-              for oid, rows in per_object.items()}
-    computed = compute_max_speed(arrays)
+    computed = compute_max_speed(rows)
     if max_speed is None:
         max_speed = computed
     elif max_speed < computed:
         raise ValueError(
             f"declared speed {max_speed} below observed rate {computed}")
-    object_ids = np.array(sorted(per_object), dtype=np.uint32)
-    snapshots = []
+    # one group per (object, period): its first row goes to the snapshot,
+    # as an entrant unless it sits at the period start; the rest is a log
+    ks = ts - ts % period
+    starts = np.flatnonzero(np.r_[True, (oids[1:] != oids[:-1])
+                                  | (ks[1:] != ks[:-1])])
+    ends = np.r_[starts[1:], len(rows)]
+    snapped = [[] for _ in range(0, horizon, period)]
+    entrants = [set() for _ in snapped]
     logs: dict[tuple[int, int], tuple[TrajectoryLog, MbrTree]] = {}
-    for k in range(0, horizon, period):
-        at_k = []
-        entrants = set()
-        for oid in object_ids:
-            oid = int(oid)
-            arr = arrays[oid]
-            ts = arr[:, 0]
-            i = int(np.searchsorted(ts, k))
-            if i < len(ts) and ts[i] == k:
-                at_k.append((oid, int(arr[i, 1]), int(arr[i, 2])))
-                i += 1
-            elif i < len(ts) and ts[i] <= min(k + period - 1, horizon - 1):
-                # nothing at the snapshot instant itself: carry the first
-                # in-period fix so region probes still see the object
-                at_k.append((oid, int(arr[i, 1]), int(arr[i, 2])))
-                entrants.add(oid)
-            j = int(np.searchsorted(ts, min(k + period, horizon)))
-            if i < j:
-                log = build_log(
-                    [(int(t), int(x), int(y)) for t, x, y in arr[i:j]],
-                    k, period, object_id=oid)
-                logs[(k, oid)] = (log, build_mbr_tree(log, leaf_capacity))
-        snapshots.append(Snapshot.build(at_k, k, extent, entrants))
+    order = np.lexsort((oids[starts], ks[starts]))
+    with gc_paused():
+        for s, e in zip(starts[order].tolist(), ends[order].tolist()):
+            oid, t, x, y = rows[s].tolist()
+            i = t // period
+            k = i * period
+            snapped[i].append((oid, x, y))
+            if t != k:
+                entrants[i].add(oid)
+            else:
+                s += 1
+            if s < e:
+                log = build_log(rows[s:e, 1:], k, period, object_id=oid)
+                logs[(k, oid)] = (log, build_mbr_tree_xy(
+                    rows[s:e, 2], rows[s:e, 3], leaf_capacity))
+        snapshots = [Snapshot.build(at_k, i * period, extent, entrants[i])
+                     for i, at_k in enumerate(snapped)]
     return TrajectoryIndex(period, leaf_capacity, extent, horizon, max_speed,
-                           count, object_ids, snapshots, logs)
+                           len(rows), np.unique(oids).astype(np.uint32),
+                           snapshots, logs)

@@ -13,6 +13,10 @@ import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
+from trajindex.succinct import gc_paused
+
 
 class RawRecord(NamedTuple):
     object_id: int
@@ -30,6 +34,8 @@ class NormalizeConfig:
 
 _BIN_RECORD = 9
 _BIN_HEAD = struct.Struct("<HHH")
+_BIN_DTYPE = np.dtype([("id", "<u2"), ("t", "<u2"), ("x", "<u2"),
+                       ("ylo", "<u2"), ("yhi", "u1")])
 
 
 def parse_csv(lines) -> list[RawRecord]:
@@ -61,12 +67,11 @@ def parse_binary(data: bytes) -> list[RawRecord]:
     if len(data) % _BIN_RECORD:
         raise ValueError(
             f"binary input length {len(data)} is not a multiple of {_BIN_RECORD}")
-    out = []
-    for off in range(0, len(data), _BIN_RECORD):
-        oid, t, x = _BIN_HEAD.unpack_from(data, off)
-        y = data[off + 6] | (data[off + 7] << 8) | (data[off + 8] << 16)
-        out.append(RawRecord(oid, t, x, y))
-    return out
+    rec = np.frombuffer(data, dtype=_BIN_DTYPE)
+    y = rec["ylo"].astype(np.int64) | rec["yhi"].astype(np.int64) << 16
+    cols = np.stack([rec["id"], rec["t"], rec["x"], y], axis=1)
+    with gc_paused():
+        return list(map(RawRecord._make, cols.tolist()))
 
 
 def write_binary(records) -> bytes:

@@ -247,18 +247,17 @@ class TrajectoryLog:
 
 
 def build_log(samples, start: int, period: int, object_id: int = 0) -> TrajectoryLog:
-    """Build a log from (instant, x, y) rows sorted by instant.
+    """Build a log from (instant, x, y) rows sorted by instant, given as
+    an (n, 3) array or a sequence of triples.
 
     Instants are global and must fall in start+1 .. start+period-1; the
     instant at start itself is snapshot territory.
     """
-    rows = list(samples)
-    if not rows:
+    rows = np.asarray(samples, dtype=np.int64).reshape(-1, 3)
+    if not len(rows):
         raise ValueError("a log needs at least one sample")
-    ts = np.array([r[0] for r in rows], dtype=np.int64)
-    xs = np.array([r[1] for r in rows], dtype=np.int64)
-    ys = np.array([r[2] for r in rows], dtype=np.int64)
-    if np.any(np.diff(ts) <= 0):
+    ts, xs, ys = rows.T
+    if (ts[1:] <= ts[:-1]).any():
         raise ValueError("instants must be strictly increasing")
     if ts[0] < start + 1 or ts[-1] > start + period - 1:
         raise ValueError(

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from trajindex.log import TrajectoryLog
-from trajindex.succinct import PackedIntArray, Reader, Writer
+from trajindex.succinct import U32_MAX, PackedIntArray, Reader, Writer
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ class MbrTree:
         return cls(leaf_capacity, leaf_count, data_count, width, root, dx, dy)
 
 
-_U32_MAX = (1 << 32) - 1  # the root box is stored as u32s
+_PAD = 1 << 40  # a padded node's box: above any storable coordinate
 
 
 def _leaf_count(n: int, leaf_capacity: int) -> int:
@@ -265,43 +267,48 @@ def _leaf_count(n: int, leaf_capacity: int) -> int:
 
 
 def build_mbr_tree(log: TrajectoryLog, leaf_capacity: int) -> MbrTree:
+    """The tree over a standalone log, from its decoded positions."""
+    pts = np.array(log.scan_positions(1, log.data_count), dtype=np.int64)
+    return build_mbr_tree_xy(pts[:, 1], pts[:, 2], leaf_capacity)
+
+
+def build_mbr_tree_xy(xs, ys, leaf_capacity: int) -> MbrTree:
+    """The tree over the positions of one log, given as x and y columns
+    in ordinal order.
+
+    Each box is kept as (xmin, -xmax, ymin, -ymax), so a parent is the
+    elementwise minimum of its two children and every diff is child less
+    parent.  Padded leaves hold a value above any coordinate, which the
+    minimum never picks over a real child; their diffs are stored as 0.
+    """
     if leaf_capacity < 1:
         raise ValueError("leaf capacity must be positive")
-    n = log.data_count
+    n = len(xs)
     if n == 0:
         raise ValueError("cannot build a tree over an empty log")
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
     leaf_count = _leaf_count(n, leaf_capacity)
-    node_count = 2 * leaf_count - 1
-    pts = log.scan_positions(1, n)
-    boxes: list[Mbr | None] = [None] * (node_count + 1)
-    for j in range(leaf_count):
-        lo = j * leaf_capacity
-        if lo >= n:
-            break
-        chunk = pts[lo : lo + leaf_capacity]
-        xs = [c[1] for c in chunk]
-        ys = [c[2] for c in chunk]
-        boxes[leaf_count + j] = Mbr(min(xs), max(xs), min(ys), max(ys))
-    for p in range(leaf_count - 1, 0, -1):
-        a, b = boxes[2 * p], boxes[2 * p + 1]
-        boxes[p] = a if b is None else a.union(b)
-    root = boxes[1]
-    if min(root.xmin, root.ymin) < 0 or max(root.xmax, root.ymax) > _U32_MAX:
+    starts = np.arange(0, n, leaf_capacity)
+    boxes = np.full((2 * leaf_count, 4), _PAD, dtype=np.int64)
+    leaves = boxes[leaf_count:leaf_count + len(starts)]
+    leaves[:, 0] = np.minimum.reduceat(xs, starts)
+    leaves[:, 1] = -np.maximum.reduceat(xs, starts)
+    leaves[:, 2] = np.minimum.reduceat(ys, starts)
+    leaves[:, 3] = -np.maximum.reduceat(ys, starts)
+    h = leaf_count
+    while h > 1:
+        h //= 2
+        np.minimum(boxes[2 * h:4 * h:2], boxes[2 * h + 1:4 * h:2],
+                   out=boxes[h:2 * h])
+    xmin, xmax, ymin, ymax = (int(v) for v in boxes[1] * (1, -1, 1, -1))
+    root = Mbr(xmin, xmax, ymin, ymax)
+    if min(xmin, ymin) < 0 or max(xmax, ymax) > U32_MAX:
         raise ValueError(f"box {root} cannot be stored: coordinates must "
-                         f"lie in 0..{_U32_MAX}")
-    diffs_x: list[int] = []
-    diffs_y: list[int] = []
-    for p in range(2, node_count + 1):
-        child = boxes[p]
-        if child is None:
-            diffs_x += [0, 0]
-            diffs_y += [0, 0]
-            continue
-        parent = boxes[p >> 1]
-        diffs_x += [child.xmin - parent.xmin, parent.xmax - child.xmax]
-        diffs_y += [child.ymin - parent.ymin, parent.ymax - child.ymax]
-    largest = max(diffs_x + diffs_y, default=0)
-    width = max(1, largest.bit_length())
+                         f"lie in 0..{U32_MAX}")
+    diffs = boxes[2:] - boxes[1:leaf_count].repeat(2, axis=0)
+    diffs[boxes[2:, 0] == _PAD] = 0
+    width = max(1, int(diffs.max(initial=0)).bit_length())
     return MbrTree(leaf_capacity, leaf_count, n, width, root,
-                   PackedIntArray.from_values(diffs_x, width),
-                   PackedIntArray.from_values(diffs_y, width))
+                   PackedIntArray.from_values(diffs[:, :2].ravel(), width),
+                   PackedIntArray.from_values(diffs[:, 2:].ravel(), width))

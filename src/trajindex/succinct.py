@@ -14,15 +14,18 @@ caller already knows.  Words and u32s are little-endian.
 
 from __future__ import annotations
 
+import gc
 import struct
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from itertools import accumulate
 
 import numpy as np
 
 _WORD_FULL = (1 << 64) - 1
+U32_MAX = (1 << 32) - 1  # the largest value a u32 field holds
 _SUPER_SHIFT = 3
 _SUPER = 1 << _SUPER_SHIFT  # words per superblock, i.e. 512-bit superblocks
 _POP8 = bytes(bin(i).count("1") for i in range(256))
@@ -42,6 +45,20 @@ def _select_table() -> bytes:
 _SELECT8 = _select_table()
 
 
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector while the block allocates many
+    small objects, which would otherwise set off one full collection
+    after another; it is put back as it was however the block ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _words_from(data) -> array:
     """uint64 words from little-endian bytes (any buffer)."""
     words = array("Q")
@@ -49,6 +66,12 @@ def _words_from(data) -> array:
     if _BIG_ENDIAN:
         words.byteswap()
     return words
+
+
+def _packed_words(bits: np.ndarray) -> array:
+    """uint64 words holding a 0/1 uint8 array, least significant bit first."""
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    return _words_from(packed + bytes(-len(packed) % 8))
 
 
 def _words_to_bytes(words: array) -> bytes:
@@ -169,12 +192,7 @@ class BitVector:
     @classmethod
     def from_bits(cls, bits) -> "BitVector":
         arr = np.asarray(bits, dtype=np.uint8)
-        n = len(arr)
-        packed = np.packbits(arr, bitorder="little")
-        pad = (-len(packed)) % 8
-        if pad:
-            packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-        return cls(_words_from(packed), n)
+        return cls(_packed_words(arr), len(arr))
 
     @classmethod
     def from_set_positions(cls, n: int, positions) -> "BitVector":
@@ -334,11 +352,7 @@ class PackedIntArray:
         if width < 64 and vals.max() >> width:
             raise ValueError(f"value does not fit in {width} bits")
         bits = (vals[:, None] >> np.arange(width, dtype=np.uint64)) & np.uint64(1)
-        packed = np.packbits(bits.astype(np.uint8).ravel(), bitorder="little")
-        pad = (-len(packed)) % 8
-        if pad:
-            packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-        return cls(_words_from(packed), count, width)
+        return cls(_packed_words(bits.astype(np.uint8).ravel()), count, width)
 
     def __len__(self) -> int:
         return self._count
@@ -411,7 +425,7 @@ class SparseBitVector:
         if m:
             if pos[0] < 1 or pos[-1] > n:
                 raise ValueError("positions out of range")
-            if np.any(np.diff(pos) <= 0):
+            if (pos[1:] <= pos[:-1]).any():
                 raise ValueError("positions must be strictly increasing")
         low_width = _low_width(n, m)
         v = pos - 1

@@ -67,6 +67,23 @@ class TestBuild:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, field", [
+        ("4294967296,1,1,1", "object id 4294967296"),
+        ("1,4294967296,1,1", "instant 4294967296"),
+        ("1,1,4294967296,1", "width 4294967297"),
+        ("18446744073709551616,1,1,1", "64-bit integers"),
+    ])
+    def test_values_past_u32_are_data_errors(self, tmp_path, capsys, line,
+                                             field):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"{line}\n")
+        out = tmp_path / "wide.idx"
+        rc = main(["build", "--input", str(path), "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
     def test_missing_flag_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["build", "--input", str(tmp_path / "x.csv")])

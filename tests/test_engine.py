@@ -7,7 +7,7 @@ import pytest
 from conftest import REF_OBJECT, REF_PERIOD, REF_TRACK, pulled_in, restamp
 from synth import make_fleet
 from trajindex.engine import TrajectoryIndex, build_index, compute_max_speed
-from trajindex.log import build_log
+from trajindex.log import TrajectoryLog, build_log
 from trajindex.mbrtree import Mbr, TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region, Snapshot
@@ -86,6 +86,15 @@ class TestBuildValidation:
         with pytest.raises(ValueError):
             build_index(ref_rows, period=13, leaf_capacity=2, extent=(10, 10))
 
+    @pytest.mark.parametrize("rows", [
+        [(1, 2, 3), (1, 4, 5, 6, 7)],
+        [(1, 2, 3, 4, 5)],
+        [(1, "x", 3, 4)],
+    ])
+    def test_rejects_rows_not_of_four_integers(self, rows):
+        with pytest.raises(ValueError, match="rows of four"):
+            build_index(rows, period=10, leaf_capacity=2, extent=(8, 8))
+
     def test_rejects_duplicate_or_unsorted_instants(self):
         rows = [(1, 5, 0, 0), (1, 5, 1, 1)]
         with pytest.raises(ValueError):
@@ -108,9 +117,36 @@ class TestBuildValidation:
                         max_speed=2)
 
     def test_computed_speed_uses_ceiling_over_gaps(self):
-        # 7 cells in 3 instants rounds up to 3 cells per instant
-        arrays = {1: np.array([[5, 3, 0], [8, 10, 0]], dtype=np.int64)}
-        assert compute_max_speed(arrays) == 3
+        # 7 cells in 3 instants rounds up to 3 cells per instant; the step
+        # from object 1 to object 2 is no move
+        rows = np.array([[1, 5, 3, 0], [1, 8, 10, 0], [2, 0, 90, 90]],
+                        dtype=np.int64)
+        assert compute_max_speed(rows) == 3
+
+    @pytest.mark.parametrize("rows, kwargs, field", [
+        ([(1 << 32, 1, 1, 1)], {}, "object id 4294967296"),
+        ([(-1, 1, 1, 1)], {}, "object id -1"),
+        ([(1, 1 << 32, 1, 1)], {}, "instant 4294967296"),
+        ([(1, (1 << 32) - 1, 1, 1)], {}, "instant 4294967295"),
+        ([(1 << 64, 1, 1, 1)], {}, "64-bit integers"),
+        ([(1, 1, 1, 1)], {"period": 1 << 32}, "period"),
+        ([(1, 1, 1, 1)], {"leaf_capacity": 1 << 32}, "leaf capacity"),
+        ([(1, 1, 1, 1)], {"extent": (1 << 32, 8)}, "width"),
+        ([(1, 1, 1, 1)], {"extent": (8, 1 << 33)}, "height"),
+        ([(1, 1, 1, 1)], {"horizon": 1 << 32}, "horizon"),
+        ([(1, 1, 1, 1)], {"max_speed": 1 << 32}, "max speed"),
+    ])
+    def test_rejects_values_the_file_cannot_store(self, rows, kwargs, field):
+        args = {"period": 10, "leaf_capacity": 2, "extent": (8, 8), **kwargs}
+        with pytest.raises(ValueError, match=field):
+            build_index(rows, **args)
+
+    def test_largest_u32_values_build(self):
+        top = (1 << 32) - 1
+        ix = build_index([(top, top - 1, 1, 1)], period=top, leaf_capacity=top,
+                         extent=(8, 8), max_speed=top)
+        assert ix.object_ids == [top] and ix.horizon == top
+        assert TrajectoryIndex.from_bytes(ix.to_bytes()).object_ids == [top]
 
     def test_query_domain_checks(self, ref_index):
         with pytest.raises(KeyError):
@@ -347,6 +383,39 @@ class TestSerialization:
         blob, parts = small_index.encode()
         assert blob == small_index.to_bytes()
         assert 0 < sum(parts.values()) < len(blob)
+
+
+class TestColumnBuild:
+    def test_build_decodes_no_log(self, small_fleet, small_index, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the build decoded a log")
+
+        monkeypatch.setattr(TrajectoryLog, "iter_positions", refuse)
+        built = build_index(small_fleet.rows(), period=60, leaf_capacity=5,
+                            extent=small_fleet.extent)
+        assert built.to_bytes() == small_index.to_bytes()
+
+    @pytest.mark.parametrize("key", [
+        lambda r: (r[1], r[0]),
+        lambda r: (r[1], -r[0]),
+        lambda r: (-r[0], r[1]),
+    ], ids=["by-instant", "by-instant-ids-down", "ids-down"])
+    def test_interleaved_rows_build_the_same_bytes(self, small_fleet,
+                                                   small_index, key):
+        rows = sorted(small_fleet.rows(), key=key)
+        built = build_index(rows, period=60, leaf_capacity=5,
+                            extent=small_fleet.extent)
+        assert built.to_bytes() == small_index.to_bytes()
+
+    @pytest.mark.parametrize("rows, oid, t", [
+        ([(1, 0, 1, 1), (2, 0, 2, 2), (1, 1, 1, 2), (2, 1, 2, 3),
+          (1, 1, 1, 3)], 1, 1),
+        ([(2, 3, 1, 1), (1, 0, 2, 2), (1, 4, 2, 3), (2, 2, 1, 2)], 2, 2),
+    ], ids=["repeated", "backward"])
+    def test_interleaved_instant_out_of_order_is_named(self, rows, oid, t):
+        with pytest.raises(ValueError,
+                           match=f"object {oid} .* at instant {t}$"):
+            build_index(rows, period=10, leaf_capacity=2, extent=(8, 8))
 
 
 class TestPeriodEdges:

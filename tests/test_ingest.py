@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,21 @@ class TestBinary:
         assert len(blob) == 27
         assert blob[18:] == bytes([2, 1, 4, 3, 6, 5, 1, 2, 3])
         assert parse_binary(blob) == rows
+
+    def test_empty_input(self):
+        assert parse_binary(b"") == []
+
+    def test_seeded_round_trip_with_wide_y(self):
+        rng = np.random.default_rng(29)
+        cols = [rng.integers(0, 1 << 16, size=1000) for _ in range(3)]
+        cols.append(rng.integers(1 << 16, 1 << 24, size=1000))
+        rows = [RawRecord(*r) for r in zip(*(c.tolist() for c in cols))]
+        assert parse_binary(write_binary(rows)) == rows
+
+    def test_fields_are_plain_ints(self):
+        rows = parse_binary(write_binary([RawRecord(3, 4, 5, 1 << 20)]))
+        assert [type(v) for v in rows[0]] == [int] * 4
+        assert isinstance(rows[0], RawRecord)
 
     def test_rejects_partial_record(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REF_PERIOD, pulled_in, round_trip
 from trajindex.log import build_log
-from trajindex.mbrtree import Mbr, MbrTree, TraversalStats, build_mbr_tree
+from trajindex.mbrtree import (
+    Mbr,
+    MbrTree,
+    TraversalStats,
+    build_mbr_tree,
+    build_mbr_tree_xy,
+)
 from trajindex.oracle import oracle_mbr
 
 
@@ -124,6 +132,55 @@ class TestAgainstShadowTree:
             tree = build_mbr_tree(log, int(rng.integers(1, 6)))
             for v in list(tree._diffs_x) + list(tree._diffs_y):
                 assert v >> tree.width == 0
+
+
+@st.composite
+def tracks(draw):
+    """(leaf capacity, rows) with one sample, a multiple of the capacity,
+    a leaf count just past a power of two, or any count."""
+    cap = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(("one", "multiple", "past-power", "any")))
+    if shape == "one":
+        n = 1
+    elif shape == "multiple":
+        n = cap * draw(st.integers(1, 12))
+    elif shape == "past-power":
+        n = cap << draw(st.integers(0, 4))
+        n += draw(st.integers(1, cap))
+    else:
+        n = draw(st.integers(1, 90))
+    coord = st.integers(0, (1 << 32) - 1) | st.integers(0, 40)
+    xs = draw(st.lists(coord, min_size=n, max_size=n))
+    ys = draw(st.lists(coord, min_size=n, max_size=n))
+    steps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ts = np.cumsum(steps).tolist()
+    return cap, list(zip(ts, xs, ys))
+
+
+class TestColumnBuilder:
+    @given(tracks())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_decode_path(self, track):
+        cap, rows = track
+        log = build_log(rows, 0, rows[-1][0] + 1)
+        xs = np.array([r[1] for r in rows], dtype=np.int64)
+        ys = np.array([r[2] for r in rows], dtype=np.int64)
+        tree = build_mbr_tree_xy(xs, ys, cap)
+        pts = [(x, y) for _, x, y in log.scan_positions(1, log.data_count)]
+        for p in range(1, tree.node_count + 1):
+            cov = tree.coverage(p)
+            if cov is not None:
+                got = tree.node_box(p)
+                assert (got.xmin, got.xmax, got.ymin, got.ymax) == \
+                    oracle_mbr(pts, *cov)
+            elif p > 1:
+                base = 2 * (p - 2)
+                for diffs in (tree._diffs_x, tree._diffs_y):
+                    assert diffs[base] == diffs[base + 1] == 0
+        ref = build_mbr_tree(log, cap)
+        assert (tree.width, tree.root) == (ref.width, ref.root)
+        assert list(tree._diffs_x) == list(ref._diffs_x)
+        assert list(tree._diffs_y) == list(ref._diffs_y)
 
 
 class TestSearch:
