@@ -46,7 +46,8 @@ def _build_parser() -> _Parser:
     q.add_argument("--from", dest="first", type=int, required=True)
     q.add_argument("--to", dest="last", type=int)
 
-    s = sub.add_parser("stats", help="print size breakdown of an index file")
+    s = sub.add_parser("stats", help="print the on-disk and in-memory size "
+                                     "breakdown of an index file")
     s.add_argument("index")
 
     o = sub.add_parser("oracle-check",
@@ -84,6 +85,11 @@ def _print_breakdown(ix: TrajectoryIndex, out) -> None:
     print(f"total: {total} bytes", file=out)
     print(f"baseline (9 B/record): {baseline} bytes", file=out)
     print(f"ratio: {total / baseline:.4f}", file=out)
+    live = ix.memory()
+    for name, size in live.items():
+        print(f"in memory, {name}: {size} bytes", file=out)
+    print(f"in memory, total: {sum(live.values())} bytes "
+          f"({sum(live.values()) / total:.2f}x the file)", file=out)
 
 
 def _cmd_build(args) -> int:

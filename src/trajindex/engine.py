@@ -12,29 +12,76 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections import defaultdict
+from array import array
 
 import numpy as np
 
-from trajindex.log import TrajectoryLog, build_log
-from trajindex.mbrtree import Mbr, MbrTree, TraversalStats, build_mbr_tree_xy
+from trajindex.log import (
+    LOG_FIELDS,
+    TrajectoryLog,
+    data_count,
+    ordinal_range,
+    position_at,
+    read_fields,
+    write_log,
+)
+from trajindex.mbrtree import Mbr, MbrTree, TraversalStats, read_tree, write_tree
 from trajindex.snapshot import Region, Snapshot, expanded_region
-from trajindex.succinct import U32_MAX, BitVector, Reader, Writer, gc_paused
+from trajindex.succinct import (
+    U32_MAX,
+    BitPool,
+    BitVector,
+    PoolBuilder,
+    Reader,
+    Writer,
+    bits_at,
+    nbytes,
+)
 
 _MAGIC = b"CTCT"
 _VERSION = 3
 _PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
 _CRC_AT = 6  # offset of the CRC field, which the CRC skips
+# one record per log: its fields, then its tree's root box and diff width;
+# the tree's own fields start at the log's last one, the word pool's next
+# word, where the tree's diffs begin
+_RECORD = struct.Struct(f"={LOG_FIELDS + 5}I")
+_TREE = LOG_FIELDS - 1
+_ROOT = _TREE + 1
+
+
+_ROOT_BOX = struct.Struct("=4I")
+
+
+def _root_meets(records: array, row: int, region: Region) -> bool:
+    # whether the root box of the log at row, which bounds every position
+    # in the log, meets region; most candidates fail, so only the box is
+    # read
+    xmin, xmax, ymin, ymax = _ROOT_BOX.unpack_from(
+        records, row * _RECORD.size + 4 * _ROOT)
+    return (xmin <= region.x2 and region.x1 <= xmax
+            and ymin <= region.y2 and region.y1 <= ymax)
+
+
+def _root_within(f, region: Region) -> bool:
+    return (region.x1 <= f[_ROOT] and f[_ROOT + 1] <= region.x2
+            and region.y1 <= f[_ROOT + 2] and f[_ROOT + 3] <= region.y2)
 
 
 class TrajectoryIndex:
-    """Queryable compressed index over a fixed-rate trajectory set."""
+    """Queryable compressed index over a fixed-rate trajectory set.
+
+    Every log and tree lives in two pools: one bit pool with its rank and
+    select directory and one word pool, each log addressed by its row in
+    a table of fixed-width records.  A flat table maps (period, object
+    index) to the row, or to -1 where the object has no log.
+    """
 
     def __init__(self, period: int, leaf_capacity: int,
                  extent: tuple[int, int], horizon: int, max_speed: int,
                  sample_count: int, object_ids: np.ndarray,
-                 snapshots: list[Snapshot],
-                 logs: dict[tuple[int, int], tuple[TrajectoryLog, MbrTree]]):
+                 snapshots: list[Snapshot], bits: BitPool, words: array,
+                 records: array, rows: array):
         self.period = period
         self.leaf_capacity = leaf_capacity
         self.extent = extent
@@ -42,9 +89,12 @@ class TrajectoryIndex:
         self.max_speed = max_speed
         self.sample_count = sample_count
         self._object_ids = object_ids
-        self._id_set = set(int(i) for i in object_ids)
+        self._index = {int(oid): i for i, oid in enumerate(object_ids)}
         self._snapshots = snapshots
-        self._logs = logs
+        self._bits = bits
+        self._words = words
+        self._records = records
+        self._rows = rows
 
     # ------------------------------------------------------------- lookups
 
@@ -56,32 +106,55 @@ class TrajectoryIndex:
     def snapshots(self) -> list[Snapshot]:
         return self._snapshots
 
+    @property
+    def _logs(self) -> dict[tuple[int, int], tuple[TrajectoryLog, MbrTree]]:
+        """(period start, object id) -> (log, tree), as views made afresh."""
+        ids, d = self.object_ids, self.period
+        out = {}
+        for slot, row in enumerate(self._rows):
+            if row >= 0:
+                key = slot // len(ids) * d, ids[slot % len(ids)]
+                f = self._fields(row)
+                out[key] = self._log(f, key[1], key[0]), self._tree(f)
+        return out
+
     def _check_instant(self, q: int) -> None:
         if not 0 <= q < self.horizon:
             raise IndexError(f"instant {q} out of range 0..{self.horizon - 1}")
 
-    def _check_object(self, oid: int) -> None:
-        if oid not in self._id_set:
+    def _object(self, oid: int) -> int:
+        i = self._index.get(oid)
+        if i is None:
             raise KeyError(f"unknown object {oid}")
+        return i
+
+    def _fields(self, row: int) -> tuple[int, ...]:
+        return _RECORD.unpack_from(self._records, row * _RECORD.size)
+
+    def _log(self, f, oid: int, k: int) -> TrajectoryLog:
+        return TrajectoryLog(self._bits, self._words, f, oid, k, self.period)
+
+    def _tree(self, f) -> MbrTree:
+        return MbrTree(self._words, self.leaf_capacity, data_count(f), f, _TREE)
 
     def object_position(self, oid: int, q: int) -> tuple[int, int] | None:
         """Where object oid was at instant q, or None if it sent nothing."""
-        self._check_object(oid)
+        i = self._object(oid)
         self._check_instant(q)
-        k = q - q % self.period
-        if q == k:
-            snap = self._snapshots[k // self.period]
+        p, local = divmod(q, self.period)
+        if not local:
+            snap = self._snapshots[p]
             if snap.is_entrant(oid):
                 return None
             return snap.position_of(oid)
-        entry = self._logs.get((k, oid))
-        if entry is None:
+        row = self._rows[p * len(self._index) + i]
+        if row < 0:
             return None
-        return entry[0].position(q - k)
+        return position_at(self._bits, self._words, self._fields(row), local)
 
     def trajectory(self, oid: int, first: int, last: int) -> list[tuple[int, int, int]]:
         """(instant, x, y) rows for oid over first..last, instants ascending."""
-        self._check_object(oid)
+        i = self._object(oid)
         self._check_instant(first)
         self._check_instant(last)
         if first > last:
@@ -95,17 +168,14 @@ class TrajectoryIndex:
                 if pos is not None:
                     out.append((k, pos[0], pos[1]))
             lo, hi = max(first, k + 1), min(last, k + d - 1)
-            if lo > hi:
+            row = self._rows[k // d * len(self._index) + i]
+            if lo > hi or row < 0:
                 continue
-            entry = self._logs.get((k, oid))
-            if entry is None:
-                continue
-            log = entry[0]
-            b1 = log.count_data_upto(lo - k - 1) + 1
-            e1 = log.count_data_upto(hi - k)
+            f = self._fields(row)
+            b1, e1 = ordinal_range(self._bits, self._words, f, lo - k, hi - k)
             if b1 > e1:
                 continue
-            for t, x, y in log.iter_positions(b1, e1):
+            for t, x, y in self._log(f, oid, k).iter_positions(b1, e1):
                 out.append((k + t, x, y))
         return out
 
@@ -120,14 +190,14 @@ class TrajectoryIndex:
         if q == k:
             return sorted(snap.range_report(region, include_entrants=False))
         wide = expanded_region(region, q, k, self.max_speed, self.extent)
-        box = Mbr(region.x1, region.x2, region.y1, region.y2)
+        rows, index = self._rows, self._index
+        first = k // d * len(index)
         out = []
         for oid, _, _ in snap.range_report(wide):
-            entry = self._logs.get((k, oid))
-            # the root box bounds every position in the log
-            if entry is None or not entry[1].root.intersects(box):
+            row = rows[first + index[oid]]
+            if row < 0 or not _root_meets(self._records, row, region):
                 continue
-            pos = entry[0].position(q - k)
+            pos = self._log(self._fields(row), oid, k).position(q - k)
             if pos is not None and region.contains(pos[0], pos[1]):
                 out.append((oid, pos[0], pos[1]))
         return sorted(out)
@@ -142,6 +212,7 @@ class TrajectoryIndex:
             raise ValueError("empty instant range")
         d = self.period
         box = Mbr(region.x1, region.x2, region.y1, region.y2)
+        rows, index = self._rows, self._index
         found: set[int] = set()
         for k in range(first - first % d, last + 1, d):
             snap = self._snapshots[k // d]
@@ -149,6 +220,7 @@ class TrajectoryIndex:
             logged = lo <= hi  # else the window ends at the snapshot instant
             wide = (expanded_region(region, hi, k, self.max_speed, self.extent)
                     if logged else region)
+            period_row = k // d * len(index)
             # one probe serves the snapshot instant and the logs: when k is
             # in the window, a non-entrant stored inside region is found
             for oid, x, y in snap.range_report(wide):
@@ -160,26 +232,46 @@ class TrajectoryIndex:
                     continue
                 if not logged:
                     continue
-                entry = self._logs.get((k, oid))
-                if entry is None:
+                row = rows[period_row + index[oid]]
+                if row < 0:
                     continue
-                log, tree = entry
-                if mbr_prune and not tree.root.intersects(box):
+                # the tree's first test, on its root box, is made here
+                # from the record; only a search that needs more makes views
+                if mbr_prune and not _root_meets(self._records, row, region):
                     if stats is not None:
-                        stats.root_reject()
+                        stats.root_only("mbr_reject")
                     continue
-                b1 = log.count_data_upto(lo - k - 1) + 1
-                e1 = log.count_data_upto(hi - k)
+                f = self._fields(row)
+                b1, e1 = ordinal_range(self._bits, self._words, f, lo - k, hi - k)
                 if b1 > e1:
                     continue
-                hit = tree.first_hit(log, box, b1, e1, self.max_speed,
-                                     lo - k, hi - k, mbr_prune=mbr_prune,
-                                     speed_prune=speed_prune, stats=stats)
+                if mbr_prune and _root_within(f, region):
+                    if stats is not None:
+                        stats.root_only("mbr_contain")
+                    found.add(oid)
+                    continue
+                hit = self._tree(f).first_hit(
+                    self._log(f, oid, k), box, b1, e1, self.max_speed, lo - k,
+                    hi - k, mbr_prune=mbr_prune, speed_prune=speed_prune,
+                    stats=stats)
                 if hit is not None:
                     found.add(oid)
         return sorted(found)
 
     # ------------------------------------------------------ serialization
+
+    def memory(self) -> dict[str, int]:
+        """Bytes each part of the loaded index holds in memory, from the
+        sizes of the arrays that hold it."""
+        bits = self._bits
+        return {
+            "snapshots": sum(s.nbytes() for s in self._snapshots),
+            "bit pool": nbytes(bits.words),
+            "directories": bits.nbytes() - nbytes(bits.words),
+            "word pool": nbytes(self._words),
+            "log records": nbytes(self._records),
+            "row table": nbytes(self._rows),
+        }
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -201,45 +293,34 @@ class TrajectoryIndex:
           in id order, each followed by its box tree.
         """
         ids = self._object_ids
-        w = Writer()
-        w.u32(*self.extent, self.horizon, self.period, self.leaf_capacity,
-              self.sample_count, self.max_speed, len(ids))
-        w.u32s(ids)
-        logged: dict[int, list[int]] = defaultdict(list)
-        for k, oid in sorted(self._logs):
-            logged[k].append(oid)
+        w = _header(self.extent, self.horizon, self.period, self.leaf_capacity,
+                    self.sample_count, self.max_speed, ids)
         sizes = dict.fromkeys(("snapshots", "logs", "trees"), 0)
-        for i, snap in enumerate(self._snapshots):
-            k = i * self.period
+        for p, snap in enumerate(self._snapshots):
             mark = len(w)
             snap.write(w)
             sizes["snapshots"] += len(w) - mark
-            oids = logged[k]
-            BitVector.from_set_positions(
-                len(ids), np.searchsorted(ids, oids) + 1).write(w)
-            for oid in oids:
-                for part, name in zip(self._logs[(k, oid)], ("logs", "trees")):
+            rows = self._rows[p * len(ids):(p + 1) * len(ids)]
+            w.bits([row >= 0 for row in rows])
+            for oid, row in zip(ids.tolist(), rows):
+                if row < 0:
+                    continue
+                f = self._fields(row)
+                for part, name in ((self._log(f, oid, p * self.period), "logs"),
+                                   (self._tree(f), "trees")):
                     mark = len(w)
                     part.write(w)
                     sizes[name] += len(w) - mark
-        body = bytes(w)
-        head = _MAGIC + _VERSION.to_bytes(2, "little")
-        crc = zlib.crc32(body, zlib.crc32(head))
-        return head + crc.to_bytes(4, "little") + body, sizes
+        return _framed(w), sizes
 
     @classmethod
     def from_bytes(cls, buf) -> "TrajectoryIndex":
         """Load an index; a malformed, truncated or corrupt buffer, or one
         of another format version, raises ValueError.
 
-        The garbage collector is paused while the parse allocates its tens
-        of thousands of small objects.
+        Each log's and tree's words are copied into the pools in file
+        order, and each pool's directory is built once at the end.
         """
-        with gc_paused():
-            return cls._parse(buf)
-
-    @classmethod
-    def _parse(cls, buf) -> "TrajectoryIndex":
         if len(buf) < _PREFIX.size or bytes(buf[:4]) != _MAGIC:
             raise ValueError("not an index file")
         _, version, crc = _PREFIX.unpack_from(buf)
@@ -259,25 +340,45 @@ class TrajectoryIndex:
         if np.any(object_ids[1:] <= object_ids[:-1]):
             raise ValueError("object ids are not strictly increasing")
         snapshots = []
-        logs = {}
-        for k in range(0, horizon, period):
+        pb = PoolBuilder()
+        records = array("I")
+        slots = array("q")  # period * nobj + object index, row by row
+        for p, k in enumerate(range(0, horizon, period)):
             snapshots.append(Snapshot.read(r, k, (w, h)))
-            for p in BitVector.read(r, nobj).ones():
-                oid = int(object_ids[p - 1])
-                log = TrajectoryLog.read(r, oid, k, period)
-                tree = MbrTree.read(r, log.data_count, leaf_capacity)
-                logs[(k, oid)] = (log, tree)
+            for j in BitVector.read(r, nobj).ones():
+                slots.append(p * nobj + j - 1)
+                f = read_fields(r, pb)
+                records.extend(f)
+                records.extend(read_tree(r, pb, data_count(f), leaf_capacity))
         r.end()
         # every object sits in the snapshot of its first fix's period
         if set().union(*(s.ids for s in snapshots)) != set(object_ids.tolist()):
             raise ValueError("the snapshots do not hold exactly the listed objects")
+        rows = np.full(len(snapshots) * nobj, -1, dtype=np.int32)
+        rows[np.frombuffer(slots, dtype=np.int64)] = np.arange(len(slots))
         return cls(period, leaf_capacity, (w, h), horizon, max_speed,
-                   sample_count, object_ids, snapshots, logs)
+                   sample_count, object_ids, snapshots, pb.bit_pool(),
+                   pb.word_pool(), records, array("i", rows.tobytes()))
 
     @classmethod
     def load(cls, path) -> "TrajectoryIndex":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+def _header(extent, horizon, period, leaf_capacity, sample_count, max_speed,
+            ids) -> Writer:
+    w = Writer()
+    w.u32(*extent, horizon, period, leaf_capacity, sample_count, max_speed,
+          len(ids))
+    w.u32s(ids)
+    return w
+
+
+def _framed(body: Writer) -> bytes:
+    head = _MAGIC + _VERSION.to_bytes(2, "little")
+    crc = zlib.crc32(body, zlib.crc32(head))
+    return head + crc.to_bytes(4, "little") + bytes(body)
 
 
 def compute_max_speed(rows: np.ndarray) -> int:
@@ -360,24 +461,28 @@ def build_index(samples, period: int, leaf_capacity: int,
     ends = np.r_[starts[1:], len(rows)]
     snapped = [[] for _ in range(0, horizon, period)]
     entrants = [set() for _ in snapped]
-    logs: dict[tuple[int, int], tuple[TrajectoryLog, MbrTree]] = {}
+    logged = [[] for _ in snapped]
     order = np.lexsort((oids[starts], ks[starts]))
-    with gc_paused():
-        for s, e in zip(starts[order].tolist(), ends[order].tolist()):
-            oid, t, x, y = rows[s].tolist()
-            i = t // period
-            k = i * period
-            snapped[i].append((oid, x, y))
-            if t != k:
-                entrants[i].add(oid)
-            else:
-                s += 1
-            if s < e:
-                log = build_log(rows[s:e, 1:], k, period, object_id=oid)
-                logs[(k, oid)] = (log, build_mbr_tree_xy(
-                    rows[s:e, 2], rows[s:e, 3], leaf_capacity))
-        snapshots = [Snapshot.build(at_k, i * period, extent, entrants[i])
-                     for i, at_k in enumerate(snapped)]
-    return TrajectoryIndex(period, leaf_capacity, extent, horizon, max_speed,
-                           len(rows), np.unique(oids).astype(np.uint32),
-                           snapshots, logs)
+    for s, e in zip(starts[order].tolist(), ends[order].tolist()):
+        oid, t, x, y = rows[s].tolist()
+        i = t // period
+        snapped[i].append((oid, x, y))
+        if t != i * period:
+            entrants[i].add(oid)
+        else:
+            s += 1
+        if s < e:
+            logged[i].append((oid, s, e))
+    # the file, written straight from the columns, is then loaded
+    ids = np.unique(oids).astype(np.uint32)
+    w = _header(extent, horizon, period, leaf_capacity, len(rows), max_speed,
+                ids)
+    for i, at_k in enumerate(snapped):
+        k = i * period
+        Snapshot.build(at_k, k, extent, entrants[i]).write(w)
+        w.bits(bits_at(len(ids), np.searchsorted(
+            ids, [oid for oid, _, _ in logged[i]]) + 1))
+        for _, s, e in logged[i]:
+            write_log(w, rows[s:e, 1:], k, period)
+            write_tree(w, rows[s:e, 2], rows[s:e, 3], leaf_capacity)
+    return TrajectoryIndex.from_bytes(_framed(w))

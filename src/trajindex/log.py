@@ -7,23 +7,150 @@ bitmap marking instants inside the window with no sample, and per axis a
 sign bitmap plus two unary streams holding the magnitudes of non-negative
 and negative steps.  The first step is the absolute coordinate, so a
 prefix-sum difference of the two streams reconstructs any position.
+
+A log lives in two pools (see `succinct`): its bitmaps back to back in a
+bit pool, in file order, and its packed lows in a word pool.  A tuple of
+ints, its fields, says where; an index keeps them as one fixed-width
+record per log.  The functions here answer from the fields, and the
+classes are views over them.
 """
 
 from __future__ import annotations
 
+from itertools import count
+
 import numpy as np
 
 from trajindex.succinct import (
+    BitPool,
     BitVector,
+    PoolBuilder,
     Reader,
     SparseBitVector,
     UnaryDeltaStream,
+    WideWriter,
     Writer,
+    access,
+    bits_at,
+    rank1,
+    select,
+    sparse_search,
+    sparse_select0,
+    sparse_select1,
+    unary_prefixes,
+    write_sparse,
+    write_unary,
 )
 
 # below this fraction of missing instants the gap bitmap goes to the
 # compressed representation
 _SPARSE_GAP_DENSITY = 0.10
+
+# A log's fields, in file order (see `succinct` for a sparse set's six):
+#   0 first, 1 last, 2 gap count, 3 whether the gap map is sparse;
+#   4..8 the gap map as a sparse set over the window, or, when dense, its
+#        bits' first word, the ones before them, two unused fields and,
+#        like the sparse set, the data count;
+#   9..20, then 21..32, the x and the y axis: the sign bits' first word,
+#        the ones before them, then the sparse sets of the non-negative and
+#        of the negative stream's sums;
+#   33 the word after the last bitmap, 34 the word pool's next word.
+# The words of each bitmap end where the next one's begin.
+X_AXIS, Y_AXIS = 9, 21
+LOG_FIELDS = 35
+
+
+def _read_window(r: Reader, pb: PoolBuilder) -> tuple[int, ...]:
+    first, last, gaps = r.u32(), r.u32(), r.u32()
+    if first < 1 or last < first or gaps > last - first:
+        raise ValueError(f"bad time window {first}..{last} with {gaps} gaps")
+    length = last - first + 1
+    if gaps < _SPARSE_GAP_DENSITY * length:
+        return (first, last, gaps, 1, *pb.sparse(r, length, gaps))
+    base, ones, found = pb.bitmap(r, length)
+    if found != gaps:
+        raise ValueError(f"gap bitmap holds {found} of {gaps} gaps")
+    return first, last, gaps, 0, base, ones, 0, 0, length - gaps
+
+
+def read_fields(r: Reader, pb: PoolBuilder) -> tuple[int, ...]:
+    """Copy the log r holds next into pb's pools; its fields."""
+    f = _read_window(r, pb)
+    for _ in (X_AXIS, Y_AXIS):
+        base, ones, m = pb.bitmap(r, f[8])
+        f += (base, ones, *pb.stream(r, m), *pb.stream(r, f[8] - m))
+    return f + (pb.bit_base(), pb.word_base())
+
+
+def data_count(f) -> int:
+    """Instants with data in the log with fields f."""
+    return f[8]
+
+
+def _gaps_upto(bits, words, f, off):
+    if not f[2]:
+        return 0
+    if f[3]:
+        return sparse_search(bits, words, f, 4, off)[0]
+    return rank1(bits, f[4], f[5], off)
+
+
+def _ordinal(bits, words, f, off):
+    # data ordinal at window offset off, None at a gap: the sparse map
+    # answers rank and membership from one bucket search, the dense one
+    # reads the bit and ranks only when the instant has data
+    if not f[2]:
+        return off
+    if f[3]:
+        gaps, gap = sparse_search(bits, words, f, 4, off)
+        return None if gap else off - gaps
+    if access(bits, f[4], off):
+        return None
+    return off - rank1(bits, f[4], f[5], off)
+
+
+def _data_offset(bits, words, f, j):
+    # window offset of the j-th instant with data
+    if not f[2]:
+        return j
+    if f[3]:
+        return sparse_select0(bits, words, f, 4, f[2], j)
+    return select(bits, f[4], f[X_AXIS], f[5], j, True)
+
+
+def _count_upto(bits, words, f, i):
+    if i < f[0]:
+        return 0
+    if i >= f[1]:
+        return f[8]
+    return i - f[0] + 1 - _gaps_upto(bits, words, f, i - f[0] + 1)
+
+
+def ordinal_range(bits: BitPool, words, f, lo: int, hi: int) -> tuple[int, int]:
+    """First and last data ordinals among local instants lo..hi of the
+    log with fields f; the first is past the last when none has data."""
+    return _count_upto(bits, words, f, lo - 1) + 1, _count_upto(bits, words, f, hi)
+
+
+def _value(bits, words, f, a, ordinal):
+    # coordinate after the ordinal-th step on the axis at f[a]: the sum of
+    # its first p non-negative steps less that of the other ordinal - p
+    p = rank1(bits, f[a], f[a + 1], ordinal)
+    v = sparse_select1(bits, words, f, a + 2, p) - p if p else 0
+    q = ordinal - p
+    return v - (sparse_select1(bits, words, f, a + 7, q) - q) if q else v
+
+
+def position_at(bits: BitPool, words, f, i: int) -> tuple[int, int] | None:
+    """Coordinates at local instant i of the log with fields f, or None;
+    i is not range-checked."""
+    if i < f[0] or i > f[1]:
+        return None
+    ordinal = _ordinal(bits, words, f, i - f[0] + 1)
+    if ordinal is None:
+        return None
+    return (_value(bits, words, f, X_AXIS, ordinal),
+            _value(bits, words, f, Y_AXIS, ordinal))
 
 
 class TimeIndex:
@@ -34,50 +161,62 @@ class TimeIndex:
     windows switch to the compressed form.
     """
 
+    __slots__ = ("_bits", "_words", "_f")
+
     def __init__(self, first: int, last: int, gaps):
+        """A window of its own, in private pools."""
         if first < 1 or last < first:
             raise ValueError("bad window bounds")
-        self.first = first
-        self.last = last
-        length = last - first + 1
-        self._sparse = len(gaps) < _SPARSE_GAP_DENSITY * length
-        if self._sparse:
-            self._gapmap = SparseBitVector.from_positions(length, gaps)
-        else:
-            self._gapmap = BitVector.from_set_positions(length, gaps)
+        w = WideWriter()
+        _write_window(w, first, last, np.asarray(gaps, dtype=np.int64))
+        self._bits, self._words, self._f = _read_standalone(w.reader())
+
+    @classmethod
+    def _of(cls, bits: BitPool, words, f) -> "TimeIndex":
+        ti = cls.__new__(cls)
+        ti._bits, ti._words, ti._f = bits, words, f
+        return ti
+
+    @property
+    def first(self) -> int:
+        return self._f[0]
+
+    @property
+    def last(self) -> int:
+        return self._f[1]
+
+    @property
+    def _sparse(self) -> bool:
+        return bool(self._f[3])
+
+    @property
+    def _gapmap(self):
+        f = self._f
+        if f[3]:
+            return SparseBitVector(self._bits, self._words, f, 4, f[2])
+        return BitVector(self._bits, f[4], len(self), f[5], f[2])
 
     def __len__(self) -> int:
-        return self.last - self.first + 1
+        return self._f[1] - self._f[0] + 1
 
     @property
     def gap_count(self) -> int:
-        return self._gapmap.count_ones
+        return self._f[2]
 
     @property
     def data_count(self) -> int:
-        return len(self) - self.gap_count
+        return self._f[8]
 
     def gaps_upto(self, offset: int) -> int:
-        return self._gapmap.rank1(offset)
+        return _gaps_upto(self._bits, self._words, self._f, offset)
 
     def ordinal(self, offset: int) -> int | None:
-        """Data ordinal of the instant at window offset, None at a gap.
-
-        One rank on the gap map: the sparse form answers rank and
-        membership from a single bucket search, the dense form reads the
-        bit and ranks only when the instant has data.
-        """
-        gapmap = self._gapmap
-        if self._sparse:
-            gaps, gap = gapmap.rank1_member(offset)
-            return None if gap else offset - gaps
-        if gapmap.access(offset):
-            return None
-        return offset - gapmap.rank1(offset)
+        """Data ordinal of the instant at window offset, None at a gap."""
+        return _ordinal(self._bits, self._words, self._f, offset)
 
     def data_offset(self, ordinal: int) -> int:
         """Window offset of the ordinal-th instant that has data."""
-        return self._gapmap.select0(ordinal)
+        return _data_offset(self._bits, self._words, self._f, ordinal)
 
     def data_offsets(self, start_ordinal: int = 1):
         return self._gapmap.zeros(start_ordinal)
@@ -86,50 +225,49 @@ class TimeIndex:
         return self._gapmap.code_bits()
 
     def write(self, w: Writer) -> None:
-        w.u32(self.first, self.last, self.gap_count)
+        w.u32(*self._f[:3])
         self._gapmap.write(w)
 
     @classmethod
     def read(cls, r: Reader) -> "TimeIndex":
         """The window `write` stored; the gap count picks the bitmap kind."""
-        first, last, gaps = r.u32(), r.u32(), r.u32()
-        if first < 1 or last < first or gaps > last - first:
-            raise ValueError(f"bad time window {first}..{last} with {gaps} gaps")
-        obj = cls.__new__(cls)
-        obj.first = first
-        obj.last = last
-        length = last - first + 1
-        obj._sparse = gaps < _SPARSE_GAP_DENSITY * length
-        if obj._sparse:
-            obj._gapmap = SparseBitVector.read(r, length, gaps)
-        else:
-            obj._gapmap = BitVector.read(r, length)
-            if obj.gap_count != gaps:
-                raise ValueError(f"gap bitmap holds {obj.gap_count} of {gaps} gaps")
-        return obj
+        return cls._of(*_read_standalone(r))
+
+
+def _read_standalone(r: Reader):
+    pb = PoolBuilder()
+    f = _read_window(r, pb) + (pb.bit_base(),)
+    return pb.bit_pool(), pb.word_pool(), f
 
 
 class AxisDeltas:
     """One coordinate axis: step signs plus unary magnitude streams."""
 
-    def __init__(self, sign: BitVector, pos: UnaryDeltaStream, neg: UnaryDeltaStream):
-        self.sign = sign
-        self.pos = pos
-        self.neg = neg
+    __slots__ = ("_bits", "_words", "_f", "_a")
 
-    @classmethod
-    def from_deltas(cls, deltas: np.ndarray) -> "AxisDeltas":
-        nonneg = deltas >= 0
-        return cls(
-            BitVector.from_bits(nonneg),
-            UnaryDeltaStream.from_values(deltas[nonneg]),
-            UnaryDeltaStream.from_values(-deltas[~nonneg]),
-        )
+    def __init__(self, bits: BitPool, words, f, a: int):
+        """The axis whose fields start at f[a]."""
+        self._bits, self._words, self._f, self._a = bits, words, f, a
 
-    def value(self, ordinal: int) -> int:
-        """Coordinate after the ordinal-th step."""
-        p = self.sign.rank1(ordinal)
-        return self.pos.prefix_sum(p) - self.neg.prefix_sum(ordinal - p)
+    def _nonneg(self) -> int:
+        return self._f[self._a + 3] - self._f[self._a + 1]
+
+    @property
+    def sign(self) -> BitVector:
+        f, a = self._f, self._a
+        return BitVector(self._bits, f[a], f[8], f[a + 1], self._nonneg())
+
+    @property
+    def pos(self) -> UnaryDeltaStream:
+        m = self._nonneg()
+        return UnaryDeltaStream(
+            SparseBitVector(self._bits, self._words, self._f, self._a + 2, m), m)
+
+    @property
+    def neg(self) -> UnaryDeltaStream:
+        m = self._f[8] - self._nonneg()
+        return UnaryDeltaStream(
+            SparseBitVector(self._bits, self._words, self._f, self._a + 7, m), m)
 
     def code_bits(self) -> int:
         return self.sign.code_bits() + self.pos.code_bits() + self.neg.code_bits()
@@ -139,58 +277,56 @@ class AxisDeltas:
         self.pos.write(w)
         self.neg.write(w)
 
-    @classmethod
-    def read(cls, r: Reader, count: int) -> "AxisDeltas":
-        """count steps: the sign bits say how many go to each stream."""
-        sign = BitVector.read(r, count)
-        pos = UnaryDeltaStream.read(r, sign.count_ones)
-        return cls(sign, pos, UnaryDeltaStream.read(r, sign.count_zeros))
-
 
 class TrajectoryLog:
     """Movement of one object within one period, positions in O(1)."""
 
-    def __init__(self, object_id: int, start: int, period: int,
-                 time: TimeIndex, dx: AxisDeltas, dy: AxisDeltas):
+    __slots__ = ("_bits", "_words", "_f", "object_id", "start", "period")
+
+    def __init__(self, bits: BitPool, words, f, object_id: int, start: int,
+                 period: int):
+        """The log with fields f in the pools bits and words."""
+        self._bits, self._words, self._f = bits, words, f
         self.object_id = object_id
         self.start = start
         self.period = period
-        self.time = time
-        self.dx = dx
-        self.dy = dy
+
+    @property
+    def time(self) -> TimeIndex:
+        return TimeIndex._of(self._bits, self._words, self._f)
+
+    @property
+    def dx(self) -> AxisDeltas:
+        return AxisDeltas(self._bits, self._words, self._f, X_AXIS)
+
+    @property
+    def dy(self) -> AxisDeltas:
+        return AxisDeltas(self._bits, self._words, self._f, Y_AXIS)
 
     @property
     def data_count(self) -> int:
-        return self.time.data_count
+        return self._f[8]
 
     def position(self, i: int) -> tuple[int, int] | None:
         """Coordinates at local instant i in 1..period-1, or None."""
         if not 1 <= i <= self.period - 1:
             raise IndexError(f"local instant {i} out of range 1..{self.period - 1}")
-        t = self.time
-        if i < t.first or i > t.last:
-            return None
-        ordinal = t.ordinal(i - t.first + 1)
-        if ordinal is None:
-            return None
-        return self.dx.value(ordinal), self.dy.value(ordinal)
+        return position_at(self._bits, self._words, self._f, i)
 
     def count_data_upto(self, i: int) -> int:
         """Number of data instants at local instants 1..i (i may be 0)."""
         if not 0 <= i <= self.period - 1:
             raise IndexError(f"local instant {i} out of range 0..{self.period - 1}")
-        t = self.time
-        if i < t.first:
-            return 0
-        off = min(i, t.last) - t.first + 1
-        return off - t.gaps_upto(off)
+        return _count_upto(self._bits, self._words, self._f, i)
 
     def unmap_ordinal(self, j: int) -> int:
         """Local instant of the j-th data sample."""
         n = self.data_count
         if not 1 <= j <= n:
             raise IndexError(f"ordinal {j} out of range 1..{n}")
-        return self.time.data_offset(j) + self.time.first - 1
+        if j == 1 or j == n:  # a log's window begins and ends with data
+            return self._f[1 if j > 1 else 0]
+        return _data_offset(self._bits, self._words, self._f, j) + self._f[0] - 1
 
     def iter_positions(self, frm: int, to: int):
         """Yield (local instant, x, y) for data ordinals frm..to.
@@ -202,24 +338,27 @@ class TrajectoryLog:
         n = self.data_count
         if not 1 <= frm <= to <= n:
             raise IndexError(f"ordinal range {frm}..{to} out of range 1..{n}")
-        sx, sy = self.dx.sign, self.dy.sign
-        px = sx.rank1(frm - 1)
-        py = sy.rank1(frm - 1)
-        it_xp = self.dx.pos.prefix_iter(px)
-        it_xn = self.dx.neg.prefix_iter(frm - 1 - px)
-        it_yp = self.dy.pos.prefix_iter(py)
-        it_yn = self.dy.neg.prefix_iter(frm - 1 - py)
+        bits, words, f = self._bits, self._words, self._f
+        walks = []
+        for a in (X_AXIS, Y_AXIS):
+            m = f[a + 3] - f[a + 1]
+            p = rank1(bits, f[a], f[a + 1], frm - 1)
+            walks += (unary_prefixes(bits, words, f, a + 2, m, p),
+                      unary_prefixes(bits, words, f, a + 7, n - m, frm - 1 - p))
+        it_xp, it_xn, it_yp, it_yn = walks
         x_pos, x_neg = next(it_xp), next(it_xn)
         y_pos, y_neg = next(it_yp), next(it_yn)
-        offsets = self.time.data_offsets(frm)
-        base = self.time.first - 1
+        offsets = self.time.data_offsets(frm) if f[2] else count(frm)
+        # the sign bits of ordinal j, read straight from the pool
+        pool, sx, sy = bits.words, (f[X_AXIS] << 6) - 1, (f[Y_AXIS] << 6) - 1
+        base = f[0] - 1
         for j in range(frm, to + 1):
             off = next(offsets)
-            if sx.access(j):
+            if pool[(sx + j) >> 6] >> ((sx + j) & 63) & 1:
                 x_pos = next(it_xp)
             else:
                 x_neg = next(it_xn)
-            if sy.access(j):
+            if pool[(sy + j) >> 6] >> ((sy + j) & 63) & 1:
                 y_pos = next(it_yp)
             else:
                 y_neg = next(it_yn)
@@ -240,15 +379,24 @@ class TrajectoryLog:
     @classmethod
     def read(cls, r: Reader, object_id: int, start: int,
              period: int) -> "TrajectoryLog":
-        time = TimeIndex.read(r)
-        n = time.data_count
-        dx = AxisDeltas.read(r, n)
-        return cls(object_id, start, period, time, dx, AxisDeltas.read(r, n))
+        """A log of its own, in private pools."""
+        pb = PoolBuilder()
+        f = read_fields(r, pb)
+        return cls(pb.bit_pool(), pb.word_pool(), f, object_id, start, period)
 
 
-def build_log(samples, start: int, period: int, object_id: int = 0) -> TrajectoryLog:
-    """Build a log from (instant, x, y) rows sorted by instant, given as
-    an (n, 3) array or a sequence of triples.
+def _write_window(w: Writer, first: int, last: int, gaps: np.ndarray) -> None:
+    length = last - first + 1
+    w.u32(first, last, len(gaps))
+    if len(gaps) < _SPARSE_GAP_DENSITY * length:
+        write_sparse(w, length, gaps)
+    else:
+        w.bits(bits_at(length, gaps))
+
+
+def write_log(w: Writer, samples, start: int, period: int) -> None:
+    """Encode a log of (instant, x, y) rows sorted by instant, given as an
+    (n, 3) array or a sequence of triples.
 
     Instants are global and must fall in start+1 .. start+period-1; the
     instant at start itself is snapshot territory.
@@ -266,8 +414,16 @@ def build_log(samples, start: int, period: int, object_id: int = 0) -> Trajector
     first, last = int(local[0]), int(local[-1])
     present = np.zeros(last - first + 1, dtype=bool)
     present[local - first] = True
-    gaps = np.flatnonzero(~present) + 1
-    time = TimeIndex(first, last, gaps)
-    dx = AxisDeltas.from_deltas(np.diff(xs, prepend=0))
-    dy = AxisDeltas.from_deltas(np.diff(ys, prepend=0))
-    return TrajectoryLog(object_id, start, period, time, dx, dy)
+    _write_window(w, first, last, np.flatnonzero(~present) + 1)
+    for deltas in (np.diff(xs, prepend=0), np.diff(ys, prepend=0)):
+        nonneg = deltas >= 0
+        w.bits(nonneg)
+        write_unary(w, deltas[nonneg])
+        write_unary(w, -deltas[~nonneg])
+
+
+def build_log(samples, start: int, period: int, object_id: int = 0) -> TrajectoryLog:
+    """A log of its own over (instant, x, y) rows, as `write_log` takes them."""
+    w = WideWriter()
+    write_log(w, samples, start, period)
+    return TrajectoryLog.read(w.reader(), object_id, start, period)

@@ -14,16 +14,29 @@ A box that lies wholly inside the region answers at once, with no decoding.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from trajindex.log import TrajectoryLog
-from trajindex.succinct import U32_MAX, PackedIntArray, Reader, Writer
+from trajindex.succinct import (
+    U32_MAX,
+    PackedIntArray,
+    PoolBuilder,
+    Reader,
+    WideWriter,
+    Writer,
+    packed_get,
+    write_packed,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mbr:
+    """Inclusive box.  Not frozen: a tree walk makes one for every node it
+    visits, and a frozen dataclass takes several times as long to make."""
+
     xmin: int
     xmax: int
     ymin: int
@@ -80,27 +93,48 @@ class TraversalStats:
         if self.events is not None:
             self.events.append((kind, node))
 
-    def root_reject(self) -> None:
-        """Count a search its caller skipped because the root box misses
-        the region: the root is visited and rejected, as in `first_hit`."""
+    def root_only(self, kind: str) -> None:
+        """Count a search its caller answered from the root box alone, as
+        `first_hit` would: the root is visited, then rejected
+        ("mbr_reject") or found inside the region ("mbr_contain")."""
         self.nodes_visited += 1
         self.event("visit", 1)
-        self.event("mbr_reject", 1)
+        self.event(kind, 1)
 
 
 class MbrTree:
-    """Bounding boxes over one log, heap order, differential storage."""
+    """Bounding boxes over one log, heap order, differential storage: a
+    view of the diffs in a word pool."""
 
-    def __init__(self, leaf_capacity: int, leaf_count: int, data_count: int,
-                 width: int, root: Mbr, diffs_x: PackedIntArray,
-                 diffs_y: PackedIntArray):
+    __slots__ = ("leaf_capacity", "leaf_count", "data_count", "width", "root",
+                 "_words", "_xbase", "_ybase")
+
+    def __init__(self, words: array, leaf_capacity: int, data_count: int,
+                 f, t: int):
+        """The tree over data_count ordinals whose fields start at f[t]:
+        the word its diffs start at, then the root box and diff width
+        that `read_tree` returns."""
         self.leaf_capacity = leaf_capacity
-        self.leaf_count = leaf_count
+        self.leaf_count = _leaf_count(data_count, leaf_capacity)
         self.data_count = data_count
-        self.width = width
-        self.root = root
-        self._diffs_x = diffs_x
-        self._diffs_y = diffs_y
+        self.width = width = f[t + 5]
+        self.root = Mbr(f[t + 1], f[t + 2], f[t + 3], f[t + 4])
+        self._words = words
+        self._xbase = base = f[t]
+        self._ybase = base + ((self._diff_count() * width + 63) >> 6)
+
+    def _diff_count(self) -> int:
+        return 4 * (self.leaf_count - 1)  # two per axis for nodes 2..2L-1
+
+    @property
+    def _diffs_x(self) -> PackedIntArray:
+        return PackedIntArray(self._words, self._xbase, self._diff_count(),
+                              self.width)
+
+    @property
+    def _diffs_y(self) -> PackedIntArray:
+        return PackedIntArray(self._words, self._ybase, self._diff_count(),
+                              self.width)
 
     @property
     def node_count(self) -> int:
@@ -119,10 +153,12 @@ class MbrTree:
         return lo, min(lo + span - 1, self.data_count)
 
     def child_box(self, parent: Mbr, p: int) -> Mbr:
-        base = 2 * (p - 2)
-        dx, dy = self._diffs_x, self._diffs_y
-        return Mbr(parent.xmin + dx[base], parent.xmax - dx[base + 1],
-                   parent.ymin + dy[base], parent.ymax - dy[base + 1])
+        i = 2 * (p - 2)
+        words, w, xb, yb = self._words, self.width, self._xbase, self._ybase
+        return Mbr(parent.xmin + packed_get(words, xb, w, i),
+                   parent.xmax - packed_get(words, xb, w, i + 1),
+                   parent.ymin + packed_get(words, yb, w, i),
+                   parent.ymax - packed_get(words, yb, w, i + 1))
 
     def node_box(self, p: int) -> Mbr:
         """Reconstruct the box of node p by walking down from the root."""
@@ -247,14 +283,23 @@ class MbrTree:
 
     @classmethod
     def read(cls, r: Reader, data_count: int, leaf_capacity: int) -> "MbrTree":
-        """The tree over data_count ordinals, leaf_capacity to a leaf."""
-        width = r.u32()
-        root = Mbr(r.u32(), r.u32(), r.u32(), r.u32())
-        leaf_count = _leaf_count(data_count, leaf_capacity)
-        diffs = 2 * (2 * leaf_count - 2)  # two per axis for nodes 2..2L-1
-        dx = PackedIntArray.read(r, diffs, width)
-        dy = PackedIntArray.read(r, diffs, width)
-        return cls(leaf_capacity, leaf_count, data_count, width, root, dx, dy)
+        """A tree of its own over data_count ordinals, leaf_capacity to a
+        leaf, in a private word pool."""
+        pb = PoolBuilder()
+        fields = (0, *read_tree(r, pb, data_count, leaf_capacity))
+        return cls(pb.word_pool(), leaf_capacity, data_count, fields, 0)
+
+
+def read_tree(r: Reader, pb: PoolBuilder, data_count: int,
+              leaf_capacity: int) -> tuple[int, ...]:
+    """Copy the tree r holds next into pb's word pool; its root box and
+    diff width.  Its diffs start at the word pool's next word."""
+    width = r.u32()
+    root = r.u32(), r.u32(), r.u32(), r.u32()
+    diffs = 4 * (_leaf_count(data_count, leaf_capacity) - 1)  # nodes 2..2L-1
+    pb.packed(r, diffs, width)
+    pb.packed(r, diffs, width)
+    return (*root, width)
 
 
 _PAD = 1 << 40  # a padded node's box: above any storable coordinate
@@ -273,8 +318,15 @@ def build_mbr_tree(log: TrajectoryLog, leaf_capacity: int) -> MbrTree:
 
 
 def build_mbr_tree_xy(xs, ys, leaf_capacity: int) -> MbrTree:
-    """The tree over the positions of one log, given as x and y columns
-    in ordinal order.
+    """A tree of its own over x and y columns, as `write_tree` takes them."""
+    w = WideWriter()
+    write_tree(w, xs, ys, leaf_capacity)
+    return MbrTree.read(w.reader(), len(xs), leaf_capacity)
+
+
+def write_tree(w: Writer, xs, ys, leaf_capacity: int) -> None:
+    """Encode the tree over the positions of one log, given as x and y
+    columns in ordinal order.
 
     Each box is kept as (xmin, -xmax, ymin, -ymax), so a parent is the
     elementwise minimum of its two children and every diff is child less
@@ -302,13 +354,12 @@ def build_mbr_tree_xy(xs, ys, leaf_capacity: int) -> MbrTree:
         np.minimum(boxes[2 * h:4 * h:2], boxes[2 * h + 1:4 * h:2],
                    out=boxes[h:2 * h])
     xmin, xmax, ymin, ymax = (int(v) for v in boxes[1] * (1, -1, 1, -1))
-    root = Mbr(xmin, xmax, ymin, ymax)
     if min(xmin, ymin) < 0 or max(xmax, ymax) > U32_MAX:
-        raise ValueError(f"box {root} cannot be stored: coordinates must "
-                         f"lie in 0..{U32_MAX}")
+        raise ValueError(f"box {Mbr(xmin, xmax, ymin, ymax)} cannot be stored: "
+                         f"coordinates must lie in 0..{U32_MAX}")
     diffs = boxes[2:] - boxes[1:leaf_count].repeat(2, axis=0)
     diffs[boxes[2:, 0] == _PAD] = 0
     width = max(1, int(diffs.max(initial=0)).bit_length())
-    return MbrTree(leaf_capacity, leaf_count, n, width, root,
-                   PackedIntArray.from_values(diffs[:, :2].ravel(), width),
-                   PackedIntArray.from_values(diffs[:, 2:].ravel(), width))
+    w.u32(width, xmin, xmax, ymin, ymax)
+    write_packed(w, diffs[:, :2].ravel(), width)
+    write_packed(w, diffs[:, 2:].ravel(), width)

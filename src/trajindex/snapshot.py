@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trajindex.succinct import BitVector, Reader, SparseBitVector, Writer
+from trajindex.succinct import BitVector, Reader, SparseBitVector, Writer, nbytes
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,8 @@ class K2Tree:
         self.width = width
         self.height = height
         self._codes = array("Q", codes.tolist())
-        self.xs = array("q", xs.tolist())
-        self.ys = array("q", ys.tolist())
+        self.xs = array("I", xs.tolist())
+        self.ys = array("I", ys.tolist())
 
     @classmethod
     def build(cls, width: int, height: int, cells) -> "K2Tree":
@@ -189,11 +189,11 @@ class Snapshot:
             raise ValueError(f"an object appears twice at instant {instant}")
         self.instant = instant
         self.tree = tree
-        self._perm = array("q", perm.tolist())
+        self._perm = array("I", perm.tolist())
         self._entrants = entrants
         # ids ascending and the row of each, to find a row by id
-        self.ids = array("q", ids.tolist())
-        self._rows = array("q", order.tolist())
+        self.ids = array("I", ids.tolist())
+        self._rows = array("I", order.tolist())
 
     @classmethod
     def build(cls, positions, instant: int, extent: tuple[int, int],
@@ -217,6 +217,12 @@ class Snapshot:
     def position_of(self, oid: int) -> tuple[int, int] | None:
         row = self._row(oid)
         return None if row is None else (self.tree.xs[row], self.tree.ys[row])
+
+    def nbytes(self) -> int:
+        """Bytes its arrays hold in memory."""
+        tree = self.tree
+        return (nbytes(tree._codes, tree.xs, tree.ys, self._perm, self.ids,
+                       self._rows) + self._entrants.nbytes())
 
     def is_entrant(self, oid: int) -> bool:
         row = self._row(oid)

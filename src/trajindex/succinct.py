@@ -1,15 +1,24 @@
-"""Bit-level building blocks: rank/select bitmaps and unary-coded sums.
+"""Bit-level building blocks: rank/select bitmaps and unary-coded sums, in pools.
 
-Everything here is immutable once built and uses 1-based positions in its
-public API.  Bits live in uint64 words, least significant bit first, so
-word w holds positions 64*w+1 .. 64*w+64.  Words and directories are kept
-in `array.array` containers, whose items read back as plain Python ints,
-so no scalar query touches a numpy scalar.
+A `BitPool` holds many bitmaps back to back in one uint64 word array,
+least significant bit first, each from a word boundary, with one
+rank/select directory over the whole pool.  Packed integers live in a
+plain word array, the word pool.  A bitmap is then its first word and the
+number of ones before that word: local rank is the pool's rank less those
+ones, and select bisects only the superblocks the bitmap spans.  The
+functions below are the one implementation of rank and select; the
+classes are thin views over them, and callers that keep the bases
+elsewhere, such as a log's fields, call the functions directly.
 
-On disk there are no frames and no per-structure versions: each class
-`write`s only its words (and the few u32s it cannot derive) to a
-`Writer`, and `read`s them back from a `Reader` given the lengths its
-caller already knows.  Words and u32s are little-endian.
+The public API uses 1-based positions.  Words and directories are
+`array.array`s, whose items read back as plain Python ints.
+
+On disk a structure is its words and the few u32s it cannot derive, with
+no frames and no versions, little-endian.  The `write_*` encoders and each
+view's `write` append them to a `Writer`; a `PoolBuilder` copies them from
+a `Reader` into pools, given the lengths its caller already knows.  A
+standalone view is made the same way: encoded, then read into a private
+pool.
 """
 
 from __future__ import annotations
@@ -18,9 +27,8 @@ import gc
 import struct
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from contextlib import contextmanager
-from itertools import accumulate
 
 import numpy as np
 
@@ -68,43 +76,60 @@ def _words_from(data) -> array:
     return words
 
 
-def _packed_words(bits: np.ndarray) -> array:
-    """uint64 words holding a 0/1 uint8 array, least significant bit first."""
-    packed = np.packbits(bits, bitorder="little").tobytes()
-    return _words_from(packed + bytes(-len(packed) % 8))
-
-
-def _words_to_bytes(words: array) -> bytes:
-    if _BIG_ENDIAN:
-        words = array("Q", words)
-        words.byteswap()
-    return words.tobytes()
+def nbytes(*arrays: array) -> int:
+    """Bytes the items of some `array.array`s take."""
+    return sum(a.itemsize * len(a) for a in arrays)
 
 
 class Writer(bytearray):
-    """A buffer that appends little-endian u32s and uint64 word arrays."""
+    """A buffer that appends little-endian u32s and uint64 words."""
 
     def u32(self, *values: int) -> None:
-        self += struct.pack(f"<{len(values)}I", *values)
+        try:
+            self += struct.pack(f"<{len(values)}I", *values)
+        except struct.error:
+            raise ValueError(f"{values} do not all fit in u32s") from None
 
     def u32s(self, values: np.ndarray) -> None:
         self += np.asarray(values, dtype="<u4").tobytes()
 
     def words(self, words: array) -> None:
-        self += _words_to_bytes(words)
+        if _BIG_ENDIAN:
+            words = array("Q", words)
+            words.byteswap()
+        self += words.tobytes()
+
+    def bits(self, bits) -> None:
+        """A 0/1 sequence as whole words, the last one padded with zeros."""
+        packed = np.packbits(np.asarray(bits, dtype=np.uint8),
+                             bitorder="little").tobytes()
+        self += packed + bytes(-len(packed) % 8)
+
+
+class WideWriter(Writer):
+    """A `Writer` for a structure built to stay in memory: its u32 fields
+    take 8 bytes, so sums past 2**32, which no file holds, still build."""
+
+    def u32(self, *values: int) -> None:
+        self += struct.pack(f"<{len(values)}Q", *values)
+
+    def reader(self) -> "Reader":
+        return Reader(self, 8)
 
 
 class Reader:
-    """Cursor over what a `Writer` wrote.
+    """Cursor over what a `Writer` wrote (over a `WideWriter` when u32_size
+    is 8).
 
     Every read copies, so nothing built from it keeps the buffer alive.
     Asking for more bytes than are left raises ValueError before anything
     is allocated, so a corrupt length cannot ask for a huge array.
     """
 
-    def __init__(self, buf):
+    def __init__(self, buf, u32_size: int = 4):
         self._buf = memoryview(buf)
         self._pos = 0
+        self._u32 = u32_size
 
     def _take(self, size: int) -> memoryview:
         end = self._pos + size
@@ -116,13 +141,10 @@ class Reader:
         return view
 
     def u32(self) -> int:
-        return int.from_bytes(self._take(4), "little")
+        return int.from_bytes(self._take(self._u32), "little")
 
     def u32s(self, count: int) -> np.ndarray:
         return np.frombuffer(self._take(4 * count), dtype="<u4").astype(np.uint32)
-
-    def words(self, count: int) -> array:
-        return _words_from(self._take(8 * count))
 
     def end(self) -> None:
         """Raise ValueError unless every byte has been read."""
@@ -131,15 +153,153 @@ class Reader:
             raise ValueError(f"{left} trailing bytes after the last record")
 
 
-def _select_in_word(word: int, k: int) -> int:
-    # position (1..64) of the k-th set bit; caller guarantees it exists.
-    # Halve to the right byte by popcount, then look the bit up.
-    pos = 1
+# ------------------------------------------------------------------ pools
+
+class BitPool:
+    """Bitmaps back to back in one word array, with one directory.
+
+    For ones, `super1[s]` counts the ones before 512-bit superblock s (one
+    extra entry holds the total) and `block1[w]` the ones before word w
+    inside its superblock, for every word of the last superblock and one
+    more, so a bisection may span any whole superblock; `super0`/`block0`
+    do the same for zeros.  The padding that ends a bitmap's last word
+    counts as zeros, which no select of that bitmap reaches.
+    """
+
+    __slots__ = ("words", "super1", "block1", "super0", "block0")
+
+    def __init__(self, data=b""):
+        """data: little-endian words; the directory takes one popcount
+        and one cumulative sum over them."""
+        self.words = words = _words_from(data)
+        nw = len(words)
+        # cum[w]: ones in words 0..w-1; the words past the end hold none
+        cum = np.zeros(-(-nw // _SUPER) * _SUPER + 1, dtype=np.int64)
+        if nw:
+            cum[1:nw + 1] = np.cumsum(np.bitwise_count(
+                np.frombuffer(words, dtype=np.uint64)), dtype=np.int64)
+            cum[nw + 1:] = cum[nw]
+        word = np.arange(len(cum))
+        block = cum - cum[word & ~(_SUPER - 1)]
+        starts = word[::_SUPER]
+        for name, typecode, values in (
+                ("super1", "q", cum[starts]), ("block1", "H", block),
+                ("super0", "q", np.minimum(64 * starts, 64 * nw) - cum[starts]),
+                ("block0", "H", 64 * (word & (_SUPER - 1)) - block)):
+            setattr(self, name, array(typecode, values.astype(typecode).tobytes()))
+
+    def nbytes(self) -> int:
+        return nbytes(self.words, self.super1, self.block1, self.super0,
+                      self.block0)
+
+
+class PoolBuilder:
+    """Copies bitmaps and packed arrays out of a `Reader` into one bit pool
+    and one word pool, each structure from a word boundary.  A bitmap with
+    bits set past its end, or high bits with the wrong number of ones,
+    raises ValueError."""
+
+    def __init__(self):
+        self._bits = bytearray()
+        self._words = bytearray()
+        self._ones = 0
+
+    def bit_base(self) -> int:
+        return len(self._bits) >> 3
+
+    def word_base(self) -> int:
+        return len(self._words) >> 3
+
+    def bitmap(self, r: Reader, n: int) -> tuple[int, int, int]:
+        """An n-bit bitmap: (its first word, the ones before it, its ones)."""
+        chunk = r._take(8 * ((n + 63) >> 6))
+        v = int.from_bytes(chunk, "little")
+        if v >> n:
+            raise ValueError("bitmap has bits set past its end")
+        base, ones, count = len(self._bits) >> 3, self._ones, v.bit_count()
+        self._bits += chunk
+        self._ones += count
+        return base, ones, count
+
+    def packed(self, r: Reader, count: int, width: int) -> int:
+        """count width-bit values: their first word."""
+        if not 0 <= width <= 64:
+            raise ValueError("width must be in 0..64")
+        base = len(self._words) >> 3
+        self._words += r._take(8 * ((count * width + 63) >> 6))
+        return base
+
+    def sparse(self, r: Reader, n: int, m: int) -> tuple[int, ...]:
+        """m positions over [1, n]: their fields (see `sparse_select1`)."""
+        low_width = _low_width(n, m)
+        lows = self.packed(r, m, low_width)
+        base, ones, count = self.bitmap(r, _high_length(n, m, low_width))
+        if count != m:
+            raise ValueError(f"sparse bitmap holds {count} of {m} ones")
+        return base, ones, lows, low_width, n - m
+
+    def stream(self, r: Reader, count: int) -> tuple[int, ...]:
+        """A unary stream of count values, as the sparse set of its sums."""
+        total = r.u32()
+        return self.sparse(r, total + count, count)
+
+    def bit_pool(self) -> BitPool:
+        return BitPool(self._bits)
+
+    def word_pool(self) -> array:
+        return _words_from(self._words)
+
+
+# ------------------------------------------------- rank and select on pools
+
+def access(pool: BitPool, base: int, i: int) -> int:
+    """Bit i of the bitmap that starts at word base."""
+    p = (base << 6) + i - 1
+    return pool.words[p >> 6] >> (p & 63) & 1
+
+
+def rank1(pool: BitPool, base: int, ones: int, i: int) -> int:
+    """Set bits among positions 1..i of the bitmap that starts at word
+    base, with `ones` set bits before it in the pool."""
+    p = (base << 6) + i
+    w = p >> 6
+    r = pool.super1[w >> _SUPER_SHIFT] + pool.block1[w] - ones
+    if p & 63:
+        r += (pool.words[w] & ((1 << (p & 63)) - 1)).bit_count()
+    return r
+
+
+def select(pool: BitPool, base: int, end: int, ones: int, j: int,
+           zero: bool = False) -> int:
+    """Position of the j-th set bit (unset bit, when zero) of the bitmap
+    in words base..end-1, with `ones` set bits before it in the pool; the
+    caller makes sure it exists.  Only those words' superblocks are
+    bisected, then the words of one superblock."""
+    if zero:
+        sup = pool.super0
+        block = pool.block0
+        g = (base << 6) - ones + j
+    else:
+        sup = pool.super1
+        block = pool.block1
+        g = ones + j
+    s = base >> _SUPER_SHIFT
+    last = (end - 1) >> _SUPER_SHIFT
+    if s < last:
+        s = bisect_left(sup, g, s + 1, last + 1) - 1
+    rem = g - sup[s]
+    first = s << _SUPER_SHIFT
+    w = bisect_left(block, rem, first + 1, first + _SUPER) - 1
+    word = pool.words[w] ^ _WORD_FULL if zero else pool.words[w]
+    # the k-th set bit of the word: halve to the right byte by popcount,
+    # then look the bit up
+    k = rem - block[w]
+    pos = ((w - base) << 6) + 1
     c = (word & 0xFFFFFFFF).bit_count()
     if k > c:
         k -= c
         word >>= 32
-        pos = 33
+        pos += 32
     c = (word & 0xFFFF).bit_count()
     if k > c:
         k -= c
@@ -153,239 +313,42 @@ def _select_in_word(word: int, k: int) -> int:
     return pos + _SELECT8[(k - 1) << 8 | (word & 0xFF)]
 
 
-class BitVector:
-    """Plain bitmap with constant-time rank and near-constant select.
-
-    Each bit value has a two-level directory: `_super1[s]` counts the ones
-    before 512-bit superblock s (one extra entry holds the total) and
-    `_block1[w]` counts the ones before word w inside its superblock (one
-    extra entry covers the word past the end); `_super0`/`_block0` do the
-    same for zeros, padding bits excluded.  Rank adds the two counts to a
-    popcount of the masked word.  Select bisects the superblock counts,
-    then bisects the at most eight per-word counts of that superblock,
-    which are monotone inside it, and finishes with a table-driven select
-    in the word.  All of it reads plain ints out of `array.array`s.
-    """
-
-    def __init__(self, words: array, n: int):
-        """words: an array("Q") of (n + 63) // 64 words, kept as given."""
-        nw = len(words)
-        if n < 0 or nw != (n + 63) // 64:
-            raise ValueError("word count does not match bit length")
-        self._words = words
-        self._n = n
-        # cum[w]: ones in words 0..w-1, for w = 0..nw
-        cum = list(accumulate(map(int.bit_count, words), initial=0))
-        total = cum[-1]
-        sup = cum[::_SUPER]
-        if nw % _SUPER:
-            sup.append(total)
-        block = [c - cum[w - w % _SUPER] for w, c in enumerate(cum)]
-        sup0 = [64 * _SUPER * s - c for s, c in enumerate(sup)]
-        sup0[-1] = n - total  # padding bits of the last word are no zeros
-        self._super1 = array("q", sup)
-        self._block1 = array("H", block)
-        self._super0 = array("q", sup0)
-        self._block0 = array("H", [64 * (w % _SUPER) - block[w]
-                                   for w in range(nw)])
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitVector":
-        arr = np.asarray(bits, dtype=np.uint8)
-        return cls(_packed_words(arr), len(arr))
-
-    @classmethod
-    def from_set_positions(cls, n: int, positions) -> "BitVector":
-        """Build from 1-based positions of the set bits."""
-        pos = np.asarray(positions, dtype=np.int64)
-        if len(pos) and (pos.min() < 1 or pos.max() > n):
-            raise ValueError("position out of range")
-        bits = np.zeros(n, dtype=np.uint8)
-        bits[pos - 1] = 1
-        return cls.from_bits(bits)
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def count_ones(self) -> int:
-        return self._super1[-1]
-
-    @property
-    def count_zeros(self) -> int:
-        return self._super0[-1]
-
-    def access(self, i: int) -> int:
-        if not 1 <= i <= self._n:
-            raise IndexError(f"bit index {i} out of range 1..{self._n}")
-        i -= 1
-        return self._words[i >> 6] >> (i & 63) & 1
-
-    def rank1(self, i: int) -> int:
-        """Number of set bits among positions 1..i (i may be 0)."""
-        if not 0 <= i <= self._n:
-            raise IndexError(f"rank index {i} out of range 0..{self._n}")
-        w = i >> 6
-        r = i & 63
-        if r:
-            return (self._super1[w >> _SUPER_SHIFT] + self._block1[w]
-                    + (self._words[w] & ((1 << r) - 1)).bit_count())
-        return self._super1[w >> _SUPER_SHIFT] + self._block1[w]
-
-    def select1(self, j: int) -> int:
-        """Position of the j-th set bit, 1-based."""
-        sup = self._super1
-        if not 1 <= j <= sup[-1]:
-            raise ValueError(f"select1({j}) out of range, only {sup[-1]} ones")
-        s = bisect_left(sup, j) - 1
-        rem = j - sup[s]
-        base = s << _SUPER_SHIFT
-        block = self._block1
-        w = bisect_left(block, rem, base + 1,
-                        min(base + _SUPER, len(self._words))) - 1
-        return 64 * w + _select_in_word(self._words[w], rem - block[w])
-
-    def select0(self, j: int) -> int:
-        """Position of the j-th unset bit, 1-based."""
-        sup = self._super0
-        if not 1 <= j <= sup[-1]:
-            raise ValueError(f"select0({j}) out of range, only {sup[-1]} zeros")
-        s = bisect_left(sup, j) - 1
-        rem = j - sup[s]
-        base = s << _SUPER_SHIFT
-        block = self._block0
-        w = bisect_left(block, rem, base + 1,
-                        min(base + _SUPER, len(self._words))) - 1
-        # padding bits sit above every real bit, so the complement needs no
-        # mask: the rem-th zero always comes before them
-        return 64 * w + _select_in_word(self._words[w] ^ _WORD_FULL,
-                                        rem - block[w])
-
-    def ones(self, start: int = 1):
-        """Yield positions of set bits, beginning with the start-th one."""
-        if start < 1:
-            raise ValueError("start must be >= 1")
-        if start > self.count_ones:
+def _scan(words, base, end, p, flip, last_mask):
+    # p, a set bit of the words base..end-1 xor flip, then every set bit
+    # after it; last_mask clears the padding of the last word
+    w = base + ((p - 1) >> 6)
+    cur = words[w] ^ flip
+    if w == end - 1:
+        cur &= last_mask
+    cur = cur >> ((p - 1) & 63) >> 1
+    yield p
+    off = p
+    while True:
+        while cur:
+            low = cur & -cur
+            yield off + low.bit_length()
+            cur ^= low
+        # bits past the first are offsets from off; move to the next word
+        w += 1
+        if w >= end:
             return
-        p = self.select1(start)
-        words = self._words
-        w = (p - 1) >> 6
-        cur = words[w] >> ((p - 1) & 63) >> 1
-        yield p
-        base = p
-        nw = len(words)
-        while True:
-            while cur:
-                low = cur & -cur
-                yield base + low.bit_length()
-                cur ^= low
-            # bits past the first are offsets from base; move to next word
-            w += 1
-            if w >= nw:
-                return
-            cur = words[w]
-            base = 64 * w
-
-    def zeros(self, start: int = 1):
-        """Yield positions of unset bits, beginning with the start-th zero."""
-        if start < 1:
-            raise ValueError("start must be >= 1")
-        if start > self.count_zeros:
-            return
-        p = self.select0(start)
-        words = self._words
-        w = (p - 1) >> 6
-        nw = len(words)
-        # complement of the last word, its padding bits cleared
-        last = (words[-1] ^ _WORD_FULL) & ((1 << (self._n - 64 * (nw - 1))) - 1)
-        cur = last if w == nw - 1 else words[w] ^ _WORD_FULL
-        cur = cur >> ((p - 1) & 63) >> 1
-        yield p
-        base = p
-        while True:
-            while cur:
-                low = cur & -cur
-                yield base + low.bit_length()
-                cur ^= low
-            w += 1
-            if w >= nw:
-                return
-            cur = last if w == nw - 1 else words[w] ^ _WORD_FULL
-            base = 64 * w
-
-    def code_bits(self) -> int:
-        """Bits of the payload itself, directories excluded."""
-        return self._n
-
-    def write(self, w: Writer) -> None:
-        w.words(self._words)
-
-    @classmethod
-    def read(cls, r: Reader, n: int) -> "BitVector":
-        words = r.words((n + 63) // 64)
-        if n % 64 and words[-1] >> n % 64:
-            raise ValueError("bitmap has bits set past its end")
-        return cls(words, n)
+        cur = words[w] ^ flip
+        if w == end - 1:
+            cur &= last_mask
+        off = (w - base) << 6
 
 
-class PackedIntArray:
-    """Fixed-width unsigned integers packed back to back into uint64 words."""
-
-    def __init__(self, words: array, count: int, width: int):
-        if not 0 <= width <= 64:
-            raise ValueError("width must be in 0..64")
-        need = (count * width + 63) // 64
-        if len(words) != need:
-            raise ValueError("word count does not match")
-        self._words = words
-        self._count = count
-        self._width = width
-
-    @classmethod
-    def from_values(cls, values, width: int) -> "PackedIntArray":
-        vals = np.asarray(values, dtype=np.uint64)
-        count = len(vals)
-        if width == 0 or count == 0:
-            if count and vals.max() > 0:
-                raise ValueError("nonzero value with zero width")
-            return cls(array("Q"), count, width)
-        if width < 64 and vals.max() >> width:
-            raise ValueError(f"value does not fit in {width} bits")
-        bits = (vals[:, None] >> np.arange(width, dtype=np.uint64)) & np.uint64(1)
-        return cls(_packed_words(bits.astype(np.uint8).ravel()), count, width)
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def width(self) -> int:
-        return self._width
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self._count:
-            raise IndexError(f"index {i} out of range 0..{self._count - 1}")
-        if self._width == 0:
-            return 0
-        s = i * self._width
-        w, off = s >> 6, s & 63
-        v = self._words[w] >> off
-        if off + self._width > 64:
-            v |= self._words[w + 1] << (64 - off)
-        return v & ((1 << self._width) - 1)
-
-    def __iter__(self):
-        for i in range(self._count):
-            yield self[i]
-
-    def code_bits(self) -> int:
-        return self._count * self._width
-
-    def write(self, w: Writer) -> None:
-        w.words(self._words)
-
-    @classmethod
-    def read(cls, r: Reader, count: int, width: int) -> "PackedIntArray":
-        return cls(r.words((count * width + 63) // 64), count, width)
+def packed_get(words: array, base: int, width: int, i: int) -> int:
+    """The i-th (from 0) of the width-bit values packed from word base."""
+    if not width:
+        return 0
+    s = i * width
+    w = base + (s >> 6)
+    off = s & 63
+    v = words[w] >> off
+    if off + width > 64:
+        v |= words[w + 1] << (64 - off)
+    return v & ((1 << width) - 1)
 
 
 def _low_width(n: int, m: int) -> int:
@@ -398,41 +361,323 @@ def _high_length(n: int, m: int, low_width: int) -> int:
     return m + ((n - 1) >> low_width) + 1 if m else 0
 
 
+# A sparse set of m positions over [1, n] is six fields from f[s]: its
+# high bits' first word, the ones before them, its lows' first word, the
+# low width, n - m, and the word after its high bits.
+
+def sparse_select1(pool: BitPool, words: array, f, s: int, j: int) -> int:
+    """Position of the set's j-th member; the caller makes sure it exists."""
+    h = select(pool, f[s], f[s + 5], f[s + 1], j) - j
+    return ((h << f[s + 3]) | packed_get(words, f[s + 2], f[s + 3], j - 1)) + 1
+
+
+def sparse_search(pool: BitPool, words: array, f, s: int,
+                  i: int) -> tuple[int, bool]:
+    """(members at or below position i, whether i is one), for a set with
+    members: two select0s bound i's high bucket, and a bisection of its
+    lows ranks i; the low just below the rank says whether i is in."""
+    hbase, hones, lbase, lw, hend = f[s], f[s + 1], f[s + 2], f[s + 3], f[s + 5]
+    h = (i - 1) >> lw
+    lowv = (i - 1) & ((1 << lw) - 1)
+    lo = select(pool, hbase, hend, hones, h, True) - h if h else 0
+    a, b = lo, select(pool, hbase, hend, hones, h + 1, True) - h - 1
+    while a < b:
+        mid = (a + b) >> 1
+        if packed_get(words, lbase, lw, mid) <= lowv:
+            a = mid + 1
+        else:
+            b = mid
+    return a, a > lo and packed_get(words, lbase, lw, a - 1) == lowv
+
+
+def sparse_select0(pool: BitPool, words: array, f, s: int, m: int, j: int) -> int:
+    """Position of the j-th value of [1, n] not among the set's m members.
+
+    A high bucket spans 2**w values, w the low width, so the j-th zero
+    falls in a bucket b between (j - 1) >> w and (j - 1 + m) >> w.
+    Bisecting that range with select0 on the high bits finds the last
+    bucket with fewer than j zeros before it; stepping over that bucket's
+    members that lie at or below the candidate then places the zero.
+    """
+    if m == 0:
+        return j
+    hbase, hones, lbase, w, hend = f[s], f[s + 1], f[s + 2], f[s + 3], f[s + 5]
+    b = (j - 1) >> w
+    top = min((j - 1 + m) >> w, (f[s + 4] + m - 1) >> w)
+    # at: high position of the b-th zero, which ends bucket b - 1, so
+    # bucket b's members follow it and at - b members come before it
+    at = select(pool, hbase, hend, hones, b, True) if b else 0
+    while b < top:
+        mid = (b + top + 1) >> 1
+        p = select(pool, hbase, hend, hones, mid, True)
+        if (mid << w) - (p - mid) < j:
+            b, at = mid, p
+        else:
+            top = mid - 1
+    i = at - b
+    v = j - 1 + i  # 0-based value of the zero if no member of b is below it
+    while (i < m and access(pool, hbase, at + 1)
+           and (b << w) + packed_get(words, lbase, w, i) <= v):
+        v += 1
+        i += 1
+        at += 1
+    return v + 1
+
+
+def sparse_ones(pool: BitPool, words: array, f, s: int, m: int, start: int):
+    """Yield the positions of the set's m members from the start-th on."""
+    if start > m:
+        return
+    j = start
+    hbase, hend, lbase, lw = f[s], f[s + 5], f[s + 2], f[s + 3]
+    at = (j - 1) * lw  # bit offset of the j-th low
+    for p in _scan(pool.words, hbase, hend,
+                   select(pool, hbase, hend, f[s + 1], start), 0, _WORD_FULL):
+        low = 0
+        if lw:  # packed_get, inline: this loop decodes every position
+            w, off = lbase + (at >> 6), at & 63
+            low = words[w] >> off
+            if off + lw > 64:
+                low |= words[w + 1] << (64 - off)
+            low &= (1 << lw) - 1
+        yield (((p - j) << lw) | low) + 1
+        j += 1
+        at += lw
+
+
+def unary_prefixes(pool: BitPool, words: array, f, s: int, m: int, start: int):
+    """Yield the sums of the first start, start + 1, ... values of the
+    m-value unary stream whose sparse set's fields start at f[s]."""
+    j = start
+    if j == 0:
+        yield 0
+        j = 1
+    for p in sparse_ones(pool, words, f, s, m, j):
+        yield p - j
+        j += 1
+
+
+# --------------------------------------------------------------- encoders
+
+def bits_at(n: int, positions) -> np.ndarray:
+    """n bits as 0/1 bytes, set at the 1-based positions given."""
+    pos = np.asarray(positions, dtype=np.int64)
+    if len(pos) and (pos.min() < 1 or pos.max() > n):
+        raise ValueError("position out of range")
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[pos - 1] = 1
+    return bits
+
+
+def write_packed(w: Writer, values, width: int) -> None:
+    """Fixed-width unsigned values, back to back from a word boundary."""
+    vals = np.asarray(values, dtype=np.uint64)
+    if not 0 <= width <= 64:
+        raise ValueError("width must be in 0..64")
+    if len(vals) and width < 64 and vals.max() >> width:
+        raise ValueError(f"value does not fit in {width} bits")
+    w.bits(((vals[:, None] >> np.arange(width, dtype=np.uint64))
+            & np.uint64(1)).ravel())
+
+
+def write_sparse(w: Writer, n: int, positions) -> None:
+    """Strictly increasing positions over [1, n]: the low bits of each
+    (position - 1), then the high bits in unary (see SparseBitVector)."""
+    pos = np.asarray(positions, dtype=np.int64)
+    m = len(pos)
+    if m:
+        if pos[0] < 1 or pos[-1] > n:
+            raise ValueError("positions out of range")
+        if (pos[1:] <= pos[:-1]).any():
+            raise ValueError("positions must be strictly increasing")
+    low_width = _low_width(n, m)
+    v = pos - 1
+    write_packed(w, v & ((1 << low_width) - 1), low_width)
+    w.bits(bits_at(_high_length(n, m, low_width),
+                   (v >> low_width) + np.arange(1, m + 1)))
+
+
+def write_unary(w: Writer, values) -> None:
+    """Non-negative values as a unary stream: its total, then each i-th
+    prefix sum plus i as a sparse set (see UnaryDeltaStream)."""
+    vals = np.asarray(values, dtype=np.int64)
+    if len(vals) and vals.min() < 0:
+        raise ValueError("values must be non-negative")
+    positions = np.cumsum(vals, dtype=np.int64) + np.arange(1, len(vals) + 1)
+    universe = int(positions[-1]) if len(vals) else 0
+    w.u32(universe - len(vals))
+    write_sparse(w, universe, positions)
+
+
+# ------------------------------------------------------------------ views
+
+class BitVector:
+    """A bitmap in a pool: rank in constant time, select by bisecting the
+    directory over the superblocks it spans and the words of one, and a
+    table-driven select in the word."""
+
+    __slots__ = ("_pool", "_base", "_end", "_n", "_ones", "_count")
+
+    def __init__(self, pool: BitPool, base: int, n: int, ones: int, count: int):
+        """The n bits from word base, with `ones` set bits before them in
+        the pool and count among them."""
+        self._pool = pool
+        self._base = base
+        self._end = base + ((n + 63) >> 6)
+        self._n = n
+        self._ones = ones
+        self._count = count
+
+    @classmethod
+    def from_bits(cls, bits) -> "BitVector":
+        arr = np.asarray(bits, dtype=np.uint8)
+        w = WideWriter()
+        w.bits(arr)
+        return cls.read(w.reader(), len(arr))
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def count_ones(self) -> int:
+        return self._count
+
+    @property
+    def count_zeros(self) -> int:
+        return self._n - self._count
+
+    def nbytes(self) -> int:
+        """Bytes of the pool the bitmap lives in, directory included."""
+        return self._pool.nbytes()
+
+    def access(self, i: int) -> int:
+        if not 1 <= i <= self._n:
+            raise IndexError(f"bit index {i} out of range 1..{self._n}")
+        return access(self._pool, self._base, i)
+
+    def rank1(self, i: int) -> int:
+        """Number of set bits among positions 1..i (i may be 0)."""
+        if not 0 <= i <= self._n:
+            raise IndexError(f"rank index {i} out of range 0..{self._n}")
+        return rank1(self._pool, self._base, self._ones, i)
+
+    def select1(self, j: int) -> int:
+        """Position of the j-th set bit, 1-based."""
+        if not 1 <= j <= self._count:
+            raise ValueError(f"select1({j}) out of range, only {self._count} ones")
+        return select(self._pool, self._base, self._end, self._ones, j)
+
+    def select0(self, j: int) -> int:
+        """Position of the j-th unset bit, 1-based."""
+        if not 1 <= j <= self.count_zeros:
+            raise ValueError(f"select0({j}) out of range, only "
+                             f"{self.count_zeros} zeros")
+        return select(self._pool, self._base, self._end, self._ones, j, True)
+
+    def ones(self, start: int = 1):
+        """Yield positions of set bits, beginning with the start-th one."""
+        if start < 1:
+            raise ValueError("start must be >= 1")
+        if start <= self._count:
+            yield from _scan(self._pool.words, self._base, self._end,
+                             self.select1(start), 0, _WORD_FULL)
+
+    def zeros(self, start: int = 1):
+        """Yield positions of unset bits, beginning with the start-th zero."""
+        if start < 1:
+            raise ValueError("start must be >= 1")
+        if start <= self.count_zeros:
+            last = (1 << (self._n - 64 * (self._end - self._base - 1))) - 1
+            yield from _scan(self._pool.words, self._base, self._end,
+                             self.select0(start), _WORD_FULL, last)
+
+    def code_bits(self) -> int:
+        """Bits of the payload itself, directories excluded."""
+        return self._n
+
+    def write(self, w: Writer) -> None:
+        w.words(self._pool.words[self._base:self._end])
+
+    @classmethod
+    def read(cls, r: Reader, n: int) -> "BitVector":
+        pb = PoolBuilder()
+        count = pb.bitmap(r, n)[2]
+        return cls(pb.bit_pool(), 0, n, 0, count)
+
+
+class PackedIntArray:
+    """Fixed-width unsigned integers packed back to back in a word pool."""
+
+    __slots__ = ("_words", "_base", "_count", "_width")
+
+    def __init__(self, words: array, base: int, count: int, width: int):
+        self._words = words
+        self._base = base
+        self._count = count
+        self._width = width
+
+    @classmethod
+    def from_values(cls, values, width: int) -> "PackedIntArray":
+        w = WideWriter()
+        write_packed(w, values, width)
+        return cls.read(w.reader(), len(values), width)
+
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def width(self) -> int:
+        return self._width
+
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < self._count:
+            raise IndexError(f"index {i} out of range 0..{self._count - 1}")
+        return packed_get(self._words, self._base, self._width, i)
+
+    def __iter__(self):
+        for i in range(self._count):
+            yield self[i]
+
+    def code_bits(self) -> int:
+        return self._count * self._width
+
+    def write(self, w: Writer) -> None:
+        w.words(self._words[self._base:
+                            self._base + ((self.code_bits() + 63) >> 6)])
+
+    @classmethod
+    def read(cls, r: Reader, count: int, width: int) -> "PackedIntArray":
+        pb = PoolBuilder()
+        pb.packed(r, count, width)
+        return cls(pb.word_pool(), 0, count, width)
+
+
 class SparseBitVector:
     """Monotone set of m positions over [1, n], split into high and low halves.
 
-    The low floor(log2(n/m)) bits of each (position - 1) go into a packed
-    array; the high halves become a unary-coded bitmap where the j-th one
-    sits at position high_j + j.  select1 is a single select on the high
-    bitmap; rank1 bounds one high bucket with two select0s and bisects
-    its lows, so it costs O(log(n/m)).  The same search also tells whether
-    the probed position is a member, which `rank1_member` returns.
-    select0 bisects the few high buckets the j-th zero can fall in, with
-    select0s on the high bitmap, and walks the lows of one bucket.
+    The low floor(log2(n/m)) bits of each (position - 1) go into packed
+    lows in a word pool; the high halves become a unary-coded bitmap in a
+    bit pool, where the j-th one sits at position high_j + j.  select1 is a
+    single select on the high bitmap; rank1 bounds one high bucket with two
+    select0s and bisects its lows, so it costs O(log(n/m)).  select0
+    bisects the few high buckets the j-th zero can fall in, with select0s
+    on the high bitmap, and walks the lows of one bucket.
     """
 
-    def __init__(self, n: int, low_width: int, lows: PackedIntArray, high: BitVector):
-        self._n = n
-        self._m = len(lows)
-        self._low_width = low_width
-        self._lows = lows
-        self._high = high
+    __slots__ = ("_pool", "_words", "_f", "_s", "_n", "_m", "_low_width")
+
+    def __init__(self, pool: BitPool, words: array, f, s: int, m: int):
+        """The set of m members whose six fields start at f[s]."""
+        self._pool, self._words, self._f, self._s = pool, words, f, s
+        self._n = f[s + 4] + m
+        self._m = m
+        self._low_width = f[s + 3]
 
     @classmethod
     def from_positions(cls, n: int, positions) -> "SparseBitVector":
-        pos = np.asarray(positions, dtype=np.int64)
-        m = len(pos)
-        if m:
-            if pos[0] < 1 or pos[-1] > n:
-                raise ValueError("positions out of range")
-            if (pos[1:] <= pos[:-1]).any():
-                raise ValueError("positions must be strictly increasing")
-        low_width = _low_width(n, m)
-        v = pos - 1
-        lows = PackedIntArray.from_values(v & ((1 << low_width) - 1), low_width)
-        high = BitVector.from_set_positions(_high_length(n, m, low_width),
-                                            (v >> low_width) + np.arange(1, m + 1))
-        return cls(n, low_width, lows, high)
+        w = WideWriter()
+        write_sparse(w, n, positions)
+        return cls.read(w.reader(), n, len(positions))
 
     def __len__(self) -> int:
         return self._n
@@ -441,6 +686,18 @@ class SparseBitVector:
     def count_ones(self) -> int:
         return self._m
 
+    @property
+    def _high(self) -> BitVector:
+        f, s = self._f, self._s
+        return BitVector(self._pool, f[s], _high_length(self._n, self._m,
+                                                        self._low_width),
+                         f[s + 1], self._m)
+
+    @property
+    def _lows(self) -> PackedIntArray:
+        return PackedIntArray(self._words, self._f[self._s + 2], self._m,
+                              self._low_width)
+
     def select1(self, j: int) -> int:
         if not 1 <= j <= self._m:
             raise ValueError(f"select1({j}) out of range, only {self._m} ones")
@@ -448,85 +705,34 @@ class SparseBitVector:
         return ((h << self._low_width) | self._lows[j - 1]) + 1
 
     def _search(self, i: int) -> tuple[int, bool]:
-        # (rank1(i), whether i is a member) for 1 <= i <= n and m > 0: the
-        # two select0s bound i's high bucket, one bisection over its lows
-        # finds the rank, and the low just below it says if i is in the set
-        v = i - 1
-        h = v >> self._low_width
-        lowv = v & ((1 << self._low_width) - 1)
-        high = self._high
-        lo = high.select0(h) - h if h else 0
-        r = bisect_right(self._lows, lowv, lo, high.select0(h + 1) - h - 1)
-        return r, r > lo and self._lows[r - 1] == lowv
+        if self._m == 0:
+            return 0, False
+        return sparse_search(self._pool, self._words, self._f, self._s, i)
 
     def rank1(self, i: int) -> int:
         if not 0 <= i <= self._n:
             raise IndexError(f"rank index {i} out of range 0..{self._n}")
-        if i == 0 or self._m == 0:
-            return 0
-        return self._search(i)[0]
-
-    def rank1_member(self, i: int) -> tuple[int, bool]:
-        """(rank1(i), whether position i is set) from one bucket search."""
-        if not 1 <= i <= self._n:
-            raise IndexError(f"bit index {i} out of range 1..{self._n}")
-        if self._m == 0:
-            return 0, False
-        return self._search(i)
+        return self._search(i)[0] if i else 0
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self._n:
             raise IndexError(f"bit index {i} out of range 1..{self._n}")
-        return int(self._m > 0 and self._search(i)[1])
+        return int(self._search(i)[1])
 
     def select0(self, j: int) -> int:
-        """Position of the j-th absent value, 1-based.
-
-        A high bucket spans 2**w values, w the low width, and the set has
-        m members, so the j-th zero falls in a bucket b between
-        (j - 1) >> w and (j - 1 + m) >> w.  Bisecting that range with select0 on the high
-        bitmap finds the last bucket with fewer than j zeros before it;
-        stepping over that bucket's members that lie at or below the
-        candidate then places the zero.
-        """
+        """Position of the j-th absent value, 1-based."""
         total0 = self._n - self._m
         if not 1 <= j <= total0:
             raise ValueError(f"select0({j}) out of range, only {total0} zeros")
-        m = self._m
-        if m == 0:
-            return j
-        w = self._low_width
-        high = self._high
-        b = (j - 1) >> w
-        top = min((j - 1 + m) >> w, (self._n - 1) >> w)
-        # at: high position of the b-th zero, which ends bucket b - 1, so
-        # bucket b's members follow it and at - b members come before it
-        at = high.select0(b) if b else 0
-        while b < top:
-            mid = (b + top + 1) >> 1
-            p = high.select0(mid)
-            if (mid << w) - (p - mid) < j:
-                b, at = mid, p
-            else:
-                top = mid - 1
-        i = at - b
-        v = j - 1 + i  # 0-based value of the zero if no member of b is below it
-        lows, base = self._lows, b << w
-        while i < m and high.access(at + 1) and base + lows[i] <= v:
-            v += 1
-            i += 1
-            at += 1
-        return v + 1
+        return sparse_select0(self._pool, self._words, self._f, self._s,
+                              self._m, j)
 
     def ones(self, start: int = 1):
-        """Yield member positions in order, beginning with the start-th."""
+        """Iterate member positions in order, beginning with the start-th."""
         if start < 1:
             raise ValueError("start must be >= 1")
-        j = start
-        w = self._low_width
-        for p in self._high.ones(start):
-            yield (((p - j) << w) | self._lows[j - 1]) + 1
-            j += 1
+        return sparse_ones(self._pool, self._words, self._f, self._s, self._m,
+                           start)
 
     def zeros(self, start: int = 1):
         """Yield non-member positions in order, beginning with the start-th."""
@@ -535,8 +741,7 @@ class SparseBitVector:
         if start > self._n - self._m:
             return
         pos = self.select0(start)
-        seen = pos - start
-        it = self.ones(seen + 1) if seen < self._m else iter(())
+        it = self.ones(pos - start + 1)
         nxt = next(it, 0)
         yield pos
         pos += 1
@@ -559,12 +764,9 @@ class SparseBitVector:
     @classmethod
     def read(cls, r: Reader, n: int, m: int) -> "SparseBitVector":
         """The m positions over [1, n] that `write` stored."""
-        low_width = _low_width(n, m)
-        lows = PackedIntArray.read(r, m, low_width)
-        high = BitVector.read(r, _high_length(n, m, low_width))
-        if high.count_ones != m:
-            raise ValueError(f"sparse bitmap holds {high.count_ones} of {m} ones")
-        return cls(n, low_width, lows, high)
+        pb = PoolBuilder()
+        f = pb.sparse(r, n, m) + (pb.bit_base(),)
+        return cls(pb.bit_pool(), pb.word_pool(), f, 0, m)
 
 
 class UnaryDeltaStream:
@@ -575,20 +777,17 @@ class UnaryDeltaStream:
     a single one bit.
     """
 
+    __slots__ = ("_members", "_count")
+
     def __init__(self, members: SparseBitVector, count: int):
         self._members = members
         self._count = count
 
     @classmethod
     def from_values(cls, values) -> "UnaryDeltaStream":
-        vals = np.asarray(values, dtype=np.int64)
-        count = len(vals)
-        if count and vals.min() < 0:
-            raise ValueError("values must be non-negative")
-        prefix = np.cumsum(vals, dtype=np.int64)
-        positions = prefix + np.arange(1, count + 1)
-        universe = int(positions[-1]) if count else 0
-        return cls(SparseBitVector.from_positions(universe, positions), count)
+        w = WideWriter()
+        write_unary(w, values)
+        return cls.read(w.reader(), len(values))
 
     def __len__(self) -> int:
         return self._count
@@ -606,17 +805,12 @@ class UnaryDeltaStream:
         return self._members.select1(i) - i
 
     def prefix_iter(self, start: int = 0):
-        """Yield prefix_sum(start), prefix_sum(start + 1), ... up to the
+        """Iterate prefix_sum(start), prefix_sum(start + 1), ... up to the
         total; opening the walk costs one select."""
         if not 0 <= start <= self._count:
             raise IndexError(f"prefix index {start} out of range 0..{self._count}")
-        j = start
-        if j == 0:
-            yield 0
-            j = 1
-        for p in self._members.ones(j):
-            yield p - j
-            j += 1
+        m = self._members
+        return unary_prefixes(m._pool, m._words, m._f, m._s, self._count, start)
 
     def code_bits(self) -> int:
         return self._members.code_bits()

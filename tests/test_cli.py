@@ -36,6 +36,16 @@ class TestBuild:
         assert "snapshots:" in text and "logs:" in text and "trees:" in text
         assert "ratio:" in text
         assert built_index.exists()
+        # in-memory bytes per component, from the sizes of the pools
+        live = {line.split(": ")[0][len("in memory, "):]:
+                int(line.split(": ")[1].split()[0])
+                for line in text.splitlines() if line.startswith("in memory, ")}
+        ix = TrajectoryIndex.load(built_index)
+        assert {k: v for k, v in live.items() if k != "total"} == ix.memory()
+        assert list(live) == ["snapshots", "bit pool", "directories",
+                              "word pool", "log records", "row table", "total"]
+        assert live["total"] == sum(ix.memory().values())
+        assert min(live.values()) > 0
 
     def test_binary_input(self, tmp_path, ref_rows, capsys):
         path = tmp_path / "fix.bin"

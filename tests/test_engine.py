@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,15 @@ class TestBuildValidation:
         args = {"period": 10, "leaf_capacity": 2, "extent": (8, 8), **kwargs}
         with pytest.raises(ValueError, match=field):
             build_index(rows, **args)
+
+    def test_rejects_a_log_whose_moves_sum_past_a_u32(self):
+        # each stream stores its total as a u32: two climbs of 2**32 - 2
+        # cells sum past it, though every coordinate fits
+        top = (1 << 32) - 2
+        rows = [(1, t, 0, y) for t, y in enumerate((0, top, 0, top))]
+        with pytest.raises(ValueError, match="u32"):
+            build_index(rows, period=10, leaf_capacity=2, extent=(8, top + 1))
+        build_index(rows[:3], period=10, leaf_capacity=2, extent=(8, top + 1))
 
     def test_largest_u32_values_build(self):
         top = (1 << 32) - 1
@@ -535,6 +545,23 @@ class TestRootBoxFilter:
                                 stats=bare) == [2]
         assert bare.positions_decoded > stats.positions_decoded
 
+    def test_root_inside_region_counts_as_the_tree_would(self):
+        # one object, so one candidate: its root box lies inside the
+        # region, which the engine answers from the record with the same
+        # events as a first_hit on the tree
+        rows = [(1, t, 5 + t % 3, 7 + t % 2) for t in range(10)]
+        ix = build_index(rows, period=10, leaf_capacity=2, extent=(16, 16))
+        log, tree = ix._logs[(0, 1)]
+        region = Region(4, 8, 6, 9)
+        stats = TraversalStats(trace=True)
+        assert ix.time_interval(region, 2, 9, stats=stats) == [1]
+        alone = TraversalStats(trace=True)
+        assert tree.first_hit(log, Mbr(4, 8, 6, 9), 2, 9, ix.max_speed, 2, 9,
+                              stats=alone) == 2
+        assert stats.events == alone.events == [("visit", 1),
+                                                ("mbr_contain", 1)]
+        assert stats.nodes_visited == alone.nodes_visited == 1
+
 
 class TestContainedIntervals:
     """Interval queries whose region holds whole boxes, and windows that
@@ -627,3 +654,46 @@ class TestContainedIntervals:
         assert stats.positions_decoded == 0
         assert {k for k, _ in stats.events} <= {"visit", "mbr_contain"}
 
+
+def load_cost(blob) -> tuple[int, int, TrajectoryIndex]:
+    """(GC-tracked objects, bytes by tracemalloc) a load of blob adds, and
+    the index."""
+    gc.collect()
+    objects = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ix = TrajectoryIndex.from_bytes(blob)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    gc.collect()
+    return len(gc.get_objects()) - objects, grown, ix
+
+
+class TestLoadedMemory:
+    """A loaded index keeps its logs and trees in a few pools, so what a
+    load holds follows the file's size, and its object count the
+    periods, not the logs."""
+
+    @staticmethod
+    def blob(horizon: int, period: int) -> bytes:
+        fleet = make_fleet(30, horizon, (300, 300), seed=12, drop_rate=0.1)
+        return build_index(fleet.rows(), period, 8, fleet.extent,
+                           horizon=horizon).to_bytes()
+
+    def test_a_load_holds_under_three_times_the_file(self):
+        # 2.4 times here; a log's record (160 bytes) weighs most in short
+        # periods, 2.7 times at d=20
+        blob = self.blob(960, 60)
+        _, grown, _ = load_cost(blob)
+        assert grown <= 3 * len(blob), (grown, len(blob))
+
+    def test_objects_do_not_grow_with_the_logs(self):
+        (few, _, short), (many, _, long) = (load_cost(self.blob(h, 20))
+                                            for h in (240, 960))
+        periods = len(long.snapshots) - len(short.snapshots)
+        logs = len(long._logs) - len(short._logs)
+        assert periods == 36 and logs >= 25 * periods
+        # a snapshot takes a few objects; a log takes none
+        assert many - few <= 20 * periods, (many - few, periods, logs)

@@ -6,7 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REF_PERIOD, REF_TRACK, round_trip
-from trajindex.log import TimeIndex, TrajectoryLog, build_log
+from synth import make_fleet
+from trajindex.engine import TrajectoryIndex, build_index
+from trajindex.log import (
+    TimeIndex,
+    TrajectoryLog,
+    build_log,
+    read_fields,
+    write_log,
+)
+from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
+from trajindex.snapshot import Region
+from trajindex.succinct import PoolBuilder, Reader, Writer
 
 
 @pytest.fixture
@@ -271,3 +282,113 @@ class TestSparseGapMap:
             assert next(ti.data_offsets(start)) == data[start - 1]
         for start in (1, 2, len(data) // 2, len(data)):
             assert list(ti.data_offsets(start)) == data[start - 1:]
+
+
+def edge_tracks():
+    """(name, period, rows) for tracks at the pools' edges."""
+    rng = np.random.default_rng(90)
+
+    def walk(ts, step=3):
+        xs = 700 + np.cumsum(rng.integers(-step, step + 1, size=len(ts)))
+        ys = 700 + np.cumsum(rng.integers(-step, step + 1, size=len(ts)))
+        return [(int(t), int(x), int(y)) for t, x, y in zip(ts, xs, ys)]
+
+    yield "one-sample", 9, [(4, 3, 5)]
+    yield "one-sample-at-last-instant", 9, [(8, 0, 0)]
+    for n in (64, 65, 512, 513):
+        # sign bitmaps and a gap-free window of exactly n bits
+        yield f"full-{n}", n + 2, walk(np.arange(1, n + 1))
+        # dense gap bitmap of exactly n bits: a quarter of the window empty
+        ts = np.sort(rng.choice(np.arange(2, n), size=3 * n // 4 - 2,
+                                replace=False))
+        yield f"dense-gaps-{n}", n + 2, walk(np.r_[1, ts, n])
+    ts = np.sort(rng.choice(np.arange(2, 1200), size=1150, replace=False))
+    yield "sparse-gaps", 1202, walk(np.r_[1, ts, 1200])
+    yield "standing-still", 40, [(t, 9, 9) for t in range(3, 30)]
+    yield "only-rising", 40, [(t, t, 2 * t) for t in range(1, 39, 2)]
+    yield "only-falling", 40, [(t, 500 - t, 900 - 3 * t) for t in range(2, 39)]
+
+
+def check_log(log, period, rows):
+    table = {t: (x, y) for t, x, y in rows}
+    instants = sorted(table)
+    assert log.data_count == len(rows)
+    seen = 0
+    for i in range(1, period):
+        assert log.position(i) == table.get(i), i
+        seen += i in table
+        assert log.count_data_upto(i) == seen
+    assert [log.unmap_ordinal(j) for j in range(1, len(rows) + 1)] == instants
+    assert log.scan_positions(1, len(rows)) == list(rows)
+    for a in (1, len(rows) // 2 + 1, len(rows)):
+        assert log.scan_positions(a, len(rows)) == list(rows[a - 1:])
+    assert log.code_bits() == build_log(rows, 0, period).code_bits()
+
+
+class TestPooledLogs:
+    """Logs alone in private pools and as neighbours in one pool."""
+
+    CASES = list(edge_tracks())
+
+    @pytest.mark.parametrize("name, period, rows",
+                             [pytest.param(*c, id=c[0]) for c in CASES])
+    def test_alone(self, name, period, rows):
+        log = build_log(rows, 0, period)
+        kind, _, n = name.rpartition("-")
+        if kind in ("full", "dense-gaps"):
+            assert len(log.time) == int(n)
+        if kind in ("full", "dense-gaps", "sparse"):
+            assert log.time._sparse == (kind != "dense-gaps")
+        check_log(log, period, rows)
+        check_log(round_trip(log, 0, 0, period), period, rows)
+
+    def test_neighbours_in_one_pool(self):
+        w = Writer()
+        for _, period, rows in self.CASES:
+            write_log(w, rows, 0, period)
+        r = Reader(w)
+        pb = PoolBuilder()
+        fields = [read_fields(r, pb) for _ in self.CASES]
+        r.end()
+        bits, words = pb.bit_pool(), pb.word_pool()
+        for (name, period, rows), f in zip(self.CASES, fields):
+            check_log(TrajectoryLog(bits, words, f, 0, 0, period), period, rows)
+
+
+@st.composite
+def small_fleets(draw):
+    """(fleet, period, leaf capacity): up to five objects, with drops."""
+    fleet = make_fleet(draw(st.integers(1, 5)), draw(st.integers(2, 40)),
+                       (draw(st.integers(2, 24)), draw(st.integers(2, 24))),
+                       draw(st.integers(0, 10**6)),
+                       max_step=draw(st.integers(0, 4)),
+                       drop_rate=draw(st.sampled_from((0.0, 0.05, 0.3, 0.7))))
+    return fleet, draw(st.integers(2, 12)), draw(st.integers(1, 5))
+
+
+class TestFleetsInOnePool:
+    @given(small_fleets(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_all_query_kinds_match_the_oracle(self, case, data):
+        fleet, period, leaf = case
+        ix = TrajectoryIndex.from_bytes(build_index(
+            fleet.rows(), period, leaf, fleet.extent,
+            horizon=fleet.horizon).to_bytes())
+        table = PositionTable(fleet.ids, fleet.present, fleet.xs, fleet.ys)
+        last = fleet.horizon - 1
+        for oid in ix.object_ids:
+            for t in range(fleet.horizon):
+                assert ix.object_position(oid, t) == table.position(oid, t)
+            a = data.draw(st.integers(0, last))
+            b = data.draw(st.integers(a, last))
+            assert ix.trajectory(oid, a, b) == table.trajectory(oid, a, b)
+        w, h = fleet.extent
+        for _ in range(4):
+            x1, y1 = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1))
+            rect = (x1, data.draw(st.integers(x1, w - 1)),
+                    y1, data.draw(st.integers(y1, h - 1)))
+            a = data.draw(st.integers(0, last))
+            b = data.draw(st.integers(a, last))
+            assert ix.time_slice(Region(*rect), a) == oracle_slice(table, rect, a)
+            assert ix.time_interval(Region(*rect), a, b) == \
+                oracle_interval(table, rect, a, b)

@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import round_trip
+from trajindex import succinct
 from trajindex.succinct import (
     BitVector,
     PackedIntArray,
+    PoolBuilder,
     Reader,
     SparseBitVector,
     UnaryDeltaStream,
     Writer,
+    write_sparse,
 )
 
 
@@ -196,20 +199,23 @@ def sparse_cases():
 class TestSparseSelect0:
     @pytest.mark.parametrize("name, n, members",
                              [pytest.param(*c, id=c[0]) for c in sparse_cases()])
-    def test_every_zero_matches_brute_force(self, name, n, members):
+    def test_every_zero_matches_brute_force(self, name, n, members,
+                                            monkeypatch):
         sv = SparseBitVector.from_positions(n, members)
+        select = succinct.select
 
-        def no_select1(j):
-            raise AssertionError("select0 must not search with select1")
+        def zeros_only(*args):
+            assert args[5:] == (True,), "select0 must not search with select1"
+            return select(*args)
 
-        sv._high.select1 = no_select1
+        monkeypatch.setattr(succinct, "select", zeros_only)
         memberset = set(members)
         zeros = [p for p in range(1, n + 1) if p not in memberset]
         assert [sv.select0(j) for j in range(1, len(zeros) + 1)] == zeros
         for j in (0, len(zeros) + 1):
             with pytest.raises(ValueError):
                 sv.select0(j)
-        del sv._high.select1
+        monkeypatch.undo()
         for start in range(1, len(zeros) + 1, max(1, len(zeros) // 37)):
             assert list(sv.zeros(start)) == zeros[start - 1:]
         assert list(sv.zeros(len(zeros) + 1)) == []
@@ -278,3 +284,107 @@ class TestPackedIntArray:
             pa[3]
         with pytest.raises(IndexError):
             pa[-1]
+
+
+# lengths on both sides of a word and of a 512-bit superblock
+EDGE_LENGTHS = [0, 1, 63, 64, 65, 511, 512, 513, 1100]
+
+
+def edge_bitmaps():
+    """0/1 arrays of every edge length: empty, all zeros, all ones, one
+    bit at each end, and random ones."""
+    rng = np.random.default_rng(88)
+    for n in EDGE_LENGTHS:
+        ends = np.zeros(n, dtype=np.uint8)
+        ends[[0, -1] if n else []] = 1
+        yield from (np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8),
+                    ends, (rng.random(n) < 0.3).astype(np.uint8))
+
+
+def check_bitmap(bv, bits):
+    cum, ones, zeros = brute(bits)
+    assert len(bv) == len(bits) and bv.count_ones == len(ones)
+    assert [bv.rank1(i) for i in range(len(bits) + 1)] == list(cum)
+    assert [bv.access(i) for i in range(1, len(bits) + 1)] == list(bits)
+    assert [bv.select1(j) for j in range(1, len(ones) + 1)] == ones
+    assert [bv.select0(j) for j in range(1, len(zeros) + 1)] == zeros
+    assert list(bv.ones()) == ones and list(bv.zeros()) == zeros
+    for j in (0, len(ones) + 1):
+        with pytest.raises(ValueError):
+            bv.select1(j)
+
+
+def check_sparse(sv, n, members):
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[np.asarray(members, dtype=np.int64) - 1] = 1
+    cum, ones, zeros = brute(bits)
+    assert len(sv) == n and sv.count_ones == len(ones)
+    assert [sv.rank1(i) for i in range(n + 1)] == list(cum)
+    assert [sv.access(i) for i in range(1, n + 1)] == list(bits)
+    assert [sv.select1(j) for j in range(1, len(ones) + 1)] == ones
+    assert [sv.select0(j) for j in range(1, len(zeros) + 1)] == zeros
+    assert list(sv.ones()) == ones and list(sv.zeros()) == zeros
+
+
+def edge_sets():
+    """(n, members): no members, every position a member, the two ends,
+    runs filling whole buckets, and random members."""
+    rng = np.random.default_rng(89)
+    for n in EDGE_LENGTHS[1:]:
+        yield n, []
+        yield n, list(range(1, n + 1))
+        yield n, sorted({1, n})
+        yield n, sorted(rng.choice(n, size=max(1, n // 12), replace=False) + 1)
+    yield 2000, list(range(1, 130))
+
+
+class TestPoolBoundaries:
+    """Structures alone in a pool and as neighbours in one shared pool,
+    where each starts on a word boundary after the others."""
+
+    def test_bitmaps_alone_and_in_one_pool(self):
+        cases = list(edge_bitmaps())
+        w = Writer()
+        for bits in cases:
+            w.bits(bits)
+        pb = PoolBuilder()
+        r = Reader(w)
+        placed = [(pb.bitmap(r, len(bits)), bits) for bits in cases]
+        r.end()
+        pool = pb.bit_pool()
+        for (base, ones, count), bits in placed:
+            assert count == int(bits.sum())
+            check_bitmap(BitVector(pool, base, len(bits), ones, count), bits)
+            check_bitmap(BitVector.from_bits(bits), bits)
+
+    def test_sparse_sets_alone_and_in_one_pool(self):
+        cases = list(edge_sets())
+        w = Writer()
+        for n, members in cases:
+            write_sparse(w, n, members)
+        pb = PoolBuilder()
+        r = Reader(w)
+        fields = []
+        for n, members in cases:
+            fields.append(pb.sparse(r, n, len(members)))
+            if len(fields) > 1:  # the previous set ends where this begins
+                fields[-2] += (fields[-1][0],)
+        fields[-1] += (pb.bit_base(),)
+        r.end()
+        pool, words = pb.bit_pool(), pb.word_pool()
+        for (n, members), f in zip(cases, fields):
+            check_sparse(SparseBitVector(pool, words, f, 0, len(members)), n,
+                         members)
+            check_sparse(SparseBitVector.from_positions(n, members), n, members)
+
+    @pytest.mark.parametrize("values", [[], [0], [0, 0, 0], [5], [0, 7, 0],
+                                        list(range(64)), [1] * 513])
+    def test_unary_streams_empty_or_all_zero(self, values):
+        expect = np.concatenate([[0], np.cumsum(values, dtype=np.int64)])
+        for st_ in (UnaryDeltaStream.from_values(values),
+                    round_trip(UnaryDeltaStream.from_values(values), len(values))):
+            assert st_.total == expect[-1]
+            assert [st_.prefix_sum(i) for i in range(len(values) + 1)] == \
+                list(expect)
+            assert list(st_.prefix_iter()) == list(expect)
+            assert list(st_.prefix_iter(len(values))) == [expect[-1]]
