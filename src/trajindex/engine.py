@@ -18,14 +18,16 @@ import numpy as np
 
 from trajindex.log import (
     LOG_FIELDS,
+    X_AXIS,
+    Y_AXIS,
     TrajectoryLog,
     data_count,
     ordinal_range,
     position_at,
     read_fields,
-    write_log,
 )
-from trajindex.mbrtree import Mbr, MbrTree, TraversalStats, read_tree, write_tree
+from trajindex.encoder import encode, lay_out
+from trajindex.mbrtree import Mbr, MbrTree, TraversalStats, read_tree
 from trajindex.snapshot import Region, Snapshot, expanded_region
 from trajindex.succinct import (
     U32_MAX,
@@ -295,22 +297,21 @@ class TrajectoryIndex:
         ids = self._object_ids
         w = _header(self.extent, self.horizon, self.period, self.leaf_capacity,
                     self.sample_count, self.max_speed, ids)
-        sizes = dict.fromkeys(("snapshots", "logs", "trees"), 0)
+        f = np.frombuffer(self._records, dtype=np.uint32).reshape(
+            -1, _RECORD.size // 4).astype(np.int64)
+        logs, log_at, tree_at = lay_out(*_runs(f, self._bits.words,
+                                               self._words))
+        present = np.frombuffer(self._rows, dtype=np.int32).reshape(
+            len(self._snapshots), len(ids)) >= 0
+        first = np.append(0, np.cumsum(present.sum(axis=1)))
+        sizes = {"snapshots": 0, "logs": int((tree_at - log_at[:-1]).sum()),
+                 "trees": int((log_at[1:] - tree_at).sum())}
         for p, snap in enumerate(self._snapshots):
             mark = len(w)
             snap.write(w)
             sizes["snapshots"] += len(w) - mark
-            rows = self._rows[p * len(ids):(p + 1) * len(ids)]
-            w.bits([row >= 0 for row in rows])
-            for oid, row in zip(ids.tolist(), rows):
-                if row < 0:
-                    continue
-                f = self._fields(row)
-                for part, name in ((self._log(f, oid, p * self.period), "logs"),
-                                   (self._tree(f), "trees")):
-                    mark = len(w)
-                    part.write(w)
-                    sizes[name] += len(w) - mark
+            w.bits(present[p])
+            w += logs[log_at[first[p]]:log_at[first[p + 1]]]
         return _framed(w), sizes
 
     @classmethod
@@ -373,6 +374,30 @@ def _header(extent, horizon, period, leaf_capacity, sample_count, max_speed,
           len(ids))
     w.u32s(ids)
     return w
+
+
+def _runs(f: np.ndarray, bits: array, words: array):
+    """`lay_out`'s arguments for the logs whose records are the rows of f,
+    in file order.  Each run of pieces is a chunk of the word pool (lows
+    or tree diffs), then one of the bit pool (gap maps, sign and high
+    bits); `lay_out` reads both pools' words back to back.  Per axis a
+    (see `log`), the sign bits start at f[a] and the up and down streams'
+    sparse sets at f[a + 2] and f[a + 7]: high bits' first word, then at
+    + 2 their lows' first word and at + 4 the stream's total."""
+    pools = Writer()
+    pools.words(bits)
+    pools.words(words)
+    x, y = X_AXIS + 2, Y_AXIS + 2  # each axis' up set; its down set is 5 on
+    word_from = np.where(f[:, 3] == 1, f[:, 6], f[:, x + 2])
+    word_cuts = np.column_stack((
+        word_from, f[:, [x + 2, x + 7, y + 2, y + 7, _TREE]],
+        np.append(word_from, len(words))[1:]))
+    bit_cuts = f[:, [4, x, x + 5, y, y + 5, _TREE - 1, _TREE - 1]]
+    at = 8 * np.stack((word_cuts[:, :-1] + len(bits), bit_cuts[:, :-1]), axis=2)
+    size = 8 * np.stack((np.diff(word_cuts), np.diff(bit_cuts)), axis=2)
+    fields = [0, 1, 2, x + 4, x + 9, y + 4, y + 9, _ROOT + 4,
+              *range(_ROOT, _ROOT + 4)]
+    return f[:, fields], at, size, bytes(pools)
 
 
 def _framed(body: Writer) -> bytes:
@@ -453,36 +478,39 @@ def build_index(samples, period: int, leaf_capacity: int,
     elif max_speed < computed:
         raise ValueError(
             f"declared speed {max_speed} below observed rate {computed}")
-    # one group per (object, period): its first row goes to the snapshot,
-    # as an entrant unless it sits at the period start; the rest is a log
+    # one group per (object, period), in file order: its first row goes to
+    # the snapshot, as an entrant unless it sits at the period start; the
+    # rest is a log
     ks = ts - ts % period
     starts = np.flatnonzero(np.r_[True, (oids[1:] != oids[:-1])
                                   | (ks[1:] != ks[:-1])])
     ends = np.r_[starts[1:], len(rows)]
-    snapped = [[] for _ in range(0, horizon, period)]
-    entrants = [set() for _ in snapped]
-    logged = [[] for _ in snapped]
     order = np.lexsort((oids[starts], ks[starts]))
-    for s, e in zip(starts[order].tolist(), ends[order].tolist()):
-        oid, t, x, y = rows[s].tolist()
-        i = t // period
-        snapped[i].append((oid, x, y))
-        if t != i * period:
-            entrants[i].add(oid)
-        else:
-            s += 1
-        if s < e:
-            logged[i].append((oid, s, e))
+    starts, ends = starts[order], ends[order]
+    k = ks[starts]
+    entrant = ts[starts] != k
+    logged_from = starts + ~entrant
+    logged = logged_from < ends
+    count = (ends - logged_from)[logged]
+    first_rows = np.cumsum(count) - count
+    take = np.repeat(logged_from[logged] - first_rows, count) + np.arange(
+        count.sum())
+    logs, log_at, _ = lay_out(*encode(*rows[take, 1:].T, first_rows,
+                                      k[logged], period, leaf_capacity))
     # the file, written straight from the columns, is then loaded
     ids = np.unique(oids).astype(np.uint32)
     w = _header(extent, horizon, period, leaf_capacity, len(rows), max_speed,
                 ids)
-    for i, at_k in enumerate(snapped):
-        k = i * period
-        Snapshot.build(at_k, k, extent, entrants[i]).write(w)
+    group_at = np.searchsorted(k, range(0, horizon + period, period))
+    logs_before = np.append(0, np.cumsum(logged))
+    for i in range(len(group_at) - 1):
+        at_k = slice(group_at[i], group_at[i + 1])
+        snap_oids, _, xs, ys = rows[starts[at_k]].T
+        Snapshot.build(zip(snap_oids.tolist(), xs.tolist(), ys.tolist()),
+                       i * period, extent,
+                       set(snap_oids[entrant[at_k]].tolist())).write(w)
         w.bits(bits_at(len(ids), np.searchsorted(
-            ids, [oid for oid, _, _ in logged[i]]) + 1))
-        for _, s, e in logged[i]:
-            write_log(w, rows[s:e, 1:], k, period)
-            write_tree(w, rows[s:e, 2], rows[s:e, 3], leaf_capacity)
+            ids, snap_oids[logged[at_k]]) + 1))
+        w += logs[log_at[logs_before[group_at[i]]]:
+                  log_at[logs_before[group_at[i + 1]]]]
     return TrajectoryIndex.from_bytes(_framed(w))

@@ -21,6 +21,7 @@ from itertools import count
 
 import numpy as np
 
+from trajindex.encoder import SPARSE_GAP_DENSITY, standalone
 from trajindex.succinct import (
     BitPool,
     BitVector,
@@ -39,12 +40,7 @@ from trajindex.succinct import (
     sparse_select1,
     unary_prefixes,
     write_sparse,
-    write_unary,
 )
-
-# below this fraction of missing instants the gap bitmap goes to the
-# compressed representation
-_SPARSE_GAP_DENSITY = 0.10
 
 # A log's fields, in file order (see `succinct` for a sparse set's six):
 #   0 first, 1 last, 2 gap count, 3 whether the gap map is sparse;
@@ -65,7 +61,7 @@ def _read_window(r: Reader, pb: PoolBuilder) -> tuple[int, ...]:
     if first < 1 or last < first or gaps > last - first:
         raise ValueError(f"bad time window {first}..{last} with {gaps} gaps")
     length = last - first + 1
-    if gaps < _SPARSE_GAP_DENSITY * length:
+    if gaps < SPARSE_GAP_DENSITY * length:
         return (first, last, gaps, 1, *pb.sparse(r, length, gaps))
     base, ones, found = pb.bitmap(r, length)
     if found != gaps:
@@ -167,8 +163,13 @@ class TimeIndex:
         """A window of its own, in private pools."""
         if first < 1 or last < first:
             raise ValueError("bad window bounds")
+        length = last - first + 1
         w = WideWriter()
-        _write_window(w, first, last, np.asarray(gaps, dtype=np.int64))
+        w.u32(first, last, len(gaps))
+        if len(gaps) < SPARSE_GAP_DENSITY * length:
+            write_sparse(w, length, gaps)
+        else:
+            w.bits(bits_at(length, gaps))
         self._bits, self._words, self._f = _read_standalone(w.reader())
 
     @classmethod
@@ -385,18 +386,9 @@ class TrajectoryLog:
         return cls(pb.bit_pool(), pb.word_pool(), f, object_id, start, period)
 
 
-def _write_window(w: Writer, first: int, last: int, gaps: np.ndarray) -> None:
-    length = last - first + 1
-    w.u32(first, last, len(gaps))
-    if len(gaps) < _SPARSE_GAP_DENSITY * length:
-        write_sparse(w, length, gaps)
-    else:
-        w.bits(bits_at(length, gaps))
-
-
-def write_log(w: Writer, samples, start: int, period: int) -> None:
-    """Encode a log of (instant, x, y) rows sorted by instant, given as an
-    (n, 3) array or a sequence of triples.
+def build_log(samples, start: int, period: int, object_id: int = 0) -> TrajectoryLog:
+    """A log of its own over (instant, x, y) rows sorted by instant, given
+    as an (n, 3) array or a sequence of triples.
 
     Instants are global and must fall in start+1 .. start+period-1; the
     instant at start itself is snapshot territory.
@@ -404,26 +396,5 @@ def write_log(w: Writer, samples, start: int, period: int) -> None:
     rows = np.asarray(samples, dtype=np.int64).reshape(-1, 3)
     if not len(rows):
         raise ValueError("a log needs at least one sample")
-    ts, xs, ys = rows.T
-    if (ts[1:] <= ts[:-1]).any():
-        raise ValueError("instants must be strictly increasing")
-    if ts[0] < start + 1 or ts[-1] > start + period - 1:
-        raise ValueError(
-            f"instants must lie in {start + 1}..{start + period - 1}")
-    local = ts - start
-    first, last = int(local[0]), int(local[-1])
-    present = np.zeros(last - first + 1, dtype=bool)
-    present[local - first] = True
-    _write_window(w, first, last, np.flatnonzero(~present) + 1)
-    for deltas in (np.diff(xs, prepend=0), np.diff(ys, prepend=0)):
-        nonneg = deltas >= 0
-        w.bits(nonneg)
-        write_unary(w, deltas[nonneg])
-        write_unary(w, -deltas[~nonneg])
-
-
-def build_log(samples, start: int, period: int, object_id: int = 0) -> TrajectoryLog:
-    """A log of its own over (instant, x, y) rows, as `write_log` takes them."""
-    w = WideWriter()
-    write_log(w, samples, start, period)
-    return TrajectoryLog.read(w.reader(), object_id, start, period)
+    r = standalone(*rows.T, start, period, len(rows))
+    return TrajectoryLog.read(r, object_id, start, period)

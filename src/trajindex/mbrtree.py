@@ -19,16 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trajindex.log import TrajectoryLog
+from trajindex.encoder import standalone
+from trajindex.log import TrajectoryLog, read_fields
 from trajindex.succinct import (
     U32_MAX,
     PackedIntArray,
     PoolBuilder,
     Reader,
-    WideWriter,
     Writer,
     packed_get,
-    write_packed,
 )
 
 
@@ -302,9 +301,6 @@ def read_tree(r: Reader, pb: PoolBuilder, data_count: int,
     return (*root, width)
 
 
-_PAD = 1 << 40  # a padded node's box: above any storable coordinate
-
-
 def _leaf_count(n: int, leaf_capacity: int) -> int:
     # leaves for n ordinals, padded to a power of two
     leaves_needed = (n + leaf_capacity - 1) // leaf_capacity
@@ -318,21 +314,9 @@ def build_mbr_tree(log: TrajectoryLog, leaf_capacity: int) -> MbrTree:
 
 
 def build_mbr_tree_xy(xs, ys, leaf_capacity: int) -> MbrTree:
-    """A tree of its own over x and y columns, as `write_tree` takes them."""
-    w = WideWriter()
-    write_tree(w, xs, ys, leaf_capacity)
-    return MbrTree.read(w.reader(), len(xs), leaf_capacity)
-
-
-def write_tree(w: Writer, xs, ys, leaf_capacity: int) -> None:
-    """Encode the tree over the positions of one log, given as x and y
-    columns in ordinal order.
-
-    Each box is kept as (xmin, -xmax, ymin, -ymax), so a parent is the
-    elementwise minimum of its two children and every diff is child less
-    parent.  Padded leaves hold a value above any coordinate, which the
-    minimum never picks over a real child; their diffs are stored as 0.
-    """
+    """A tree of its own over the positions of one log, given as x and y
+    columns in ordinal order: the encoder's tree over a log of those
+    positions at instants 1, 2, ...  Its root box must be storable."""
     if leaf_capacity < 1:
         raise ValueError("leaf capacity must be positive")
     n = len(xs)
@@ -340,26 +324,10 @@ def write_tree(w: Writer, xs, ys, leaf_capacity: int) -> None:
         raise ValueError("cannot build a tree over an empty log")
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
-    leaf_count = _leaf_count(n, leaf_capacity)
-    starts = np.arange(0, n, leaf_capacity)
-    boxes = np.full((2 * leaf_count, 4), _PAD, dtype=np.int64)
-    leaves = boxes[leaf_count:leaf_count + len(starts)]
-    leaves[:, 0] = np.minimum.reduceat(xs, starts)
-    leaves[:, 1] = -np.maximum.reduceat(xs, starts)
-    leaves[:, 2] = np.minimum.reduceat(ys, starts)
-    leaves[:, 3] = -np.maximum.reduceat(ys, starts)
-    h = leaf_count
-    while h > 1:
-        h //= 2
-        np.minimum(boxes[2 * h:4 * h:2], boxes[2 * h + 1:4 * h:2],
-                   out=boxes[h:2 * h])
-    xmin, xmax, ymin, ymax = (int(v) for v in boxes[1] * (1, -1, 1, -1))
-    if min(xmin, ymin) < 0 or max(xmax, ymax) > U32_MAX:
-        raise ValueError(f"box {Mbr(xmin, xmax, ymin, ymax)} cannot be stored: "
+    root = Mbr(int(xs.min()), int(xs.max()), int(ys.min()), int(ys.max()))
+    if min(root.xmin, root.ymin) < 0 or max(root.xmax, root.ymax) > U32_MAX:
+        raise ValueError(f"box {root} cannot be stored: "
                          f"coordinates must lie in 0..{U32_MAX}")
-    diffs = boxes[2:] - boxes[1:leaf_count].repeat(2, axis=0)
-    diffs[boxes[2:, 0] == _PAD] = 0
-    width = max(1, int(diffs.max(initial=0)).bit_length())
-    w.u32(width, xmin, xmax, ymin, ymax)
-    write_packed(w, diffs[:, :2].ravel(), width)
-    write_packed(w, diffs[:, 2:].ravel(), width)
+    r = standalone(np.arange(1, n + 1), xs, ys, 0, n + 1, leaf_capacity)
+    read_fields(r, PoolBuilder())  # the log comes first
+    return MbrTree.read(r, n, leaf_capacity)

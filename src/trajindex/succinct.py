@@ -458,6 +458,75 @@ def unary_prefixes(pool: BitPool, words: array, f, s: int, m: int, start: int):
 
 
 # --------------------------------------------------------------- encoders
+#
+# The array encoders work on many structures at once, as the fleet
+# encoder (`trajindex.encoder`) needs them: a value belongs to a group (a
+# structure) and has a rank in it, and every per-group number is one array
+# operation.  The `write_*` encoders write one standalone structure.
+
+_POW2 = np.uint64(1) << np.arange(63, dtype=np.uint64)
+
+
+def ranks(counts) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, back to back."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    out = np.arange(ends[-1] if len(ends) else 0)
+    out -= np.repeat(ends - counts, counts)
+    return out
+
+
+def bit_lengths(values) -> np.ndarray:
+    """`int.bit_length` of each non-negative int64 value."""
+    return np.searchsorted(_POW2, np.asarray(values).astype(np.uint64),
+                           side="right").astype(np.int64)
+
+
+def elias_fano(n, m):
+    """The low widths and high-bit lengths of sparse sets of m[g] members
+    over [1, n[g]], as `write_sparse` makes them for one set; every number
+    fits an int64."""
+    low_width = np.where(m > 0, np.maximum(
+        bit_lengths(n // np.maximum(m, 1)) - 1, 0), 0)
+    return low_width, np.where(m > 0, m + ((n - 1) >> low_width) + 1, 0)
+
+
+_SLICE = 1 << 16  # values a PieceBuffer packs at a time
+
+
+class PieceBuffer:
+    """Word-aligned pieces, a fixed number per group, laid out group after
+    group in one bit buffer: piece j of group g fills words
+    `starts[g, j]` .. `ends[g, j] - 1`, given the bit lengths of all."""
+
+    def __init__(self, lengths: np.ndarray):
+        words = (lengths + 63) >> 6
+        self.ends = np.cumsum(words.ravel()).reshape(words.shape)
+        self.starts = self.ends - words
+        self._bits = np.zeros(64 * int(self.ends.max(initial=0)), dtype=np.uint8)
+
+    def ones(self, piece: int, group, at) -> None:
+        """Set bit `at` (from 0) of the piece in each group listed."""
+        self._bits[64 * self.starts[group, piece] + at] = 1
+
+    def packed(self, piece: int, group, rank, values, widths) -> None:
+        """Write each non-negative int64 value at its rank in the piece of
+        its group, at the group's width in `widths`, least significant
+        bit first."""
+        for i in range(0, len(values), _SLICE):  # small per-bit arrays
+            part = slice(i, i + _SLICE)
+            width = widths[group[part]]
+            bit = ranks(width)
+            on = np.repeat(values[part], width)
+            on >>= bit
+            at = np.repeat(64 * self.starts[group[part], piece]
+                           + rank[part] * width, width)
+            at += bit
+            self._bits[at[on & 1 == 1]] = 1
+
+    def tobytes(self) -> bytes:
+        return np.packbits(self._bits, bitorder="little").tobytes()
+
 
 def bits_at(n: int, positions) -> np.ndarray:
     """n bits as 0/1 bytes, set at the 1-based positions given."""

@@ -3,11 +3,17 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from trajindex.mbrtree import Mbr
 from trajindex.succinct import Reader, Writer
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# `--hypothesis-profile=ci` runs five times the default examples in the
+# tests that leave their count to the profile, the encoder-equality ones
+# among them; tests that set their own count keep it
+settings.register_profile("ci", max_examples=500)
 
 # acceptance tests append their verdict lines here; the summary hook prints
 # them after the run, outside pytest's output capture

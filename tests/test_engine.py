@@ -376,12 +376,22 @@ class TestSerialization:
             60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 61222,
             "2981437ef2234270b3823bb15f81cd06b28172d6d43df59dd6474be4309e328b",
             id="dense-gaps"),
+        pytest.param(
+            120, 80, 7, {"drop_rate": 0.05}, 39198,
+            "b58a7e3c250431fd7b31c4094d75ca5fd9044d35823b2edf8cd919b1550a4848",
+            id="range-shape"),
+        pytest.param(
+            720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 26966,
+            "63941951cd9f6ba018d5a505871be57f1080b283caba57bcb7767d2d0475221b",
+            id="lookup-shape"),
     ])
     def test_bytes_match_recorded_digest(self, period, leaf, seed, kwargs,
                                          size, digest):
         # the file format is frozen: these digests were recorded when the
         # format moved to version 3; the first fleet has sparse gap maps in
-        # every log, the second mostly dense ones
+        # every log, the second mostly dense ones; the last two have the
+        # periods and leaf capacities of the two perfbench workloads, and
+        # were recorded with the per-log encoder the fleet-wide one replaced
         fleet = make_fleet(12, 1500, (256, 256), seed, **kwargs)
         blob = build_index(fleet.rows(), period, leaf, fleet.extent,
                            horizon=fleet.horizon).to_bytes()

@@ -13,7 +13,6 @@ from trajindex.log import (
     TrajectoryLog,
     build_log,
     read_fields,
-    write_log,
 )
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region
@@ -345,7 +344,7 @@ class TestPooledLogs:
     def test_neighbours_in_one_pool(self):
         w = Writer()
         for _, period, rows in self.CASES:
-            write_log(w, rows, 0, period)
+            build_log(rows, 0, period).write(w)
         r = Reader(w)
         pb = PoolBuilder()
         fields = [read_fields(r, pb) for _ in self.CASES]
