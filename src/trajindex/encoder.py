@@ -3,17 +3,17 @@ tree, in one pass over the build's columns.
 
 A build hands over its fixes as three columns, instant, x and y, log after
 log in file order, with the first row and the period start of each log.
-Every per-log number (window, gap count and gap-map kind, sign counts,
-stream totals, Elias-Fano low widths and high lengths, leaf counts, root
-boxes, diff widths) is one array operation over all logs, and every
-word-aligned piece of every log and tree is set in one bit buffer, packed
-once.  `lay_out` then puts each log's u32 fields between its pieces, in
-file order.  A standalone log or tree is the same encoding of one log.
+Every per-log number (window, gap count, sign counts, stream totals,
+Elias-Fano low widths and high lengths, leaf counts, root boxes, diff
+widths) is one array operation over all logs, and every word-aligned
+piece of every log and tree is set in one bit buffer, packed once.
+`lay_out` then puts each log's u32 fields between its pieces, in file
+order.  A standalone log or tree is the same encoding of one log.
 
 A log and its tree on file, in the order `log.read_fields` and
 `mbrtree.read_tree` read them:
-  u32 first and last local instant, gap count; the gap map (sparse: its
-  lows and high bits; dense: one bit per window instant);
+  u32 first and last local instant, gap count; the gap map, the sparse
+  set of the window's gaps: its lows, then its high bits;
   per axis: the sign bits, then for the non-negative and the negative
   steps' unary stream: u32 total, lows, high bits;
   u32 diff width, root box xmin, xmax, ymin, ymax; the x diffs, the y
@@ -32,10 +32,6 @@ from trajindex.succinct import (
     elias_fano,
     ranks,
 )
-
-# below this fraction of missing instants the gap map goes to the sparse
-# representation
-SPARSE_GAP_DENSITY = 0.10
 
 # A log's pieces in file order: the gap map's lows and bits, per axis
 # (from _X or _Y) the sign bits and each stream's lows and high bits, then
@@ -92,10 +88,8 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
     window = last - first + 1
     gaps = window - count
     u32s[:, 0], u32s[:, 1], u32s[:, 2] = first, last, gaps
-    sparse = gaps < SPARSE_GAP_DENSITY * window
-    gap_width, gap_high = elias_fano(window, gaps)
-    lengths[:, _GAP_LOWS] = np.where(sparse, gaps * gap_width, 0)
-    lengths[:, _GAP_BITS] = np.where(sparse, gap_high, window)
+    gap_width, lengths[:, _GAP_BITS] = elias_fano(window, gaps)
+    lengths[:, _GAP_LOWS] = gaps * gap_width
 
     # per axis, the sign of each step, then a unary stream of the
     # magnitudes of the non-negative and one of the negative steps; the
@@ -169,11 +163,9 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
     gap_at = np.repeat(offset[:-1], skipped) + ranks(skipped) + 1
     gap_log = np.repeat(log[1:], skipped)
     gap_rank = ranks(gaps)
-    on = sparse[gap_log]
-    lows, highs = _halves(gap_width, gap_log[on], gap_rank[on], gap_at[on])
-    buf.packed(_GAP_LOWS, gap_log[on], gap_rank[on], lows, gap_width)
-    buf.ones(_GAP_BITS, gap_log[on], highs)
-    buf.ones(_GAP_BITS, gap_log[~on], gap_at[~on])
+    lows, highs = _halves(gap_width, gap_log, gap_rank, gap_at)
+    buf.packed(_GAP_LOWS, gap_log, gap_rank, lows, gap_width)
+    buf.ones(_GAP_BITS, gap_log, highs)
     for piece, up in signs:
         rise = np.flatnonzero(up)
         buf.ones(piece, log[rise], ordinal[rise])

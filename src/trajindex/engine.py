@@ -41,7 +41,7 @@ from trajindex.succinct import (
 )
 
 _MAGIC = b"CTCT"
-_VERSION = 3
+_VERSION = 4
 _PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
 _CRC_AT = 6  # offset of the CRC field, which the CRC skips
 # one record per log: its fields, then its tree's root box and diff width;
@@ -357,9 +357,11 @@ class TrajectoryIndex:
             raise ValueError("the snapshots do not hold exactly the listed objects")
         rows = np.full(len(snapshots) * nobj, -1, dtype=np.int32)
         rows[np.frombuffer(slots, dtype=np.int64)] = np.arange(len(slots))
+        # records[:] is an exact copy: growing by extend leaves up to a
+        # sixteenth of the table unused
         return cls(period, leaf_capacity, (w, h), horizon, max_speed,
                    sample_count, object_ids, snapshots, pb.bit_pool(),
-                   pb.word_pool(), records, array("i", rows.tobytes()))
+                   pb.word_pool(), records[:], array("i", rows.tobytes()))
 
     @classmethod
     def load(cls, path) -> "TrajectoryIndex":
@@ -379,20 +381,19 @@ def _header(extent, horizon, period, leaf_capacity, sample_count, max_speed,
 def _runs(f: np.ndarray, bits: array, words: array):
     """`lay_out`'s arguments for the logs whose records are the rows of f,
     in file order.  Each run of pieces is a chunk of the word pool (lows
-    or tree diffs), then one of the bit pool (gap maps, sign and high
-    bits); `lay_out` reads both pools' words back to back.  Per axis a
-    (see `log`), the sign bits start at f[a] and the up and down streams'
-    sparse sets at f[a + 2] and f[a + 7]: high bits' first word, then at
-    + 2 their lows' first word and at + 4 the stream's total."""
+    or tree diffs), then one of the bit pool (high and sign bits); `lay_out`
+    reads both pools' words back to back.  The gap map's sparse set starts
+    at f[3]; per axis a (see `log`), the sign bits start at f[a] and the up
+    and down streams' sparse sets at f[a + 2] and f[a + 7].  Each sparse
+    set's fields (see `succinct`) begin with its high bits' first word;
+    its lows' first word is 2 on, and a stream's total 4 on."""
     pools = Writer()
     pools.words(bits)
     pools.words(words)
     x, y = X_AXIS + 2, Y_AXIS + 2  # each axis' up set; its down set is 5 on
-    word_from = np.where(f[:, 3] == 1, f[:, 6], f[:, x + 2])
-    word_cuts = np.column_stack((
-        word_from, f[:, [x + 2, x + 7, y + 2, y + 7, _TREE]],
-        np.append(word_from, len(words))[1:]))
-    bit_cuts = f[:, [4, x, x + 5, y, y + 5, _TREE - 1, _TREE - 1]]
+    word_cuts = np.column_stack((f[:, [5, x + 2, x + 7, y + 2, y + 7, _TREE]],
+                                 np.append(f[:, 5], len(words))[1:]))
+    bit_cuts = f[:, [3, x, x + 5, y, y + 5, _TREE - 1, _TREE - 1]]
     at = 8 * np.stack((word_cuts[:, :-1] + len(bits), bit_cuts[:, :-1]), axis=2)
     size = 8 * np.stack((np.diff(word_cuts), np.diff(bit_cuts)), axis=2)
     fields = [0, 1, 2, x + 4, x + 9, y + 4, y + 9, _ROOT + 4,

@@ -2,11 +2,12 @@
 
 A log covers one object inside one period of length d starting at instant
 k.  Local instants run 1..d-1 (instant k itself belongs to the snapshot
-layer).  The log stores the window [first, last] that actually has data, a
-bitmap marking instants inside the window with no sample, and per axis a
-sign bitmap plus two unary streams holding the magnitudes of non-negative
-and negative steps.  The first step is the absolute coordinate, so a
-prefix-sum difference of the two streams reconstructs any position.
+layer).  The log stores the window [first, last] that actually has data,
+the sparse set of the instants inside the window with no sample, and per
+axis a sign bitmap plus two unary streams holding the magnitudes of
+non-negative and negative steps.  The first step is the absolute
+coordinate, so a prefix-sum difference of the two streams reconstructs
+any position.
 
 A log lives in two pools (see `succinct`): its bitmaps back to back in a
 bit pool, in file order, and its packed lows in a word pool.  A tuple of
@@ -21,7 +22,7 @@ from itertools import count
 
 import numpy as np
 
-from trajindex.encoder import SPARSE_GAP_DENSITY, standalone
+from trajindex.encoder import standalone
 from trajindex.succinct import (
     BitPool,
     BitVector,
@@ -31,10 +32,7 @@ from trajindex.succinct import (
     UnaryDeltaStream,
     WideWriter,
     Writer,
-    access,
-    bits_at,
     rank1,
-    select,
     sparse_search,
     sparse_select0,
     sparse_select1,
@@ -43,82 +41,61 @@ from trajindex.succinct import (
 )
 
 # A log's fields, in file order (see `succinct` for a sparse set's six):
-#   0 first, 1 last, 2 gap count, 3 whether the gap map is sparse;
-#   4..8 the gap map as a sparse set over the window, or, when dense, its
-#        bits' first word, the ones before them, two unused fields and,
-#        like the sparse set, the data count;
-#   9..20, then 21..32, the x and the y axis: the sign bits' first word,
+#   0 first, 1 last, 2 gap count;
+#   3..7 the gap map, the sparse set of the gaps over the window, whose
+#        fifth field, 7, is the data count;
+#   8..19, then 20..31, the x and the y axis: the sign bits' first word,
 #        the ones before them, then the sparse sets of the non-negative and
 #        of the negative stream's sums;
-#   33 the word after the last bitmap, 34 the word pool's next word.
+#   32 the word after the last bitmap, 33 the word pool's next word.
 # The words of each bitmap end where the next one's begin.
-X_AXIS, Y_AXIS = 9, 21
-LOG_FIELDS = 35
+X_AXIS, Y_AXIS = 8, 20
+LOG_FIELDS = 34
 
 
 def _read_window(r: Reader, pb: PoolBuilder) -> tuple[int, ...]:
     first, last, gaps = r.u32(), r.u32(), r.u32()
     if first < 1 or last < first or gaps > last - first:
         raise ValueError(f"bad time window {first}..{last} with {gaps} gaps")
-    length = last - first + 1
-    if gaps < SPARSE_GAP_DENSITY * length:
-        return (first, last, gaps, 1, *pb.sparse(r, length, gaps))
-    base, ones, found = pb.bitmap(r, length)
-    if found != gaps:
-        raise ValueError(f"gap bitmap holds {found} of {gaps} gaps")
-    return first, last, gaps, 0, base, ones, 0, 0, length - gaps
+    return (first, last, gaps, *pb.sparse(r, last - first + 1, gaps))
 
 
 def read_fields(r: Reader, pb: PoolBuilder) -> tuple[int, ...]:
     """Copy the log r holds next into pb's pools; its fields."""
     f = _read_window(r, pb)
+    # the axes are joined apart from the window's eight fields: CPython
+    # 3.11 puts a freed 20-tuple on its free list but never takes one off,
+    # so a 20-field tuple per log would stay allocated
+    axes = ()
     for _ in (X_AXIS, Y_AXIS):
-        base, ones, m = pb.bitmap(r, f[8])
-        f += (base, ones, *pb.stream(r, m), *pb.stream(r, f[8] - m))
-    return f + (pb.bit_base(), pb.word_base())
+        base, ones, m = pb.bitmap(r, f[7])
+        axes += (base, ones, *pb.stream(r, m), *pb.stream(r, f[7] - m))
+    return f + axes + (pb.bit_base(), pb.word_base())
 
 
 def data_count(f) -> int:
     """Instants with data in the log with fields f."""
-    return f[8]
+    return f[7]
 
 
 def _gaps_upto(bits, words, f, off):
-    if not f[2]:
-        return 0
-    if f[3]:
-        return sparse_search(bits, words, f, 4, off)[0]
-    return rank1(bits, f[4], f[5], off)
+    return sparse_search(bits, words, f, 3, off)[0] if f[2] and off else 0
 
 
 def _ordinal(bits, words, f, off):
-    # data ordinal at window offset off, None at a gap: the sparse map
-    # answers rank and membership from one bucket search, the dense one
-    # reads the bit and ranks only when the instant has data
+    # data ordinal at window offset off, None at a gap: one bucket search
+    # of the gap map answers rank and membership
     if not f[2]:
         return off
-    if f[3]:
-        gaps, gap = sparse_search(bits, words, f, 4, off)
-        return None if gap else off - gaps
-    if access(bits, f[4], off):
-        return None
-    return off - rank1(bits, f[4], f[5], off)
-
-
-def _data_offset(bits, words, f, j):
-    # window offset of the j-th instant with data
-    if not f[2]:
-        return j
-    if f[3]:
-        return sparse_select0(bits, words, f, 4, f[2], j)
-    return select(bits, f[4], f[X_AXIS], f[5], j, True)
+    gaps, gap = sparse_search(bits, words, f, 3, off)
+    return None if gap else off - gaps
 
 
 def _count_upto(bits, words, f, i):
     if i < f[0]:
         return 0
     if i >= f[1]:
-        return f[8]
+        return f[7]
     return i - f[0] + 1 - _gaps_upto(bits, words, f, i - f[0] + 1)
 
 
@@ -150,11 +127,11 @@ def position_at(bits: BitPool, words, f, i: int) -> tuple[int, int] | None:
 
 
 class TimeIndex:
-    """Data-presence window of one track: [first, last] plus a gap bitmap.
+    """Data-presence window of one track: [first, last] plus the sparse
+    set of its gaps.
 
-    Offsets into the window are 1-based; a set bit means the instant has no
-    sample.  Dense windows keep the bitmap plain, gappy-but-mostly-full
-    windows switch to the compressed form.
+    Offsets into the window are 1-based; a member of the set is an instant
+    with no sample.
     """
 
     __slots__ = ("_bits", "_words", "_f")
@@ -163,13 +140,9 @@ class TimeIndex:
         """A window of its own, in private pools."""
         if first < 1 or last < first:
             raise ValueError("bad window bounds")
-        length = last - first + 1
         w = WideWriter()
         w.u32(first, last, len(gaps))
-        if len(gaps) < SPARSE_GAP_DENSITY * length:
-            write_sparse(w, length, gaps)
-        else:
-            w.bits(bits_at(length, gaps))
+        write_sparse(w, last - first + 1, gaps)
         self._bits, self._words, self._f = _read_standalone(w.reader())
 
     @classmethod
@@ -187,15 +160,8 @@ class TimeIndex:
         return self._f[1]
 
     @property
-    def _sparse(self) -> bool:
-        return bool(self._f[3])
-
-    @property
-    def _gapmap(self):
-        f = self._f
-        if f[3]:
-            return SparseBitVector(self._bits, self._words, f, 4, f[2])
-        return BitVector(self._bits, f[4], len(self), f[5], f[2])
+    def _gapmap(self) -> SparseBitVector:
+        return SparseBitVector(self._bits, self._words, self._f, 3, self._f[2])
 
     def __len__(self) -> int:
         return self._f[1] - self._f[0] + 1
@@ -206,7 +172,7 @@ class TimeIndex:
 
     @property
     def data_count(self) -> int:
-        return self._f[8]
+        return self._f[7]
 
     def gaps_upto(self, offset: int) -> int:
         return _gaps_upto(self._bits, self._words, self._f, offset)
@@ -217,7 +183,8 @@ class TimeIndex:
 
     def data_offset(self, ordinal: int) -> int:
         """Window offset of the ordinal-th instant that has data."""
-        return _data_offset(self._bits, self._words, self._f, ordinal)
+        return sparse_select0(self._bits, self._words, self._f, 3, self._f[2],
+                              ordinal)
 
     def data_offsets(self, start_ordinal: int = 1):
         return self._gapmap.zeros(start_ordinal)
@@ -231,7 +198,7 @@ class TimeIndex:
 
     @classmethod
     def read(cls, r: Reader) -> "TimeIndex":
-        """The window `write` stored; the gap count picks the bitmap kind."""
+        """The window `write` stored."""
         return cls._of(*_read_standalone(r))
 
 
@@ -256,7 +223,7 @@ class AxisDeltas:
     @property
     def sign(self) -> BitVector:
         f, a = self._f, self._a
-        return BitVector(self._bits, f[a], f[8], f[a + 1], self._nonneg())
+        return BitVector(self._bits, f[a], f[7], f[a + 1], self._nonneg())
 
     @property
     def pos(self) -> UnaryDeltaStream:
@@ -266,7 +233,7 @@ class AxisDeltas:
 
     @property
     def neg(self) -> UnaryDeltaStream:
-        m = self._f[8] - self._nonneg()
+        m = self._f[7] - self._nonneg()
         return UnaryDeltaStream(
             SparseBitVector(self._bits, self._words, self._f, self._a + 7, m), m)
 
@@ -306,7 +273,7 @@ class TrajectoryLog:
 
     @property
     def data_count(self) -> int:
-        return self._f[8]
+        return self._f[7]
 
     def position(self, i: int) -> tuple[int, int] | None:
         """Coordinates at local instant i in 1..period-1, or None."""
@@ -327,12 +294,13 @@ class TrajectoryLog:
             raise IndexError(f"ordinal {j} out of range 1..{n}")
         if j == 1 or j == n:  # a log's window begins and ends with data
             return self._f[1 if j > 1 else 0]
-        return _data_offset(self._bits, self._words, self._f, j) + self._f[0] - 1
+        f = self._f
+        return sparse_select0(self._bits, self._words, f, 3, f[2], j) + f[0] - 1
 
     def iter_positions(self, frm: int, to: int):
         """Yield (local instant, x, y) for data ordinals frm..to.
 
-        Sequential cursors over the gap bitmap and the four magnitude
+        Sequential cursors over the gap map and the four magnitude
         streams keep the whole walk linear in to - frm; each stream opens
         at its sum before frm with one select.
         """

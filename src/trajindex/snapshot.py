@@ -22,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trajindex.succinct import BitVector, Reader, SparseBitVector, Writer, nbytes
+from trajindex.succinct import (
+    BitVector,
+    Reader,
+    SparseBitVector,
+    Writer,
+    nbytes,
+    write_sparse,
+)
 
 
 @dataclass(frozen=True)
@@ -160,9 +167,8 @@ class K2Tree:
         m = len(self._codes)
         w.u32(m)
         codes = np.array(self._codes, dtype=np.uint64)
-        SparseBitVector.from_positions(
-            _top_code(self.width, self.height) + m,
-            codes + np.arange(1, m + 1, dtype=np.uint64)).write(w)
+        write_sparse(w, _top_code(self.width, self.height) + m,
+                     codes + np.arange(1, m + 1, dtype=np.uint64))
 
     @classmethod
     def read(cls, r: Reader, width: int, height: int) -> "K2Tree":

@@ -16,7 +16,6 @@ from trajindex.engine import _framed, _header, compute_max_speed
 from trajindex.snapshot import Snapshot
 from trajindex.succinct import U32_MAX, Writer
 
-_SPARSE_GAP_DENSITY = 0.10
 _PAD = 1 << 40
 
 
@@ -61,12 +60,8 @@ def write_log(w: Writer, samples, start: int, period: int) -> None:
     present = np.zeros(last - first + 1, dtype=bool)
     present[local - first] = True
     gaps = np.flatnonzero(~present) + 1
-    length = last - first + 1
     w.u32(first, last, len(gaps))
-    if len(gaps) < _SPARSE_GAP_DENSITY * length:
-        write_sparse(w, length, gaps)
-    else:
-        w.bits(bits_at(length, gaps))
+    write_sparse(w, last - first + 1, gaps)
     for deltas in (np.diff(xs, prepend=0), np.diff(ys, prepend=0)):
         nonneg = deltas >= 0
         w.bits(nonneg)

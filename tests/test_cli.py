@@ -192,6 +192,18 @@ class TestQuery:
         assert rc == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_version_three_index_is_data_error(self, capsys, tmp_path,
+                                               built_index):
+        # a version 3 file may hold plain gap bitmaps, which no reader
+        # parses now
+        blob = built_index.read_bytes()
+        old = tmp_path / "v3.idx"
+        old.write_bytes(blob[:4] + (3).to_bytes(2, "little") + blob[6:])
+        rc = main(["query", str(old), "--object", str(REF_OBJECT),
+                   "--from", "9"])
+        assert rc == 2
+        assert "version 3" in capsys.readouterr().err
+
     def test_bad_region_is_data_error(self, capsys, built_index):
         rc = main(["query", str(built_index), "--region", "5,4,0,1",
                    "--from", "0"])

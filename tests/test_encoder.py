@@ -34,8 +34,9 @@ def fleets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
     for oid in range(1, draw(st.integers(1, 4)) + 1):
-        # no gaps, sparse gap maps (under 10% of a window) or dense ones
-        drop = draw(st.sampled_from((0.0, 0.03, 0.4)))
+        # no gaps, a few, or so many that the gap map's low width falls
+        # to 1 or 0
+        drop = draw(st.sampled_from((0.0, 0.03, 0.4, 0.8)))
         a = draw(st.just(0) | st.integers(0, horizon - 1))
         b = draw(st.just(horizon - 1) | st.integers(a, horizon - 1))
         ts = np.arange(a, b + 1)

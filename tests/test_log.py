@@ -38,26 +38,36 @@ class TestTimeIndex:
         assert len(ti) == 9
         assert ti.gap_count == 2 and ti.data_count == 7
         assert ti.ordinal(5) is None and ti.ordinal(4) == 4
-        assert ti.gaps_upto(8) == 2
+        assert ti.gaps_upto(8) == 2 and ti.gaps_upto(0) == 0
         assert ti.data_offset(5) == 7
         assert list(ti.data_offsets(3)) == [3, 4, 7, 8, 9]
-        assert not ti._sparse  # 2 gaps in 9 slots is not sparse territory
 
-    def test_sparse_representation_kicks_in_below_ten_percent(self):
-        mostly_full = TimeIndex(1, 100, [50])
-        assert mostly_full._sparse
-        boundary = TimeIndex(1, 100, list(range(2, 12)))  # exactly 10%
-        assert not boundary._sparse
-        assert mostly_full.data_count == 99
-        assert boundary.data_count == 90
+    @pytest.mark.parametrize("gaps", [[50], list(range(2, 12)),
+                                      list(range(2, 13))],
+                             ids=["1-percent", "10-percent", "11-percent"])
+    def test_values_across_the_old_ten_percent_threshold(self, gaps):
+        # a tenth of the window once switched the gap map to a plain bitmap
+        ti = TimeIndex(1, 100, gaps)
+        data = [o for o in range(1, 101) if o not in gaps]
+        assert ti.gap_count == len(gaps) and ti.data_count == len(data)
+        assert ti.gaps_upto(0) == 0
+        for off in range(1, 101):
+            assert ti.gaps_upto(off) == sum(g <= off for g in gaps)
+            assert ti.ordinal(off) == (data.index(off) + 1 if off in data
+                                       else None)
+        assert [ti.data_offset(j) for j in range(1, len(data) + 1)] == data
+        assert list(ti.data_offsets()) == data
 
     def test_round_trip_both_kinds(self):
+        # one gap, and 14 gaps in 38 slots: either side of the old 10%
+        # threshold between a sparse and a plain gap map
         for gaps in ([7], list(range(2, 30, 2))):
             ti = TimeIndex(3, 40, gaps)
             back = round_trip(ti)
-            assert back._sparse == ti._sparse
             assert back.first == 3 and back.last == 40
             assert back.gap_count == len(gaps)
+            assert list(back.data_offsets()) == [o for o in range(1, 39)
+                                                 if o not in gaps]
 
 
 class TestReferenceTrack:
@@ -209,6 +219,7 @@ def gappy_rows(rng, window, gap_count):
     must = {2, window - 1, *range(run, run + 6)}
     must.update(list(range(bucket + 1, window, 7 * bucket))[:4])  # first in bucket
     must.update(list(range(bucket, window, 5 * bucket))[:4])      # last in bucket
+    must = {o for o in must if o > 1}  # the window begins with data
     rest = [o for o in range(2, window) if o not in must]
     extra = rng.choice(rest, size=gap_count - len(must), replace=False)
     gaps = sorted(must | {int(o) for o in extra})
@@ -225,6 +236,8 @@ class TestSparseGapMap:
     @pytest.mark.parametrize("window, density, seed", [
         (2000, 0.01, 1), (2000, 0.05, 2), (1999, 0.09, 3), (2048, 0.03, 4),
         (6000, 0.09, 5),  # high bitmap spans several superblocks
+        # gap shares that make the low width 2, 1, 0 and 0
+        (2000, 0.15, 6), (1999, 0.40, 7), (2048, 0.75, 8), (6000, 0.90, 9),
     ])
     def test_long_windows_match_reference(self, window, density, seed):
         rng = np.random.default_rng(seed)
@@ -233,7 +246,7 @@ class TestSparseGapMap:
         period = window + 3  # local instants 1 and period-1 have no data
         log = build_log(rows, 0, period)
         ti = log.time
-        assert ti._sparse and (ti.first, ti.last) == (2, window + 1)
+        assert (ti.first, ti.last) == (2, window + 1)
         assert ti.gap_count == gap_count
         assert ti._gapmap._low_width == low_width
         table = {t: (x, y) for t, x, y in rows}
@@ -248,12 +261,18 @@ class TestSparseGapMap:
             before += off in gapset
             assert ti.gaps_upto(off) == before
             assert ti.ordinal(off) == (None if off in gapset else off - before)
+        instants = sorted(table)
+        assert [log.unmap_ordinal(j) for j in range(1, len(rows) + 1)] == \
+            instants
+        assert log.scan_positions(1, len(rows)) == rows
+        half = len(rows) // 2
+        assert log.scan_positions(half, len(rows)) == rows[half - 1:]
+        assert list(ti.data_offsets()) == [t - 1 for t in instants]
 
     @pytest.mark.parametrize("gaps", [[1, 2, 3, 1000, 2000], [1], [2000],
                                       list(range(1, 2001, 16))])
     def test_gaps_on_the_first_and_last_offsets(self, gaps):
         ti = TimeIndex(5, 2004, gaps)
-        assert ti._sparse
         gapset = set(gaps)
         before = 0
         for off in range(1, 2001):
@@ -266,14 +285,18 @@ class TestSparseGapMap:
         (2000, [1, 2, 3, 1000, 2000]), (2000, [1]), (2000, [2000]),
         (2000, list(range(1, 2001, 16))), (2000, list(range(700, 760))),
         (2000, list(range(1, 190, 2)) + list(range(1811, 2001, 2))),
-        (1999, "random"), (6000, "random")])
+        (1999, "random"), (6000, "random"),
+        (2000, 0.15), (2000, 0.40), (2000, 0.75), (6000, 0.90)])
     def test_data_offsets_match_reference(self, window, gaps):
-        if gaps == "random":  # just under the 10% sparse threshold
+        if gaps == "random":  # just under a tenth of the window
             rng = np.random.default_rng(window)
             count = -(-window // 10) - 1
             gaps = sorted(rng.choice(window, count, replace=False) + 1)
+        elif isinstance(gaps, float):  # that share of the window
+            rng = np.random.default_rng(int(100 * gaps))
+            count = int(gaps * window)
+            gaps = sorted(rng.choice(window, count, replace=False) + 1)
         ti = TimeIndex(3, window + 2, gaps)
-        assert ti._sparse
         gapset = set(gaps)
         data = [o for o in range(1, window + 1) if o not in gapset]
         assert [ti.data_offset(j) for j in range(1, len(data) + 1)] == data
@@ -297,12 +320,16 @@ def edge_tracks():
     for n in (64, 65, 512, 513):
         # sign bitmaps and a gap-free window of exactly n bits
         yield f"full-{n}", n + 2, walk(np.arange(1, n + 1))
-        # dense gap bitmap of exactly n bits: a quarter of the window empty
+        # a window of exactly n instants, a quarter of them gaps
         ts = np.sort(rng.choice(np.arange(2, n), size=3 * n // 4 - 2,
                                 replace=False))
         yield f"dense-gaps-{n}", n + 2, walk(np.r_[1, ts, n])
     ts = np.sort(rng.choice(np.arange(2, 1200), size=1150, replace=False))
     yield "sparse-gaps", 1202, walk(np.r_[1, ts, 1200])
+    for share in (15, 40, 75, 90):  # gap map low widths 2, 1, 0 and 0
+        ts = np.sort(rng.choice(np.arange(2, 400), size=398 - 4 * share,
+                                replace=False))
+        yield f"gaps-{share}-percent", 402, walk(np.r_[1, ts, 400])
     yield "standing-still", 40, [(t, 9, 9) for t in range(3, 30)]
     yield "only-rising", 40, [(t, t, 2 * t) for t in range(1, 39, 2)]
     yield "only-falling", 40, [(t, 500 - t, 900 - 3 * t) for t in range(2, 39)]
@@ -319,6 +346,8 @@ def check_log(log, period, rows):
         assert log.count_data_upto(i) == seen
     assert [log.unmap_ordinal(j) for j in range(1, len(rows) + 1)] == instants
     assert log.scan_positions(1, len(rows)) == list(rows)
+    assert list(log.time.data_offsets()) == [t - instants[0] + 1
+                                             for t in instants]
     for a in (1, len(rows) // 2 + 1, len(rows)):
         assert log.scan_positions(a, len(rows)) == list(rows[a - 1:])
     assert log.code_bits() == build_log(rows, 0, period).code_bits()
@@ -336,8 +365,6 @@ class TestPooledLogs:
         kind, _, n = name.rpartition("-")
         if kind in ("full", "dense-gaps"):
             assert len(log.time) == int(n)
-        if kind in ("full", "dense-gaps", "sparse"):
-            assert log.time._sparse == (kind != "dense-gaps")
         check_log(log, period, rows)
         check_log(round_trip(log, 0, 0, period), period, rows)
 
