@@ -3,7 +3,7 @@ tree, in one pass over the build's columns.
 
 A build hands over its fixes as three columns, instant, x and y, log after
 log in file order, with the first row and the period start of each log.
-Every per-log number (window, gap count, sign counts, stream totals,
+Every per-log number (window, gap count, speed bound, stream totals,
 Elias-Fano low widths and high lengths, leaf counts, root boxes, diff
 widths) is one array operation over all logs, and every word-aligned
 piece of every log and tree is set in one bit buffer, packed once.
@@ -14,8 +14,13 @@ A log and its tree on file, in the order `log.read_fields` and
 `mbrtree.read_tree` read them:
   u32 first and last local instant, gap count; the gap map, the sparse
   set of the window's gaps: its lows, then its high bits;
-  per axis: the sign bits, then for the non-negative and the negative
-  steps' unary stream: u32 total, lows, high bits;
+  u32 speed bound s, the largest step rate on either axis, and the
+  widths of the four entry arrays, a byte each; the arrays, one entry per
+  block of 2**BLOCK_SHIFT steps: the reductions s - s_b of the blocks' x
+  speed bounds s_b, their x offsets (zigzagged), then the same two for y
+  (see `log`);
+  per axis: u32 first coordinate, then the unary stream of the
+  increments dx + s_b*dt: u32 total, lows, high bits;
   u32 diff width, root box xmin, xmax, ymin, ymax; the x diffs, the y
   diffs.
 """
@@ -33,20 +38,25 @@ from trajindex.succinct import (
     ranks,
 )
 
-# A log's pieces in file order: the gap map's lows and bits, per axis
-# (from _X or _Y) the sign bits and each stream's lows and high bits, then
-# the tree's x and y diffs.
-_GAP_LOWS, _GAP_BITS, _X, _Y, _DIFFS = 0, 1, 2, 7, 12
-_PIECES = 14
+# A log's pieces in file order: the gap map's lows and high bits; the
+# blocks' x reductions and offsets, then their y ones (from _BLOCKS); each
+# axis's stream's lows and high bits (from _X or _Y); then the tree's x
+# and y diffs.
+_GAP_LOWS, _GAP_BITS, _BLOCKS, _X, _Y, _DIFFS = 0, 1, 2, 6, 8, 10
+_PIECES = 12
 # The u32 fields of a log and its tree, in file order: first, last, gaps,
-# the four stream totals (x up, x down, y up, y down), the diff width and
-# the root box.  Group g, fields _GROUPS[g] .. _GROUPS[g + 1] - 1, is
-# followed by the run of pieces _RUNS[g] .. _RUNS[g + 1] - 1.
-_GROUPS = np.array([0, 3, 4, 5, 6, 7, 12])
-_RUNS = np.array([0, 3, 5, 8, 10, 12, 14])
-U32_FIELDS = 12
+# the speed bound and the entry widths, x's first coordinate and stream
+# total, y's, the diff width and the root box.  Group g, fields
+# _GROUPS[g] .. _GROUPS[g + 1] - 1, is followed by the run of pieces
+# _RUNS[g] .. _RUNS[g + 1] - 1.
+_GROUPS = np.array([0, 3, 5, 7, 9, 14])
+_RUNS = np.array([0, 2, 6, 8, 10, 12])
+U32_FIELDS = 14
+BLOCK_SHIFT = 4
+BLOCK = 1 << BLOCK_SHIFT  # steps to a block of one speed bound per axis
 
 _PAD = 1 << 40  # a padded node's box: above any storable coordinate
+_MAX_DRIFT = 1 << 61
 
 
 def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
@@ -56,7 +66,7 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
 
     Returns (u32s, at, size, pieces) for `lay_out`: the u32 fields, one
     row of U32_FIELDS per log, and the byte offset in pieces and byte
-    length of each log's piece runs, (logs, 6, 1) arrays.  Instants that
+    length of each log's piece runs, (logs, 4, 1) arrays.  Instants that
     do not strictly increase within a log or leave its period raise
     ValueError; values past a u32 are `lay_out`'s to reject.
     """
@@ -91,28 +101,88 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
     gap_width, lengths[:, _GAP_BITS] = elias_fano(window, gaps)
     lengths[:, _GAP_LOWS] = gaps * gap_width
 
-    # per axis, the sign of each step, then a unary stream of the
-    # magnitudes of the non-negative and one of the negative steps; the
-    # first step is the coordinate itself.  A stream of m values summing
-    # to t is the sparse set of m members over t + m (see `write_unary`).
-    signs = []  # (piece, which steps are non-negative)
-    streams = []  # (piece, axis steps, which of them, members, low width)
-    for a, col in ((_X, xs), (_Y, ys)):
-        step = np.diff(col, prepend=0)
-        step[head] = col[head]
-        up = step >= 0
-        rises = np.add.reduceat(up, head, dtype=np.int64)
-        climb = np.add.reduceat(np.where(up, step, 0), head)
-        descent = climb - np.add.reduceat(step, head)
-        lengths[:, a] = count
-        signs.append((a, up))
-        for piece, keep, members, total in ((a + 1, up, rises, climb),
-                                            (a + 3, ~up, count - rises, descent)):
-            u32s[:, 3 + len(streams)] = total  # fields 3..6, stream by stream
-            low_width, high_length = elias_fano(total + members, members)
-            lengths[:, piece] = members * low_width
-            lengths[:, piece + 1] = high_length
-            streams.append((piece, step, keep, members, low_width))
+    # the steps of a log, 2**BLOCK_SHIFT to a block; per axis each block
+    # has a speed bound s_b no less than its largest step rate, so every
+    # increment dx + s_b*dt in it is non-negative, and the drift s_b*dt
+    # summed over the log up to fix j is s_b*(t_j - t_1) plus an offset
+    later = np.ones(len(ts), dtype=bool)
+    later[head] = False
+    owner = log[later]
+    members = count - 1
+    step = ordinal[later] - 1  # from 0
+    dt = np.diff(local, prepend=0)[later]
+    blocks = -(-members // BLOCK)
+    before = np.cumsum(blocks) - blocks
+    block_of = before[owner] + (step >> BLOCK_SHIFT)
+    opens = np.flatnonzero(step & (BLOCK - 1) == 0)  # each block's first step
+    block_log = owner[opens]
+    has = blocks > 0
+    span = np.add.reduceat(dt, opens) if len(opens) else dt[:0]
+    # the instant, from the window's first, of the fix each block starts at
+    since = local[head[block_log] + step[opens]] - first[block_log]
+    moves = [np.diff(col, prepend=0)[later] for col in (xs, ys)]
+    rates = [-(-np.abs(m) // dt) for m in moves]
+    tops = np.zeros((2, n), dtype=np.int64)  # each axis's largest rate
+    if len(opens):
+        rates = [np.maximum.reduceat(r, opens) for r in rates]
+        for top, rate in zip(tops, rates):
+            top[has] = np.maximum.reduceat(rate, before[has])
+    speed = tops.max(axis=0)
+    # in floats, since two u32s multiply past an int64; within _MAX_DRIFT
+    # every drift, sum of drifts and offset below fits an int64
+    if (speed * (last - first).astype(float) > _MAX_DRIFT).any():
+        raise ValueError("a log's increments sum past a u32")
+
+    def drifts(s, col):
+        # for the blocks' speed bounds s on the axis col: their entries,
+        # the reduction s - s_b and the zigzagged offset, the stream
+        # totals, the entries' widths and each log's words for the axis
+        drift = s * span
+        sums = np.cumsum(drift) - drift
+        offset = sums - sums[before[block_log]] - s * since
+        entries = (speed[block_log] - s, (offset << 1) ^ (offset >> 63))
+        total = col[tail] - col[head]
+        widths = np.zeros((2, n), dtype=np.int64)
+        if len(opens):
+            total[has] += np.add.reduceat(drift, before[has])
+            for width, values in zip(widths, entries):
+                width[has] = np.bitwise_or.reduceat(values, before[has])
+        widths = bit_lengths(widths)
+        low_width, high_length = elias_fano(total + members, members)
+        words = sum((bits + 63) >> 6 for bits in (
+            members * low_width, high_length, *(blocks * widths)))
+        return entries, total, widths, words
+
+    u32s[:, 3] = speed
+    entries, streams = [], []  # (piece, values, width)
+    for a, (col, move, rate, top) in enumerate(zip((xs, ys), moves, rates,
+                                                   tops)):
+        # an axis takes as its blocks' speed bounds whichever makes it
+        # smallest, the first of equals: the log's s for every block,
+        # which needs no entries; the axis's largest rate for every
+        # block, which needs no offsets; or each block's own largest rate
+        bounds = (speed[block_log], top[block_log], rate)
+        options = [drifts(b, col) for b in bounds]
+        pick = np.argmin([o[3] for o in options], axis=0)
+        on = pick[block_log]
+        s = np.choose(on, bounds)
+        for k in (0, 1):
+            width = np.choose(pick, [o[2][k] for o in options])
+            lengths[:, _BLOCKS + 2 * a + k] = blocks * width
+            entries.append((_BLOCKS + 2 * a + k,
+                            np.choose(on, [o[0][k] for o in options]), width))
+        # the first coordinate, then the unary stream of the increments
+        # from the second fix on.  A stream of m values summing to t is the
+        # sparse set of m members over t + m (see `write_unary`).
+        u32s[:, 5 + 2 * a] = col[head]
+        u32s[:, 6 + 2 * a] = total = np.choose(pick, [o[1] for o in options])
+        low_width, high_length = elias_fano(total + members, members)
+        piece = _X if a == 0 else _Y
+        lengths[:, piece] = members * low_width
+        lengths[:, piece + 1] = high_length
+        streams.append((piece, move + s[block_of] * dt, low_width))
+    # the four entry widths, a byte each
+    u32s[:, 4] = sum(e[2] << 8 * k for k, e in enumerate(entries))
 
     # the box tree: a heap of 2L nodes per log, L leaves padded to a power
     # of two, each box kept as (xmin, -xmax, ymin, -ymax) so a parent is
@@ -139,7 +209,7 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
         base = np.repeat(tree_at[tall], level)
         box[base + p] = np.minimum(box[base + 2 * p], box[base + 2 * p + 1])
         height += 1
-    u32s[:, 8:] = box[tree_at + 1] * (1, -1, 1, -1)
+    u32s[:, 10:] = box[tree_at + 1] * (1, -1, 1, -1)
     below = nodes - 2  # nodes 2..2L-1 store diffs
     p = ranks(below) + 2
     base = np.repeat(tree_at, below)
@@ -151,7 +221,7 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
         top[has] = np.maximum.reduceat(diffs.max(axis=1),
                                        (np.cumsum(below) - below)[has])
     width = np.maximum(bit_lengths(top), 1)
-    u32s[:, 7] = width
+    u32s[:, 9] = width
     lengths[:, _DIFFS] = lengths[:, _DIFFS + 1] = 2 * below * width
 
     buf = PieceBuffer(lengths)
@@ -166,12 +236,11 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
     lows, highs = _halves(gap_width, gap_log, gap_rank, gap_at)
     buf.packed(_GAP_LOWS, gap_log, gap_rank, lows, gap_width)
     buf.ones(_GAP_BITS, gap_log, highs)
-    for piece, up in signs:
-        rise = np.flatnonzero(up)
-        buf.ones(piece, log[rise], ordinal[rise])
-    for piece, step, keep, members, low_width in streams:
-        keep = np.flatnonzero(keep)
-        _stream(buf, piece, log[keep], np.abs(step[keep]), members, low_width)
+    rank = ranks(blocks)
+    for piece, values, entry_width in entries:
+        buf.packed(piece, block_log, rank, values, entry_width)
+    for piece, increments, low_width in streams:
+        _stream(buf, piece, owner, increments, members, low_width)
     tree_log, tree_rank = np.repeat(np.arange(n), 2 * below), ranks(2 * below)
     buf.packed(_DIFFS, tree_log, tree_rank, diffs[:, :2].ravel(), width)
     buf.packed(_DIFFS + 1, tree_log, tree_rank, diffs[:, 2:].ravel(), width)
@@ -203,7 +272,7 @@ def _halves(low_width, group, rank, values):
 def lay_out(u32s, at, size, pieces: bytes, u32_size: int = 4):
     """Logs with their trees in file order: each group of u32 fields
     followed by its run of pieces.  at and size give the byte offset in
-    pieces and the byte length of each run's chunks, (logs, 6, chunks)
+    pieces and the byte length of each run's chunks, (logs, 4, chunks)
     arrays; a run may be split into chunks from anywhere in pieces.
 
     Fields take u32_size bytes; at 4, one past a u32 raises ValueError.
@@ -215,7 +284,7 @@ def lay_out(u32s, at, size, pieces: bytes, u32_size: int = 4):
         bad = (u32s < 0) | (u32s > U32_MAX)
         if bad.any():
             raise ValueError(f"log field {u32s[bad][0]} does not fit in a u32")
-    fields = u32s.astype(f"<u{u32_size}").tobytes()
+    fields = u32s.astype("<u4" if u32_size == 4 else "<i8").tobytes()
     src = np.empty((n, runs, 1 + chunks), dtype=np.int64)
     length = np.empty_like(src)
     src[:, :, 0] = (U32_FIELDS * np.arange(n)[:, None] + _GROUPS[:-1]) * u32_size
@@ -234,8 +303,8 @@ def lay_out(u32s, at, size, pieces: bytes, u32_size: int = 4):
 
 
 def standalone(ts, xs, ys, start: int, period: int, leaf_capacity: int) -> Reader:
-    """A reader over one log and its tree, with 8-byte fields so sums past
-    a u32, which no file holds, still encode."""
+    """A reader over one log and its tree, with signed 8-byte fields so
+    coordinates and sums past a u32, which no file holds, still encode."""
     u32s, at, size, pieces = encode(ts, xs, ys, [0], [start], period,
                                     leaf_capacity)
     return Reader(lay_out(u32s, at, size, pieces, 8)[0], 8)

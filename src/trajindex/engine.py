@@ -17,9 +17,14 @@ from array import array
 import numpy as np
 
 from trajindex.log import (
+    ENTRIES,
     LOG_FIELDS,
+    SPEED,
+    WIDTHS,
     X_AXIS,
+    X_FIRST,
     Y_AXIS,
+    Y_FIRST,
     TrajectoryLog,
     data_count,
     ordinal_range,
@@ -41,7 +46,7 @@ from trajindex.succinct import (
 )
 
 _MAGIC = b"CTCT"
-_VERSION = 4
+_VERSION = 5
 _PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
 _CRC_AT = 6  # offset of the CRC field, which the CRC skips
 # one record per log: its fields, then its tree's root box and diff width;
@@ -50,6 +55,7 @@ _CRC_AT = 6  # offset of the CRC field, which the CRC skips
 _RECORD = struct.Struct(f"={LOG_FIELDS + 5}I")
 _TREE = LOG_FIELDS - 1
 _ROOT = _TREE + 1
+MAX_PERIODS = 1 << 20  # each period costs a snapshot, data or not
 
 
 _ROOT_BOX = struct.Struct("=4I")
@@ -337,6 +343,7 @@ class TrajectoryIndex:
          nobj) = (r.u32() for _ in range(8))
         if period < 2 or leaf_capacity < 1:
             raise ValueError(f"bad period {period} or leaf capacity {leaf_capacity}")
+        _check_periods(horizon, period)
         object_ids = r.u32s(nobj)
         if np.any(object_ids[1:] <= object_ids[:-1]):
             raise ValueError("object ids are not strictly increasing")
@@ -355,6 +362,7 @@ class TrajectoryIndex:
         # every object sits in the snapshot of its first fix's period
         if set().union(*(s.ids for s in snapshots)) != set(object_ids.tolist()):
             raise ValueError("the snapshots do not hold exactly the listed objects")
+        _check_records(records, (w, h), max_speed)
         rows = np.full(len(snapshots) * nobj, -1, dtype=np.int32)
         rows[np.frombuffer(slots, dtype=np.int64)] = np.arange(len(slots))
         # records[:] is an exact copy: growing by extend leaves up to a
@@ -381,23 +389,23 @@ def _header(extent, horizon, period, leaf_capacity, sample_count, max_speed,
 def _runs(f: np.ndarray, bits: array, words: array):
     """`lay_out`'s arguments for the logs whose records are the rows of f,
     in file order.  Each run of pieces is a chunk of the word pool (lows
-    or tree diffs), then one of the bit pool (high and sign bits); `lay_out`
-    reads both pools' words back to back.  The gap map's sparse set starts
-    at f[3]; per axis a (see `log`), the sign bits start at f[a] and the up
-    and down streams' sparse sets at f[a + 2] and f[a + 7].  Each sparse
-    set's fields (see `succinct`) begin with its high bits' first word;
-    its lows' first word is 2 on, and a stream's total 4 on."""
+    the blocks' entries or tree diffs), then one of the bit pool (high
+    bits, none for the entries and the diffs); `lay_out` reads both pools'
+    words back to back.  The gap map's sparse set starts at f[3] and each
+    axis's stream's at f[X_AXIS] and f[Y_AXIS] (see `log`).
+    Each sparse set's fields (see `succinct`) begin with its high bits'
+    first word; its lows' first word is 2 on, and a stream's total 4 on."""
     pools = Writer()
     pools.words(bits)
     pools.words(words)
-    x, y = X_AXIS + 2, Y_AXIS + 2  # each axis' up set; its down set is 5 on
-    word_cuts = np.column_stack((f[:, [5, x + 2, x + 7, y + 2, y + 7, _TREE]],
+    word_cuts = np.column_stack((f[:, [5, ENTRIES, X_AXIS + 2, Y_AXIS + 2,
+                                       _TREE]],
                                  np.append(f[:, 5], len(words))[1:]))
-    bit_cuts = f[:, [3, x, x + 5, y, y + 5, _TREE - 1, _TREE - 1]]
+    bit_cuts = f[:, [3, X_AXIS, X_AXIS, Y_AXIS, Y_AXIS + 5, Y_AXIS + 5]]
     at = 8 * np.stack((word_cuts[:, :-1] + len(bits), bit_cuts[:, :-1]), axis=2)
     size = 8 * np.stack((np.diff(word_cuts), np.diff(bit_cuts)), axis=2)
-    fields = [0, 1, 2, x + 4, x + 9, y + 4, y + 9, _ROOT + 4,
-              *range(_ROOT, _ROOT + 4)]
+    fields = [0, 1, 2, SPEED, WIDTHS, X_FIRST, X_AXIS + 4, Y_FIRST,
+              Y_AXIS + 4, _ROOT + 4, *range(_ROOT, _ROOT + 4)]
     return f[:, fields], at, size, bytes(pools)
 
 
@@ -416,6 +424,24 @@ def compute_max_speed(rows: np.ndarray) -> int:
         return 0
     moved = np.abs(steps[:, 2:]).max(axis=1)
     return int((-(-moved // steps[:, 1])).max())
+
+
+def _check_records(records: array, extent, max_speed: int) -> None:
+    # each log's speed bound within the index's, its first fix on the grid
+    # and inside its tree's root box
+    f = np.frombuffer(records, dtype=np.uint32).reshape(-1, _RECORD.size // 4)
+    x1, y1, root = f[:, X_FIRST], f[:, Y_FIRST], f[:, _ROOT:_ROOT + 4]
+    if ((f[:, SPEED] > max_speed) | (x1 >= extent[0]) | (y1 >= extent[1])
+            | (x1 < root[:, 0]) | (x1 > root[:, 1]) | (y1 < root[:, 2])
+            | (y1 > root[:, 3])).any():
+        raise ValueError("a log's speed bound or first fix lies outside the "
+                         "index's speed bound, the grid or the log's root box")
+
+
+def _check_periods(horizon: int, period: int) -> None:
+    if -(-horizon // period) > MAX_PERIODS:
+        raise ValueError(f"{-(-horizon // period)} periods of {period} instants "
+                         f"exceed the limit of {MAX_PERIODS} periods")
 
 
 def _check_u32(name: str, value) -> None:
@@ -473,6 +499,7 @@ def build_index(samples, period: int, leaf_capacity: int,
         horizon = t_max + 1
     elif horizon <= t_max:
         raise ValueError(f"horizon {horizon} does not cover instant {t_max}")
+    _check_periods(horizon, period)
     computed = compute_max_speed(rows)
     if max_speed is None:
         max_speed = computed

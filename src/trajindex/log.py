@@ -3,11 +3,25 @@
 A log covers one object inside one period of length d starting at instant
 k.  Local instants run 1..d-1 (instant k itself belongs to the snapshot
 layer).  The log stores the window [first, last] that actually has data,
-the sparse set of the instants inside the window with no sample, and per
-axis a sign bitmap plus two unary streams holding the magnitudes of
-non-negative and negative steps.  The first step is the absolute
-coordinate, so a prefix-sum difference of the two streams reconstructs
-any position.
+the sparse set of the instants inside the window with no sample, and its
+speed bound s, the largest step rate on either axis, rounded up.  Its
+steps go 2**BLOCK_SHIFT to a block, and per axis each block has a speed
+bound s_b <= s no less than its own steps' rates.  Within a block
+x_j + s_b*t_j never decreases, so per axis the log stores the first
+coordinate and one unary stream of the non-negative increments
+dx + s_b*dt, as the Elias-Fano set of their prefix sums (the
+quasi-succinct layout of Vigna, WSDM 2013).  The drift, the sum of s_b*dt
+over the steps up to fix j, is s_b*(t_j - t_1) + o_b for an offset o_b of
+the block of j's last step, so a position is one select per axis:
+
+    x_j = x_1 + prefix(j - 1) - s*(t_j - t_1) + r_b*(t_j - t_1) - o_b
+
+where r_b = s - s_b is the block's reduction.  Per block and axis the log
+stores r_b and o_b in packed arrays.  An axis takes s_b = its own largest
+rate in every block, which needs no offsets, unless the blocks' own rates
+make it smaller; then one fast step inflates only its own block's
+increments, not the whole log's.  A log whose entries are all 0 stores
+none and reads none.
 
 A log lives in two pools (see `succinct`): its bitmaps back to back in a
 bit pool, in file order, and its packed lows in a word pool.  A tuple of
@@ -22,17 +36,17 @@ from itertools import count
 
 import numpy as np
 
-from trajindex.encoder import standalone
+from trajindex.encoder import BLOCK_SHIFT, standalone
 from trajindex.succinct import (
     BitPool,
     BitVector,
+    PackedIntArray,
     PoolBuilder,
     Reader,
     SparseBitVector,
     UnaryDeltaStream,
     WideWriter,
     Writer,
-    rank1,
     sparse_search,
     sparse_select0,
     sparse_select1,
@@ -40,17 +54,22 @@ from trajindex.succinct import (
     write_sparse,
 )
 
-# A log's fields, in file order (see `succinct` for a sparse set's six):
+# A log's fields (see `succinct` for a sparse set's six):
 #   0 first, 1 last, 2 gap count;
 #   3..7 the gap map, the sparse set of the gaps over the window, whose
 #        fifth field, 7, is the data count;
-#   8..19, then 20..31, the x and the y axis: the sign bits' first word,
-#        the ones before them, then the sparse sets of the non-negative and
-#        of the negative stream's sums;
-#   32 the word after the last bitmap, 33 the word pool's next word.
+#   8..12, then 13..17, the x and the y axis: the sparse set of its
+#        stream's prefix sums, whose fifth field is the stream's total;
+#   18 the word after the last bitmap;
+#   19 the speed bound s; 20 the widths of the four entry arrays, the x
+#      reductions and offsets and the y ones, a byte each, 0 when the log
+#      stores none; 21 the first word of the first array, each of the
+#      others starting at the word after the one before;
+#   22 the first x, 23 the first y; 24 the word pool's next word.
 # The words of each bitmap end where the next one's begin.
-X_AXIS, Y_AXIS = 8, 20
-LOG_FIELDS = 34
+X_AXIS, Y_AXIS = 8, 13
+SPEED, WIDTHS, ENTRIES, X_FIRST, Y_FIRST = 19, 20, 21, 22, 23
+LOG_FIELDS = 25
 
 
 def _read_window(r: Reader, pb: PoolBuilder) -> tuple[int, ...]:
@@ -63,14 +82,39 @@ def _read_window(r: Reader, pb: PoolBuilder) -> tuple[int, ...]:
 def read_fields(r: Reader, pb: PoolBuilder) -> tuple[int, ...]:
     """Copy the log r holds next into pb's pools; its fields."""
     f = _read_window(r, pb)
-    # the axes are joined apart from the window's eight fields: CPython
-    # 3.11 puts a freed 20-tuple on its free list but never takes one off,
-    # so a 20-field tuple per log would stay allocated
-    axes = ()
-    for _ in (X_AXIS, Y_AXIS):
-        base, ones, m = pb.bitmap(r, f[7])
-        axes += (base, ones, *pb.stream(r, m), *pb.stream(r, f[7] - m))
-    return f + axes + (pb.bit_base(), pb.word_base())
+    speed, widths = r.u32(), r.u32()
+    blocks = _blocks(f[7])
+    entries = pb.packed(r, blocks, widths & 255)
+    for k in range(1, 4):
+        pb.packed(r, blocks, widths >> 8 * k & 255)
+    x1 = r.u32()
+    axes = pb.stream(r, f[7] - 1)
+    y1 = r.u32()
+    axes += pb.stream(r, f[7] - 1)
+    # no intermediate tuple has 20 fields: CPython 3.11 puts a freed
+    # 20-tuple on its free list but never takes one off, so one per log
+    # would stay allocated
+    return f + axes + (pb.bit_base(), speed, widths, entries, x1, y1,
+                       pb.word_base())
+
+
+def _blocks(n: int) -> int:
+    # blocks of the n - 1 steps of a log of n fixes
+    return (n + (1 << BLOCK_SHIFT) - 2) >> BLOCK_SHIFT
+
+
+def _entries(words, f, k: int) -> PackedIntArray:
+    # entry array k: the x reductions, x offsets, y reductions, y offsets
+    blocks, base = _blocks(f[7]), f[ENTRIES]
+    for i in range(k):
+        base += (blocks * (f[WIDTHS] >> 8 * i & 255) + 63) >> 6
+    return PackedIntArray(words, base, blocks, f[WIDTHS] >> 8 * k & 255)
+
+
+def _drift(words, f, a: int, b: int) -> tuple[int, int]:
+    # the reduction and the offset of block b on axis a, 0 for x, 1 for y
+    z = _entries(words, f, 2 * a + 1)[b]
+    return _entries(words, f, 2 * a)[b], (z >> 1) ^ -(z & 1)
 
 
 def data_count(f) -> int:
@@ -105,25 +149,27 @@ def ordinal_range(bits: BitPool, words, f, lo: int, hi: int) -> tuple[int, int]:
     return _count_upto(bits, words, f, lo - 1) + 1, _count_upto(bits, words, f, hi)
 
 
-def _value(bits, words, f, a, ordinal):
-    # coordinate after the ordinal-th step on the axis at f[a]: the sum of
-    # its first p non-negative steps less that of the other ordinal - p
-    p = rank1(bits, f[a], f[a + 1], ordinal)
-    v = sparse_select1(bits, words, f, a + 2, p) - p if p else 0
-    q = ordinal - p
-    return v - (sparse_select1(bits, words, f, a + 7, q) - q) if q else v
-
-
 def position_at(bits: BitPool, words, f, i: int) -> tuple[int, int] | None:
     """Coordinates at local instant i of the log with fields f, or None;
     i is not range-checked."""
     if i < f[0] or i > f[1]:
         return None
-    ordinal = _ordinal(bits, words, f, i - f[0] + 1)
-    if ordinal is None:
+    j = _ordinal(bits, words, f, i - f[0] + 1)
+    if j is None:
         return None
-    return (_value(bits, words, f, X_AXIS, ordinal),
-            _value(bits, words, f, Y_AXIS, ordinal))
+    if j == 1:
+        return f[X_FIRST], f[Y_FIRST]
+    # the sum of the first j - 1 increments is select1(j - 1) - (j - 1)
+    j -= 1
+    t = i - f[0]
+    back = j + f[SPEED] * t
+    x = f[X_FIRST] + sparse_select1(bits, words, f, X_AXIS, j) - back
+    y = f[Y_FIRST] + sparse_select1(bits, words, f, Y_AXIS, j) - back
+    if not f[WIDTHS]:
+        return x, y
+    rx, ox = _drift(words, f, 0, (j - 1) >> BLOCK_SHIFT)
+    ry, oy = _drift(words, f, 1, (j - 1) >> BLOCK_SHIFT)
+    return x + rx * t - ox, y + ry * t - oy
 
 
 class TimeIndex:
@@ -179,10 +225,15 @@ class TimeIndex:
 
     def ordinal(self, offset: int) -> int | None:
         """Data ordinal of the instant at window offset, None at a gap."""
+        if not 1 <= offset <= len(self):
+            raise IndexError(f"window offset {offset} out of range 1..{len(self)}")
         return _ordinal(self._bits, self._words, self._f, offset)
 
     def data_offset(self, ordinal: int) -> int:
         """Window offset of the ordinal-th instant that has data."""
+        n = self.data_count
+        if not 1 <= ordinal <= n:
+            raise IndexError(f"ordinal {ordinal} out of range 1..{n}")
         return sparse_select0(self._bits, self._words, self._f, 3, self._f[2],
                               ordinal)
 
@@ -209,41 +260,61 @@ def _read_standalone(r: Reader):
 
 
 class AxisDeltas:
-    """One coordinate axis: step signs plus unary magnitude streams."""
+    """One coordinate axis: its blocks' reductions and offsets, its first
+    coordinate and the unary stream of the increments dx + s_b*dt.
+
+    `sign`, `pos` and `neg` are the axis as signed steps, the first step
+    being the coordinate itself: which steps are non-negative, and unary
+    streams of the non-negative steps and of the negative ones'
+    magnitudes.  Nothing stores them; each is built from a decode of the
+    axis.
+    """
 
     __slots__ = ("_bits", "_words", "_f", "_a")
 
     def __init__(self, bits: BitPool, words, f, a: int):
-        """The axis whose fields start at f[a]."""
+        """The axis whose stream's fields start at f[a]."""
         self._bits, self._words, self._f, self._a = bits, words, f, a
 
-    def _nonneg(self) -> int:
-        return self._f[self._a + 3] - self._f[self._a + 1]
+    @property
+    def stream(self) -> UnaryDeltaStream:
+        m = self._f[7] - 1
+        return UnaryDeltaStream(
+            SparseBitVector(self._bits, self._words, self._f, self._a, m), m)
+
+    def _steps(self) -> np.ndarray:
+        log = TrajectoryLog(self._bits, self._words, self._f, 0, 0,
+                            self._f[1] + 1)
+        coords = [p[1 if self._a == X_AXIS else 2]
+                  for p in log.iter_positions(1, self._f[7])]
+        return np.diff(np.array(coords, dtype=np.int64), prepend=0)
 
     @property
     def sign(self) -> BitVector:
-        f, a = self._f, self._a
-        return BitVector(self._bits, f[a], f[7], f[a + 1], self._nonneg())
+        return BitVector.from_bits(self._steps() >= 0)
 
     @property
     def pos(self) -> UnaryDeltaStream:
-        m = self._nonneg()
-        return UnaryDeltaStream(
-            SparseBitVector(self._bits, self._words, self._f, self._a + 2, m), m)
+        steps = self._steps()
+        return UnaryDeltaStream.from_values(steps[steps >= 0])
 
     @property
     def neg(self) -> UnaryDeltaStream:
-        m = self._f[7] - self._nonneg()
-        return UnaryDeltaStream(
-            SparseBitVector(self._bits, self._words, self._f, self._a + 7, m), m)
+        steps = self._steps()
+        return UnaryDeltaStream.from_values(-steps[steps < 0])
 
     def code_bits(self) -> int:
-        return self.sign.code_bits() + self.pos.code_bits() + self.neg.code_bits()
+        """The bits of the stream and of the blocks' entries."""
+        k = 0 if self._a == X_AXIS else 2  # the reductions, then the offsets
+        return (_entries(self._words, self._f, k).code_bits()
+                + _entries(self._words, self._f, k + 1).code_bits()
+                + self.stream.code_bits())
 
     def write(self, w: Writer) -> None:
-        self.sign.write(w)
-        self.pos.write(w)
-        self.neg.write(w)
+        """The first coordinate and the stream; the log writes the
+        entries."""
+        w.u32(self._f[X_FIRST if self._a == X_AXIS else Y_FIRST])
+        self.stream.write(w)
 
 
 class TrajectoryLog:
@@ -300,38 +371,35 @@ class TrajectoryLog:
     def iter_positions(self, frm: int, to: int):
         """Yield (local instant, x, y) for data ordinals frm..to.
 
-        Sequential cursors over the gap map and the four magnitude
-        streams keep the whole walk linear in to - frm; each stream opens
-        at its sum before frm with one select.
+        Sequential cursors over the gap map and the two axes' streams keep
+        the whole walk linear in to - frm; each stream opens at its sum
+        before frm with one select, and each block's entries are read
+        once.
         """
         n = self.data_count
         if not 1 <= frm <= to <= n:
             raise IndexError(f"ordinal range {frm}..{to} out of range 1..{n}")
         bits, words, f = self._bits, self._words, self._f
-        walks = []
-        for a in (X_AXIS, Y_AXIS):
-            m = f[a + 3] - f[a + 1]
-            p = rank1(bits, f[a], f[a + 1], frm - 1)
-            walks += (unary_prefixes(bits, words, f, a + 2, m, p),
-                      unary_prefixes(bits, words, f, a + 7, n - m, frm - 1 - p))
-        it_xp, it_xn, it_yp, it_yn = walks
-        x_pos, x_neg = next(it_xp), next(it_xn)
-        y_pos, y_neg = next(it_yp), next(it_yn)
+        xs = unary_prefixes(bits, words, f, X_AXIS, n - 1, frm - 1)
+        ys = unary_prefixes(bits, words, f, Y_AXIS, n - 1, frm - 1)
         offsets = self.time.data_offsets(frm) if f[2] else count(frm)
-        # the sign bits of ordinal j, read straight from the pool
-        pool, sx, sy = bits.words, (f[X_AXIS] << 6) - 1, (f[Y_AXIS] << 6) - 1
-        base = f[0] - 1
-        for j in range(frm, to + 1):
-            off = next(offsets)
-            if pool[(sx + j) >> 6] >> ((sx + j) & 63) & 1:
-                x_pos = next(it_xp)
-            else:
-                x_neg = next(it_xn)
-            if pool[(sy + j) >> 6] >> ((sy + j) & 63) & 1:
-                y_pos = next(it_yp)
-            else:
-                y_neg = next(it_yn)
-            yield base + off, x_pos - x_neg, y_pos - y_neg
+        s, x1, y1, base = f[SPEED], f[X_FIRST], f[Y_FIRST], f[0] - 1
+        # fix j's last step is j - 1, in block (j - 2) >> BLOCK_SHIFT; fix 1
+        # takes block 0, whose drift at the window's first instant is 0.
+        # Blocks end at fix `end`; with no entries, never.
+        sx = sy = s
+        ox = oy = 0
+        end = 0 if f[WIDTHS] else n
+        # the range comes first, so zip stops before the cursors run past to
+        for j, off, x, y in zip(range(frm, to + 1), offsets, xs, ys):
+            if j > end:
+                b = max(j - 2, 0) >> BLOCK_SHIFT
+                end = (b + 1 << BLOCK_SHIFT) + 1
+                rx, ox = _drift(words, f, 0, b)
+                ry, oy = _drift(words, f, 1, b)
+                sx, sy = s - rx, s - ry
+            t = off - 1
+            yield base + off, x1 + x - sx * t - ox, y1 + y - sy * t - oy
 
     def scan_positions(self, frm: int, to: int) -> list[tuple[int, int, int]]:
         return list(self.iter_positions(frm, to))
@@ -340,8 +408,12 @@ class TrajectoryLog:
         return self.time.code_bits() + self.dx.code_bits() + self.dy.code_bits()
 
     def write(self, w: Writer) -> None:
-        """The window and both axes; id, start and period are the caller's."""
+        """The window, the speed bound, the blocks' entries and both axes;
+        id, start and period are the caller's."""
         self.time.write(w)
+        w.u32(self._f[SPEED], self._f[WIDTHS])
+        for k in range(4):
+            _entries(self._words, self._f, k).write(w)
         self.dx.write(w)
         self.dy.write(w)
 

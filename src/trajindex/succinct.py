@@ -6,9 +6,9 @@ rank/select directory over the whole pool.  Packed integers live in a
 plain word array, the word pool.  A bitmap is then its first word and the
 number of ones before that word: local rank is the pool's rank less those
 ones, and select bisects only the superblocks the bitmap spans.  The
-functions below are the one implementation of rank and select; the
-classes are thin views over them, and callers that keep the bases
-elsewhere, such as a log's fields, call the functions directly.
+functions below are the one implementation of select; the classes are
+thin views over them, and callers that keep the bases elsewhere, such as
+a log's fields, call the functions directly.
 
 The public API uses 1-based positions.  Words and directories are
 `array.array`s, whose items read back as plain Python ints.
@@ -108,18 +108,19 @@ class Writer(bytearray):
 
 class WideWriter(Writer):
     """A `Writer` for a structure built to stay in memory: its u32 fields
-    take 8 bytes, so sums past 2**32, which no file holds, still build."""
+    take 8 bytes and are signed, so values outside a u32, which no file
+    holds, still build."""
 
     def u32(self, *values: int) -> None:
-        self += struct.pack(f"<{len(values)}Q", *values)
+        self += struct.pack(f"<{len(values)}q", *values)
 
     def reader(self) -> "Reader":
         return Reader(self, 8)
 
 
 class Reader:
-    """Cursor over what a `Writer` wrote (over a `WideWriter` when u32_size
-    is 8).
+    """Cursor over what a `Writer` wrote (over a `WideWriter`, whose fields
+    are signed, when u32_size is 8).
 
     Every read copies, so nothing built from it keeps the buffer alive.
     Asking for more bytes than are left raises ValueError before anything
@@ -141,7 +142,8 @@ class Reader:
         return view
 
     def u32(self) -> int:
-        return int.from_bytes(self._take(self._u32), "little")
+        return int.from_bytes(self._take(self._u32), "little",
+                              signed=self._u32 == 8)
 
     def u32s(self, count: int) -> np.ndarray:
         return np.frombuffer(self._take(4 * count), dtype="<u4").astype(np.uint32)
@@ -258,17 +260,6 @@ def access(pool: BitPool, base: int, i: int) -> int:
     return pool.words[p >> 6] >> (p & 63) & 1
 
 
-def rank1(pool: BitPool, base: int, ones: int, i: int) -> int:
-    """Set bits among positions 1..i of the bitmap that starts at word
-    base, with `ones` set bits before it in the pool."""
-    p = (base << 6) + i
-    w = p >> 6
-    r = pool.super1[w >> _SUPER_SHIFT] + pool.block1[w] - ones
-    if p & 63:
-        r += (pool.words[w] & ((1 << (p & 63)) - 1)).bit_count()
-    return r
-
-
 def select(pool: BitPool, base: int, end: int, ones: int, j: int,
            zero: bool = False) -> int:
     """Position of the j-th set bit (unset bit, when zero) of the bitmap
@@ -374,13 +365,24 @@ def sparse_select1(pool: BitPool, words: array, f, s: int, j: int) -> int:
 def sparse_search(pool: BitPool, words: array, f, s: int,
                   i: int) -> tuple[int, bool]:
     """(members at or below position i, whether i is one), for a set with
-    members: two select0s bound i's high bucket, and a bisection of its
+    members: a select0 finds where i's high bucket begins, the run of
+    ones after it holds the bucket's members, and a bisection of their
     lows ranks i; the low just below the rank says whether i is in."""
-    hbase, hones, lbase, lw, hend = f[s], f[s + 1], f[s + 2], f[s + 3], f[s + 5]
+    hbase, lbase, lw = f[s], f[s + 2], f[s + 3]
     h = (i - 1) >> lw
     lowv = (i - 1) & ((1 << lw) - 1)
-    lo = select(pool, hbase, hend, hones, h, True) - h if h else 0
-    a, b = lo, select(pool, hbase, hend, hones, h + 1, True) - h - 1
+    p = select(pool, hbase, f[s + 5], f[s + 1], h, True) if h else 0
+    a = b = lo = p - h
+    # count the run of ones from bit p + 1 on, word by word; the high
+    # bits end with a zero
+    w, off = divmod((hbase << 6) + p, 64)
+    while True:
+        x = pool.words[w] >> off
+        run = (~x & (x + 1)).bit_length() - 1  # x's trailing ones
+        b += run
+        if run < 64 - off:
+            break
+        w, off = w + 1, 0
     while a < b:
         mid = (a + b) >> 1
         if packed_get(words, lbase, lw, mid) <= lowv:
@@ -628,7 +630,12 @@ class BitVector:
         """Number of set bits among positions 1..i (i may be 0)."""
         if not 0 <= i <= self._n:
             raise IndexError(f"rank index {i} out of range 0..{self._n}")
-        return rank1(self._pool, self._base, self._ones, i)
+        pool, p = self._pool, (self._base << 6) + i
+        w = p >> 6
+        r = pool.super1[w >> _SUPER_SHIFT] + pool.block1[w] - self._ones
+        if p & 63:
+            r += (pool.words[w] & ((1 << (p & 63)) - 1)).bit_count()
+        return r
 
     def select1(self, j: int) -> int:
         """Position of the j-th set bit, 1-based."""
@@ -727,8 +734,8 @@ class SparseBitVector:
     The low floor(log2(n/m)) bits of each (position - 1) go into packed
     lows in a word pool; the high halves become a unary-coded bitmap in a
     bit pool, where the j-th one sits at position high_j + j.  select1 is a
-    single select on the high bitmap; rank1 bounds one high bucket with two
-    select0s and bisects its lows, so it costs O(log(n/m)).  select0
+    single select on the high bitmap; rank1 finds one high bucket with a
+    select0 and bisects its lows, so it costs O(log(n/m)).  select0
     bisects the few high buckets the j-th zero can fall in, with select0s
     on the high bitmap, and walks the lows of one bucket.
     """

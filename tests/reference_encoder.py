@@ -17,6 +17,7 @@ from trajindex.snapshot import Snapshot
 from trajindex.succinct import U32_MAX, Writer
 
 _PAD = 1 << 40
+BLOCK = 16  # steps to a block with its own speed bounds
 
 
 def bits_at(n: int, positions) -> np.ndarray:
@@ -62,11 +63,55 @@ def write_log(w: Writer, samples, start: int, period: int) -> None:
     gaps = np.flatnonzero(~present) + 1
     w.u32(first, last, len(gaps))
     write_sparse(w, last - first + 1, gaps)
-    for deltas in (np.diff(xs, prepend=0), np.diff(ys, prepend=0)):
-        nonneg = deltas >= 0
-        w.bits(nonneg)
-        write_unary(w, deltas[nonneg])
-        write_unary(w, -deltas[~nonneg])
+    # the speed bound s; per block and axis the reduction s - s_b of the
+    # block's speed bound and its offset; per axis the first coordinate
+    # and the increments dx + s_b*dt
+    elapsed = np.diff(local)
+    tau = local - first
+    blocks = range(0, len(elapsed), BLOCK)
+    rates = [-(-np.abs(np.diff(col)) // elapsed) for col in (xs, ys)]
+    speed = int(max((r.max(initial=0) for r in rates)))
+    axes = []
+    for col, rate in zip((xs, ys), rates):
+        top = int(rate.max(initial=0))
+        own = [int(rate[b:b + BLOCK].max()) for b in blocks]
+        axes.append(min((_axis(col, elapsed, tau, speed, bounds)
+                         for bounds in ([speed] * len(own), [top] * len(own),
+                                        own)),
+                        key=lambda axis: axis[0]))
+    widths = [max(e, default=0).bit_length()
+              for _, entries, _ in axes for e in entries]
+    w.u32(speed, sum(width << 8 * k for k, width in enumerate(widths)))
+    for k, (_, entries, _) in enumerate(axes):
+        for j, e in enumerate(entries):
+            write_packed(w, e, widths[2 * k + j])
+    for col, (_, _, increments) in zip((xs, ys), axes):
+        w.u32(int(col[0]))
+        write_unary(w, increments)
+
+
+def _axis(col, elapsed, tau, speed, bounds):
+    """(words, (reductions, zigzagged offsets), increments) of one axis
+    whose blocks have the speed bounds given; the first of those with
+    the fewest words wins."""
+    moves = np.diff(col)
+    reductions, offsets, increments = [], [], []
+    drift = 0  # the sum of s_b*dt over the steps so far
+    for k, s in enumerate(bounds):
+        b = k * BLOCK
+        reductions.append(speed - s)
+        offset = drift - s * int(tau[b])
+        offsets.append(2 * offset if offset >= 0 else -2 * offset - 1)
+        increments += (moves[b:b + BLOCK] + s * elapsed[b:b + BLOCK]).tolist()
+        drift += s * int(elapsed[b:b + BLOCK].sum())
+    m, total = len(increments), sum(increments)
+    low_width = max(0, ((total + m) // m).bit_length() - 1) if m else 0
+    high_length = m + ((total + m - 1) >> low_width) + 1 if m else 0
+    words = sum(-(-bits // 64) for bits in (
+        m * low_width, high_length,
+        *(len(bounds) * max(e, default=0).bit_length()
+          for e in (reductions, offsets))))
+    return words, (reductions, offsets), increments
 
 
 def write_tree(w: Writer, xs, ys, leaf_capacity: int) -> None:

@@ -204,6 +204,18 @@ class TestQuery:
         assert rc == 2
         assert "version 3" in capsys.readouterr().err
 
+    def test_version_four_index_is_data_error(self, capsys, tmp_path,
+                                              built_index):
+        # a version 4 file stores sign bits and two magnitude streams per
+        # axis, which no reader parses now
+        blob = built_index.read_bytes()
+        old = tmp_path / "v4.idx"
+        old.write_bytes(blob[:4] + (4).to_bytes(2, "little") + blob[6:])
+        rc = main(["query", str(old), "--object", str(REF_OBJECT),
+                   "--from", "9"])
+        assert rc == 2
+        assert "version 4" in capsys.readouterr().err
+
     def test_bad_region_is_data_error(self, capsys, built_index):
         rc = main(["query", str(built_index), "--region", "5,4,0,1",
                    "--from", "0"])

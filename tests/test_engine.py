@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,12 @@ import pytest
 
 from conftest import REF_OBJECT, REF_PERIOD, REF_TRACK, pulled_in, restamp
 from synth import make_fleet
-from trajindex.engine import TrajectoryIndex, build_index, compute_max_speed
+from trajindex.engine import (
+    MAX_PERIODS,
+    TrajectoryIndex,
+    build_index,
+    compute_max_speed,
+)
 from trajindex.log import TrajectoryLog, build_log
 from trajindex.mbrtree import Mbr, TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
@@ -150,6 +156,44 @@ class TestBuildValidation:
         with pytest.raises(ValueError, match="u32"):
             build_index(rows, period=10, leaf_capacity=2, extent=(8, top + 1))
         build_index(rows[:3], period=10, leaf_capacity=2, extent=(8, top + 1))
+
+    def test_rejects_a_fast_block_with_a_long_gap(self):
+        # a jump of 2**20 cells in one instant makes its block's x speed
+        # bound 2**20; with a fix at instant 4,096 in the same block the x
+        # stream's increments sum to 2**20 + 2**20 * 4095 = 2**32: past a
+        # u32, though the version 4 sign-and-magnitude streams took it
+        jump = 1 << 20
+
+        def rows(last):
+            return [(1, 0, 0, 0), (1, 1, 0, 0), (1, 2, jump, 0),
+                    (1, last, jump, 0)]
+
+        with pytest.raises(ValueError, match="u32"):
+            build_index(rows(4096), period=5000, leaf_capacity=64,
+                        extent=(jump + 1, 8))
+        # one instant earlier the sum fits
+        build_index(rows(4095), period=5000, leaf_capacity=64,
+                    extent=(jump + 1, 8))
+        # and so does a fix at every instant to 4,096: the blocks after
+        # the jump's have speed bound 0
+        parked = [(1, 0, 0, 0), (1, 1, 0, 0)] + [(1, t, jump, 0)
+                                                 for t in range(2, 4097)]
+        log = build_index(parked, period=5000, leaf_capacity=64,
+                          extent=(jump + 1, 8))._logs[(0, 1)][0]
+        assert log.position(4096) == (jump, 0)
+
+    def test_period_count_is_bounded_before_any_snapshot(self, monkeypatch):
+        # one fix at instant 2**32 - 2 with d=2 would need 2**31 snapshots
+        def refuse(*args, **kwargs):
+            raise AssertionError("a snapshot was built")
+
+        monkeypatch.setattr(Snapshot, "build", refuse)
+        with pytest.raises(ValueError, match=f"limit of {MAX_PERIODS} periods"):
+            build_index([(1, (1 << 32) - 2, 0, 0)], period=2, leaf_capacity=2,
+                        extent=(8, 8))
+        with pytest.raises(ValueError, match=f"limit of {MAX_PERIODS} periods"):
+            build_index([(1, 0, 0, 0)], period=2, leaf_capacity=2,
+                        extent=(8, 8), horizon=2 * MAX_PERIODS + 1)
 
     def test_largest_u32_values_build(self):
         top = (1 << 32) - 1
@@ -316,11 +360,37 @@ class TestSerialization:
         finally:
             (gc.enable if was else gc.disable)()
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_version_file_is_rejected_by_name(self, tiny_blob, version):
         old = tiny_blob[:4] + version.to_bytes(2, "little") + tiny_blob[6:]
         with pytest.raises(ValueError, match=f"version {version}"):
             TrajectoryIndex.from_bytes(old)
+
+    @pytest.mark.parametrize("field, value, ok", [
+        ("s", 3, True), ("s", 4, False),   # the index's speed bound is 3
+        ("x", 2, True), ("x", 10, True),   # the root box's x range is 2..10
+        ("x", 1, False), ("x", 11, False), ("x", 16, False),
+        ("y", 4, True), ("y", 3, False),   # and its y range 4..10
+    ])
+    def test_records_outside_the_speed_bound_or_root_box_are_rejected(
+            self, ref_rows, field, value, ok):
+        blob = build_index(ref_rows, period=REF_PERIOD, leaf_capacity=2,
+                           extent=(16, 16), horizon=14).to_bytes()
+        # the log's speed bound 3 and entry widths 0 (a log of one block
+        # keeps s for both axes), first x 2 and x total 6 + 3 * 8 = 30;
+        # its first y 4 and y total 5 + 3 * 8 = 29
+        pattern, shift = {"s": ((3, 0, 2, 30), 0), "x": ((3, 0, 2, 30), 8),
+                          "y": ((4, 29), 0)}[field]
+        pattern = struct.pack(f"<{len(pattern)}I", *pattern)
+        at = blob.find(pattern)
+        assert at > 0 and blob.find(pattern, at + 1) < 0
+        at += shift
+        edited = restamp(blob[:at] + struct.pack("<I", value) + blob[at + 4:])
+        if ok:
+            TrajectoryIndex.from_bytes(edited)
+        else:
+            with pytest.raises(ValueError, match="speed bound or first fix"):
+                TrajectoryIndex.from_bytes(edited)
 
     def test_ids_the_snapshots_do_not_hold_are_rejected(self, tiny_blob):
         # still strictly increasing, but object 4 is in no snapshot
@@ -365,26 +435,27 @@ class TestSerialization:
 
     @pytest.mark.parametrize("period, leaf, seed, kwargs, size, digest", [
         pytest.param(
-            240, 16, 5, {"drop_rate": 0.03}, 35742,
-            "45bb2ab6ae41a232377c5c16ae4648648f7a3d179a6e4ac3961bf482319a7b86",
+            240, 16, 5, {"drop_rate": 0.03}, 32006,
+            "eb3cf317236c60fd8152baee82480478204fb191829772da5e6d32af392bede0",
             id="sparse-gaps"),
         pytest.param(
-            60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 63550,
-            "43fe306f086863953e8873473e790ae7f0b858a9724f7a932132c5ad2e009aab",
+            60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 60910,
+            "2adb0451ca17119b2b02aa8e087b648c1915d082034d6382417b72b59c0e6c2f",
             id="gappy-short-period"),
         pytest.param(
-            120, 80, 7, {"drop_rate": 0.05}, 39198,
-            "21e88d0baf4329028a86f267a51b61fb2e497ef1ef52557062cba2306c5705f6",
+            120, 80, 7, {"drop_rate": 0.05}, 34062,
+            "ae1fa855c4f73fdc4a3b2b0e6d297f57ece384098853c49c2d4ea12e369ac58c",
             id="range-shape"),
         pytest.param(
-            720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 26966,
-            "5502124635d8bc4639e8a8ad10c161ab1ec2e018193fac44852bebc4ef837943",
+            720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 25006,
+            "2c83813c9e64766e9aa08b1d102663cb0ec687f055f638b482033721170375b9",
             id="lookup-shape"),
     ])
     def test_bytes_match_recorded_digest(self, period, leaf, seed, kwargs,
                                          size, digest):
         # the file format is frozen: these digests were recorded when the
-        # format moved to version 4, where every gap map is a sparse set;
+        # format moved to version 5, where each axis is one stream of the
+        # increments dx + s_b*dt, s_b a speed bound per block of steps;
         # the first fleet has few gaps in every log, the second a median
         # of about a fifth of each short window, where most gap maps have
         # a low width of 2 and some of 1; the last two have the periods

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REF_PERIOD, REF_TRACK, round_trip
+from reference_encoder import write_log
 from synth import make_fleet
 from trajindex.engine import TrajectoryIndex, build_index
 from trajindex.log import (
+    WIDTHS,
     TimeIndex,
     TrajectoryLog,
     build_log,
@@ -41,6 +43,16 @@ class TestTimeIndex:
         assert ti.gaps_upto(8) == 2 and ti.gaps_upto(0) == 0
         assert ti.data_offset(5) == 7
         assert list(ti.data_offsets(3)) == [3, 4, 7, 8, 9]
+
+    def test_offsets_and_ordinals_outside_the_window_raise(self):
+        ti = TimeIndex(2, 10, [5, 6])  # window offsets 1..9, ordinals 1..7
+        for offset in (0, 10, 12):
+            with pytest.raises(IndexError):
+                ti.ordinal(offset)
+        for ordinal in (0, 8):
+            with pytest.raises(IndexError):
+                ti.data_offset(ordinal)
+        assert ti.ordinal(9) == 7 and ti.data_offset(1) == 1
 
     @pytest.mark.parametrize("gaps", [[50], list(range(2, 12)),
                                       list(range(2, 13))],
@@ -381,6 +393,98 @@ class TestPooledLogs:
             check_log(TrajectoryLog(bits, words, f, 0, 0, period), period, rows)
 
 
+MOTIONS = ("at-the-bound", "still", "one-fix", "corners", "jump-over-a-gap",
+           "bursts")
+
+
+@st.composite
+def bounded_tracks(draw):
+    """(period, rows): one log, local instants from 0, whose motion is
+    one of MOTIONS: every step exactly +-s*dt for its speed bound s, so
+    some increments dx + s*dt are 0; s = 0, a log that never moves; a
+    single fix; fixes on the corners of a grid up to 2**32 a side; or
+    steps within s*dt and one of exactly s*dt across the longest gap; or
+    fast steps among slow and still ones, so that blocks of steps differ
+    in speed bound and the log stores their reductions and offsets."""
+    motion = draw(st.sampled_from(MOTIONS))
+    period = draw(st.integers(2, 130 if motion == "bursts" else 60))
+    if motion == "one-fix":
+        ts = [draw(st.integers(1, period - 1))]
+    else:
+        ts = sorted(draw(st.sets(st.integers(1, period - 1), min_size=1)))
+    n = len(ts)
+    dts = np.diff(ts)
+    if motion == "corners":
+        side = draw(st.sampled_from((1, 2, 17, 1 << 20, 1 << 32)))
+        corner = st.sampled_from((0, side - 1))
+        xs = [draw(corner) for _ in ts]
+        ys = [draw(corner) for _ in ts]
+    elif motion in ("still", "one-fix"):
+        xs = [draw(st.integers(0, (1 << 32) - 1))] * n
+        ys = [draw(st.integers(0, (1 << 32) - 1))] * n
+    elif motion == "bursts":
+        rate = st.sampled_from((0, 0, 1, 1000))
+        dx = [draw(st.integers(-1, 1)) * draw(rate) * int(dt) for dt in dts]
+        dy = [draw(st.integers(-1, 1)) * draw(rate) * int(dt) for dt in dts]
+        xs = (1 << 20) + np.cumsum([0] + dx)
+        ys = (1 << 20) + np.cumsum([0] + dy)
+        xs, ys = xs.tolist(), ys.tolist()
+    else:
+        s = draw(st.integers(1, 5))
+        sign = st.sampled_from((-1, 1))
+        if motion == "at-the-bound":
+            dx = [draw(sign) * s * int(dt) for dt in dts]
+            dy = [draw(sign) * s * int(dt) for dt in dts]
+        else:
+            dx = [draw(st.integers(-s * int(dt), s * int(dt))) for dt in dts]
+            dy = [draw(st.integers(-s * int(dt), s * int(dt))) for dt in dts]
+            if n > 1:
+                k = int(np.argmax(dts))
+                dx[k], dy[k] = s * int(dts[k]), -s * int(dts[k])
+        xs = (1000 + np.cumsum([0] + dx)).tolist()
+        ys = (1000 + np.cumsum([0] + dy)).tolist()
+    return period, list(zip(ts, xs, ys))
+
+
+class TestOneStreamPerAxis:
+    @given(bounded_tracks())
+    @settings(max_examples=200, deadline=None)
+    def test_queries_match_plain_lists(self, case):
+        period, rows = case
+        log = build_log(rows, 0, period)
+        instants = [t for t, _, _ in rows]
+        table = {t: (x, y) for t, x, y in rows}
+        n = len(rows)
+        assert log.data_count == n
+        for i in range(1, period):
+            assert log.position(i) == table.get(i)
+        for i in range(period):
+            assert log.count_data_upto(i) == sum(t <= i for t in instants)
+        assert [log.unmap_ordinal(j) for j in range(1, n + 1)] == instants
+        for a in range(1, n + 1):
+            assert log.scan_positions(a, n) == rows[a - 1:]
+            assert log.scan_positions(1, a) == rows[:a]
+        # the signed steps, the first one the coordinate itself
+        steps = np.diff([x for _, x, _ in rows], prepend=0)
+        assert list(log.dx.sign.ones()) == list(np.flatnonzero(steps >= 0) + 1)
+        assert log.dx.pos.total == steps[steps >= 0].sum()
+        assert log.dx.neg.total == -steps[steps < 0].sum()
+
+    @given(bounded_tracks())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_the_reference(self, case):
+        period, rows = case
+        want, got = Writer(), Writer()
+        try:
+            write_log(want, rows, 0, period)
+        except ValueError:
+            # a coordinate or an axis's total past a u32, which only an
+            # in-memory log holds
+            return
+        build_log(rows, 0, period).write(got)
+        assert got == want
+
+
 @st.composite
 def small_fleets(draw):
     """(fleet, period, leaf capacity): up to five objects, with drops."""
@@ -418,3 +522,48 @@ class TestFleetsInOnePool:
             assert ix.time_slice(Region(*rect), a) == oracle_slice(table, rect, a)
             assert ix.time_interval(Region(*rect), a, b) == \
                 oracle_interval(table, rect, a, b)
+
+
+def _budget_share(log, period, axis):
+    # criterion 7's size budget for a log, from the steps of its x axis,
+    # the first one the coordinate itself; for a log that moves only in y,
+    # its mirror image, from the y axis
+    n = log.data_count
+    steps = log.dx if axis == 1 else log.dy
+    moved = steps.pos.total + steps.neg.total
+    return log.code_bits() / (4 * (n * math.log2(moved / n + 2) + period + 64))
+
+
+class TestBlockSpeedBounds:
+    # a fix at every instant of a 720-instant period; the burst is one
+    # jump that stays (a vehicle that moves once and parks) or one that
+    # comes straight back (a GPS outlier), early, mid-log or last
+    @pytest.mark.parametrize("axis", [1, 2], ids=["x", "y"])
+    @pytest.mark.parametrize("at", [2, 18, 360, 719])
+    @pytest.mark.parametrize("jump, back", [
+        (100, False), (100, True), (5000, False), (5000, True)],
+        ids=["park-100", "spike-100", "park-5000", "spike-5000"])
+    def test_one_burst_keeps_the_log_within_the_space_budget(
+            self, axis, at, jump, back):
+        period = 720
+        rows = []
+        for t in range(1, period):
+            moved = jump if t == at or (t > at and not back) else 0
+            rows.append((t, moved, 0) if axis == 1 else (t, 0, moved))
+        log = build_log(rows, 0, period)
+        assert log.scan_positions(1, period - 1) == rows
+        assert [log.position(t) for t in range(1, period)] == \
+            [(x, y) for _, x, y in rows]
+        # with one speed bound for the whole log every step would pay for
+        # the jump; per block only the jump's own block does
+        assert log._f[WIDTHS] != 0
+        assert _budget_share(log, period, axis) <= 0.9
+
+    def test_a_log_of_even_steps_stores_no_entries(self):
+        rows = [(t, 100 + 3 * t, 400 - 3 * t) for t in range(1, 120)]
+        log = build_log(rows, 0, 120)
+        assert log._f[WIDTHS] == 0
+        assert log.code_bits() == (log.dx.stream.code_bits()
+                                   + log.dy.stream.code_bits())
+        assert log.scan_positions(1, 119) == rows
+

@@ -155,6 +155,23 @@ class TestSparseBitVector:
             assert sv.select0(j) == zeros[j - 1]
         assert list(sv.ones()) == ones
 
+    @pytest.mark.parametrize("n, members", [
+        # buckets of 2**7 values: a run of 100 members fills most of one,
+        # so its high bits hold 100 ones in a row across two words
+        (20_000, list(range(1281, 1381)) + list(range(19_900, 19_956))),
+        (20_000, list(range(1, 129)) + [20_000]),
+        # a run that starts and ends on each side of a word boundary
+        (6_000, list(range(1500, 1570)) + list(range(2500, 2520))),
+    ], ids=["long-run", "leading-run", "word-boundaries"])
+    def test_rank_across_long_runs_of_one_bucket(self, n, members):
+        sv = SparseBitVector.from_positions(n, members)
+        memberset = set(members)
+        rank = 0
+        for i in range(1, n + 1):
+            rank += i in memberset
+            assert sv.rank1(i) == rank, i
+            assert sv.access(i) == (i in memberset), i
+
     def test_space_stays_near_information_bound(self):
         # code bits within m*ceil(log2(n/m)) + 4m for all shapes tried
         rng = np.random.default_rng(31)
