@@ -1,28 +1,32 @@
-"""The fleet-wide encoder: every log of a build, each followed by its box
-tree, in one pass over the build's columns.
+"""The fleet-wide encoder, and the one description of where each piece of
+a log and its box tree lies.
 
 A build hands over its fixes as three columns, instant, x and y, log after
 log in file order, with the first row and the period start of each log.
 Every per-log number (window, gap count, speed bound, stream totals,
 Elias-Fano low widths and high lengths, leaf counts, root boxes, diff
 widths) is one array operation over all logs, and every word-aligned
-piece of every log and tree is set in one bit buffer, packed once.
-`lay_out` then puts each log's u32 fields between its pieces, in file
-order.  A standalone log or tree is the same encoding of one log.
+piece of every log and tree is set in one of two bit buffers, one per
+pool, each packed once.
 
-A log and its tree on file, in the order `log.read_fields` and
-`mbrtree.read_tree` read them:
-  u32 first and last local instant, gap count; the gap map, the sparse
-  set of the window's gaps: its lows, then its high bits;
-  u32 speed bound s, the largest step rate on either axis, and the
-  widths of the four entry arrays, a byte each; the arrays, one entry per
-  block of 2**BLOCK_SHIFT steps: the reductions s - s_b of the blocks' x
-  speed bounds s_b, their x offsets (zigzagged), then the same two for y
-  (see `log`);
-  per axis: u32 first coordinate, then the unary stream of the
-  increments dx + s_b*dt: u32 total, lows, high bits;
-  u32 diff width, root box xmin, xmax, ymin, ymax; the x diffs, the y
-  diffs.
+The file and a loaded index hold the same three things: the u32 fields of
+every log and its tree, one row of U32_FIELDS per log, and two pools,
+each the pieces of every log in file order, each piece from a word
+boundary.  A log's fields, in file order:
+  first and last local instant, gap count;
+  speed bound s, the largest step rate on either axis, and the widths of
+  the four entry arrays, a byte each;
+  x's first coordinate and the total of its stream, then y's;
+  the tree's diff width and root box xmin, xmax, ymin, ymax.
+Its pieces in the bit pool: the high bits of the gap map, the sparse set
+of the window's gaps, then those of the x and of the y stream, the unary
+streams of the increments dx + s_b*dt.  Its pieces in the word pool: the
+gap map's lows; the four entry arrays, one entry per block of
+2**BLOCK_SHIFT steps: the reductions s - s_b of the blocks' x speed
+bounds s_b, their x offsets (zigzagged), then the same two for y (see
+`log`); the x and the y stream's lows; the tree's x diffs and y diffs.
+`piece_bits` works each piece's length out from the fields, so nothing
+else is stored.
 """
 
 from __future__ import annotations
@@ -30,27 +34,17 @@ from __future__ import annotations
 import numpy as np
 
 from trajindex.succinct import (
-    U32_MAX,
     PieceBuffer,
-    Reader,
     bit_lengths,
     elias_fano,
     ranks,
 )
 
-# A log's pieces in file order: the gap map's lows and high bits; the
-# blocks' x reductions and offsets, then their y ones (from _BLOCKS); each
-# axis's stream's lows and high bits (from _X or _Y); then the tree's x
-# and y diffs.
-_GAP_LOWS, _GAP_BITS, _BLOCKS, _X, _Y, _DIFFS = 0, 1, 2, 6, 8, 10
-_PIECES = 12
-# The u32 fields of a log and its tree, in file order: first, last, gaps,
-# the speed bound and the entry widths, x's first coordinate and stream
-# total, y's, the diff width and the root box.  Group g, fields
-# _GROUPS[g] .. _GROUPS[g + 1] - 1, is followed by the run of pieces
-# _RUNS[g] .. _RUNS[g + 1] - 1.
-_GROUPS = np.array([0, 3, 5, 7, 9, 14])
-_RUNS = np.array([0, 2, 6, 8, 10, 12])
+# A log's pieces: in the bit pool, the high bits of the gap map and of the
+# x and y streams; in the word pool, the gap map's lows, the entry arrays
+# (from ENTRIES), the x and y streams' lows and the tree's x and y diffs
+GAP_HIGH, X_HIGH, Y_HIGH = 0, 1, 2
+GAP_LOWS, ENTRIES, X_LOWS, Y_LOWS, DIFFS = 0, 1, 5, 6, 7
 U32_FIELDS = 14
 BLOCK_SHIFT = 4
 BLOCK = 1 << BLOCK_SHIFT  # steps to a block of one speed bound per axis
@@ -59,23 +53,48 @@ _PAD = 1 << 40  # a padded node's box: above any storable coordinate
 _MAX_DRIFT = 1 << 61
 
 
+def piece_bits(u32s: np.ndarray, leaf_capacity: int):
+    """The bit length of each piece of the logs and trees whose fields are
+    the rows of u32s, with leaf_capacity ordinals to a leaf: (logs, 3)
+    in the bit pool and (logs, 9) in the word pool, and the low widths
+    of each log's gap map and x and y streams, (logs, 3).
+
+    Fields must describe a valid window (first >= 1, last >= first, gaps
+    <= last - first) and widths of at most 64."""
+    first, last, gaps = u32s[:, 0], u32s[:, 1], u32s[:, 2]
+    count = last - first + 1 - gaps
+    members = count - 1
+    # a sparse set of m members over n per set: the gap map over the
+    # window; a stream of m values summing to t, over t + m
+    m = np.stack((gaps, members, members), axis=1)
+    low_width, high = elias_fano(
+        np.stack((count + gaps, u32s[:, 6] + members, u32s[:, 8] + members),
+                 axis=1), m)
+    lows = m * low_width
+    entries = (-(-members // BLOCK))[:, None] * (
+        u32s[:, 4:5] >> np.array([0, 8, 16, 24]) & 255)
+    leaves = -(-count // leaf_capacity)
+    below = (np.int64(2) << bit_lengths(leaves - 1)) - 2  # nodes 2..2L-1
+    diffs = 2 * below * u32s[:, 9]
+    words = np.column_stack((lows[:, 0], entries, lows[:, 1:], diffs, diffs))
+    return high, words, low_width
+
+
 def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
     """Encode the logs whose rows begin at first_rows in the instant, x
     and y columns, each in the period beginning at the same entry of
     starts, with a tree of leaf_capacity ordinals to a leaf over each.
 
-    Returns (u32s, at, size, pieces) for `lay_out`: the u32 fields, one
-    row of U32_FIELDS per log, and the byte offset in pieces and byte
-    length of each log's piece runs, (logs, 4, 1) arrays.  Instants that
+    Returns (u32s, bits, words): the fields, one int64 row of U32_FIELDS
+    per log, and the bit pool's and the word pool's bytes.  Instants that
     do not strictly increase within a log or leave its period raise
-    ValueError; values past a u32 are `lay_out`'s to reject.
+    ValueError; a field past a u32 is the caller's to reject.
     """
     ts, xs, ys = (np.asarray(c, dtype=np.int64) for c in (ts, xs, ys))
     starts = np.asarray(starts, dtype=np.int64)
     n = len(first_rows)
     if not n:
-        runs = np.zeros((0, len(_RUNS) - 1, 1), dtype=np.int64)
-        return np.zeros((0, U32_FIELDS), dtype=np.int64), runs, runs, b""
+        return np.zeros((0, U32_FIELDS), dtype=np.int64), b"", b""
     head = np.asarray(first_rows, dtype=np.int64)
     count = np.diff(np.append(head, len(ts)))
     tail = head + count - 1
@@ -88,18 +107,14 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
     if outside.any():
         k = int(starts[np.argmax(outside)])
         raise ValueError(f"instants must lie in {k + 1}..{k + period - 1}")
-    # first every piece's length, from per-log numbers alone, then the
+    # first the fields, then from them every piece's length, then the
     # pieces themselves, one kind at a time
-    lengths = np.zeros((n, _PIECES), dtype=np.int64)  # in bits
     u32s = np.empty((n, U32_FIELDS), dtype=np.int64)
 
-    # the window and its gap map
+    # the window
     first, last = local[head], local[tail]
-    window = last - first + 1
-    gaps = window - count
+    gaps = last - first + 1 - count
     u32s[:, 0], u32s[:, 1], u32s[:, 2] = first, last, gaps
-    gap_width, lengths[:, _GAP_BITS] = elias_fano(window, gaps)
-    lengths[:, _GAP_LOWS] = gaps * gap_width
 
     # the steps of a log, 2**BLOCK_SHIFT to a block; per axis each block
     # has a speed bound s_b no less than its largest step rate, so every
@@ -154,7 +169,7 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
         return entries, total, widths, words
 
     u32s[:, 3] = speed
-    entries, streams = [], []  # (piece, values, width)
+    entries, increments = [], []
     for a, (col, move, rate, top) in enumerate(zip((xs, ys), moves, rates,
                                                    tops)):
         # an axis takes as its blocks' speed bounds whichever makes it
@@ -167,22 +182,15 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
         on = pick[block_log]
         s = np.choose(on, bounds)
         for k in (0, 1):
-            width = np.choose(pick, [o[2][k] for o in options])
-            lengths[:, _BLOCKS + 2 * a + k] = blocks * width
-            entries.append((_BLOCKS + 2 * a + k,
-                            np.choose(on, [o[0][k] for o in options]), width))
+            entries.append((np.choose(on, [o[0][k] for o in options]),
+                            np.choose(pick, [o[2][k] for o in options])))
         # the first coordinate, then the unary stream of the increments
-        # from the second fix on.  A stream of m values summing to t is the
-        # sparse set of m members over t + m (see `write_unary`).
+        # from the second fix on
         u32s[:, 5 + 2 * a] = col[head]
-        u32s[:, 6 + 2 * a] = total = np.choose(pick, [o[1] for o in options])
-        low_width, high_length = elias_fano(total + members, members)
-        piece = _X if a == 0 else _Y
-        lengths[:, piece] = members * low_width
-        lengths[:, piece + 1] = high_length
-        streams.append((piece, move + s[block_of] * dt, low_width))
+        u32s[:, 6 + 2 * a] = np.choose(pick, [o[1] for o in options])
+        increments.append(move + s[block_of] * dt)
     # the four entry widths, a byte each
-    u32s[:, 4] = sum(e[2] << 8 * k for k, e in enumerate(entries))
+    u32s[:, 4] = sum(e[1] << 8 * k for k, e in enumerate(entries))
 
     # the box tree: a heap of 2L nodes per log, L leaves padded to a power
     # of two, each box kept as (xmin, -xmax, ymin, -ymax) so a parent is
@@ -222,9 +230,9 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
                                        (np.cumsum(below) - below)[has])
     width = np.maximum(bit_lengths(top), 1)
     u32s[:, 9] = width
-    lengths[:, _DIFFS] = lengths[:, _DIFFS + 1] = 2 * below * width
 
-    buf = PieceBuffer(lengths)
+    high, low, low_width = piece_bits(u32s, leaf_capacity)
+    bits, words = PieceBuffer(high), PieceBuffer(low)
     # gap offsets in the window from 0: the instants skipped between two
     # fixes of a log
     offset = local - np.repeat(first, count)
@@ -233,33 +241,27 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
     gap_at = np.repeat(offset[:-1], skipped) + ranks(skipped) + 1
     gap_log = np.repeat(log[1:], skipped)
     gap_rank = ranks(gaps)
+    gap_width = low_width[:, 0]
     lows, highs = _halves(gap_width, gap_log, gap_rank, gap_at)
-    buf.packed(_GAP_LOWS, gap_log, gap_rank, lows, gap_width)
-    buf.ones(_GAP_BITS, gap_log, highs)
+    words.packed(GAP_LOWS, gap_log, gap_rank, lows, gap_width)
+    bits.ones(GAP_HIGH, gap_log, highs)
     rank = ranks(blocks)
-    for piece, values, entry_width in entries:
-        buf.packed(piece, block_log, rank, values, entry_width)
-    for piece, increments, low_width in streams:
-        _stream(buf, piece, owner, increments, members, low_width)
-    tree_log, tree_rank = np.repeat(np.arange(n), 2 * below), ranks(2 * below)
-    buf.packed(_DIFFS, tree_log, tree_rank, diffs[:, :2].ravel(), width)
-    buf.packed(_DIFFS + 1, tree_log, tree_rank, diffs[:, 2:].ravel(), width)
-    first_word = buf.starts[:, _RUNS[:-1]]
-    size = buf.ends[:, _RUNS[1:] - 1] - first_word
-    return u32s, 8 * first_word[:, :, None], 8 * size[:, :, None], buf.tobytes()
-
-
-def _stream(buf, piece, owner, values, members, low_width) -> None:
-    # the lows and high bits of one stream of every log: values back to
-    # back, log after log, owner the log of each; member j (from 0) of a
-    # stream is the sum of its first j + 1 values plus j
+    for piece, (values, entry_width) in enumerate(entries, ENTRIES):
+        words.packed(piece, block_log, rank, values, entry_width)
+    # member j (from 0) of a stream is the sum of its first j + 1 values
+    # plus j
     rank = ranks(members)
-    sums = np.concatenate(([0], np.cumsum(values)))
     before = np.cumsum(members) - members
-    lows, highs = _halves(low_width, owner, rank,
-                          sums[1:] - sums[before[owner]] + rank)
-    buf.packed(piece, owner, rank, lows, low_width)
-    buf.ones(piece + 1, owner, highs)
+    for a, values in enumerate(increments):
+        sums = np.concatenate(([0], np.cumsum(values)))
+        lows, highs = _halves(low_width[:, 1 + a], owner, rank,
+                              sums[1:] - sums[before[owner]] + rank)
+        words.packed(X_LOWS + a, owner, rank, lows, low_width[:, 1 + a])
+        bits.ones(X_HIGH + a, owner, highs)
+    tree_log, tree_rank = np.repeat(np.arange(n), 2 * below), ranks(2 * below)
+    words.packed(DIFFS, tree_log, tree_rank, diffs[:, :2].ravel(), width)
+    words.packed(DIFFS + 1, tree_log, tree_rank, diffs[:, 2:].ravel(), width)
+    return u32s, bits.tobytes(), words.tobytes()
 
 
 def _halves(low_width, group, rank, values):
@@ -267,44 +269,3 @@ def _halves(low_width, group, rank, values):
     # bits of its sparse set, whose low width is low_width[group]
     shift = low_width[group]
     return values & ((1 << shift) - 1), (values >> shift) + rank
-
-
-def lay_out(u32s, at, size, pieces: bytes, u32_size: int = 4):
-    """Logs with their trees in file order: each group of u32 fields
-    followed by its run of pieces.  at and size give the byte offset in
-    pieces and the byte length of each run's chunks, (logs, 4, chunks)
-    arrays; a run may be split into chunks from anywhere in pieces.
-
-    Fields take u32_size bytes; at 4, one past a u32 raises ValueError.
-    Returns the bytes, each log's first byte with the end appended, and
-    each tree's first byte.
-    """
-    n, runs, chunks = at.shape
-    if u32_size == 4 and n:
-        bad = (u32s < 0) | (u32s > U32_MAX)
-        if bad.any():
-            raise ValueError(f"log field {u32s[bad][0]} does not fit in a u32")
-    fields = u32s.astype("<u4" if u32_size == 4 else "<i8").tobytes()
-    src = np.empty((n, runs, 1 + chunks), dtype=np.int64)
-    length = np.empty_like(src)
-    src[:, :, 0] = (U32_FIELDS * np.arange(n)[:, None] + _GROUPS[:-1]) * u32_size
-    length[:, :, 0] = np.diff(_GROUPS) * u32_size
-    src[:, :, 1:] = at + len(fields)
-    length[:, :, 1:] = size
-    # every field and piece is a whole number of 4-byte units
-    src, length = src.ravel() >> 2, length.ravel() >> 2
-    ends = np.cumsum(length)
-    take = (np.repeat(src - (ends - length), length)
-            + np.arange(ends[-1] if n else 0))
-    units = np.frombuffer(fields + pieces, dtype=np.uint32)
-    ends = 4 * ends.reshape(n, runs * (1 + chunks))
-    return (units[take].tobytes(), np.append(0, ends[:, -1]),
-            ends[:, (runs - 1) * (1 + chunks) - 1])
-
-
-def standalone(ts, xs, ys, start: int, period: int, leaf_capacity: int) -> Reader:
-    """A reader over one log and its tree, with signed 8-byte fields so
-    coordinates and sums past a u32, which no file holds, still encode."""
-    u32s, at, size, pieces = encode(ts, xs, ys, [0], [start], period,
-                                    leaf_capacity)
-    return Reader(lay_out(u32s, at, size, pieces, 8)[0], 8)

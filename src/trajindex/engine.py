@@ -16,45 +16,28 @@ from array import array
 
 import numpy as np
 
+from trajindex.encoder import U32_FIELDS, encode
 from trajindex.log import (
-    ENTRIES,
-    LOG_FIELDS,
-    SPEED,
-    WIDTHS,
-    X_AXIS,
-    X_FIRST,
-    Y_AXIS,
-    Y_FIRST,
+    FILE_FIELDS,
+    RECORD_FIELDS,
+    TREE,
     TrajectoryLog,
+    bit_pool,
     data_count,
     ordinal_range,
     position_at,
-    read_fields,
+    records,
 )
-from trajindex.encoder import encode, lay_out
-from trajindex.mbrtree import Mbr, MbrTree, TraversalStats, read_tree
+from trajindex.mbrtree import Mbr, MbrTree, TraversalStats
 from trajindex.snapshot import Region, Snapshot, expanded_region
-from trajindex.succinct import (
-    U32_MAX,
-    BitPool,
-    BitVector,
-    PoolBuilder,
-    Reader,
-    Writer,
-    bits_at,
-    nbytes,
-)
+from trajindex.succinct import U32_MAX, BitPool, Reader, Writer, nbytes, words_from
 
 _MAGIC = b"CTCT"
-_VERSION = 5
+_VERSION = 6
 _PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
 _CRC_AT = 6  # offset of the CRC field, which the CRC skips
-# one record per log: its fields, then its tree's root box and diff width;
-# the tree's own fields start at the log's last one, the word pool's next
-# word, where the tree's diffs begin
-_RECORD = struct.Struct(f"={LOG_FIELDS + 5}I")
-_TREE = LOG_FIELDS - 1
-_ROOT = _TREE + 1
+_RECORD = struct.Struct(f"={RECORD_FIELDS}I")  # a log's record (see `log`)
+_ROOT = TREE + 1
 MAX_PERIODS = 1 << 20  # each period costs a snapshot, data or not
 
 
@@ -89,7 +72,13 @@ class TrajectoryIndex:
                  extent: tuple[int, int], horizon: int, max_speed: int,
                  sample_count: int, object_ids: np.ndarray,
                  snapshots: list[Snapshot], bits: BitPool, words: array,
-                 records: array, rows: array):
+                 f: np.ndarray, slots: np.ndarray):
+        """f: the logs' records in file order (see `log.records`); slots:
+        period * object count + object index, for each log."""
+        if len(f) and f.max() > U32_MAX:
+            raise ValueError("the pools are too large for a record's u32s")
+        rows = np.full(len(snapshots) * len(object_ids), -1, dtype=np.int32)
+        rows[slots] = np.arange(len(slots))
         self.period = period
         self.leaf_capacity = leaf_capacity
         self.extent = extent
@@ -101,8 +90,10 @@ class TrajectoryIndex:
         self._snapshots = snapshots
         self._bits = bits
         self._words = words
-        self._records = records
-        self._rows = rows
+        # [:] is an exact copy: an array made from bytes keeps up to a
+        # sixteenth more room
+        self._records = array("I", f.astype(np.uint32).tobytes())[:]
+        self._rows = array("i", rows.tobytes())
 
     # ------------------------------------------------------------- lookups
 
@@ -143,7 +134,7 @@ class TrajectoryIndex:
         return TrajectoryLog(self._bits, self._words, f, oid, k, self.period)
 
     def _tree(self, f) -> MbrTree:
-        return MbrTree(self._words, self.leaf_capacity, data_count(f), f, _TREE)
+        return MbrTree(self._words, self.leaf_capacity, data_count(f), f, TREE)
 
     def object_position(self, oid: int, q: int) -> tuple[int, int] | None:
         """Where object oid was at instant q, or None if it sent nothing."""
@@ -296,28 +287,34 @@ class TrajectoryIndex:
           magic, u16 version, u32 CRC-32 of every other byte of the file;
           u32 width, height, horizon, period, leaf capacity, sample count,
           max speed, object count; the object ids as u32s;
-          then per period, in time order: its snapshot, a bitmap over the
-          object ids marking who has a log in the period, and those logs
-          in id order, each followed by its box tree.
+          per period, in time order: its snapshot and a bitmap over the
+          object ids marking who has a log in the period;
+          then every log with its box tree, by period and then by id, as
+          the index holds them (see `encoder`): their u32 fields, row
+          after row, the bit pool's words and the word pool's words.
         """
         ids = self._object_ids
         w = _header(self.extent, self.horizon, self.period, self.leaf_capacity,
                     self.sample_count, self.max_speed, ids)
-        f = np.frombuffer(self._records, dtype=np.uint32).reshape(
-            -1, _RECORD.size // 4).astype(np.int64)
-        logs, log_at, tree_at = lay_out(*_runs(f, self._bits.words,
-                                               self._words))
         present = np.frombuffer(self._rows, dtype=np.int32).reshape(
             len(self._snapshots), len(ids)) >= 0
-        first = np.append(0, np.cumsum(present.sum(axis=1)))
-        sizes = {"snapshots": 0, "logs": int((tree_at - log_at[:-1]).sum()),
-                 "trees": int((log_at[1:] - tree_at).sum())}
-        for p, snap in enumerate(self._snapshots):
+        sizes = {"snapshots": 0}
+        for snap, logged in zip(self._snapshots, present):
             mark = len(w)
             snap.write(w)
             sizes["snapshots"] += len(w) - mark
-            w.bits(present[p])
-            w += logs[log_at[first[p]]:log_at[first[p + 1]]]
+            w.bits(logged)
+        f = np.frombuffer(self._records, dtype=np.uint32).reshape(
+            -1, RECORD_FIELDS).astype(np.int64)
+        w.u32s(f[:, FILE_FIELDS])
+        w.words(self._bits.words)
+        w.words(self._words)
+        # a tree's diffs end where the next log's words begin, with its
+        # gap map's lows (field 5)
+        diffs = np.append(f[1:, 5], len(self._words)) - f[:, TREE]
+        sizes["trees"] = 20 * len(f) + 8 * int(diffs.sum())
+        sizes["logs"] = (4 * U32_FIELDS * len(f) - sizes["trees"]
+                         + nbytes(self._bits.words, self._words))
         return _framed(w), sizes
 
     @classmethod
@@ -325,8 +322,9 @@ class TrajectoryIndex:
         """Load an index; a malformed, truncated or corrupt buffer, or one
         of another format version, raises ValueError.
 
-        Each log's and tree's words are copied into the pools in file
-        order, and each pool's directory is built once at the end.
+        The pools are copied as the file holds them, every record is
+        worked out from the stored fields in one numpy pass, and each
+        pool's directory is built once.
         """
         if len(buf) < _PREFIX.size or bytes(buf[:4]) != _MAGIC:
             raise ValueError("not an index file")
@@ -348,28 +346,29 @@ class TrajectoryIndex:
         if np.any(object_ids[1:] <= object_ids[:-1]):
             raise ValueError("object ids are not strictly increasing")
         snapshots = []
-        pb = PoolBuilder()
-        records = array("I")
-        slots = array("q")  # period * nobj + object index, row by row
+        slots = [np.zeros(0, dtype=np.int64)]  # per log, as __init__ takes them
         for p, k in enumerate(range(0, horizon, period)):
             snapshots.append(Snapshot.read(r, k, (w, h)))
-            for j in BitVector.read(r, nobj).ones():
-                slots.append(p * nobj + j - 1)
-                f = read_fields(r, pb)
-                records.extend(f)
-                records.extend(read_tree(r, pb, data_count(f), leaf_capacity))
-        r.end()
+            slots.append(p * nobj + np.flatnonzero(r.bits(nobj)))
         # every object sits in the snapshot of its first fix's period
         if set().union(*(s.ids for s in snapshots)) != set(object_ids.tolist()):
             raise ValueError("the snapshots do not hold exactly the listed objects")
-        _check_records(records, (w, h), max_speed)
-        rows = np.full(len(snapshots) * nobj, -1, dtype=np.int32)
-        rows[np.frombuffer(slots, dtype=np.int64)] = np.arange(len(slots))
-        # records[:] is an exact copy: growing by extend leaves up to a
-        # sixteenth of the table unused
+        slots = np.concatenate(slots)
+        table = r.u32s(U32_FIELDS * len(slots)).reshape(
+            -1, U32_FIELDS).astype(np.int64)
+        _check_table(table, slots // max(nobj, 1) * period, period, horizon,
+                     (w, h), max_speed)
+        fixes = (table[:, 1] - table[:, 0] + 1 - table[:, 2]).sum()
+        if fixes + sum(s.fix_count for s in snapshots) != sample_count:
+            raise ValueError(f"the logs and snapshots do not hold the "
+                             f"{sample_count} samples the header counts")
+        f, bit_words, word_words = records(table, leaf_capacity)
+        pools = r.take(8 * (bit_words + word_words))
+        r.end()
         return cls(period, leaf_capacity, (w, h), horizon, max_speed,
-                   sample_count, object_ids, snapshots, pb.bit_pool(),
-                   pb.word_pool(), records[:], array("i", rows.tobytes()))
+                   sample_count, object_ids, snapshots,
+                   bit_pool(f, pools[:8 * bit_words]),
+                   words_from(pools[8 * bit_words:]), f, slots)
 
     @classmethod
     def load(cls, path) -> "TrajectoryIndex":
@@ -384,29 +383,6 @@ def _header(extent, horizon, period, leaf_capacity, sample_count, max_speed,
           len(ids))
     w.u32s(ids)
     return w
-
-
-def _runs(f: np.ndarray, bits: array, words: array):
-    """`lay_out`'s arguments for the logs whose records are the rows of f,
-    in file order.  Each run of pieces is a chunk of the word pool (lows
-    the blocks' entries or tree diffs), then one of the bit pool (high
-    bits, none for the entries and the diffs); `lay_out` reads both pools'
-    words back to back.  The gap map's sparse set starts at f[3] and each
-    axis's stream's at f[X_AXIS] and f[Y_AXIS] (see `log`).
-    Each sparse set's fields (see `succinct`) begin with its high bits'
-    first word; its lows' first word is 2 on, and a stream's total 4 on."""
-    pools = Writer()
-    pools.words(bits)
-    pools.words(words)
-    word_cuts = np.column_stack((f[:, [5, ENTRIES, X_AXIS + 2, Y_AXIS + 2,
-                                       _TREE]],
-                                 np.append(f[:, 5], len(words))[1:]))
-    bit_cuts = f[:, [3, X_AXIS, X_AXIS, Y_AXIS, Y_AXIS + 5, Y_AXIS + 5]]
-    at = 8 * np.stack((word_cuts[:, :-1] + len(bits), bit_cuts[:, :-1]), axis=2)
-    size = 8 * np.stack((np.diff(word_cuts), np.diff(bit_cuts)), axis=2)
-    fields = [0, 1, 2, SPEED, WIDTHS, X_FIRST, X_AXIS + 4, Y_FIRST,
-              Y_AXIS + 4, _ROOT + 4, *range(_ROOT, _ROOT + 4)]
-    return f[:, fields], at, size, bytes(pools)
 
 
 def _framed(body: Writer) -> bytes:
@@ -426,14 +402,23 @@ def compute_max_speed(rows: np.ndarray) -> int:
     return int((-(-moved // steps[:, 1])).max())
 
 
-def _check_records(records: array, extent, max_speed: int) -> None:
-    # each log's speed bound within the index's, its first fix on the grid
-    # and inside its tree's root box
-    f = np.frombuffer(records, dtype=np.uint32).reshape(-1, _RECORD.size // 4)
-    x1, y1, root = f[:, X_FIRST], f[:, Y_FIRST], f[:, _ROOT:_ROOT + 4]
-    if ((f[:, SPEED] > max_speed) | (x1 >= extent[0]) | (y1 >= extent[1])
-            | (x1 < root[:, 0]) | (x1 > root[:, 1]) | (y1 < root[:, 2])
-            | (y1 > root[:, 3])).any():
+def _check_table(table: np.ndarray, k: np.ndarray, period: int, horizon: int,
+                 extent, max_speed: int) -> None:
+    # each log's stored fields, k its period's start: a window that fits
+    # its gap count, inside its period and before the horizon; packed
+    # widths of at most 64 bits; a speed bound within the index's; a
+    # first fix on the grid and inside the log's root box
+    (first, last, gaps, speed, widths, x1, _, y1, _, diff_width,
+     xmin, xmax, ymin, ymax) = table.T
+    if ((first < 1) | (last < first) | (gaps > last - first)).any():
+        raise ValueError("a log's time window does not fit its gap count")
+    if ((last > period - 1) | (k + last >= horizon)).any():
+        raise ValueError("a log's time window leaves its period or the horizon")
+    entries = widths[:, None] >> np.array([0, 8, 16, 24]) & 255
+    if ((entries > 64).any(axis=1) | (diff_width > 64)).any():
+        raise ValueError("a log's packed width exceeds 64 bits")
+    if ((speed > max_speed) | (x1 >= extent[0]) | (y1 >= extent[1])
+            | (x1 < xmin) | (x1 > xmax) | (y1 < ymin) | (y1 > ymax)).any():
         raise ValueError("a log's speed bound or first fix lies outside the "
                          "index's speed bound, the grid or the log's root box")
 
@@ -523,22 +508,23 @@ def build_index(samples, period: int, leaf_capacity: int,
     first_rows = np.cumsum(count) - count
     take = np.repeat(logged_from[logged] - first_rows, count) + np.arange(
         count.sum())
-    logs, log_at, _ = lay_out(*encode(*rows[take, 1:].T, first_rows,
-                                      k[logged], period, leaf_capacity))
-    # the file, written straight from the columns, is then loaded
+    u32s, bits, words = encode(*rows[take, 1:].T, first_rows, k[logged],
+                               period, leaf_capacity)
+    bad = (u32s < 0) | (u32s > U32_MAX)
+    if bad.any():
+        raise ValueError(f"log field {u32s[bad][0]} does not fit in a u32")
     ids = np.unique(oids).astype(np.uint32)
-    w = _header(extent, horizon, period, leaf_capacity, len(rows), max_speed,
-                ids)
+    snapshots = []
     group_at = np.searchsorted(k, range(0, horizon + period, period))
-    logs_before = np.append(0, np.cumsum(logged))
     for i in range(len(group_at) - 1):
         at_k = slice(group_at[i], group_at[i + 1])
         snap_oids, _, xs, ys = rows[starts[at_k]].T
-        Snapshot.build(zip(snap_oids.tolist(), xs.tolist(), ys.tolist()),
-                       i * period, extent,
-                       set(snap_oids[entrant[at_k]].tolist())).write(w)
-        w.bits(bits_at(len(ids), np.searchsorted(
-            ids, snap_oids[logged[at_k]]) + 1))
-        w += logs[log_at[logs_before[group_at[i]]]:
-                  log_at[logs_before[group_at[i + 1]]]]
-    return TrajectoryIndex.from_bytes(_framed(w))
+        snapshots.append(Snapshot.build(
+            zip(snap_oids.tolist(), xs.tolist(), ys.tolist()), i * period,
+            extent, set(snap_oids[entrant[at_k]].tolist())))
+    slots = k[logged] // period * len(ids) + np.searchsorted(
+        ids, oids[starts[logged]])
+    f = records(u32s, leaf_capacity)[0]
+    return TrajectoryIndex(period, leaf_capacity, extent, horizon, max_speed,
+                           len(rows), ids, snapshots, bit_pool(f, bits),
+                           words_from(words), f, slots)

@@ -23,38 +23,39 @@ make it smaller; then one fast step inflates only its own block's
 increments, not the whole log's.  A log whose entries are all 0 stores
 none and reads none.
 
-A log lives in two pools (see `succinct`): its bitmaps back to back in a
-bit pool, in file order, and its packed lows in a word pool.  A tuple of
-ints, its fields, says where; an index keeps them as one fixed-width
-record per log.  The functions here answer from the fields, and the
-classes are views over them.
+A log and its box tree live in two pools (see `succinct`), the bit pool
+and the word pool, laid out as the file holds them (see `encoder`).  A
+tuple of ints, its record, says where each piece begins; `records` works
+every record of an index out from the stored fields in one numpy pass,
+and an index keeps them as one fixed-width table.  The functions here
+answer from a record, and the classes are views over it.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import count
 
 import numpy as np
 
-from trajindex.encoder import BLOCK_SHIFT, standalone
+from trajindex import encoder
+from trajindex.encoder import BLOCK_SHIFT
 from trajindex.succinct import (
     BitPool,
     BitVector,
     PackedIntArray,
-    PoolBuilder,
-    Reader,
     SparseBitVector,
     UnaryDeltaStream,
-    WideWriter,
-    Writer,
+    elias_fano,
     sparse_search,
     sparse_select0,
     sparse_select1,
     unary_prefixes,
-    write_sparse,
+    word_starts,
+    words_from,
 )
 
-# A log's fields (see `succinct` for a sparse set's six):
+# A log's record (see `succinct` for a sparse set's six fields):
 #   0 first, 1 last, 2 gap count;
 #   3..7 the gap map, the sparse set of the gaps over the window, whose
 #        fifth field, 7, is the data count;
@@ -65,37 +66,73 @@ from trajindex.succinct import (
 #      reductions and offsets and the y ones, a byte each, 0 when the log
 #      stores none; 21 the first word of the first array, each of the
 #      others starting at the word after the one before;
-#   22 the first x, 23 the first y; 24 the word pool's next word.
+#   22 the first x, 23 the first y; 24 the word pool's next word, where
+#      its tree's diffs begin;
+#   25..28 the tree's root box, 29 its diff width.
 # The words of each bitmap end where the next one's begin.
 X_AXIS, Y_AXIS = 8, 13
 SPEED, WIDTHS, ENTRIES, X_FIRST, Y_FIRST = 19, 20, 21, 22, 23
 LOG_FIELDS = 25
+TREE = LOG_FIELDS - 1  # the tree's fields (see `MbrTree`) start here
+RECORD_FIELDS = LOG_FIELDS + 5
+# the record field of each u32 field the file stores, in file order
+FILE_FIELDS = [0, 1, 2, SPEED, WIDTHS, X_FIRST, X_AXIS + 4, Y_FIRST,
+               Y_AXIS + 4, TREE + 5, TREE + 1, TREE + 2, TREE + 3, TREE + 4]
+_SETS = np.array([3, X_AXIS, Y_AXIS])  # each sparse set's first field
 
 
-def _read_window(r: Reader, pb: PoolBuilder) -> tuple[int, ...]:
-    first, last, gaps = r.u32(), r.u32(), r.u32()
-    if first < 1 or last < first or gaps > last - first:
-        raise ValueError(f"bad time window {first}..{last} with {gaps} gaps")
-    return (first, last, gaps, *pb.sparse(r, last - first + 1, gaps))
+def records(u32s: np.ndarray, leaf_capacity: int) -> tuple[np.ndarray, int, int]:
+    """The records, an int64 row of RECORD_FIELDS each, of the logs and
+    trees whose stored fields are the rows of u32s and whose pieces fill
+    a bit pool and a word pool in row order; and the words each pool
+    takes.  The ones before each sparse set are left 0 for `bit_pool`.
+
+    Fields must pass `piece_bits`'s conditions."""
+    high, low, low_width = encoder.piece_bits(u32s, leaf_capacity)
+    high_at, bit_words = word_starts(high)
+    low_at, word_words = word_starts(low)
+    f = np.zeros((len(u32s), RECORD_FIELDS), dtype=np.int64)
+    f[:, FILE_FIELDS] = u32s
+    f[:, _SETS] = high_at
+    f[:, _SETS + 2] = low_at[:, [encoder.GAP_LOWS, encoder.X_LOWS,
+                                 encoder.Y_LOWS]]
+    f[:, _SETS + 3] = low_width
+    f[:, 7] = u32s[:, 1] - u32s[:, 0] + 1 - u32s[:, 2]
+    f[:, Y_AXIS + 5] = high_at[:, -1] + ((high[:, -1] + 63) >> 6)
+    f[:, ENTRIES] = low_at[:, encoder.ENTRIES]
+    f[:, TREE] = low_at[:, encoder.DIFFS]
+    return f, bit_words, word_words
 
 
-def read_fields(r: Reader, pb: PoolBuilder) -> tuple[int, ...]:
-    """Copy the log r holds next into pb's pools; its fields."""
-    f = _read_window(r, pb)
-    speed, widths = r.u32(), r.u32()
-    blocks = _blocks(f[7])
-    entries = pb.packed(r, blocks, widths & 255)
-    for k in range(1, 4):
-        pb.packed(r, blocks, widths >> 8 * k & 255)
-    x1 = r.u32()
-    axes = pb.stream(r, f[7] - 1)
-    y1 = r.u32()
-    axes += pb.stream(r, f[7] - 1)
-    # no intermediate tuple has 20 fields: CPython 3.11 puts a freed
-    # 20-tuple on its free list but never takes one off, so one per log
-    # would stay allocated
-    return f + axes + (pb.bit_base(), speed, widths, entries, x1, y1,
-                       pb.word_base())
+def bit_pool(f: np.ndarray, data) -> BitPool:
+    """The bit pool of the records f, from its words in data, with the
+    ones before each sparse set filled into f.  High bits that hold other
+    than their set's member count, or have a bit set past their end,
+    raise ValueError."""
+    bits = BitPool(data)
+    base, end = f[:, _SETS], f[:, _SETS + 5]
+    ones = bits.ones_before(base)
+    m = np.column_stack((f[:, 2], f[:, 7] - 1, f[:, 7] - 1))
+    if (bits.ones_before(end) - ones != m).any():
+        raise ValueError("a log's sparse set holds the wrong number of ones")
+    f[:, _SETS + 1] = ones
+    tail = elias_fano(f[:, _SETS + 4] + m, m)[1] & 63
+    padded = tail > 0
+    last = np.frombuffer(bits.words, dtype=np.uint64)[end[padded] - 1]
+    if (last >> tail[padded].astype(np.uint64)).any():
+        raise ValueError("bitmap has bits set past its end")
+    return bits
+
+
+def private_pools(rows: np.ndarray, start: int, period: int,
+                  leaf_capacity: int) -> tuple[BitPool, array, tuple]:
+    """One log of (instant, x, y) rows and its tree in pools of their own:
+    the bit pool, the word pool and the record.  No field is held to a
+    u32, so a log off any grid still builds."""
+    u32s, bit_bytes, word_bytes = encoder.encode(
+        *rows.T, [0], [start], period, leaf_capacity)
+    f = records(u32s, leaf_capacity)[0]
+    return bit_pool(f, bit_bytes), words_from(word_bytes), tuple(f[0].tolist())
 
 
 def _blocks(n: int) -> int:
@@ -186,10 +223,9 @@ class TimeIndex:
         """A window of its own, in private pools."""
         if first < 1 or last < first:
             raise ValueError("bad window bounds")
-        w = WideWriter()
-        w.u32(first, last, len(gaps))
-        write_sparse(w, last - first + 1, gaps)
-        self._bits, self._words, self._f = _read_standalone(w.reader())
+        gapmap = SparseBitVector.from_positions(last - first + 1, gaps)
+        self._bits, self._words = gapmap._pool, gapmap._words
+        self._f = (first, last, len(gaps), *gapmap._f)
 
     @classmethod
     def _of(cls, bits: BitPool, words, f) -> "TimeIndex":
@@ -243,21 +279,6 @@ class TimeIndex:
     def code_bits(self) -> int:
         return self._gapmap.code_bits()
 
-    def write(self, w: Writer) -> None:
-        w.u32(*self._f[:3])
-        self._gapmap.write(w)
-
-    @classmethod
-    def read(cls, r: Reader) -> "TimeIndex":
-        """The window `write` stored."""
-        return cls._of(*_read_standalone(r))
-
-
-def _read_standalone(r: Reader):
-    pb = PoolBuilder()
-    f = _read_window(r, pb) + (pb.bit_base(),)
-    return pb.bit_pool(), pb.word_pool(), f
-
 
 class AxisDeltas:
     """One coordinate axis: its blocks' reductions and offsets, its first
@@ -309,12 +330,6 @@ class AxisDeltas:
         return (_entries(self._words, self._f, k).code_bits()
                 + _entries(self._words, self._f, k + 1).code_bits()
                 + self.stream.code_bits())
-
-    def write(self, w: Writer) -> None:
-        """The first coordinate and the stream; the log writes the
-        entries."""
-        w.u32(self._f[X_FIRST if self._a == X_AXIS else Y_FIRST])
-        self.stream.write(w)
 
 
 class TrajectoryLog:
@@ -407,24 +422,6 @@ class TrajectoryLog:
     def code_bits(self) -> int:
         return self.time.code_bits() + self.dx.code_bits() + self.dy.code_bits()
 
-    def write(self, w: Writer) -> None:
-        """The window, the speed bound, the blocks' entries and both axes;
-        id, start and period are the caller's."""
-        self.time.write(w)
-        w.u32(self._f[SPEED], self._f[WIDTHS])
-        for k in range(4):
-            _entries(self._words, self._f, k).write(w)
-        self.dx.write(w)
-        self.dy.write(w)
-
-    @classmethod
-    def read(cls, r: Reader, object_id: int, start: int,
-             period: int) -> "TrajectoryLog":
-        """A log of its own, in private pools."""
-        pb = PoolBuilder()
-        f = read_fields(r, pb)
-        return cls(pb.bit_pool(), pb.word_pool(), f, object_id, start, period)
-
 
 def build_log(samples, start: int, period: int, object_id: int = 0) -> TrajectoryLog:
     """A log of its own over (instant, x, y) rows sorted by instant, given
@@ -436,5 +433,5 @@ def build_log(samples, start: int, period: int, object_id: int = 0) -> Trajector
     rows = np.asarray(samples, dtype=np.int64).reshape(-1, 3)
     if not len(rows):
         raise ValueError("a log needs at least one sample")
-    r = standalone(*rows.T, start, period, len(rows))
-    return TrajectoryLog.read(r, object_id, start, period)
+    return TrajectoryLog(*private_pools(rows, start, period, len(rows)),
+                         object_id, start, period)

@@ -19,16 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trajindex.encoder import standalone
-from trajindex.log import TrajectoryLog, read_fields
-from trajindex.succinct import (
-    U32_MAX,
-    PackedIntArray,
-    PoolBuilder,
-    Reader,
-    Writer,
-    packed_get,
-)
+from trajindex.log import TREE, TrajectoryLog, private_pools
+from trajindex.succinct import U32_MAX, PackedIntArray, packed_get
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -111,8 +103,8 @@ class MbrTree:
     def __init__(self, words: array, leaf_capacity: int, data_count: int,
                  f, t: int):
         """The tree over data_count ordinals whose fields start at f[t]:
-        the word its diffs start at, then the root box and diff width
-        that `read_tree` returns."""
+        the word its diffs start at, then the root box and the diff
+        width."""
         self.leaf_capacity = leaf_capacity
         self.leaf_count = _leaf_count(data_count, leaf_capacity)
         self.data_count = data_count
@@ -273,33 +265,6 @@ class MbrTree:
     def code_bits(self) -> int:
         return self._diffs_x.code_bits() + self._diffs_y.code_bits()
 
-    def write(self, w: Writer) -> None:
-        """Diff width, root box and diffs; the shape is the caller's."""
-        root = self.root
-        w.u32(self.width, root.xmin, root.xmax, root.ymin, root.ymax)
-        self._diffs_x.write(w)
-        self._diffs_y.write(w)
-
-    @classmethod
-    def read(cls, r: Reader, data_count: int, leaf_capacity: int) -> "MbrTree":
-        """A tree of its own over data_count ordinals, leaf_capacity to a
-        leaf, in a private word pool."""
-        pb = PoolBuilder()
-        fields = (0, *read_tree(r, pb, data_count, leaf_capacity))
-        return cls(pb.word_pool(), leaf_capacity, data_count, fields, 0)
-
-
-def read_tree(r: Reader, pb: PoolBuilder, data_count: int,
-              leaf_capacity: int) -> tuple[int, ...]:
-    """Copy the tree r holds next into pb's word pool; its root box and
-    diff width.  Its diffs start at the word pool's next word."""
-    width = r.u32()
-    root = r.u32(), r.u32(), r.u32(), r.u32()
-    diffs = 4 * (_leaf_count(data_count, leaf_capacity) - 1)  # nodes 2..2L-1
-    pb.packed(r, diffs, width)
-    pb.packed(r, diffs, width)
-    return (*root, width)
-
 
 def _leaf_count(n: int, leaf_capacity: int) -> int:
     # leaves for n ordinals, padded to a power of two
@@ -328,6 +293,6 @@ def build_mbr_tree_xy(xs, ys, leaf_capacity: int) -> MbrTree:
     if min(root.xmin, root.ymin) < 0 or max(root.xmax, root.ymax) > U32_MAX:
         raise ValueError(f"box {root} cannot be stored: "
                          f"coordinates must lie in 0..{U32_MAX}")
-    r = standalone(np.arange(1, n + 1), xs, ys, 0, n + 1, leaf_capacity)
-    read_fields(r, PoolBuilder())  # the log comes first
-    return MbrTree.read(r, n, leaf_capacity)
+    _, words, f = private_pools(np.column_stack((np.arange(1, n + 1), xs, ys)),
+                                0, n + 1, leaf_capacity)
+    return MbrTree(words, leaf_capacity, n, f, TREE)

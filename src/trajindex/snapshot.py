@@ -135,7 +135,12 @@ class K2Tree:
         if off.any():
             x, y = arr[off.any(axis=1)][0]
             raise ValueError(f"cell ({x}, {y}) outside {width}x{height} grid")
-        return cls(width, height, np.sort(morton_codes(arr[:, 0], arr[:, 1])))
+        codes = np.sort(morton_codes(arr[:, 0], arr[:, 1]))
+        # `write` stores row j's code plus j as an int64
+        if len(codes) and int(codes[-1]) + len(codes) >= 1 << 63:
+            raise ValueError(f"a snapshot of {len(codes)} rows cannot store "
+                             f"the Morton code {codes[-1]}")
+        return cls(width, height, codes)
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -214,6 +219,11 @@ class Snapshot:
     @property
     def object_count(self) -> int:
         return len(self._perm)
+
+    @property
+    def fix_count(self) -> int:
+        """Rows that are fixes at the snapshot's instant, not entrants."""
+        return len(self._perm) - self._entrants.count_ones
 
     def _row(self, oid: int) -> int | None:
         ids = self.ids

@@ -13,12 +13,12 @@ a log's fields, call the functions directly.
 The public API uses 1-based positions.  Words and directories are
 `array.array`s, whose items read back as plain Python ints.
 
-On disk a structure is its words and the few u32s it cannot derive, with
-no frames and no versions, little-endian.  The `write_*` encoders and each
-view's `write` append them to a `Writer`; a `PoolBuilder` copies them from
-a `Reader` into pools, given the lengths its caller already knows.  A
-standalone view is made the same way: encoded, then read into a private
-pool.
+An index file holds its logs' pools as they are (see `trajindex.encoder`).
+Snapshots keep an encoding of their own: each structure's words and the
+few u32s it cannot derive, with no frames and no versions,
+little-endian, appended to a `Writer` and read back through a `Reader`.
+A standalone view (`from_bits`, `from_positions`, ...) makes its private
+pools straight from the encoders below.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def gc_paused():
             gc.enable()
 
 
-def _words_from(data) -> array:
+def words_from(data) -> array:
     """uint64 words from little-endian bytes (any buffer)."""
     words = array("Q")
     words.frombytes(data)
@@ -101,38 +101,29 @@ class Writer(bytearray):
 
     def bits(self, bits) -> None:
         """A 0/1 sequence as whole words, the last one padded with zeros."""
-        packed = np.packbits(np.asarray(bits, dtype=np.uint8),
-                             bitorder="little").tobytes()
-        self += packed + bytes(-len(packed) % 8)
+        self += _bit_words(bits)
 
 
-class WideWriter(Writer):
-    """A `Writer` for a structure built to stay in memory: its u32 fields
-    take 8 bytes and are signed, so values outside a u32, which no file
-    holds, still build."""
-
-    def u32(self, *values: int) -> None:
-        self += struct.pack(f"<{len(values)}q", *values)
-
-    def reader(self) -> "Reader":
-        return Reader(self, 8)
+def _bit_words(bits) -> bytes:
+    # a 0/1 sequence as little-endian words, the last one padded with zeros
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8),
+                         bitorder="little").tobytes()
+    return packed + bytes(-len(packed) % 8)
 
 
 class Reader:
-    """Cursor over what a `Writer` wrote (over a `WideWriter`, whose fields
-    are signed, when u32_size is 8).
+    """Cursor over what a `Writer` wrote.
 
-    Every read copies, so nothing built from it keeps the buffer alive.
     Asking for more bytes than are left raises ValueError before anything
     is allocated, so a corrupt length cannot ask for a huge array.
     """
 
-    def __init__(self, buf, u32_size: int = 4):
+    def __init__(self, buf):
         self._buf = memoryview(buf)
         self._pos = 0
-        self._u32 = u32_size
 
-    def _take(self, size: int) -> memoryview:
+    def take(self, size: int) -> memoryview:
+        """The next size bytes, as a view of the buffer."""
         end = self._pos + size
         if size < 0 or end > len(self._buf):
             raise ValueError(f"truncated input: {size} bytes wanted at offset "
@@ -142,11 +133,19 @@ class Reader:
         return view
 
     def u32(self) -> int:
-        return int.from_bytes(self._take(self._u32), "little",
-                              signed=self._u32 == 8)
+        return int.from_bytes(self.take(4), "little")
 
     def u32s(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._take(4 * count), dtype="<u4").astype(np.uint32)
+        return np.frombuffer(self.take(4 * count), dtype="<u4").astype(np.uint32)
+
+    def bits(self, n: int) -> np.ndarray:
+        """n bits that `Writer.bits` wrote, as 0/1 bytes; a bit set past
+        the n-th raises ValueError."""
+        words = np.frombuffer(self.take(8 * ((n + 63) >> 6)), dtype=np.uint8)
+        bits = np.unpackbits(words, bitorder="little")
+        if bits[n:].any():
+            raise ValueError("bitmap has bits set past its end")
+        return bits[:n]
 
     def end(self) -> None:
         """Raise ValueError unless every byte has been read."""
@@ -173,7 +172,7 @@ class BitPool:
     def __init__(self, data=b""):
         """data: little-endian words; the directory takes one popcount
         and one cumulative sum over them."""
-        self.words = words = _words_from(data)
+        self.words = words = words_from(data)
         nw = len(words)
         # cum[w]: ones in words 0..w-1; the words past the end hold none
         cum = np.zeros(-(-nw // _SUPER) * _SUPER + 1, dtype=np.int64)
@@ -194,62 +193,10 @@ class BitPool:
         return nbytes(self.words, self.super1, self.block1, self.super0,
                       self.block0)
 
-
-class PoolBuilder:
-    """Copies bitmaps and packed arrays out of a `Reader` into one bit pool
-    and one word pool, each structure from a word boundary.  A bitmap with
-    bits set past its end, or high bits with the wrong number of ones,
-    raises ValueError."""
-
-    def __init__(self):
-        self._bits = bytearray()
-        self._words = bytearray()
-        self._ones = 0
-
-    def bit_base(self) -> int:
-        return len(self._bits) >> 3
-
-    def word_base(self) -> int:
-        return len(self._words) >> 3
-
-    def bitmap(self, r: Reader, n: int) -> tuple[int, int, int]:
-        """An n-bit bitmap: (its first word, the ones before it, its ones)."""
-        chunk = r._take(8 * ((n + 63) >> 6))
-        v = int.from_bytes(chunk, "little")
-        if v >> n:
-            raise ValueError("bitmap has bits set past its end")
-        base, ones, count = len(self._bits) >> 3, self._ones, v.bit_count()
-        self._bits += chunk
-        self._ones += count
-        return base, ones, count
-
-    def packed(self, r: Reader, count: int, width: int) -> int:
-        """count width-bit values: their first word."""
-        if not 0 <= width <= 64:
-            raise ValueError("width must be in 0..64")
-        base = len(self._words) >> 3
-        self._words += r._take(8 * ((count * width + 63) >> 6))
-        return base
-
-    def sparse(self, r: Reader, n: int, m: int) -> tuple[int, ...]:
-        """m positions over [1, n]: their fields (see `sparse_select1`)."""
-        low_width = _low_width(n, m)
-        lows = self.packed(r, m, low_width)
-        base, ones, count = self.bitmap(r, _high_length(n, m, low_width))
-        if count != m:
-            raise ValueError(f"sparse bitmap holds {count} of {m} ones")
-        return base, ones, lows, low_width, n - m
-
-    def stream(self, r: Reader, count: int) -> tuple[int, ...]:
-        """A unary stream of count values, as the sparse set of its sums."""
-        total = r.u32()
-        return self.sparse(r, total + count, count)
-
-    def bit_pool(self) -> BitPool:
-        return BitPool(self._bits)
-
-    def word_pool(self) -> array:
-        return _words_from(self._words)
+    def ones_before(self, w: np.ndarray) -> np.ndarray:
+        """The ones before each word w, for w up to the pool's length."""
+        return (np.frombuffer(self.super1, dtype=np.int64)[w >> _SUPER_SHIFT]
+                + np.frombuffer(self.block1, dtype=np.uint16)[w])
 
 
 # ------------------------------------------------- rank and select on pools
@@ -464,7 +411,8 @@ def unary_prefixes(pool: BitPool, words: array, f, s: int, m: int, start: int):
 # The array encoders work on many structures at once, as the fleet
 # encoder (`trajindex.encoder`) needs them: a value belongs to a group (a
 # structure) and has a rank in it, and every per-group number is one array
-# operation.  The `write_*` encoders write one standalone structure.
+# operation.  `packed_words` and `sparse_halves` encode one structure,
+# for a standalone view or a snapshot.
 
 _POW2 = np.uint64(1) << np.arange(63, dtype=np.uint64)
 
@@ -493,19 +441,25 @@ def elias_fano(n, m):
     return low_width, np.where(m > 0, m + ((n - 1) >> low_width) + 1, 0)
 
 
+def word_starts(lengths: np.ndarray) -> tuple[np.ndarray, int]:
+    """The first word of each word-aligned piece of the bit lengths given,
+    laid out row after row, and the words all of them fill."""
+    words = (lengths + 63) >> 6
+    ends = np.cumsum(words.ravel()).reshape(words.shape)
+    return ends - words, int(ends[-1, -1]) if ends.size else 0
+
+
 _SLICE = 1 << 16  # values a PieceBuffer packs at a time
 
 
 class PieceBuffer:
     """Word-aligned pieces, a fixed number per group, laid out group after
-    group in one bit buffer: piece j of group g fills words
-    `starts[g, j]` .. `ends[g, j] - 1`, given the bit lengths of all."""
+    group in one bit buffer: piece j of group g starts at word
+    `starts[g, j]`, given the bit lengths of all."""
 
     def __init__(self, lengths: np.ndarray):
-        words = (lengths + 63) >> 6
-        self.ends = np.cumsum(words.ravel()).reshape(words.shape)
-        self.starts = self.ends - words
-        self._bits = np.zeros(64 * int(self.ends.max(initial=0)), dtype=np.uint8)
+        self.starts, size = word_starts(lengths)
+        self._bits = np.zeros(64 * size, dtype=np.uint8)
 
     def ones(self, piece: int, group, at) -> None:
         """Set bit `at` (from 0) of the piece in each group listed."""
@@ -540,20 +494,21 @@ def bits_at(n: int, positions) -> np.ndarray:
     return bits
 
 
-def write_packed(w: Writer, values, width: int) -> None:
-    """Fixed-width unsigned values, back to back from a word boundary."""
+def packed_words(values, width: int) -> bytes:
+    """Fixed-width unsigned values, back to back, as whole words."""
     vals = np.asarray(values, dtype=np.uint64)
     if not 0 <= width <= 64:
         raise ValueError("width must be in 0..64")
     if len(vals) and width < 64 and vals.max() >> width:
         raise ValueError(f"value does not fit in {width} bits")
-    w.bits(((vals[:, None] >> np.arange(width, dtype=np.uint64))
-            & np.uint64(1)).ravel())
+    return _bit_words(((vals[:, None] >> np.arange(width, dtype=np.uint64))
+                       & np.uint64(1)).ravel())
 
 
-def write_sparse(w: Writer, n: int, positions) -> None:
+def sparse_halves(n: int, positions) -> tuple[bytes, np.ndarray]:
     """Strictly increasing positions over [1, n]: the low bits of each
-    (position - 1), then the high bits in unary (see SparseBitVector)."""
+    (position - 1) as packed words, and the high bits in unary as 0/1
+    bytes (see SparseBitVector)."""
     pos = np.asarray(positions, dtype=np.int64)
     m = len(pos)
     if m:
@@ -563,21 +518,16 @@ def write_sparse(w: Writer, n: int, positions) -> None:
             raise ValueError("positions must be strictly increasing")
     low_width = _low_width(n, m)
     v = pos - 1
-    write_packed(w, v & ((1 << low_width) - 1), low_width)
-    w.bits(bits_at(_high_length(n, m, low_width),
-                   (v >> low_width) + np.arange(1, m + 1)))
+    return (packed_words(v & ((1 << low_width) - 1), low_width),
+            bits_at(_high_length(n, m, low_width),
+                    (v >> low_width) + np.arange(1, m + 1)))
 
 
-def write_unary(w: Writer, values) -> None:
-    """Non-negative values as a unary stream: its total, then each i-th
-    prefix sum plus i as a sparse set (see UnaryDeltaStream)."""
-    vals = np.asarray(values, dtype=np.int64)
-    if len(vals) and vals.min() < 0:
-        raise ValueError("values must be non-negative")
-    positions = np.cumsum(vals, dtype=np.int64) + np.arange(1, len(vals) + 1)
-    universe = int(positions[-1]) if len(vals) else 0
-    w.u32(universe - len(vals))
-    write_sparse(w, universe, positions)
+def write_sparse(w: Writer, n: int, positions) -> None:
+    """The lows, then the high bits, of `sparse_halves`."""
+    lows, high = sparse_halves(n, positions)
+    w += lows
+    w.bits(high)
 
 
 # ------------------------------------------------------------------ views
@@ -602,9 +552,8 @@ class BitVector:
     @classmethod
     def from_bits(cls, bits) -> "BitVector":
         arr = np.asarray(bits, dtype=np.uint8)
-        w = WideWriter()
-        w.bits(arr)
-        return cls.read(w.reader(), len(arr))
+        return cls(BitPool(_bit_words(arr)), 0, len(arr), 0,
+                   int(np.count_nonzero(arr)))
 
     def __len__(self) -> int:
         return self._n
@@ -676,9 +625,7 @@ class BitVector:
 
     @classmethod
     def read(cls, r: Reader, n: int) -> "BitVector":
-        pb = PoolBuilder()
-        count = pb.bitmap(r, n)[2]
-        return cls(pb.bit_pool(), 0, n, 0, count)
+        return cls.from_bits(r.bits(n))
 
 
 class PackedIntArray:
@@ -694,9 +641,8 @@ class PackedIntArray:
 
     @classmethod
     def from_values(cls, values, width: int) -> "PackedIntArray":
-        w = WideWriter()
-        write_packed(w, values, width)
-        return cls.read(w.reader(), len(values), width)
+        return cls(words_from(packed_words(values, width)), 0, len(values),
+                   width)
 
     def __len__(self) -> int:
         return self._count
@@ -716,16 +662,6 @@ class PackedIntArray:
 
     def code_bits(self) -> int:
         return self._count * self._width
-
-    def write(self, w: Writer) -> None:
-        w.words(self._words[self._base:
-                            self._base + ((self.code_bits() + 63) >> 6)])
-
-    @classmethod
-    def read(cls, r: Reader, count: int, width: int) -> "PackedIntArray":
-        pb = PoolBuilder()
-        pb.packed(r, count, width)
-        return cls(pb.word_pool(), 0, count, width)
 
 
 class SparseBitVector:
@@ -751,9 +687,15 @@ class SparseBitVector:
 
     @classmethod
     def from_positions(cls, n: int, positions) -> "SparseBitVector":
-        w = WideWriter()
-        write_sparse(w, n, positions)
-        return cls.read(w.reader(), n, len(positions))
+        return cls._of(n, len(positions), *sparse_halves(n, positions))
+
+    @classmethod
+    def _of(cls, n: int, m: int, lows, high: np.ndarray) -> "SparseBitVector":
+        # a set of its own, from its packed lows and its high bits as 0/1
+        # bytes
+        pool = BitPool(_bit_words(high))
+        f = (0, 0, 0, _low_width(n, m), n - m, len(pool.words))
+        return cls(pool, words_from(lows), f, 0, m)
 
     def __len__(self) -> int:
         return self._n
@@ -833,16 +775,17 @@ class SparseBitVector:
     def code_bits(self) -> int:
         return len(self._high) + self._lows.code_bits()
 
-    def write(self, w: Writer) -> None:
-        self._lows.write(w)
-        self._high.write(w)
-
     @classmethod
     def read(cls, r: Reader, n: int, m: int) -> "SparseBitVector":
-        """The m positions over [1, n] that `write` stored."""
-        pb = PoolBuilder()
-        f = pb.sparse(r, n, m) + (pb.bit_base(),)
-        return cls(pb.bit_pool(), pb.word_pool(), f, 0, m)
+        """The m positions over [1, n] that `write_sparse` stored; high
+        bits that hold other than m ones raise ValueError."""
+        low_width = _low_width(n, m)
+        lows = r.take(8 * ((m * low_width + 63) >> 6))
+        high = r.bits(_high_length(n, m, low_width))
+        count = int(np.count_nonzero(high))
+        if count != m:
+            raise ValueError(f"sparse bitmap holds {count} of {m} ones")
+        return cls._of(n, m, lows, high)
 
 
 class UnaryDeltaStream:
@@ -861,9 +804,15 @@ class UnaryDeltaStream:
 
     @classmethod
     def from_values(cls, values) -> "UnaryDeltaStream":
-        w = WideWriter()
-        write_unary(w, values)
-        return cls.read(w.reader(), len(values))
+        """Non-negative values; the i-th prefix sum plus i is the i-th
+        member of a sparse set."""
+        vals = np.asarray(values, dtype=np.int64)
+        if len(vals) and vals.min() < 0:
+            raise ValueError("values must be non-negative")
+        positions = np.cumsum(vals, dtype=np.int64) + np.arange(1, len(vals) + 1)
+        universe = int(positions[-1]) if len(vals) else 0
+        return cls(SparseBitVector.from_positions(universe, positions),
+                   len(vals))
 
     def __len__(self) -> int:
         return self._count
@@ -890,13 +839,3 @@ class UnaryDeltaStream:
 
     def code_bits(self) -> int:
         return self._members.code_bits()
-
-    def write(self, w: Writer) -> None:
-        w.u32(len(self._members) - self._count)  # the total, without a select
-        self._members.write(w)
-
-    @classmethod
-    def read(cls, r: Reader, count: int) -> "UnaryDeltaStream":
-        """A stream of count values; its total is the one stored number."""
-        total = r.u32()
-        return cls(SparseBitVector.read(r, total + count, count), count)

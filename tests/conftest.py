@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from trajindex.log import FILE_FIELDS, TREE
 from trajindex.mbrtree import Mbr
 from trajindex.succinct import Reader, Writer
 
@@ -59,6 +60,29 @@ def round_trip(obj, *args):
     back.write(again)
     assert again == blob
     return back
+
+
+def _words(words) -> bytes:
+    w = Writer()
+    w.words(words)
+    return bytes(w)
+
+
+def stored_log(log):
+    """A standalone log's u32 fields, in file order, and the words its
+    pieces take in the bit pool and in the word pool, as an index file
+    holds them (its tree's fields and words left out)."""
+    f = log._f
+    return ([f[c] for c in FILE_FIELDS[:9]], _words(log._bits.words),
+            _words(log._words[:f[TREE]]))
+
+
+def stored_tree(tree):
+    """A standalone tree's u32 fields, in file order, and the words its
+    diffs take in the word pool."""
+    root = tree.root
+    return ([tree.width, root.xmin, root.xmax, root.ymin, root.ymax],
+            _words(tree._words[tree._xbase:]))
 
 
 def restamp(blob) -> bytes:

@@ -2,10 +2,12 @@
 
 `write_log` and `write_tree` encode one log and its box tree with a few
 small numpy calls each, through the one-structure encoders below (copies,
-so that a change to the package's own cannot move the reference).
-`reference_blob` composes them, log after log, into an index file the way
-`build_index` did before; the header, the snapshots and the frame come
-from the package.
+so that a change to the package's own cannot move the reference).  Each
+adds its u32 fields and its pieces to a `Parts`, log after log.
+`reference_blob` writes an index file from them: the header, the
+snapshots with their presence bitmaps, then the logs' fields, bit pool
+and word pool; the header, the snapshots and the frame come from the
+package.
 """
 
 from __future__ import annotations
@@ -27,31 +29,42 @@ def bits_at(n: int, positions) -> np.ndarray:
     return bits
 
 
+class Parts:
+    """The logs and trees of a file: their u32 fields, one after another,
+    and the words of the bit pool and of the word pool."""
+
+    def __init__(self):
+        self.fields: list[int] = []
+        self.bits = Writer()
+        self.words = Writer()
+
+
 def write_packed(w: Writer, values, width: int) -> None:
     vals = np.asarray(values, dtype=np.uint64)
     w.bits(((vals[:, None] >> np.arange(width, dtype=np.uint64))
             & np.uint64(1)).ravel())
 
 
-def write_sparse(w: Writer, n: int, positions) -> None:
+def write_sparse(parts: Parts, n: int, positions) -> None:
+    # the lows to the word pool, the high bits to the bit pool
     pos = np.asarray(positions, dtype=np.int64)
     m = len(pos)
     low_width = max(0, (n // m).bit_length() - 1) if m else 0
     v = pos - 1
-    write_packed(w, v & ((1 << low_width) - 1), low_width)
+    write_packed(parts.words, v & ((1 << low_width) - 1), low_width)
     high_length = m + ((n - 1) >> low_width) + 1 if m else 0
-    w.bits(bits_at(high_length, (v >> low_width) + np.arange(1, m + 1)))
+    parts.bits.bits(bits_at(high_length, (v >> low_width) + np.arange(1, m + 1)))
 
 
-def write_unary(w: Writer, values) -> None:
+def write_unary(parts: Parts, values) -> None:
     vals = np.asarray(values, dtype=np.int64)
     positions = np.cumsum(vals, dtype=np.int64) + np.arange(1, len(vals) + 1)
     universe = int(positions[-1]) if len(vals) else 0
-    w.u32(universe - len(vals))
-    write_sparse(w, universe, positions)
+    parts.fields.append(universe - len(vals))
+    write_sparse(parts, universe, positions)
 
 
-def write_log(w: Writer, samples, start: int, period: int) -> None:
+def write_log(parts: Parts, samples, start: int, period: int) -> None:
     """One log of (instant, x, y) rows sorted by instant, instants global
     in start+1 .. start+period-1."""
     rows = np.asarray(samples, dtype=np.int64).reshape(-1, 3)
@@ -61,8 +74,8 @@ def write_log(w: Writer, samples, start: int, period: int) -> None:
     present = np.zeros(last - first + 1, dtype=bool)
     present[local - first] = True
     gaps = np.flatnonzero(~present) + 1
-    w.u32(first, last, len(gaps))
-    write_sparse(w, last - first + 1, gaps)
+    parts.fields += [first, last, len(gaps)]
+    write_sparse(parts, last - first + 1, gaps)
     # the speed bound s; per block and axis the reduction s - s_b of the
     # block's speed bound and its offset; per axis the first coordinate
     # and the increments dx + s_b*dt
@@ -81,13 +94,14 @@ def write_log(w: Writer, samples, start: int, period: int) -> None:
                         key=lambda axis: axis[0]))
     widths = [max(e, default=0).bit_length()
               for _, entries, _ in axes for e in entries]
-    w.u32(speed, sum(width << 8 * k for k, width in enumerate(widths)))
+    parts.fields += [speed,
+                     sum(width << 8 * k for k, width in enumerate(widths))]
     for k, (_, entries, _) in enumerate(axes):
         for j, e in enumerate(entries):
-            write_packed(w, e, widths[2 * k + j])
+            write_packed(parts.words, e, widths[2 * k + j])
     for col, (_, _, increments) in zip((xs, ys), axes):
-        w.u32(int(col[0]))
-        write_unary(w, increments)
+        parts.fields.append(int(col[0]))
+        write_unary(parts, increments)
 
 
 def _axis(col, elapsed, tau, speed, bounds):
@@ -114,7 +128,7 @@ def _axis(col, elapsed, tau, speed, bounds):
     return words, (reductions, offsets), increments
 
 
-def write_tree(w: Writer, xs, ys, leaf_capacity: int) -> None:
+def write_tree(parts: Parts, xs, ys, leaf_capacity: int) -> None:
     """The box tree over one log's x and y columns, in ordinal order."""
     n = len(xs)
     xs = np.asarray(xs, dtype=np.int64)
@@ -138,9 +152,9 @@ def write_tree(w: Writer, xs, ys, leaf_capacity: int) -> None:
     diffs = boxes[2:] - boxes[1:leaf_count].repeat(2, axis=0)
     diffs[boxes[2:, 0] == _PAD] = 0
     width = max(1, int(diffs.max(initial=0)).bit_length())
-    w.u32(width, xmin, xmax, ymin, ymax)
-    write_packed(w, diffs[:, :2].ravel(), width)
-    write_packed(w, diffs[:, 2:].ravel(), width)
+    parts.fields += [width, xmin, xmax, ymin, ymax]
+    write_packed(parts.words, diffs[:, :2].ravel(), width)
+    write_packed(parts.words, diffs[:, 2:].ravel(), width)
 
 
 def reference_blob(rows, period: int, leaf_capacity: int, extent,
@@ -155,6 +169,7 @@ def reference_blob(rows, period: int, leaf_capacity: int, extent,
     max_speed = compute_max_speed(np.array(rows, dtype=np.int64))
     w = _header(extent, horizon, period, leaf_capacity, len(rows), max_speed,
                 ids)
+    parts = Parts()
     for k in range(0, horizon, period):
         tracks: dict[int, list] = {}
         for oid, t, x, y in rows:
@@ -169,6 +184,9 @@ def reference_blob(rows, period: int, leaf_capacity: int, extent,
         w.bits(bits_at(len(ids), np.searchsorted(ids, logged) + 1))
         for oid in logged:
             log = np.array(logs[oid], dtype=np.int64)
-            write_log(w, log, k, period)
-            write_tree(w, log[:, 1], log[:, 2], leaf_capacity)
+            write_log(parts, log, k, period)
+            write_tree(parts, log[:, 1], log[:, 2], leaf_capacity)
+    w.u32(*parts.fields)
+    w += parts.bits
+    w += parts.words
     return _framed(w)

@@ -142,6 +142,8 @@ class TestBuildValidation:
         ([(1, 1, 1, 1)], {"extent": (8, 1 << 33)}, "height"),
         ([(1, 1, 1, 1)], {"horizon": 1 << 32}, "horizon"),
         ([(1, 1, 1, 1)], {"max_speed": 1 << 32}, "max speed"),
+        # a snapshot stores each row's Morton code plus its row as an int64
+        ([(1, 0, 0, 1 << 31)], {"extent": (8, (1 << 32) - 1)}, "Morton code"),
     ])
     def test_rejects_values_the_file_cannot_store(self, rows, kwargs, field):
         args = {"period": 10, "leaf_capacity": 2, "extent": (8, 8), **kwargs}
@@ -360,7 +362,7 @@ class TestSerialization:
         finally:
             (gc.enable if was else gc.disable)()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_old_version_file_is_rejected_by_name(self, tiny_blob, version):
         old = tiny_blob[:4] + version.to_bytes(2, "little") + tiny_blob[6:]
         with pytest.raises(ValueError, match=f"version {version}"):
@@ -391,6 +393,65 @@ class TestSerialization:
         else:
             with pytest.raises(ValueError, match="speed bound or first fix"):
                 TrajectoryIndex.from_bytes(edited)
+
+    @pytest.mark.parametrize("field", ["entries", "diffs"])
+    def test_widths_past_64_are_rejected(self, ref_rows, field):
+        blob = build_index(ref_rows, period=REF_PERIOD, leaf_capacity=2,
+                           extent=(16, 16), horizon=14).to_bytes()
+        # the log's entry widths follow its speed bound 3, the x
+        # reductions' in the low byte; its tree's diff width follows its
+        # first y 4 and y total 29
+        pattern = {"entries": (3, 0, 2, 30), "diffs": (4, 29)}[field]
+        at = blob.find(struct.pack(f"<{len(pattern)}I", *pattern))
+        at += 4 if field == "entries" else 8
+        # a width of 64 passes the check, and the pools it implies are
+        # longer than the file
+        for width, message in ((64, "truncated"), (65, "64 bits")):
+            edited = restamp(blob[:at] + struct.pack("<I", width)
+                             + blob[at + 4:])
+            with pytest.raises(ValueError, match=message):
+                TrajectoryIndex.from_bytes(edited)
+
+    @pytest.mark.parametrize("move, message", [
+        (False, "wrong number of ones"), (True, "past its end")])
+    def test_high_bits_hold_their_members_and_no_more(self, ref_index, move,
+                                                      message):
+        blob = ref_index.to_bytes()
+        # the bit pool's first word holds the gap map's 5 high bits, the
+        # ones at bits 1 and 2 for the gaps at offsets 5 and 6
+        at = len(blob) - 8 * (len(ref_index._bits.words)
+                              + len(ref_index._words))
+        word = int.from_bytes(blob[at:at + 8], "little")
+        assert word == 0b110
+        word |= 1 << 63  # a bit past the end
+        if move:
+            word &= word - 1  # and one member fewer
+        edited = restamp(blob[:at] + word.to_bytes(8, "little")
+                         + blob[at + 8:])
+        with pytest.raises(ValueError, match=message):
+            TrajectoryIndex.from_bytes(edited)
+
+    def test_a_horizon_that_cuts_a_log_short_is_rejected(self, tiny_blob):
+        # horizon 40 -> 32 keeps four periods of 10 instants, but the last
+        # period's logs hold fixes up to instant 39
+        assert struct.unpack_from("<2I", tiny_blob, 18) == (40, 10)
+        for horizon, ok in ((40, True), (32, False), (31, False)):
+            edited = restamp(tiny_blob[:18] + struct.pack("<I", horizon)
+                             + tiny_blob[22:])
+            if ok:
+                TrajectoryIndex.from_bytes(edited)
+            else:
+                with pytest.raises(ValueError, match="horizon"):
+                    TrajectoryIndex.from_bytes(edited)
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_a_sample_count_the_file_does_not_hold_is_rejected(self, tiny_blob,
+                                                               change):
+        count, = struct.unpack_from("<I", tiny_blob, 30)
+        edited = restamp(tiny_blob[:30] + struct.pack("<I", count + change)
+                         + tiny_blob[34:])
+        with pytest.raises(ValueError, match=f"{count + change} samples"):
+            TrajectoryIndex.from_bytes(edited)
 
     def test_ids_the_snapshots_do_not_hold_are_rejected(self, tiny_blob):
         # still strictly increasing, but object 4 is in no snapshot
@@ -436,27 +497,28 @@ class TestSerialization:
     @pytest.mark.parametrize("period, leaf, seed, kwargs, size, digest", [
         pytest.param(
             240, 16, 5, {"drop_rate": 0.03}, 32006,
-            "eb3cf317236c60fd8152baee82480478204fb191829772da5e6d32af392bede0",
+            "58272af4b42ffb6614258a11f5bdc3106c1da9530c6d577ffe6c69f23f5abc2b",
             id="sparse-gaps"),
         pytest.param(
             60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 60910,
-            "2adb0451ca17119b2b02aa8e087b648c1915d082034d6382417b72b59c0e6c2f",
+            "76f8647c4249718255967d5634fb24a85e13624e974d61b54356e3eb4fd07d3a",
             id="gappy-short-period"),
         pytest.param(
             120, 80, 7, {"drop_rate": 0.05}, 34062,
-            "ae1fa855c4f73fdc4a3b2b0e6d297f57ece384098853c49c2d4ea12e369ac58c",
+            "80933b740e3b2d9b15d4ddbf6e172556cae7ee1a3464e1c0e8803a20b80080d3",
             id="range-shape"),
         pytest.param(
             720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 25006,
-            "2c83813c9e64766e9aa08b1d102663cb0ec687f055f638b482033721170375b9",
+            "bf9704b8ff3a9f77742cb5dbd6060d2025b4584669eb02381986f2934d6d8fd7",
             id="lookup-shape"),
     ])
     def test_bytes_match_recorded_digest(self, period, leaf, seed, kwargs,
                                          size, digest):
         # the file format is frozen: these digests were recorded when the
-        # format moved to version 5, where each axis is one stream of the
-        # increments dx + s_b*dt, s_b a speed bound per block of steps;
-        # the first fleet has few gaps in every log, the second a median
+        # format moved to version 6, where the logs' fields, bit pool and
+        # word pool follow the snapshots as the index holds them (the
+        # same items as version 5, so the same sizes); the first fleet
+        # has few gaps in every log, the second a median
         # of about a fifth of each short window, where most gap maps have
         # a low width of 2 and some of 1; the last two have the periods
         # and leaf capacities of the two perfbench workloads.  All four
@@ -475,6 +537,48 @@ class TestSerialization:
 
 
 class TestColumnBuild:
+    def test_build_neither_writes_nor_loads_a_file(self, small_fleet,
+                                                   monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the build went through a file")
+
+        for name in ("to_bytes", "encode", "from_bytes"):
+            monkeypatch.setattr(TrajectoryIndex, name, refuse)
+        build_index(small_fleet.rows(), period=60, leaf_capacity=5,
+                    extent=small_fleet.extent)
+
+    def test_a_build_and_its_saved_copy_are_one_index(self, tmp_path,
+                                                      small_fleet, small_index,
+                                                      small_table):
+        path = tmp_path / "fleet.idx"
+        small_index.save(path)
+        copy = TrajectoryIndex.load(path)
+        assert copy.to_bytes() == small_index.to_bytes()
+        assert copy.memory() == small_index.memory()
+        last = small_table.horizon - 1
+        for oid in small_index.object_ids:
+            for t in range(last + 1):
+                assert copy.object_position(oid, t) == \
+                    small_index.object_position(oid, t) == \
+                    small_table.position(oid, t)
+            for a, b in ((0, last), (59, 61), (100, 250)):
+                assert copy.trajectory(oid, a, b) == \
+                    small_index.trajectory(oid, a, b) == \
+                    small_table.trajectory(oid, a, b)
+        rng = np.random.default_rng(66)
+        for _ in range(40):
+            x1, y1 = (int(v) for v in rng.integers(0, 560, size=2))
+            region = Region(x1, x1 + 40, y1, y1 + 40)
+            rect = (x1, x1 + 40, y1, y1 + 40)
+            a = int(rng.integers(0, last + 1))
+            b = min(last, a + int(rng.integers(0, 90)))
+            assert copy.time_slice(region, a) == \
+                small_index.time_slice(region, a) == \
+                oracle_slice(small_table, rect, a)
+            assert copy.time_interval(region, a, b) == \
+                small_index.time_interval(region, a, b) == \
+                oracle_interval(small_table, rect, a, b)
+
     def test_build_decodes_no_log(self, small_fleet, small_index, monkeypatch):
         def refuse(*args):
             raise AssertionError("the build decoded a log")

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REF_PERIOD, pulled_in, round_trip
+from conftest import REF_PERIOD, REF_TRACK, pulled_in, stored_tree
+from reference_encoder import Parts, write_tree
 from trajindex.log import build_log
 from trajindex.mbrtree import (
     Mbr,
@@ -102,11 +103,11 @@ class TestReferenceTree:
         with pytest.raises(IndexError):
             tree.coverage(8)
 
-    def test_round_trip(self, ref_log, ref_tree):
-        back = round_trip(ref_tree, ref_log.data_count, 2)
-        assert back.leaf_count == ref_tree.leaf_count
-        assert back.node_box(5) == ref_tree.node_box(5)
-        assert back.first_hit(ref_log, Mbr(4, 5, 4, 10), 2, 4, 3, 3, 5) == 4
+    def test_pieces_match_the_reference(self, ref_tree):
+        want = Parts()
+        write_tree(want, [x for _, x, _ in REF_TRACK],
+                   [y for _, _, y in REF_TRACK], 2)
+        assert stored_tree(ref_tree) == (want.fields, bytes(want.words))
 
 
 class TestAgainstShadowTree:
