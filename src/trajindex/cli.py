@@ -70,6 +70,17 @@ def _read_records(path: str, fmt: str):
         return parse_csv(fh)
 
 
+def _sorted_rows(records) -> tuple[np.ndarray, tuple[int, int]]:
+    """The records as rows sorted by object, then instant, and the
+    smallest grid extent that holds them."""
+    rows = np.asarray(records)
+    if not len(rows):
+        raise ValueError("no records in input")
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    width, height = (int(v) for v in rows[:, 2:].max(0) + 1)
+    return rows, (width, height)
+
+
 def _print_breakdown(ix: TrajectoryIndex, out) -> None:
     blob, parts = ix.encode()
     total = len(blob)
@@ -96,10 +107,7 @@ def _cmd_build(args) -> int:
     records = _read_records(args.input, args.format)
     if args.normalize:
         records = normalize(records, NormalizeConfig())
-    rows = sorted((r.object_id, r.instant, r.x, r.y) for r in records)
-    if not rows:
-        raise ValueError("no records in input")
-    extent = (max(r[2] for r in rows) + 1, max(r[3] for r in rows) + 1)
+    rows, extent = _sorted_rows(records)
     ix = build_index(rows, period=args.period, leaf_capacity=args.leaf_size,
                      extent=extent)
     ix.save(args.output)
@@ -145,13 +153,10 @@ def _cmd_stats(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     records = _read_records(args.input, args.format)
-    rows = sorted((r.object_id, r.instant, r.x, r.y) for r in records)
-    if not rows:
-        raise ValueError("no records in input")
-    extent = (max(r[2] for r in rows) + 1, max(r[3] for r in rows) + 1)
+    rows, extent = _sorted_rows(records)
     ix = build_index(rows, period=args.period, leaf_capacity=args.leaf_size,
                      extent=extent)
-    table = PositionTable.from_samples(rows)
+    table = PositionTable.from_samples(rows.tolist())
     rng = np.random.default_rng(args.seed)
     ids = ix.object_ids
     bad = 0

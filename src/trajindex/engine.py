@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 import zlib
 from array import array
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -93,7 +94,7 @@ class TrajectoryIndex:
         # [:] is an exact copy: an array made from bytes keeps up to a
         # sixteenth more room
         self._records = array("I", f.astype(np.uint32).tobytes())[:]
-        self._rows = array("i", rows.tobytes())
+        self._rows = array("i", rows.tobytes())[:]
 
     # ------------------------------------------------------------- lookups
 
@@ -437,12 +438,14 @@ def _check_u32(name: str, value) -> None:
 def build_index(samples, period: int, leaf_capacity: int,
                 extent: tuple[int, int], horizon: int | None = None,
                 max_speed: int | None = None) -> TrajectoryIndex:
-    """Build the index from (object id, instant, x, y) rows.
+    """Build the index from (object id, instant, x, y) rows of integers.
 
-    Objects may come in any order, each object's instants strictly
-    increasing, all coordinates on the extent grid.  max_speed may widen
-    the computed bound but never narrow it.  Every value the file keeps
-    must fit its u32 field.
+    samples is an (n, 4) array-like, such as the `Records` that
+    `parse_binary` returns, or any iterable of rows.  Objects may come in
+    any order, each object's instants strictly increasing, all
+    coordinates on the extent grid.  max_speed may widen the computed
+    bound but never narrow it.  Every value the file keeps must fit its
+    u32 field.
     """
     if period < 2:
         raise ValueError("period must be at least 2")
@@ -454,13 +457,20 @@ def build_index(samples, period: int, leaf_capacity: int,
                         ("max speed", max_speed)):
         if value is not None:
             _check_u32(name, value)
+    if not isinstance(samples, Sequence) and not hasattr(samples, "__array__"):
+        samples = list(samples)  # numpy reads an iterator as one object
+    not_rows = "samples must be rows of four 64-bit integers"
     try:
-        rows = np.fromiter(samples, dtype=np.dtype((np.int64, 4)))
-    except (OverflowError, ValueError) as exc:
-        raise ValueError(f"samples must be rows of four 64-bit integers: "
-                         f"{exc}") from None
-    if not len(rows):
+        rows = np.asarray(samples)
+    except ValueError as exc:  # ragged rows
+        raise ValueError(f"{not_rows}: {exc}") from None
+    if not rows.size:
         raise ValueError("no samples")
+    # floats and bools would be truncated, and ints past 64 bits come as
+    # objects
+    if rows.ndim != 2 or rows.shape[1] != 4 or rows.dtype.kind not in "iu":
+        raise ValueError(f"{not_rows}, not {rows.dtype} of shape {rows.shape}")
+    rows = rows.astype(np.int64, copy=False)
     off = (rows[:, 2:] < 0) | (rows[:, 2:] >= (w, h))
     if off.any():
         oid, t, x, y = rows[off.any(axis=1)][0]

@@ -9,13 +9,13 @@ receiver dropouts are usually patched before indexing.
 
 from __future__ import annotations
 
+import operator
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from trajindex.succinct import gc_paused
 
 
 class RawRecord(NamedTuple):
@@ -23,6 +23,44 @@ class RawRecord(NamedTuple):
     instant: int
     x: int
     y: int
+
+
+class Records(Sequence):
+    """Raw records held as one read-only (n, 4) int64 column array.
+
+    It reads as a sequence of `RawRecord`s of plain ints, made only when
+    an item is read, and equals the list of them; numpy takes the columns
+    whole (`np.asarray(records)`), so a build makes no object per record.
+    """
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, cols: np.ndarray):
+        self._cols = cols
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Records(self._cols[i])
+        return RawRecord._make(self._cols[operator.index(i)].tolist())
+
+    def __iter__(self):
+        return map(RawRecord._make, zip(*self._cols.T.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, Records):
+            return np.array_equal(self._cols, other._cols)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Records({list(self)!r})"
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self._cols, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -63,15 +101,15 @@ def write_csv(records, fh) -> None:
         fh.write(f"{r.object_id},{r.instant},{r.x},{r.y}\n")
 
 
-def parse_binary(data: bytes) -> list[RawRecord]:
+def parse_binary(data: bytes) -> Records:
     if len(data) % _BIN_RECORD:
         raise ValueError(
             f"binary input length {len(data)} is not a multiple of {_BIN_RECORD}")
     rec = np.frombuffer(data, dtype=_BIN_DTYPE)
     y = rec["ylo"].astype(np.int64) | rec["yhi"].astype(np.int64) << 16
     cols = np.stack([rec["id"], rec["t"], rec["x"], y], axis=1)
-    with gc_paused():
-        return list(map(RawRecord._make, cols.tolist()))
+    cols.flags.writeable = False
+    return Records(cols)
 
 
 def write_binary(records) -> bytes:

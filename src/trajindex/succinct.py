@@ -23,12 +23,10 @@ pools straight from the encoders below.
 
 from __future__ import annotations
 
-import gc
 import struct
 import sys
 from array import array
 from bisect import bisect_left
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -53,27 +51,14 @@ def _select_table() -> bytes:
 _SELECT8 = _select_table()
 
 
-@contextmanager
-def gc_paused():
-    """Pause the cyclic garbage collector while the block allocates many
-    small objects, which would otherwise set off one full collection
-    after another; it is put back as it was however the block ends."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def words_from(data) -> array:
-    """uint64 words from little-endian bytes (any buffer)."""
+    """uint64 words from little-endian bytes (any buffer), in an array of
+    exactly their size."""
     words = array("Q")
     words.frombytes(data)
     if _BIG_ENDIAN:
         words.byteswap()
-    return words
+    return words[:]  # frombytes leaves up to 1/16 spare room; a slice has none
 
 
 def nbytes(*arrays: array) -> int:
@@ -187,7 +172,8 @@ class BitPool:
                 ("super1", "q", cum[starts]), ("block1", "H", block),
                 ("super0", "q", np.minimum(64 * starts, 64 * nw) - cum[starts]),
                 ("block0", "H", 64 * (word & (_SUPER - 1)) - block)):
-            setattr(self, name, array(typecode, values.astype(typecode).tobytes()))
+            setattr(self, name,
+                    array(typecode, values.astype(typecode).tobytes())[:])
 
     def nbytes(self) -> int:
         return nbytes(self.words, self.super1, self.block1, self.super0,

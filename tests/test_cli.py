@@ -58,6 +58,21 @@ class TestBuild:
         ix = TrajectoryIndex.load(out)
         assert ix.object_position(REF_OBJECT, 9) == (9, 10)
 
+    def test_binary_input_out_of_order_builds_as_sorted(
+            self, tmp_path, ref_rows, capsys, built_index):
+        built_text = capsys.readouterr().out
+        extra = [(3, 0, 1, 1), (3, 1, 1, 2), (3, 13, 2, 2)]
+        path = tmp_path / "shuffled.bin"
+        path.write_bytes(write_binary(
+            RawRecord(*r) for r in reversed(ref_rows + extra)))
+        out = tmp_path / "shuffled.idx"
+        rc = main(["build", "--input", str(path), "--format", "bin",
+                   "--period", "13", "--leaf-size", "2",
+                   "--output", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == built_text
+        assert out.read_bytes() == built_index.read_bytes()
+
     def test_normalize_flag_fills_gaps(self, tmp_path, capsys):
         path = tmp_path / "gappy.csv"
         path.write_text("1,0,0,0\n1,3,9,12\n")
@@ -242,6 +257,18 @@ class TestOracleCheck:
                 fh.write(",".join(map(str, row)) + "\n")
         rc = main(["oracle-check", "--input", str(path), "--period", "40",
                    "--leaf-size", "6", "--queries", "120", "--seed", "5"])
+        assert rc == 0
+        assert "ok: 120 queries" in capsys.readouterr().out
+
+    def test_binary_input_out_of_order_agrees(self, tmp_path, capsys):
+        fleet = make_fleet(8, 200, (300, 300), seed=17, drop_rate=0.1)
+        path = tmp_path / "fleet.bin"
+        # latest instant first within each object
+        path.write_bytes(write_binary(
+            RawRecord(*r) for r in reversed(list(fleet.rows()))))
+        rc = main(["oracle-check", "--input", str(path), "--format", "bin",
+                   "--period", "40", "--leaf-size", "6", "--queries", "120",
+                   "--seed", "5"])
         assert rc == 0
         assert "ok: 120 queries" in capsys.readouterr().out
 

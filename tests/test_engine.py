@@ -1,7 +1,9 @@
 import gc
 import hashlib
 import struct
+import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -14,10 +16,33 @@ from trajindex.engine import (
     build_index,
     compute_max_speed,
 )
+from trajindex.ingest import RawRecord, parse_binary, write_binary
 from trajindex.log import TrajectoryLog, build_log
 from trajindex.mbrtree import Mbr, TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region, Snapshot
+
+
+# the four fleets whose file digests are recorded: (period, leaf capacity,
+# seed, fleet options, file size, SHA-256 of the file)
+DIGEST_FLEETS = [
+    pytest.param(
+        240, 16, 5, {"drop_rate": 0.03}, 32006,
+        "58272af4b42ffb6614258a11f5bdc3106c1da9530c6d577ffe6c69f23f5abc2b",
+        id="sparse-gaps"),
+    pytest.param(
+        60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 60910,
+        "76f8647c4249718255967d5634fb24a85e13624e974d61b54356e3eb4fd07d3a",
+        id="gappy-short-period"),
+    pytest.param(
+        120, 80, 7, {"drop_rate": 0.05}, 34062,
+        "80933b740e3b2d9b15d4ddbf6e172556cae7ee1a3464e1c0e8803a20b80080d3",
+        id="range-shape"),
+    pytest.param(
+        720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 25006,
+        "bf9704b8ff3a9f77742cb5dbd6060d2025b4584669eb02381986f2934d6d8fd7",
+        id="lookup-shape"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +169,11 @@ class TestBuildValidation:
         ([(1, 1, 1, 1)], {"max_speed": 1 << 32}, "max speed"),
         # a snapshot stores each row's Morton code plus its row as an int64
         ([(1, 0, 0, 1 << 31)], {"extent": (8, (1 << 32) - 1)}, "Morton code"),
+        ([(1 << 63, 1, 1, 1)], {}, "64-bit integers"),
+        # floats and bools would be truncated to grid cells
+        ([(1, 0, 0.9, 0), (1, 1, 1.7, 0)], {}, "64-bit integers"),
+        (np.ones((2, 4), dtype=np.float32), {}, "64-bit integers"),
+        ([(True, False, True, False)], {}, "64-bit integers"),
     ])
     def test_rejects_values_the_file_cannot_store(self, rows, kwargs, field):
         args = {"period": 10, "leaf_capacity": 2, "extent": (8, 8), **kwargs}
@@ -494,24 +524,8 @@ class TestSerialization:
         assert TrajectoryIndex.from_bytes(restamp(tiny_blob)).object_ids == \
             [1, 2, 3]
 
-    @pytest.mark.parametrize("period, leaf, seed, kwargs, size, digest", [
-        pytest.param(
-            240, 16, 5, {"drop_rate": 0.03}, 32006,
-            "58272af4b42ffb6614258a11f5bdc3106c1da9530c6d577ffe6c69f23f5abc2b",
-            id="sparse-gaps"),
-        pytest.param(
-            60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 60910,
-            "76f8647c4249718255967d5634fb24a85e13624e974d61b54356e3eb4fd07d3a",
-            id="gappy-short-period"),
-        pytest.param(
-            120, 80, 7, {"drop_rate": 0.05}, 34062,
-            "80933b740e3b2d9b15d4ddbf6e172556cae7ee1a3464e1c0e8803a20b80080d3",
-            id="range-shape"),
-        pytest.param(
-            720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 25006,
-            "bf9704b8ff3a9f77742cb5dbd6060d2025b4584669eb02381986f2934d6d8fd7",
-            id="lookup-shape"),
-    ])
+    @pytest.mark.parametrize("period, leaf, seed, kwargs, size, digest",
+                             DIGEST_FLEETS)
     def test_bytes_match_recorded_digest(self, period, leaf, seed, kwargs,
                                          size, digest):
         # the file format is frozen: these digests were recorded when the
@@ -587,6 +601,32 @@ class TestColumnBuild:
         built = build_index(small_fleet.rows(), period=60, leaf_capacity=5,
                             extent=small_fleet.extent)
         assert built.to_bytes() == small_index.to_bytes()
+
+    def test_parsed_records_build_with_no_object_per_fix(self, small_fleet,
+                                                         small_index,
+                                                         monkeypatch):
+        blob = write_binary(map(RawRecord._make, small_fleet.rows()))
+
+        def refuse(*args):
+            raise AssertionError("the build made a record object")
+
+        monkeypatch.setattr(RawRecord, "_make", refuse)
+        built = build_index(parse_binary(blob), period=60, leaf_capacity=5,
+                            extent=small_fleet.extent)
+        assert built.to_bytes() == small_index.to_bytes()
+
+    @pytest.mark.parametrize("period, leaf, seed, kwargs, size, digest",
+                             DIGEST_FLEETS)
+    def test_records_lists_generators_and_arrays_build_the_same_bytes(
+            self, period, leaf, seed, kwargs, size, digest):
+        fleet = make_fleet(12, 1500, (256, 256), seed, **kwargs)
+        rows = list(fleet.rows())
+        inputs = (parse_binary(write_binary(map(RawRecord._make, rows))),
+                  rows, (r for r in rows), np.array(rows, dtype=np.uint16))
+        blobs = {build_index(samples, period, leaf, fleet.extent,
+                             horizon=fleet.horizon).to_bytes()
+                 for samples in inputs}
+        assert [hashlib.sha256(b).hexdigest() for b in blobs] == [digest]
 
     @pytest.mark.parametrize("key", [
         lambda r: (r[1], r[0]),
@@ -871,6 +911,15 @@ class TestLoadedMemory:
         blob = self.blob(960, 60)
         _, grown, _ = load_cost(blob)
         assert grown <= 3 * len(blob), (grown, len(blob))
+
+    def test_pools_hold_no_spare_room(self):
+        # so that what `memory()` counts is what the pools take
+        fleet = make_fleet(30, 240, (300, 300), seed=12, drop_rate=0.1)
+        built = build_index(fleet.rows(), 20, 8, fleet.extent)
+        empty = sys.getsizeof(array("Q"))
+        for ix in (built, TrajectoryIndex.from_bytes(built.to_bytes())):
+            for pool in (ix._words, ix._bits.words):
+                assert sys.getsizeof(pool) - empty == 8 * len(pool)
 
     def test_objects_do_not_grow_with_the_logs(self):
         (few, _, short), (many, _, long) = (load_cost(self.blob(h, 20))

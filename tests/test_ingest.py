@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from trajindex.ingest import (
     NormalizeConfig,
     RawRecord,
+    Records,
     interpolate_gaps,
     normalize,
     parse_binary,
@@ -78,6 +79,34 @@ class TestBinary:
     def test_round_trip(self, tuples):
         rows = [RawRecord(*t) for t in tuples]
         assert parse_binary(write_binary(rows)) == rows
+
+
+class TestRecords:
+    ROWS = [RawRecord(i, 2 * i, 3 * i, 1 << 20 | i) for i in range(5)]
+
+    def test_indexing_and_slicing_follow_the_list(self):
+        records = parse_binary(write_binary(self.ROWS))
+        assert records[-1] == self.ROWS[-1] and records[-5] == self.ROWS[0]
+        for part in (slice(1, 4), slice(None, None, -2), slice(-2, None),
+                     slice(3, 1)):
+            assert isinstance(records[part], Records)
+            assert records[part] == self.ROWS[part]
+        for i in (5, -6):
+            with pytest.raises(IndexError):
+                records[i]
+        assert records != self.ROWS[:4] and records != tuple(self.ROWS)
+
+    def test_numpy_takes_the_columns_whole(self):
+        records = parse_binary(write_binary(self.ROWS))
+        cols = np.asarray(records)
+        assert cols.dtype == np.int64 and np.array_equal(cols, self.ROWS)
+        assert np.shares_memory(np.asarray(records), cols)
+        assert not cols.flags.writeable
+        copied = np.array(records)
+        assert copied.flags.writeable and not np.shares_memory(copied, cols)
+        assert np.asarray(records, dtype=np.uint32).dtype == np.uint32
+        with pytest.raises(ValueError):
+            np.array(records, dtype=np.uint32, copy=False)
 
 
 class TestSpeedFilter:
