@@ -170,8 +170,9 @@ def _cmd_oracle_check(args) -> int:
         else:
             x1 = int(rng.integers(0, extent[0]))
             y1 = int(rng.integers(0, extent[1]))
-            x2 = min(extent[0] - 1, x1 + int(rng.integers(0, extent[0] // 4 + 1)))
-            y2 = min(extent[1] - 1, y1 + int(rng.integers(0, extent[1] // 4 + 1)))
+            # sides up to the whole grid, so regions hold whole logs' boxes
+            x2 = min(extent[0] - 1, x1 + int(rng.integers(0, extent[0])))
+            y2 = min(extent[1] - 1, y1 + int(rng.integers(0, extent[1])))
             region = Region(x1, x2, y1, y2)
             if kind == 1:
                 q = int(rng.integers(0, ix.horizon))

@@ -24,7 +24,9 @@ from trajindex.log import (
     TREE,
     TrajectoryLog,
     bit_pool,
+    check_window_ends,
     data_count,
+    has_data,
     ordinal_range,
     position_at,
     records,
@@ -242,13 +244,16 @@ class TrajectoryIndex:
                         stats.root_only("mbr_reject")
                     continue
                 f = self._fields(row)
+                # a root box inside region needs only a data instant in
+                # the window, which the record mostly proves alone
+                if mbr_prune and _root_within(f, region):
+                    if has_data(self._bits, self._words, f, lo - k, hi - k):
+                        if stats is not None:
+                            stats.root_only("mbr_contain")
+                        found.add(oid)
+                    continue
                 b1, e1 = ordinal_range(self._bits, self._words, f, lo - k, hi - k)
                 if b1 > e1:
-                    continue
-                if mbr_prune and _root_within(f, region):
-                    if stats is not None:
-                        stats.root_only("mbr_contain")
-                    found.add(oid)
                     continue
                 hit = self._tree(f).first_hit(
                     self._log(f, oid, k), box, b1, e1, self.max_speed, lo - k,
@@ -366,10 +371,11 @@ class TrajectoryIndex:
         f, bit_words, word_words = records(table, leaf_capacity)
         pools = r.take(8 * (bit_words + word_words))
         r.end()
+        bits = bit_pool(f, pools[:8 * bit_words])
+        words = words_from(pools[8 * bit_words:])
+        check_window_ends(f, bits, words)
         return cls(period, leaf_capacity, (w, h), horizon, max_speed,
-                   sample_count, object_ids, snapshots,
-                   bit_pool(f, pools[:8 * bit_words]),
-                   words_from(pools[8 * bit_words:]), f, slots)
+                   sample_count, object_ids, snapshots, bits, words, f, slots)
 
     @classmethod
     def load(cls, path) -> "TrajectoryIndex":
@@ -408,7 +414,8 @@ def _check_table(table: np.ndarray, k: np.ndarray, period: int, horizon: int,
     # each log's stored fields, k its period's start: a window that fits
     # its gap count, inside its period and before the horizon; packed
     # widths of at most 64 bits; a speed bound within the index's; a
-    # first fix on the grid and inside the log's root box
+    # first fix on the grid and inside the log's root box; a root box
+    # that ends on the grid
     (first, last, gaps, speed, widths, x1, _, y1, _, diff_width,
      xmin, xmax, ymin, ymax) = table.T
     if ((first < 1) | (last < first) | (gaps > last - first)).any():
@@ -422,6 +429,8 @@ def _check_table(table: np.ndarray, k: np.ndarray, period: int, horizon: int,
             | (x1 < xmin) | (x1 > xmax) | (y1 < ymin) | (y1 > ymax)).any():
         raise ValueError("a log's speed bound or first fix lies outside the "
                          "index's speed bound, the grid or the log's root box")
+    if ((xmax >= extent[0]) | (ymax >= extent[1])).any():
+        raise ValueError("a log's root box leaves the grid")
 
 
 def _check_periods(horizon: int, period: int) -> None:

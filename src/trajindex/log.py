@@ -186,6 +186,54 @@ def ordinal_range(bits: BitPool, words, f, lo: int, hi: int) -> tuple[int, int]:
     return _count_upto(bits, words, f, lo - 1) + 1, _count_upto(bits, words, f, hi)
 
 
+def has_data(bits: BitPool, words, f, lo: int, hi: int) -> bool:
+    """Whether any of local instants lo..hi of the log with fields f has
+    data.  The window begins and ends with data and holds every gap, so
+    a clipped window that reaches either end, or spans more instants
+    than the log has gaps, has data; only other windows search the gap
+    map."""
+    a, b = max(lo, f[0]), min(hi, f[1])
+    if a > b:
+        return False
+    if a == f[0] or b == f[1] or f[2] <= b - a:
+        return True
+    first, last = ordinal_range(bits, words, f, a, b)
+    return first <= last
+
+
+def check_window_ends(f: np.ndarray, bits: BitPool, words) -> None:
+    """Raise ValueError if a log among the records f has a gap at the
+    first or the last offset of its window of n instants: a window begins
+    and ends with data.  The gap map's first member is 1 when its first
+    high bit is set and its first low is 0; its last member is n when the
+    bit before the high bits' final zero is set (the last bucket holds
+    it) and its last low is n - 1's."""
+    g = f[f[:, 2] > 0]
+    n, m, width = g[:, 1] - g[:, 0] + 1, g[:, 2], g[:, 6]
+    high, lows = g[:, 3] << 6, g[:, 5] << 6
+    first = ((_bits_at(bits.words, high, 1) == 1)
+             & (_bits_at(words, lows, width) == 0))
+    last = ((_bits_at(bits.words, high + m + ((n - 1) >> width) - 1, 1) == 1)
+            & (_bits_at(words, lows + (m - 1) * width, width)
+               == (n - 1) & ((1 << width) - 1)))
+    if (first | last).any():
+        raise ValueError("a log's window begins or ends with a gap")
+
+
+def _bits_at(words, at: np.ndarray, width) -> np.ndarray:
+    # the value of the width bits (width < 64) from bit at of the words,
+    # for each entry of at
+    pool = np.frombuffer(words, dtype=np.uint64)
+    if not len(pool):
+        return np.zeros(len(at), dtype=np.int64)
+    w, off = at >> 6, (at & 63).astype(np.uint64)
+    v = pool.take(w, mode="clip") >> off
+    # the next word's bits, shifted in two steps so no shift is by 64
+    v |= pool.take(w + 1, mode="clip") << (np.uint64(63) - off) << np.uint64(1)
+    mask = (np.uint64(1) << np.asarray(width, dtype=np.uint64)) - np.uint64(1)
+    return (v & mask).astype(np.int64)
+
+
 def position_at(bits: BitPool, words, f, i: int) -> tuple[int, int] | None:
     """Coordinates at local instant i of the log with fields f, or None;
     i is not range-checked."""

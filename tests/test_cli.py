@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import trajindex.engine
 from conftest import REF_OBJECT, REF_TRACK, restamp
 from synth import make_fleet
 from trajindex.cli import main
@@ -249,16 +250,27 @@ class TestStats:
 
 
 class TestOracleCheck:
-    def test_random_queries_agree(self, tmp_path, capsys):
+    def test_random_queries_agree(self, tmp_path, capsys, monkeypatch):
         fleet = make_fleet(8, 200, (300, 300), seed=17, drop_rate=0.1)
         path = tmp_path / "fleet.csv"
         with open(path, "w") as fh:
             for row in fleet.rows():
                 fh.write(",".join(map(str, row)) + "\n")
+        # count the interval candidates whose root box lies inside the
+        # region: large regions must reach them
+        contained = []
+        check = trajindex.engine.has_data
+
+        def counted(*args):
+            contained.append(args[3:])
+            return check(*args)
+
+        monkeypatch.setattr("trajindex.engine.has_data", counted)
         rc = main(["oracle-check", "--input", str(path), "--period", "40",
                    "--leaf-size", "6", "--queries", "120", "--seed", "5"])
         assert rc == 0
         assert "ok: 120 queries" in capsys.readouterr().out
+        assert len(contained) > 10
 
     def test_binary_input_out_of_order_agrees(self, tmp_path, capsys):
         fleet = make_fleet(8, 200, (300, 300), seed=17, drop_rate=0.1)

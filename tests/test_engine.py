@@ -8,6 +8,7 @@ from array import array
 import numpy as np
 import pytest
 
+import trajindex.log
 from conftest import REF_OBJECT, REF_PERIOD, REF_TRACK, pulled_in, restamp
 from synth import make_fleet
 from trajindex.engine import (
@@ -403,6 +404,9 @@ class TestSerialization:
         ("x", 2, True), ("x", 10, True),   # the root box's x range is 2..10
         ("x", 1, False), ("x", 11, False), ("x", 16, False),
         ("y", 4, True), ("y", 3, False),   # and its y range 4..10
+        # the root box may grow to the grid's edge, 15, and no further
+        ("xmax", 15, True), ("xmax", 16, False), ("xmax", 1000, False),
+        ("ymax", 15, True), ("ymax", 16, False),
     ])
     def test_records_outside_the_speed_bound_or_root_box_are_rejected(
             self, ref_rows, field, value, ok):
@@ -410,18 +414,22 @@ class TestSerialization:
                            extent=(16, 16), horizon=14).to_bytes()
         # the log's speed bound 3 and entry widths 0 (a log of one block
         # keeps s for both axes), first x 2 and x total 6 + 3 * 8 = 30;
-        # its first y 4 and y total 5 + 3 * 8 = 29
+        # its first y 4 and y total 5 + 3 * 8 = 29; its root box, x 2..10
+        # and y 4..10
         pattern, shift = {"s": ((3, 0, 2, 30), 0), "x": ((3, 0, 2, 30), 8),
-                          "y": ((4, 29), 0)}[field]
+                          "y": ((4, 29), 0), "xmax": ((2, 10, 4, 10), 4),
+                          "ymax": ((2, 10, 4, 10), 12)}[field]
         pattern = struct.pack(f"<{len(pattern)}I", *pattern)
         at = blob.find(pattern)
         assert at > 0 and blob.find(pattern, at + 1) < 0
         at += shift
         edited = restamp(blob[:at] + struct.pack("<I", value) + blob[at + 4:])
+        message = ("root box leaves the grid" if field.endswith("max")
+                   else "speed bound or first fix")
         if ok:
             TrajectoryIndex.from_bytes(edited)
         else:
-            with pytest.raises(ValueError, match="speed bound or first fix"):
+            with pytest.raises(ValueError, match=message):
                 TrajectoryIndex.from_bytes(edited)
 
     @pytest.mark.parametrize("field", ["entries", "diffs"])
@@ -460,6 +468,33 @@ class TestSerialization:
                          + blob[at + 8:])
         with pytest.raises(ValueError, match=message):
             TrajectoryIndex.from_bytes(edited)
+
+    @pytest.mark.parametrize("high, lows, ok", [
+        # the gaps at offsets 5 and 6, as built; 5 and 8; 1 and 6, where
+        # the window begins with a gap; 5 and 9, where it ends with one
+        pytest.param(0b110, 0b0100, True, id="as-built"),
+        pytest.param(0b110, 0b1100, True, id="inside"),
+        pytest.param(0b101, 0b0100, False, id="first"),
+        pytest.param(0b1010, 0b0000, False, id="last"),
+    ])
+    def test_a_window_that_begins_or_ends_with_a_gap_is_rejected(
+            self, ref_index, high, lows, ok):
+        blob = ref_index.to_bytes()
+        # the log's window holds 9 instants, so the gap map's lows are 2
+        # bits wide and its high bits 5 long: the bit pool's first word
+        # holds the high bits, the word pool's first word the lows
+        at = len(blob) - 8 * (len(ref_index._bits.words)
+                              + len(ref_index._words))
+        lows_at = len(blob) - 8 * len(ref_index._words)
+        assert blob[at] == 0b110 and blob[lows_at] == 0b0100
+        edited = bytearray(blob)
+        edited[at], edited[lows_at] = high, lows
+        edited = restamp(edited)
+        if ok:
+            TrajectoryIndex.from_bytes(edited)
+        else:
+            with pytest.raises(ValueError, match="begins or ends with a gap"):
+                TrajectoryIndex.from_bytes(edited)
 
     def test_a_horizon_that_cuts_a_log_short_is_rejected(self, tiny_blob):
         # horizon 40 -> 32 keeps four periods of 10 instants, but the last
@@ -867,15 +902,63 @@ class TestContainedIntervals:
             small_index.time_interval(Region(100, 300, 100, 300), b, e)
             assert calls == list(range(b - b % d, e + 1, d))
 
-    def test_whole_grid_decodes_nothing(self, small_index, small_table):
+    def test_whole_grid_decodes_nothing(self, small_index, small_table,
+                                        monkeypatch):
+        # over the whole grid every root box lies inside the region, and a
+        # window that reaches its log's first or last instant has data, so
+        # the record answers every candidate: no decode and no gap-map
+        # search
+        def refused(*args):
+            raise AssertionError(f"gap map searched over {args[3:]}")
+
+        monkeypatch.setattr("trajindex.engine.ordinal_range", refused)
+        monkeypatch.setattr("trajindex.log.ordinal_range", refused)
         w, h = small_index.extent
+        grid = (0, w - 1, 0, h - 1)
+        d, horizon = small_index.period, small_table.horizon
+        rng = np.random.default_rng(68)
+        windows = [(1, 50), (61, 119), (0, 299)]
+        for k in range(0, horizon, d):
+            mid = int(rng.integers(k + 2, k + d - 1))
+            # from the period's start, to its end, and on into the next
+            windows += [(k, mid), (k + 1, mid), (mid, k + d - 1),
+                        (mid, min(mid + d, horizon - 1))]
         stats = TraversalStats(trace=True)
-        for b, e in ((1, 50), (61, 119), (0, 299)):
-            assert small_index.time_interval(Region(0, w - 1, 0, h - 1), b, e,
+        for b, e in windows:
+            assert small_index.time_interval(Region(*grid), b, e,
                                              stats=stats) == \
-                oracle_interval(small_table, (0, w - 1, 0, h - 1), b, e)
+                oracle_interval(small_table, grid, b, e)
         assert stats.positions_decoded == 0
         assert {k for k, _ in stats.events} <= {"visit", "mbr_contain"}
+
+    def test_a_window_of_gaps_alone_is_searched(self, monkeypatch):
+        # one object with fixes at local instants 1..3 and 12..19 of a
+        # period of 20: a window 1..19 holding the 8 gaps 4..11
+        rows = [(1, t, 5, 5) for t in [*range(4), *range(12, 20)]]
+        ix = build_index(rows, period=20, leaf_capacity=2, extent=(16, 16))
+        grid = Region(0, 15, 0, 15)
+        searched = []
+        search = trajindex.log.ordinal_range
+
+        def spy(bits, words, f, lo, hi):
+            searched.append((lo, hi))
+            return search(bits, words, f, lo, hi)
+
+        monkeypatch.setattr("trajindex.log.ordinal_range", spy)
+        # strictly inside the log's window, no more instants than gaps:
+        # the record cannot tell, and the search finds no data
+        for b, e in ((5, 10), (4, 11), (6, 6)):
+            stats = TraversalStats(trace=True)
+            assert ix.time_interval(grid, b, e, stats=stats) == []
+            assert stats.events == []
+        assert searched == [(5, 10), (4, 11), (6, 6)]
+        # strictly inside too, but 9 instants for 8 gaps: one has data
+        searched.clear()
+        for b, e in ((3, 11), (4, 12), (2, 18)):
+            stats = TraversalStats(trace=True)
+            assert ix.time_interval(grid, b, e, stats=stats) == [1]
+            assert stats.events == [("visit", 1), ("mbr_contain", 1)]
+        assert searched == []
 
 
 def load_cost(blob) -> tuple[int, int, TrajectoryIndex]:

@@ -16,6 +16,7 @@ from trajindex.log import (
     TrajectoryLog,
     bit_pool,
     build_log,
+    has_data,
     records,
 )
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
@@ -180,6 +181,19 @@ class TestRandomTracks:
                 sorted(table)
             for j in range(1, count + 1):
                 assert log.count_data_upto(log.unmap_ordinal(j)) == j
+
+    def test_has_data_matches_the_samples(self):
+        rng = np.random.default_rng(79)
+        for trial in range(60):
+            period = int(rng.integers(2, 40))
+            rows = random_track(rng, period)
+            log = build_log(rows, 0, period)
+            held = np.zeros(period + 1, dtype=bool)
+            held[[t for t, _, _ in rows]] = True
+            for lo in range(1, period):
+                for hi in range(lo, period):
+                    assert has_data(log._bits, log._words, log._f, lo, hi) \
+                        == held[lo:hi + 1].any(), (rows, lo, hi)
 
     def test_scan_agrees_with_pointwise(self):
         rng = np.random.default_rng(78)
