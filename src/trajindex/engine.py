@@ -22,6 +22,7 @@ from trajindex.log import (
     FILE_FIELDS,
     RECORD_FIELDS,
     TREE,
+    X_AXIS,
     TrajectoryLog,
     bit_pool,
     check_window_ends,
@@ -45,21 +46,24 @@ MAX_PERIODS = 1 << 20  # each period costs a snapshot, data or not
 
 
 _ROOT_BOX = struct.Struct("=4I")
+# a record's window and gap map, whose bitmap ends where the x axis's begins
+_HEAD = struct.Struct(f"={X_AXIS + 1}I")
+_MISSES, _MEETS, _WITHIN = 0, 1, 2  # a miss is the one false value
 
 
-def _root_meets(records: array, row: int, region: Region) -> bool:
+def _root_test(records: array, row: int, region: Region) -> int:
     # whether the root box of the log at row, which bounds every position
-    # in the log, meets region; most candidates fail, so only the box is
-    # read
+    # in the log, misses region, meets it or lies within it; most
+    # candidates miss, so only the box is read
     xmin, xmax, ymin, ymax = _ROOT_BOX.unpack_from(
         records, row * _RECORD.size + 4 * _ROOT)
-    return (xmin <= region.x2 and region.x1 <= xmax
-            and ymin <= region.y2 and region.y1 <= ymax)
-
-
-def _root_within(f, region: Region) -> bool:
-    return (region.x1 <= f[_ROOT] and f[_ROOT + 1] <= region.x2
-            and region.y1 <= f[_ROOT + 2] and f[_ROOT + 3] <= region.y2)
+    if not (xmin <= region.x2 and region.x1 <= xmax
+            and ymin <= region.y2 and region.y1 <= ymax):
+        return _MISSES
+    if (region.x1 <= xmin and xmax <= region.x2
+            and region.y1 <= ymin and ymax <= region.y2):
+        return _WITHIN
+    return _MEETS
 
 
 class TrajectoryIndex:
@@ -197,7 +201,7 @@ class TrajectoryIndex:
         out = []
         for oid, _, _ in snap.range_report(wide):
             row = rows[first + index[oid]]
-            if row < 0 or not _root_meets(self._records, row, region):
+            if row < 0 or not _root_test(self._records, row, region):
                 continue
             pos = self._log(self._fields(row), oid, k).position(q - k)
             if pos is not None and region.contains(pos[0], pos[1]):
@@ -239,19 +243,22 @@ class TrajectoryIndex:
                     continue
                 # the tree's first test, on its root box, is made here
                 # from the record; only a search that needs more makes views
-                if mbr_prune and not _root_meets(self._records, row, region):
+                root = (_root_test(self._records, row, region) if mbr_prune
+                        else _MEETS)
+                if not root:
                     if stats is not None:
                         stats.root_only("mbr_reject")
                     continue
-                f = self._fields(row)
                 # a root box inside region needs only a data instant in
-                # the window, which the record mostly proves alone
-                if mbr_prune and _root_within(f, region):
-                    if has_data(self._bits, self._words, f, lo - k, hi - k):
+                # the window, which the record's head mostly proves alone
+                if root == _WITHIN:
+                    head = _HEAD.unpack_from(self._records, row * _RECORD.size)
+                    if has_data(self._bits, self._words, head, lo - k, hi - k):
                         if stats is not None:
                             stats.root_only("mbr_contain")
                         found.add(oid)
                     continue
+                f = self._fields(row)
                 b1, e1 = ordinal_range(self._bits, self._words, f, lo - k, hi - k)
                 if b1 > e1:
                     continue

@@ -191,7 +191,7 @@ def has_data(bits: BitPool, words, f, lo: int, hi: int) -> bool:
     data.  The window begins and ends with data and holds every gap, so
     a clipped window that reaches either end, or spans more instants
     than the log has gaps, has data; only other windows search the gap
-    map."""
+    map.  It reads no field of f past X_AXIS."""
     a, b = max(lo, f[0]), min(hi, f[1])
     if a > b:
         return False

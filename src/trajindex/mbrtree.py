@@ -6,10 +6,12 @@ the root box is stored outright.  Every other node keeps four non-negative
 differences against its parent (min grows, max shrinks as you descend),
 packed at the width of the largest difference in the tree.
 
-Interval search walks the tree pruning on time coverage, box overlap and a
-reachability bound: if a box sits further from the query region than the
-object can travel in the time remaining, the subtree cannot produce a hit.
+Interval search walks the tree pruning on time coverage and box overlap.
 A box that lies wholly inside the region answers at once, with no decoding.
+A leaf scan jumps by the speed bound s: a fix at Chebyshev distance g from
+the region cannot be inside it for the next ceil(g/s) - 1 instants, so the
+scan decodes only the fixes where the object could first reach the region,
+and a landing past one leaf carries into the next.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trajindex.log import TREE, TrajectoryLog, private_pools
+from trajindex.log import TREE, TrajectoryLog, _count_upto, position_at, private_pools
 from trajindex.succinct import U32_MAX, PackedIntArray, packed_get
 
 
@@ -48,12 +50,6 @@ class Mbr:
         return Mbr(min(self.xmin, other.xmin), max(self.xmax, other.xmax),
                    min(self.ymin, other.ymin), max(self.ymax, other.ymax))
 
-    def gap_to(self, other: "Mbr") -> int:
-        """Chebyshev distance between the boxes, 0 when they touch."""
-        gx = max(0, other.xmin - self.xmax, self.xmin - other.xmax)
-        gy = max(0, other.ymin - self.ymax, self.ymin - other.ymax)
-        return max(gx, gy)
-
 
 def _point_gap(r: Mbr, x: int, y: int) -> int:
     return max(0, r.xmin - x, x - r.xmax, r.ymin - y, y - r.ymax)
@@ -68,11 +64,11 @@ class TraversalStats:
       "mbr_contain"  the node's box lies inside the region: its first
                      ordinal in the window is the answer, nothing decoded;
       "time_skip"    the node's subtree lies outside the ordinal window;
-      "speed_skip"   by the speed bound the object cannot be inside the
-                     region during the node's subtree, which is skipped;
-      "leaf_abort"   a leaf scan stopped because the object cannot reach
-                     the region before the leaf ends;
+      "leaf_abort"   a leaf scan's jump by the speed bound landed past
+                     the leaf's last instant (or s is 0): no hit in it;
       "hit"          a leaf scan decoded a position inside the region.
+    No search records "speed_skip", so a count of it reads 0: a leaf
+    scan's first jump rules out what a speed test on a subtree's box could.
     """
 
     def __init__(self, trace: bool = False):
@@ -167,19 +163,23 @@ class MbrTree:
         """Earliest local instant in ordinals ord_lo..ord_hi whose position
         falls inside region, or None.
 
-        t_lo/t_hi are the local instants bounding the query window; they
-        only feed the reachability pruning.
+        ord_lo..ord_hi must be the data ordinals of local instants
+        t_lo..t_hi, the query window.  With speed_prune the leaf scans jump
+        by max_speed, a bound on the object's step per instant on either
+        axis, and t_lo and t_hi bound the first and the last of them, so a
+        scan that starts at ord_lo or ends at ord_hi looks up no instant.
         """
         if not 1 <= ord_lo <= ord_hi <= self.data_count:
             raise IndexError("ordinal window out of range")
         if stats is None:
             stats = TraversalStats()
+        # no hit before instant at[0], which lies past ordinal at[1] - 1
+        at = [t_lo, ord_lo] if speed_prune else None
         return self._search(1, self.root, log, region, ord_lo, ord_hi,
-                            max_speed, t_lo, t_hi, mbr_prune, speed_prune,
-                            stats)
+                            max_speed, t_hi, at, mbr_prune, stats)
 
-    def _search(self, p, box, log, r, olo, ohi, s, tlo, thi,
-                mbr_prune, speed_prune, stats) -> int | None:
+    def _search(self, p, box, log, r, olo, ohi, s, thi, at, mbr_prune,
+                stats) -> int | None:
         stats.nodes_visited += 1
         stats.event("visit", p)
         if mbr_prune:
@@ -193,73 +193,58 @@ class MbrTree:
                 stats.event("mbr_contain", p)
                 return log.unmap_ordinal(max(self.coverage(p)[0], olo))
         if p >= self.leaf_count:
-            return self._scan_leaf(p, log, r, olo, ohi, s, speed_prune, stats)
+            return self._scan_leaf(p, log, r, olo, ohi, s, thi, at, stats)
         left, right = 2 * p, 2 * p + 1
         lcov = self.coverage(left)
         rcov = self.coverage(right)
         l_hit = lcov[0] <= ohi and olo <= lcov[1]
         r_hit = rcov is not None and rcov[0] <= ohi and olo <= rcov[1]
-        if l_hit and r_hit:
-            found = self._search(left, self.child_box(box, left), log, r,
-                                 olo, ohi, s, tlo, thi, mbr_prune,
-                                 speed_prune, stats)
-            if found is not None:
-                return found
-            return self._search(right, self.child_box(box, right), log, r,
-                                olo, ohi, s, tlo, thi, mbr_prune,
-                                speed_prune, stats)
-        if r_hit:
-            # the query window starts after the left subtree; if the object
-            # cannot close the gap between where it was and the region in
-            # the time available, the right subtree is unreachable
-            if speed_prune:
-                left_end = log.unmap_ordinal(lcov[1])
-                latest = min(thi, log.unmap_ordinal(min(rcov[1], ohi)))
-                gap = self.child_box(box, left).gap_to(r)
-                if gap > s * (latest - left_end):
-                    stats.event("speed_skip", right)
-                    return None
-            stats.event("time_skip", left)
-            return self._search(right, self.child_box(box, right), log, r,
-                                olo, ohi, s, tlo, thi, mbr_prune,
-                                speed_prune, stats)
+        # p meets the window, so one child does; a skip is recorded before
+        # the walk descends
         if l_hit:
-            # mirrored bound: the object must reach the right subtree's box
-            # from wherever it is during the query window
-            if speed_prune and rcov is not None:
-                right_start = log.unmap_ordinal(rcov[0])
-                earliest = max(tlo, log.unmap_ordinal(max(lcov[0], olo)))
-                gap = self.child_box(box, right).gap_to(r)
-                if gap > s * (right_start - earliest):
-                    stats.event("speed_skip", left)
-                    return None
-            if rcov is not None:
+            if not r_hit and rcov is not None:
                 stats.event("time_skip", right)
-            return self._search(left, self.child_box(box, left), log, r,
-                                olo, ohi, s, tlo, thi, mbr_prune,
-                                speed_prune, stats)
-        return None
+            found = self._search(left, self.child_box(box, left), log, r,
+                                 olo, ohi, s, thi, at, mbr_prune, stats)
+            if found is not None or not r_hit:
+                return found
+        else:
+            stats.event("time_skip", left)
+        return self._search(right, self.child_box(box, right), log, r, olo,
+                            ohi, s, thi, at, mbr_prune, stats)
 
-    def _scan_leaf(self, p, log, r, olo, ohi, s, speed_prune, stats) -> int | None:
+    def _scan_leaf(self, p, log, r, olo, ohi, s, thi, at, stats) -> int | None:
         cov = self.coverage(p)
         lo, hi = max(cov[0], olo), min(cov[1], ohi)
-        last_t = None
-        for j, (t, x, y) in enumerate(log.iter_positions(lo, hi), lo):
+        if at is None:
+            for t, x, y in log.iter_positions(lo, hi):
+                stats.positions_decoded += 1
+                if r.contains(x, y):
+                    stats.event("hit", p)
+                    return t
+            return None
+        # decode the first fix at or after t; one at distance g from r
+        # cannot be inside it before t + ceil(g/s).  Each step moves t on
+        # by at least 1, so the scan ends on any index.
+        t = at[0] if lo == at[1] else max(at[0], log.unmap_ordinal(lo))
+        end = thi if hi == ohi else log.unmap_ordinal(hi)
+        bits, words, f = log._bits, log._words, log._f
+        while t <= end:
+            pos = position_at(bits, words, f, t)
+            if pos is None:  # a gap: on to the first fix after it
+                j = _count_upto(bits, words, f, t) + 1
+                if j > hi:
+                    break
+                t = max(t + 1, log.unmap_ordinal(j))
+                continue
             stats.positions_decoded += 1
+            x, y = pos
             if r.contains(x, y):
                 stats.event("hit", p)
                 return t
-            if not speed_prune:
-                continue
-            # instants rise with ordinals, so last_t - t >= hi - j; look
-            # last_t up only when that bound cannot rule the abort out
-            gap = _point_gap(r, x, y)
-            if gap > s * (hi - j):
-                if last_t is None:
-                    last_t = t if j == hi else log.unmap_ordinal(hi)
-                if gap > s * (last_t - t):
-                    stats.event("leaf_abort", p)
-                    break
+            t = t - (-_point_gap(r, x, y) // s) if s else thi + 1
+        stats.event("leaf_abort", p)
+        at[0], at[1] = t, hi + 1
         return None
 
     def code_bits(self) -> int:

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import struct
 import sys
 import tracemalloc
@@ -534,6 +535,9 @@ class TestSerialization:
         assert sum(snap.is_entrant(oid) for snap in ix.snapshots
                    for oid in ix.object_ids) == 1
         blob = ix.to_bytes()
+        regions = [Region(0, 7, 0, 7), Region(0, 3, 0, 3), Region(4, 7, 2, 5),
+                   Region(2, 2, 5, 5)]
+        windows = [(0, 7), (1, 3), (2, 6), (5, 5)]
         flipped = bytearray(blob)
         for i in range(10, len(blob)):
             for bit in range(8):
@@ -544,6 +548,13 @@ class TestSerialization:
                     pass
                 else:
                     assert loaded.object_ids == [1, 2, 3], (i, bit)
+                    # queries over the corrupt index, box-tree walks and
+                    # leaf jumps among them, answer or raise ValueError
+                    for region, (a, b) in itertools.product(regions, windows):
+                        try:
+                            loaded.time_interval(region, a, b)
+                        except ValueError:
+                            pass
                 flipped[i] ^= 1 << bit
 
     @pytest.mark.parametrize("order", [[2, 1, 3], [1, 1, 3]],

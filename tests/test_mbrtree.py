@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,9 +53,6 @@ class TestMbr:
         assert not a.intersects(b)
         assert a.intersects(Mbr(4, 9, 2, 3))
         assert a.union(b) == Mbr(0, 9, 0, 4)
-        assert a.gap_to(b) == 1
-        assert a.gap_to(Mbr(10, 12, 20, 30)) == 16
-        assert a.gap_to(Mbr(2, 3, 2, 3)) == 0
         assert a.contains(4, 0) and not a.contains(5, 0)
 
 
@@ -338,3 +337,122 @@ class TestContainment:
                     assert not any(k == "mbr_contain" for k, _ in stats.events)
         assert shrunk_cases > 100
 
+
+
+class TestSpeedJump:
+    """With speed pruning a leaf scan decodes the first fix at or after
+    an instant and jumps ceil(g/s) instants on from a fix at Chebyshev
+    distance g from the region, taking the first fix after a gap."""
+
+    REGION = Mbr(100, 105, 100, 105)
+
+    def search(self, rows, s, cap=64, t_window=None, **prune):
+        log = build_log(rows, 0, rows[-1][0] + 2)
+        tree = build_mbr_tree(log, cap)
+        t_lo, t_hi = t_window or (1, rows[-1][0] + 1)
+        stats = TraversalStats(trace=True)
+        a, b = log.count_data_upto(t_lo - 1) + 1, log.count_data_upto(t_hi)
+        hit = tree.first_hit(log, self.REGION, a, b, s, t_lo, t_hi,
+                             stats=stats, **prune)
+        return hit, stats
+
+    def test_closing_at_the_bound_lands_on_the_hit(self):
+        # 3 cells an instant from x=40: x reaches 100 at instant 21
+        rows = [(t, 40 + 3 * (t - 1), 102) for t in range(1, 30)]
+        hit, stats = self.search(rows, 3)
+        assert hit == 21 and stats.positions_decoded == 2
+        # at twice the object's speed each jump about halves the gap: 60,
+        # 30, 15, 6 and 3 make five jumps, a decode each, and the last hits
+        hit, stats = self.search(rows, 6)
+        assert hit == 21 and stats.positions_decoded == 6
+        unpruned, plain = self.search(rows, 6, speed_prune=False)
+        assert unpruned == 21 and plain.positions_decoded == 21
+
+    def test_landing_on_a_gap_takes_the_next_fix(self):
+        rows = [(t, 40 + 3 * (t - 1), 102) for t in range(1, 30)
+                if t != 21]
+        hit, stats = self.search(rows, 3)
+        assert hit == 22 and stats.positions_decoded == 2
+        # a window that starts on a gap starts at the fix after it
+        hit, stats = self.search(rows, 3, t_window=(21, 28))
+        assert hit == 22 and stats.positions_decoded == 1
+        # from instant 3 the jump lands on the gap at 21, with no fix after
+        # it in the window: one decode, and the scan ends
+        hit, stats = self.search(rows, 3, t_window=(3, 21))
+        assert hit is None and stats.positions_decoded == 1
+        assert ("leaf_abort", 1) in stats.events
+
+    def test_zero_speed_stops_after_one_decode(self):
+        rows = [(t, 50, 50) for t in range(1, 9)]
+        for mbr_prune in (True, False):
+            hit, stats = self.search(rows, 0, cap=2, mbr_prune=mbr_prune)
+            assert hit is None
+            assert stats.positions_decoded == (0 if mbr_prune else 1)
+        inside = [(t, 101, 101) for t in range(1, 9)]
+        hit, stats = self.search(inside, 0, cap=2, mbr_prune=False)
+        assert hit == 1 and stats.positions_decoded == 1
+
+    def test_a_jump_carries_across_leaf_ends(self):
+        # leaves of two fixes; from x=91 the jump of 9 crosses four leaf
+        # ends, and the leaves it passes decode nothing
+        rows = [(t, 90 + t, 102) for t in range(1, 13)]
+        hit, stats = self.search(rows, 1, cap=2, mbr_prune=False)
+        assert hit == 10 and stats.positions_decoded == 2
+        assert [n for k, n in stats.events if k == "leaf_abort"] == \
+            [8, 9, 10, 11]
+        assert ("hit", 12) in stats.events
+        # with box pruning the first four leaves' parent is rejected, and
+        # the scan of the fifth starts at its own first fix
+        hit, stats = self.search(rows, 1, cap=2)
+        assert hit == 10 and stats.positions_decoded == 2
+        assert not any(k == "leaf_abort" for k, _ in stats.events)
+
+    def test_hand_checked_reference_walk(self, ref_log, ref_tree):
+        # region [9,10]x[8,10], window 1..12 (ordinals 1..7), s=3: instant
+        # 1 is a gap, so leaf 4 decodes (2,4) at instant 2, 7 cells off,
+        # and jumps to 5, past its last instant 3; leaf 5 starts there,
+        # decodes (3,5), 6 off, and jumps to 7, past 5; leaf 6 starts at
+        # the gap at 7, takes the fix at 8, (10,8), and hits
+        region = Mbr(9, 10, 8, 10)
+        stats = TraversalStats(trace=True)
+        assert ref_tree.first_hit(ref_log, region, 1, 7, 3, 1, 12,
+                                  mbr_prune=False, stats=stats) == 8
+        assert stats.positions_decoded == 3
+        assert [e for e in stats.events if e[0] != "visit"] == [
+            ("leaf_abort", 4), ("leaf_abort", 5), ("hit", 6)]
+        plain = TraversalStats()
+        assert ref_tree.first_hit(ref_log, region, 1, 7, 3, 1, 12,
+                                  mbr_prune=False, speed_prune=False,
+                                  stats=plain) == 8
+        assert plain.positions_decoded == 5
+
+    def test_random_gappy_logs_match_a_linear_scan(self):
+        rng = np.random.default_rng(48)
+        checked = hits = 0
+        for trial in range(120):
+            period = int(rng.integers(4, 80))
+            log, rows = random_log(rng, period=period)
+            tree = build_mbr_tree(log, int(rng.integers(1, 9)))
+            s = observed_speed(rows) + int(rng.integers(0, 3))
+            for q in range(12):
+                cx = int(rng.integers(280, 330))
+                cy = int(rng.integers(280, 330))
+                region = Mbr(cx, cx + int(rng.integers(0, 10)),
+                             cy, cy + int(rng.integers(0, 10)))
+                t_lo = int(rng.integers(1, period))
+                t_hi = int(rng.integers(t_lo, period))
+                a = log.count_data_upto(t_lo - 1) + 1
+                b = log.count_data_upto(t_hi)
+                if a > b:
+                    continue
+                want = next((t for t, x, y in rows
+                             if t_lo <= t <= t_hi and region.contains(x, y)),
+                            None)
+                for mbr_prune, speed_prune in itertools.product((True, False),
+                                                                repeat=2):
+                    assert tree.first_hit(
+                        log, region, a, b, s, t_lo, t_hi, mbr_prune=mbr_prune,
+                        speed_prune=speed_prune) == want
+                checked += 1
+                hits += want is not None
+        assert checked > 800 and 0 < hits < checked
