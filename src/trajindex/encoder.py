@@ -20,9 +20,12 @@ boundary.  A log's fields, in file order:
   the tree's diff width and root box xmin, xmax, ymin, ymax.
 Its pieces in the bit pool: the high bits of the gap map, the sparse set
 of the window's gaps, then those of the x and of the y stream, the unary
-streams of the increments dx + s_b*dt.  Its pieces in the word pool: the
-gap map's lows; the four entry arrays, one entry per block of
-2**BLOCK_SHIFT steps: the reductions s - s_b of the blocks' x speed
+streams of one increment per step of the window, an instant after its
+first (per fix after the first, see `stream_members`): 0 at a gap, and
+at a fix dx + s_b*dt, dt counted from the fix before, and dt more on x
+when the log has gaps and a member per step.  Its pieces in the word
+pool: the gap map's lows; the four entry arrays, one entry per block of
+2**BLOCK_SHIFT members: the reductions s - s_b of the blocks' x speed
 bounds s_b, their x offsets (zigzagged), then the same two for y (see
 `log`); the x and the y stream's lows; the tree's x diffs and y diffs.
 `piece_bits` works each piece's length out from the fields, so nothing
@@ -47,10 +50,25 @@ GAP_HIGH, X_HIGH, Y_HIGH = 0, 1, 2
 GAP_LOWS, ENTRIES, X_LOWS, Y_LOWS, DIFFS = 0, 1, 5, 6, 7
 U32_FIELDS = 14
 BLOCK_SHIFT = 4
-BLOCK = 1 << BLOCK_SHIFT  # steps to a block of one speed bound per axis
+BLOCK = 1 << BLOCK_SHIFT  # members to a block of one speed bound per axis
+PER_STEP = 4  # see stream_members
+# a stream's low width (see `elias_fano`) is one more than the fewest bits
+# take when n/m lies in the top eighth below a power of two: at most m/8
+# bits more, and at least 7m/8 fewer high bits, 1.75 bits each in memory
+STREAM_SCALE = (8, 7)
+SCALES = np.array([(1, 1), STREAM_SCALE, STREAM_SCALE]).T  # gap map, x, y
 
 _PAD = 1 << 40  # a padded node's box: above any storable coordinate
 _MAX_DRIFT = 1 << 61
+
+
+def stream_members(first, last, gaps):
+    """Members of each axis stream of a log (ints or arrays): one per step
+    of the window, or one per fix after the first when more than
+    1/PER_STEP of the steps are gaps, where a member per step would cost
+    at least five bits a step, more than the fixes are worth."""
+    steps = last - first
+    return steps - gaps * (PER_STEP * gaps > steps)
 
 
 def piece_bits(u32s: np.ndarray, leaf_capacity: int):
@@ -63,13 +81,13 @@ def piece_bits(u32s: np.ndarray, leaf_capacity: int):
     <= last - first) and widths of at most 64."""
     first, last, gaps = u32s[:, 0], u32s[:, 1], u32s[:, 2]
     count = last - first + 1 - gaps
-    members = count - 1
+    members = stream_members(first, last, gaps)
     # a sparse set of m members over n per set: the gap map over the
     # window; a stream of m values summing to t, over t + m
     m = np.stack((gaps, members, members), axis=1)
     low_width, high = elias_fano(
-        np.stack((count + gaps, u32s[:, 6] + members, u32s[:, 8] + members),
-                 axis=1), m)
+        np.stack((last - first + 1, u32s[:, 6] + members,
+                  u32s[:, 8] + members), axis=1), m, SCALES)
     lows = m * low_width
     entries = (-(-members // BLOCK))[:, None] * (
         u32s[:, 4:5] >> np.array([0, 8, 16, 24]) & 255)
@@ -115,55 +133,69 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
     first, last = local[head], local[tail]
     gaps = last - first + 1 - count
     u32s[:, 0], u32s[:, 1], u32s[:, 2] = first, last, gaps
+    offset = local - np.repeat(first, count)  # each fix's step
 
-    # the steps of a log, 2**BLOCK_SHIFT to a block; per axis each block
-    # has a speed bound s_b no less than its largest step rate, so every
-    # increment dx + s_b*dt in it is non-negative, and the drift s_b*dt
-    # summed over the log up to fix j is s_b*(t_j - t_1) plus an offset
+    # a log's stream members, 2**BLOCK_SHIFT to a block, are its steps,
+    # its window's instants after the first, or its fixes after the
+    # first (see stream_members); a fix's increment, from the fix before,
+    # counts in its member's block.  Per axis each block has a speed bound
+    # s_b no less than the rates of its fixes, so every increment
+    # dx + s_b*dt is non-negative, and the drift s_b*dt summed over the
+    # log up to a fix at step k is s_b*k plus an offset
     later = np.ones(len(ts), dtype=bool)
     later[head] = False
     owner = log[later]
-    members = count - 1
-    step = ordinal[later] - 1  # from 0
+    steps = last - first
+    members = stream_members(first, last, gaps)
+    arrive = offset[later]
+    member = np.where((members == steps)[owner], arrive, ordinal[later])
     dt = np.diff(local, prepend=0)[later]
     blocks = -(-members // BLOCK)
     before = np.cumsum(blocks) - blocks
-    block_of = before[owner] + (step >> BLOCK_SHIFT)
-    opens = np.flatnonzero(step & (BLOCK - 1) == 0)  # each block's first step
-    block_log = owner[opens]
+    block_of = before[owner] + ((member - 1) >> BLOCK_SHIFT)
+    block_log = np.repeat(np.arange(n), blocks)
+    opens = np.flatnonzero(np.diff(block_of, prepend=-1))  # blocks' first fixes
+    held = block_of[opens]  # the blocks that hold a fix
+
+    def per_block(ufunc, values):  # 0 in a block with no fix
+        out = np.zeros(len(block_log), dtype=np.int64)
+        out[held] = ufunc.reduceat(values, opens)
+        return out
+
     has = blocks > 0
-    span = np.add.reduceat(dt, opens) if len(opens) else dt[:0]
-    # the instant, from the window's first, of the fix each block starts at
-    since = local[head[block_log] + step[opens]] - first[block_log]
+    span = per_block(np.add, dt)
+    # the step of the fix each block starts from, the fix before its first
+    # one, or, in a block with no fix, the next block's
+    since = (arrive[opens] - dt[opens])[
+        np.searchsorted(held, np.arange(len(block_log)))]
     moves = [np.diff(col, prepend=0)[later] for col in (xs, ys)]
-    rates = [-(-np.abs(m) // dt) for m in moves]
+    rates = [per_block(np.maximum, -(-np.abs(m) // dt)) for m in moves]
     tops = np.zeros((2, n), dtype=np.int64)  # each axis's largest rate
-    if len(opens):
-        rates = [np.maximum.reduceat(r, opens) for r in rates]
-        for top, rate in zip(tops, rates):
-            top[has] = np.maximum.reduceat(rate, before[has])
+    for top, rate in zip(tops, rates):
+        top[has] = np.maximum.reduceat(rate, before[has])
     speed = tops.max(axis=0)
     # in floats, since two u32s multiply past an int64; within _MAX_DRIFT
     # every drift, sum of drifts and offset below fits an int64
     if (speed * (last - first).astype(float) > _MAX_DRIFT).any():
         raise ValueError("a log's increments sum past a u32")
 
-    def drifts(s, col):
-        # for the blocks' speed bounds s on the axis col: their entries,
-        # the reduction s - s_b and the zigzagged offset, the stream
-        # totals, the entries' widths and each log's words for the axis
+    def drifts(s, col, plus):
+        # for the blocks' speed bounds s on the axis col, whose increments
+        # add dt more in the logs where plus is 1: their entries, the
+        # reduction s - s_b and the zigzagged offset, the stream totals,
+        # the entries' widths and each log's words for the axis
         drift = s * span
         sums = np.cumsum(drift) - drift
         offset = sums - sums[before[block_log]] - s * since
         entries = (speed[block_log] - s, (offset << 1) ^ (offset >> 63))
-        total = col[tail] - col[head]
+        total = col[tail] - col[head] + plus * steps
         widths = np.zeros((2, n), dtype=np.int64)
-        if len(opens):
-            total[has] += np.add.reduceat(drift, before[has])
-            for width, values in zip(widths, entries):
-                width[has] = np.bitwise_or.reduceat(values, before[has])
+        total[has] += np.add.reduceat(drift, before[has])
+        for width, values in zip(widths, entries):
+            width[has] = np.bitwise_or.reduceat(values, before[has])
         widths = bit_lengths(widths)
-        low_width, high_length = elias_fano(total + members, members)
+        low_width, high_length = elias_fano(total + members, members,
+                                            STREAM_SCALE)
         words = sum((bits + 63) >> 6 for bits in (
             members * low_width, high_length, *(blocks * widths)))
         return entries, total, widths, words
@@ -175,9 +207,12 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
         # an axis takes as its blocks' speed bounds whichever makes it
         # smallest, the first of equals: the log's s for every block,
         # which needs no entries; the axis's largest rate for every
-        # block, which needs no offsets; or each block's own largest rate
+        # block, which needs no offsets; or each block's own largest rate.
+        # In a log with gaps and a member per step x's increments add dt,
+        # so each fix's is at least 1 and a gap's, 0, marks it
+        plus = ((gaps > 0) & (members == steps)) * (1 - a)
         bounds = (speed[block_log], top[block_log], rate)
-        options = [drifts(b, col) for b in bounds]
+        options = [drifts(b, col, plus) for b in bounds]
         pick = np.argmin([o[3] for o in options], axis=0)
         on = pick[block_log]
         s = np.choose(on, bounds)
@@ -185,10 +220,10 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
             entries.append((np.choose(on, [o[0][k] for o in options]),
                             np.choose(pick, [o[2][k] for o in options])))
         # the first coordinate, then the unary stream of the increments
-        # from the second fix on
+        # of every member, 0 at a gap
         u32s[:, 5 + 2 * a] = col[head]
         u32s[:, 6 + 2 * a] = np.choose(pick, [o[1] for o in options])
-        increments.append(move + s[block_of] * dt)
+        increments.append(move + (s[block_of] + plus[owner]) * dt)
     # the four entry widths, a byte each
     u32s[:, 4] = sum(e[1] << 8 * k for k, e in enumerate(entries))
 
@@ -235,7 +270,6 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
     bits, words = PieceBuffer(high), PieceBuffer(low)
     # gap offsets in the window from 0: the instants skipped between two
     # fixes of a log
-    offset = local - np.repeat(first, count)
     skipped = np.diff(offset) - 1
     skipped[ordinal[1:] == 0] = 0
     gap_at = np.repeat(offset[:-1], skipped) + ranks(skipped) + 1
@@ -250,14 +284,16 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
         words.packed(piece, block_log, rank, values, entry_width)
     # member j (from 0) of a stream is the sum of its first j + 1 values
     # plus j
-    rank = ranks(members)
+    member_log, rank = np.repeat(np.arange(n), members), ranks(members)
     before = np.cumsum(members) - members
     for a, values in enumerate(increments):
-        sums = np.concatenate(([0], np.cumsum(values)))
-        lows, highs = _halves(low_width[:, 1 + a], owner, rank,
-                              sums[1:] - sums[before[owner]] + rank)
-        words.packed(X_LOWS + a, owner, rank, lows, low_width[:, 1 + a])
-        bits.ones(X_HIGH + a, owner, highs)
+        inc = np.zeros(len(rank), dtype=np.int64)
+        inc[before[owner] + member - 1] = values
+        sums = np.concatenate(([0], np.cumsum(inc)))
+        lows, highs = _halves(low_width[:, 1 + a], member_log, rank,
+                              sums[1:] - sums[before[member_log]] + rank)
+        words.packed(X_LOWS + a, member_log, rank, lows, low_width[:, 1 + a])
+        bits.ones(X_HIGH + a, member_log, highs)
     tree_log, tree_rank = np.repeat(np.arange(n), 2 * below), ranks(2 * below)
     words.packed(DIFFS, tree_log, tree_rank, diffs[:, :2].ravel(), width)
     words.packed(DIFFS + 1, tree_log, tree_rank, diffs[:, 2:].ravel(), width)

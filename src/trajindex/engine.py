@@ -30,6 +30,7 @@ from trajindex.log import (
     has_data,
     ordinal_range,
     position_at,
+    positions,
     records,
 )
 from trajindex.mbrtree import Mbr, MbrTree, TraversalStats
@@ -37,7 +38,7 @@ from trajindex.snapshot import Region, Snapshot, expanded_region
 from trajindex.succinct import U32_MAX, BitPool, Reader, Writer, nbytes, words_from
 
 _MAGIC = b"CTCT"
-_VERSION = 6
+_VERSION = 7
 _PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
 _CRC_AT = 6  # offset of the CRC field, which the CRC skips
 _RECORD = struct.Struct(f"={RECORD_FIELDS}I")  # a log's record (see `log`)
@@ -177,11 +178,8 @@ class TrajectoryIndex:
             row = self._rows[k // d * len(self._index) + i]
             if lo > hi or row < 0:
                 continue
-            f = self._fields(row)
-            b1, e1 = ordinal_range(self._bits, self._words, f, lo - k, hi - k)
-            if b1 > e1:
-                continue
-            for t, x, y in self._log(f, oid, k).iter_positions(b1, e1):
+            for t, x, y in positions(self._bits, self._words,
+                                     self._fields(row), lo - k, hi - k):
                 out.append((k + t, x, y))
         return out
 
@@ -203,7 +201,8 @@ class TrajectoryIndex:
             row = rows[first + index[oid]]
             if row < 0 or not _root_test(self._records, row, region):
                 continue
-            pos = self._log(self._fields(row), oid, k).position(q - k)
+            pos = position_at(self._bits, self._words, self._fields(row),
+                              q - k)
             if pos is not None and region.contains(pos[0], pos[1]):
                 out.append((oid, pos[0], pos[1]))
         return sorted(out)
@@ -305,6 +304,9 @@ class TrajectoryIndex:
           then every log with its box tree, by period and then by id, as
           the index holds them (see `encoder`): their u32 fields, row
           after row, the bit pool's words and the word pool's words.
+        A log's axis streams hold a member per instant of its window
+        (per fix when more than a quarter of its steps are gaps), so an
+        object's position is one select per axis (see `log`).
         """
         ids = self._object_ids
         w = _header(self.extent, self.horizon, self.period, self.leaf_capacity,

@@ -4,24 +4,29 @@ A log covers one object inside one period of length d starting at instant
 k.  Local instants run 1..d-1 (instant k itself belongs to the snapshot
 layer).  The log stores the window [first, last] that actually has data,
 the sparse set of the instants inside the window with no sample, and its
-speed bound s, the largest step rate on either axis, rounded up.  Its
-steps go 2**BLOCK_SHIFT to a block, and per axis each block has a speed
-bound s_b <= s no less than its own steps' rates.  Within a block
-x_j + s_b*t_j never decreases, so per axis the log stores the first
-coordinate and one unary stream of the non-negative increments
-dx + s_b*dt, as the Elias-Fano set of their prefix sums (the
-quasi-succinct layout of Vigna, WSDM 2013).  The drift, the sum of s_b*dt
-over the steps up to fix j, is s_b*(t_j - t_1) + o_b for an offset o_b of
-the block of j's last step, so a position is one select per axis:
+speed bound s, the largest step rate on either axis, rounded up.  Per
+axis it stores the first coordinate and one unary stream of non-negative
+increments, as the Elias-Fano set of their prefix sums P (the
+quasi-succinct layout of Vigna, WSDM 2013), with a member for each step k
+of the window, instant first + k: 0 at a gap, and at a fix dx + s_b*dt,
+dt from the fix before, plus dt on x when the log has gaps, so that a
+zero x increment marks a gap.  Members go 2**BLOCK_SHIFT to a block with
+a speed bound s_b <= s per axis no less than its fixes' rates, and the
+sum of s_b*dt up to step k is s_b*k + o_b, so a position is one select
+per axis and no rank:
 
-    x_j = x_1 + prefix(j - 1) - s*(t_j - t_1) + r_b*(t_j - t_1) - o_b
+    x = x_1 + P_x(k) - (s + 1)*k + r_b*k - o_b  (s*k with no gaps)
+    y = y_1 + P_y(k) - s*k + r_b*k - o_b
 
-where r_b = s - s_b is the block's reduction.  Per block and axis the log
-stores r_b and o_b in packed arrays.  An axis takes s_b = its own largest
-rate in every block, which needs no offsets, unless the blocks' own rates
-make it smaller; then one fast step inflates only its own block's
-increments, not the whole log's.  A log whose entries are all 0 stores
-none and reads none.
+for each axis's reduction r_b = s - s_b.  A log with more than
+1/PER_STEP of its steps gaps has a member per fix after the first
+instead, found with a gap-map search, and adds no dt (see
+`encoder.stream_members`).  Per block and
+axis the log stores r_b and o_b in packed arrays.  An axis takes s_b =
+its own largest rate in every block, which needs no offsets, unless the
+blocks' own rates make it smaller; then one fast step inflates only its
+own block's increments, not the whole log's.  A log whose entries are
+all 0 stores none and reads none.
 
 A log and its box tree live in two pools (see `succinct`), the bit pool
 and the word pool, laid out as the file holds them (see `encoder`).  A
@@ -34,12 +39,12 @@ answer from a record, and the classes are views over it.
 from __future__ import annotations
 
 from array import array
-from itertools import count
+from itertools import count, islice
 
 import numpy as np
 
 from trajindex import encoder
-from trajindex.encoder import BLOCK_SHIFT
+from trajindex.encoder import BLOCK_SHIFT, PER_STEP, stream_members
 from trajindex.succinct import (
     BitPool,
     BitVector,
@@ -47,9 +52,10 @@ from trajindex.succinct import (
     SparseBitVector,
     UnaryDeltaStream,
     elias_fano,
+    packed_get,
+    select,
     sparse_search,
     sparse_select0,
-    sparse_select1,
     unary_prefixes,
     word_starts,
     words_from,
@@ -112,11 +118,12 @@ def bit_pool(f: np.ndarray, data) -> BitPool:
     bits = BitPool(data)
     base, end = f[:, _SETS], f[:, _SETS + 5]
     ones = bits.ones_before(base)
-    m = np.column_stack((f[:, 2], f[:, 7] - 1, f[:, 7] - 1))
+    members = stream_members(f[:, 0], f[:, 1], f[:, 2])
+    m = np.column_stack((f[:, 2], members, members))
     if (bits.ones_before(end) - ones != m).any():
         raise ValueError("a log's sparse set holds the wrong number of ones")
     f[:, _SETS + 1] = ones
-    tail = elias_fano(f[:, _SETS + 4] + m, m)[1] & 63
+    tail = elias_fano(f[:, _SETS + 4] + m, m, encoder.SCALES)[1] & 63
     padded = tail > 0
     last = np.frombuffer(bits.words, dtype=np.uint64)[end[padded] - 1]
     if (last >> tail[padded].astype(np.uint64)).any():
@@ -135,14 +142,10 @@ def private_pools(rows: np.ndarray, start: int, period: int,
     return bit_pool(f, bit_bytes), words_from(word_bytes), tuple(f[0].tolist())
 
 
-def _blocks(n: int) -> int:
-    # blocks of the n - 1 steps of a log of n fixes
-    return (n + (1 << BLOCK_SHIFT) - 2) >> BLOCK_SHIFT
-
-
 def _entries(words, f, k: int) -> PackedIntArray:
     # entry array k: the x reductions, x offsets, y reductions, y offsets
-    blocks, base = _blocks(f[7]), f[ENTRIES]
+    blocks = (stream_members(*f[:3]) + (1 << BLOCK_SHIFT) - 1) >> BLOCK_SHIFT
+    base = f[ENTRIES]
     for i in range(k):
         base += (blocks * (f[WIDTHS] >> 8 * i & 255) + 63) >> 6
     return PackedIntArray(words, base, blocks, f[WIDTHS] >> 8 * k & 255)
@@ -237,24 +240,98 @@ def _bits_at(words, at: np.ndarray, width) -> np.ndarray:
 def position_at(bits: BitPool, words, f, i: int) -> tuple[int, int] | None:
     """Coordinates at local instant i of the log with fields f, or None;
     i is not range-checked."""
-    if i < f[0] or i > f[1]:
+    k = i - f[0]  # the step
+    if k <= 0 or i > f[1]:
+        return (f[X_FIRST], f[Y_FIRST]) if k == 0 else None
+    # the member j is k, or with a member per fix, i's ordinal less 1;
+    # plus is 1 when x's increments add dt to mark gaps
+    j, plus = k, 0
+    if f[2]:
+        if PER_STEP * f[2] > f[1] - f[0]:
+            j = _ordinal(bits, words, f, k + 1)
+            if j is None:
+                return None
+            j -= 1
+        else:
+            plus = 1
+    # P(j) is member j less j: its high part is where its one lies less j
+    lw = f[X_AXIS + 3]
+    q = select(bits, f[X_AXIS], f[X_AXIS + 5], f[X_AXIS + 1], j)
+    low = packed_get(words, f[X_AXIS + 2], lw, j - 1)
+    if plus and _zero_step(bits, words, f, k, q, low):
         return None
-    j = _ordinal(bits, words, f, i - f[0] + 1)
-    if j is None:
-        return None
-    if j == 1:
-        return f[X_FIRST], f[Y_FIRST]
-    # the sum of the first j - 1 increments is select1(j - 1) - (j - 1)
-    j -= 1
-    t = i - f[0]
-    back = j + f[SPEED] * t
-    x = f[X_FIRST] + sparse_select1(bits, words, f, X_AXIS, j) - back
-    y = f[Y_FIRST] + sparse_select1(bits, words, f, Y_AXIS, j) - back
+    s, x = f[SPEED], ((q - j) << lw | low) + 1 - j
+    lw = f[Y_AXIS + 3]
+    q = select(bits, f[Y_AXIS], f[Y_AXIS + 5], f[Y_AXIS + 1], j)
+    y = ((q - j) << lw | packed_get(words, f[Y_AXIS + 2], lw, j - 1)) + 1 - j
+    x, y = f[X_FIRST] + x - (s + plus) * k, f[Y_FIRST] + y - s * k
     if not f[WIDTHS]:
         return x, y
     rx, ox = _drift(words, f, 0, (j - 1) >> BLOCK_SHIFT)
     ry, oy = _drift(words, f, 1, (j - 1) >> BLOCK_SHIFT)
-    return x + rx * t - ox, y + ry * t - oy
+    return x + rx * k - ox, y + ry * k - oy
+
+
+def _zero_step(bits: BitPool, words, f, k: int, q: int, low: int) -> bool:
+    # whether x's increment k, whose one is bit q of the high bits and
+    # whose low is low, is 0: member k - 1 is member k less 1, in k's
+    # bucket if bit q - 1 is set, else ending the bucket before if bit
+    # q - 2 is; the lows say the rest.  Member 0 is -1.
+    if k == 1:
+        return q == 1 and not low
+    p = (f[X_AXIS] << 6) + q - 2  # the bit before q, in the pool
+    lw = f[X_AXIS + 3]
+    if bits.words[p >> 6] >> (p & 63) & 1:
+        return packed_get(words, f[X_AXIS + 2], lw, k - 2) + 1 == low
+    p -= 1
+    return (not low and bits.words[p >> 6] >> (p & 63) & 1 == 1
+            and packed_get(words, f[X_AXIS + 2], lw, k - 2) == (1 << lw) - 1)
+
+
+def positions(bits: BitPool, words, f, lo: int, hi: int):
+    """Yield (local instant, x, y) for each instant with data among local
+    instants lo..hi of the log with fields f: cursors over the two
+    streams, each opened with one select at lo's member, or the one
+    before it when zero x increments mark gaps, that pass over each gap
+    and read each block's entries once; with a member per fix, a gap-map
+    cursor gives each fix's step."""
+    m = stream_members(*f[:3])
+    plus = 1 if f[2] and m == f[1] - f[0] else 0  # see position_at
+    a, b = max(lo - f[0], 0), min(hi, f[1]) - f[0]  # steps, then members
+    offsets = count(a + 1)  # each member's step, plus 1
+    if m < f[1] - f[0]:
+        a, b = (j - 1 for j in ordinal_range(bits, words, f, lo, hi))
+        offsets = TimeIndex._of(bits, words, f).data_offsets(a + 1)
+    if a > b:
+        return
+    start = max(a - plus, 0)
+    xs = unary_prefixes(bits, words, f, X_AXIS, m, start)
+    ys = unary_prefixes(bits, words, f, Y_AXIS, m, start)
+    # a member whose x prefix sum is below floor is a gap
+    floor = 0
+    if start < a:
+        floor = next(xs) + 1
+        next(ys)
+    s, base = f[SPEED], f[0] - 1
+    # member j is in block (j - 1) >> BLOCK_SHIFT; member 0 has no drift.
+    # Blocks end at member `end`; with no entries, never.  At step k,
+    # x is cx + P_x(k) - sx*(k + 1), where cx holds x_1 + sx - o_b
+    sx, sy = s + plus, s
+    cx, cy = f[X_FIRST] + sx, f[Y_FIRST] + sy
+    end = 0 if f[WIDTHS] else m
+    # the range comes first, so zip stops before the cursors run past b
+    for j, off, px, py in zip(range(a, b + 1), offsets, xs, ys):
+        if px < floor:
+            continue
+        floor = px + plus
+        if j > end:
+            blk = (j - 1) >> BLOCK_SHIFT
+            end = blk + 1 << BLOCK_SHIFT
+            rx, ox = _drift(words, f, 0, blk)
+            ry, oy = _drift(words, f, 1, blk)
+            sx, sy = s + plus - rx, s - ry
+            cx, cy = f[X_FIRST] + sx - ox, f[Y_FIRST] + sy - oy
+        yield base + off, cx + px - sx * off, cy + py - sy * off
 
 
 class TimeIndex:
@@ -347,15 +424,13 @@ class AxisDeltas:
 
     @property
     def stream(self) -> UnaryDeltaStream:
-        m = self._f[7] - 1
+        m = stream_members(*self._f[:3])
         return UnaryDeltaStream(
             SparseBitVector(self._bits, self._words, self._f, self._a, m), m)
 
     def _steps(self) -> np.ndarray:
-        log = TrajectoryLog(self._bits, self._words, self._f, 0, 0,
-                            self._f[1] + 1)
-        coords = [p[1 if self._a == X_AXIS else 2]
-                  for p in log.iter_positions(1, self._f[7])]
+        coords = [p[1 if self._a == X_AXIS else 2] for p in positions(
+            self._bits, self._words, self._f, self._f[0], self._f[1])]
         return np.diff(np.array(coords, dtype=np.int64), prepend=0)
 
     @property
@@ -415,12 +490,6 @@ class TrajectoryLog:
             raise IndexError(f"local instant {i} out of range 1..{self.period - 1}")
         return position_at(self._bits, self._words, self._f, i)
 
-    def count_data_upto(self, i: int) -> int:
-        """Number of data instants at local instants 1..i (i may be 0)."""
-        if not 0 <= i <= self.period - 1:
-            raise IndexError(f"local instant {i} out of range 0..{self.period - 1}")
-        return _count_upto(self._bits, self._words, self._f, i)
-
     def unmap_ordinal(self, j: int) -> int:
         """Local instant of the j-th data sample."""
         n = self.data_count
@@ -432,37 +501,14 @@ class TrajectoryLog:
         return sparse_select0(self._bits, self._words, f, 3, f[2], j) + f[0] - 1
 
     def iter_positions(self, frm: int, to: int):
-        """Yield (local instant, x, y) for data ordinals frm..to.
-
-        Sequential cursors over the gap map and the two axes' streams keep
-        the whole walk linear in to - frm; each stream opens at its sum
-        before frm with one select, and each block's entries are read
-        once.
-        """
+        """Yield (local instant, x, y) for data ordinals frm..to: the
+        first to - frm + 1 of the `positions` walk from frm's instant."""
         n = self.data_count
         if not 1 <= frm <= to <= n:
             raise IndexError(f"ordinal range {frm}..{to} out of range 1..{n}")
-        bits, words, f = self._bits, self._words, self._f
-        xs = unary_prefixes(bits, words, f, X_AXIS, n - 1, frm - 1)
-        ys = unary_prefixes(bits, words, f, Y_AXIS, n - 1, frm - 1)
-        offsets = self.time.data_offsets(frm) if f[2] else count(frm)
-        s, x1, y1, base = f[SPEED], f[X_FIRST], f[Y_FIRST], f[0] - 1
-        # fix j's last step is j - 1, in block (j - 2) >> BLOCK_SHIFT; fix 1
-        # takes block 0, whose drift at the window's first instant is 0.
-        # Blocks end at fix `end`; with no entries, never.
-        sx = sy = s
-        ox = oy = 0
-        end = 0 if f[WIDTHS] else n
-        # the range comes first, so zip stops before the cursors run past to
-        for j, off, x, y in zip(range(frm, to + 1), offsets, xs, ys):
-            if j > end:
-                b = max(j - 2, 0) >> BLOCK_SHIFT
-                end = (b + 1 << BLOCK_SHIFT) + 1
-                rx, ox = _drift(words, f, 0, b)
-                ry, oy = _drift(words, f, 1, b)
-                sx, sy = s - rx, s - ry
-            t = off - 1
-            yield base + off, x1 + x - sx * t - ox, y1 + y - sy * t - oy
+        yield from islice(positions(self._bits, self._words, self._f,
+                                    self.unmap_ordinal(frm), self._f[1]),
+                          to - frm + 1)
 
     def scan_positions(self, frm: int, to: int) -> list[tuple[int, int, int]]:
         return list(self.iter_positions(frm, to))

@@ -289,12 +289,6 @@ def _high_length(n: int, m: int, low_width: int) -> int:
 # high bits' first word, the ones before them, its lows' first word, the
 # low width, n - m, and the word after its high bits.
 
-def sparse_select1(pool: BitPool, words: array, f, s: int, j: int) -> int:
-    """Position of the set's j-th member; the caller makes sure it exists."""
-    h = select(pool, f[s], f[s + 5], f[s + 1], j) - j
-    return ((h << f[s + 3]) | packed_get(words, f[s + 2], f[s + 3], j - 1)) + 1
-
-
 def sparse_search(pool: BitPool, words: array, f, s: int,
                   i: int) -> tuple[int, bool]:
     """(members at or below position i, whether i is one), for a set with
@@ -418,12 +412,14 @@ def bit_lengths(values) -> np.ndarray:
                            side="right").astype(np.int64)
 
 
-def elias_fano(n, m):
+def elias_fano(n, m, scale=(1, 1)):
     """The low widths and high-bit lengths of sparse sets of m[g] members
-    over [1, n[g]], as `write_sparse` makes them for one set; every number
-    fits an int64."""
+    over [1, n[g]], with low widths of floor(log2(a*n / (b*m))) for the
+    scale (a, b), as `write_sparse` makes them for one set at (1, 1);
+    every number fits an int64."""
+    a, b = scale
     low_width = np.where(m > 0, np.maximum(
-        bit_lengths(n // np.maximum(m, 1)) - 1, 0), 0)
+        bit_lengths(a * n // (b * np.maximum(m, 1))) - 1, 0), 0)
     return low_width, np.where(m > 0, m + ((n - 1) >> low_width) + 1, 0)
 
 

@@ -19,7 +19,7 @@ from trajindex.snapshot import Snapshot
 from trajindex.succinct import U32_MAX, Writer
 
 _PAD = 1 << 40
-BLOCK = 16  # steps to a block with its own speed bounds
+BLOCK = 16  # stream members to a block with its own speed bounds
 
 
 def bits_at(n: int, positions) -> np.ndarray:
@@ -45,11 +45,12 @@ def write_packed(w: Writer, values, width: int) -> None:
             & np.uint64(1)).ravel())
 
 
-def write_sparse(parts: Parts, n: int, positions) -> None:
-    # the lows to the word pool, the high bits to the bit pool
+def write_sparse(parts: Parts, n: int, positions, a=1, b=1) -> None:
+    # the lows to the word pool, the high bits to the bit pool; the low
+    # width is floor(log2(a*n / (b*m)))
     pos = np.asarray(positions, dtype=np.int64)
     m = len(pos)
-    low_width = max(0, (n // m).bit_length() - 1) if m else 0
+    low_width = max(0, (a * n // (b * m)).bit_length() - 1) if m else 0
     v = pos - 1
     write_packed(parts.words, v & ((1 << low_width) - 1), low_width)
     high_length = m + ((n - 1) >> low_width) + 1 if m else 0
@@ -61,7 +62,9 @@ def write_unary(parts: Parts, values) -> None:
     positions = np.cumsum(vals, dtype=np.int64) + np.arange(1, len(vals) + 1)
     universe = int(positions[-1]) if len(vals) else 0
     parts.fields.append(universe - len(vals))
-    write_sparse(parts, universe, positions)
+    # a low width one more than the fewest bits take when n/m lies in the
+    # top eighth below a power of two
+    write_sparse(parts, universe, positions, 8, 7)
 
 
 def write_log(parts: Parts, samples, start: int, period: int) -> None:
@@ -76,19 +79,30 @@ def write_log(parts: Parts, samples, start: int, period: int) -> None:
     gaps = np.flatnonzero(~present) + 1
     parts.fields += [first, last, len(gaps)]
     write_sparse(parts, last - first + 1, gaps)
-    # the speed bound s; per block and axis the reduction s - s_b of the
-    # block's speed bound and its offset; per axis the first coordinate
-    # and the increments dx + s_b*dt
+    # the speed bound s; per block of stream members and per axis the
+    # reduction s - s_b of the block's speed bound and its offset; per
+    # axis the first coordinate and one increment per member: a member
+    # per step of the window, an instant after its first, unless more
+    # than a quarter of the steps are gaps, then a member per fix after
+    # the first.  At a gap the increment is 0, at a fix dx + s_b*dt, and
+    # on x dt more when the log has gaps and a member per step
     elapsed = np.diff(local)
-    tau = local - first
-    blocks = range(0, len(elapsed), BLOCK)
+    tau = local - first  # each fix's step
+    members = last - first
+    member = tau  # each fix's member
+    marked = len(gaps) > 0
+    if 4 * len(gaps) > members:
+        members, member, marked = len(tau) - 1, np.arange(len(tau)), False
+    block_of = (member[1:] - 1) // BLOCK
+    blocks = range(-(-members // BLOCK))
     rates = [-(-np.abs(np.diff(col)) // elapsed) for col in (xs, ys)]
     speed = int(max((r.max(initial=0) for r in rates)))
     axes = []
-    for col, rate in zip((xs, ys), rates):
+    for plus, col, rate in zip((int(marked), 0), (xs, ys), rates):
         top = int(rate.max(initial=0))
-        own = [int(rate[b:b + BLOCK].max()) for b in blocks]
-        axes.append(min((_axis(col, elapsed, tau, speed, bounds)
+        own = [int(rate[block_of == b].max(initial=0)) for b in blocks]
+        axes.append(min((_axis(col, elapsed, tau, member, members, plus,
+                               speed, bounds)
                          for bounds in ([speed] * len(own), [top] * len(own),
                                         own)),
                         key=lambda axis: axis[0]))
@@ -104,22 +118,27 @@ def write_log(parts: Parts, samples, start: int, period: int) -> None:
         write_unary(parts, increments)
 
 
-def _axis(col, elapsed, tau, speed, bounds):
+def _axis(col, elapsed, tau, member, members, plus, speed, bounds):
     """(words, (reductions, zigzagged offsets), increments) of one axis
-    whose blocks have the speed bounds given; the first of those with
-    the fewest words wins."""
+    whose blocks have the speed bounds given, for fixes at steps tau and
+    stream members `member` of `members`; the first of those with the
+    fewest words wins."""
     moves = np.diff(col)
-    reductions, offsets, increments = [], [], []
-    drift = 0  # the sum of s_b*dt over the steps so far
-    for k, s in enumerate(bounds):
-        b = k * BLOCK
+    reductions, offsets = [], []
+    increments = np.zeros(members, dtype=np.int64)
+    drift = 0  # the sum of s_b*dt over the fixes so far
+    for b, s in enumerate(bounds):
         reductions.append(speed - s)
-        offset = drift - s * int(tau[b])
+        # the block starts from the last fix at or before its first member
+        offset = drift - s * int(tau[member <= b * BLOCK].max())
         offsets.append(2 * offset if offset >= 0 else -2 * offset - 1)
-        increments += (moves[b:b + BLOCK] + s * elapsed[b:b + BLOCK]).tolist()
-        drift += s * int(elapsed[b:b + BLOCK].sum())
-    m, total = len(increments), sum(increments)
-    low_width = max(0, ((total + m) // m).bit_length() - 1) if m else 0
+        mine = (member[1:] - 1) // BLOCK == b
+        increments[member[1:][mine] - 1] = (moves[mine]
+                                            + (s + plus) * elapsed[mine])
+        drift += s * int(elapsed[mine].sum())
+    m, total = members, int(increments.sum())
+    low_width = (max(0, (8 * (total + m) // (7 * m)).bit_length() - 1)
+                 if m else 0)
     high_length = m + ((total + m - 1) >> low_width) + 1 if m else 0
     words = sum(-(-bits // 64) for bits in (
         m * low_width, high_length,

@@ -29,20 +29,20 @@ from trajindex.snapshot import Region, Snapshot
 # seed, fleet options, file size, SHA-256 of the file)
 DIGEST_FLEETS = [
     pytest.param(
-        240, 16, 5, {"drop_rate": 0.03}, 32006,
-        "58272af4b42ffb6614258a11f5bdc3106c1da9530c6d577ffe6c69f23f5abc2b",
+        240, 16, 5, {"drop_rate": 0.03}, 32878,
+        "6e668a7db293e34e94857f65cc7d7c9b54f72b1a7c2a75b0d22a9922ccef6c47",
         id="sparse-gaps"),
     pytest.param(
-        60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 60910,
-        "76f8647c4249718255967d5634fb24a85e13624e974d61b54356e3eb4fd07d3a",
+        60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 62038,
+        "13c6b06437b33a84d300ea8d7ccdd57fb35902fefb2195b565ea334c740a9015",
         id="gappy-short-period"),
     pytest.param(
-        120, 80, 7, {"drop_rate": 0.05}, 34062,
-        "80933b740e3b2d9b15d4ddbf6e172556cae7ee1a3464e1c0e8803a20b80080d3",
+        120, 80, 7, {"drop_rate": 0.05}, 35230,
+        "671298e4657ff65eea6fc1e6808a3e64b3d7409e14992e4655608cee062ba115",
         id="range-shape"),
     pytest.param(
-        720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 25006,
-        "bf9704b8ff3a9f77742cb5dbd6060d2025b4584669eb02381986f2934d6d8fd7",
+        720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 25894,
+        "75a9e8bea4d7cb7002c8333f656e7c8c19a5eeca609d89aa746c583472abdc4f",
         id="lookup-shape"),
 ]
 
@@ -394,7 +394,7 @@ class TestSerialization:
         finally:
             (gc.enable if was else gc.disable)()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_old_version_file_is_rejected_by_name(self, tiny_blob, version):
         old = tiny_blob[:4] + version.to_bytes(2, "little") + tiny_blob[6:]
         with pytest.raises(ValueError, match=f"version {version}"):
@@ -414,10 +414,10 @@ class TestSerialization:
         blob = build_index(ref_rows, period=REF_PERIOD, leaf_capacity=2,
                            extent=(16, 16), horizon=14).to_bytes()
         # the log's speed bound 3 and entry widths 0 (a log of one block
-        # keeps s for both axes), first x 2 and x total 6 + 3 * 8 = 30;
-        # its first y 4 and y total 5 + 3 * 8 = 29; its root box, x 2..10
-        # and y 4..10
-        pattern, shift = {"s": ((3, 0, 2, 30), 0), "x": ((3, 0, 2, 30), 8),
+        # keeps s for both axes), first x 2 and x total 6 + (3 + 1) * 8 =
+        # 38 (its x increments add dt, to mark its gaps); its first y 4
+        # and y total 5 + 3 * 8 = 29; its root box, x 2..10 and y 4..10
+        pattern, shift = {"s": ((3, 0, 2, 38), 0), "x": ((3, 0, 2, 38), 8),
                           "y": ((4, 29), 0), "xmax": ((2, 10, 4, 10), 4),
                           "ymax": ((2, 10, 4, 10), 12)}[field]
         pattern = struct.pack(f"<{len(pattern)}I", *pattern)
@@ -440,7 +440,7 @@ class TestSerialization:
         # the log's entry widths follow its speed bound 3, the x
         # reductions' in the low byte; its tree's diff width follows its
         # first y 4 and y total 29
-        pattern = {"entries": (3, 0, 2, 30), "diffs": (4, 29)}[field]
+        pattern = {"entries": (3, 0, 2, 38), "diffs": (4, 29)}[field]
         at = blob.find(struct.pack(f"<{len(pattern)}I", *pattern))
         at += 4 if field == "entries" else 8
         # a width of 64 passes the check, and the pools it implies are
@@ -549,10 +549,22 @@ class TestSerialization:
                 else:
                     assert loaded.object_ids == [1, 2, 3], (i, bit)
                     # queries over the corrupt index, box-tree walks and
-                    # leaf jumps among them, answer or raise ValueError
+                    # leaf jumps among them, answer or raise ValueError;
+                    # so do positions and trajectories, whose gap test
+                    # reads a neighbour's high bits and one more low
                     for region, (a, b) in itertools.product(regions, windows):
                         try:
                             loaded.time_interval(region, a, b)
+                        except ValueError:
+                            pass
+                    for oid in loaded.object_ids:
+                        for q in range(loaded.horizon):
+                            try:
+                                loaded.object_position(oid, q)
+                            except ValueError:
+                                pass
+                        try:
+                            loaded.trajectory(oid, 0, loaded.horizon - 1)
                         except ValueError:
                             pass
                 flipped[i] ^= 1 << bit
@@ -575,12 +587,12 @@ class TestSerialization:
     def test_bytes_match_recorded_digest(self, period, leaf, seed, kwargs,
                                          size, digest):
         # the file format is frozen: these digests were recorded when the
-        # format moved to version 6, where the logs' fields, bit pool and
-        # word pool follow the snapshots as the index holds them (the
-        # same items as version 5, so the same sizes); the first fleet
-        # has few gaps in every log, the second a median
-        # of about a fifth of each short window, where most gap maps have
-        # a low width of 2 and some of 1; the last two have the periods
+        # format moved to version 7, where a log's axis streams hold a
+        # member per step of its window, or per fix in a log more than a
+        # quarter gaps; the first fleet has few gaps in every log, the
+        # second a median of about a fifth of each short window, where
+        # most gap maps have a low width of 2 and some of 1, and 32 of its
+        # 300 logs have a member per fix; the last two have the periods
         # and leaf capacities of the two perfbench workloads.  All four
         # match the per-log reference encoder
         fleet = make_fleet(12, 1500, (256, 256), seed, **kwargs)

@@ -11,17 +11,22 @@ from synth import make_fleet
 from trajindex.encoder import encode
 from trajindex.engine import TrajectoryIndex, build_index
 from trajindex.log import (
+    RECORD_FIELDS,
+    SPEED,
     WIDTHS,
+    X_AXIS,
     TimeIndex,
     TrajectoryLog,
+    _zero_step,
     bit_pool,
     build_log,
     has_data,
+    ordinal_range,
     records,
 )
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region
-from trajindex.succinct import words_from
+from trajindex.succinct import UnaryDeltaStream, packed_get, select, words_from
 
 
 @pytest.fixture
@@ -35,6 +40,11 @@ def reference_pieces(rows, start, period):
     want = Parts()
     write_log(want, rows, start, period)
     return want.fields, bytes(want.bits), bytes(want.words)
+
+
+def data_upto(log, i):
+    # data instants among local instants 1..i (i may be 0)
+    return ordinal_range(log._bits, log._words, log._f, 1, i)[1]
 
 
 def random_track(rng, period, start=0, max_step=6, base=500):
@@ -119,9 +129,12 @@ class TestReferenceTrack:
             assert ref_log.position(t) is None
 
     def test_instant_ordinal_maps(self, ref_log):
-        assert ref_log.count_data_upto(9) == 6
-        assert ref_log.count_data_upto(1) == 0
-        assert ref_log.count_data_upto(12) == 7
+        f = (ref_log._bits, ref_log._words, ref_log._f)
+        assert ordinal_range(*f, 1, 9) == (1, 6)
+        assert ordinal_range(*f, 1, 1) == (1, 0)
+        assert ordinal_range(*f, 1, 12) == (1, 7)
+        assert ordinal_range(*f, 3, 9) == (2, 6)
+        assert ordinal_range(*f, 6, 7) == (5, 4)  # gaps alone: empty
         assert ref_log.unmap_ordinal(5) == 8
         assert ref_log.unmap_ordinal(1) == 2
         assert ref_log.unmap_ordinal(7) == 10
@@ -180,7 +193,7 @@ class TestRandomTracks:
             assert [log.unmap_ordinal(j) for j in range(1, count + 1)] == \
                 sorted(table)
             for j in range(1, count + 1):
-                assert log.count_data_upto(log.unmap_ordinal(j)) == j
+                assert data_upto(log, log.unmap_ordinal(j)) == j
 
     def test_has_data_matches_the_samples(self):
         rng = np.random.default_rng(79)
@@ -289,7 +302,7 @@ class TestSparseGapMap:
         for i in range(1, period):
             assert log.position(i) == table.get(i), i
             seen += i in table
-            assert log.count_data_upto(i) == seen
+            assert data_upto(log, i) == seen
         gapset = set(gaps)
         before = 0
         for off in range(1, window + 1):
@@ -378,7 +391,7 @@ def check_log(log, period, rows):
     for i in range(1, period):
         assert log.position(i) == table.get(i), i
         seen += i in table
-        assert log.count_data_upto(i) == seen
+        assert data_upto(log, i) == seen
     assert [log.unmap_ordinal(j) for j in range(1, len(rows) + 1)] == instants
     assert log.scan_positions(1, len(rows)) == list(rows)
     assert list(log.time.data_offsets()) == [t - instants[0] + 1
@@ -483,7 +496,7 @@ class TestOneStreamPerAxis:
         for i in range(1, period):
             assert log.position(i) == table.get(i)
         for i in range(period):
-            assert log.count_data_upto(i) == sum(t <= i for t in instants)
+            assert data_upto(log, i) == sum(t <= i for t in instants)
         assert [log.unmap_ordinal(j) for j in range(1, n + 1)] == instants
         for a in range(1, n + 1):
             assert log.scan_positions(a, n) == rows[a - 1:]
@@ -585,3 +598,139 @@ class TestBlockSpeedBounds:
                                    + log.dy.stream.code_bits())
         assert log.scan_positions(1, 119) == rows
 
+
+def x_lows(log):
+    # the low width and the lows of the x stream of a log
+    f = log._f
+    lw = f[X_AXIS + 3]
+    return lw, [packed_get(log._words, f[X_AXIS + 2], lw, j)
+                for j in range(f[1] - f[0])]
+
+
+def rows_around(rng, period, gaps, still=False):
+    """Fixes at every local instant 1..period-1 but the gaps, a random
+    walk of steps up to 3, or standing still."""
+    ts = [t for t in range(1, period) if t not in set(gaps)]
+    steps = rng.integers(-3, 4, size=(len(ts), 2)) * (not still)
+    xy = 5000 + np.cumsum(steps, axis=0)
+    return [(t, int(x), int(y)) for t, (x, y) in zip(ts, xy)]
+
+
+class TestGapTest:
+    """A log with gaps on at most a quarter of its steps tells a gap by its
+    zero x increment: a position searches no gap map."""
+
+    @pytest.fixture(autouse=True)
+    def no_gap_search(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a position searched the gap map")
+
+        for module in ("trajindex.succinct", "trajindex.log"):
+            for name in ("sparse_search", "sparse_select0"):
+                monkeypatch.setattr(f"{module}.{name}", refused)
+
+    @staticmethod
+    def check(rows, period):
+        log = build_log(rows, 0, period)
+        table = {t: (x, y) for t, x, y in rows}
+        assert [log.position(i) for i in range(1, period)] == \
+            [table.get(i) for i in range(1, period)]
+        return log
+
+    def test_random_gappy_logs(self):
+        rng = np.random.default_rng(161)
+        for trial in range(60):
+            period = int(rng.integers(3, 300))
+            inner = np.arange(2, period - 1)
+            share = rng.choice((0.02, 0.1, 0.25))
+            gaps = rng.choice(inner, size=int(share * (period - 2)),
+                              replace=False).tolist() if len(inner) else []
+            log = self.check(rows_around(rng, period, gaps), period)
+            # with gaps, each step adds at least 1 to x on average
+            assert x_lows(log)[0] >= 1 or not gaps
+
+    def test_a_gap_whose_member_opens_a_high_bucket(self):
+        # member k's low is 0, so member k - 1, just below it, ends the
+        # bucket before with a low of all ones
+        rng = np.random.default_rng(162)
+        crossings = 0
+        for trial in range(40):
+            period = 200
+            gaps = rng.choice(np.arange(2, period - 1), size=45,
+                              replace=False).tolist()
+            log = self.check(rows_around(rng, period, gaps), period)
+            lw, lows = x_lows(log)
+            for k in (g - log.time.first for g in gaps):
+                if k >= 2 and lows[k - 1] == 0:
+                    assert lows[k - 2] == (1 << lw) - 1
+                    crossings += 1
+        assert crossings > 20
+
+    def test_a_run_of_gaps_across_a_word_of_high_bits(self):
+        rng = np.random.default_rng(163)
+        period = 900
+        run = list(range(300, 500))  # 200 of 898 steps
+        log = self.check(rows_around(rng, period, run), period)
+        f = log._f
+        ones = [(f[X_AXIS] << 6) + select(log._bits, f[X_AXIS],
+                                          f[X_AXIS + 5], f[X_AXIS + 1],
+                                          t - f[0]) - 1 for t in run]
+        # the run's ones, a bit or two apart, cross words of the high bits
+        assert ones[-1] - ones[0] < 2 * len(run)
+        assert ones[0] >> 6 < ones[-1] >> 6
+
+    def test_a_still_object(self):
+        rng = np.random.default_rng(164)
+        rows = rows_around(rng, 120, [5, 6, 50, 51, 52, 100], still=True)
+        assert self.check(rows, 120)._f[SPEED] == 0
+
+    def test_a_single_fix(self):
+        for t in (1, 5, 11):
+            self.check([(t, 3, 4)], 12)
+
+    @pytest.mark.parametrize("low_width", [0, 1, 2, 3])
+    def test_the_test_reads_a_stream_of_any_low_width(self, low_width):
+        # a log's x stream has lows at least a bit wide; the test itself,
+        # on streams of its own, holds at any width
+        rng = np.random.default_rng(165 + low_width)
+        for trial in range(20):
+            m = int(rng.integers(1, 400))
+            values = rng.integers(0, 1 << low_width, size=m) \
+                * rng.integers(0, 2, size=m)
+            stream = UnaryDeltaStream.from_values(values)._members
+            f = [0] * RECORD_FIELDS
+            f[X_AXIS:X_AXIS + 6] = stream._f
+            assert f[X_AXIS + 3] <= low_width
+            pool, words = stream._pool, stream._words
+            for k in range(1, m + 1):
+                q = select(pool, f[X_AXIS], f[X_AXIS + 5], f[X_AXIS + 1], k)
+                low = packed_get(words, f[X_AXIS + 2], f[X_AXIS + 3], k - 1)
+                assert _zero_step(pool, words, f, k, q, low) == \
+                    (values[k - 1] == 0), (values.tolist(), k)
+
+
+class TestGapMarks:
+    @given(small_fleets())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_x_increments_are_the_gap_map(self, case):
+        # in a log with gaps and a member per step, a step's x increment
+        # is 0 just where the gap map has a member, so the two never
+        # disagree; a log with no gaps, or with a member per fix, marks
+        # none and is never asked to
+        fleet, period, leaf = case
+        ix = build_index(fleet.rows(), period, leaf, fleet.extent,
+                         horizon=fleet.horizon)
+        for log, _ in ix._logs.values():
+            f = log._f
+            sums = list(log.dx.stream.prefix_iter())
+            zero = [k + 1 for k in range(1, len(sums))
+                    if sums[k] == sums[k - 1]]  # as window offsets
+            gaps = list(log.time._gapmap.ones())
+            if not gaps:
+                assert len(sums) == log.data_count
+            elif len(sums) == f[1] - f[0] + 1:
+                assert 4 * len(gaps) <= f[1] - f[0]
+                assert zero == gaps
+            else:
+                assert 4 * len(gaps) > f[1] - f[0]
+                assert len(sums) == log.data_count

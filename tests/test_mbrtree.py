@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import REF_PERIOD, REF_TRACK, pulled_in, stored_tree
 from reference_encoder import Parts, write_tree
-from trajindex.log import build_log
+from trajindex.log import build_log, ordinal_range
 from trajindex.mbrtree import (
     Mbr,
     MbrTree,
@@ -351,7 +351,7 @@ class TestSpeedJump:
         tree = build_mbr_tree(log, cap)
         t_lo, t_hi = t_window or (1, rows[-1][0] + 1)
         stats = TraversalStats(trace=True)
-        a, b = log.count_data_upto(t_lo - 1) + 1, log.count_data_upto(t_hi)
+        a, b = ordinal_range(log._bits, log._words, log._f, t_lo, t_hi)
         hit = tree.first_hit(log, self.REGION, a, b, s, t_lo, t_hi,
                              stats=stats, **prune)
         return hit, stats
@@ -441,8 +441,8 @@ class TestSpeedJump:
                              cy, cy + int(rng.integers(0, 10)))
                 t_lo = int(rng.integers(1, period))
                 t_hi = int(rng.integers(t_lo, period))
-                a = log.count_data_upto(t_lo - 1) + 1
-                b = log.count_data_upto(t_hi)
+                a, b = ordinal_range(log._bits, log._words, log._f, t_lo,
+                                     t_hi)
                 if a > b:
                     continue
                 want = next((t for t, x, y in rows
