@@ -411,11 +411,14 @@ def compute_max_speed(rows: np.ndarray) -> int:
     """Largest per-axis displacement rate between consecutive samples of
     one object, rounded up to whole cells per instant.  rows: (id,
     instant, x, y), each object's rows together and in instant order."""
-    steps = np.diff(rows, axis=0)[rows[1:, 0] == rows[:-1, 0]]
-    if not len(steps):
-        return 0
-    moved = np.abs(steps[:, 2:]).max(axis=1)
-    return int((-(-moved // steps[:, 1])).max())
+    same = rows[1:, 0] == rows[:-1, 0]
+    dt = np.diff(rows[:, 1])[same]
+    moved = np.maximum(np.abs(np.diff(rows[:, 2])[same]),
+                       np.abs(np.diff(rows[:, 3])[same]))
+    # a one-instant step moves at its own displacement; divide the rest
+    far = dt != 1
+    return max(int(moved[~far].max(initial=0)),
+               int((-(-moved[far] // dt[far])).max(initial=0)))
 
 
 def _check_table(table: np.ndarray, k: np.ndarray, period: int, horizon: int,

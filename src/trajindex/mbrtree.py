@@ -46,10 +46,6 @@ class Mbr:
         return (other.xmin <= self.xmin and self.xmax <= other.xmax
                 and other.ymin <= self.ymin and self.ymax <= other.ymax)
 
-    def union(self, other: "Mbr") -> "Mbr":
-        return Mbr(min(self.xmin, other.xmin), max(self.xmax, other.xmax),
-                   min(self.ymin, other.ymin), max(self.ymax, other.ymax))
-
 
 def _point_gap(r: Mbr, x: int, y: int) -> int:
     return max(0, r.xmin - x, x - r.xmax, r.ymin - y, y - r.ymax)

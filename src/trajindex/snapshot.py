@@ -217,10 +217,6 @@ class Snapshot:
         return cls(instant, tree, perm, entrants)
 
     @property
-    def object_count(self) -> int:
-        return len(self._perm)
-
-    @property
     def fix_count(self) -> int:
         """Rows that are fixes at the snapshot's instant, not entrants."""
         return len(self._perm) - self._entrants.count_ones

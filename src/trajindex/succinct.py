@@ -2,13 +2,17 @@
 
 A `BitPool` holds many bitmaps back to back in one uint64 word array,
 least significant bit first, each from a word boundary, with one
-rank/select directory over the whole pool.  Packed integers live in a
-plain word array, the word pool.  A bitmap is then its first word and the
+directory of ones over the whole pool.  Packed integers live in a plain
+word array, the word pool.  A bitmap is then its first word and the
 number of ones before that word: local rank is the pool's rank less those
-ones, and select bisects only the superblocks the bitmap spans.  The
-functions below are the one implementation of select; the classes are
-thin views over them, and callers that keep the bases elsewhere, such as
-a log's fields, call the functions directly.
+ones, and select bisects only the superblocks the bitmap spans.  Zeros
+have no directory: the zeros before word w are 64·w less the ones
+before it.  So a select0 on a bitmap of at most `_COUNTED` words counts
+the zeros of its words from the first, and on a longer one bisects the
+zero counts the ones directory implies.  The functions below are the
+one implementation of select; the classes are thin views over them, and
+callers that keep the bases elsewhere, such as a log's fields, call the
+functions directly.
 
 The public API uses 1-based positions.  Words and directories are
 `array.array`s, whose items read back as plain Python ints.
@@ -142,17 +146,19 @@ class Reader:
 # ------------------------------------------------------------------ pools
 
 class BitPool:
-    """Bitmaps back to back in one word array, with one directory.
+    """Bitmaps back to back in one word array, with one ones directory.
 
-    For ones, `super1[s]` counts the ones before 512-bit superblock s (one
-    extra entry holds the total) and `block1[w]` the ones before word w
-    inside its superblock, for every word of the last superblock and one
-    more, so a bisection may span any whole superblock; `super0`/`block0`
-    do the same for zeros.  The padding that ends a bitmap's last word
-    counts as zeros, which no select of that bitmap reaches.
+    `super1[s]` counts the ones before 512-bit superblock s (one extra
+    entry holds the total) and `block1[w]` the ones before word w inside
+    its superblock, for every word of the last superblock and one more,
+    so a bisection may span any whole superblock.  Zeros have no
+    directory of their own: the zeros before word w are 64·w less the
+    ones before it, and the same inside a superblock.  The padding that
+    ends a bitmap's last word counts as zeros, which no select of that
+    bitmap reaches.
     """
 
-    __slots__ = ("words", "super1", "block1", "super0", "block0")
+    __slots__ = ("words", "super1", "block1")
 
     def __init__(self, data=b""):
         """data: little-endian words; the directory takes one popcount
@@ -165,19 +171,12 @@ class BitPool:
             cum[1:nw + 1] = np.cumsum(np.bitwise_count(
                 np.frombuffer(words, dtype=np.uint64)), dtype=np.int64)
             cum[nw + 1:] = cum[nw]
-        word = np.arange(len(cum))
-        block = cum - cum[word & ~(_SUPER - 1)]
-        starts = word[::_SUPER]
-        for name, typecode, values in (
-                ("super1", "q", cum[starts]), ("block1", "H", block),
-                ("super0", "q", np.minimum(64 * starts, 64 * nw) - cum[starts]),
-                ("block0", "H", 64 * (word & (_SUPER - 1)) - block)):
-            setattr(self, name,
-                    array(typecode, values.astype(typecode).tobytes())[:])
+        block = cum - cum[np.arange(len(cum)) & ~(_SUPER - 1)]
+        self.super1 = array("q", cum[::_SUPER].tobytes())[:]
+        self.block1 = array("H", block.astype(np.uint16).tobytes())[:]
 
     def nbytes(self) -> int:
-        return nbytes(self.words, self.super1, self.block1, self.super0,
-                      self.block0)
+        return nbytes(self.words, self.super1, self.block1)
 
     def ones_before(self, w: np.ndarray) -> np.ndarray:
         """The ones before each word w, for w up to the pool's length."""
@@ -186,6 +185,9 @@ class BitPool:
 
 
 # ------------------------------------------------- rank and select on pools
+
+_COUNTED = 4  # select0 on a bitmap of at most this many words counts them
+
 
 def access(pool: BitPool, base: int, i: int) -> int:
     """Bit i of the bitmap that starts at word base."""
@@ -197,27 +199,36 @@ def select(pool: BitPool, base: int, end: int, ones: int, j: int,
            zero: bool = False) -> int:
     """Position of the j-th set bit (unset bit, when zero) of the bitmap
     in words base..end-1, with `ones` set bits before it in the pool; the
-    caller makes sure it exists.  Only those words' superblocks are
-    bisected, then the words of one superblock."""
+    caller makes sure it exists.  Ones bisect only those words'
+    superblocks, then the words of one superblock; zeros are counted word
+    by word on at most `_COUNTED` words, else bisected (`_zero_word`)."""
+    words = pool.words
     if zero:
-        sup = pool.super0
-        block = pool.block0
-        g = (base << 6) - ones + j
+        if end - base > _COUNTED:
+            w, k = _zero_word(pool, base, end, ones, j)
+        else:
+            w, k = base, j
+            c = 64 - words[w].bit_count()
+            while k > c:
+                k -= c
+                w += 1
+                c = 64 - words[w].bit_count()
+        word = words[w] ^ _WORD_FULL
     else:
         sup = pool.super1
         block = pool.block1
         g = ones + j
-    s = base >> _SUPER_SHIFT
-    last = (end - 1) >> _SUPER_SHIFT
-    if s < last:
-        s = bisect_left(sup, g, s + 1, last + 1) - 1
-    rem = g - sup[s]
-    first = s << _SUPER_SHIFT
-    w = bisect_left(block, rem, first + 1, first + _SUPER) - 1
-    word = pool.words[w] ^ _WORD_FULL if zero else pool.words[w]
+        s = base >> _SUPER_SHIFT
+        last = (end - 1) >> _SUPER_SHIFT
+        if s < last:
+            s = bisect_left(sup, g, s + 1, last + 1) - 1
+        rem = g - sup[s]
+        first = s << _SUPER_SHIFT
+        w = bisect_left(block, rem, first + 1, first + _SUPER) - 1
+        word = words[w]
+        k = rem - block[w]
     # the k-th set bit of the word: halve to the right byte by popcount,
     # then look the bit up
-    k = rem - block[w]
     pos = ((w - base) << 6) + 1
     c = (word & 0xFFFFFFFF).bit_count()
     if k > c:
@@ -235,6 +246,26 @@ def select(pool: BitPool, base: int, end: int, ones: int, j: int,
         word >>= 8
         pos += 8
     return pos + _SELECT8[(k - 1) << 8 | (word & 0xFF)]
+
+
+def _zero_word(pool: BitPool, base: int, end: int, ones: int,
+               j: int) -> tuple[int, int]:
+    # (w, k): the j-th zero of the bitmap in words base..end-1 is the k-th
+    # of word w.  (t << 9) - super1[t] zeros precede superblock t, and
+    # ((v - first) << 6) - block1[v] word v of the superblock from first
+    sup = pool.super1
+    block = pool.block1
+    g = (base << 6) - ones + j  # zeros up to the j-th, from the pool's start
+    s = base >> _SUPER_SHIFT
+    last = (end - 1) >> _SUPER_SHIFT
+    if s < last:
+        s += bisect_left(range(s + 1, last + 1), g,
+                         key=lambda t: (t << 9) - sup[t])
+    rem = g - (s << 9) + sup[s]
+    first = s << _SUPER_SHIFT
+    w = first + bisect_left(range(first + 1, first + _SUPER), rem,
+                            key=lambda v: ((v - first) << 6) - block[v])
+    return w, rem - ((w - first) << 6) + block[w]
 
 
 def _scan(words, base, end, p, flip, last_mask):
@@ -516,8 +547,9 @@ def write_sparse(w: Writer, n: int, positions) -> None:
 
 class BitVector:
     """A bitmap in a pool: rank in constant time, select by bisecting the
-    directory over the superblocks it spans and the words of one, and a
-    table-driven select in the word."""
+    directory over the superblocks it spans and the words of one (select0
+    on at most `_COUNTED` words counts them instead), and a table-driven
+    select in the word."""
 
     __slots__ = ("_pool", "_base", "_end", "_n", "_ones", "_count")
 

@@ -23,6 +23,7 @@ from trajindex.log import TrajectoryLog, build_log
 from trajindex.mbrtree import Mbr, TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region, Snapshot
+from trajindex.succinct import nbytes
 
 
 # the four fleets whose file digests are recorded: (period, leaf capacity,
@@ -156,6 +157,31 @@ class TestBuildValidation:
         rows = np.array([[1, 5, 3, 0], [1, 8, 10, 0], [2, 0, 90, 90]],
                         dtype=np.int64)
         assert compute_max_speed(rows) == 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_computed_speed_matches_ceiling_of_every_step(self, seed):
+        # the bound is the largest ceil(max(|dx|, |dy|) / dt) over the
+        # steps of one object, here with dt 1..5, single-row objects
+        # among the rest, and a fleet with no steps at all
+        def every_step(rows):
+            steps = np.diff(rows, axis=0)[rows[1:, 0] == rows[:-1, 0]]
+            if not len(steps):
+                return 0
+            moved = np.abs(steps[:, 2:]).max(axis=1)
+            return int((-(-moved // steps[:, 1])).max())
+
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 40, size=30)
+        counts[::4] = 1
+        ids = np.repeat(np.arange(1, 31), counts)
+        ts = np.concatenate([np.cumsum(rng.integers(1, 6, size=c))
+                             for c in counts])
+        xy = rng.integers(0, 60, size=(len(ids), 2))
+        rows = np.column_stack([ids, ts, xy]).astype(np.int64)
+        assert compute_max_speed(rows) == every_step(rows) > 0
+        singles = rows[np.r_[0, np.flatnonzero(np.diff(ids)) + 1]]
+        assert compute_max_speed(singles) == every_step(singles) == 0
+        assert compute_max_speed(rows[:0]) == 0
 
     @pytest.mark.parametrize("rows, kwargs, field", [
         ([(1 << 32, 1, 1, 1)], {}, "object id 4294967296"),
@@ -1026,6 +1052,19 @@ class TestLoadedMemory:
         for ix in (built, TrajectoryIndex.from_bytes(built.to_bytes())):
             for pool in (ix._words, ix._bits.words):
                 assert sys.getsizeof(pool) - empty == 8 * len(pool)
+
+    def test_directories_are_the_ones_directory(self):
+        # zeros are counted from the ones, so the bit pool keeps one u64
+        # per superblock and one u16 per word, and nothing for zeros
+        fleet = make_fleet(30, 240, (300, 300), seed=12, drop_rate=0.1)
+        built = build_index(fleet.rows(), 20, 8, fleet.extent)
+        for ix in (built, TrajectoryIndex.from_bytes(built.to_bytes())):
+            bits = ix._bits
+            supers = -(-len(bits.words) // 8)
+            assert (len(bits.super1), len(bits.block1)) == \
+                (supers + 1, 8 * supers + 1)
+            assert ix.memory()["directories"] == \
+                nbytes(bits.super1, bits.block1)
 
     def test_objects_do_not_grow_with_the_logs(self):
         (few, _, short), (many, _, long) = (load_cost(self.blob(h, 20))

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import REF_PERIOD, REF_TRACK, stored_log
 from reference_encoder import Parts, write_log
 from synth import make_fleet
+from trajindex import succinct
 from trajindex.encoder import encode
 from trajindex.engine import TrajectoryIndex, build_index
 from trajindex.log import (
@@ -316,6 +318,35 @@ class TestSparseGapMap:
         half = len(rows) // 2
         assert log.scan_positions(half, len(rows)) == rows[half - 1:]
         assert list(ti.data_offsets()) == [t - 1 for t in instants]
+
+    @pytest.mark.parametrize("window, seed", [(3000, 11), (4999, 12)])
+    def test_a_gap_map_of_many_words_matches_plain_lists(self, window, seed,
+                                                         monkeypatch):
+        # a select0 on a gap map of more than a few words bisects the zero
+        # counts of the ones directory instead of counting word by word
+        rng = np.random.default_rng(seed)
+        rows, gaps, _ = gappy_rows(rng, window, window // 5)
+        log = build_log(rows, 0, window + 3)
+        f = log._f
+        assert f[8] - f[3] > 4  # the gap map's high bits span > 4 words
+        calls = []
+        zero_word = succinct._zero_word
+        monkeypatch.setattr(succinct, "_zero_word",
+                            lambda *a: calls.append(a) or zero_word(*a))
+        gapset = set(gaps)
+        ordinals = [None if off in gapset else off - sum(g < off for g in gaps)
+                    for off in range(1, window + 1)]
+        assert [log.time.ordinal(off) for off in range(1, window + 1)] == \
+            ordinals
+        instants = [t for t, _, _ in rows]
+        assert [log.unmap_ordinal(j) for j in range(1, len(rows) + 1)] == \
+            instants
+        for lo, hi in [(1, window + 2), (2, 2), (3, window)] + [
+                tuple(sorted(rng.integers(1, window + 3, size=2).tolist()))
+                for _ in range(300)]:
+            assert ordinal_range(log._bits, log._words, f, lo, hi) == \
+                (bisect_left(instants, lo) + 1, bisect_right(instants, hi))
+        assert calls
 
     @pytest.mark.parametrize("gaps", [[1, 2, 3, 1000, 2000], [1], [2000],
                                       list(range(1, 2001, 16))])

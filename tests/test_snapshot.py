@@ -184,7 +184,7 @@ class TestSnapshot:
         snap = Snapshot.build(
             [(5, 2, 2), (9, 2, 2), (3, 0, 7), (12, 7, 0)], 60, (8, 8),
             entrant_ids={9, 12})
-        assert snap.object_count == 4
+        assert list(snap.ids) == [3, 5, 9, 12]
         assert snap.position_of(5) == (2, 2)
         assert snap.position_of(9) == (2, 2)
         assert snap.position_of(99) is None
@@ -199,7 +199,7 @@ class TestSnapshot:
 
     def test_empty_snapshot(self):
         snap = Snapshot.build([], 0, (16, 16))
-        assert snap.object_count == 0
+        assert list(snap.ids) == []
         assert snap.range_report(Region(0, 15, 0, 15)) == []
 
     def test_rejects_duplicate_ids_and_stray_positions(self):

@@ -411,3 +411,73 @@ class TestPoolBoundaries:
             list(expect)
         assert list(st_.prefix_iter()) == list(expect)
         assert list(st_.prefix_iter(len(values))) == [expect[-1]]
+
+
+def zero_layouts():
+    """(lead, short, long, more): a lead of 1..7 words, so the first
+    bitmap starts inside a superblock, then bitmaps as ((neighbour, run,
+    bits in the last word, density), words), each after a run of 0..9
+    all-ones or all-zeros words.  The short one has 1..4 words and the
+    long one 9..40, so both ways of selecting a zero are taken; up to
+    three more have 1..40."""
+    bitmap = st.tuples(st.sampled_from([0, 1]), st.integers(0, 9),
+                       st.integers(1, 64), st.floats(0, 1))
+    return st.tuples(
+        st.integers(1, 7),
+        st.tuples(bitmap, st.integers(1, 4)),
+        st.tuples(bitmap, st.integers(9, 40)),
+        st.lists(st.tuples(bitmap, st.integers(1, 40)), max_size=3))
+
+
+class TestZerosFromTheOnes:
+    """select0 works out zero counts from the ones directory: word by word
+    on a bitmap of a few words, by bisecting the directory on a longer
+    one."""
+
+    def test_pool_keeps_only_the_ones_directory(self):
+        w = Writer()
+        w.bits([1, 0, 0] * 700)  # 33 words: 5 superblocks
+        pool = BitPool(w)
+        assert BitPool.__slots__ == ("words", "super1", "block1")
+        assert (len(pool.words), len(pool.super1), len(pool.block1)) == \
+            (33, 6, 41)
+        assert pool.nbytes() == 8 * 33 + 8 * 6 + 2 * 41
+
+    @pytest.mark.parametrize("nwords, bisected", [(1, False), (4, False),
+                                                  (5, True), (40, True)])
+    def test_long_bitmaps_bisect_the_directory(self, nwords, bisected,
+                                               monkeypatch):
+        calls = []
+        zero_word = succinct._zero_word
+        monkeypatch.setattr(succinct, "_zero_word",
+                            lambda *a: calls.append(a) or zero_word(*a))
+        rng = np.random.default_rng(nwords)
+        bits = (rng.random(64 * nwords) < 0.5).astype(np.uint8)
+        check_bitmap(BitVector.from_bits(bits), bits)
+        assert bool(calls) == bisected
+
+    @given(zero_layouts(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_zero_of_neighbouring_bitmaps(self, layout, seed):
+        lead, short, long, more = layout
+        rng = np.random.default_rng(seed)
+        w = Writer()
+        w.bits(rng.integers(0, 2, 64 * lead))
+        cases = []
+        for (fill, run, tail, density), nwords in [short, long, *more]:
+            w.bits(np.full(64 * run, fill))
+            n = 64 * (nwords - 1) + tail
+            bits = (rng.random(n) < density).astype(np.uint8)
+            cases.append((len(w) // 8, bits))
+            w.bits(bits)
+        w.bits(np.full(64 * 9, rng.integers(0, 2)))
+        pool = BitPool(w)
+        ones = pool.ones_before(np.array([b for b, _ in cases])).tolist()
+        for (base, bits), before in zip(cases, ones):
+            bv = BitVector(pool, base, len(bits), before, int(bits.sum()))
+            _, _, zeros = brute(bits)
+            assert [bv.select0(j) for j in range(1, len(zeros) + 1)] == zeros
+            assert list(bv.zeros()) == zeros
+            if zeros:
+                start = int(rng.integers(1, len(zeros) + 1))
+                assert list(bv.zeros(start)) == zeros[start - 1:]
