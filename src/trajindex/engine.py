@@ -34,7 +34,7 @@ from trajindex.log import (
     records,
 )
 from trajindex.mbrtree import Mbr, MbrTree, TraversalStats
-from trajindex.snapshot import Region, Snapshot, expanded_region
+from trajindex.snapshot import Region, Snapshot, expanded_region, morton_codes
 from trajindex.succinct import U32_MAX, BitPool, Reader, Writer, nbytes, words_from
 
 _MAGIC = b"CTCT"
@@ -73,13 +73,15 @@ class TrajectoryIndex:
     Every log and tree lives in two pools: one bit pool with its rank and
     select directory and one word pool, each log addressed by its row in
     a table of fixed-width records.  A flat table maps (period, object
-    index) to the row, or to -1 where the object has no log.
+    index) to the row, or to -1 where the object has no log.  The
+    snapshots of all periods are one `Snapshot` table, so a loaded index
+    holds the same few Python objects whatever its period count.
     """
 
     def __init__(self, period: int, leaf_capacity: int,
                  extent: tuple[int, int], horizon: int, max_speed: int,
                  sample_count: int, object_ids: np.ndarray,
-                 snapshots: list[Snapshot], bits: BitPool, words: array,
+                 snapshots: Snapshot, bits: BitPool, words: array,
                  f: np.ndarray, slots: np.ndarray):
         """f: the logs' records in file order (see `log.records`); slots:
         period * object count + object index, for each log."""
@@ -108,10 +110,6 @@ class TrajectoryIndex:
     @property
     def object_ids(self) -> list[int]:
         return [int(i) for i in self._object_ids]
-
-    @property
-    def snapshots(self) -> list[Snapshot]:
-        return self._snapshots
 
     @property
     def _logs(self) -> dict[tuple[int, int], tuple[TrajectoryLog, MbrTree]]:
@@ -150,10 +148,7 @@ class TrajectoryIndex:
         self._check_instant(q)
         p, local = divmod(q, self.period)
         if not local:
-            snap = self._snapshots[p]
-            if snap.is_entrant(oid):
-                return None
-            return snap.position_of(oid)
+            return self._snapshots.fix(p, i)
         row = self._rows[p * len(self._index) + i]
         if row < 0:
             return None
@@ -170,8 +165,7 @@ class TrajectoryIndex:
         out: list[tuple[int, int, int]] = []
         for k in range(first - first % d, last + 1, d):
             if k >= first:
-                snap = self._snapshots[k // d]
-                pos = None if snap.is_entrant(oid) else snap.position_of(oid)
+                pos = self._snapshots.fix(k // d, i)
                 if pos is not None:
                     out.append((k, pos[0], pos[1]))
             lo, hi = max(first, k + 1), min(last, k + d - 1)
@@ -189,15 +183,16 @@ class TrajectoryIndex:
         """Objects inside region at instant q as (id, x, y), sorted by id."""
         self._check_instant(q)
         d = self.period
-        k = q - q % d
-        snap = self._snapshots[k // d]
-        if q == k:
-            return sorted(snap.range_report(region, include_entrants=False))
+        p, local = divmod(q, d)
+        k = q - local
+        if not local:
+            return sorted(self._snapshots.range_report(
+                region, p, include_entrants=False))
         wide = expanded_region(region, q, k, self.max_speed, self.extent)
         rows, index = self._rows, self._index
-        first = k // d * len(index)
+        first = p * len(index)
         out = []
-        for oid, _, _ in snap.range_report(wide):
+        for oid, _, _ in self._snapshots.range_report(wide, p):
             row = rows[first + index[oid]]
             if row < 0 or not _root_test(self._records, row, region):
                 continue
@@ -217,27 +212,28 @@ class TrajectoryIndex:
             raise ValueError("empty instant range")
         d = self.period
         box = Mbr(region.x1, region.x2, region.y1, region.y2)
-        rows, index = self._rows, self._index
+        rows, index, snaps = self._rows, self._index, self._snapshots
         found: set[int] = set()
         for k in range(first - first % d, last + 1, d):
-            snap = self._snapshots[k // d]
+            p = k // d
             lo, hi = max(first, k + 1), min(last, k + d - 1)
             logged = lo <= hi  # else the window ends at the snapshot instant
             wide = (expanded_region(region, hi, k, self.max_speed, self.extent)
                     if logged else region)
-            period_row = k // d * len(index)
+            period_row = p * len(index)
             # one probe serves the snapshot instant and the logs: when k is
             # in the window, a non-entrant stored inside region is found
-            for oid, x, y in snap.range_report(wide):
+            for oid, x, y in snaps.range_report(wide, p):
                 if oid in found:
                     continue
+                i = index[oid]
                 if (k >= first and region.contains(x, y)
-                        and not snap.is_entrant(oid)):
+                        and snaps.fix(p, i) is not None):
                     found.add(oid)
                     continue
                 if not logged:
                     continue
-                row = rows[period_row + index[oid]]
+                row = rows[period_row + i]
                 if row < 0:
                     continue
                 # the tree's first test, on its root box, is made here
@@ -276,7 +272,7 @@ class TrajectoryIndex:
         sizes of the arrays that hold it."""
         bits = self._bits
         return {
-            "snapshots": sum(s.nbytes() for s in self._snapshots),
+            "snapshots": self._snapshots.nbytes(),
             "bit pool": nbytes(bits.words),
             "directories": bits.nbytes() - nbytes(bits.words),
             "word pool": nbytes(self._words),
@@ -314,9 +310,9 @@ class TrajectoryIndex:
         present = np.frombuffer(self._rows, dtype=np.int32).reshape(
             len(self._snapshots), len(ids)) >= 0
         sizes = {"snapshots": 0}
-        for snap, logged in zip(self._snapshots, present):
+        for p, logged in enumerate(present):
             mark = len(w)
-            snap.write(w)
+            self._snapshots.write(w, p)
             sizes["snapshots"] += len(w) - mark
             w.bits(logged)
         f = np.frombuffer(self._records, dtype=np.uint32).reshape(
@@ -354,27 +350,29 @@ class TrajectoryIndex:
         r = Reader(body)
         (w, h, horizon, period, leaf_capacity, sample_count, max_speed,
          nobj) = (r.u32() for _ in range(8))
-        if period < 2 or leaf_capacity < 1:
-            raise ValueError(f"bad period {period} or leaf capacity {leaf_capacity}")
+        if period < 2 or leaf_capacity < 1 or horizon < 1:
+            raise ValueError(f"bad period {period}, leaf capacity "
+                             f"{leaf_capacity} or horizon {horizon}")
         _check_periods(horizon, period)
         object_ids = r.u32s(nobj)
         if np.any(object_ids[1:] <= object_ids[:-1]):
             raise ValueError("object ids are not strictly increasing")
-        snapshots = []
-        slots = [np.zeros(0, dtype=np.int64)]  # per log, as __init__ takes them
-        for p, k in enumerate(range(0, horizon, period)):
-            snapshots.append(Snapshot.read(r, k, (w, h)))
+        sections = []
+        slots = []  # per log, as __init__ takes them
+        for p in range(-(-horizon // period)):
+            sections.append(Snapshot.read(r, (w, h)))
             slots.append(p * nobj + np.flatnonzero(r.bits(nobj)))
-        # every object sits in the snapshot of its first fix's period
-        if set().union(*(s.ids for s in snapshots)) != set(object_ids.tolist()):
-            raise ValueError("the snapshots do not hold exactly the listed objects")
+        snapshots = Snapshot((w, h), object_ids,
+                             *map(np.concatenate, zip(*sections)),
+                             [len(codes) for codes, _, _ in sections])
         slots = np.concatenate(slots)
+        p, i = np.divmod(slots, max(nobj, 1))  # each log's period and object
         table = r.u32s(U32_FIELDS * len(slots)).reshape(
             -1, U32_FIELDS).astype(np.int64)
-        _check_table(table, slots // max(nobj, 1) * period, period, horizon,
-                     (w, h), max_speed)
+        _check_table(table, p * period, period, horizon, (w, h), max_speed,
+                     snapshots.cells(p, i))
         fixes = (table[:, 1] - table[:, 0] + 1 - table[:, 2]).sum()
-        if fixes + sum(s.fix_count for s in snapshots) != sample_count:
+        if fixes + snapshots.fix_count != sample_count:
             raise ValueError(f"the logs and snapshots do not hold the "
                              f"{sample_count} samples the header counts")
         f, bit_words, word_words = records(table, leaf_capacity)
@@ -422,12 +420,14 @@ def compute_max_speed(rows: np.ndarray) -> int:
 
 
 def _check_table(table: np.ndarray, k: np.ndarray, period: int, horizon: int,
-                 extent, max_speed: int) -> None:
-    # each log's stored fields, k its period's start: a window that fits
-    # its gap count, inside its period and before the horizon; packed
-    # widths of at most 64 bits; a speed bound within the index's; a
-    # first fix on the grid and inside the log's root box; a root box
-    # that ends on the grid
+                 extent, max_speed: int, cells) -> None:
+    # each log's stored fields, k its period's start and cells the x, y
+    # and entrant flag of its snapshot row: a window that fits its gap
+    # count, inside its period and before the horizon; packed widths of
+    # at most 64 bits; a speed bound within the index's; a first fix on
+    # the grid and inside the log's root box; a root box that ends on the
+    # grid; a first fix at an entrant's cell, or else within the speed
+    # bound of the cell (a float product, as a cell is under 2**32)
     (first, last, gaps, speed, widths, x1, _, y1, _, diff_width,
      xmin, xmax, ymin, ymax) = table.T
     if ((first < 1) | (last < first) | (gaps > last - first)).any():
@@ -443,6 +443,11 @@ def _check_table(table: np.ndarray, k: np.ndarray, period: int, horizon: int,
                          "index's speed bound, the grid or the log's root box")
     if ((xmax >= extent[0]) | (ymax >= extent[1])).any():
         raise ValueError("a log's root box leaves the grid")
+    x, y, entrant = cells
+    reach = np.where(entrant, 0, first * float(max_speed))
+    if ((np.abs(x - x1) > reach) | (np.abs(y - y1) > reach)).any():
+        raise ValueError("a log's first fix lies beyond the speed bound's "
+                         "reach of its snapshot cell (an entrant's is the cell)")
 
 
 def _check_periods(horizon: int, period: int) -> None:
@@ -545,14 +550,13 @@ def build_index(samples, period: int, leaf_capacity: int,
     if bad.any():
         raise ValueError(f"log field {u32s[bad][0]} does not fit in a u32")
     ids = np.unique(oids).astype(np.uint32)
-    snapshots = []
-    group_at = np.searchsorted(k, range(0, horizon + period, period))
-    for i in range(len(group_at) - 1):
-        at_k = slice(group_at[i], group_at[i + 1])
-        snap_oids, _, xs, ys = rows[starts[at_k]].T
-        snapshots.append(Snapshot.build(
-            zip(snap_oids.tolist(), xs.tolist(), ys.tolist()), i * period,
-            extent, set(snap_oids[entrant[at_k]].tolist())))
+    # the snapshot rows, each group's first, by period, cell and id
+    snap_oids, _, xs, ys = rows[starts].T
+    codes = morton_codes(xs, ys)
+    order = np.lexsort((snap_oids, codes, k))
+    snapshots = Snapshot(extent, ids, codes[order], snap_oids[order],
+                         entrant[order], np.bincount(
+                             k // period, minlength=-(-horizon // period)))
     slots = k[logged] // period * len(ids) + np.searchsorted(
         ids, oids[starts[logged]])
     f = records(u32s, leaf_capacity)[0]

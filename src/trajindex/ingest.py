@@ -115,8 +115,9 @@ def parse_binary(data: bytes) -> Records:
 def write_binary(records) -> bytes:
     chunks = []
     for r in records:
-        if r.y >> 24:
-            raise ValueError(f"y={r.y} does not fit in 3 bytes")
+        for name, value, size in zip(("id", "instant", "x", "y"), r, (2, 2, 2, 3)):
+            if not 0 <= value < 1 << 8 * size:
+                raise ValueError(f"{name}={value} does not fit in {size} bytes")
         chunks.append(_BIN_HEAD.pack(r.object_id, r.instant, r.x)
                       + bytes([r.y & 0xFF, (r.y >> 8) & 0xFF, r.y >> 16]))
     return b"".join(chunks)

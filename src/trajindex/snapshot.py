@@ -1,17 +1,18 @@
-"""Grid snapshots: a linear quadtree of object cells plus object ids.
+"""Grid snapshots: one table of every period's object cells and ids.
 
-A snapshot fixes every object's cell at one instant.  Its rows, one per
-object, are sorted by the Morton code of their cell and then by id.  That
-order is a linear quadtree (Gargantini, "An effective way to represent
-quadtrees", CACM 1982): every quadtree node is a run of consecutive rows,
-so a region probe bisects one code range and filters the slice.  On disk
-the sorted codes are one Elias-Fano stream, followed by the ids in row
-order and a bitmap of entrants.
+A snapshot fixes every object's cell at a period's first instant.  The
+table holds a row per object and period, period after period, each
+period's rows sorted by the Morton code of their cell and then by id.
+That order is a linear quadtree (Gargantini, "An effective way to
+represent quadtrees", CACM 1982): every quadtree node is a run of a
+period's rows, so a region probe bisects one code range and filters the
+slice.  On disk each period's codes are one Elias-Fano stream, followed
+by its ids in row order and a bitmap of its entrants.
 
-Objects whose first sample comes after the snapshot instant are carried as
-entrants: they are positioned at that first sample so range probes can use
-them as candidates, and a bitmap marks them so instant queries can tell
-them apart from objects really present.
+Objects whose first sample in a period comes after its first instant are
+carried as entrants: they are positioned at that first sample so range
+probes can use them as candidates, and a flag marks them so instant
+queries can tell them apart from objects really present.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from trajindex.succinct import (
-    BitVector,
     Reader,
     SparseBitVector,
     Writer,
@@ -103,50 +103,39 @@ def _top_code(width: int, height: int) -> int:
 
 
 class K2Tree:
-    """The quadtree over a width x height grid, as a linear quadtree.
-
-    It holds the Morton code of every row in ascending order, so a cell
-    with several objects appears once per object, and the x and y decoded
-    from those codes.  A node of the paper's k²-tree (k = 2) at depth t is
-    the run of rows whose codes share their top 2t bits.
+    """Every period's quadtree over a width x height grid, as linear
+    quadtrees back to back: the Morton code of every row, each period's in
+    ascending order, so a cell with several objects appears once per
+    object, and the x and y decoded from those codes.  A node of the
+    paper's k²-tree (k = 2) at depth t is a run of a period's rows whose
+    codes share their top 2t bits.
     """
 
-    def __init__(self, width: int, height: int, codes: np.ndarray):
-        """codes: ascending uint64 Morton codes; a code out of order or off
-        the grid raises ValueError."""
+    def __init__(self, width: int, height: int, codes: np.ndarray,
+                 starts: np.ndarray):
+        """codes: uint64 Morton codes, each period's from its row in starts
+        (which ends with the row count) on.  A code off the grid, out of
+        order in its period or past what `write` stores raises ValueError."""
         _top_code(width, height)
-        xs = _compact(codes)
-        ys = _compact(codes >> 1)
-        if len(codes) and (np.any(codes[1:] < codes[:-1])
-                           or xs.max() >= width or ys.max() >= height):
+        xs, ys = _compact(codes), _compact(codes >> 1)
+        if len(codes) and (xs.max() >= width or ys.max() >= height or not np.isin(
+                np.flatnonzero(codes[1:] < codes[:-1]) + 1, starts).all()):
             raise ValueError(f"snapshot cells out of order or off the "
                              f"{width}x{height} grid")
+        # `write` stores a period's row j (from 1) as its code plus j, an int64
+        j = np.arange(1, len(codes) + 1) - np.repeat(starts[:-1], np.diff(starts))
+        if (codes >= np.uint64(1 << 63) - j.astype(np.uint64)).any():
+            raise ValueError(f"a snapshot cannot store the Morton code {codes.max()}")
         self.width = width
         self.height = height
-        self._codes = array("Q", codes.tolist())
-        self.xs = array("I", xs.tolist())
-        self.ys = array("I", ys.tolist())
+        self._codes = array("Q", codes.tobytes())[:]  # [:] drops spare room
+        self.xs = array("I", xs.astype(np.uint32).tobytes())[:]
+        self.ys = array("I", ys.astype(np.uint32).tobytes())[:]
 
-    @classmethod
-    def build(cls, width: int, height: int, cells) -> "K2Tree":
-        """The column over (x, y) cells, which may repeat."""
-        arr = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-        off = (arr < 0) | (arr >= (width, height))
-        if off.any():
-            x, y = arr[off.any(axis=1)][0]
-            raise ValueError(f"cell ({x}, {y}) outside {width}x{height} grid")
-        codes = np.sort(morton_codes(arr[:, 0], arr[:, 1]))
-        # `write` stores row j's code plus j as an int64
-        if len(codes) and int(codes[-1]) + len(codes) >= 1 << 63:
-            raise ValueError(f"a snapshot of {len(codes)} rows cannot store "
-                             f"the Morton code {codes[-1]}")
-        return cls(width, height, codes)
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def report_cells(self, region: Region) -> list[tuple[int, int, int]]:
-        """(x, y, row) for every row whose cell lies in region, by row.
+    def report_cells(self, region: Region, lo: int,
+                     hi: int) -> list[tuple[int, int, int]]:
+        """(x, y, row) for every row of lo..hi-1, a period's, whose cell
+        lies in region, by row; rows count from lo.
 
         Every cell of the region has a code between those of its lowest
         and its highest corner, so the rows to test are one slice.
@@ -158,25 +147,26 @@ class K2Tree:
         if x1 > x2 or y1 > y2:
             return []
         codes = self._codes
-        lo = bisect_left(codes, morton(x1, y1))
-        hi = bisect_right(codes, morton(x2, y2), lo)
+        a = bisect_left(codes, morton(x1, y1), lo, hi)
+        b = bisect_right(codes, morton(x2, y2), a, hi)
         return [(x, y, row) for row, x, y in
-                zip(range(lo, hi), self.xs[lo:hi], self.ys[lo:hi])
+                zip(range(a - lo, b - lo), self.xs[a:b], self.ys[a:b])
                 if x1 <= x <= x2 and y1 <= y <= y2]
 
-    def write(self, w: Writer) -> None:
-        """The row count, then the codes as one Elias-Fano stream: row j
-        (from 1) sets bit code + j, so equal codes stay apart.  The
-        stream's universe follows from the grid and the row count, so
-        nothing else is stored."""
-        m = len(self._codes)
+    def write(self, w: Writer, lo: int, hi: int) -> None:
+        """Rows lo..hi-1, a period's: the row count, then the codes as one
+        Elias-Fano stream, where row j (from 1) sets bit code + j, so
+        equal codes stay apart.  The stream's universe follows from the
+        grid and the row count, so nothing else is stored."""
+        m = hi - lo
         w.u32(m)
-        codes = np.array(self._codes, dtype=np.uint64)
+        codes = np.frombuffer(self._codes, dtype=np.uint64)[lo:hi]
         write_sparse(w, _top_code(self.width, self.height) + m,
                      codes + np.arange(1, m + 1, dtype=np.uint64))
 
-    @classmethod
-    def read(cls, r: Reader, width: int, height: int) -> "K2Tree":
+    @staticmethod
+    def read(r: Reader, width: int, height: int) -> np.ndarray:
+        """The codes of a period that `write` stored."""
         top = _top_code(width, height)
         m = r.u32()
         stream = SparseBitVector.read(r, top + m, m)
@@ -184,79 +174,94 @@ class K2Tree:
         # corrupt lows can put a code below 0 or past the grid's top code
         if codes and not 0 <= min(codes) <= max(codes) <= top:
             raise ValueError(f"snapshot cell off the {width}x{height} grid")
-        return cls(width, height, np.array(codes, dtype=np.uint64))
+        return np.array(codes, dtype=np.uint64)
 
 
 class Snapshot:
-    """All object positions at one instant, probe-able by region."""
+    """Every period's object positions, probe-able by region: each row's
+    object id and entrant flag (a byte) beside its code in `tree`, and
+    for the lookup by object each period's rows by object index."""
 
-    def __init__(self, instant: int, tree: K2Tree, perm, entrants: BitVector):
-        """perm: the object id of each row of tree; an id that appears
-        twice raises ValueError."""
-        perm = np.asarray(perm, dtype=np.int64)
-        order = np.argsort(perm, kind="stable")
-        ids = perm[order]
-        if np.any(ids[1:] == ids[:-1]):
-            raise ValueError(f"an object appears twice at instant {instant}")
-        self.instant = instant
-        self.tree = tree
-        self._perm = array("I", perm.tolist())
-        self._entrants = entrants
-        # ids ascending and the row of each, to find a row by id
-        self.ids = array("I", ids.tolist())
-        self._rows = array("I", order.tolist())
+    def __init__(self, extent: tuple[int, int], object_ids: np.ndarray,
+                 codes: np.ndarray, ids, entrants, counts):
+        """codes, ids, entrants: each row's Morton code, object id and
+        entrant flag (0 or 1), period after period in `K2Tree` order;
+        counts: each period's rows.  Ids other than the ascending object_ids,
+        an id twice in a period, or codes `K2Tree` refuses raise ValueError."""
+        starts = np.r_[0, np.cumsum(counts, dtype=np.int64)]
+        self.tree = K2Tree(*extent, codes, starts)
+        ids = np.asarray(ids, dtype=np.int64)
+        if not (np.isin(ids, object_ids).all() and np.isin(object_ids, ids).all()):
+            raise ValueError("the snapshots do not hold exactly the listed objects")
+        # period << 32 | object index, ascending
+        keys = (np.repeat(np.arange(len(counts)), counts) << 32
+                | np.searchsorted(object_ids, ids))
+        order = np.argsort(keys, kind="stable")
+        if (np.diff(keys[order]) == 0).any():
+            raise ValueError("an object appears twice in a period's snapshot")
+        self._starts = array("q", starts.tobytes())[:]  # as in K2Tree
+        self._ids = array("I", ids.astype(np.uint32).tobytes())[:]
+        self._entrants = np.asarray(entrants, dtype=np.uint8).tobytes()
+        self._by_index = array("I", keys[order].astype(np.uint32).tobytes())[:]
+        self._rows = array("I", order.astype(np.uint32).tobytes())[:]
 
-    @classmethod
-    def build(cls, positions, instant: int, extent: tuple[int, int],
-              entrant_ids=frozenset()) -> "Snapshot":
-        """positions: iterable of (object id, x, y); ids must be unique."""
-        rows = sorted(positions, key=lambda r: (morton(r[1], r[2]), r[0]))
-        tree = K2Tree.build(*extent, [(x, y) for _, x, y in rows])
-        perm = [oid for oid, _, _ in rows]
-        entrants = BitVector.from_bits([oid in entrant_ids for oid in perm])
-        return cls(instant, tree, perm, entrants)
+    def __len__(self) -> int:
+        """The periods."""
+        return len(self._starts) - 1
 
     @property
     def fix_count(self) -> int:
-        """Rows that are fixes at the snapshot's instant, not entrants."""
-        return len(self._perm) - self._entrants.count_ones
-
-    def _row(self, oid: int) -> int | None:
-        ids = self.ids
-        i = bisect_left(ids, oid)
-        return self._rows[i] if i < len(ids) and ids[i] == oid else None
-
-    def position_of(self, oid: int) -> tuple[int, int] | None:
-        row = self._row(oid)
-        return None if row is None else (self.tree.xs[row], self.tree.ys[row])
+        """Rows that are fixes, not entrants."""
+        return len(self._entrants) - self._entrants.count(1)
 
     def nbytes(self) -> int:
         """Bytes its arrays hold in memory."""
-        tree = self.tree
-        return (nbytes(tree._codes, tree.xs, tree.ys, self._perm, self.ids,
-                       self._rows) + self._entrants.nbytes())
+        return len(self._entrants) + nbytes(
+            self.tree._codes, self.tree.xs, self.tree.ys, self._starts,
+            self._ids, self._by_index, self._rows)
 
-    def is_entrant(self, oid: int) -> bool:
-        row = self._row(oid)
-        return row is not None and bool(self._entrants.access(row + 1))
+    def fix(self, p: int, i: int) -> tuple[int, int] | None:
+        """(x, y) of object index i at period p's first instant, or None
+        where the period has no row for it or an entrant's."""
+        by_index, hi = self._by_index, self._starts[p + 1]
+        j = bisect_left(by_index, i, self._starts[p], hi)
+        if j == hi or by_index[j] != i or self._entrants[row := self._rows[j]]:
+            return None
+        return self.tree.xs[row], self.tree.ys[row]
 
-    def range_report(self, region: Region,
+    def cells(self, p: np.ndarray, i: np.ndarray):
+        """The x, y and entrant flag of the row of each (period p, object
+        index i), as arrays; a pair with no row raises ValueError."""
+        keys = (np.repeat(np.arange(len(self)), np.diff(self._starts)) << 32
+                | np.asarray(self._by_index))
+        at = np.minimum(np.searchsorted(keys, p << 32 | i), len(keys) - 1)
+        if (keys[at] != p << 32 | i).any():
+            raise ValueError("a log has no row in its period's snapshot")
+        row = np.asarray(self._rows)[at]
+        return (np.asarray(self.tree.xs)[row], np.asarray(self.tree.ys)[row],
+                np.frombuffer(self._entrants, dtype=np.uint8)[row])
+
+    def range_report(self, region: Region, p: int,
                      include_entrants: bool = True) -> list[tuple[int, int, int]]:
-        """(object id, x, y) for every stored object inside region."""
-        perm, entrants = self._perm, self._entrants
-        return [(perm[row], x, y) for x, y, row in self.tree.report_cells(region)
-                if include_entrants or not entrants.access(row + 1)]
+        """(object id, x, y) for every row of period p inside region."""
+        lo, hi = self._starts[p], self._starts[p + 1]
+        cells = self.tree.report_cells(region, lo, hi)
+        ids = self._ids[lo:hi]
+        if include_entrants:
+            return [(ids[row], x, y) for x, y, row in cells]
+        entrants = self._entrants[lo:hi]
+        return [(ids[row], x, y) for x, y, row in cells if not entrants[row]]
 
-    def write(self, w: Writer) -> None:
-        """Codes, ids in row order and entrant bits; the instant and the
-        grid are the caller's."""
-        self.tree.write(w)
-        w.u32s(self._perm)
-        self._entrants.write(w)
+    def write(self, w: Writer, p: int) -> None:
+        """Period p's codes, its ids in row order and its entrant bits;
+        the instant and the grid are the caller's."""
+        lo, hi = self._starts[p], self._starts[p + 1]
+        self.tree.write(w, lo, hi)
+        w.u32s(self._ids[lo:hi])
+        w.bits(np.frombuffer(self._entrants, dtype=np.uint8)[lo:hi])
 
-    @classmethod
-    def read(cls, r: Reader, instant: int,
-             extent: tuple[int, int]) -> "Snapshot":
-        tree = K2Tree.read(r, *extent)
-        perm = r.u32s(len(tree))
-        return cls(instant, tree, perm, BitVector.read(r, len(tree)))
+    @staticmethod
+    def read(r: Reader, extent: tuple[int, int]) -> tuple[np.ndarray, ...]:
+        """The codes, ids and entrant flags of a period `write` stored."""
+        codes = K2Tree.read(r, *extent)
+        return codes, r.u32s(len(codes)), r.bits(len(codes))

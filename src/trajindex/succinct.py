@@ -580,10 +580,6 @@ class BitVector:
     def count_zeros(self) -> int:
         return self._n - self._count
 
-    def nbytes(self) -> int:
-        """Bytes of the pool the bitmap lives in, directory included."""
-        return self._pool.nbytes()
-
     def access(self, i: int) -> int:
         if not 1 <= i <= self._n:
             raise IndexError(f"bit index {i} out of range 1..{self._n}")
@@ -633,13 +629,6 @@ class BitVector:
     def code_bits(self) -> int:
         """Bits of the payload itself, directories excluded."""
         return self._n
-
-    def write(self, w: Writer) -> None:
-        w.words(self._pool.words[self._base:self._end])
-
-    @classmethod
-    def read(cls, r: Reader, n: int) -> "BitVector":
-        return cls.from_bits(r.bits(n))
 
 
 class PackedIntArray:

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from trajindex.log import FILE_FIELDS, TREE
 from trajindex.mbrtree import Mbr
-from trajindex.succinct import Reader, Writer
+from trajindex.succinct import Writer
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -44,22 +44,6 @@ def ref_track():
 @pytest.fixture
 def ref_rows():
     return [(REF_OBJECT, t, x, y) for t, x, y in REF_TRACK]
-
-
-def round_trip(obj, *args):
-    """Write obj, read it back with `type(obj).read(reader, *args)`, check
-    that every byte was read and that writing the copy gives the same
-    bytes; return the copy."""
-    w = Writer()
-    obj.write(w)
-    blob = bytes(w)
-    r = Reader(blob)
-    back = type(obj).read(r, *args)
-    r.end()
-    again = Writer()
-    back.write(again)
-    assert again == blob
-    return back
 
 
 def _words(words) -> bytes:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from trajindex.engine import _framed, _header, compute_max_speed
-from trajindex.snapshot import Snapshot
+from trajindex.snapshot import Snapshot, morton_codes
 from trajindex.succinct import U32_MAX, Writer
 
 _PAD = 1 << 40
@@ -194,9 +194,14 @@ def reference_blob(rows, period: int, leaf_capacity: int, extent,
         for oid, t, x, y in rows:
             if k <= t < k + period:
                 tracks.setdefault(oid, []).append((t, x, y))
-        snapped = [(oid, x, y) for oid, ((_, x, y), *_) in tracks.items()]
-        entrants = {oid for oid, ((t, _, _), *_) in tracks.items() if t != k}
-        Snapshot.build(snapped, k, extent, entrants).write(w)
+        snapped = sorted((int(morton_codes([x], [y])[0]), oid, t != k)
+                         for oid, ((t, x, y), *_) in tracks.items())
+        entrants = {oid for _, oid, entrant in snapped if entrant}
+        snap_ids = np.array([oid for _, oid, _ in snapped], dtype=np.int64)
+        Snapshot(extent, np.unique(snap_ids),
+                 np.array([c for c, _, _ in snapped], dtype=np.uint64),
+                 snap_ids, [e for _, _, e in snapped],
+                 [len(snapped)]).write(w, 0)
         logs = {oid: track[oid not in entrants:]
                 for oid, track in tracks.items()}
         logged = [oid for oid in sorted(logs) if logs[oid]]

@@ -23,7 +23,7 @@ from trajindex.log import TrajectoryLog, build_log
 from trajindex.mbrtree import Mbr, TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region, Snapshot
-from trajindex.succinct import nbytes
+from trajindex.succinct import Writer, nbytes
 
 
 # the four fleets whose file digests are recorded: (period, leaf capacity,
@@ -81,7 +81,7 @@ def ref_index(ref_rows):
 class TestReferenceIndex:
     def test_shape_and_speed(self, ref_index):
         assert ref_index.max_speed == 3
-        assert len(ref_index.snapshots) == 2
+        assert len(ref_index._snapshots) == 2
         assert ref_index.object_ids == [REF_OBJECT]
 
     def test_positions(self, ref_index):
@@ -202,6 +202,10 @@ class TestBuildValidation:
         ([(1, 0, 0.9, 0), (1, 1, 1.7, 0)], {}, "64-bit integers"),
         (np.ones((2, 4), dtype=np.float32), {}, "64-bit integers"),
         ([(True, False, True, False)], {}, "64-bit integers"),
+        # cells off the grid, which no snapshot can hold
+        ([(1, 0, 8, 0)], {}, "outside 8x8 grid"),
+        ([(1, 0, 0, 8)], {}, "outside 8x8 grid"),
+        ([(1, 0, -1, 0)], {}, "outside 8x8 grid"),
     ])
     def test_rejects_values_the_file_cannot_store(self, rows, kwargs, field):
         args = {"period": 10, "leaf_capacity": 2, "extent": (8, 8), **kwargs}
@@ -247,7 +251,7 @@ class TestBuildValidation:
         def refuse(*args, **kwargs):
             raise AssertionError("a snapshot was built")
 
-        monkeypatch.setattr(Snapshot, "build", refuse)
+        monkeypatch.setattr(Snapshot, "__init__", refuse)
         with pytest.raises(ValueError, match=f"limit of {MAX_PERIODS} periods"):
             build_index([(1, (1 << 32) - 2, 0, 0)], period=2, leaf_capacity=2,
                         extent=(8, 8))
@@ -428,7 +432,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field, value, ok", [
         ("s", 3, True), ("s", 4, False),   # the index's speed bound is 3
-        ("x", 2, True), ("x", 10, True),   # the root box's x range is 2..10
+        # the root box's x range is 2..10; 10 lies inside it, but the log's
+        # first fix is also its entrant's snapshot cell, (2, 4)
+        ("x", 2, True), ("x", 10, "speed bound's reach"),
         ("x", 1, False), ("x", 11, False), ("x", 16, False),
         ("y", 4, True), ("y", 3, False),   # and its y range 4..10
         # the root box may grow to the grid's edge, 15, and no further
@@ -452,8 +458,8 @@ class TestSerialization:
         at += shift
         edited = restamp(blob[:at] + struct.pack("<I", value) + blob[at + 4:])
         message = ("root box leaves the grid" if field.endswith("max")
-                   else "speed bound or first fix")
-        if ok:
+                   else ok or "speed bound or first fix")
+        if ok is True:
             TrajectoryIndex.from_bytes(edited)
         else:
             with pytest.raises(ValueError, match=message):
@@ -552,14 +558,69 @@ class TestSerialization:
         with pytest.raises(ValueError, match="listed objects"):
             TrajectoryIndex.from_bytes(bad)
 
+    @staticmethod
+    def snapshot_at(ix, p) -> tuple[int, int]:
+        """Where period p's snapshot ids and its entrant bits begin in the
+        file of ix."""
+        nobj = len(ix.object_ids)
+        start = 42 + 4 * nobj  # the frame, the header's u32s, the ids
+        for q in range(p + 1):
+            w = Writer()
+            ix._snapshots.write(w, q)
+            if q < p:  # then the presence bitmap
+                start += len(w) + 8 * -(-nobj // 64)
+        m, = struct.unpack_from("<I", w)
+        entrants = start + len(w) - 8 * -(-m // 64)
+        return entrants - 4 * m, entrants
+
+    def test_a_log_without_a_snapshot_row_is_rejected(self):
+        # object 1 has a log in period 0, but the snapshot row there names
+        # object 2, which is in period 1's snapshot too
+        rows = [(1, t, t, 0) for t in range(8)] + [(2, t, 5, 5)
+                                                   for t in range(4, 8)]
+        ix = build_index(rows, period=4, leaf_capacity=2, extent=(8, 8))
+        blob = ix.to_bytes()
+        ids, _ = self.snapshot_at(ix, 0)
+        assert blob[ids:ids + 4] == struct.pack("<I", 1)
+        edited = restamp(blob[:ids] + struct.pack("<I", 2) + blob[ids + 4:])
+        with pytest.raises(ValueError, match="no row in its period"):
+            TrajectoryIndex.from_bytes(edited)
+
+    def test_an_entrant_away_from_its_logs_first_fix_is_rejected(self):
+        # the row of object 1 at instant 0, (0, 0), marked an entrant,
+        # while its log begins at (1, 0); the header loses that fix
+        rows = [(1, t, t, 0) for t in range(4)]
+        ix = build_index(rows, period=4, leaf_capacity=2, extent=(8, 8))
+        blob = bytearray(ix.to_bytes())
+        _, entrants = self.snapshot_at(ix, 0)
+        assert blob[entrants] == 0
+        blob[entrants] = 1
+        blob[30:34] = struct.pack("<I", 3)  # the sample count
+        with pytest.raises(ValueError, match="speed bound's reach"):
+            TrajectoryIndex.from_bytes(restamp(blob))
+
+    def test_a_fix_beyond_reach_of_its_logs_first_fix_is_rejected(self):
+        # objects 1 and 2 swap their snapshot rows: 1 sits at (7, 7) at
+        # instant 0, and 6 cells away one instant later
+        rows = ([(1, t, t, 0) for t in range(4)]
+                + [(2, t, 7, 7 - t) for t in range(4)])
+        ix = build_index(rows, period=4, leaf_capacity=2, extent=(8, 8))
+        assert ix.max_speed == 1
+        blob = ix.to_bytes()
+        ids, _ = self.snapshot_at(ix, 0)
+        assert blob[ids:ids + 8] == struct.pack("<2I", 1, 2)
+        edited = restamp(blob[:ids] + struct.pack("<2I", 2, 1) + blob[ids + 8:])
+        with pytest.raises(ValueError, match="speed bound's reach"):
+            TrajectoryIndex.from_bytes(edited)
+
     def test_every_bit_flip_past_the_checksum_loads_the_same_ids_or_fails(self):
         # the CRC is re-stamped, so every flip reaches the parser: it must
         # end in ValueError or in an index over the very same objects
         fleet = make_fleet(3, 8, (8, 8), seed=9, drop_rate=0.25)
         ix = build_index(fleet.rows(), period=4, leaf_capacity=2,
                          extent=fleet.extent)
-        assert sum(snap.is_entrant(oid) for snap in ix.snapshots
-                   for oid in ix.object_ids) == 1
+        snaps = ix._snapshots
+        assert len(snaps.tree.xs) - snaps.fix_count == 1  # one entrant row
         blob = ix.to_bytes()
         regions = [Region(0, 7, 0, 7), Region(0, 3, 0, 3), Region(4, 7, 2, 5),
                    Region(2, 2, 5, 5)]
@@ -902,8 +963,8 @@ class TestContainedIntervals:
         d = small_index.period
         horizon = small_table.horizon
         # the fleet drops fixes, so some objects enter periods late
-        assert any(snap.is_entrant(int(oid))
-                   for snap in small_index.snapshots for oid in small_fleet.ids)
+        snaps = small_index._snapshots
+        assert len(snaps.tree.xs) > snaps.fix_count
         rng = np.random.default_rng(67)
         regions = list(self.regions(small_fleet, d, rng))
         checked = hits = 0
@@ -926,7 +987,8 @@ class TestContainedIntervals:
                 + [(2, t, 20, 20) for t in range(10)]
                 + [(2, t, 8, 8) for t in range(14, 20)])
         ix = build_index(rows, period=10, leaf_capacity=2, extent=(32, 32))
-        assert ix.snapshots[1].is_entrant(2)
+        assert ix._snapshots.fix(1, 1) is None
+        assert (2, 8, 8) in ix._snapshots.range_report(Region(0, 31, 0, 31), 1)
         region = Region(6, 10, 6, 10)
         assert ix.time_interval(region, 10, 10) == []
         assert ix.time_interval(region, 10, 13) == []
@@ -940,9 +1002,9 @@ class TestContainedIntervals:
         calls = []
         probe = Snapshot.range_report
 
-        def counted(snap, region, include_entrants=True):
-            calls.append(snap.instant)
-            return probe(snap, region, include_entrants)
+        def counted(snaps, region, p, include_entrants=True):
+            calls.append(p * small_index.period)
+            return probe(snaps, region, p, include_entrants)
 
         monkeypatch.setattr(Snapshot, "range_report", counted)
         d = small_index.period
@@ -1027,9 +1089,9 @@ def load_cost(blob) -> tuple[int, int, TrajectoryIndex]:
 
 
 class TestLoadedMemory:
-    """A loaded index keeps its logs and trees in a few pools, so what a
-    load holds follows the file's size, and its object count the
-    periods, not the logs."""
+    """A loaded index keeps its logs and trees in a few pools and its
+    snapshots in one table, so what a load holds follows the file's size,
+    and its object count neither the periods nor the logs."""
 
     @staticmethod
     def blob(horizon: int, period: int) -> bytes:
@@ -1067,10 +1129,11 @@ class TestLoadedMemory:
                 nbytes(bits.super1, bits.block1)
 
     def test_objects_do_not_grow_with_the_logs(self):
-        (few, _, short), (many, _, long) = (load_cost(self.blob(h, 20))
-                                            for h in (240, 960))
-        periods = len(long.snapshots) - len(short.snapshots)
+        blobs = [self.blob(h, 20) for h in (240, 960)]
+        load_cost(blobs[0])  # a process's first load also frees some
+        (few, _, short), (many, _, long) = map(load_cost, blobs)
+        periods = len(long._snapshots) - len(short._snapshots)
         logs = len(long._logs) - len(short._logs)
         assert periods == 36 and logs >= 25 * periods
-        # a snapshot takes a few objects; a log takes none
-        assert many - few <= 20 * periods, (many - few, periods, logs)
+        # neither a period nor a log takes an object of its own
+        assert many - few <= 2, (many - few, periods, logs)

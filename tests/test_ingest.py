@@ -68,9 +68,14 @@ class TestBinary:
         with pytest.raises(ValueError):
             parse_binary(b"\x00" * 10)
 
-    def test_rejects_oversized_y(self):
-        with pytest.raises(ValueError):
-            write_binary([RawRecord(1, 1, 1, 1 << 24)])
+    @pytest.mark.parametrize("field, record", [
+        ("id", RawRecord(70000, 0, 0, 0)), ("id", RawRecord(-1, 0, 0, 0)),
+        ("instant", RawRecord(0, 1 << 16, 0, 0)),
+        ("x", RawRecord(0, 0, 1 << 16, 0)), ("x", RawRecord(0, 0, -1, 0)),
+        ("y", RawRecord(1, 1, 1, 1 << 24)), ("y", RawRecord(1, 1, 1, -1))])
+    def test_rejects_a_field_out_of_range(self, field, record):
+        with pytest.raises(ValueError, match=f"^{field}="):
+            write_binary([RawRecord(1, 2, 3, 4), record])
 
     @given(st.lists(st.tuples(st.integers(0, 65535), st.integers(0, 65535),
                               st.integers(0, 65535),

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import round_trip
 from trajindex.snapshot import (
     K2Tree,
     Region,
@@ -79,70 +78,119 @@ class TestMorton:
         assert (gx, gy) == (x, y)
 
 
+def columns(width, height, *periods):
+    """A K2Tree over the (x, y) cells of each period, sorted by code within
+    it, and each period's first row, then the row count."""
+    codes = [np.sort(morton_codes([x for x, _ in cells], [y for _, y in cells]))
+             for cells in periods]
+    starts = np.cumsum([0, *map(len, codes)])
+    return K2Tree(width, height, np.concatenate([np.zeros(0, np.uint64), *codes]),
+                  starts), starts
+
+
+def table(extent, *periods, entrants=()):
+    """The Snapshot of each period's (object id, x, y) rows, listing every
+    id the periods hold; entrants: the (period, id) pairs of entrants."""
+    rows = sorted((p, int(morton_codes([x], [y])[0]), oid, (p, oid) in entrants)
+                  for p, period in enumerate(periods) for oid, x, y in period)
+    ids = np.array([r[2] for r in rows], dtype=np.int64)
+    return Snapshot(extent, np.unique(ids),
+                    np.array([r[1] for r in rows], dtype=np.uint64), ids,
+                    [r[3] for r in rows], [len(period) for period in periods])
+
+
+def read_back(snaps, extent, p):
+    """Period p of snaps written and read back: its codes, ids and
+    entrant flags; every byte must be read."""
+    w = Writer()
+    snaps.write(w, p)
+    r = Reader(bytes(w))
+    back = Snapshot.read(r, extent)
+    r.end()
+    return back
+
+
 class TestK2Tree:
     def test_hand_checked_grid(self):
-        # codes: (0, 0) -> 0, (1, 2) -> 9, (3, 3) -> 15; (1, 2) holds two rows
-        t = K2Tree.build(4, 4, [(3, 3), (1, 2), (0, 0), (1, 2)])
-        assert len(t) == 4
-        assert t.report_cells(Region(0, 3, 0, 3)) == \
+        # codes: (0, 0) -> 0, (1, 2) -> 9, (3, 3) -> 15; (1, 2) holds two
+        # rows.  The period follows one of a single row, and its rows count
+        # from its own first row
+        t, _ = columns(4, 4, [(2, 2)], [(3, 3), (1, 2), (0, 0), (1, 2)])
+        assert len(t.xs) == 5
+        assert t.report_cells(Region(0, 3, 0, 3), 1, 5) == \
             [(0, 0, 0), (1, 2, 1), (1, 2, 2), (3, 3, 3)]
-        assert t.report_cells(Region(1, 2, 1, 2)) == [(1, 2, 1), (1, 2, 2)]
-        assert t.report_cells(Region(2, 3, 0, 1)) == []
+        assert t.report_cells(Region(1, 2, 1, 2), 1, 5) == [(1, 2, 1), (1, 2, 2)]
+        assert t.report_cells(Region(2, 3, 0, 1), 1, 5) == []
         # codes 0..10 span rows 0-2; the filter drops (1, 2)
-        assert t.report_cells(Region(0, 0, 0, 3)) == [(0, 0, 0)]
+        assert t.report_cells(Region(0, 0, 0, 3), 1, 5) == [(0, 0, 0)]
+        assert t.report_cells(Region(0, 3, 0, 3), 0, 1) == [(2, 2, 0)]
 
     def test_empty_grid(self):
-        t = K2Tree.build(16, 16, [])
-        assert len(t) == 0
-        assert t.report_cells(Region(0, 15, 0, 15)) == []
+        t, _ = columns(16, 16, [], [])
+        assert len(t.xs) == 0
+        assert t.report_cells(Region(0, 15, 0, 15), 0, 0) == []
 
     def test_single_cell_grid(self):
-        t = K2Tree.build(1, 1, [(0, 0), (0, 0)])
-        assert t.report_cells(Region(0, 0, 0, 0)) == [(0, 0, 0), (0, 0, 1)]
-        assert t.report_cells(Region(1, 4, 0, 0)) == []
+        t, _ = columns(1, 1, [(0, 0), (0, 0)])
+        assert t.report_cells(Region(0, 0, 0, 0), 0, 2) == [(0, 0, 0), (0, 0, 1)]
+        assert t.report_cells(Region(1, 4, 0, 0), 0, 2) == []
 
     def test_rejects_cells_off_the_grid_or_out_of_order(self):
-        for cell in ((4, 0), (0, 4), (-1, 0)):
-            with pytest.raises(ValueError):
-                K2Tree.build(4, 4, [cell])
+        with pytest.raises(ValueError, match="grid"):
+            K2Tree(4, 4, morton_codes([4], [0]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="grid"):
+            K2Tree(4, 4, morton_codes([0], [4]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="out of order"):
+            K2Tree(4, 4, morton_codes([3, 1], [3, 1]), np.array([0, 2]))
+        # a code may fall where a period begins
+        K2Tree(4, 4, morton_codes([3, 1], [3, 1]), np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="out of order"):
+            K2Tree(4, 4, morton_codes([0, 3, 1], [0, 3, 1]),
+                   np.array([0, 1, 3]))
         with pytest.raises(ValueError):
-            K2Tree(4, 4, morton_codes([4], [0]))
-        with pytest.raises(ValueError):
-            K2Tree(4, 4, morton_codes([3, 1], [3, 1]))
-        with pytest.raises(ValueError):
-            K2Tree(0, 4, morton_codes([], []))
+            K2Tree(0, 4, morton_codes([], []), np.array([0]))
+
+    def test_rejects_a_code_write_cannot_store(self):
+        # a period's row j is stored as its code plus j, an int64
+        big = np.array([0, (1 << 63) - 2], dtype=np.uint64)
+        K2Tree(1 << 32, 1 << 32, big, np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="Morton code"):
+            K2Tree(1 << 32, 1 << 32, big, np.array([0, 2]))
 
     def test_report_matches_linear_filter(self):
         rng = np.random.default_rng(4)
         for trial in range(40):
             w = int(rng.integers(1, 80)); h = int(rng.integers(1, 80))
-            k = int(rng.integers(0, 121))
-            cells = [(int(x), int(y)) for x, y in
-                     zip(rng.integers(0, w, k), rng.integers(0, h, k))]
-            tree = K2Tree.build(w, h, cells)
+            periods = [[(int(x), int(y)) for x, y in
+                        zip(rng.integers(0, w, k), rng.integers(0, h, k))]
+                       for k in rng.integers(0, 121, 3)]
+            tree, starts = columns(w, h, *periods)
             for q in range(6):
                 x1 = int(rng.integers(0, w)); x2 = int(rng.integers(x1, w))
                 y1 = int(rng.integers(0, h)); y2 = int(rng.integers(y1, h))
-                want = sorted(c for c in cells
-                              if x1 <= c[0] <= x2 and y1 <= c[1] <= y2)
-                got = tree.report_cells(Region(x1, x2, y1, y2))
-                assert sorted((x, y) for x, y, _ in got) == want
-                # rows come in order, each at most once
-                rows = [r for _, _, r in got]
-                assert rows == sorted(set(rows))
+                for p, cells in enumerate(periods):
+                    want = sorted(c for c in cells
+                                  if x1 <= c[0] <= x2 and y1 <= c[1] <= y2)
+                    got = tree.report_cells(Region(x1, x2, y1, y2),
+                                            starts[p], starts[p + 1])
+                    assert sorted((x, y) for x, y, _ in got) == want
+                    # rows come in order, each at most once
+                    rows = [r for _, _, r in got]
+                    assert rows == sorted(set(rows))
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_report_matches_linear_filter_anywhere(self, data):
         # odd and lopsided grids, empty ones, cells holding several rows,
-        # and regions that stick out of the grid or miss it altogether
+        # and regions that stick out of the grid or miss it altogether;
+        # the period probed follows another
         w, h = data.draw(st.sampled_from([(1, 1), (3, 700), (1000, 5)])
                          | st.tuples(st.integers(1, 70), st.integers(1, 70)))
-        cells = data.draw(st.lists(
-            st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
-            max_size=60))
+        cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+        lead = data.draw(st.lists(cell, max_size=10))
+        cells = data.draw(st.lists(cell, max_size=60))
         cells += cells[:data.draw(st.integers(0, len(cells)))]
-        tree = K2Tree.build(w, h, cells)
+        tree, starts = columns(w, h, lead, cells)
         codes = morton_codes([x for x, _ in cells], [y for _, y in cells])
         by_row = [cell for _, cell in sorted(zip(codes.tolist(), cells))]
         x1 = data.draw(st.integers(-40, w + 40))
@@ -151,99 +199,141 @@ class TestK2Tree:
         y2 = data.draw(st.integers(y1, h + 80))
         want = [(x, y, row) for row, (x, y) in enumerate(by_row)
                 if x1 <= x <= x2 and y1 <= y <= y2]
-        got = tree.report_cells(Region(x1, x2, y1, y2))
+        got = tree.report_cells(Region(x1, x2, y1, y2), starts[1], starts[2])
         assert got == want
         assert all(type(v) is int for c in got for v in c)
 
     def test_round_trip(self):
         cells = [(0, 0), (39, 19), (17, 3), (17, 3)]
-        tree = K2Tree.build(40, 20, cells)
-        back = round_trip(tree, 40, 20)
-        assert back.report_cells(Region(0, 39, 0, 19)) == \
-            tree.report_cells(Region(0, 39, 0, 19))
+        tree, _ = columns(40, 20, [(5, 5)], cells)
+        w = Writer()
+        tree.write(w, 1, 5)
+        r = Reader(bytes(w))
+        codes = K2Tree.read(r, 40, 20)
+        r.end()
+        back = K2Tree(40, 20, codes, np.array([0, 4]))
+        assert back.report_cells(Region(0, 39, 0, 19), 0, 4) == \
+            tree.report_cells(Region(0, 39, 0, 19), 1, 5)
+        again = Writer()
+        back.write(again, 0, 4)
+        assert again == w
 
     def test_read_rejects_a_code_off_the_grid_or_too_many_rows(self):
         w = Writer()
-        K2Tree.build(5, 8, [(4, 0)]).write(w)
+        columns(5, 8, [(4, 0)])[0].write(w, 0, 1)
+        codes = K2Tree.read(Reader(bytes(w)), 4, 8)  # under the top code
         with pytest.raises(ValueError, match="off the"):
-            K2Tree.read(Reader(bytes(w)), 4, 8)
+            K2Tree(4, 8, codes, np.array([0, 1]))
         w[:4] = (0xFFFFFFFF).to_bytes(4, "little")  # the row count
         with pytest.raises(ValueError, match="truncated"):
             K2Tree.read(Reader(bytes(w)), 5, 8)
 
     def test_wide_grid_round_trip(self):
         # codes past 2**32: a 24-bit y axis, as binary input allows
-        tree = K2Tree.build(1 << 16, 1 << 24, [(65535, 16777215), (1, 2)])
-        back = round_trip(tree, 1 << 16, 1 << 24)
-        assert back.report_cells(Region(0, 65535, 1, 16777215)) == \
+        tree, _ = columns(1 << 16, 1 << 24, [(65535, 16777215), (1, 2)])
+        w = Writer()
+        tree.write(w, 0, 2)
+        codes = K2Tree.read(Reader(bytes(w)), 1 << 16, 1 << 24)
+        back = K2Tree(1 << 16, 1 << 24, codes, np.array([0, 2]))
+        assert back.report_cells(Region(0, 65535, 1, 16777215), 0, 2) == \
             [(1, 2, 0), (65535, 16777215, 1)]
 
 
 class TestSnapshot:
     def test_lookup_and_range(self):
-        snap = Snapshot.build(
-            [(5, 2, 2), (9, 2, 2), (3, 0, 7), (12, 7, 0)], 60, (8, 8),
-            entrant_ids={9, 12})
-        assert list(snap.ids) == [3, 5, 9, 12]
-        assert snap.position_of(5) == (2, 2)
-        assert snap.position_of(9) == (2, 2)
-        assert snap.position_of(99) is None
-        assert snap.is_entrant(9) and not snap.is_entrant(5)
-        assert sorted(snap.range_report(Region(0, 7, 0, 7))) == \
+        # period 1 is empty; period 2 holds object 5 again, elsewhere
+        snaps = table((8, 8), [(5, 2, 2), (9, 2, 2), (3, 0, 7), (12, 7, 0)],
+                      [], [(5, 6, 6)], entrants={(0, 9), (0, 12)})
+        assert len(snaps) == 3 and snaps.fix_count == 3
+        # object indexes: 3 -> 0, 5 -> 1, 9 -> 2, 12 -> 3
+        assert snaps.fix(0, 1) == (2, 2)
+        assert snaps.fix(0, 0) == (0, 7)
+        assert snaps.fix(0, 2) is None   # an entrant
+        assert snaps.fix(1, 1) is None   # no row
+        assert snaps.fix(2, 1) == (6, 6)
+        assert snaps.fix(2, 0) is None
+        full = Region(0, 7, 0, 7)
+        assert sorted(snaps.range_report(full, 0)) == \
             [(3, 0, 7), (5, 2, 2), (9, 2, 2), (12, 7, 0)]
-        assert sorted(snap.range_report(Region(0, 7, 0, 7),
-                                        include_entrants=False)) == \
-            [(3, 0, 7), (5, 2, 2)]
-        assert sorted(snap.range_report(Region(1, 3, 1, 3))) == \
+        assert sorted(snaps.range_report(full, 0, include_entrants=False)) \
+            == [(3, 0, 7), (5, 2, 2)]
+        assert sorted(snaps.range_report(Region(1, 3, 1, 3), 0)) == \
             [(5, 2, 2), (9, 2, 2)]
+        assert snaps.range_report(full, 1) == []
+        assert snaps.range_report(full, 2) == [(5, 6, 6)]
 
     def test_empty_snapshot(self):
-        snap = Snapshot.build([], 0, (16, 16))
-        assert list(snap.ids) == []
-        assert snap.range_report(Region(0, 15, 0, 15)) == []
+        snaps = table((16, 16), [])
+        assert len(snaps) == 1 and snaps.fix_count == 0
+        assert snaps.range_report(Region(0, 15, 0, 15), 0) == []
 
     def test_rejects_duplicate_ids_and_stray_positions(self):
-        with pytest.raises(ValueError):
-            Snapshot.build([(1, 0, 0), (1, 3, 3)], 0, (8, 8))
-        with pytest.raises(ValueError):
-            Snapshot.build([(1, 8, 0)], 0, (8, 8))
+        with pytest.raises(ValueError, match="twice"):
+            table((8, 8), [(1, 0, 0), (1, 3, 3)])
+        table((8, 8), [(1, 0, 0)], [(1, 3, 3)])  # once in each period
+        with pytest.raises(ValueError, match="grid"):
+            table((8, 8), [(1, 8, 0)])
+        codes = morton_codes([1, 2], [1, 2])
+        with pytest.raises(ValueError, match="listed objects"):
+            Snapshot((8, 8), np.array([1, 2]), codes, [1, 3], [0, 0], [2])
+        with pytest.raises(ValueError, match="listed objects"):
+            Snapshot((8, 8), np.array([1, 2, 3]), codes, [1, 2], [0, 0], [2])
 
     def test_matches_linear_filter(self):
         rng = np.random.default_rng(6)
         for trial in range(30):
             w = int(rng.integers(4, 60)); h = int(rng.integers(4, 60))
-            count = int(rng.integers(0, 80))
-            rows = [(oid, int(rng.integers(0, w)), int(rng.integers(0, h)))
-                    for oid in range(1, count + 1)]
-            entrants = {oid for oid, _, _ in rows if rng.random() < 0.2}
-            snap = Snapshot.build(rows, 0, (w, h), entrants)
-            for q in range(8):
-                x1 = int(rng.integers(0, w)); x2 = int(rng.integers(x1, w))
-                y1 = int(rng.integers(0, h)); y2 = int(rng.integers(y1, h))
-                want = sorted((oid, x, y) for oid, x, y in rows
-                              if x1 <= x <= x2 and y1 <= y <= y2)
-                got = sorted(snap.range_report(Region(x1, x2, y1, y2)))
-                assert got == want
-                bare = sorted(snap.range_report(Region(x1, x2, y1, y2),
-                                                include_entrants=False))
-                assert bare == [r for r in want if r[0] not in entrants]
+            periods = [[(oid, int(rng.integers(0, w)), int(rng.integers(0, h)))
+                        for oid in range(1, count + 1) if rng.random() < 0.8]
+                       for count in rng.integers(0, 80, 3)]
+            entrants = {(p, oid) for p, rows in enumerate(periods)
+                        for oid, _, _ in rows if rng.random() < 0.2}
+            if not any(periods):
+                continue
+            snaps = table((w, h), *periods, entrants=entrants)
+            listed = sorted({oid for rows in periods for oid, _, _ in rows})
+            for p, rows in enumerate(periods):
+                at = {oid: (x, y) for oid, x, y in rows
+                      if (p, oid) not in entrants}
+                assert [snaps.fix(p, i) for i in range(len(listed))] == \
+                    [at.get(oid) for oid in listed]
+                for q in range(8):
+                    x1 = int(rng.integers(0, w)); x2 = int(rng.integers(x1, w))
+                    y1 = int(rng.integers(0, h)); y2 = int(rng.integers(y1, h))
+                    want = sorted((oid, x, y) for oid, x, y in rows
+                                  if x1 <= x <= x2 and y1 <= y <= y2)
+                    got = sorted(snaps.range_report(Region(x1, x2, y1, y2), p))
+                    assert got == want
+                    bare = sorted(snaps.range_report(Region(x1, x2, y1, y2), p,
+                                                     include_entrants=False))
+                    assert bare == [r for r in want if (p, r[0]) not in entrants]
 
     def test_round_trip(self):
         rows = [(oid, oid % 11, oid % 7) for oid in range(1, 40)]
-        snap = Snapshot.build(rows, 120, (11, 7), entrant_ids={3, 14})
-        back = round_trip(snap, 120, (11, 7))
-        assert back.instant == 120
-        assert back.position_of(14) == snap.position_of(14)
-        assert back.is_entrant(14) and not back.is_entrant(15)
+        snaps = table((11, 7), rows[:5], rows,
+                      entrants={(1, 3), (1, 14), (0, 2)})
+        sections = [read_back(snaps, (11, 7), p) for p in range(2)]
+        back = Snapshot((11, 7), np.arange(1, 40),
+                        *(np.concatenate(c) for c in zip(*sections)),
+                        [len(c) for c, _, _ in sections])
+        assert back.fix(1, 13) is None and back.fix(1, 14) == (15 % 11, 15 % 7)
+        assert back.fix(0, 1) is None and back.fix(0, 0) == (1, 1)
         full = Region(0, 10, 0, 6)
-        assert sorted(back.range_report(full)) == sorted(snap.range_report(full))
+        for p in range(2):
+            assert back.range_report(full, p) == snaps.range_report(full, p)
+            again = Writer()
+            back.write(again, p)
+            w = Writer()
+            snaps.write(w, p)
+            assert again == w
 
     def test_read_rejects_an_id_repeated(self):
-        snap = Snapshot.build([(4, 1, 1), (8, 2, 2)], 0, (8, 8))
+        snaps = table((8, 8), [(4, 1, 1), (8, 2, 2)])
         w = Writer()
-        snap.write(w)
+        snaps.write(w, 0)
         at = len(w) - 8 - 8  # two u32 ids, then one word of entrant bits
         assert np.frombuffer(w, "<u4", 2, at).tolist() == [4, 8]
         w[at + 4:at + 8] = w[at:at + 4]
+        codes, ids, entrants = Snapshot.read(Reader(bytes(w)), (8, 8))
         with pytest.raises(ValueError, match="twice"):
-            Snapshot.read(Reader(bytes(w)), 0, (8, 8))
+            Snapshot((8, 8), np.array([4]), codes, ids, entrants, [2])

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import round_trip
 from trajindex import succinct
 from trajindex.succinct import (
     BitPool,
@@ -86,13 +85,6 @@ class TestBitVector:
         for start in (1, 40, len(zeros)):
             assert list(bv.zeros(start)) == zeros[start - 1:]
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(9)
-        for n in (0, 3, 64, 1000):
-            bv = BitVector.from_bits((rng.random(n) < 0.4).astype(np.uint8))
-            back = round_trip(bv, n)
-            assert len(back) == n and back.count_ones == bv.count_ones
-
     def test_bounds_errors(self):
         bv = BitVector.from_bits([1, 0])
         with pytest.raises(IndexError):
@@ -104,20 +96,23 @@ class TestBitVector:
         with pytest.raises(ValueError):
             bv.select0(2)
 
-    def test_truncated_buffer_rejected(self):
+
+class TestReader:
+    def test_bits_reject_a_short_buffer_and_bits_past_the_end(self):
         w = Writer()
-        BitVector.from_bits([1, 1, 0]).write(w)
+        w.bits([1, 1, 0])
         blob = bytes(w)
-        with pytest.raises(ValueError):
-            BitVector.read(Reader(blob[:-3]), 3)
-        with pytest.raises(ValueError):
-            BitVector.read(Reader(blob), 65)  # asks for a second word
+        assert Reader(blob).bits(3).tolist() == [1, 1, 0]
+        with pytest.raises(ValueError, match="truncated"):
+            Reader(blob[:-3]).bits(3)
+        with pytest.raises(ValueError, match="truncated"):
+            Reader(blob).bits(65)  # asks for a second word
         r = Reader(blob + b"\0")
-        BitVector.read(r, 3)
-        with pytest.raises(ValueError):
+        r.bits(3)
+        with pytest.raises(ValueError, match="trailing"):
             r.end()
-        with pytest.raises(ValueError):
-            BitVector.read(Reader(blob), 1)  # bit 2 is set past the end
+        with pytest.raises(ValueError, match="past its end"):
+            Reader(blob).bits(1)  # bit 2 is set past the end
 
 
 class TestSparseBitVector:
