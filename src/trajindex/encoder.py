@@ -82,12 +82,12 @@ def piece_bits(u32s: np.ndarray, leaf_capacity: int):
     first, last, gaps = u32s[:, 0], u32s[:, 1], u32s[:, 2]
     count = last - first + 1 - gaps
     members = stream_members(first, last, gaps)
-    # a sparse set of m members over n per set: the gap map over the
-    # window; a stream of m values summing to t, over t + m
+    # a sparse set of m members and n - m zeros: the gap map over the
+    # window, whose zeros are the fixes; a stream of m values summing to
+    # t, over t + m
     m = np.stack((gaps, members, members), axis=1)
     low_width, high = elias_fano(
-        np.stack((last - first + 1, u32s[:, 6] + members,
-                  u32s[:, 8] + members), axis=1), m, SCALES)
+        np.stack((count, u32s[:, 6], u32s[:, 8]), axis=1), m, SCALES)
     lows = m * low_width
     entries = (-(-members // BLOCK))[:, None] * (
         u32s[:, 4:5] >> np.array([0, 8, 16, 24]) & 255)
@@ -194,8 +194,7 @@ def encode(ts, xs, ys, first_rows, starts, period: int, leaf_capacity: int):
         for width, values in zip(widths, entries):
             width[has] = np.bitwise_or.reduceat(values, before[has])
         widths = bit_lengths(widths)
-        low_width, high_length = elias_fano(total + members, members,
-                                            STREAM_SCALE)
+        low_width, high_length = elias_fano(total, members, STREAM_SCALE)
         words = sum((bits + 63) >> 6 for bits in (
             members * low_width, high_length, *(blocks * widths)))
         return entries, total, widths, words

@@ -38,7 +38,7 @@ from trajindex.snapshot import Region, Snapshot, expanded_region, morton_codes
 from trajindex.succinct import U32_MAX, BitPool, Reader, Writer, nbytes, words_from
 
 _MAGIC = b"CTCT"
-_VERSION = 7
+_VERSION = 8
 _PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
 _CRC_AT = 6  # offset of the CRC field, which the CRC skips
 _RECORD = struct.Struct(f"={RECORD_FIELDS}I")  # a log's record (see `log`)
@@ -294,8 +294,8 @@ class TrajectoryIndex:
           magic, u16 version, u32 CRC-32 of every other byte of the file;
           u32 width, height, horizon, period, leaf capacity, sample count,
           max speed, object count; the object ids as u32s;
-          per period, in time order: its snapshot and a bitmap over the
-          object ids marking who has a log in the period;
+          the snapshots of every period as one section (see `Snapshot.write`),
+          and a bitmap over periods and object ids marking who has a log;
           then every log with its box tree, by period and then by id, as
           the index holds them (see `encoder`): their u32 fields, row
           after row, the bit pool's words and the word pool's words.
@@ -303,17 +303,12 @@ class TrajectoryIndex:
         (per fix when more than a quarter of its steps are gaps), so an
         object's position is one select per axis (see `log`).
         """
-        ids = self._object_ids
         w = _header(self.extent, self.horizon, self.period, self.leaf_capacity,
-                    self.sample_count, self.max_speed, ids)
-        present = np.frombuffer(self._rows, dtype=np.int32).reshape(
-            len(self._snapshots), len(ids)) >= 0
-        sizes = {"snapshots": 0}
-        for p, logged in enumerate(present):
-            mark = len(w)
-            self._snapshots.write(w, p)
-            sizes["snapshots"] += len(w) - mark
-            w.bits(logged)
+                    self.sample_count, self.max_speed, self._object_ids)
+        mark = len(w)
+        self._snapshots.write(w)
+        sizes = {"snapshots": len(w) - mark}
+        w.bits(np.frombuffer(self._rows, dtype=np.int32) >= 0)
         f = np.frombuffer(self._records, dtype=np.uint32).reshape(
             -1, RECORD_FIELDS).astype(np.int64)
         w.u32s(f[:, FILE_FIELDS])
@@ -332,8 +327,8 @@ class TrajectoryIndex:
         """Load an index; a malformed, truncated or corrupt buffer, or one
         of another format version, raises ValueError.
 
-        The pools are copied as the file holds them, every record is
-        worked out from the stored fields in one numpy pass, and each
+        The pools are copied as the file holds them, every record and
+        every snapshot code is worked out in one numpy pass, and each
         pool's directory is built once.
         """
         if len(buf) < _PREFIX.size or bytes(buf[:4]) != _MAGIC:
@@ -348,7 +343,7 @@ class TrajectoryIndex:
             raise ValueError("index checksum mismatch: the file is corrupt")
         r = Reader(body)
         (w, h, horizon, period, leaf_capacity, sample_count, max_speed,
-         nobj) = (r.u32() for _ in range(8))
+         nobj) = r.u32s(8).tolist()
         if period < 2 or leaf_capacity < 1 or horizon < 1:
             raise ValueError(f"bad period {period}, leaf capacity "
                              f"{leaf_capacity} or horizon {horizon}")
@@ -356,15 +351,9 @@ class TrajectoryIndex:
         object_ids = r.u32s(nobj)
         if np.any(object_ids[1:] <= object_ids[:-1]):
             raise ValueError("object ids are not strictly increasing")
-        sections = []
-        slots = []  # per log, as __init__ takes them
-        for p in range(-(-horizon // period)):
-            sections.append(Snapshot.read(r, (w, h)))
-            slots.append(p * nobj + np.flatnonzero(r.bits(nobj)))
-        snapshots = Snapshot((w, h), object_ids,
-                             *map(np.concatenate, zip(*sections)),
-                             [len(codes) for codes, _, _ in sections])
-        slots = np.concatenate(slots)
+        periods = -(-horizon // period)
+        snapshots = Snapshot.read(r, (w, h), object_ids, periods)
+        slots = np.flatnonzero(r.bits(periods * nobj))  # as __init__ wants
         p, i = np.divmod(slots, max(nobj, 1))  # each log's period and object
         table = r.u32s(U32_FIELDS * len(slots)).reshape(
             -1, U32_FIELDS).astype(np.int64)

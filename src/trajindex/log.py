@@ -52,6 +52,7 @@ from trajindex.succinct import (
     SparseBitVector,
     UnaryDeltaStream,
     elias_fano,
+    packed_at,
     packed_get,
     select,
     sparse_search,
@@ -123,7 +124,7 @@ def bit_pool(f: np.ndarray, data) -> BitPool:
     if (bits.ones_before(end) - ones != m).any():
         raise ValueError("a log's sparse set holds the wrong number of ones")
     f[:, _SETS + 1] = ones
-    tail = elias_fano(f[:, _SETS + 4] + m, m, encoder.SCALES)[1] & 63
+    tail = elias_fano(f[:, _SETS + 4], m, encoder.SCALES)[1] & 63
     padded = tail > 0
     last = np.frombuffer(bits.words, dtype=np.uint64)[end[padded] - 1]
     if (last >> tail[padded].astype(np.uint64)).any():
@@ -214,27 +215,13 @@ def check_window_ends(f: np.ndarray, bits: BitPool, words) -> None:
     g = f[f[:, 2] > 0]
     n, m, width = g[:, 1] - g[:, 0] + 1, g[:, 2], g[:, 6]
     high, lows = g[:, 3] << 6, g[:, 5] << 6
-    first = ((_bits_at(bits.words, high, 1) == 1)
-             & (_bits_at(words, lows, width) == 0))
-    last = ((_bits_at(bits.words, high + m + ((n - 1) >> width) - 1, 1) == 1)
-            & (_bits_at(words, lows + (m - 1) * width, width)
+    first = ((packed_at(bits.words, high, 1) == 1)
+             & (packed_at(words, lows, width) == 0))
+    last = ((packed_at(bits.words, high + m + ((n - 1) >> width) - 1, 1) == 1)
+            & (packed_at(words, lows + (m - 1) * width, width)
                == (n - 1) & ((1 << width) - 1)))
     if (first | last).any():
         raise ValueError("a log's window begins or ends with a gap")
-
-
-def _bits_at(words, at: np.ndarray, width) -> np.ndarray:
-    # the value of the width bits (width < 64) from bit at of the words,
-    # for each entry of at
-    pool = np.frombuffer(words, dtype=np.uint64)
-    if not len(pool):
-        return np.zeros(len(at), dtype=np.int64)
-    w, off = at >> 6, (at & 63).astype(np.uint64)
-    v = pool.take(w, mode="clip") >> off
-    # the next word's bits, shifted in two steps so no shift is by 64
-    v |= pool.take(w + 1, mode="clip") << (np.uint64(63) - off) << np.uint64(1)
-    mask = (np.uint64(1) << np.asarray(width, dtype=np.uint64)) - np.uint64(1)
-    return (v & mask).astype(np.int64)
 
 
 def position_at(bits: BitPool, words, f, i: int) -> tuple[int, int] | None:

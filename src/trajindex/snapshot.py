@@ -6,8 +6,11 @@ period's rows sorted by the Morton code of their cell and then by id.
 That order is a linear quadtree (Gargantini, "An effective way to
 represent quadtrees", CACM 1982): every quadtree node is a run of a
 period's rows, so a region probe bisects one code range and filters the
-slice.  On disk each period's codes are one Elias-Fano stream, followed
-by its ids in row order and a bitmap of its entrants.
+slice.  On disk the table is one section, written and read whole: each
+period's row count, every period's codes as an Elias-Fano set (Vigna,
+"Quasi-succinct indices", WSDM 2013), all lows and then all high bits,
+each period's from a word boundary, then every row's id and one bitmap
+of entrants (see `Snapshot.write`).
 
 Objects whose first sample in a period comes after its first instant are
 carried as entrants: they are positioned at that first sample so range
@@ -24,11 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from trajindex.succinct import (
+    U32_MAX,
+    PieceBuffer,
     Reader,
-    SparseBitVector,
     Writer,
+    elias_fano,
     nbytes,
-    write_sparse,
+    packed_at,
+    ranks,
+    word_starts,
+    words_from,
 )
 
 
@@ -95,10 +103,10 @@ def morton_codes(x, y) -> np.ndarray:
 
 
 def _top_code(width: int, height: int) -> int:
-    """The largest code on a width x height grid (a code grows with
-    either coordinate)."""
-    if not (1 <= width <= 1 << 32 and 1 <= height <= 1 << 32):
-        raise ValueError(f"grid {width}x{height} must be 1..2**32 cells a side")
+    """The largest code on a grid of u32 sides, at most 2**64 - 4 (a code
+    grows with either coordinate)."""
+    if not (1 <= width <= U32_MAX and 1 <= height <= U32_MAX):
+        raise ValueError(f"grid {width}x{height} has a side past 1..{U32_MAX}")
     return morton(width - 1, height - 1)
 
 
@@ -115,14 +123,15 @@ class K2Tree:
                  starts: np.ndarray):
         """codes: uint64 Morton codes, each period's from its row in starts
         (which ends with the row count) on.  A code off the grid, out of
-        order in its period or past what `write` stores raises ValueError."""
+        order in its period or past what a file stores raises ValueError."""
         _top_code(width, height)
         xs, ys = _compact(codes), _compact(codes >> 1)
         if len(codes) and (xs.max() >= width or ys.max() >= height or not np.isin(
                 np.flatnonzero(codes[1:] < codes[:-1]) + 1, starts).all()):
             raise ValueError(f"snapshot cells out of order or off the "
                              f"{width}x{height} grid")
-        # `write` stores a period's row j (from 1) as its code plus j, an int64
+        # `Snapshot.write` stores row j (from 1) of a period as code + j, an
+        # int64
         j = np.arange(1, len(codes) + 1) - np.repeat(starts[:-1], np.diff(starts))
         if (codes >= np.uint64(1 << 63) - j.astype(np.uint64)).any():
             raise ValueError(f"a snapshot cannot store the Morton code {codes.max()}")
@@ -154,29 +163,6 @@ class K2Tree:
         del a, b
         return [(x, y, row) for row, x, y in spans
                 if x1 <= x <= x2 and y1 <= y <= y2]
-
-    def write(self, w: Writer, lo: int, hi: int) -> None:
-        """Rows lo..hi-1, a period's: the row count, then the codes as one
-        Elias-Fano stream, where row j (from 1) sets bit code + j, so
-        equal codes stay apart.  The stream's universe follows from the
-        grid and the row count, so nothing else is stored."""
-        m = hi - lo
-        w.u32(m)
-        codes = np.frombuffer(self._codes, dtype=np.uint64)[lo:hi]
-        write_sparse(w, _top_code(self.width, self.height) + m,
-                     codes + np.arange(1, m + 1, dtype=np.uint64))
-
-    @staticmethod
-    def read(r: Reader, width: int, height: int) -> np.ndarray:
-        """The codes of a period that `write` stored."""
-        top = _top_code(width, height)
-        m = r.u32()
-        stream = SparseBitVector.read(r, top + m, m)
-        codes = [p - j for j, p in enumerate(stream.ones(), 1)]
-        # corrupt lows can put a code below 0 or past the grid's top code
-        if codes and not 0 <= min(codes) <= max(codes) <= top:
-            raise ValueError(f"snapshot cell off the {width}x{height} grid")
-        return np.array(codes, dtype=np.uint64)
 
 
 class Snapshot:
@@ -254,16 +240,59 @@ class Snapshot:
         entrants = self._entrants[lo:hi]
         return [(ids[row], x, y) for x, y, row in cells if not entrants[row]]
 
-    def write(self, w: Writer, p: int) -> None:
-        """Period p's codes, its ids in row order and its entrant bits;
-        the instant and the grid are the caller's."""
-        lo, hi = self._starts[p], self._starts[p + 1]
-        self.tree.write(w, lo, hi)
-        w.u32s(self._ids[lo:hi])
-        w.bits(np.frombuffer(self._entrants, dtype=np.uint8)[lo:hi])
+    def write(self, w: Writer) -> None:
+        """The table as a file holds it: the row counts; every period's
+        codes, its row j (from 1) as member code + j of a set over [1, top
+        + rows], lows then high bits; the ids; the entrant bitmap."""
+        counts = np.diff(self._starts)
+        w.u32s(counts)
+        low_width, high = elias_fano(_top_code(self.tree.width,
+                                               self.tree.height), counts)
+        period, j = np.repeat(np.arange(len(counts)), counts), ranks(counts)
+        v = np.asarray(self.tree._codes, dtype=np.int64) + j
+        shift = low_width[period]
+        lows = PieceBuffer((counts * low_width)[:, None])
+        highs = PieceBuffer(high[:, None])
+        lows.packed(0, period, j, v - (v >> shift << shift), low_width)
+        highs.ones(0, period, (v >> shift) + j)
+        w += lows.tobytes()
+        w += highs.tobytes()
+        w.u32s(self._ids)
+        w.bits(np.frombuffer(self._entrants, dtype=np.uint8))
 
-    @staticmethod
-    def read(r: Reader, extent: tuple[int, int]) -> tuple[np.ndarray, ...]:
-        """The codes, ids and entrant flags of a period `write` stored."""
-        codes = K2Tree.read(r, *extent)
-        return codes, r.u32s(len(codes)), r.bits(len(codes))
+    @classmethod
+    def read(cls, r: Reader, extent: tuple[int, int], object_ids: np.ndarray,
+             periods: int) -> "Snapshot":
+        """The table `write` stored, decoded in one numpy pass.  Row counts
+        past the objects or the file, checked before any array is sized
+        by them, high bits with other than each period's rows, a bit set
+        past the lows or the high bits, or what the constructor refuses
+        raise ValueError."""
+        counts = r.u32s(periods).astype(np.int64)
+        rows = int(counts.sum())
+        if counts.max() > len(object_ids) or 4 * rows > r.left():
+            raise ValueError("the snapshots count more rows than there are "
+                             "objects or than the file holds")
+        low_width, high = elias_fano(_top_code(*extent), counts)
+        low_bits = counts * low_width
+        low_at, low_words = word_starts(low_bits[:, None])
+        high_at, high_words = word_starts(high[:, None])
+        lows = words_from(r.take(8 * low_words))
+        pad = (low_bits & 63) > 0  # lows that end inside a word, padded
+        if packed_at(lows, 64 * low_at[pad, 0] + low_bits[pad],
+                     64 - (low_bits[pad] & 63)).any():
+            raise ValueError("a snapshot's lows have bits set past their end")
+        ones = np.flatnonzero(np.unpackbits(np.frombuffer(
+            r.take(8 * high_words), dtype=np.uint8), bitorder="little"))
+        hi = 64 * high_at[:, 0]  # each period's first high bit
+        held = np.searchsorted(ones, hi + high) - np.searchsorted(ones, hi)
+        if len(ones) != rows or (held != counts).any():
+            raise ValueError("a snapshot's high bits do not hold its rows")
+        j = ranks(counts)
+        width = np.repeat(low_width, counts)
+        low = packed_at(lows, np.repeat(64 * low_at[:, 0], counts) + j * width,
+                        width)
+        v = ((ones - np.repeat(hi, counts) - j).astype(np.uint64)
+             << width.astype(np.uint64) | low.astype(np.uint64))
+        return cls(extent, object_ids, v - j.astype(np.uint64), r.u32s(rows),
+                   r.bits(rows), counts)

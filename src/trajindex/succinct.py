@@ -17,12 +17,12 @@ functions directly.
 The public API uses 1-based positions.  Words and directories are
 `array.array`s, whose items read back as plain Python ints.
 
-An index file holds its logs' pools as they are (see `trajindex.encoder`).
-Snapshots keep an encoding of their own: each structure's words and the
-few u32s it cannot derive, with no frames and no versions,
-little-endian, appended to a `Writer` and read back through a `Reader`.
-A standalone view (`from_bits`, `from_positions`, ...) makes its private
-pools straight from the encoders below.
+An index file holds its logs' pools as they are (see `trajindex.encoder`),
+and its snapshots' codes as word-aligned pieces the same encoders lay
+out (see `trajindex.snapshot`): little-endian words and u32s, with no
+frames and no versions, appended to a `Writer` and read back through a
+`Reader`.  A standalone view (`from_bits`, `from_positions`, ...) makes
+its private pools straight from the encoders below.
 """
 
 from __future__ import annotations
@@ -121,9 +121,6 @@ class Reader:
         self._pos = end
         return view
 
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "little")
-
     def u32s(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(4 * count), dtype="<u4").astype(np.uint32)
 
@@ -136,9 +133,13 @@ class Reader:
             raise ValueError("bitmap has bits set past its end")
         return bits[:n]
 
+    def left(self) -> int:
+        """The bytes not yet read."""
+        return len(self._buf) - self._pos
+
     def end(self) -> None:
         """Raise ValueError unless every byte has been read."""
-        left = len(self._buf) - self._pos
+        left = self.left()
         if left:
             raise ValueError(f"{left} trailing bytes after the last record")
 
@@ -293,6 +294,20 @@ def _scan(words, base, end, p, flip, last_mask):
         off = (w - base) << 6
 
 
+def packed_at(words, at: np.ndarray, width) -> np.ndarray:
+    """The value of the width bits (width < 64) from bit `at` of the words,
+    for each entry of at, as int64s: the one vectorized packed reader."""
+    pool = np.frombuffer(words, dtype=np.uint64)
+    if not len(pool):
+        return np.zeros(len(at), dtype=np.int64)
+    w, off = at >> 6, (at & 63).astype(np.uint64)
+    v = pool.take(w, mode="clip") >> off
+    # the next word's bits, shifted in two steps so no shift is by 64
+    v |= pool.take(w + 1, mode="clip") << (np.uint64(63) - off) << np.uint64(1)
+    mask = (np.uint64(1) << np.asarray(width, dtype=np.uint64)) - np.uint64(1)
+    return (v & mask).astype(np.int64)
+
+
 def packed_get(words: array, base: int, width: int, i: int) -> int:
     """The i-th (from 0) of the width-bit values packed from word base."""
     if not width:
@@ -423,9 +438,9 @@ def unary_prefixes(pool: BitPool, words: array, f, s: int, m: int, start: int):
 # encoder (`trajindex.encoder`) needs them: a value belongs to a group (a
 # structure) and has a rank in it, and every per-group number is one array
 # operation.  `packed_words` and `sparse_halves` encode one structure,
-# for a standalone view or a snapshot.
+# for a standalone view.
 
-_POW2 = np.uint64(1) << np.arange(63, dtype=np.uint64)
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def ranks(counts) -> np.ndarray:
@@ -438,20 +453,26 @@ def ranks(counts) -> np.ndarray:
 
 
 def bit_lengths(values) -> np.ndarray:
-    """`int.bit_length` of each non-negative int64 value."""
+    """`int.bit_length` of each value, read as a uint64."""
     return np.searchsorted(_POW2, np.asarray(values).astype(np.uint64),
                            side="right").astype(np.int64)
 
 
-def elias_fano(n, m, scale=(1, 1)):
+def elias_fano(zeros, m, scale=(1, 1)):
     """The low widths and high-bit lengths of sparse sets of m[g] members
-    over [1, n[g]], with low widths of floor(log2(a*n / (b*m))) for the
-    scale (a, b), as `write_sparse` makes them for one set at (1, 1);
-    every number fits an int64."""
-    a, b = scale
-    low_width = np.where(m > 0, np.maximum(
-        bit_lengths(a * n // (b * np.maximum(m, 1))) - 1, 0), 0)
-    return low_width, np.where(m > 0, m + ((n - 1) >> low_width) + 1, 0)
+    over [1, n[g]], n = zeros + m, with low widths of floor(log2(a*n /
+    (b*m))) for the scale (a, b), as `sparse_halves` makes them for one
+    set at (1, 1); in uint64s, where n may pass 2**64 if a*zeros does not."""
+    a, b = (np.asarray(v, dtype=np.uint64) for v in scale)
+    z, m = (np.asarray(v).astype(np.uint64) for v in (zeros, m))
+    d = b * np.maximum(m, 1)
+    q, rest = np.divmod(a * z, d)  # a*n // d is q + (rest + a*m) // d
+    low_width = np.where(m > 0, bit_lengths(q + (rest + a * m) // d) - 1, 0)
+    # (n - 1) >> low width: zeros's high part, and the carry of m - 1
+    s = low_width.astype(np.uint64)
+    high = z >> s
+    high += ((z - (high << s) + m - 1) >> s) + 1 + m
+    return low_width, np.where(m > 0, high, 0).astype(np.int64)
 
 
 def word_starts(lengths: np.ndarray) -> tuple[np.ndarray, int]:
@@ -497,16 +518,6 @@ class PieceBuffer:
         return np.packbits(self._bits, bitorder="little").tobytes()
 
 
-def bits_at(n: int, positions) -> np.ndarray:
-    """n bits as 0/1 bytes, set at the 1-based positions given."""
-    pos = np.asarray(positions, dtype=np.int64)
-    if len(pos) and (pos.min() < 1 or pos.max() > n):
-        raise ValueError("position out of range")
-    bits = np.zeros(n, dtype=np.uint8)
-    bits[pos - 1] = 1
-    return bits
-
-
 def packed_words(values, width: int) -> bytes:
     """Fixed-width unsigned values, back to back, as whole words."""
     vals = np.asarray(values, dtype=np.uint64)
@@ -531,16 +542,9 @@ def sparse_halves(n: int, positions) -> tuple[bytes, np.ndarray]:
             raise ValueError("positions must be strictly increasing")
     low_width = _low_width(n, m)
     v = pos - 1
-    return (packed_words(v & ((1 << low_width) - 1), low_width),
-            bits_at(_high_length(n, m, low_width),
-                    (v >> low_width) + np.arange(1, m + 1)))
-
-
-def write_sparse(w: Writer, n: int, positions) -> None:
-    """The lows, then the high bits, of `sparse_halves`."""
-    lows, high = sparse_halves(n, positions)
-    w += lows
-    w.bits(high)
+    high = np.zeros(_high_length(n, m, low_width), dtype=np.uint8)
+    high[(v >> low_width) + np.arange(m)] = 1
+    return packed_words(v & ((1 << low_width) - 1), low_width), high
 
 
 # ------------------------------------------------------------------ views
@@ -777,18 +781,6 @@ class SparseBitVector:
 
     def code_bits(self) -> int:
         return len(self._high) + self._lows.code_bits()
-
-    @classmethod
-    def read(cls, r: Reader, n: int, m: int) -> "SparseBitVector":
-        """The m positions over [1, n] that `write_sparse` stored; high
-        bits that hold other than m ones raise ValueError."""
-        low_width = _low_width(n, m)
-        lows = r.take(8 * ((m * low_width + 63) >> 6))
-        high = r.bits(_high_length(n, m, low_width))
-        count = int(np.count_nonzero(high))
-        if count != m:
-            raise ValueError(f"sparse bitmap holds {count} of {m} ones")
-        return cls._of(n, m, lows, high)
 
 
 class UnaryDeltaStream:

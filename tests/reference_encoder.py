@@ -5,9 +5,9 @@ small numpy calls each, through the one-structure encoders below (copies,
 so that a change to the package's own cannot move the reference).  Each
 adds its u32 fields and its pieces to a `Parts`, log after log.
 `reference_blob` writes an index file from them: the header, the
-snapshots with their presence bitmaps, then the logs' fields, bit pool
-and word pool; the header, the snapshots and the frame come from the
-package.
+snapshot section, which `write_snapshots` writes a period at a time in
+plain Python ints, the presence bitmap, then the logs' fields, bit pool
+and word pool; the header and the frame come from the package.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from trajindex.engine import _framed, _header, compute_max_speed
-from trajindex.snapshot import Snapshot, morton_codes
 from trajindex.succinct import U32_MAX, Writer
 
 _PAD = 1 << 40
@@ -65,6 +64,39 @@ def write_unary(parts: Parts, values) -> None:
     # a low width one more than the fewest bits take when n/m lies in the
     # top eighth below a power of two
     write_sparse(parts, universe, positions, 8, 7)
+
+
+def morton(x: int, y: int) -> int:
+    """x's bits in the even positions, y's in the odd ones."""
+    return sum((x >> b & 1) << 2 * b | (y >> b & 1) << 2 * b + 1
+               for b in range(32))
+
+
+def write_snapshots(w: Writer, extent, periods) -> None:
+    """The snapshot section: periods holds, per period, its rows as
+    (code, id, entrant) sorted by code and id.  Each period's row count;
+    per period the lows of the set whose j-th member (from 1) is its
+    j-th code + j, over [1, top + m], then per period its high bits; the
+    ids; the entrant flags."""
+    top = morton(extent[0] - 1, extent[1] - 1)
+    w.u32(*(len(rows) for rows in periods))
+    highs = []
+    for rows in periods:
+        m = len(rows)
+        n = top + m
+        positions = [code + j for j, (code, _, _) in enumerate(rows, 1)]
+        if positions and positions[-1] >= 1 << 63:
+            raise ValueError("a snapshot cannot store the Morton code")
+        low_width = max(0, (n // m).bit_length() - 1) if m else 0
+        write_packed(w, [(p - 1) & ((1 << low_width) - 1) for p in positions],
+                     low_width)
+        high_length = m + ((n - 1) >> low_width) + 1 if m else 0
+        highs.append(bits_at(high_length, [((p - 1) >> low_width) + j for j, p
+                                           in enumerate(positions, 1)]))
+    for high in highs:
+        w.bits(high)
+    w.u32s([oid for rows in periods for _, oid, _ in rows])
+    w.bits([entrant for rows in periods for _, _, entrant in rows])
 
 
 def write_log(parts: Parts, samples, start: int, period: int) -> None:
@@ -189,27 +221,25 @@ def reference_blob(rows, period: int, leaf_capacity: int, extent,
     w = _header(extent, horizon, period, leaf_capacity, len(rows), max_speed,
                 ids)
     parts = Parts()
+    snapped, present = [], []
     for k in range(0, horizon, period):
         tracks: dict[int, list] = {}
         for oid, t, x, y in rows:
             if k <= t < k + period:
                 tracks.setdefault(oid, []).append((t, x, y))
-        snapped = sorted((int(morton_codes([x], [y])[0]), oid, t != k)
-                         for oid, ((t, x, y), *_) in tracks.items())
-        entrants = {oid for _, oid, entrant in snapped if entrant}
-        snap_ids = np.array([oid for _, oid, _ in snapped], dtype=np.int64)
-        Snapshot(extent, np.unique(snap_ids),
-                 np.array([c for c, _, _ in snapped], dtype=np.uint64),
-                 snap_ids, [e for _, _, e in snapped],
-                 [len(snapped)]).write(w, 0)
+        snapped.append(sorted((morton(x, y), oid, t != k)
+                              for oid, ((t, x, y), *_) in tracks.items()))
+        entrants = {oid for _, oid, entrant in snapped[-1] if entrant}
         logs = {oid: track[oid not in entrants:]
                 for oid, track in tracks.items()}
         logged = [oid for oid in sorted(logs) if logs[oid]]
-        w.bits(bits_at(len(ids), np.searchsorted(ids, logged) + 1))
+        present.append(bits_at(len(ids), np.searchsorted(ids, logged) + 1))
         for oid in logged:
             log = np.array(logs[oid], dtype=np.int64)
             write_log(parts, log, k, period)
             write_tree(parts, log[:, 1], log[:, 2], leaf_capacity)
+    write_snapshots(w, extent, snapped)
+    w.bits(np.concatenate(present))
     w.u32(*parts.fields)
     w += parts.bits
     w += parts.words

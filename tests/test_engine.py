@@ -11,7 +11,9 @@ import pytest
 
 import trajindex.log
 from conftest import REF_OBJECT, REF_PERIOD, REF_TRACK, pulled_in, restamp
+from reference_encoder import reference_blob
 from synth import make_fleet
+from trajindex import succinct
 from trajindex.engine import (
     MAX_PERIODS,
     TrajectoryIndex,
@@ -23,27 +25,27 @@ from trajindex.log import TrajectoryLog, build_log
 from trajindex.mbrtree import Mbr, TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region, Snapshot
-from trajindex.succinct import Writer, nbytes
+from trajindex.succinct import U32_MAX, Reader, Writer, nbytes
 
 
 # the four fleets whose file digests are recorded: (period, leaf capacity,
 # seed, fleet options, file size, SHA-256 of the file)
 DIGEST_FLEETS = [
     pytest.param(
-        240, 16, 5, {"drop_rate": 0.03}, 32878,
-        "6e668a7db293e34e94857f65cc7d7c9b54f72b1a7c2a75b0d22a9922ccef6c47",
+        240, 16, 5, {"drop_rate": 0.03}, 32798,
+        "c3416297b2c57f5e0b8e3c27e86f16efe0995cbe9081af8cb6598cebd344a1eb",
         id="sparse-gaps"),
     pytest.param(
-        60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 62038,
-        "13c6b06437b33a84d300ea8d7ccdd57fb35902fefb2195b565ea334c740a9015",
+        60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 61718,
+        "08e3a3d02ac458f12696bc704d2bfed7653921b9511061d0867a46119a86ffb2",
         id="gappy-short-period"),
     pytest.param(
-        120, 80, 7, {"drop_rate": 0.05}, 35230,
-        "671298e4657ff65eea6fc1e6808a3e64b3d7409e14992e4655608cee062ba115",
+        120, 80, 7, {"drop_rate": 0.05}, 35070,
+        "769198dc41c54c00342fa42ba407121a51266c87672041c479abb5d226a11068",
         id="range-shape"),
     pytest.param(
-        720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 25894,
-        "75a9e8bea4d7cb7002c8333f656e7c8c19a5eeca609d89aa746c583472abdc4f",
+        720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 25862,
+        "c40974086f13d87b33a01d4f4d02646ee5ec665314aa6bb44641f5ccf2040f4d",
         id="lookup-shape"),
 ]
 
@@ -424,7 +426,7 @@ class TestSerialization:
         finally:
             (gc.enable if was else gc.disable)()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_old_version_file_is_rejected_by_name(self, tiny_blob, version):
         old = tiny_blob[:4] + version.to_bytes(2, "little") + tiny_blob[6:]
         with pytest.raises(ValueError, match=f"version {version}"):
@@ -560,18 +562,16 @@ class TestSerialization:
 
     @staticmethod
     def snapshot_at(ix, p) -> tuple[int, int]:
-        """Where period p's snapshot ids and its entrant bits begin in the
-        file of ix."""
-        nobj = len(ix.object_ids)
-        start = 42 + 4 * nobj  # the frame, the header's u32s, the ids
-        for q in range(p + 1):
-            w = Writer()
-            ix._snapshots.write(w, q)
-            if q < p:  # then the presence bitmap
-                start += len(w) + 8 * -(-nobj // 64)
-        m, = struct.unpack_from("<I", w)
-        entrants = start + len(w) - 8 * -(-m // 64)
-        return entrants - 4 * m, entrants
+        """The byte where period p's snapshot ids begin in the file of ix,
+        and the bit of its first entrant flag."""
+        snaps = ix._snapshots
+        w = Writer()
+        snaps.write(w)
+        rows, first = snaps._starts[-1], snaps._starts[p]
+        # the frame and the header's u32s, the object ids, then the
+        # section up to its entrant bitmap
+        entrants = 42 + 4 * len(ix.object_ids) + len(w) - 8 * -(-rows // 64)
+        return entrants - 4 * (rows - first), 8 * entrants + first
 
     def test_a_log_without_a_snapshot_row_is_rejected(self):
         # object 1 has a log in period 0, but the snapshot row there names
@@ -592,9 +592,9 @@ class TestSerialization:
         rows = [(1, t, t, 0) for t in range(4)]
         ix = build_index(rows, period=4, leaf_capacity=2, extent=(8, 8))
         blob = bytearray(ix.to_bytes())
-        _, entrants = self.snapshot_at(ix, 0)
-        assert blob[entrants] == 0
-        blob[entrants] = 1
+        _, entrant = self.snapshot_at(ix, 0)
+        assert blob[entrant // 8] >> entrant % 8 & 1 == 0
+        blob[entrant // 8] |= 1 << entrant % 8
         blob[30:34] = struct.pack("<I", 3)  # the sample count
         with pytest.raises(ValueError, match="speed bound's reach"):
             TrajectoryIndex.from_bytes(restamp(blob))
@@ -635,6 +635,8 @@ class TestSerialization:
                     pass
                 else:
                     assert loaded.object_ids == [1, 2, 3], (i, bit)
+                    # and no bit the load ignores: it writes the same file
+                    assert loaded.to_bytes() == restamp(flipped), (i, bit)
                     # queries over the corrupt index, box-tree walks and
                     # leaf jumps among them, answer or raise ValueError;
                     # so do positions and trajectories, whose gap test
@@ -642,6 +644,13 @@ class TestSerialization:
                     for region, (a, b) in itertools.product(regions, windows):
                         try:
                             loaded.time_interval(region, a, b)
+                        except ValueError:
+                            pass
+                    # a slice probes the snapshot table directly
+                    for region, q in itertools.product(
+                            regions, range(loaded.horizon)):
+                        try:
+                            loaded.time_slice(region, q)
                         except ValueError:
                             pass
                     for oid in loaded.object_ids:
@@ -655,6 +664,52 @@ class TestSerialization:
                         except ValueError:
                             pass
                 flipped[i] ^= 1 << bit
+
+    @pytest.mark.parametrize("sparse", [False, True],
+                             ids=["count-past-objects", "rows-past-file"])
+    def test_row_counts_are_bounded_before_any_allocation(self, tiny_blob,
+                                                          sparse):
+        # the row counts follow the object ids; a count of 2**32 - 1 would
+        # size arrays of billions of rows, and 30 periods of a row each
+        # counted full hold 900 rows, 3,600 bytes of ids alone
+        if sparse:
+            blob = build_index([(i, 2 * i, i, i) for i in range(30)], period=2,
+                               leaf_capacity=2, extent=(32, 32)).to_bytes()
+            at, counts = 42 + 4 * 30, [30] * 30
+        else:
+            blob, at, counts = tiny_blob, 42 + 4 * 3, [U32_MAX]
+        size = 4 * len(counts)
+        edited = restamp(blob[:at] + struct.pack(f"<{len(counts)}I", *counts)
+                         + blob[at + size:])
+        assert len(edited) < 3600
+        with pytest.raises(ValueError, match="more rows"):
+            TrajectoryIndex.from_bytes(edited)
+
+    @pytest.mark.parametrize("extent", [(8, U32_MAX), (U32_MAX, U32_MAX)],
+                             ids=["tall", "widest"])
+    def test_tall_grid_round_trip(self, extent):
+        # the grid's top code passes 2**63, and so does the universe of
+        # each period's codes: period 0 holds one row, whose low width
+        # comes from a quotient past 2**63; small coordinates keep every
+        # code storable
+        rows = ([(1, t, t % 5, t % 3) for t in range(30)]
+                + [(2, t, 3, 1 + t % 2) for t in range(5, 30)])
+        built = build_index(rows, period=4, leaf_capacity=2, extent=extent)
+        blob = built.to_bytes()
+        assert blob == reference_blob(rows, 4, 2, extent)
+        loaded = TrajectoryIndex.from_bytes(blob)
+        assert loaded.to_bytes() == blob
+        table = {(oid, t): (x, y) for oid, t, x, y in rows}
+        for oid in (1, 2):
+            assert [loaded.object_position(oid, q) for q in range(30)] == \
+                [built.object_position(oid, q) for q in range(30)] == \
+                [table.get((oid, q)) for q in range(30)]
+        for region in (Region(0, 7, 0, 7), Region(3, 3, 1, 1)):
+            for q in range(30):
+                assert loaded.time_slice(region, q) == \
+                    built.time_slice(region, q)
+            assert loaded.time_interval(region, 0, 29) == \
+                built.time_interval(region, 0, 29) == [1, 2]
 
     @pytest.mark.parametrize("order", [[2, 1, 3], [1, 1, 3]],
                              ids=["swapped", "duplicate"])
@@ -674,9 +729,10 @@ class TestSerialization:
     def test_bytes_match_recorded_digest(self, period, leaf, seed, kwargs,
                                          size, digest):
         # the file format is frozen: these digests were recorded when the
-        # format moved to version 7, where a log's axis streams hold a
+        # format moved to version 8, where the snapshots of every period
+        # are one section; since version 7 a log's axis streams hold a
         # member per step of its window, or per fix in a log more than a
-        # quarter gaps; the first fleet has few gaps in every log, the
+        # quarter gaps.  The first fleet has few gaps in every log, the
         # second a median of about a fifth of each short window, where
         # most gap maps have a low width of 2 and some of 1, and 32 of its
         # 300 logs have a member per fix; the last two have the periods
@@ -1127,6 +1183,30 @@ class TestLoadedMemory:
                 (supers + 1, 8 * supers + 1)
             assert ix.memory()["directories"] == \
                 nbytes(bits.super1, bits.block1)
+
+    def test_a_load_reads_the_same_pieces_whatever_its_periods(self,
+                                                               monkeypatch):
+        # the snapshots are one section, decoded in one numpy pass: a
+        # load makes no read and walks no sparse set per period or row
+        blobs = [self.blob(240, d) for d in (4, 40)]
+        takes = []
+        take = Reader.take
+
+        def counted(self, size):
+            takes.append(size)
+            return take(self, size)
+
+        def refuse(*args):
+            raise AssertionError("the load walked a sparse set")
+
+        monkeypatch.setattr(Reader, "take", counted)
+        monkeypatch.setattr(succinct, "sparse_ones", refuse)
+        reads = []
+        for blob in blobs:
+            takes.clear()
+            TrajectoryIndex.from_bytes(blob)
+            reads.append(len(takes))
+        assert reads[0] == reads[1], reads
 
     def test_objects_do_not_grow_with_the_logs(self):
         blobs = [self.blob(h, 20) for h in (240, 960)]

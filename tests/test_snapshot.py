@@ -99,13 +99,16 @@ def table(extent, *periods, entrants=()):
                     [r[3] for r in rows], [len(period) for period in periods])
 
 
-def read_back(snaps, extent, p):
-    """Period p of snaps written and read back: its codes, ids and
-    entrant flags; every byte must be read."""
+def written(snaps) -> Writer:
     w = Writer()
-    snaps.write(w, p)
-    r = Reader(bytes(w))
-    back = Snapshot.read(r, extent)
+    snaps.write(w)
+    return w
+
+
+def read_back(blob, extent, object_ids, periods=1):
+    """The table that blob holds, read back; every byte must be read."""
+    r = Reader(bytes(blob))
+    back = Snapshot.read(r, extent, np.asarray(object_ids), periods)
     r.end()
     return back
 
@@ -149,13 +152,16 @@ class TestK2Tree:
                    np.array([0, 1, 3]))
         with pytest.raises(ValueError):
             K2Tree(0, 4, morton_codes([], []), np.array([0]))
+        with pytest.raises(ValueError, match="past 1..4294967295"):
+            K2Tree(1 << 32, 4, morton_codes([], []), np.array([0]))
 
     def test_rejects_a_code_write_cannot_store(self):
         # a period's row j is stored as its code plus j, an int64
         big = np.array([0, (1 << 63) - 2], dtype=np.uint64)
-        K2Tree(1 << 32, 1 << 32, big, np.array([0, 1, 2]))
+        side = (1 << 32) - 1
+        K2Tree(side, side, big, np.array([0, 1, 2]))
         with pytest.raises(ValueError, match="Morton code"):
-            K2Tree(1 << 32, 1 << 32, big, np.array([0, 2]))
+            K2Tree(side, side, big, np.array([0, 2]))
 
     def test_report_matches_linear_filter(self):
         rng = np.random.default_rng(4)
@@ -202,41 +208,6 @@ class TestK2Tree:
         got = tree.report_cells(Region(x1, x2, y1, y2), starts[1], starts[2])
         assert got == want
         assert all(type(v) is int for c in got for v in c)
-
-    def test_round_trip(self):
-        cells = [(0, 0), (39, 19), (17, 3), (17, 3)]
-        tree, _ = columns(40, 20, [(5, 5)], cells)
-        w = Writer()
-        tree.write(w, 1, 5)
-        r = Reader(bytes(w))
-        codes = K2Tree.read(r, 40, 20)
-        r.end()
-        back = K2Tree(40, 20, codes, np.array([0, 4]))
-        assert back.report_cells(Region(0, 39, 0, 19), 0, 4) == \
-            tree.report_cells(Region(0, 39, 0, 19), 1, 5)
-        again = Writer()
-        back.write(again, 0, 4)
-        assert again == w
-
-    def test_read_rejects_a_code_off_the_grid_or_too_many_rows(self):
-        w = Writer()
-        columns(5, 8, [(4, 0)])[0].write(w, 0, 1)
-        codes = K2Tree.read(Reader(bytes(w)), 4, 8)  # under the top code
-        with pytest.raises(ValueError, match="off the"):
-            K2Tree(4, 8, codes, np.array([0, 1]))
-        w[:4] = (0xFFFFFFFF).to_bytes(4, "little")  # the row count
-        with pytest.raises(ValueError, match="truncated"):
-            K2Tree.read(Reader(bytes(w)), 5, 8)
-
-    def test_wide_grid_round_trip(self):
-        # codes past 2**32: a 24-bit y axis, as binary input allows
-        tree, _ = columns(1 << 16, 1 << 24, [(65535, 16777215), (1, 2)])
-        w = Writer()
-        tree.write(w, 0, 2)
-        codes = K2Tree.read(Reader(bytes(w)), 1 << 16, 1 << 24)
-        back = K2Tree(1 << 16, 1 << 24, codes, np.array([0, 2]))
-        assert back.report_cells(Region(0, 65535, 1, 16777215), 0, 2) == \
-            [(1, 2, 0), (65535, 16777215, 1)]
 
 
 class TestSnapshot:
@@ -310,30 +281,67 @@ class TestSnapshot:
 
     def test_round_trip(self):
         rows = [(oid, oid % 11, oid % 7) for oid in range(1, 40)]
-        snaps = table((11, 7), rows[:5], rows,
-                      entrants={(1, 3), (1, 14), (0, 2)})
-        sections = [read_back(snaps, (11, 7), p) for p in range(2)]
-        back = Snapshot((11, 7), np.arange(1, 40),
-                        *(np.concatenate(c) for c in zip(*sections)),
-                        [len(c) for c, _, _ in sections])
-        assert back.fix(1, 13) is None and back.fix(1, 14) == (15 % 11, 15 % 7)
+        snaps = table((11, 7), rows[:5], [], rows,
+                      entrants={(2, 3), (2, 14), (0, 2)})
+        back = read_back(written(snaps), (11, 7), range(1, 40), 3)
+        assert back.fix(2, 13) is None and back.fix(2, 14) == (15 % 11, 15 % 7)
         assert back.fix(0, 1) is None and back.fix(0, 0) == (1, 1)
         full = Region(0, 10, 0, 6)
-        for p in range(2):
+        for p in range(3):
             assert back.range_report(full, p) == snaps.range_report(full, p)
-            again = Writer()
-            back.write(again, p)
-            w = Writer()
-            snaps.write(w, p)
-            assert again == w
+        assert written(back) == written(snaps)
+
+    def test_hand_checked_bytes(self):
+        # one period on a 4x4 grid (top code 15) with codes 0, 9 and 15:
+        # members 1, 11 and 18 over [1, 18], a low width of floor(log2(18
+        # / 3)) = 2, so (member - 1) & 3 = 0, 2, 1 and high bits at
+        # ((member - 1) >> 2) + j = 0, 3 and 6 of 3 + (17 >> 2) + 1 = 8
+        snaps = table((4, 4), [(5, 0, 0), (6, 1, 2), (7, 3, 3)],
+                      entrants={(0, 6)})
+        blob = bytes(written(snaps))
+        assert blob == (b"\x03\0\0\0" + (0b011000).to_bytes(8, "little")
+                        + (0b1001001).to_bytes(8, "little")
+                        + np.array([5, 6, 7], "<u4").tobytes()
+                        + (0b010).to_bytes(8, "little"))
+        read_back(blob, (4, 4), [5, 6, 7])
+        for at, bit, part in ((4, 6, "lows"), (11, 7, "lows"),
+                              (12, 0, "high bits"), (12, 3, "high bits"),
+                              (13, 0, "high bits"), (19, 7, "high bits")):
+            # a bit set past the lows, a member's high bit cleared, or a
+            # bit set past the high bits
+            bad = bytearray(blob)
+            bad[at] ^= 1 << bit
+            with pytest.raises(ValueError, match=part):
+                read_back(bad, (4, 4), [5, 6, 7])
+
+    def test_read_rejects_a_code_off_the_grid_or_too_many_rows(self):
+        w = written(table((5, 8), [(1, 4, 0)]))
+        with pytest.raises(ValueError, match="off the 4x8 grid"):
+            read_back(w, (4, 8), [1])  # under the top code
+        w[:4] = (2).to_bytes(4, "little")  # the row count
+        with pytest.raises(ValueError, match="more rows"):
+            read_back(w, (5, 8), [1])
+
+    @pytest.mark.parametrize("extent", [(1 << 16, 1 << 24), (8, (1 << 32) - 1),
+                                        ((1 << 32) - 1, (1 << 32) - 1)],
+                             ids=["24-bit-y", "tall", "widest"])
+    def test_wide_grid_round_trip(self, extent):
+        # codes past 2**32, and on the tall grids top codes past 2**63,
+        # which set the low widths: one period of one row, one of two
+        w, h = extent
+        far = (1, w - 1, min(h - 1, 2**31 - 1))
+        snaps = table(extent, [far], [(1, 1, 2), (2, 3, 5)])
+        back = read_back(written(snaps), extent, [1, 2], 2)
+        full = Region(0, w - 1, 0, h - 1)
+        assert back.range_report(full, 0) == [far]
+        assert sorted(back.range_report(full, 1)) == [(1, 1, 2), (2, 3, 5)]
+        assert written(back) == written(snaps)
 
     def test_read_rejects_an_id_repeated(self):
-        snaps = table((8, 8), [(4, 1, 1), (8, 2, 2)])
-        w = Writer()
-        snaps.write(w, 0)
-        at = len(w) - 8 - 8  # two u32 ids, then one word of entrant bits
-        assert np.frombuffer(w, "<u4", 2, at).tolist() == [4, 8]
+        snaps = table((8, 8), [(4, 1, 1), (8, 2, 2)], [(8, 1, 1), (9, 2, 2)])
+        w = written(snaps)
+        at = len(w) - 8 - 16  # four u32 ids, then one word of entrant bits
+        assert np.frombuffer(w, "<u4", 4, at).tolist() == [4, 8, 8, 9]
         w[at + 4:at + 8] = w[at:at + 4]
-        codes, ids, entrants = Snapshot.read(Reader(bytes(w)), (8, 8))
         with pytest.raises(ValueError, match="twice"):
-            Snapshot((8, 8), np.array([4]), codes, ids, entrants, [2])
+            read_back(w, (8, 8), [4, 8, 9], 2)

@@ -12,9 +12,12 @@ from trajindex.succinct import (
     SparseBitVector,
     UnaryDeltaStream,
     Writer,
+    bit_lengths,
+    packed_at,
+    packed_get,
+    packed_words,
     sparse_halves,
     words_from,
-    write_sparse,
 )
 
 
@@ -179,19 +182,6 @@ class TestSparseBitVector:
             budget = 4 * m + m * int(np.ceil(np.log2(n / m))) if n > m else 4 * m
             assert sv.code_bits() <= budget, (n, m, sv.code_bits(), budget)
 
-    def test_round_trip(self):
-        # the snapshots' encoding: `write_sparse`, then `read`
-        w = Writer()
-        write_sparse(w, 1000, [5, 17, 600, 999])
-        r = Reader(bytes(w))
-        back = SparseBitVector.read(r, 1000, 4)
-        r.end()
-        assert list(back.ones()) == [5, 17, 600, 999]
-        assert back.code_bits() == \
-            SparseBitVector.from_positions(1000, [5, 17, 600, 999]).code_bits()
-        with pytest.raises(ValueError):
-            SparseBitVector.read(Reader(bytes(w)), 1000, 3)
-
 
 def sparse_cases():
     """(n, member positions) for the sparse select0 tests."""
@@ -291,6 +281,23 @@ class TestPackedIntArray:
         pa = PackedIntArray.from_values(vals, width)
         assert len(pa) == 40 and pa.width == width
         assert list(pa) == [int(v) for v in vals]
+
+    def test_packed_at_reads_each_value_as_packed_get_does(self):
+        # the vectorized reader, at every width a snapshot's lows take
+        rng = np.random.default_rng(8)
+        for width in range(64):
+            vals = rng.integers(0, 1 << width, size=40, dtype=np.uint64)
+            words = words_from(packed_words(vals, width))
+            got = packed_at(words, np.arange(40) * width, width)
+            assert got.tolist() == vals.tolist() == \
+                [packed_get(words, 0, width, i) for i in range(40)]
+
+    def test_bit_lengths_cover_every_uint64(self):
+        # a snapshot's low width comes from quotients past 2**63 on tall
+        # grids
+        values = np.array([0, 1, 5, (1 << 63) - 1, 1 << 63, (1 << 64) - 1],
+                          dtype=np.uint64)
+        assert bit_lengths(values).tolist() == [0, 1, 3, 63, 64, 64]
 
     def test_rejects_oversized_values(self):
         with pytest.raises(ValueError):
