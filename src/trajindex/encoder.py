@@ -54,7 +54,8 @@ BLOCK = 1 << BLOCK_SHIFT  # members to a block of one speed bound per axis
 PER_STEP = 4  # see stream_members
 # a stream's low width (see `elias_fano`) is one more than the fewest bits
 # take when n/m lies in the top eighth below a power of two: at most m/8
-# bits more, and at least 7m/8 fewer high bits, 1.75 bits each in memory
+# bits more, and at least 7m/8 fewer high bits, each 1 + 16/64 + 64/512
+# = 1.375 bits in memory with the ones directory
 STREAM_SCALE = (8, 7)
 SCALES = np.array([(1, 1), STREAM_SCALE, STREAM_SCALE]).T  # gap map, x, y
 

@@ -288,7 +288,7 @@ def positions(bits: BitPool, words, f, lo: int, hi: int):
     offsets = count(a + 1)  # each member's step, plus 1
     if m < f[1] - f[0]:
         a, b = (j - 1 for j in ordinal_range(bits, words, f, lo, hi))
-        offsets = TimeIndex._of(bits, words, f).data_offsets(a + 1)
+        offsets = TimeIndex(bits, words, f).data_offsets(a + 1)
     if a > b:
         return
     start = max(a - plus, 0)
@@ -322,8 +322,8 @@ def positions(bits: BitPool, words, f, lo: int, hi: int):
 
 
 class TimeIndex:
-    """Data-presence window of one track: [first, last] plus the sparse
-    set of its gaps.
+    """Data-presence window of one log: [first, last] plus the sparse set
+    of its gaps.
 
     Offsets into the window are 1-based; a member of the set is an instant
     with no sample.
@@ -331,59 +331,20 @@ class TimeIndex:
 
     __slots__ = ("_bits", "_words", "_f")
 
-    def __init__(self, first: int, last: int, gaps):
-        """A window of its own, in private pools."""
-        if first < 1 or last < first:
-            raise ValueError("bad window bounds")
-        gapmap = SparseBitVector.from_positions(last - first + 1, gaps)
-        self._bits, self._words = gapmap._pool, gapmap._words
-        self._f = (first, last, len(gaps), *gapmap._f)
-
-    @classmethod
-    def _of(cls, bits: BitPool, words, f) -> "TimeIndex":
-        ti = cls.__new__(cls)
-        ti._bits, ti._words, ti._f = bits, words, f
-        return ti
+    def __init__(self, bits: BitPool, words, f):
+        """The window of the log with fields f in the pools bits and words."""
+        self._bits, self._words, self._f = bits, words, f
 
     @property
     def first(self) -> int:
         return self._f[0]
 
     @property
-    def last(self) -> int:
-        return self._f[1]
-
-    @property
     def _gapmap(self) -> SparseBitVector:
         return SparseBitVector(self._bits, self._words, self._f, 3, self._f[2])
 
-    def __len__(self) -> int:
-        return self._f[1] - self._f[0] + 1
-
-    @property
-    def gap_count(self) -> int:
-        return self._f[2]
-
-    @property
-    def data_count(self) -> int:
-        return self._f[7]
-
     def gaps_upto(self, offset: int) -> int:
         return _gaps_upto(self._bits, self._words, self._f, offset)
-
-    def ordinal(self, offset: int) -> int | None:
-        """Data ordinal of the instant at window offset, None at a gap."""
-        if not 1 <= offset <= len(self):
-            raise IndexError(f"window offset {offset} out of range 1..{len(self)}")
-        return _ordinal(self._bits, self._words, self._f, offset)
-
-    def data_offset(self, ordinal: int) -> int:
-        """Window offset of the ordinal-th instant that has data."""
-        n = self.data_count
-        if not 1 <= ordinal <= n:
-            raise IndexError(f"ordinal {ordinal} out of range 1..{n}")
-        return sparse_select0(self._bits, self._words, self._f, 3, self._f[2],
-                              ordinal)
 
     def data_offsets(self, start_ordinal: int = 1):
         return self._gapmap.zeros(start_ordinal)
@@ -457,7 +418,7 @@ class TrajectoryLog:
 
     @property
     def time(self) -> TimeIndex:
-        return TimeIndex._of(self._bits, self._words, self._f)
+        return TimeIndex(self._bits, self._words, self._f)
 
     @property
     def dx(self) -> AxisDeltas:

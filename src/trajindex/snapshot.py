@@ -63,14 +63,16 @@ def expanded_region(region: Region, q: int, k: int, max_speed: int,
 
     Anything inside `region` at instant q must have been inside the result
     at instant k, so probing the snapshot with it yields a complete
-    candidate set.
+    candidate set.  A region that misses the grid comes back as it is:
+    nothing is inside it, and a probe with it reports nothing.
     """
     if q < k:
         raise ValueError("query instant before snapshot instant")
     reach = max_speed * (q - k)
     w, h = extent
-    return Region(max(0, region.x1 - reach), min(w - 1, region.x2 + reach),
-                  max(0, region.y1 - reach), min(h - 1, region.y2 + reach))
+    x1, x2 = max(0, region.x1 - reach), min(w - 1, region.x2 + reach)
+    y1, y2 = max(0, region.y1 - reach), min(h - 1, region.y2 + reach)
+    return Region(x1, x2, y1, y2) if x1 <= x2 and y1 <= y2 else region
 
 
 def _spread(v):

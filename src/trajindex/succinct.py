@@ -21,8 +21,8 @@ An index file holds its logs' pools as they are (see `trajindex.encoder`),
 and its snapshots' codes as word-aligned pieces the same encoders lay
 out (see `trajindex.snapshot`): little-endian words and u32s, with no
 frames and no versions, appended to a `Writer` and read back through a
-`Reader`.  A standalone view (`from_bits`, `from_positions`, ...) makes
-its private pools straight from the encoders below.
+`Reader`.  A standalone set (`SparseBitVector.from_positions`) is laid out
+by the same encoder as a group of one.
 """
 
 from __future__ import annotations
@@ -269,14 +269,10 @@ def _zero_word(pool: BitPool, base: int, end: int, ones: int,
     return w, rem - ((w - first) << 6) + block[w]
 
 
-def _scan(words, base, end, p, flip, last_mask):
-    # p, a set bit of the words base..end-1 xor flip, then every set bit
-    # after it; last_mask clears the padding of the last word
+def _scan(words, base, end, p):
+    # p, a set bit of the words base..end-1, then every set bit after it
     w = base + ((p - 1) >> 6)
-    cur = words[w] ^ flip
-    if w == end - 1:
-        cur &= last_mask
-    cur = cur >> ((p - 1) & 63) >> 1
+    cur = words[w] >> ((p - 1) & 63) >> 1
     yield p
     off = p
     while True:
@@ -288,9 +284,7 @@ def _scan(words, base, end, p, flip, last_mask):
         w += 1
         if w >= end:
             return
-        cur = words[w] ^ flip
-        if w == end - 1:
-            cur &= last_mask
+        cur = words[w]
         off = (w - base) << 6
 
 
@@ -319,16 +313,6 @@ def packed_get(words: array, base: int, width: int, i: int) -> int:
     if off + width > 64:
         v |= words[w + 1] << (64 - off)
     return v & ((1 << width) - 1)
-
-
-def _low_width(n: int, m: int) -> int:
-    return max(0, (n // m).bit_length() - 1) if m else 0
-
-
-def _high_length(n: int, m: int, low_width: int) -> int:
-    # one zero per high bucket 0..(n - 1) >> low_width, so every bucket
-    # boundary is addressable with select0; no bits at all when m is 0
-    return m + ((n - 1) >> low_width) + 1 if m else 0
 
 
 # A sparse set of m positions over [1, n] is six fields from f[s]: its
@@ -407,7 +391,7 @@ def sparse_ones(pool: BitPool, words: array, f, s: int, m: int, start: int):
     hbase, hend, lbase, lw = f[s], f[s + 5], f[s + 2], f[s + 3]
     at = (j - 1) * lw  # bit offset of the j-th low
     for p in _scan(pool.words, hbase, hend,
-                   select(pool, hbase, hend, f[s + 1], start), 0, _WORD_FULL):
+                   select(pool, hbase, hend, f[s + 1], start)):
         low = 0
         if lw:  # packed_get, inline: this loop decodes every position
             w, off = lbase + (at >> 6), at & 63
@@ -437,8 +421,7 @@ def unary_prefixes(pool: BitPool, words: array, f, s: int, m: int, start: int):
 # The array encoders work on many structures at once, as the fleet
 # encoder (`trajindex.encoder`) needs them: a value belongs to a group (a
 # structure) and has a rank in it, and every per-group number is one array
-# operation.  `packed_words` and `sparse_halves` encode one structure,
-# for a standalone view.
+# operation.  A standalone set is a group of one.
 
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
@@ -461,8 +444,8 @@ def bit_lengths(values) -> np.ndarray:
 def elias_fano(zeros, m, scale=(1, 1)):
     """The low widths and high-bit lengths of sparse sets of m[g] members
     over [1, n[g]], n = zeros + m, with low widths of floor(log2(a*n /
-    (b*m))) for the scale (a, b), as `sparse_halves` makes them for one
-    set at (1, 1); in uint64s, where n may pass 2**64 if a*zeros does not."""
+    (b*m))) for the scale (a, b); in uint64s, where n may pass 2**64 if
+    a*zeros does not."""
     a, b = (np.asarray(v, dtype=np.uint64) for v in scale)
     z, m = (np.asarray(v).astype(np.uint64) for v in (zeros, m))
     d = b * np.maximum(m, 1)
@@ -518,42 +501,12 @@ class PieceBuffer:
         return np.packbits(self._bits, bitorder="little").tobytes()
 
 
-def packed_words(values, width: int) -> bytes:
-    """Fixed-width unsigned values, back to back, as whole words."""
-    vals = np.asarray(values, dtype=np.uint64)
-    if not 0 <= width <= 64:
-        raise ValueError("width must be in 0..64")
-    if len(vals) and width < 64 and vals.max() >> width:
-        raise ValueError(f"value does not fit in {width} bits")
-    return _bit_words(((vals[:, None] >> np.arange(width, dtype=np.uint64))
-                       & np.uint64(1)).ravel())
-
-
-def sparse_halves(n: int, positions) -> tuple[bytes, np.ndarray]:
-    """Strictly increasing positions over [1, n]: the low bits of each
-    (position - 1) as packed words, and the high bits in unary as 0/1
-    bytes (see SparseBitVector)."""
-    pos = np.asarray(positions, dtype=np.int64)
-    m = len(pos)
-    if m:
-        if pos[0] < 1 or pos[-1] > n:
-            raise ValueError("positions out of range")
-        if (pos[1:] <= pos[:-1]).any():
-            raise ValueError("positions must be strictly increasing")
-    low_width = _low_width(n, m)
-    v = pos - 1
-    high = np.zeros(_high_length(n, m, low_width), dtype=np.uint8)
-    high[(v >> low_width) + np.arange(m)] = 1
-    return packed_words(v & ((1 << low_width) - 1), low_width), high
-
-
 # ------------------------------------------------------------------ views
 
 class BitVector:
-    """A bitmap in a pool: rank in constant time, select by bisecting the
-    directory over the superblocks it spans and the words of one (select0
-    on at most `_COUNTED` words counts them instead), and a table-driven
-    select in the word."""
+    """A bitmap in a pool: rank in constant time, and select1 by bisecting
+    the directory over the superblocks it spans and the words of one, then
+    a table-driven select in the word."""
 
     __slots__ = ("_pool", "_base", "_end", "_n", "_ones", "_count")
 
@@ -576,19 +529,6 @@ class BitVector:
     def __len__(self) -> int:
         return self._n
 
-    @property
-    def count_ones(self) -> int:
-        return self._count
-
-    @property
-    def count_zeros(self) -> int:
-        return self._n - self._count
-
-    def access(self, i: int) -> int:
-        if not 1 <= i <= self._n:
-            raise IndexError(f"bit index {i} out of range 1..{self._n}")
-        return access(self._pool, self._base, i)
-
     def rank1(self, i: int) -> int:
         """Number of set bits among positions 1..i (i may be 0)."""
         if not 0 <= i <= self._n:
@@ -606,33 +546,13 @@ class BitVector:
             raise ValueError(f"select1({j}) out of range, only {self._count} ones")
         return select(self._pool, self._base, self._end, self._ones, j)
 
-    def select0(self, j: int) -> int:
-        """Position of the j-th unset bit, 1-based."""
-        if not 1 <= j <= self.count_zeros:
-            raise ValueError(f"select0({j}) out of range, only "
-                             f"{self.count_zeros} zeros")
-        return select(self._pool, self._base, self._end, self._ones, j, True)
-
     def ones(self, start: int = 1):
         """Yield positions of set bits, beginning with the start-th one."""
         if start < 1:
             raise ValueError("start must be >= 1")
         if start <= self._count:
             yield from _scan(self._pool.words, self._base, self._end,
-                             self.select1(start), 0, _WORD_FULL)
-
-    def zeros(self, start: int = 1):
-        """Yield positions of unset bits, beginning with the start-th zero."""
-        if start < 1:
-            raise ValueError("start must be >= 1")
-        if start <= self.count_zeros:
-            last = (1 << (self._n - 64 * (self._end - self._base - 1))) - 1
-            yield from _scan(self._pool.words, self._base, self._end,
-                             self.select0(start), _WORD_FULL, last)
-
-    def code_bits(self) -> int:
-        """Bits of the payload itself, directories excluded."""
-        return self._n
+                             self.select1(start))
 
 
 class PackedIntArray:
@@ -646,17 +566,8 @@ class PackedIntArray:
         self._count = count
         self._width = width
 
-    @classmethod
-    def from_values(cls, values, width: int) -> "PackedIntArray":
-        return cls(words_from(packed_words(values, width)), 0, len(values),
-                   width)
-
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def width(self) -> int:
-        return self._width
 
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self._count:
@@ -674,13 +585,11 @@ class PackedIntArray:
 class SparseBitVector:
     """Monotone set of m positions over [1, n], split into high and low halves.
 
-    The low floor(log2(n/m)) bits of each (position - 1) go into packed
-    lows in a word pool; the high halves become a unary-coded bitmap in a
-    bit pool, where the j-th one sits at position high_j + j.  select1 is a
-    single select on the high bitmap; rank1 finds one high bucket with a
-    select0 and bisects its lows, so it costs O(log(n/m)).  select0
-    bisects the few high buckets the j-th zero can fall in, with select0s
-    on the high bitmap, and walks the lows of one bucket.
+    The low bits of each (position - 1) go into packed lows in a word pool;
+    the high halves become a unary-coded bitmap in a bit pool, where the
+    j-th one sits at position high_j + j.  select1 is a single select on
+    the high bitmap; the positions not in the set start from one
+    `sparse_select0`, and `sparse_search` ranks a position.
     """
 
     __slots__ = ("_pool", "_words", "_f", "_s", "_n", "_m", "_low_width")
@@ -694,29 +603,33 @@ class SparseBitVector:
 
     @classmethod
     def from_positions(cls, n: int, positions) -> "SparseBitVector":
-        return cls._of(n, len(positions), *sparse_halves(n, positions))
-
-    @classmethod
-    def _of(cls, n: int, m: int, lows, high: np.ndarray) -> "SparseBitVector":
-        # a set of its own, from its packed lows and its high bits as 0/1
-        # bytes
-        pool = BitPool(_bit_words(high))
-        f = (0, 0, 0, _low_width(n, m), n - m, len(pool.words))
-        return cls(pool, words_from(lows), f, 0, m)
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def count_ones(self) -> int:
-        return self._m
+        """Strictly increasing positions over [1, n], in pools of their
+        own, with lows floor(log2(n/m)) bits wide."""
+        pos = np.asarray(positions, dtype=np.int64)
+        m = len(pos)
+        if m:
+            if pos[0] < 1 or pos[-1] > n:
+                raise ValueError("positions out of range")
+            if (pos[1:] <= pos[:-1]).any():
+                raise ValueError("positions must be strictly increasing")
+        low_width, high = elias_fano([n - m], [m])
+        lw = int(low_width[0])
+        bits = PieceBuffer(high[:, None])
+        lows = PieceBuffer(np.array([[m * lw]]))
+        group, rank, v = np.zeros(m, dtype=np.int64), np.arange(m), pos - 1
+        bits.ones(0, group, (v >> lw) + rank)
+        lows.packed(0, group, rank, v & ((1 << lw) - 1), low_width)
+        pool = BitPool(bits.tobytes())
+        return cls(pool, words_from(lows.tobytes()),
+                   (0, 0, 0, lw, n - m, len(pool.words)), 0, m)
 
     @property
     def _high(self) -> BitVector:
-        f, s = self._f, self._s
-        return BitVector(self._pool, f[s], _high_length(self._n, self._m,
-                                                        self._low_width),
-                         f[s + 1], self._m)
+        # one zero per high bucket 0..(n - 1) >> low width, so every bucket
+        # boundary is addressable with select0; no bits at all when m is 0
+        m, f, s = self._m, self._f, self._s
+        n = m + ((self._n - 1) >> self._low_width) + 1 if m else 0
+        return BitVector(self._pool, f[s], n, f[s + 1], m)
 
     @property
     def _lows(self) -> PackedIntArray:
@@ -728,29 +641,6 @@ class SparseBitVector:
             raise ValueError(f"select1({j}) out of range, only {self._m} ones")
         h = self._high.select1(j) - j
         return ((h << self._low_width) | self._lows[j - 1]) + 1
-
-    def _search(self, i: int) -> tuple[int, bool]:
-        if self._m == 0:
-            return 0, False
-        return sparse_search(self._pool, self._words, self._f, self._s, i)
-
-    def rank1(self, i: int) -> int:
-        if not 0 <= i <= self._n:
-            raise IndexError(f"rank index {i} out of range 0..{self._n}")
-        return self._search(i)[0] if i else 0
-
-    def access(self, i: int) -> int:
-        if not 1 <= i <= self._n:
-            raise IndexError(f"bit index {i} out of range 1..{self._n}")
-        return int(self._search(i)[1])
-
-    def select0(self, j: int) -> int:
-        """Position of the j-th absent value, 1-based."""
-        total0 = self._n - self._m
-        if not 1 <= j <= total0:
-            raise ValueError(f"select0({j}) out of range, only {total0} zeros")
-        return sparse_select0(self._pool, self._words, self._f, self._s,
-                              self._m, j)
 
     def ones(self, start: int = 1):
         """Iterate member positions in order, beginning with the start-th."""
@@ -765,7 +655,8 @@ class SparseBitVector:
             raise ValueError("start must be >= 1")
         if start > self._n - self._m:
             return
-        pos = self.select0(start)
+        pos = sparse_select0(self._pool, self._words, self._f, self._s,
+                             self._m, start)
         it = self.ones(pos - start + 1)
         nxt = next(it, 0)
         yield pos
@@ -809,9 +700,6 @@ class UnaryDeltaStream:
         return cls(SparseBitVector.from_positions(universe, positions),
                    len(vals))
 
-    def __len__(self) -> int:
-        return self._count
-
     @property
     def total(self) -> int:
         return self.prefix_sum(self._count)
@@ -823,14 +711,6 @@ class UnaryDeltaStream:
         if i == 0:
             return 0
         return self._members.select1(i) - i
-
-    def prefix_iter(self, start: int = 0):
-        """Iterate prefix_sum(start), prefix_sum(start + 1), ... up to the
-        total; opening the walk costs one select."""
-        if not 0 <= start <= self._count:
-            raise IndexError(f"prefix index {start} out of range 0..{self._count}")
-        m = self._members
-        return unary_prefixes(m._pool, m._words, m._f, m._s, self._count, start)
 
     def code_bits(self) -> int:
         return self._members.code_bits()

@@ -160,6 +160,15 @@ class TestQuery:
         assert rc == 0
         assert capsys.readouterr().out == ""
 
+    def test_region_off_the_grid_exits_zero(self, capsys, built_index):
+        # past the grid's right edge even when widened for instant 3
+        for to in ([], ["--to", "5"]):
+            capsys.readouterr()
+            rc = main(["query", str(built_index), "--region", "50,60,0,3",
+                       "--from", "3", *to])
+            assert rc == 0
+            assert capsys.readouterr().out == ""
+
     def test_both_selectors_is_usage_error(self, built_index):
         with pytest.raises(SystemExit) as exc:
             main(["query", str(built_index), "--object", "7",

@@ -106,6 +106,24 @@ class TestReferenceIndex:
         assert ref_index.time_interval(Region(4, 5, 4, 10), 6, 7) == []
         assert ref_index.time_interval(Region(10, 10, 8, 8), 0, 13) == [REF_OBJECT]
 
+    @pytest.mark.parametrize("rect", [
+        (-9, -4, 0, 15), (20, 30, 0, 15), (0, 15, -9, -4), (0, 15, 20, 30),
+        (20, 30, 20, 30), (0, 5, 30, 40)],
+        ids=["left", "right", "below", "above", "corner", "far-above"])
+    def test_regions_off_the_grid(self, ref_index, ref_rows, rect):
+        # widened by at most the speed times the instants since the
+        # snapshot, such a region can still miss the grid, and every
+        # instant and interval answers as the oracle does
+        table = PositionTable.from_samples(ref_rows, horizon=14)
+        region = Region(*rect)
+        for q in range(14):  # snapshot instants 0 and 13, logged ones between
+            assert ref_index.time_slice(region, q) == \
+                oracle_slice(table, rect, q)
+        for a in range(14):
+            for b in range(a, 14):
+                assert ref_index.time_interval(region, a, b) == \
+                    oracle_interval(table, rect, a, b)
+
     def test_trajectory(self, ref_index):
         assert ref_index.trajectory(REF_OBJECT, 0, 13) == list(REF_TRACK)
         assert ref_index.trajectory(REF_OBJECT, 3, 5) == REF_TRACK[1:4]

@@ -10,7 +10,7 @@ from conftest import REF_PERIOD, REF_TRACK, stored_log
 from reference_encoder import Parts, write_log
 from synth import make_fleet
 from trajindex import succinct
-from trajindex.encoder import encode
+from trajindex.encoder import encode, stream_members
 from trajindex.engine import TrajectoryIndex, build_index
 from trajindex.log import (
     RECORD_FIELDS,
@@ -28,7 +28,16 @@ from trajindex.log import (
 )
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region
-from trajindex.succinct import UnaryDeltaStream, packed_get, select, words_from
+from trajindex.succinct import (
+    SparseBitVector,
+    UnaryDeltaStream,
+    packed_get,
+    select,
+    sparse_search,
+    sparse_select0,
+    unary_prefixes,
+    words_from,
+)
 
 
 @pytest.fixture
@@ -49,6 +58,38 @@ def data_upto(log, i):
     return ordinal_range(log._bits, log._words, log._f, 1, i)[1]
 
 
+def gap_window(first, last, gaps):
+    """A window [first, last] with gaps at those offsets, alone in pools
+    of its own: its TimeIndex, and the pools and the fields, as a log's
+    record begins, that the pool functions read."""
+    gapmap = SparseBitVector.from_positions(last - first + 1, gaps)
+    f = (first, last, len(gaps), *gapmap._f)
+    return TimeIndex(gapmap._pool, gapmap._words, f), (gapmap._pool,
+                                                      gapmap._words, f)
+
+
+def ordinal(pools, off):
+    """Data ordinal at window offset off, None at a gap: one
+    `sparse_search` of the gap map, as a position with a member per fix
+    finds it."""
+    bits, words, f = pools
+    if not f[2]:
+        return off
+    gaps, gap = sparse_search(bits, words, f, 3, off)
+    return None if gap else off - gaps
+
+
+def data_offset(pools, j):
+    """Window offset of the j-th instant with data, as
+    `TrajectoryLog.unmap_ordinal` finds it."""
+    bits, words, f = pools
+    return sparse_select0(bits, words, f, 3, f[2], j)
+
+
+def log_pools(log):
+    return log._bits, log._words, log._f
+
+
 def random_track(rng, period, start=0, max_step=6, base=500):
     count = int(rng.integers(1, period))
     ts = start + 1 + np.sort(rng.choice(period - 1, size=count, replace=False))
@@ -59,56 +100,46 @@ def random_track(rng, period, start=0, max_step=6, base=500):
 
 class TestTimeIndex:
     def test_dense_window(self):
-        ti = TimeIndex(2, 10, [5, 6])
-        assert len(ti) == 9
-        assert ti.gap_count == 2 and ti.data_count == 7
-        assert ti.ordinal(5) is None and ti.ordinal(4) == 4
+        # window offsets 1..9, ordinals 1..7
+        ti, pools = gap_window(2, 10, [5, 6])
+        assert ti.first == 2 and pools[2][7] == 7  # the data count
+        assert ordinal(pools, 5) is None and ordinal(pools, 4) == 4
+        assert ordinal(pools, 9) == 7 and data_offset(pools, 1) == 1
         assert ti.gaps_upto(8) == 2 and ti.gaps_upto(0) == 0
-        assert ti.data_offset(5) == 7
+        assert data_offset(pools, 5) == 7
         assert list(ti.data_offsets(3)) == [3, 4, 7, 8, 9]
-
-    def test_offsets_and_ordinals_outside_the_window_raise(self):
-        ti = TimeIndex(2, 10, [5, 6])  # window offsets 1..9, ordinals 1..7
-        for offset in (0, 10, 12):
-            with pytest.raises(IndexError):
-                ti.ordinal(offset)
-        for ordinal in (0, 8):
-            with pytest.raises(IndexError):
-                ti.data_offset(ordinal)
-        assert ti.ordinal(9) == 7 and ti.data_offset(1) == 1
 
     @pytest.mark.parametrize("gaps", [[50], list(range(2, 12)),
                                       list(range(2, 13))],
                              ids=["1-percent", "10-percent", "11-percent"])
     def test_values_across_the_old_ten_percent_threshold(self, gaps):
         # a tenth of the window once switched the gap map to a plain bitmap
-        ti = TimeIndex(1, 100, gaps)
+        ti, pools = gap_window(1, 100, gaps)
         data = [o for o in range(1, 101) if o not in gaps]
-        assert ti.gap_count == len(gaps) and ti.data_count == len(data)
+        assert pools[2][7] == len(data)  # the data count
         assert ti.gaps_upto(0) == 0
         for off in range(1, 101):
             assert ti.gaps_upto(off) == sum(g <= off for g in gaps)
-            assert ti.ordinal(off) == (data.index(off) + 1 if off in data
-                                       else None)
-        assert [ti.data_offset(j) for j in range(1, len(data) + 1)] == data
+            assert ordinal(pools, off) == (data.index(off) + 1 if off in data
+                                           else None)
+        assert [data_offset(pools, j) for j in range(1, len(data) + 1)] == data
         assert list(ti.data_offsets()) == data
 
     def test_windows_either_side_of_the_old_threshold(self):
         # one gap, and 14 gaps in 38 slots: either side of the old 10%
         # threshold between a sparse and a plain gap map
         for gaps in ([7], list(range(2, 30, 2))):
-            ti = TimeIndex(3, 40, gaps)
-            assert ti.first == 3 and ti.last == 40
-            assert ti.gap_count == len(gaps)
+            ti = gap_window(3, 40, gaps)[0]
+            assert ti.first == 3
             assert list(ti.data_offsets()) == [o for o in range(1, 39)
                                                if o not in gaps]
 
 
 class TestReferenceTrack:
     def test_window_and_gaps(self, ref_log):
-        assert (ref_log.time.first, ref_log.time.last) == (2, 10)
+        assert ref_log.time.first == 2
+        assert ref_log._f[1:3] == (10, 2)  # the last instant, the gaps
         assert ref_log.data_count == 7
-        assert ref_log.time.gap_count == 2
 
     def test_extraction_steps_at_instant_nine(self, ref_log):
         # offset 8 in the window, two gaps before it, hence data ordinal 6;
@@ -296,9 +327,9 @@ class TestSparseGapMap:
         period = window + 3  # local instants 1 and period-1 have no data
         log = build_log(rows, 0, period)
         ti = log.time
-        assert (ti.first, ti.last) == (2, window + 1)
-        assert ti.gap_count == gap_count
-        assert ti._gapmap._low_width == low_width
+        assert ti.first == 2
+        assert log._f[1:3] == (window + 1, gap_count)
+        assert log._f[6] == low_width  # the gap map's
         table = {t: (x, y) for t, x, y in rows}
         seen = 0
         for i in range(1, period):
@@ -310,7 +341,8 @@ class TestSparseGapMap:
         for off in range(1, window + 1):
             before += off in gapset
             assert ti.gaps_upto(off) == before
-            assert ti.ordinal(off) == (None if off in gapset else off - before)
+            assert ordinal(log_pools(log), off) == (
+                None if off in gapset else off - before)
         instants = sorted(table)
         assert [log.unmap_ordinal(j) for j in range(1, len(rows) + 1)] == \
             instants
@@ -336,8 +368,8 @@ class TestSparseGapMap:
         gapset = set(gaps)
         ordinals = [None if off in gapset else off - sum(g < off for g in gaps)
                     for off in range(1, window + 1)]
-        assert [log.time.ordinal(off) for off in range(1, window + 1)] == \
-            ordinals
+        assert [ordinal(log_pools(log), off)
+                for off in range(1, window + 1)] == ordinals
         instants = [t for t, _, _ in rows]
         assert [log.unmap_ordinal(j) for j in range(1, len(rows) + 1)] == \
             instants
@@ -351,12 +383,13 @@ class TestSparseGapMap:
     @pytest.mark.parametrize("gaps", [[1, 2, 3, 1000, 2000], [1], [2000],
                                       list(range(1, 2001, 16))])
     def test_gaps_on_the_first_and_last_offsets(self, gaps):
-        ti = TimeIndex(5, 2004, gaps)
+        ti, pools = gap_window(5, 2004, gaps)
         gapset = set(gaps)
         before = 0
         for off in range(1, 2001):
             before += off in gapset
-            assert ti.ordinal(off) == (None if off in gapset else off - before)
+            assert ordinal(pools, off) == (None if off in gapset
+                                           else off - before)
         assert list(ti.data_offsets()) == [o for o in range(1, 2001)
                                            if o not in gapset]
 
@@ -375,10 +408,10 @@ class TestSparseGapMap:
             rng = np.random.default_rng(int(100 * gaps))
             count = int(gaps * window)
             gaps = sorted(rng.choice(window, count, replace=False) + 1)
-        ti = TimeIndex(3, window + 2, gaps)
+        ti, pools = gap_window(3, window + 2, gaps)
         gapset = set(gaps)
         data = [o for o in range(1, window + 1) if o not in gapset]
-        assert [ti.data_offset(j) for j in range(1, len(data) + 1)] == data
+        assert [data_offset(pools, j) for j in range(1, len(data) + 1)] == data
         for start in range(1, len(data) + 1):
             assert next(ti.data_offsets(start)) == data[start - 1]
         for start in (1, 2, len(data) // 2, len(data)):
@@ -443,7 +476,7 @@ class TestPooledLogs:
         log = build_log(rows, 0, period)
         kind, _, n = name.rpartition("-")
         if kind in ("full", "dense-gaps"):
-            assert len(log.time) == int(n)
+            assert log._f[1] - log._f[0] + 1 == int(n)  # the window
         check_log(log, period, rows)
         assert stored_log(log) == reference_pieces(rows, 0, period)
 
@@ -753,7 +786,8 @@ class TestGapMarks:
                          horizon=fleet.horizon)
         for log, _ in ix._logs.values():
             f = log._f
-            sums = list(log.dx.stream.prefix_iter())
+            sums = list(unary_prefixes(log._bits, log._words, f, X_AXIS,
+                                       stream_members(*f[:3]), 0))
             zero = [k + 1 for k in range(1, len(sums))
                     if sums[k] == sums[k - 1]]  # as window offsets
             gaps = list(log.time._gapmap.ones())

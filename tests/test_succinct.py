@@ -8,15 +8,19 @@ from trajindex.succinct import (
     BitPool,
     BitVector,
     PackedIntArray,
+    PieceBuffer,
     Reader,
     SparseBitVector,
     UnaryDeltaStream,
     Writer,
+    access,
     bit_lengths,
     packed_at,
     packed_get,
-    packed_words,
-    sparse_halves,
+    select,
+    sparse_search,
+    sparse_select0,
+    unary_prefixes,
     words_from,
 )
 
@@ -29,19 +33,56 @@ def brute(bits):
             list(np.flatnonzero(1 - arr) + 1))
 
 
+def alone(bits):
+    """A pool holding the bitmap bits alone, from word 0, and the word
+    after it: the arguments the pool functions take, with no ones before
+    it."""
+    w = Writer()
+    w.bits(bits)
+    return BitPool(w), len(w) // 8
+
+
+def select0(pool, end, j):
+    """The j-th zero of the bitmap alone in words 0..end-1 of pool."""
+    return select(pool, 0, end, 0, j, True)
+
+
+def parts(sv):
+    """A set's pool, words and fields, which the pool functions take."""
+    return sv._pool, sv._words, sv._f
+
+
+def search(pool, words, f, m, i):
+    """(members at or below position i, whether i is one) for the set of m
+    members whose fields start at f[0], as the index asks `sparse_search`:
+    only on a set with members, from position 1."""
+    return sparse_search(pool, words, f, 0, i) if m and i else (0, False)
+
+
+def packed(values, width):
+    """values at width bits each, packed from word 0 of a word array of
+    their own by the encoder the index packs with."""
+    vals = np.asarray(values, dtype=np.uint64).astype(np.int64)
+    buf = PieceBuffer(np.array([[len(vals) * width]]))
+    buf.packed(0, np.zeros(len(vals), dtype=np.int64), np.arange(len(vals)),
+               vals, np.array([width]))
+    return words_from(buf.tobytes())
+
+
 class TestBitVector:
     def test_known_small(self):
         # B = 1011
         bv = BitVector.from_bits([1, 0, 1, 1])
-        assert len(bv) == 4 and bv.count_ones == 3
-        assert [bv.access(i) for i in range(1, 5)] == [1, 0, 1, 1]
+        pool, end = alone([1, 0, 1, 1])
+        assert len(bv) == 4 and bv.rank1(4) == 3
+        assert [access(pool, 0, i) for i in range(1, 5)] == [1, 0, 1, 1]
         assert [bv.rank1(i) for i in range(5)] == [0, 1, 1, 2, 3]
         assert [bv.select1(j) for j in (1, 2, 3)] == [1, 3, 4]
-        assert bv.select0(1) == 2
+        assert select0(pool, end, 1) == 2
 
     def test_empty(self):
         bv = BitVector.from_bits([])
-        assert len(bv) == 0 and bv.count_ones == 0
+        assert len(bv) == 0
         assert bv.rank1(0) == 0
         with pytest.raises(ValueError):
             bv.select1(1)
@@ -53,51 +94,47 @@ class TestBitVector:
         rng = np.random.default_rng(int(density * 100) * 7919 + n)
         bits = (rng.random(n) < density).astype(np.uint8)
         bv = BitVector.from_bits(bits)
+        pool, end = alone(bits)
         cum, ones, zeros = brute(bits)
-        assert bv.count_ones == len(ones)
         for i in range(n + 1):
             assert bv.rank1(i) == cum[i]
         assert [bv.select1(j) for j in range(1, len(ones) + 1)] == ones
-        assert [bv.select0(j) for j in range(1, len(zeros) + 1)] == zeros
+        assert [select0(pool, end, j) for j in range(1, len(zeros) + 1)] \
+            == zeros
         assert list(bv.ones()) == ones
-        assert list(bv.zeros()) == zeros
 
     @given(st.lists(st.booleans(), max_size=300), st.data())
     @settings(max_examples=60, deadline=None)
     def test_rank_select_inverse(self, bits, data):
         bv = BitVector.from_bits(bits)
-        if bv.count_ones:
-            j = data.draw(st.integers(1, bv.count_ones))
+        pool, end = alone(bits)
+        ones = sum(bits)
+        if ones:
+            j = data.draw(st.integers(1, ones))
             p = bv.select1(j)
-            assert bv.access(p) == 1
+            assert access(pool, 0, p) == 1
             assert bv.rank1(p) == j
             assert bv.rank1(p - 1) == j - 1
-        if bv.count_zeros:
-            j = data.draw(st.integers(1, bv.count_zeros))
-            p = bv.select0(j)
-            assert bv.access(p) == 0
+        if len(bits) - ones:
+            j = data.draw(st.integers(1, len(bits) - ones))
+            p = select0(pool, end, j)
+            assert access(pool, 0, p) == 0
             assert p - bv.rank1(p) == j
 
     def test_iterators_resume_mid_stream(self):
         rng = np.random.default_rng(5)
         bits = (rng.random(700) < 0.3).astype(np.uint8)
         bv = BitVector.from_bits(bits)
-        _, ones, zeros = brute(bits)
+        _, ones, _ = brute(bits)
         for start in (1, 2, 17, len(ones)):
             assert list(bv.ones(start)) == ones[start - 1:]
-        for start in (1, 40, len(zeros)):
-            assert list(bv.zeros(start)) == zeros[start - 1:]
 
     def test_bounds_errors(self):
         bv = BitVector.from_bits([1, 0])
         with pytest.raises(IndexError):
             bv.rank1(3)
-        with pytest.raises(IndexError):
-            bv.access(0)
         with pytest.raises(ValueError):
             bv.select1(2)
-        with pytest.raises(ValueError):
-            bv.select0(2)
 
 
 class TestReader:
@@ -121,11 +158,15 @@ class TestReader:
 class TestSparseBitVector:
     def test_known_small(self):
         sv = SparseBitVector.from_positions(32, [3, 7, 20])
-        assert len(sv) == 32 and sv.count_ones == 3
+        pool, words, f = parts(sv)
+        assert f[3:5] == (3, 29)  # lows floor(log2(32/3)) bits wide
         assert sv.select1(2) == 7
-        assert sv.rank1(0) == 0 and sv.rank1(7) == 2 and sv.rank1(32) == 3
-        assert sv.access(20) == 1 and sv.access(21) == 0
-        assert sv.select0(3) == 4  # zeros are 1,2,4,5,6,8,...
+        assert [search(pool, words, f, 3, i)[0] for i in (0, 7, 32)] == \
+            [0, 2, 3]
+        assert search(pool, words, f, 3, 20) == (3, True)
+        assert search(pool, words, f, 3, 21) == (3, False)
+        # zeros are 1,2,4,5,6,8,...
+        assert sparse_select0(pool, words, f, 0, 3, 3) == 4
         assert list(sv.ones()) == [3, 7, 20]
 
     def test_rejects_bad_positions(self):
@@ -143,16 +184,17 @@ class TestSparseBitVector:
         rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
         pos = np.sort(rng.choice(n, size=m, replace=False)) + 1
         sv = SparseBitVector.from_positions(n, pos)
+        pool, words, f = parts(sv)
         bits = np.zeros(n, dtype=np.uint8)
         bits[pos - 1] = 1
         cum, ones, zeros = brute(bits)
         probes = data.draw(st.lists(st.integers(0, n), max_size=10))
         for i in probes:
-            assert sv.rank1(i) == cum[i]
+            assert search(pool, words, f, m, i)[0] == cum[i]
         assert [sv.select1(j) for j in range(1, m + 1)] == ones
         if zeros:
             j = data.draw(st.integers(1, len(zeros)))
-            assert sv.select0(j) == zeros[j - 1]
+            assert sparse_select0(pool, words, f, 0, m, j) == zeros[j - 1]
         assert list(sv.ones()) == ones
 
     @pytest.mark.parametrize("n, members", [
@@ -164,13 +206,13 @@ class TestSparseBitVector:
         (6_000, list(range(1500, 1570)) + list(range(2500, 2520))),
     ], ids=["long-run", "leading-run", "word-boundaries"])
     def test_rank_across_long_runs_of_one_bucket(self, n, members):
-        sv = SparseBitVector.from_positions(n, members)
+        pool, words, f = parts(SparseBitVector.from_positions(n, members))
         memberset = set(members)
         rank = 0
         for i in range(1, n + 1):
             rank += i in memberset
-            assert sv.rank1(i) == rank, i
-            assert sv.access(i) == (i in memberset), i
+            assert search(pool, words, f, len(members), i) == \
+                (rank, i in memberset), i
 
     def test_space_stays_near_information_bound(self):
         # code bits within m*ceil(log2(n/m)) + 4m for all shapes tried
@@ -214,7 +256,7 @@ class TestSparseSelect0:
     def test_every_zero_matches_brute_force(self, name, n, members,
                                             monkeypatch):
         sv = SparseBitVector.from_positions(n, members)
-        select = succinct.select
+        pool, words, f = parts(sv)
 
         def zeros_only(*args):
             assert args[5:] == (True,), "select0 must not search with select1"
@@ -223,24 +265,28 @@ class TestSparseSelect0:
         monkeypatch.setattr(succinct, "select", zeros_only)
         memberset = set(members)
         zeros = [p for p in range(1, n + 1) if p not in memberset]
-        assert [sv.select0(j) for j in range(1, len(zeros) + 1)] == zeros
-        for j in (0, len(zeros) + 1):
-            with pytest.raises(ValueError):
-                sv.select0(j)
+        assert [sparse_select0(pool, words, f, 0, len(members), j)
+                for j in range(1, len(zeros) + 1)] == zeros
         monkeypatch.undo()
         for start in range(1, len(zeros) + 1, max(1, len(zeros) // 37)):
             assert list(sv.zeros(start)) == zeros[start - 1:]
         assert list(sv.zeros(len(zeros) + 1)) == []
 
 
+def prefixes(stream, m, start=0):
+    """The sums of the first start, start + 1, ..., m values of the
+    m-value stream, by the pool function a log's walk reads them with."""
+    return list(unary_prefixes(*parts(stream._members), 0, m, start))
+
+
 class TestUnaryDeltaStream:
     def test_known_values(self):
         st_ = UnaryDeltaStream.from_values([4, 3, 1, 0])
-        assert len(st_) == 4 and st_.total == 8
+        assert st_.total == 8
         assert [st_.prefix_sum(i) for i in range(5)] == [0, 4, 7, 8, 8]
-        assert list(st_.prefix_iter()) == [0, 4, 7, 8, 8]
-        assert list(st_.prefix_iter(2)) == [7, 8, 8]
-        assert list(st_.prefix_iter(4)) == [8]
+        assert prefixes(st_, 4) == [0, 4, 7, 8, 8]
+        assert prefixes(st_, 4, 2) == [7, 8, 8]
+        assert prefixes(st_, 4, 4) == [8]
 
     def test_fourth_sum_lands_on_bit_sixteen(self):
         # values 2,1,2,7: the 4th terminator sits at bit 16, so the sum of
@@ -251,7 +297,7 @@ class TestUnaryDeltaStream:
 
     def test_empty_and_zeroes(self):
         empty = UnaryDeltaStream.from_values([])
-        assert empty.total == 0 and list(empty.prefix_iter()) == [0]
+        assert empty.total == 0 and prefixes(empty, 0) == [0]
         zs = UnaryDeltaStream.from_values([0, 0, 0])
         assert [zs.prefix_sum(i) for i in range(4)] == [0, 0, 0, 0]
 
@@ -267,7 +313,7 @@ class TestUnaryDeltaStream:
         for i in range(len(values) + 1):
             assert st_.prefix_sum(i) == expect[i]
         for start in range(len(values) + 1):
-            assert list(st_.prefix_iter(start)) == list(expect[start:])
+            assert prefixes(st_, len(values), start) == list(expect[start:])
 
 
 class TestPackedIntArray:
@@ -278,8 +324,8 @@ class TestPackedIntArray:
         vals = rng.integers(0, min(top, 2**63), size=40, dtype=np.uint64)
         if width == 0:
             vals[:] = 0
-        pa = PackedIntArray.from_values(vals, width)
-        assert len(pa) == 40 and pa.width == width
+        pa = PackedIntArray(packed(vals, width), 0, 40, width)
+        assert len(pa) == 40 and pa.code_bits() == 40 * width
         assert list(pa) == [int(v) for v in vals]
 
     def test_packed_at_reads_each_value_as_packed_get_does(self):
@@ -287,7 +333,7 @@ class TestPackedIntArray:
         rng = np.random.default_rng(8)
         for width in range(64):
             vals = rng.integers(0, 1 << width, size=40, dtype=np.uint64)
-            words = words_from(packed_words(vals, width))
+            words = packed(vals, width)
             got = packed_at(words, np.arange(40) * width, width)
             assert got.tolist() == vals.tolist() == \
                 [packed_get(words, 0, width, i) for i in range(40)]
@@ -299,14 +345,8 @@ class TestPackedIntArray:
                           dtype=np.uint64)
         assert bit_lengths(values).tolist() == [0, 1, 3, 63, 64, 64]
 
-    def test_rejects_oversized_values(self):
-        with pytest.raises(ValueError):
-            PackedIntArray.from_values([8], 3)
-        with pytest.raises(ValueError):
-            PackedIntArray.from_values([1], 0)
-
     def test_bounds(self):
-        pa = PackedIntArray.from_values([1, 2, 3], 2)
+        pa = PackedIntArray(packed([1, 2, 3], 2), 0, 3, 2)
         with pytest.raises(IndexError):
             pa[3]
         with pytest.raises(IndexError):
@@ -328,28 +368,38 @@ def edge_bitmaps():
                     ends, (rng.random(n) < 0.3).astype(np.uint8))
 
 
-def check_bitmap(bv, bits):
+def check_bitmap(pool, base, before, bits):
+    """The bitmap bits from word base of pool, with `before` ones before
+    it: its view, and the pool functions on it, against brute force."""
     cum, ones, zeros = brute(bits)
-    assert len(bv) == len(bits) and bv.count_ones == len(ones)
+    bv = BitVector(pool, base, len(bits), before, len(ones))
+    end = base + ((len(bits) + 63) >> 6)
+    assert len(bv) == len(bits)
     assert [bv.rank1(i) for i in range(len(bits) + 1)] == list(cum)
-    assert [bv.access(i) for i in range(1, len(bits) + 1)] == list(bits)
+    assert [access(pool, base, i) for i in range(1, len(bits) + 1)] == \
+        list(bits)
     assert [bv.select1(j) for j in range(1, len(ones) + 1)] == ones
-    assert [bv.select0(j) for j in range(1, len(zeros) + 1)] == zeros
-    assert list(bv.ones()) == ones and list(bv.zeros()) == zeros
+    assert [select(pool, base, end, before, j, True)
+            for j in range(1, len(zeros) + 1)] == zeros
+    assert list(bv.ones()) == ones
     for j in (0, len(ones) + 1):
         with pytest.raises(ValueError):
             bv.select1(j)
 
 
-def check_sparse(sv, n, members):
+def check_sparse(pool, words, f, n, members):
+    """The set of members over [1, n] whose fields start at f[0]: its view,
+    and the pool functions on it, against brute force."""
     bits = np.zeros(n, dtype=np.uint8)
     bits[np.asarray(members, dtype=np.int64) - 1] = 1
     cum, ones, zeros = brute(bits)
-    assert len(sv) == n and sv.count_ones == len(ones)
-    assert [sv.rank1(i) for i in range(n + 1)] == list(cum)
-    assert [sv.access(i) for i in range(1, n + 1)] == list(bits)
-    assert [sv.select1(j) for j in range(1, len(ones) + 1)] == ones
-    assert [sv.select0(j) for j in range(1, len(zeros) + 1)] == zeros
+    m = len(ones)
+    sv = SparseBitVector(pool, words, f, 0, m)
+    assert [search(pool, words, f, m, i) for i in range(n + 1)] == \
+        [(cum[i], i > 0 and bits[i - 1] == 1) for i in range(n + 1)]
+    assert [sv.select1(j) for j in range(1, m + 1)] == ones
+    assert [sparse_select0(pool, words, f, 0, m, j)
+            for j in range(1, len(zeros) + 1)] == zeros
     assert list(sv.ones()) == ones and list(sv.zeros()) == zeros
 
 
@@ -379,29 +429,27 @@ class TestPoolBoundaries:
         pool = BitPool(w)
         ones = pool.ones_before(np.array(bases))
         for base, before, bits in zip(bases, ones.tolist(), cases):
-            check_bitmap(BitVector(pool, base, len(bits), before,
-                                   int(bits.sum())), bits)
-            check_bitmap(BitVector.from_bits(bits), bits)
+            check_bitmap(pool, base, before, bits)
+            check_bitmap(alone(bits)[0], 0, 0, bits)
 
     def test_sparse_sets_alone_and_in_one_pool(self):
         cases = list(edge_sets())
         high_words, low_words = Writer(), Writer()
         fields = []  # each set's six fields but the ones before it
         for n, members in cases:
-            lows, high = sparse_halves(n, members)
-            alone = SparseBitVector.from_positions(n, members)._f
+            bits, lows, alone = parts(SparseBitVector.from_positions(n, members))
             fields.append([len(high_words) // 8, 0, len(low_words) // 8,
                            *alone[3:5]])
-            high_words.bits(high)
-            low_words += lows
+            high_words.words(bits.words)
+            low_words.words(lows)
             fields[-1].append(len(high_words) // 8)
         pool, words = BitPool(high_words), words_from(low_words)
         for f in fields:
             f[1] = int(pool.ones_before(np.array(f[0])))
         for (n, members), f in zip(cases, fields):
-            check_sparse(SparseBitVector(pool, words, f, 0, len(members)), n,
-                         members)
-            check_sparse(SparseBitVector.from_positions(n, members), n, members)
+            check_sparse(pool, words, f, n, members)
+            check_sparse(*parts(SparseBitVector.from_positions(n, members)),
+                         n, members)
 
     @pytest.mark.parametrize("values", [[], [0], [0, 0, 0], [5], [0, 7, 0],
                                         list(range(64)), [1] * 513])
@@ -411,8 +459,8 @@ class TestPoolBoundaries:
         assert st_.total == expect[-1]
         assert [st_.prefix_sum(i) for i in range(len(values) + 1)] == \
             list(expect)
-        assert list(st_.prefix_iter()) == list(expect)
-        assert list(st_.prefix_iter(len(values))) == [expect[-1]]
+        assert prefixes(st_, len(values)) == list(expect)
+        assert prefixes(st_, len(values), len(values)) == [expect[-1]]
 
 
 def zero_layouts():
@@ -455,7 +503,7 @@ class TestZerosFromTheOnes:
                             lambda *a: calls.append(a) or zero_word(*a))
         rng = np.random.default_rng(nwords)
         bits = (rng.random(64 * nwords) < 0.5).astype(np.uint8)
-        check_bitmap(BitVector.from_bits(bits), bits)
+        check_bitmap(alone(bits)[0], 0, 0, bits)
         assert bool(calls) == bisected
 
     @given(zero_layouts(), st.integers(0, 2 ** 32 - 1))
@@ -476,10 +524,7 @@ class TestZerosFromTheOnes:
         pool = BitPool(w)
         ones = pool.ones_before(np.array([b for b, _ in cases])).tolist()
         for (base, bits), before in zip(cases, ones):
-            bv = BitVector(pool, base, len(bits), before, int(bits.sum()))
+            end = base + ((len(bits) + 63) >> 6)
             _, _, zeros = brute(bits)
-            assert [bv.select0(j) for j in range(1, len(zeros) + 1)] == zeros
-            assert list(bv.zeros()) == zeros
-            if zeros:
-                start = int(rng.integers(1, len(zeros) + 1))
-                assert list(bv.zeros(start)) == zeros[start - 1:]
+            assert [select(pool, base, end, before, j, True)
+                    for j in range(1, len(zeros) + 1)] == zeros
