@@ -19,6 +19,7 @@ import numpy as np
 
 from trajindex.encoder import U32_FIELDS, encode
 from trajindex.log import (
+    ENTRIES,
     FILE_FIELDS,
     RECORD_FIELDS,
     TREE,
@@ -38,7 +39,7 @@ from trajindex.snapshot import Region, Snapshot, expanded_region, morton_codes
 from trajindex.succinct import U32_MAX, BitPool, Reader, Writer, nbytes, words_from
 
 _MAGIC = b"CTCT"
-_VERSION = 8
+_VERSION = 9
 _PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
 _CRC_AT = 6  # offset of the CRC field, which the CRC skips
 _RECORD = struct.Struct(f"={RECORD_FIELDS}I")  # a log's record (see `log`)
@@ -47,8 +48,9 @@ MAX_PERIODS = 1 << 20  # each period costs a snapshot, data or not
 
 
 _ROOT_BOX = struct.Struct("=4I")
-# a record's window and gap map, whose bitmap ends where the x axis's begins
-_HEAD = struct.Struct(f"={X_AXIS + 1}I")
+# a record's window, its bitmap's first word and ones before, and its data
+# count: the fields before the x axis's
+_HEAD = struct.Struct(f"={X_AXIS}I")
 _MISSES, _MEETS, _WITHIN = 0, 1, 2  # a miss is the one false value
 
 
@@ -299,9 +301,9 @@ class TrajectoryIndex:
           then every log with its box tree, by period and then by id, as
           the index holds them (see `encoder`): their u32 fields, row
           after row, the bit pool's words and the word pool's words.
-        A log's axis streams hold a member per instant of its window
-        (per fix when more than a quarter of its steps are gaps), so an
-        object's position is one select per axis (see `log`).
+        A log's axis streams hold a member per fix after its first, and a
+        log with gaps a bitmap over its window, so an object's position is
+        a rank and one select per axis (see `log`).
         """
         w = _header(self.extent, self.horizon, self.period, self.leaf_capacity,
                     self.sample_count, self.max_speed, self._object_ids)
@@ -315,8 +317,8 @@ class TrajectoryIndex:
         w.words(self._bits.words)
         w.words(self._words)
         # a tree's diffs end where the next log's words begin, with its
-        # gap map's lows (field 5)
-        diffs = np.append(f[1:, 5], len(self._words)) - f[:, TREE]
+        # entry arrays
+        diffs = np.append(f[1:, ENTRIES], len(self._words)) - f[:, TREE]
         sizes["trees"] = 20 * len(f) + 8 * int(diffs.sum())
         sizes["logs"] = (4 * U32_FIELDS * len(f) - sizes["trees"]
                          + nbytes(self._bits.words, self._words))
@@ -368,7 +370,7 @@ class TrajectoryIndex:
         r.end()
         bits = bit_pool(f, pools[:8 * bit_words])
         words = words_from(pools[8 * bit_words:])
-        check_window_ends(f, bits, words)
+        check_window_ends(f, bits)
         return cls(period, leaf_capacity, (w, h), horizon, max_speed,
                    sample_count, object_ids, snapshots, bits, words, f, slots)
 

@@ -21,8 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trajindex.log import TREE, TrajectoryLog, _count_upto, position_at, private_pools
-from trajindex.succinct import U32_MAX, PackedIntArray, packed_get
+from trajindex.log import (
+    TREE,
+    WINDOW,
+    TrajectoryLog,
+    position_at,
+    private_pools,
+)
+from trajindex.succinct import U32_MAX, PackedIntArray, next_one, packed_get
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -222,16 +228,15 @@ class MbrTree:
         # decode the first fix at or after t; one at distance g from r
         # cannot be inside it before t + ceil(g/s).  Each step moves t on
         # by at least 1, so the scan ends on any index.
-        t = at[0] if lo == at[1] else max(at[0], log.unmap_ordinal(lo))
-        end = thi if hi == ohi else log.unmap_ordinal(hi)
         bits, words, f = log._bits, log._words, log._f
+        t = max(at[0], f[0]) if lo == at[1] else max(at[0], log.unmap_ordinal(lo))
+        end = thi if hi == ohi else log.unmap_ordinal(hi)
         while t <= end:
             pos = position_at(bits, words, f, t)
-            if pos is None:  # a gap: on to the first fix after it
-                j = _count_upto(bits, words, f, t) + 1
-                if j > hi:
+            if pos is None:  # past the window, or a gap: on to the next fix
+                if t > f[1]:
                     break
-                t = max(t + 1, log.unmap_ordinal(j))
+                t = next_one(bits, f[WINDOW], t - f[0] + 1) + f[0] - 1
                 continue
             stats.positions_decoded += 1
             x, y = pos

@@ -4,15 +4,12 @@ A `BitPool` holds many bitmaps back to back in one uint64 word array,
 least significant bit first, each from a word boundary, with one
 directory of ones over the whole pool.  Packed integers live in a plain
 word array, the word pool.  A bitmap is then its first word and the
-number of ones before that word: local rank is the pool's rank less those
-ones, and select bisects only the superblocks the bitmap spans.  Zeros
-have no directory: the zeros before word w are 64·w less the ones
-before it.  So a select0 on a bitmap of at most `_COUNTED` words counts
-the zeros of its words from the first, and on a longer one bisects the
-zero counts the ones directory implies.  The functions below are the
-one implementation of select; the classes are thin views over them, and
-callers that keep the bases elsewhere, such as a log's fields, call the
-functions directly.
+number of ones before that word: `rank` is the pool's count less those
+ones, and `select` bisects only the superblocks the bitmap spans.  Only
+set bits are ever selected.  The functions below are the one
+implementation of rank and select; the classes are thin views over them,
+and callers that keep the bases elsewhere, such as a log's fields, call
+the functions directly.
 
 The public API uses 1-based positions.  Words and directories are
 `array.array`s, whose items read back as plain Python ints.
@@ -34,7 +31,6 @@ from bisect import bisect_left
 
 import numpy as np
 
-_WORD_FULL = (1 << 64) - 1
 U32_MAX = (1 << 32) - 1  # the largest value a u32 field holds
 _SUPER_SHIFT = 3
 _SUPER = 1 << _SUPER_SHIFT  # words per superblock, i.e. 512-bit superblocks
@@ -152,11 +148,8 @@ class BitPool:
     `super1[s]` counts the ones before 512-bit superblock s (one extra
     entry holds the total) and `block1[w]` the ones before word w inside
     its superblock, for every word of the last superblock and one more,
-    so a bisection may span any whole superblock.  Zeros have no
-    directory of their own: the zeros before word w are 64·w less the
-    ones before it, and the same inside a superblock.  The padding that
-    ends a bitmap's last word counts as zeros, which no select of that
-    bitmap reaches.
+    so a bisection may span any whole superblock.  The padding that
+    ends a bitmap's last word holds no ones.
     """
 
     __slots__ = ("words", "super1", "block1")
@@ -187,47 +180,35 @@ class BitPool:
 
 # ------------------------------------------------- rank and select on pools
 
-_COUNTED = 4  # select0 on a bitmap of at most this many words counts them
+def rank(pool: BitPool, base: int, ones: int, i: int) -> int:
+    """Set bits among positions 1..i (i may be 0) of the bitmap that
+    starts at word base, with `ones` set bits before it in the pool: the
+    directory's count before i's word, less ones, and a popcount."""
+    p = (base << 6) + i
+    w = p >> 6
+    r = pool.super1[w >> _SUPER_SHIFT] + pool.block1[w] - ones
+    if p & 63:
+        r += (pool.words[w] & ((1 << (p & 63)) - 1)).bit_count()
+    return r
 
 
-def access(pool: BitPool, base: int, i: int) -> int:
-    """Bit i of the bitmap that starts at word base."""
-    p = (base << 6) + i - 1
-    return pool.words[p >> 6] >> (p & 63) & 1
-
-
-def select(pool: BitPool, base: int, end: int, ones: int, j: int,
-           zero: bool = False) -> int:
-    """Position of the j-th set bit (unset bit, when zero) of the bitmap
-    in words base..end-1, with `ones` set bits before it in the pool; the
-    caller makes sure it exists.  Ones bisect only those words'
-    superblocks, then the words of one superblock; zeros are counted word
-    by word on at most `_COUNTED` words, else bisected (`_zero_word`)."""
-    words = pool.words
-    if zero:
-        if end - base > _COUNTED:
-            w, k = _zero_word(pool, base, end, ones, j)
-        else:
-            w, k = base, j
-            c = 64 - words[w].bit_count()
-            while k > c:
-                k -= c
-                w += 1
-                c = 64 - words[w].bit_count()
-        word = words[w] ^ _WORD_FULL
-    else:
-        sup = pool.super1
-        block = pool.block1
-        g = ones + j
-        s = base >> _SUPER_SHIFT
-        last = (end - 1) >> _SUPER_SHIFT
-        if s < last:
-            s = bisect_left(sup, g, s + 1, last + 1) - 1
-        rem = g - sup[s]
-        first = s << _SUPER_SHIFT
-        w = bisect_left(block, rem, first + 1, first + _SUPER) - 1
-        word = words[w]
-        k = rem - block[w]
+def select(pool: BitPool, base: int, end: int, ones: int, j: int) -> int:
+    """Position of the j-th set bit of the bitmap in words base..end-1,
+    with `ones` set bits before it in the pool; the caller makes sure it
+    exists.  It bisects only those words' superblocks, then the words of
+    one superblock, then finds the bit in the word."""
+    sup = pool.super1
+    block = pool.block1
+    g = ones + j
+    s = base >> _SUPER_SHIFT
+    last = (end - 1) >> _SUPER_SHIFT
+    if s < last:
+        s = bisect_left(sup, g, s + 1, last + 1) - 1
+    rem = g - sup[s]
+    first = s << _SUPER_SHIFT
+    w = bisect_left(block, rem, first + 1, first + _SUPER) - 1
+    word = pool.words[w]
+    k = rem - block[w]
     # the k-th set bit of the word: halve to the right byte by popcount,
     # then look the bit up
     pos = ((w - base) << 6) + 1
@@ -249,24 +230,16 @@ def select(pool: BitPool, base: int, end: int, ones: int, j: int,
     return pos + _SELECT8[(k - 1) << 8 | (word & 0xFF)]
 
 
-def _zero_word(pool: BitPool, base: int, end: int, ones: int,
-               j: int) -> tuple[int, int]:
-    # (w, k): the j-th zero of the bitmap in words base..end-1 is the k-th
-    # of word w.  (t << 9) - super1[t] zeros precede superblock t, and
-    # ((v - first) << 6) - block1[v] word v of the superblock from first
-    sup = pool.super1
-    block = pool.block1
-    g = (base << 6) - ones + j  # zeros up to the j-th, from the pool's start
-    s = base >> _SUPER_SHIFT
-    last = (end - 1) >> _SUPER_SHIFT
-    if s < last:
-        s += bisect_left(range(s + 1, last + 1), g,
-                         key=lambda t: (t << 9) - sup[t])
-    rem = g - (s << 9) + sup[s]
-    first = s << _SUPER_SHIFT
-    w = first + bisect_left(range(first + 1, first + _SUPER), rem,
-                            key=lambda v: ((v - first) << 6) - block[v])
-    return w, rem - ((w - first) << 6) + block[w]
+def next_one(pool: BitPool, base: int, i: int) -> int:
+    """Position of the first set bit at or after position i of the bitmap
+    that starts at word base; the caller makes sure one exists."""
+    p = (base << 6) + i - 1
+    w = p >> 6
+    word = pool.words[w] >> (p & 63) << (p & 63)
+    while not word:
+        w += 1
+        word = pool.words[w]
+    return ((w - base) << 6) + (word & -word).bit_length()
 
 
 def _scan(words, base, end, p):
@@ -319,70 +292,6 @@ def packed_get(words: array, base: int, width: int, i: int) -> int:
 # high bits' first word, the ones before them, its lows' first word, the
 # low width, n - m, and the word after its high bits.
 
-def sparse_search(pool: BitPool, words: array, f, s: int,
-                  i: int) -> tuple[int, bool]:
-    """(members at or below position i, whether i is one), for a set with
-    members: a select0 finds where i's high bucket begins, the run of
-    ones after it holds the bucket's members, and a bisection of their
-    lows ranks i; the low just below the rank says whether i is in."""
-    hbase, lbase, lw = f[s], f[s + 2], f[s + 3]
-    h = (i - 1) >> lw
-    lowv = (i - 1) & ((1 << lw) - 1)
-    p = select(pool, hbase, f[s + 5], f[s + 1], h, True) if h else 0
-    a = b = lo = p - h
-    # count the run of ones from bit p + 1 on, word by word; the high
-    # bits end with a zero
-    w, off = divmod((hbase << 6) + p, 64)
-    while True:
-        x = pool.words[w] >> off
-        run = (~x & (x + 1)).bit_length() - 1  # x's trailing ones
-        b += run
-        if run < 64 - off:
-            break
-        w, off = w + 1, 0
-    while a < b:
-        mid = (a + b) >> 1
-        if packed_get(words, lbase, lw, mid) <= lowv:
-            a = mid + 1
-        else:
-            b = mid
-    return a, a > lo and packed_get(words, lbase, lw, a - 1) == lowv
-
-
-def sparse_select0(pool: BitPool, words: array, f, s: int, m: int, j: int) -> int:
-    """Position of the j-th value of [1, n] not among the set's m members.
-
-    A high bucket spans 2**w values, w the low width, so the j-th zero
-    falls in a bucket b between (j - 1) >> w and (j - 1 + m) >> w.
-    Bisecting that range with select0 on the high bits finds the last
-    bucket with fewer than j zeros before it; stepping over that bucket's
-    members that lie at or below the candidate then places the zero.
-    """
-    if m == 0:
-        return j
-    hbase, hones, lbase, w, hend = f[s], f[s + 1], f[s + 2], f[s + 3], f[s + 5]
-    b = (j - 1) >> w
-    top = min((j - 1 + m) >> w, (f[s + 4] + m - 1) >> w)
-    # at: high position of the b-th zero, which ends bucket b - 1, so
-    # bucket b's members follow it and at - b members come before it
-    at = select(pool, hbase, hend, hones, b, True) if b else 0
-    while b < top:
-        mid = (b + top + 1) >> 1
-        p = select(pool, hbase, hend, hones, mid, True)
-        if (mid << w) - (p - mid) < j:
-            b, at = mid, p
-        else:
-            top = mid - 1
-    i = at - b
-    v = j - 1 + i  # 0-based value of the zero if no member of b is below it
-    while (i < m and access(pool, hbase, at + 1)
-           and (b << w) + packed_get(words, lbase, w, i) <= v):
-        v += 1
-        i += 1
-        at += 1
-    return v + 1
-
-
 def sparse_ones(pool: BitPool, words: array, f, s: int, m: int, start: int):
     """Yield the positions of the set's m members from the start-th on."""
     if start > m:
@@ -402,18 +311,6 @@ def sparse_ones(pool: BitPool, words: array, f, s: int, m: int, start: int):
         yield (((p - j) << lw) | low) + 1
         j += 1
         at += lw
-
-
-def unary_prefixes(pool: BitPool, words: array, f, s: int, m: int, start: int):
-    """Yield the sums of the first start, start + 1, ... values of the
-    m-value unary stream whose sparse set's fields start at f[s]."""
-    j = start
-    if j == 0:
-        yield 0
-        j = 1
-    for p in sparse_ones(pool, words, f, s, m, j):
-        yield p - j
-        j += 1
 
 
 # --------------------------------------------------------------- encoders
@@ -533,12 +430,7 @@ class BitVector:
         """Number of set bits among positions 1..i (i may be 0)."""
         if not 0 <= i <= self._n:
             raise IndexError(f"rank index {i} out of range 0..{self._n}")
-        pool, p = self._pool, (self._base << 6) + i
-        w = p >> 6
-        r = pool.super1[w >> _SUPER_SHIFT] + pool.block1[w] - self._ones
-        if p & 63:
-            r += (pool.words[w] & ((1 << (p & 63)) - 1)).bit_count()
-        return r
+        return rank(self._pool, self._base, self._ones, i)
 
     def select1(self, j: int) -> int:
         """Position of the j-th set bit, 1-based."""
@@ -588,8 +480,7 @@ class SparseBitVector:
     The low bits of each (position - 1) go into packed lows in a word pool;
     the high halves become a unary-coded bitmap in a bit pool, where the
     j-th one sits at position high_j + j.  select1 is a single select on
-    the high bitmap; the positions not in the set start from one
-    `sparse_select0`, and `sparse_search` ranks a position.
+    the high bitmap and one packed read.
     """
 
     __slots__ = ("_pool", "_words", "_f", "_s", "_n", "_m", "_low_width")
@@ -616,17 +507,17 @@ class SparseBitVector:
         lw = int(low_width[0])
         bits = PieceBuffer(high[:, None])
         lows = PieceBuffer(np.array([[m * lw]]))
-        group, rank, v = np.zeros(m, dtype=np.int64), np.arange(m), pos - 1
-        bits.ones(0, group, (v >> lw) + rank)
-        lows.packed(0, group, rank, v & ((1 << lw) - 1), low_width)
+        group, j, v = np.zeros(m, dtype=np.int64), np.arange(m), pos - 1
+        bits.ones(0, group, (v >> lw) + j)
+        lows.packed(0, group, j, v & ((1 << lw) - 1), low_width)
         pool = BitPool(bits.tobytes())
         return cls(pool, words_from(lows.tobytes()),
                    (0, 0, 0, lw, n - m, len(pool.words)), 0, m)
 
     @property
     def _high(self) -> BitVector:
-        # one zero per high bucket 0..(n - 1) >> low width, so every bucket
-        # boundary is addressable with select0; no bits at all when m is 0
+        # one zero per high bucket 0..(n - 1) >> low width; no bits at all
+        # when m is 0
         m, f, s = self._m, self._f, self._s
         n = m + ((self._n - 1) >> self._low_width) + 1 if m else 0
         return BitVector(self._pool, f[s], n, f[s + 1], m)
@@ -648,27 +539,6 @@ class SparseBitVector:
             raise ValueError("start must be >= 1")
         return sparse_ones(self._pool, self._words, self._f, self._s, self._m,
                            start)
-
-    def zeros(self, start: int = 1):
-        """Yield non-member positions in order, beginning with the start-th."""
-        if start < 1:
-            raise ValueError("start must be >= 1")
-        if start > self._n - self._m:
-            return
-        pos = sparse_select0(self._pool, self._words, self._f, self._s,
-                             self._m, start)
-        it = self.ones(pos - start + 1)
-        nxt = next(it, 0)
-        yield pos
-        pos += 1
-        while pos <= self._n:
-            while nxt and nxt == pos:
-                nxt = next(it, 0)
-                pos += 1
-            if pos > self._n:
-                return
-            yield pos
-            pos += 1
 
     def code_bits(self) -> int:
         return len(self._high) + self._lows.code_bits()

@@ -52,6 +52,12 @@ def _words(words) -> bytes:
     return bytes(w)
 
 
+def bit(pool, base: int, i: int) -> int:
+    """Bit i, from 1, of the bitmap that starts at word base of a pool."""
+    p = (base << 6) + i - 1
+    return pool.words[p >> 6] >> (p & 63) & 1
+
+
 def stored_log(log):
     """A standalone log's u32 fields, in file order, and the words its
     pieces take in the bit pool and in the word pool, as an index file

@@ -2,8 +2,9 @@
 
 `write_log` and `write_tree` encode one log and its box tree with a few
 small numpy calls each, through the one-structure encoders below (copies,
-so that a change to the package's own cannot move the reference).  Each
-adds its u32 fields and its pieces to a `Parts`, log after log.
+so that a change to the package's own cannot move the reference), and
+`write_bits` lays out every bitmap and packed array.  Each adds its u32
+fields and its pieces to a `Parts`, log after log.
 `reference_blob` writes an index file from them: the header, the
 snapshot section, which `write_snapshots` writes a period at a time in
 plain Python ints, the presence bitmap, then the logs' fields, bit pool
@@ -38,32 +39,37 @@ class Parts:
         self.words = Writer()
 
 
+def write_bits(w: Writer, bits) -> None:
+    """A 0/1 sequence, least significant bit first, as whole
+    little-endian words, the last one padded with zeros."""
+    bits = [int(b) for b in bits]
+    for at in range(0, len(bits), 64):
+        word = sum(b << i for i, b in enumerate(bits[at:at + 64]))
+        w += word.to_bytes(8, "little")
+
+
 def write_packed(w: Writer, values, width: int) -> None:
     vals = np.asarray(values, dtype=np.uint64)
-    w.bits(((vals[:, None] >> np.arange(width, dtype=np.uint64))
-            & np.uint64(1)).ravel())
-
-
-def write_sparse(parts: Parts, n: int, positions, a=1, b=1) -> None:
-    # the lows to the word pool, the high bits to the bit pool; the low
-    # width is floor(log2(a*n / (b*m)))
-    pos = np.asarray(positions, dtype=np.int64)
-    m = len(pos)
-    low_width = max(0, (a * n // (b * m)).bit_length() - 1) if m else 0
-    v = pos - 1
-    write_packed(parts.words, v & ((1 << low_width) - 1), low_width)
-    high_length = m + ((n - 1) >> low_width) + 1 if m else 0
-    parts.bits.bits(bits_at(high_length, (v >> low_width) + np.arange(1, m + 1)))
+    write_bits(w, ((vals[:, None] >> np.arange(width, dtype=np.uint64))
+                   & np.uint64(1)).ravel())
 
 
 def write_unary(parts: Parts, values) -> None:
+    # the prefix sums plus 1, 2, ... as a sparse set over [1, n]: the lows
+    # to the word pool, the high bits to the bit pool, with a low width one
+    # more than the fewest bits take when n/m lies in the top eighth below
+    # a power of two, floor(log2(8n / 7m))
     vals = np.asarray(values, dtype=np.int64)
-    positions = np.cumsum(vals, dtype=np.int64) + np.arange(1, len(vals) + 1)
-    universe = int(positions[-1]) if len(vals) else 0
-    parts.fields.append(universe - len(vals))
-    # a low width one more than the fewest bits take when n/m lies in the
-    # top eighth below a power of two
-    write_sparse(parts, universe, positions, 8, 7)
+    m = len(vals)
+    pos = np.cumsum(vals, dtype=np.int64) + np.arange(1, m + 1)
+    n = int(pos[-1]) if m else 0
+    parts.fields.append(n - m)
+    low_width = max(0, (8 * n // (7 * m)).bit_length() - 1) if m else 0
+    v = pos - 1
+    write_packed(parts.words, v & ((1 << low_width) - 1), low_width)
+    high_length = m + ((n - 1) >> low_width) + 1 if m else 0
+    write_bits(parts.bits,
+               bits_at(high_length, (v >> low_width) + np.arange(1, m + 1)))
 
 
 def morton(x: int, y: int) -> int:
@@ -94,9 +100,9 @@ def write_snapshots(w: Writer, extent, periods) -> None:
         highs.append(bits_at(high_length, [((p - 1) >> low_width) + j for j, p
                                            in enumerate(positions, 1)]))
     for high in highs:
-        w.bits(high)
+        write_bits(w, high)
     w.u32s([oid for rows in periods for _, oid, _ in rows])
-    w.bits([entrant for rows in periods for _, _, entrant in rows])
+    write_bits(w, [entrant for rows in periods for _, _, entrant in rows])
 
 
 def write_log(parts: Parts, samples, start: int, period: int) -> None:
@@ -106,35 +112,28 @@ def write_log(parts: Parts, samples, start: int, period: int) -> None:
     ts, xs, ys = rows.T
     local = ts - start
     first, last = int(local[0]), int(local[-1])
-    present = np.zeros(last - first + 1, dtype=bool)
-    present[local - first] = True
-    gaps = np.flatnonzero(~present) + 1
-    parts.fields += [first, last, len(gaps)]
-    write_sparse(parts, last - first + 1, gaps)
+    tau = local - first  # each fix's step
+    gaps = last - first + 1 - len(tau)
+    parts.fields += [first, last, gaps]
+    # the window bitmap, a bit per instant set at each fix, when the
+    # window has gaps
+    if gaps:
+        write_bits(parts.bits, bits_at(last - first + 1, tau + 1))
     # the speed bound s; per block of stream members and per axis the
     # reduction s - s_b of the block's speed bound and its offset; per
-    # axis the first coordinate and one increment per member: a member
-    # per step of the window, an instant after its first, unless more
-    # than a quarter of the steps are gaps, then a member per fix after
-    # the first.  At a gap the increment is 0, at a fix dx + s_b*dt, and
-    # on x dt more when the log has gaps and a member per step
+    # axis the first coordinate and one increment per fix after the
+    # first, dx + s_b*dt
     elapsed = np.diff(local)
-    tau = local - first  # each fix's step
-    members = last - first
-    member = tau  # each fix's member
-    marked = len(gaps) > 0
-    if 4 * len(gaps) > members:
-        members, member, marked = len(tau) - 1, np.arange(len(tau)), False
-    block_of = (member[1:] - 1) // BLOCK
+    members = len(tau) - 1
+    block_of = np.arange(members) // BLOCK
     blocks = range(-(-members // BLOCK))
     rates = [-(-np.abs(np.diff(col)) // elapsed) for col in (xs, ys)]
     speed = int(max((r.max(initial=0) for r in rates)))
     axes = []
-    for plus, col, rate in zip((int(marked), 0), (xs, ys), rates):
+    for col, rate in zip((xs, ys), rates):
         top = int(rate.max(initial=0))
         own = [int(rate[block_of == b].max(initial=0)) for b in blocks]
-        axes.append(min((_axis(col, elapsed, tau, member, members, plus,
-                               speed, bounds)
+        axes.append(min((_axis(col, elapsed, tau, block_of, speed, bounds)
                          for bounds in ([speed] * len(own), [top] * len(own),
                                         own)),
                         key=lambda axis: axis[0]))
@@ -150,25 +149,24 @@ def write_log(parts: Parts, samples, start: int, period: int) -> None:
         write_unary(parts, increments)
 
 
-def _axis(col, elapsed, tau, member, members, plus, speed, bounds):
+def _axis(col, elapsed, tau, block_of, speed, bounds):
     """(words, (reductions, zigzagged offsets), increments) of one axis
-    whose blocks have the speed bounds given, for fixes at steps tau and
-    stream members `member` of `members`; the first of those with the
-    fewest words wins."""
+    whose blocks have the speed bounds given, for fixes at steps tau,
+    the fix after the first of each member in block block_of; the first
+    of those with the fewest words wins."""
     moves = np.diff(col)
     reductions, offsets = [], []
-    increments = np.zeros(members, dtype=np.int64)
+    increments = np.zeros(len(moves), dtype=np.int64)
     drift = 0  # the sum of s_b*dt over the fixes so far
     for b, s in enumerate(bounds):
         reductions.append(speed - s)
-        # the block starts from the last fix at or before its first member
-        offset = drift - s * int(tau[member <= b * BLOCK].max())
+        # the block starts from the fix before its first member
+        offset = drift - s * int(tau[b * BLOCK])
         offsets.append(2 * offset if offset >= 0 else -2 * offset - 1)
-        mine = (member[1:] - 1) // BLOCK == b
-        increments[member[1:][mine] - 1] = (moves[mine]
-                                            + (s + plus) * elapsed[mine])
+        mine = block_of == b
+        increments[mine] = moves[mine] + s * elapsed[mine]
         drift += s * int(elapsed[mine].sum())
-    m, total = members, int(increments.sum())
+    m, total = len(moves), int(increments.sum())
     low_width = (max(0, (8 * (total + m) // (7 * m)).bit_length() - 1)
                  if m else 0)
     high_length = m + ((total + m - 1) >> low_width) + 1 if m else 0
@@ -239,7 +237,7 @@ def reference_blob(rows, period: int, leaf_capacity: int, extent,
             write_log(parts, log, k, period)
             write_tree(parts, log[:, 1], log[:, 2], leaf_capacity)
     write_snapshots(w, extent, snapped)
-    w.bits(np.concatenate(present))
+    write_bits(w, np.concatenate(present))
     w.u32(*parts.fields)
     w += parts.bits
     w += parts.words

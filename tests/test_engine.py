@@ -32,20 +32,20 @@ from trajindex.succinct import U32_MAX, Reader, Writer, nbytes
 # seed, fleet options, file size, SHA-256 of the file)
 DIGEST_FLEETS = [
     pytest.param(
-        240, 16, 5, {"drop_rate": 0.03}, 32798,
-        "c3416297b2c57f5e0b8e3c27e86f16efe0995cbe9081af8cb6598cebd344a1eb",
+        240, 16, 5, {"drop_rate": 0.03}, 33198,
+        "e4c4522a2654b486f7f8a173a4a53e7d709324c77d496603433c73c9f3c6a4b1",
         id="sparse-gaps"),
     pytest.param(
-        60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 61718,
-        "08e3a3d02ac458f12696bc704d2bfed7653921b9511061d0867a46119a86ffb2",
+        60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 58206,
+        "3890da6e7ed298e496e2fb2ee09c990b8e317cc1b513777f11e7c379b888b92f",
         id="gappy-short-period"),
     pytest.param(
-        120, 80, 7, {"drop_rate": 0.05}, 35070,
-        "769198dc41c54c00342fa42ba407121a51266c87672041c479abb5d226a11068",
+        120, 80, 7, {"drop_rate": 0.05}, 33846,
+        "5410bbc0ffb744e71875be7ab638159c80eaedf4d6c2d4a91b5829d3b0e085ff",
         id="range-shape"),
     pytest.param(
-        720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 25862,
-        "c40974086f13d87b33a01d4f4d02646ee5ec665314aa6bb44641f5ccf2040f4d",
+        720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 26998,
+        "1db5c67bdb0d08b0f84e0445563118150cada8c2b9a4d25bab52b049fa117213",
         id="lookup-shape"),
 ]
 
@@ -444,7 +444,7 @@ class TestSerialization:
         finally:
             (gc.enable if was else gc.disable)()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_old_version_file_is_rejected_by_name(self, tiny_blob, version):
         old = tiny_blob[:4] + version.to_bytes(2, "little") + tiny_blob[6:]
         with pytest.raises(ValueError, match=f"version {version}"):
@@ -466,10 +466,10 @@ class TestSerialization:
         blob = build_index(ref_rows, period=REF_PERIOD, leaf_capacity=2,
                            extent=(16, 16), horizon=14).to_bytes()
         # the log's speed bound 3 and entry widths 0 (a log of one block
-        # keeps s for both axes), first x 2 and x total 6 + (3 + 1) * 8 =
-        # 38 (its x increments add dt, to mark its gaps); its first y 4
-        # and y total 5 + 3 * 8 = 29; its root box, x 2..10 and y 4..10
-        pattern, shift = {"s": ((3, 0, 2, 38), 0), "x": ((3, 0, 2, 38), 8),
+        # keeps s for both axes), first x 2 and x total 6 + 3 * 8 = 30;
+        # its first y 4 and y total 5 + 3 * 8 = 29; its root box, x 2..10
+        # and y 4..10
+        pattern, shift = {"s": ((3, 0, 2, 30), 0), "x": ((3, 0, 2, 30), 8),
                           "y": ((4, 29), 0), "xmax": ((2, 10, 4, 10), 4),
                           "ymax": ((2, 10, 4, 10), 12)}[field]
         pattern = struct.pack(f"<{len(pattern)}I", *pattern)
@@ -492,7 +492,7 @@ class TestSerialization:
         # the log's entry widths follow its speed bound 3, the x
         # reductions' in the low byte; its tree's diff width follows its
         # first y 4 and y total 29
-        pattern = {"entries": (3, 0, 2, 38), "diffs": (4, 29)}[field]
+        pattern = {"entries": (3, 0, 2, 30), "diffs": (4, 29)}[field]
         at = blob.find(struct.pack(f"<{len(pattern)}I", *pattern))
         at += 4 if field == "entries" else 8
         # a width of 64 passes the check, and the pools it implies are
@@ -508,12 +508,12 @@ class TestSerialization:
     def test_high_bits_hold_their_members_and_no_more(self, ref_index, move,
                                                       message):
         blob = ref_index.to_bytes()
-        # the bit pool's first word holds the gap map's 5 high bits, the
-        # ones at bits 1 and 2 for the gaps at offsets 5 and 6
+        # the bit pool's first word holds the window bitmap's 9 bits, set
+        # at the fixes, clear at the gaps at offsets 5 and 6
         at = len(blob) - 8 * (len(ref_index._bits.words)
                               + len(ref_index._words))
         word = int.from_bytes(blob[at:at + 8], "little")
-        assert word == 0b110
+        assert word == 0b111001111
         word |= 1 << 63  # a bit past the end
         if move:
             word &= word - 1  # and one member fewer
@@ -522,27 +522,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             TrajectoryIndex.from_bytes(edited)
 
-    @pytest.mark.parametrize("high, lows, ok", [
+    @pytest.mark.parametrize("window, ok", [
         # the gaps at offsets 5 and 6, as built; 5 and 8; 1 and 6, where
         # the window begins with a gap; 5 and 9, where it ends with one
-        pytest.param(0b110, 0b0100, True, id="as-built"),
-        pytest.param(0b110, 0b1100, True, id="inside"),
-        pytest.param(0b101, 0b0100, False, id="first"),
-        pytest.param(0b1010, 0b0000, False, id="last"),
+        pytest.param(0b111001111, True, id="as-built"),
+        pytest.param(0b101101111, True, id="inside"),
+        pytest.param(0b111011110, False, id="first"),
+        pytest.param(0b011101111, False, id="last"),
     ])
     def test_a_window_that_begins_or_ends_with_a_gap_is_rejected(
-            self, ref_index, high, lows, ok):
+            self, ref_index, window, ok):
         blob = ref_index.to_bytes()
-        # the log's window holds 9 instants, so the gap map's lows are 2
-        # bits wide and its high bits 5 long: the bit pool's first word
-        # holds the high bits, the word pool's first word the lows
+        # the log's window holds 9 instants, 7 of them fixes: the bit
+        # pool's first word holds its bitmap
         at = len(blob) - 8 * (len(ref_index._bits.words)
                               + len(ref_index._words))
-        lows_at = len(blob) - 8 * len(ref_index._words)
-        assert blob[at] == 0b110 and blob[lows_at] == 0b0100
-        edited = bytearray(blob)
-        edited[at], edited[lows_at] = high, lows
-        edited = restamp(edited)
+        assert blob[at:at + 8] == (0b111001111).to_bytes(8, "little")
+        edited = restamp(blob[:at] + window.to_bytes(8, "little")
+                         + blob[at + 8:])
         if ok:
             TrajectoryIndex.from_bytes(edited)
         else:
@@ -657,8 +654,7 @@ class TestSerialization:
                     assert loaded.to_bytes() == restamp(flipped), (i, bit)
                     # queries over the corrupt index, box-tree walks and
                     # leaf jumps among them, answer or raise ValueError;
-                    # so do positions and trajectories, whose gap test
-                    # reads a neighbour's high bits and one more low
+                    # so do positions and trajectories
                     for region, (a, b) in itertools.product(regions, windows):
                         try:
                             loaded.time_interval(region, a, b)
@@ -747,15 +743,12 @@ class TestSerialization:
     def test_bytes_match_recorded_digest(self, period, leaf, seed, kwargs,
                                          size, digest):
         # the file format is frozen: these digests were recorded when the
-        # format moved to version 8, where the snapshots of every period
-        # are one section; since version 7 a log's axis streams hold a
-        # member per step of its window, or per fix in a log more than a
-        # quarter gaps.  The first fleet has few gaps in every log, the
-        # second a median of about a fifth of each short window, where
-        # most gap maps have a low width of 2 and some of 1, and 32 of its
-        # 300 logs have a member per fix; the last two have the periods
-        # and leaf capacities of the two perfbench workloads.  All four
-        # match the per-log reference encoder
+        # format moved to version 9, where a log's axis streams hold a
+        # member per fix after the first and a log with gaps a bitmap over
+        # its window.  The first fleet has few gaps in every log, the
+        # second a median of about a fifth of each short window; the last
+        # two have the periods and leaf capacities of the two perfbench
+        # workloads.  All four match the per-log reference encoder
         fleet = make_fleet(12, 1500, (256, 256), seed, **kwargs)
         blob = build_index(fleet.rows(), period, leaf, fleet.extent,
                            horizon=fleet.horizon).to_bytes()
@@ -1091,10 +1084,10 @@ class TestContainedIntervals:
                                         monkeypatch):
         # over the whole grid every root box lies inside the region, and a
         # window that reaches its log's first or last instant has data, so
-        # the record answers every candidate: no decode and no gap-map
-        # search
+        # the record answers every candidate: no decode and no rank of a
+        # window bitmap
         def refused(*args):
-            raise AssertionError(f"gap map searched over {args[3:]}")
+            raise AssertionError(f"window bitmap ranked over {args[3:]}")
 
         monkeypatch.setattr("trajindex.engine.ordinal_range", refused)
         monkeypatch.setattr("trajindex.log.ordinal_range", refused)
@@ -1174,8 +1167,8 @@ class TestLoadedMemory:
                            horizon=horizon).to_bytes()
 
     def test_a_load_holds_under_three_times_the_file(self):
-        # 2.3 times here; a log's record (156 bytes) weighs most in short
-        # periods, 2.6 times at d=20
+        # 1.7 times here; a log's record (112 bytes) weighs most in short
+        # periods, 1.8 times at d=20
         blob = self.blob(960, 60)
         _, grown, _ = load_cost(blob)
         assert grown <= 3 * len(blob), (grown, len(blob))
@@ -1190,8 +1183,8 @@ class TestLoadedMemory:
                 assert sys.getsizeof(pool) - empty == 8 * len(pool)
 
     def test_directories_are_the_ones_directory(self):
-        # zeros are counted from the ones, so the bit pool keeps one u64
-        # per superblock and one u16 per word, and nothing for zeros
+        # the bit pool keeps one u64 per superblock and one u16 per word,
+        # and nothing for zeros
         fleet = make_fleet(30, 240, (300, 300), seed=12, drop_rate=0.1)
         built = build_index(fleet.rows(), 20, 8, fleet.extent)
         for ix in (built, TrajectoryIndex.from_bytes(built.to_bytes())):

@@ -1,4 +1,5 @@
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -6,36 +7,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REF_PERIOD, REF_TRACK, stored_log
+from conftest import REF_PERIOD, REF_TRACK, bit, stored_log
 from reference_encoder import Parts, write_log
 from synth import make_fleet
-from trajindex import succinct
-from trajindex.encoder import encode, stream_members
+from trajindex.encoder import encode
 from trajindex.engine import TrajectoryIndex, build_index
 from trajindex.log import (
+    DATA,
     RECORD_FIELDS,
     SPEED,
     WIDTHS,
+    WINDOW,
     X_AXIS,
     TimeIndex,
     TrajectoryLog,
-    _zero_step,
     bit_pool,
     build_log,
     has_data,
     ordinal_range,
+    positions,
     records,
 )
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region
 from trajindex.succinct import (
-    SparseBitVector,
-    UnaryDeltaStream,
-    packed_get,
-    select,
-    sparse_search,
-    sparse_select0,
-    unary_prefixes,
+    BitPool,
+    BitVector,
+    Writer,
+    next_one,
+    rank,
     words_from,
 )
 
@@ -59,35 +59,37 @@ def data_upto(log, i):
 
 
 def gap_window(first, last, gaps):
-    """A window [first, last] with gaps at those offsets, alone in pools
-    of its own: its TimeIndex, and the pools and the fields, as a log's
-    record begins, that the pool functions read."""
-    gapmap = SparseBitVector.from_positions(last - first + 1, gaps)
-    f = (first, last, len(gaps), *gapmap._f)
-    return TimeIndex(gapmap._pool, gapmap._words, f), (gapmap._pool,
-                                                      gapmap._words, f)
+    """A window [first, last] with gaps at those offsets, its bitmap alone
+    in a pool of its own: its TimeIndex, and a log view with no streams,
+    whose ordinal maps read the bitmap."""
+    present = np.ones(last - first + 1, dtype=np.uint8)
+    present[np.asarray(gaps, dtype=np.int64) - 1] = 0
+    w = Writer()
+    w.bits(present)
+    bits = BitPool(w)
+    f = [0] * RECORD_FIELDS
+    f[:DATA + 1] = first, last, len(gaps), 0, 0, int(present.sum())
+    f[X_AXIS] = len(bits.words)  # where the bitmap's words end
+    f = tuple(f)
+    return (TimeIndex(bits, array("Q"), f),
+            TrajectoryLog(bits, array("Q"), f, 0, 0, last + 1))
 
 
-def ordinal(pools, off):
-    """Data ordinal at window offset off, None at a gap: one
-    `sparse_search` of the gap map, as a position with a member per fix
-    finds it."""
-    bits, words, f = pools
+def ordinal(log, off):
+    """Data ordinal at window offset off, None at a gap, as a position
+    finds it: a bit of the window bitmap, then a rank."""
+    bits, f = log._bits, log._f
     if not f[2]:
         return off
-    gaps, gap = sparse_search(bits, words, f, 3, off)
-    return None if gap else off - gaps
+    if not bit(bits, f[WINDOW], off):
+        return None
+    return rank(bits, f[WINDOW], f[WINDOW + 1], off)
 
 
-def data_offset(pools, j):
-    """Window offset of the j-th instant with data, as
-    `TrajectoryLog.unmap_ordinal` finds it."""
-    bits, words, f = pools
-    return sparse_select0(bits, words, f, 3, f[2], j)
-
-
-def log_pools(log):
-    return log._bits, log._words, log._f
+def data_offset(log, j):
+    """Window offset of the j-th instant with data, a select of the
+    window bitmap."""
+    return log.unmap_ordinal(j) - log._f[0] + 1
 
 
 def random_track(rng, period, start=0, max_step=6, base=500):
@@ -101,38 +103,46 @@ def random_track(rng, period, start=0, max_step=6, base=500):
 class TestTimeIndex:
     def test_dense_window(self):
         # window offsets 1..9, ordinals 1..7
-        ti, pools = gap_window(2, 10, [5, 6])
-        assert ti.first == 2 and pools[2][7] == 7  # the data count
-        assert ordinal(pools, 5) is None and ordinal(pools, 4) == 4
-        assert ordinal(pools, 9) == 7 and data_offset(pools, 1) == 1
+        ti, log = gap_window(2, 10, [5, 6])
+        assert ti.first == 2 and log.data_count == 7
+        assert ordinal(log, 5) is None and ordinal(log, 4) == 4
+        assert ordinal(log, 9) == 7 and data_offset(log, 1) == 1
         assert ti.gaps_upto(8) == 2 and ti.gaps_upto(0) == 0
-        assert data_offset(pools, 5) == 7
-        assert list(ti.data_offsets(3)) == [3, 4, 7, 8, 9]
+        assert data_offset(log, 5) == 7
+        assert [data_offset(log, j) for j in range(3, 8)] == [3, 4, 7, 8, 9]
+        assert ti.code_bits() == 9  # a bit per instant of the window
 
     @pytest.mark.parametrize("gaps", [[50], list(range(2, 12)),
                                       list(range(2, 13))],
                              ids=["1-percent", "10-percent", "11-percent"])
     def test_values_across_the_old_ten_percent_threshold(self, gaps):
         # a tenth of the window once switched the gap map to a plain bitmap
-        ti, pools = gap_window(1, 100, gaps)
+        ti, log = gap_window(1, 100, gaps)
         data = [o for o in range(1, 101) if o not in gaps]
-        assert pools[2][7] == len(data)  # the data count
+        assert log.data_count == len(data)
         assert ti.gaps_upto(0) == 0
         for off in range(1, 101):
             assert ti.gaps_upto(off) == sum(g <= off for g in gaps)
-            assert ordinal(pools, off) == (data.index(off) + 1 if off in data
-                                           else None)
-        assert [data_offset(pools, j) for j in range(1, len(data) + 1)] == data
-        assert list(ti.data_offsets()) == data
+            assert ordinal(log, off) == (data.index(off) + 1 if off in data
+                                         else None)
+        assert [data_offset(log, j) for j in range(1, len(data) + 1)] == data
 
     def test_windows_either_side_of_the_old_threshold(self):
         # one gap, and 14 gaps in 38 slots: either side of the old 10%
         # threshold between a sparse and a plain gap map
         for gaps in ([7], list(range(2, 30, 2))):
-            ti = gap_window(3, 40, gaps)[0]
+            ti, log = gap_window(3, 40, gaps)
             assert ti.first == 3
-            assert list(ti.data_offsets()) == [o for o in range(1, 39)
-                                               if o not in gaps]
+            data = [o for o in range(1, 39) if o not in gaps]
+            assert [data_offset(log, j) for j in range(1, len(data) + 1)] \
+                == data
+
+    def test_a_window_with_no_gaps_stores_no_bitmap(self):
+        log = build_log([(t, t, 2 * t) for t in range(3, 40)], 0, 41)
+        f = log._f
+        assert f[2] == 0 and f[WINDOW] == f[X_AXIS]
+        assert log.time.code_bits() == 0 and log.time.gaps_upto(20) == 0
+        assert [log.unmap_ordinal(j) for j in (1, 5, 37)] == [3, 7, 39]
 
 
 class TestReferenceTrack:
@@ -291,16 +301,13 @@ def gappy_rows(rng, window, gap_count):
     """Track over local instants 2..window+1 with exactly gap_count gaps.
 
     The gaps include a run of adjacent ones, the offsets next to both
-    window ends, and offsets on both edges of the sparse gap map's low
-    buckets; the rest are random.  Returns (rows, gap offsets, low width).
+    window ends, and offsets on both sides of the window bitmap's word
+    boundaries; the rest are random.  Returns (rows, gap offsets).
     """
-    low_width = (window // gap_count).bit_length() - 1
-    bucket = 1 << low_width
     run = int(rng.integers(3, window - 12))
     must = {2, window - 1, *range(run, run + 6)}
-    must.update(list(range(bucket + 1, window, 7 * bucket))[:4])  # first in bucket
-    must.update(list(range(bucket, window, 5 * bucket))[:4])      # last in bucket
-    must = {o for o in must if o > 1}  # the window begins with data
+    must.update(list(range(64, window, 7 * 64))[:4])  # a word's last bit
+    must.update(list(range(65, window, 5 * 64))[:4])  # a word's first bit
     rest = [o for o in range(2, window) if o not in must]
     extra = rng.choice(rest, size=gap_count - len(must), replace=False)
     gaps = sorted(must | {int(o) for o in extra})
@@ -310,26 +317,27 @@ def gappy_rows(rng, window, gap_count):
     xs = 5000 + np.cumsum(rng.integers(-4, 5, size=len(offsets)))
     ys = 5000 + np.cumsum(rng.integers(-4, 5, size=len(offsets)))
     rows = [(int(o) + 1, int(x), int(y)) for o, x, y in zip(offsets, xs, ys)]
-    return rows, gaps, low_width
+    return rows, gaps
 
 
-class TestSparseGapMap:
+class TestWindowBitmap:
     @pytest.mark.parametrize("window, density, seed", [
         (2000, 0.01, 1), (2000, 0.05, 2), (1999, 0.09, 3), (2048, 0.03, 4),
-        (6000, 0.09, 5),  # high bitmap spans several superblocks
-        # gap shares that make the low width 2, 1, 0 and 0
+        (6000, 0.09, 5),  # the bitmap spans several superblocks
         (2000, 0.15, 6), (1999, 0.40, 7), (2048, 0.75, 8), (6000, 0.90, 9),
     ])
     def test_long_windows_match_reference(self, window, density, seed):
         rng = np.random.default_rng(seed)
         gap_count = int(density * window)
-        rows, gaps, low_width = gappy_rows(rng, window, gap_count)
+        rows, gaps = gappy_rows(rng, window, gap_count)
         period = window + 3  # local instants 1 and period-1 have no data
         log = build_log(rows, 0, period)
         ti = log.time
+        f = log._f
         assert ti.first == 2
-        assert log._f[1:3] == (window + 1, gap_count)
-        assert log._f[6] == low_width  # the gap map's
+        assert f[1:3] == (window + 1, gap_count)
+        assert f[X_AXIS] - f[WINDOW] == (window + 63) >> 6  # the bitmap
+        assert ti.code_bits() == window
         table = {t: (x, y) for t, x, y in rows}
         seen = 0
         for i in range(1, period):
@@ -341,7 +349,7 @@ class TestSparseGapMap:
         for off in range(1, window + 1):
             before += off in gapset
             assert ti.gaps_upto(off) == before
-            assert ordinal(log_pools(log), off) == (
+            assert ordinal(log, off) == (
                 None if off in gapset else off - before)
         instants = sorted(table)
         assert [log.unmap_ordinal(j) for j in range(1, len(rows) + 1)] == \
@@ -349,49 +357,59 @@ class TestSparseGapMap:
         assert log.scan_positions(1, len(rows)) == rows
         half = len(rows) // 2
         assert log.scan_positions(half, len(rows)) == rows[half - 1:]
-        assert list(ti.data_offsets()) == [t - 1 for t in instants]
 
-    @pytest.mark.parametrize("window, seed", [(3000, 11), (4999, 12)])
-    def test_a_gap_map_of_many_words_matches_plain_lists(self, window, seed,
-                                                         monkeypatch):
-        # a select0 on a gap map of more than a few words bisects the zero
-        # counts of the ones directory instead of counting word by word
+    @pytest.mark.parametrize("window, seed", [(2000, 11), (3000, 12)])
+    def test_window_bitmaps_across_words_and_superblocks(self, window, seed):
+        # the long window's bitmap follows a short log's in one pool, so
+        # it starts inside a 512-bit superblock and spans several: rank,
+        # select and the gap test cross word and superblock boundaries
         rng = np.random.default_rng(seed)
-        rows, gaps, _ = gappy_rows(rng, window, window // 5)
-        log = build_log(rows, 0, window + 3)
-        f = log._f
-        assert f[8] - f[3] > 4  # the gap map's high bits span > 4 words
-        calls = []
-        zero_word = succinct._zero_word
-        monkeypatch.setattr(succinct, "_zero_word",
-                            lambda *a: calls.append(a) or zero_word(*a))
+        short = [(t, 9, 9) for t in (1, 2, 5, 9)]  # gaps at 3, 4, 6..8
+        rows, gaps = gappy_rows(rng, window, window // 5)
+        cols = np.array(short + rows)
+        u32s, bit_bytes, word_bytes = encode(
+            *cols.T, [0, len(short)], [0, 0], window + 3, 8)
+        f = records(u32s, 8)[0]
+        bits, words = bit_pool(f, bit_bytes), words_from(word_bytes)
+        f = f[1].tolist()
+        assert f[WINDOW] % 8 and f[X_AXIS] - f[WINDOW] > 8
+        log = TrajectoryLog(bits, words, f, 0, 0, window + 3)
         gapset = set(gaps)
-        ordinals = [None if off in gapset else off - sum(g < off for g in gaps)
-                    for off in range(1, window + 1)]
-        assert [ordinal(log_pools(log), off)
-                for off in range(1, window + 1)] == ordinals
+        offsets = [off for off in range(1, window + 1) if off not in gapset]
+        assert [ordinal(log, off) for off in range(1, window + 1)] == \
+            [None if off in gapset else offsets.index(off) + 1
+             for off in range(1, window + 1)]
+        assert [log.time.gaps_upto(off) for off in range(window + 1)] == \
+            [off - bisect_right(offsets, off) for off in range(window + 1)]
         instants = [t for t, _, _ in rows]
         assert [log.unmap_ordinal(j) for j in range(1, len(rows) + 1)] == \
             instants
+        # from each gap, the next set bit is the next fix
+        assert [next_one(bits, f[WINDOW], off) for off in gaps] == \
+            [offsets[bisect_left(offsets, off)] for off in gaps]
         for lo, hi in [(1, window + 2), (2, 2), (3, window)] + [
                 tuple(sorted(rng.integers(1, window + 3, size=2).tolist()))
                 for _ in range(300)]:
-            assert ordinal_range(log._bits, log._words, f, lo, hi) == \
+            assert ordinal_range(bits, words, f, lo, hi) == \
                 (bisect_left(instants, lo) + 1, bisect_right(instants, hi))
-        assert calls
+        table = {t: (x, y) for t, x, y in rows}
+        assert [log.position(i) for i in range(1, window + 3)] == \
+            [table.get(i) for i in range(1, window + 3)]
+        assert log.scan_positions(1, len(rows)) == rows
 
     @pytest.mark.parametrize("gaps", [[1, 2, 3, 1000, 2000], [1], [2000],
                                       list(range(1, 2001, 16))])
     def test_gaps_on_the_first_and_last_offsets(self, gaps):
-        ti, pools = gap_window(5, 2004, gaps)
+        ti, log = gap_window(5, 2004, gaps)
         gapset = set(gaps)
         before = 0
         for off in range(1, 2001):
             before += off in gapset
-            assert ordinal(pools, off) == (None if off in gapset
-                                           else off - before)
-        assert list(ti.data_offsets()) == [o for o in range(1, 2001)
-                                           if o not in gapset]
+            assert ordinal(log, off) == (None if off in gapset
+                                         else off - before)
+            assert ti.gaps_upto(off) == before
+        data = [o for o in range(1, 2001) if o not in gapset]
+        assert [data_offset(log, j) for j in range(1, len(data) + 1)] == data
 
     @pytest.mark.parametrize("window, gaps", [
         (2000, [1, 2, 3, 1000, 2000]), (2000, [1]), (2000, [2000]),
@@ -408,14 +426,12 @@ class TestSparseGapMap:
             rng = np.random.default_rng(int(100 * gaps))
             count = int(gaps * window)
             gaps = sorted(rng.choice(window, count, replace=False) + 1)
-        ti, pools = gap_window(3, window + 2, gaps)
+        ti, log = gap_window(3, window + 2, gaps)
         gapset = set(gaps)
         data = [o for o in range(1, window + 1) if o not in gapset]
-        assert [data_offset(pools, j) for j in range(1, len(data) + 1)] == data
-        for start in range(1, len(data) + 1):
-            assert next(ti.data_offsets(start)) == data[start - 1]
-        for start in (1, 2, len(data) // 2, len(data)):
-            assert list(ti.data_offsets(start)) == data[start - 1:]
+        assert [data_offset(log, j) for j in range(1, len(data) + 1)] == data
+        assert [next_one(log._bits, 0, o) for o in range(1, data[-1] + 1)] \
+            == [data[bisect_left(data, o)] for o in range(1, data[-1] + 1)]
 
 
 def edge_tracks():
@@ -430,7 +446,7 @@ def edge_tracks():
     yield "one-sample", 9, [(4, 3, 5)]
     yield "one-sample-at-last-instant", 9, [(8, 0, 0)]
     for n in (64, 65, 512, 513):
-        # sign bitmaps and a gap-free window of exactly n bits
+        # a gap-free window of exactly n instants
         yield f"full-{n}", n + 2, walk(np.arange(1, n + 1))
         # a window of exactly n instants, a quarter of them gaps
         ts = np.sort(rng.choice(np.arange(2, n), size=3 * n // 4 - 2,
@@ -438,7 +454,7 @@ def edge_tracks():
         yield f"dense-gaps-{n}", n + 2, walk(np.r_[1, ts, n])
     ts = np.sort(rng.choice(np.arange(2, 1200), size=1150, replace=False))
     yield "sparse-gaps", 1202, walk(np.r_[1, ts, 1200])
-    for share in (15, 40, 75, 90):  # gap map low widths 2, 1, 0 and 0
+    for share in (15, 40, 75, 90):  # that share of the window gaps
         ts = np.sort(rng.choice(np.arange(2, 400), size=398 - 4 * share,
                                 replace=False))
         yield f"gaps-{share}-percent", 402, walk(np.r_[1, ts, 400])
@@ -458,8 +474,8 @@ def check_log(log, period, rows):
         assert data_upto(log, i) == seen
     assert [log.unmap_ordinal(j) for j in range(1, len(rows) + 1)] == instants
     assert log.scan_positions(1, len(rows)) == list(rows)
-    assert list(log.time.data_offsets()) == [t - instants[0] + 1
-                                             for t in instants]
+    assert [log.time.gaps_upto(t - instants[0] + 1) for t in instants] == \
+        [t - instants[0] - j for j, t in enumerate(instants)]
     for a in (1, len(rows) // 2 + 1, len(rows)):
         assert log.scan_positions(a, len(rows)) == list(rows[a - 1:])
     assert log.code_bits() == build_log(rows, 0, period).code_bits()
@@ -663,14 +679,6 @@ class TestBlockSpeedBounds:
         assert log.scan_positions(1, 119) == rows
 
 
-def x_lows(log):
-    # the low width and the lows of the x stream of a log
-    f = log._f
-    lw = f[X_AXIS + 3]
-    return lw, [packed_get(log._words, f[X_AXIS + 2], lw, j)
-                for j in range(f[1] - f[0])]
-
-
 def rows_around(rng, period, gaps, still=False):
     """Fixes at every local instant 1..period-1 but the gaps, a random
     walk of steps up to 3, or standing still."""
@@ -680,18 +688,9 @@ def rows_around(rng, period, gaps, still=False):
     return [(t, int(x), int(y)) for t, (x, y) in zip(ts, xy)]
 
 
-class TestGapTest:
-    """A log with gaps on at most a quarter of its steps tells a gap by its
-    zero x increment: a position searches no gap map."""
-
-    @pytest.fixture(autouse=True)
-    def no_gap_search(self, monkeypatch):
-        def refused(*args):
-            raise AssertionError("a position searched the gap map")
-
-        for module in ("trajindex.succinct", "trajindex.log"):
-            for name in ("sparse_search", "sparse_select0"):
-                monkeypatch.setattr(f"{module}.{name}", refused)
+class TestGappyLogs:
+    """A log with gaps tells a gap by its window bitmap's bit, whatever
+    its share of gaps."""
 
     @staticmethod
     def check(rows, period):
@@ -706,42 +705,23 @@ class TestGapTest:
         for trial in range(60):
             period = int(rng.integers(3, 300))
             inner = np.arange(2, period - 1)
-            share = rng.choice((0.02, 0.1, 0.25))
+            share = rng.choice((0.02, 0.1, 0.25, 0.6))
             gaps = rng.choice(inner, size=int(share * (period - 2)),
                               replace=False).tolist() if len(inner) else []
-            log = self.check(rows_around(rng, period, gaps), period)
-            # with gaps, each step adds at least 1 to x on average
-            assert x_lows(log)[0] >= 1 or not gaps
+            self.check(rows_around(rng, period, gaps), period)
 
-    def test_a_gap_whose_member_opens_a_high_bucket(self):
-        # member k's low is 0, so member k - 1, just below it, ends the
-        # bucket before with a low of all ones
-        rng = np.random.default_rng(162)
-        crossings = 0
-        for trial in range(40):
-            period = 200
-            gaps = rng.choice(np.arange(2, period - 1), size=45,
-                              replace=False).tolist()
-            log = self.check(rows_around(rng, period, gaps), period)
-            lw, lows = x_lows(log)
-            for k in (g - log.time.first for g in gaps):
-                if k >= 2 and lows[k - 1] == 0:
-                    assert lows[k - 2] == (1 << lw) - 1
-                    crossings += 1
-        assert crossings > 20
-
-    def test_a_run_of_gaps_across_a_word_of_high_bits(self):
+    def test_a_run_of_gaps_across_words_of_the_window_bitmap(self):
         rng = np.random.default_rng(163)
         period = 900
         run = list(range(300, 500))  # 200 of 898 steps
         log = self.check(rows_around(rng, period, run), period)
         f = log._f
-        ones = [(f[X_AXIS] << 6) + select(log._bits, f[X_AXIS],
-                                          f[X_AXIS + 5], f[X_AXIS + 1],
-                                          t - f[0]) - 1 for t in run]
-        # the run's ones, a bit or two apart, cross words of the high bits
-        assert ones[-1] - ones[0] < 2 * len(run)
-        assert ones[0] >> 6 < ones[-1] >> 6
+        # the run's zeros span words 4..7 of the bitmap; from any of them
+        # the next fix is at 500
+        assert [next_one(log._bits, f[WINDOW], t - f[0] + 1) + f[0] - 1
+                for t in run] == [500] * len(run)
+        assert ordinal_range(log._bits, log._words, f, 300, 499) == \
+            (300, 299)
 
     def test_a_still_object(self):
         rng = np.random.default_rng(164)
@@ -752,50 +732,155 @@ class TestGapTest:
         for t in (1, 5, 11):
             self.check([(t, 3, 4)], 12)
 
-    @pytest.mark.parametrize("low_width", [0, 1, 2, 3])
-    def test_the_test_reads_a_stream_of_any_low_width(self, low_width):
-        # a log's x stream has lows at least a bit wide; the test itself,
-        # on streams of its own, holds at any width
-        rng = np.random.default_rng(165 + low_width)
-        for trial in range(20):
-            m = int(rng.integers(1, 400))
-            values = rng.integers(0, 1 << low_width, size=m) \
-                * rng.integers(0, 2, size=m)
-            stream = UnaryDeltaStream.from_values(values)._members
-            f = [0] * RECORD_FIELDS
-            f[X_AXIS:X_AXIS + 6] = stream._f
-            assert f[X_AXIS + 3] <= low_width
-            pool, words = stream._pool, stream._words
-            for k in range(1, m + 1):
-                q = select(pool, f[X_AXIS], f[X_AXIS + 5], f[X_AXIS + 1], k)
-                low = packed_get(words, f[X_AXIS + 2], f[X_AXIS + 3], k - 1)
-                assert _zero_step(pool, words, f, k, q, low) == \
-                    (values[k - 1] == 0), (values.tolist(), k)
+    @pytest.mark.parametrize("last", [2, 3, 65, 513, 998])
+    def test_a_window_whose_only_fixes_are_its_two_ends(self, last):
+        rows = [(1, 40, 700), (last, 900, 2)]
+        log = self.check(rows, 1000)
+        f = log._f
+        assert f[1:3] == (last, last - 2) and log.data_count == 2
+        assert [log.unmap_ordinal(j) for j in (1, 2)] == [1, last]
+        assert log.scan_positions(1, 2) == rows
+        assert list(positions(log._bits, log._words, f, 2, 999)) == rows[1:]
+        assert [data_upto(log, i) for i in (0, 1, last - 1, last, 999)] == \
+            [0, 1, 1, 2, 2]
+        if last > 3:
+            assert not has_data(log._bits, log._words, f, 2, last - 1)
+        assert log.time.gaps_upto(last) == last - 2
+        # in an index, after a snapshot fix at the period start; a window
+        # of gaps alone has no data, and a box-tree walk from either end
+        # finds the other
+        ix = build_index([(5, 0, 40, 700)] + [(5, t, x, y) for t, x, y in rows],
+                         period=1000, leaf_capacity=1, extent=(1024, 1024))
+        (indexed, _), = ix._logs.values()
+        assert indexed._f[:3] == (1, last, last - 2)
+        grid = Region(0, 1023, 0, 1023)
+        if last > 3:
+            assert ix.time_interval(grid, 2, last - 1) == []
+        assert ix.time_interval(Region(900, 900, 2, 2), 2, last) == [5]
+        assert ix.time_interval(Region(900, 900, 2, 2), 1, last - 1) == []
+        assert ix.time_interval(Region(40, 40, 700, 700), 1, last) == [5]
+        assert ix.trajectory(5, 1, last) == rows
 
 
-class TestGapMarks:
+def gap_share_fleet(gaps):
+    """Rows of one object per entry of gaps: fixes on local instants
+    1..81 of each period of 82, less that many gaps, in four periods; a
+    window of 80 steps, so 20 gaps is exactly the quarter that once
+    switched a log's stream to a member per fix."""
+    rng = np.random.default_rng(sum(gaps) + 17)
+    rows = []
+    for oid, count in enumerate(gaps, 1):
+        x, y = 200 + 40 * oid, 300
+        for k in range(0, 4 * 82, 82):
+            held = np.ones(81, dtype=bool)
+            held[rng.choice(np.arange(1, 80), count, replace=False)] = False
+            for t in np.flatnonzero(held) + 1:
+                x += int(rng.integers(-3, 4))
+                y += int(rng.integers(-3, 4))
+                rows.append((oid, k + int(t), x, y))
+            rows.append((oid, k, x, y))  # the snapshot fix
+    return sorted(rows, key=lambda r: (r[0], r[1]))
+
+
+class TestGapShares:
+    """Logs whose gaps are none, just under, exactly and just over a
+    quarter of their steps, the old switch between two stream layouts,
+    answer as the oracle does."""
+
+    @pytest.mark.parametrize("gaps", [(0,), (19,), (20,), (21,),
+                                      (0, 19, 20, 21)],
+                             ids=["none", "under", "quarter", "over", "all"])
+    def test_build_index_matches_the_oracle(self, gaps):
+        rows = gap_share_fleet(gaps)
+        horizon = 4 * 82
+        ix = TrajectoryIndex.from_bytes(build_index(
+            rows, 82, 4, (1024, 1024), horizon=horizon).to_bytes())
+        logs = list(ix._logs.values())
+        assert logs and all(log._f[2] in gaps for log, _ in logs)
+        ids = sorted({r[0] for r in rows})
+        present = np.zeros((len(ids), horizon), dtype=bool)
+        xs = np.zeros((len(ids), horizon), dtype=np.int64)
+        ys = np.zeros((len(ids), horizon), dtype=np.int64)
+        for oid, t, x, y in rows:
+            present[oid - 1, t], xs[oid - 1, t], ys[oid - 1, t] = True, x, y
+        table = PositionTable(np.array(ids), present, xs, ys)
+        for oid in ids:
+            for t in range(horizon):
+                assert ix.object_position(oid, t) == table.position(oid, t)
+            assert ix.trajectory(oid, 0, horizon - 1) == \
+                table.trajectory(oid, 0, horizon - 1)
+            assert ix.trajectory(oid, 90, 150) == table.trajectory(oid, 90, 150)
+        rng = np.random.default_rng(len(gaps))
+        for _ in range(40):
+            x1, y1 = (int(v) for v in rng.integers(150, 450, 2))
+            rect = (x1, x1 + int(rng.integers(0, 60)),
+                    y1, y1 + int(rng.integers(0, 60)))
+            a = int(rng.integers(0, horizon))
+            b = int(rng.integers(a, min(a + 100, horizon)))
+            assert ix.time_slice(Region(*rect), a) == \
+                oracle_slice(table, rect, a)
+            assert ix.time_interval(Region(*rect), a, b) == \
+                oracle_interval(table, rect, a, b)
+
+
+class TestWindowMarks:
     @given(small_fleets())
     @settings(max_examples=60, deadline=None)
-    def test_zero_x_increments_are_the_gap_map(self, case):
-        # in a log with gaps and a member per step, a step's x increment
-        # is 0 just where the gap map has a member, so the two never
-        # disagree; a log with no gaps, or with a member per fix, marks
-        # none and is never asked to
+    def test_the_window_bitmap_marks_the_fixes(self, case):
+        # a log with gaps holds a bit per instant of its window, set at
+        # its fixes; one with none holds no bitmap.  Either way each axis
+        # stream has a member per fix after the first
         fleet, period, leaf = case
         ix = build_index(fleet.rows(), period, leaf, fleet.extent,
                          horizon=fleet.horizon)
         for log, _ in ix._logs.values():
             f = log._f
-            sums = list(unary_prefixes(log._bits, log._words, f, X_AXIS,
-                                       stream_members(*f[:3]), 0))
-            zero = [k + 1 for k in range(1, len(sums))
-                    if sums[k] == sums[k - 1]]  # as window offsets
-            gaps = list(log.time._gapmap.ones())
-            if not gaps:
-                assert len(sums) == log.data_count
-            elif len(sums) == f[1] - f[0] + 1:
-                assert 4 * len(gaps) <= f[1] - f[0]
-                assert zero == gaps
+            fixes = [t - f[0] + 1 for t, _, _ in log.scan_positions(
+                1, log.data_count)]
+            n = f[1] - f[0] + 1
+            if f[2]:
+                window = BitVector(log._bits, f[WINDOW], n, f[WINDOW + 1],
+                                   log.data_count)
+                assert list(window.ones()) == fixes
             else:
-                assert 4 * len(gaps) > f[1] - f[0]
-                assert len(sums) == log.data_count
+                assert f[WINDOW] == f[X_AXIS] and fixes == list(range(1, n + 1))
+            for axis in (log.dx, log.dy):
+                assert len(list(axis.stream._members.ones())) == \
+                    log.data_count - 1
+
+
+class TestAxisSteps:
+    """`AxisDeltas._steps` decodes an axis in one numpy pass: the signed
+    steps of its coordinates, the first one the coordinate itself, as the
+    `positions` walk gives them."""
+
+    @staticmethod
+    def check(log):
+        walk = list(positions(log._bits, log._words, log._f, 1,
+                              log._f[1]))
+        for k, axis in ((1, log.dx), (2, log.dy)):
+            coords = [p[k] for p in walk]
+            assert axis._steps().tolist() == \
+                np.diff(coords, prepend=0).tolist()
+
+    def test_random_logs(self):
+        rng = np.random.default_rng(171)
+        for trial in range(60):
+            period = int(rng.integers(2, 300))
+            self.check(build_log(random_track(rng, period), 0, period))
+
+    @pytest.mark.parametrize("window, density, seed", [
+        (2000, 0.01, 1), (1999, 0.40, 7), (6000, 0.90, 9)])
+    def test_gappy_logs(self, window, density, seed):
+        rng = np.random.default_rng(seed)
+        rows, _ = gappy_rows(rng, window, int(density * window))
+        self.check(build_log(rows, 0, window + 3))
+
+    def test_logs_with_entries(self):
+        # bursts make blocks of differing speed bounds, so the decode
+        # reads each block's reduction and offset
+        rows = [(t, 1000 + (500 if 40 <= t < 44 else 0) + t % 3,
+                 2000 - (t > 90) * 300) for t in range(1, 200) if t % 7]
+        log = build_log(rows, 0, 200)
+        assert log._f[WIDTHS]
+        self.check(log)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajindex import succinct
+from conftest import bit
 from trajindex.succinct import (
     BitPool,
     BitVector,
@@ -13,24 +13,30 @@ from trajindex.succinct import (
     SparseBitVector,
     UnaryDeltaStream,
     Writer,
-    access,
     bit_lengths,
+    next_one,
     packed_at,
     packed_get,
+    rank,
     select,
-    sparse_search,
-    sparse_select0,
-    unary_prefixes,
+    sparse_ones,
     words_from,
 )
 
 
 def brute(bits):
-    """(cumulative ones, positions of ones, positions of zeros)."""
+    """(cumulative ones, positions of ones)."""
     arr = np.asarray(bits, dtype=np.int64)
-    return (np.concatenate([[0], np.cumsum(arr)]),
-            list(np.flatnonzero(arr) + 1),
-            list(np.flatnonzero(1 - arr) + 1))
+    return np.concatenate([[0], np.cumsum(arr)]), list(np.flatnonzero(arr) + 1)
+
+
+def nexts(bits):
+    """For each position 1..n, the first one at or after it, 0 if none."""
+    out, nxt = [], 0
+    for i in range(len(bits), 0, -1):
+        nxt = i if bits[i - 1] else nxt
+        out.append(nxt)
+    return out[::-1]
 
 
 def alone(bits):
@@ -42,21 +48,9 @@ def alone(bits):
     return BitPool(w), len(w) // 8
 
 
-def select0(pool, end, j):
-    """The j-th zero of the bitmap alone in words 0..end-1 of pool."""
-    return select(pool, 0, end, 0, j, True)
-
-
 def parts(sv):
     """A set's pool, words and fields, which the pool functions take."""
     return sv._pool, sv._words, sv._f
-
-
-def search(pool, words, f, m, i):
-    """(members at or below position i, whether i is one) for the set of m
-    members whose fields start at f[0], as the index asks `sparse_search`:
-    only on a set with members, from position 1."""
-    return sparse_search(pool, words, f, 0, i) if m and i else (0, False)
 
 
 def packed(values, width):
@@ -73,12 +67,13 @@ class TestBitVector:
     def test_known_small(self):
         # B = 1011
         bv = BitVector.from_bits([1, 0, 1, 1])
-        pool, end = alone([1, 0, 1, 1])
+        pool, _ = alone([1, 0, 1, 1])
         assert len(bv) == 4 and bv.rank1(4) == 3
-        assert [access(pool, 0, i) for i in range(1, 5)] == [1, 0, 1, 1]
+        assert [bit(pool, 0, i) for i in range(1, 5)] == [1, 0, 1, 1]
         assert [bv.rank1(i) for i in range(5)] == [0, 1, 1, 2, 3]
+        assert [rank(pool, 0, 0, i) for i in range(5)] == [0, 1, 1, 2, 3]
         assert [bv.select1(j) for j in (1, 2, 3)] == [1, 3, 4]
-        assert select0(pool, end, 1) == 2
+        assert [next_one(pool, 0, i) for i in range(1, 5)] == [1, 3, 3, 4]
 
     def test_empty(self):
         bv = BitVector.from_bits([])
@@ -94,38 +89,38 @@ class TestBitVector:
         rng = np.random.default_rng(int(density * 100) * 7919 + n)
         bits = (rng.random(n) < density).astype(np.uint8)
         bv = BitVector.from_bits(bits)
-        pool, end = alone(bits)
-        cum, ones, zeros = brute(bits)
+        pool, _ = alone(bits)
+        cum, ones = brute(bits)
         for i in range(n + 1):
             assert bv.rank1(i) == cum[i]
         assert [bv.select1(j) for j in range(1, len(ones) + 1)] == ones
-        assert [select0(pool, end, j) for j in range(1, len(zeros) + 1)] \
-            == zeros
+        last = ones[-1] if ones else 0
+        assert [next_one(pool, 0, i) for i in range(1, last + 1)] == \
+            nexts(bits)[:last]
         assert list(bv.ones()) == ones
 
     @given(st.lists(st.booleans(), max_size=300), st.data())
     @settings(max_examples=60, deadline=None)
     def test_rank_select_inverse(self, bits, data):
         bv = BitVector.from_bits(bits)
-        pool, end = alone(bits)
+        pool, _ = alone(bits)
         ones = sum(bits)
         if ones:
             j = data.draw(st.integers(1, ones))
             p = bv.select1(j)
-            assert access(pool, 0, p) == 1
+            assert bit(pool, 0, p) == 1
             assert bv.rank1(p) == j
             assert bv.rank1(p - 1) == j - 1
-        if len(bits) - ones:
-            j = data.draw(st.integers(1, len(bits) - ones))
-            p = select0(pool, end, j)
-            assert access(pool, 0, p) == 0
-            assert p - bv.rank1(p) == j
+            # the next one at or after any position up to it is it
+            i = data.draw(st.integers(bv.select1(j - 1) + 1 if j > 1 else 1,
+                                      p))
+            assert next_one(pool, 0, i) == p
 
     def test_iterators_resume_mid_stream(self):
         rng = np.random.default_rng(5)
         bits = (rng.random(700) < 0.3).astype(np.uint8)
         bv = BitVector.from_bits(bits)
-        _, ones, _ = brute(bits)
+        _, ones = brute(bits)
         for start in (1, 2, 17, len(ones)):
             assert list(bv.ones(start)) == ones[start - 1:]
 
@@ -158,16 +153,10 @@ class TestReader:
 class TestSparseBitVector:
     def test_known_small(self):
         sv = SparseBitVector.from_positions(32, [3, 7, 20])
-        pool, words, f = parts(sv)
-        assert f[3:5] == (3, 29)  # lows floor(log2(32/3)) bits wide
+        assert sv._f[3:5] == (3, 29)  # lows floor(log2(32/3)) bits wide
         assert sv.select1(2) == 7
-        assert [search(pool, words, f, 3, i)[0] for i in (0, 7, 32)] == \
-            [0, 2, 3]
-        assert search(pool, words, f, 3, 20) == (3, True)
-        assert search(pool, words, f, 3, 21) == (3, False)
-        # zeros are 1,2,4,5,6,8,...
-        assert sparse_select0(pool, words, f, 0, 3, 3) == 4
         assert list(sv.ones()) == [3, 7, 20]
+        assert list(sv.ones(3)) == [20]
 
     def test_rejects_bad_positions(self):
         with pytest.raises(ValueError):
@@ -184,35 +173,8 @@ class TestSparseBitVector:
         rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
         pos = np.sort(rng.choice(n, size=m, replace=False)) + 1
         sv = SparseBitVector.from_positions(n, pos)
-        pool, words, f = parts(sv)
-        bits = np.zeros(n, dtype=np.uint8)
-        bits[pos - 1] = 1
-        cum, ones, zeros = brute(bits)
-        probes = data.draw(st.lists(st.integers(0, n), max_size=10))
-        for i in probes:
-            assert search(pool, words, f, m, i)[0] == cum[i]
-        assert [sv.select1(j) for j in range(1, m + 1)] == ones
-        if zeros:
-            j = data.draw(st.integers(1, len(zeros)))
-            assert sparse_select0(pool, words, f, 0, m, j) == zeros[j - 1]
-        assert list(sv.ones()) == ones
-
-    @pytest.mark.parametrize("n, members", [
-        # buckets of 2**7 values: a run of 100 members fills most of one,
-        # so its high bits hold 100 ones in a row across two words
-        (20_000, list(range(1281, 1381)) + list(range(19_900, 19_956))),
-        (20_000, list(range(1, 129)) + [20_000]),
-        # a run that starts and ends on each side of a word boundary
-        (6_000, list(range(1500, 1570)) + list(range(2500, 2520))),
-    ], ids=["long-run", "leading-run", "word-boundaries"])
-    def test_rank_across_long_runs_of_one_bucket(self, n, members):
-        pool, words, f = parts(SparseBitVector.from_positions(n, members))
-        memberset = set(members)
-        rank = 0
-        for i in range(1, n + 1):
-            rank += i in memberset
-            assert search(pool, words, f, len(members), i) == \
-                (rank, i in memberset), i
+        assert [sv.select1(j) for j in range(1, m + 1)] == pos.tolist()
+        assert list(sv.ones()) == pos.tolist()
 
     def test_space_stays_near_information_bound(self):
         # code bits within m*ceil(log2(n/m)) + 4m for all shapes tried
@@ -225,58 +187,13 @@ class TestSparseBitVector:
             assert sv.code_bits() <= budget, (n, m, sv.code_bits(), budget)
 
 
-def sparse_cases():
-    """(n, member positions) for the sparse select0 tests."""
-    rng = np.random.default_rng(57)
-    yield "empty-1", 1, []
-    yield "empty-100", 100, []
-    yield "one-run", 1000, list(range(10, 41))
-    # every member before the first zero, m a multiple of the bucket size:
-    # the first zero sits in the last bucket the search may try
-    yield "leading-run", 1000, list(range(1, 65))
-    yield "first-and-last", 500, [1, 2, 250, 499, 500]
-    yield "only-first", 64, [1]
-    yield "only-last", 64, [64]
-    # members on both edges of every other bucket: 2**w values a bucket
-    for n, m in ((1000, 40), (4096, 300)):
-        w = (n // m).bit_length() - 1
-        edges = sorted({p for b in range(1, (n - 1 >> w) + 1, 2)
-                        for p in ((b << w), (b << w) + 1) if p <= n})[:m]
-        yield f"bucket-edges-{n}", n, edges
-    # gap densities just under the 10% at which a gap map turns sparse
-    for n in (1999, 2000, 6000):
-        m = -(-n // 10) - 1
-        yield f"density-{n}", n, sorted(rng.choice(n, m, replace=False) + 1)
-    yield "runs-dense", 200, list(range(1, 20)) + list(range(182, 201))
-
-
-class TestSparseSelect0:
-    @pytest.mark.parametrize("name, n, members",
-                             [pytest.param(*c, id=c[0]) for c in sparse_cases()])
-    def test_every_zero_matches_brute_force(self, name, n, members,
-                                            monkeypatch):
-        sv = SparseBitVector.from_positions(n, members)
-        pool, words, f = parts(sv)
-
-        def zeros_only(*args):
-            assert args[5:] == (True,), "select0 must not search with select1"
-            return select(*args)
-
-        monkeypatch.setattr(succinct, "select", zeros_only)
-        memberset = set(members)
-        zeros = [p for p in range(1, n + 1) if p not in memberset]
-        assert [sparse_select0(pool, words, f, 0, len(members), j)
-                for j in range(1, len(zeros) + 1)] == zeros
-        monkeypatch.undo()
-        for start in range(1, len(zeros) + 1, max(1, len(zeros) // 37)):
-            assert list(sv.zeros(start)) == zeros[start - 1:]
-        assert list(sv.zeros(len(zeros) + 1)) == []
-
-
 def prefixes(stream, m, start=0):
     """The sums of the first start, start + 1, ..., m values of the
-    m-value stream, by the pool function a log's walk reads them with."""
-    return list(unary_prefixes(*parts(stream._members), 0, m, start))
+    m-value stream, from the members the pool function a log's walk reads
+    them with yields: the j-th member is the sum of the first j plus j."""
+    members = sparse_ones(*parts(stream._members), 0, m, max(start, 1))
+    return [0] * (start == 0) + [p - j for j, p in
+                                 enumerate(members, max(start, 1))]
 
 
 class TestUnaryDeltaStream:
@@ -371,36 +288,35 @@ def edge_bitmaps():
 def check_bitmap(pool, base, before, bits):
     """The bitmap bits from word base of pool, with `before` ones before
     it: its view, and the pool functions on it, against brute force."""
-    cum, ones, zeros = brute(bits)
+    cum, ones = brute(bits)
     bv = BitVector(pool, base, len(bits), before, len(ones))
     end = base + ((len(bits) + 63) >> 6)
     assert len(bv) == len(bits)
     assert [bv.rank1(i) for i in range(len(bits) + 1)] == list(cum)
-    assert [access(pool, base, i) for i in range(1, len(bits) + 1)] == \
+    assert [rank(pool, base, before, i) for i in range(len(bits) + 1)] == \
+        list(cum)
+    assert [bit(pool, base, i) for i in range(1, len(bits) + 1)] == \
         list(bits)
     assert [bv.select1(j) for j in range(1, len(ones) + 1)] == ones
-    assert [select(pool, base, end, before, j, True)
-            for j in range(1, len(zeros) + 1)] == zeros
+    assert [select(pool, base, end, before, j)
+            for j in range(1, len(ones) + 1)] == ones
+    last = ones[-1] if ones else 0
+    assert [next_one(pool, base, i) for i in range(1, last + 1)] == \
+        nexts(bits)[:last]
     assert list(bv.ones()) == ones
     for j in (0, len(ones) + 1):
         with pytest.raises(ValueError):
             bv.select1(j)
 
 
-def check_sparse(pool, words, f, n, members):
-    """The set of members over [1, n] whose fields start at f[0]: its view,
-    and the pool functions on it, against brute force."""
-    bits = np.zeros(n, dtype=np.uint8)
-    bits[np.asarray(members, dtype=np.int64) - 1] = 1
-    cum, ones, zeros = brute(bits)
-    m = len(ones)
+def check_sparse(pool, words, f, members):
+    """The set of members whose fields start at f[0]: its view, and the
+    pool function its cursor reads, against the members."""
+    m = len(members)
     sv = SparseBitVector(pool, words, f, 0, m)
-    assert [search(pool, words, f, m, i) for i in range(n + 1)] == \
-        [(cum[i], i > 0 and bits[i - 1] == 1) for i in range(n + 1)]
-    assert [sv.select1(j) for j in range(1, m + 1)] == ones
-    assert [sparse_select0(pool, words, f, 0, m, j)
-            for j in range(1, len(zeros) + 1)] == zeros
-    assert list(sv.ones()) == ones and list(sv.zeros()) == zeros
+    assert [sv.select1(j) for j in range(1, m + 1)] == list(members)
+    assert list(sv.ones()) == list(members)
+    assert list(sparse_ones(pool, words, f, 0, m, 1)) == list(members)
 
 
 def edge_sets():
@@ -447,9 +363,9 @@ class TestPoolBoundaries:
         for f in fields:
             f[1] = int(pool.ones_before(np.array(f[0])))
         for (n, members), f in zip(cases, fields):
-            check_sparse(pool, words, f, n, members)
+            check_sparse(pool, words, f, members)
             check_sparse(*parts(SparseBitVector.from_positions(n, members)),
-                         n, members)
+                         members)
 
     @pytest.mark.parametrize("values", [[], [0], [0, 0, 0], [5], [0, 7, 0],
                                         list(range(64)), [1] * 513])
@@ -463,13 +379,13 @@ class TestPoolBoundaries:
         assert prefixes(st_, len(values), len(values)) == [expect[-1]]
 
 
-def zero_layouts():
+def bitmap_layouts():
     """(lead, short, long, more): a lead of 1..7 words, so the first
     bitmap starts inside a superblock, then bitmaps as ((neighbour, run,
     bits in the last word, density), words), each after a run of 0..9
     all-ones or all-zeros words.  The short one has 1..4 words and the
-    long one 9..40, so both ways of selecting a zero are taken; up to
-    three more have 1..40."""
+    long one 9..40, so a select bisects within one superblock and across
+    several; up to three more have 1..40."""
     bitmap = st.tuples(st.sampled_from([0, 1]), st.integers(0, 9),
                        st.integers(1, 64), st.floats(0, 1))
     return st.tuples(
@@ -479,10 +395,9 @@ def zero_layouts():
         st.lists(st.tuples(bitmap, st.integers(1, 40)), max_size=3))
 
 
-class TestZerosFromTheOnes:
-    """select0 works out zero counts from the ones directory: word by word
-    on a bitmap of a few words, by bisecting the directory on a longer
-    one."""
+class TestNeighbouringBitmaps:
+    """Rank and select of a bitmap among others in one pool read the one
+    ones directory, less the ones before the bitmap."""
 
     def test_pool_keeps_only_the_ones_directory(self):
         w = Writer()
@@ -493,22 +408,9 @@ class TestZerosFromTheOnes:
             (33, 6, 41)
         assert pool.nbytes() == 8 * 33 + 8 * 6 + 2 * 41
 
-    @pytest.mark.parametrize("nwords, bisected", [(1, False), (4, False),
-                                                  (5, True), (40, True)])
-    def test_long_bitmaps_bisect_the_directory(self, nwords, bisected,
-                                               monkeypatch):
-        calls = []
-        zero_word = succinct._zero_word
-        monkeypatch.setattr(succinct, "_zero_word",
-                            lambda *a: calls.append(a) or zero_word(*a))
-        rng = np.random.default_rng(nwords)
-        bits = (rng.random(64 * nwords) < 0.5).astype(np.uint8)
-        check_bitmap(alone(bits)[0], 0, 0, bits)
-        assert bool(calls) == bisected
-
-    @given(zero_layouts(), st.integers(0, 2 ** 32 - 1))
+    @given(bitmap_layouts(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_every_zero_of_neighbouring_bitmaps(self, layout, seed):
+    def test_every_one_of_neighbouring_bitmaps(self, layout, seed):
         lead, short, long, more = layout
         rng = np.random.default_rng(seed)
         w = Writer()
@@ -525,6 +427,11 @@ class TestZerosFromTheOnes:
         ones = pool.ones_before(np.array([b for b, _ in cases])).tolist()
         for (base, bits), before in zip(cases, ones):
             end = base + ((len(bits) + 63) >> 6)
-            _, _, zeros = brute(bits)
-            assert [select(pool, base, end, before, j, True)
-                    for j in range(1, len(zeros) + 1)] == zeros
+            cum, positions = brute(bits)
+            assert [select(pool, base, end, before, j)
+                    for j in range(1, len(positions) + 1)] == positions
+            assert [rank(pool, base, before, i)
+                    for i in range(len(bits) + 1)] == list(cum)
+            last = positions[-1] if positions else 0
+            assert [next_one(pool, base, i) for i in range(1, last + 1)] == \
+                nexts(bits)[:last]

@@ -16,16 +16,16 @@ from trajindex import log, mbrtree, succinct
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# each class, and what the acceptance gate (criteria 3 and 7), perfbench's
-# tracer test and the positions cursor call on it
+# each class, and what the acceptance gate (criteria 3 and 7) and
+# perfbench's tracer test call on it
 CALLED = [
     (succinct.BitVector, ("from_bits", "__len__", "rank1", "select1", "ones")),
-    (succinct.SparseBitVector, ("select1", "ones", "zeros", "code_bits")),
+    (succinct.SparseBitVector, ("select1", "ones", "code_bits")),
     (succinct.UnaryDeltaStream, ("from_values", "prefix_sum", "total",
                                  "code_bits")),
     (succinct.PackedIntArray, ("__len__", "__getitem__", "__iter__",
                                "code_bits")),
-    (log.TimeIndex, ("first", "gaps_upto", "data_offsets", "code_bits")),
+    (log.TimeIndex, ("first", "gaps_upto", "code_bits")),
     (log.AxisDeltas, ("sign", "pos", "neg", "stream", "code_bits")),
     (log.TrajectoryLog, ("time", "dx", "dy", "data_count", "position",
                          "code_bits")),
