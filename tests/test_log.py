@@ -434,6 +434,72 @@ class TestWindowBitmap:
             == [data[bisect_left(data, o)] for o in range(1, data[-1] + 1)]
 
 
+def gap_patterns():
+    """(name, window, gaps) for gap layouts at the window bitmap's edges;
+    the gaps are window offsets, all strictly inside the window."""
+    rng = np.random.default_rng(57)
+    yield "no-gaps-3", 3, []
+    yield "no-gaps-100", 100, []
+    yield "one-run", 1000, list(range(10, 41))
+    # the whole first word of the bitmap past the first fix
+    yield "leading-run", 1000, list(range(2, 66))
+    yield "next-to-the-ends", 500, [2, 3, 250, 498, 499]
+    yield "only-second", 66, [2]
+    yield "only-next-to-last", 66, [65]
+    # the last and first bit of every other word, and of every other
+    # 512-bit superblock
+    for window, size in ((1000, 64), (4096, 512)):
+        edges = [p for b in range(1, window // size, 2)
+                 for p in (b * size, b * size + 1) if 1 < p < window]
+        yield f"edges-{window}", window, edges
+    # just under a tenth of the window, random
+    for window in (1999, 2000, 6000):
+        count = -(-window // 10) - 1
+        yield (f"density-{window}", window,
+               sorted((rng.choice(window - 2, count, replace=False) + 2)
+                      .tolist()))
+    yield "runs-dense", 200, list(range(2, 21)) + list(range(181, 200))
+
+
+class TestGapPatterns:
+    @pytest.mark.parametrize("name, window, gaps",
+                             [pytest.param(*c, id=c[0]) for c in gap_patterns()])
+    def test_every_instant_matches_brute_force(self, name, window, gaps):
+        # the window runs over local instants 2..window+1 of the log
+        rng = np.random.default_rng(window)
+        gapset = set(gaps)
+        offsets = [o for o in range(1, window + 1) if o not in gapset]
+        xs = 900 + np.cumsum(rng.integers(-5, 6, size=len(offsets)))
+        rows = [(o + 1, int(x), 2 * int(x)) for o, x in zip(offsets, xs)]
+        period = window + 3
+        log = build_log(rows, 0, period)
+        f = log._f
+        assert f[1:3] == (window + 1, len(gaps)) and log.data_count == \
+            len(rows)
+        table = {t: (x, y) for t, x, y in rows}
+        instants = [t for t, _, _ in rows]
+        assert [log.position(i) for i in range(1, period)] == \
+            [table.get(i) for i in range(1, period)]
+        assert [log.time.gaps_upto(o) for o in range(window + 1)] == \
+            [o - bisect_right(offsets, o) for o in range(window + 1)]
+        assert [log.unmap_ordinal(j) for j in range(1, len(rows) + 1)] == \
+            instants
+        if gaps:
+            assert [next_one(log._bits, f[WINDOW], o) for o in gaps] == \
+                [offsets[bisect_left(offsets, o)] for o in gaps]
+        # whole, edge and random ranges, and each gap's instant alone
+        for lo, hi in [(1, period - 1), (2, 2), (3, window)] + [
+                tuple(sorted(rng.integers(1, period, size=2).tolist()))
+                for _ in range(200)] + [(o + 1, o + 1) for o in gaps]:
+            first, last = bisect_left(instants, lo) + 1, \
+                bisect_right(instants, hi)
+            assert ordinal_range(log._bits, log._words, f, lo, hi) == \
+                (first, last)
+            assert has_data(log._bits, log._words, f, lo, hi) == \
+                (first <= last)
+        assert log.scan_positions(1, len(rows)) == rows
+
+
 def edge_tracks():
     """(name, period, rows) for tracks at the pools' edges."""
     rng = np.random.default_rng(90)

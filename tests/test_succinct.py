@@ -1,9 +1,12 @@
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bit
+from trajindex import succinct
 from trajindex.succinct import (
     BitPool,
     BitVector,
@@ -175,6 +178,23 @@ class TestSparseBitVector:
         sv = SparseBitVector.from_positions(n, pos)
         assert [sv.select1(j) for j in range(1, m + 1)] == pos.tolist()
         assert list(sv.ones()) == pos.tolist()
+
+    @pytest.mark.parametrize("n, members", [
+        # buckets of 2**7 values: a run of 100 members fills most of one,
+        # so its high bits hold 100 ones in a row across two words
+        (20_000, list(range(1281, 1381)) + list(range(19_900, 19_956))),
+        (20_000, list(range(1, 129)) + [20_000]),
+        # a run that starts and ends on each side of a word boundary
+        (6_000, list(range(1500, 1570)) + list(range(2500, 2520))),
+    ], ids=["long-run", "leading-run", "word-boundaries"])
+    def test_select_across_long_runs_of_one_bucket(self, n, members):
+        sv = SparseBitVector.from_positions(n, members)
+        m = len(members)
+        assert [sv.select1(j) for j in range(1, m + 1)] == members
+        for start in range(1, m + 1, 7):
+            assert list(sparse_ones(*parts(sv), 0, m, start)) == \
+                members[start - 1:]
+            assert list(sv.ones(start)) == members[start - 1:]
 
     def test_space_stays_near_information_bound(self):
         # code bits within m*ceil(log2(n/m)) + 4m for all shapes tried
@@ -407,6 +427,25 @@ class TestNeighbouringBitmaps:
         assert (len(pool.words), len(pool.super1), len(pool.block1)) == \
             (33, 6, 41)
         assert pool.nbytes() == 8 * 33 + 8 * 6 + 2 * 41
+
+    @pytest.mark.parametrize("nwords, bisected", [(1, False), (8, False),
+                                                  (9, True), (40, True)])
+    def test_long_bitmaps_bisect_the_directory(self, nwords, bisected,
+                                               monkeypatch):
+        # a select bisects the superblock counts only when the bitmap
+        # spans more than one 512-bit superblock
+        rng = np.random.default_rng(nwords)
+        bits = (rng.random(64 * nwords) < 0.5).astype(np.uint8)
+        pool = alone(bits)[0]
+        searched = []
+
+        def bisect(a, *args):
+            searched.append(a is pool.super1)
+            return bisect_left(a, *args)
+
+        monkeypatch.setattr(succinct, "bisect_left", bisect)
+        check_bitmap(pool, 0, 0, bits)
+        assert searched and any(searched) == bisected
 
     @given(bitmap_layouts(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
