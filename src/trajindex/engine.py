@@ -26,6 +26,7 @@ from trajindex.log import (
     X_AXIS,
     TrajectoryLog,
     bit_pool,
+    check_stream_ends,
     check_window_ends,
     data_count,
     has_data,
@@ -42,31 +43,25 @@ _MAGIC = b"CTCT"
 _VERSION = 9
 _PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
 _CRC_AT = 6  # offset of the CRC field, which the CRC skips
-_RECORD = struct.Struct(f"={RECORD_FIELDS}I")  # a log's record (see `log`)
 _ROOT = TREE + 1
 MAX_PERIODS = 1 << 20  # each period costs a snapshot, data or not
-
-
-_ROOT_BOX = struct.Struct("=4I")
-# a record's window, its bitmap's first word and ones before, and its data
-# count: the fields before the x axis's
-_HEAD = struct.Struct(f"={X_AXIS}I")
 _MISSES, _MEETS, _WITHIN = 0, 1, 2  # a miss is the one false value
+_WIDTHS = {"B": 1, "H": 2, "I": 4}  # a record field's bytes by its code
 
 
-def _root_test(records: array, row: int, region: Region) -> int:
-    # whether the root box of the log at row, which bounds every position
-    # in the log, misses region, meets it or lies within it; most
-    # candidates miss, so only the box is read
-    xmin, xmax, ymin, ymax = _ROOT_BOX.unpack_from(
-        records, row * _RECORD.size + 4 * _ROOT)
-    if not (xmin <= region.x2 and region.x1 <= xmax
-            and ymin <= region.y2 and region.y1 <= ymax):
-        return _MISSES
-    if (region.x1 <= xmin and xmax <= region.x2
-            and region.y1 <= ymin and ymax <= region.y2):
-        return _WITHIN
-    return _MEETS
+def _record(f: np.ndarray) -> struct.Struct:
+    # a log's record (see `log`), each field at the narrowest of 1, 2 or
+    # 4 bytes that holds its column's largest value among the records f
+    return struct.Struct("<" + "".join(
+        "B" if top < 1 << 8 else "H" if top < 1 << 16 else "I"
+        for top in f.max(axis=0, initial=0).tolist()))
+
+
+def _kept(record: struct.Struct) -> np.ndarray:
+    # the bytes that a record keeps of its fields as little-endian u32s:
+    # the first 1, 2 or 4 of each
+    return np.concatenate([4 * i + np.arange(_WIDTHS[code])
+                           for i, code in enumerate(record.format[1:])])
 
 
 class TrajectoryIndex:
@@ -74,7 +69,8 @@ class TrajectoryIndex:
 
     Every log and tree lives in two pools: one bit pool with its rank and
     select directory and one word pool, each log addressed by its row in
-    a table of fixed-width records.  A flat table maps (period, object
+    a table of records, each field at the narrowest width per column,
+    chosen per index: 1, 2 or 4 bytes.  A flat table maps (period, object
     index) to the row, or to -1 where the object has no log.  The
     snapshots of all periods are one `Snapshot` table, so a loaded index
     holds the same few Python objects whatever its period count.
@@ -102,9 +98,20 @@ class TrajectoryIndex:
         self._snapshots = snapshots
         self._bits = bits
         self._words = words
+        self._record = record = _record(f)
+        # the parts of a record that queries read alone: the log's fields,
+        # those before the tree's, which are all that a position reads;
+        # the head, those before the x axis's; and the root box, at byte
+        # _root_at
+        codes = record.format[1:]
+        self._log_part = struct.Struct("<" + codes[:TREE])
+        self._head = struct.Struct("<" + codes[:X_AXIS])
+        self._root_box = struct.Struct("<" + codes[_ROOT:_ROOT + 4])
+        self._root_at = struct.Struct("<" + codes[:_ROOT]).size
+        self._records = f.astype("<u4").view(np.uint8)[
+            :, _kept(record)].tobytes()
         # [:] is an exact copy: an array made from bytes keeps up to a
         # sixteenth more room
-        self._records = array("I", f.astype(np.uint32).tobytes())[:]
         self._rows = array("i", rows.tobytes())[:]
 
     # ------------------------------------------------------------- lookups
@@ -136,7 +143,27 @@ class TrajectoryIndex:
         return i
 
     def _fields(self, row: int) -> tuple[int, ...]:
-        return _RECORD.unpack_from(self._records, row * _RECORD.size)
+        return self._record.unpack_from(self._records, row * self._record.size)
+
+    def _log_fields(self, row: int) -> tuple[int, ...]:
+        # the record less its tree's fields, for `position_at` and
+        # `positions`
+        return self._log_part.unpack_from(self._records,
+                                          row * self._record.size)
+
+    def _root_test(self, row: int, region: Region) -> int:
+        # whether the root box of the log at row, which bounds every
+        # position in the log, misses region, meets it or lies within it;
+        # most candidates miss, so only the box is read
+        xmin, xmax, ymin, ymax = self._root_box.unpack_from(
+            self._records, row * self._record.size + self._root_at)
+        if not (xmin <= region.x2 and region.x1 <= xmax
+                and ymin <= region.y2 and region.y1 <= ymax):
+            return _MISSES
+        if (region.x1 <= xmin and xmax <= region.x2
+                and region.y1 <= ymin and ymax <= region.y2):
+            return _WITHIN
+        return _MEETS
 
     def _log(self, f, oid: int, k: int) -> TrajectoryLog:
         return TrajectoryLog(self._bits, self._words, f, oid, k, self.period)
@@ -154,7 +181,8 @@ class TrajectoryIndex:
         row = self._rows[p * len(self._index) + i]
         if row < 0:
             return None
-        return position_at(self._bits, self._words, self._fields(row), local)
+        return position_at(self._bits, self._words, self._log_fields(row),
+                           local)
 
     def trajectory(self, oid: int, first: int, last: int) -> list[tuple[int, int, int]]:
         """(instant, x, y) rows for oid over first..last, instants ascending."""
@@ -175,7 +203,7 @@ class TrajectoryIndex:
             if lo > hi or row < 0:
                 continue
             for t, x, y in positions(self._bits, self._words,
-                                     self._fields(row), lo - k, hi - k):
+                                     self._log_fields(row), lo - k, hi - k):
                 out.append((k + t, x, y))
         return out
 
@@ -195,9 +223,9 @@ class TrajectoryIndex:
         out = []
         for oid, _, _ in self._snapshots.range_report(wide, p):
             row = rows[first + index[oid]]
-            if row < 0 or not _root_test(self._records, row, region):
+            if row < 0 or not self._root_test(row, region):
                 continue
-            pos = position_at(self._bits, self._words, self._fields(row),
+            pos = position_at(self._bits, self._words, self._log_fields(row),
                               q - k)
             if pos is not None and region.contains(pos[0], pos[1]):
                 out.append((oid, pos[0], pos[1]))
@@ -239,8 +267,7 @@ class TrajectoryIndex:
                     continue
                 # the tree's first test, on its root box, is made here
                 # from the record; only a search that needs more makes views
-                root = (_root_test(self._records, row, region) if mbr_prune
-                        else _MEETS)
+                root = self._root_test(row, region) if mbr_prune else _MEETS
                 if not root:
                     if stats is not None:
                         stats.root_only("mbr_reject")
@@ -248,7 +275,8 @@ class TrajectoryIndex:
                 # a root box inside region needs only a data instant in
                 # the window, which the record's head mostly proves alone
                 if root == _WITHIN:
-                    head = _HEAD.unpack_from(self._records, row * _RECORD.size)
+                    head = self._head.unpack_from(self._records,
+                                                  row * self._record.size)
                     if has_data(self._bits, self._words, head, lo - k, hi - k):
                         if stats is not None:
                             stats.root_only("mbr_contain")
@@ -277,7 +305,7 @@ class TrajectoryIndex:
             "bit pool": nbytes(bits.words),
             "directories": bits.nbytes() - nbytes(bits.words),
             "word pool": nbytes(self._words),
-            "log records": nbytes(self._records),
+            "log records": len(self._records),
             "row table": nbytes(self._rows),
         }
 
@@ -300,7 +328,8 @@ class TrajectoryIndex:
           and a bitmap over periods and object ids marking who has a log;
           then every log with its box tree, by period and then by id, as
           the index holds them (see `encoder`): their u32 fields, row
-          after row, the bit pool's words and the word pool's words.
+          after row, whatever their width in the records, the bit pool's
+          words and the word pool's words.
         A log's axis streams hold a member per fix after its first, and a
         log with gaps a bitmap over its window, so an object's position is
         a rank and one select per axis (see `log`).
@@ -311,8 +340,11 @@ class TrajectoryIndex:
         self._snapshots.write(w)
         sizes = {"snapshots": len(w) - mark}
         w.bits(np.frombuffer(self._rows, dtype=np.int32) >= 0)
-        f = np.frombuffer(self._records, dtype=np.uint32).reshape(
-            -1, RECORD_FIELDS).astype(np.int64)
+        table = np.zeros((len(self._records) // self._record.size,
+                          4 * RECORD_FIELDS), dtype=np.uint8)
+        table[:, _kept(self._record)] = np.frombuffer(
+            self._records, dtype=np.uint8).reshape(-1, self._record.size)
+        f = table.view("<u4").astype(np.int64)
         w.u32s(f[:, FILE_FIELDS])
         w.words(self._bits.words)
         w.words(self._words)
@@ -371,6 +403,7 @@ class TrajectoryIndex:
         bits = bit_pool(f, pools[:8 * bit_words])
         words = words_from(pools[8 * bit_words:])
         check_window_ends(f, bits)
+        check_stream_ends(f, bits, words)
         return cls(period, leaf_capacity, (w, h), horizon, max_speed,
                    sample_count, object_ids, snapshots, bits, words, f, slots)
 

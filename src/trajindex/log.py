@@ -30,8 +30,9 @@ A log and its box tree live in two pools (see `succinct`), the bit pool
 and the word pool, laid out as the file holds them (see `encoder`).  A
 tuple of ints, its record, says where each piece begins; `records` works
 every record of an index out from the stored fields in one numpy pass,
-and an index keeps them as one fixed-width table.  The functions here
-answer from a record, and the classes are views over it.
+and an index keeps them as one table, each field at the narrowest width
+per column, chosen per index.  The functions here answer from a record,
+and the classes are views over it.
 """
 
 from __future__ import annotations
@@ -213,6 +214,42 @@ def check_window_ends(f: np.ndarray, bits: BitPool) -> None:
             & packed_at(bits.words, at + g[:, 1] - g[:, 0], 1))
     if not ends.all():
         raise ValueError("a log's window begins or ends with a gap")
+
+
+def check_stream_ends(f: np.ndarray, bits: BitPool, words) -> None:
+    """Raise ValueError if an axis stream of a log among the records f
+    does not end at its total, or its last fix lies outside its root box.
+
+    The last of a stream's m members is n - 1, from 0, for n = total + m:
+    the one of its high part, ((n - 1) >> lw) + m - 1, is the last one of
+    the high bits, so the bit after it is clear, and its low is the low
+    lw bits of n - 1.  The last fix is then the first fix plus the total,
+    less the drift up to its step K, s*K - r_b*K + o_b for the last
+    block's reduction r_b and offset o_b."""
+    g = f[f[:, DATA] > 1]  # per log, a column per axis
+    m = g[:, DATA, None] - 1
+    total, lw = g[:, _STREAMS + 4], g[:, _STREAMS + 3]
+    last = total + m - 1
+    high = packed_at(bits.words, (g[:, _STREAMS] << 6) + (last >> lw) + m - 1,
+                     2)
+    low = packed_at(words, (g[:, _STREAMS + 2] << 6) + (m - 1) * lw, lw)
+    k = (g[:, 1] - g[:, 0])[:, None]
+    fix = g[:, [X_FIRST, Y_FIRST]] + total - g[:, SPEED, None] * k
+    # the last block's entries of the logs that store any, as
+    # `_entry_array` and `_drift` read them
+    e = np.flatnonzero(g[:, WIDTHS])
+    blocks = (m[e] + BLOCK - 1) >> BLOCK_SHIFT
+    width = g[e, WIDTHS, None] >> np.array([0, 8, 16, 24]) & 255
+    size = (blocks * width + 63) >> 6
+    base = g[e, ENTRIES, None] + np.cumsum(size, axis=1) - size
+    entries = packed_at(words, (base << 6) + (blocks - 1) * width, width)
+    r, z = entries[:, 0::2], entries[:, 1::2]
+    fix[e] += r * k[e] - ((z >> 1) ^ -(z & 1))
+    box = g[:, TREE + 1:TREE + 5]  # xmin, xmax, ymin, ymax
+    if ((high != 1) | (low != last & ((1 << lw) - 1)) | (fix < box[:, 0::2])
+            | (fix > box[:, 1::2])).any():
+        raise ValueError("a log's axis stream does not end at its total, or "
+                         "its last fix lies outside its root box")
 
 
 def position_at(bits: BitPool, words, f, i: int) -> tuple[int, int] | None:

@@ -266,7 +266,7 @@ def packed_at(words, at: np.ndarray, width) -> np.ndarray:
     for each entry of at, as int64s: the one vectorized packed reader."""
     pool = np.frombuffer(words, dtype=np.uint64)
     if not len(pool):
-        return np.zeros(len(at), dtype=np.int64)
+        return np.zeros(np.shape(at), dtype=np.int64)
     w, off = at >> 6, (at & 63).astype(np.uint64)
     v = pool.take(w, mode="clip") >> off
     # the next word's bits, shifted in two steps so no shift is by 64

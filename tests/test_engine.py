@@ -14,6 +14,7 @@ from conftest import REF_OBJECT, REF_PERIOD, REF_TRACK, pulled_in, restamp
 from reference_encoder import reference_blob
 from synth import make_fleet
 from trajindex import succinct
+from trajindex.encoder import U32_FIELDS
 from trajindex.engine import (
     MAX_PERIODS,
     TrajectoryIndex,
@@ -21,7 +22,18 @@ from trajindex.engine import (
     compute_max_speed,
 )
 from trajindex.ingest import RawRecord, parse_binary, write_binary
-from trajindex.log import TrajectoryLog, build_log
+from trajindex.log import (
+    DATA,
+    FILE_FIELDS,
+    TREE,
+    WIDTHS,
+    X_AXIS,
+    X_FIRST,
+    Y_AXIS,
+    Y_FIRST,
+    TrajectoryLog,
+    build_log,
+)
 from trajindex.mbrtree import Mbr, TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region, Snapshot
@@ -72,6 +84,23 @@ def tiny_blob():
     fleet = make_fleet(3, 40, (16, 16), seed=11, drop_rate=0.1)
     return build_index(fleet.rows(), period=10, leaf_capacity=2,
                        extent=fleet.extent).to_bytes()
+
+
+def sweep(ix) -> list:
+    """The answers of ix, an index over a 16x16 grid, to a sweep of
+    queries: every position and each whole trajectory, and for each of
+    four regions a slice at every instant and an 8-instant interval from
+    every third instant."""
+    out = []
+    for oid in ix.object_ids:
+        out.append([ix.object_position(oid, q) for q in range(ix.horizon)])
+        out.append(ix.trajectory(oid, 0, ix.horizon - 1))
+    for region in (Region(0, 15, 0, 15), Region(0, 7, 0, 7),
+                   Region(8, 15, 4, 11), Region(5, 5, 10, 10)):
+        out.append([ix.time_slice(region, q) for q in range(ix.horizon)])
+        out.append([ix.time_interval(region, q, min(q + 7, ix.horizon - 1))
+                    for q in range(0, ix.horizon, 3)])
+    return out
 
 
 @pytest.fixture
@@ -522,6 +551,57 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             TrajectoryIndex.from_bytes(edited)
 
+    @pytest.mark.parametrize("edit", ["none", "last-one-up", "last-low"])
+    def test_a_stream_that_does_not_end_at_its_total_is_rejected(
+            self, ref_index, edit):
+        # the x stream of the reference log: 6 members, total 30, so its
+        # last member is 35, with lows of 2 bits, and its high bits hold
+        # 6 ones in 15 bits, in a word of their own
+        blob = bytearray(ref_index.to_bytes())
+        f = ref_index._fields(0)
+        base, lows, lw, total = (f[X_AXIS + c] for c in (0, 2, 3, 4))
+        assert (f[DATA] - 1, total, lw) == (6, 30, 2)
+        bits_at = len(blob) - 8 * (len(ref_index._bits.words)
+                                   + len(ref_index._words))
+        high_at = bits_at + 8 * base
+        lows_at = bits_at + 8 * (len(ref_index._bits.words) + lows)
+        high = int.from_bytes(blob[high_at:high_at + 8], "little")
+        last = (35 >> 2) + 6 - 1  # the last member's one
+        assert high.bit_count() == 6 and high.bit_length() == last + 1
+        if edit == "last-one-up":
+            # the same count of ones, none past the end, but the last a
+            # bucket higher
+            high = high & (high - 1) | 1 << last + 1
+        elif edit == "last-low":
+            blob[lows_at + 5 * 2 // 8] ^= 1 << 5 * 2 % 8
+        blob[high_at:high_at + 8] = high.to_bytes(8, "little")
+        if edit == "none":
+            TrajectoryIndex.from_bytes(restamp(blob))
+        else:
+            with pytest.raises(ValueError, match="does not end at its total"):
+                TrajectoryIndex.from_bytes(restamp(blob))
+
+    @pytest.mark.parametrize("sx, sy", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_a_log_that_ends_at_a_corner_of_its_root_box_loads(self, sx, sy):
+        # monotone tracks with rare fast steps end at a corner of each
+        # log's root box, and their blocks keep speed bounds of their own,
+        # so the load works each last fix out through the last block's
+        # reduction and offset, exactly
+        rng = np.random.default_rng(71)
+        rows = []
+        for oid in range(1, 9):
+            steps = rng.integers(0, 2, size=(600, 2))
+            steps[rng.random(600) < 0.02] *= 40
+            xs, ys = 1000 + np.cumsum(steps * (sx, sy), axis=0).T
+            rows += [(oid, t, int(xs[t]), int(ys[t])) for t in range(600)
+                     if t % 7 or t % 200 == 0]
+        ix = build_index(rows, 200, 4, (2000, 2000))
+        logs = [ix._fields(row) for row in range(sum(r >= 0 for r in ix._rows))]
+        assert sum(f[WIDTHS] > 0 for f in logs) > 4  # logs with block entries
+        back = TrajectoryIndex.from_bytes(ix.to_bytes())
+        for oid, t, x, y in rows[::5]:
+            assert back.object_position(oid, t) == (x, y)
+
     @pytest.mark.parametrize("window, ok", [
         # the gaps at offsets 5 and 6, as built; 5 and 8; 1 and 6, where
         # the window begins with a gap; 5 and 9, where it ends with one
@@ -678,6 +758,36 @@ class TestSerialization:
                         except ValueError:
                             pass
                 flipped[i] ^= 1 << bit
+
+    def test_every_flip_of_a_stream_total_fails_or_answers_the_same(
+            self, tiny_blob):
+        # a stream's total sets its low width and the length of its high
+        # bits; a flip that keeps every piece's word count must be
+        # refused at load, or leave an index that answers as the intact
+        # one does
+        ix = TrajectoryIndex.from_bytes(tiny_blob)
+        logs = len(ix._logs)
+        table = (len(tiny_blob) - 8 * (len(ix._bits.words) + len(ix._words))
+                 - 4 * U32_FIELDS * logs)
+        want = sweep(ix)
+        outcomes = []
+        for row in range(logs):
+            for axis in (X_AXIS, Y_AXIS):
+                at = table + 4 * (U32_FIELDS * row
+                                  + FILE_FIELDS.index(axis + 4))
+                assert struct.unpack_from("<I", tiny_blob, at) == \
+                    (ix._fields(row)[axis + 4],)
+                for bit in range(32):
+                    flipped = bytearray(tiny_blob)
+                    flipped[at + bit // 8] ^= 1 << bit % 8
+                    try:
+                        loaded = TrajectoryIndex.from_bytes(restamp(flipped))
+                    except ValueError:
+                        outcomes.append("refused")
+                        continue
+                    assert sweep(loaded) == want, (row, axis, bit)
+                    outcomes.append("same answers")
+        assert len(outcomes) == 64 * logs and "refused" in outcomes
 
     @pytest.mark.parametrize("sparse", [False, True],
                              ids=["count-past-objects", "rows-past-file"])
@@ -1167,20 +1277,25 @@ class TestLoadedMemory:
                            horizon=horizon).to_bytes()
 
     def test_a_load_holds_under_three_times_the_file(self):
-        # 1.7 times here; a log's record (112 bytes) weighs most in short
-        # periods, 1.8 times at d=20
+        # 1.3 times here and at d=20, where a log's record, 51 bytes at
+        # the narrowest width per column (112 as 28 u32s), weighs most
         blob = self.blob(960, 60)
         _, grown, _ = load_cost(blob)
         assert grown <= 3 * len(blob), (grown, len(blob))
 
     def test_pools_hold_no_spare_room(self):
-        # so that what `memory()` counts is what the pools take
+        # so that what `memory()` counts is what the pools and the record
+        # table take
         fleet = make_fleet(30, 240, (300, 300), seed=12, drop_rate=0.1)
         built = build_index(fleet.rows(), 20, 8, fleet.extent)
         empty = sys.getsizeof(array("Q"))
         for ix in (built, TrajectoryIndex.from_bytes(built.to_bytes())):
             for pool in (ix._words, ix._bits.words):
                 assert sys.getsizeof(pool) - empty == 8 * len(pool)
+            logs = sum(row >= 0 for row in ix._rows)
+            assert logs > 300
+            assert sys.getsizeof(ix._records) - sys.getsizeof(b"") == \
+                ix.memory()["log records"] == logs * ix._record.size
 
     def test_directories_are_the_ones_directory(self):
         # the bit pool keeps one u64 per superblock and one u16 per word,
@@ -1228,3 +1343,87 @@ class TestLoadedMemory:
         assert periods == 36 and logs >= 25 * periods
         # neither a period nor a log takes an object of its own
         assert many - few <= 2, (many - few, periods, logs)
+
+
+class TestRecordWidths:
+    """An index keeps each record field at the narrowest of 1, 2 and 4
+    bytes that holds its column's largest value: a width per column,
+    chosen per index, and one record format for every log."""
+
+    @pytest.mark.parametrize("fleet, period, leaf, wide, width", [
+        # every field of a small grid's short logs fits a byte
+        pytest.param((3, 40, (16, 16), 11, 3, 0.1), 10, 2,
+                     range(TREE + 6), 1, id="tiny-grid"),
+        # a window's last instant passes 255
+        pytest.param((4, 1200, (200, 200), 21, 3, 0.1), 400, 8, [1], 2,
+                     id="long-period"),
+        # first fixes and root boxes past 65,535
+        pytest.param((6, 200, (200_000, 200_000), 22, 3, 0.05), 20, 4,
+                     [X_FIRST, Y_FIRST, *range(TREE + 1, TREE + 5)], 4,
+                     id="wide-grid"),
+        # long lows and trees of a leaf per fix fill more than 65,535
+        # words, and the bit pool more than 65,535 ones: the offsets of
+        # the lows and the trees' diffs, and the ones before each bitmap
+        pytest.param((30, 1500, (1 << 20, 1 << 20), 23, 5000, 0.05), 120, 1,
+                     [X_AXIS + 2, Y_AXIS + 2, TREE, 4, X_AXIS + 1,
+                      Y_AXIS + 1], 4, id="pools-past-65535-words"),
+    ])
+    def test_each_column_takes_its_narrowest_width(self, fleet, period, leaf,
+                                                   wide, width):
+        num, horizon, extent, seed, step, drop = fleet
+        fleet = make_fleet(num, horizon, extent, seed, max_step=step,
+                           drop_rate=drop)
+        ix = build_index(fleet.rows(), period, leaf, fleet.extent)
+        logs = sum(row >= 0 for row in ix._rows)
+        top = np.array([ix._fields(row) for row in range(logs)]).max(axis=0)
+        widths = [1 if t < 1 << 8 else 2 if t < 1 << 16 else 4 for t in top]
+        assert [widths[c] for c in wide] == [width] * len(wide)
+        assert ix._record.format == "<" + "".join(
+            {1: "B", 2: "H", 4: "I"}[w] for w in widths)
+        assert ix._record.size == sum(widths)
+        assert len(ix._records) == logs * ix._record.size
+        # a load picks the same widths from the same fields, and writes
+        # the same file
+        blob = ix.to_bytes()
+        back = TrajectoryIndex.from_bytes(blob)
+        assert back.to_bytes() == blob
+        assert (back._record.format, back._records) == \
+            (ix._record.format, ix._records)
+        table = PositionTable(fleet.ids, fleet.present, fleet.xs, fleet.ys)
+        rng = np.random.default_rng(seed)
+        w, h = fleet.extent
+        for _ in range(100):
+            oid = int(rng.integers(1, num + 1))
+            t = int(rng.integers(0, horizon))
+            assert back.object_position(oid, t) == table.position(oid, t)
+        for oid in (1, num):
+            assert back.trajectory(oid, 0, horizon - 1) == \
+                fleet.object_rows(oid)
+        for _ in range(20):
+            x1, y1 = int(rng.integers(0, w)), int(rng.integers(0, h))
+            rect = (x1, min(w - 1, x1 + w // 3), y1, min(h - 1, y1 + h // 3))
+            q = int(rng.integers(0, horizon))
+            e = min(horizon - 1, q + int(rng.integers(0, 2 * period)))
+            assert back.time_slice(Region(*rect), q) == \
+                oracle_slice(table, rect, q)
+            assert back.time_interval(Region(*rect), q, e) == \
+                oracle_interval(table, rect, q, e)
+
+    @pytest.mark.parametrize("column, value, code", [
+        (1, 255, "B"), (1, 256, "H"), (X_FIRST, 65_535, "H"),
+        (X_FIRST, 65_536, "I")])
+    def test_a_width_holds_its_largest_value_and_no_more(self, column, value,
+                                                         code):
+        # one log whose last instant, or first x, is value
+        if column == 1:
+            rows = [(1, t, t % 2, 0) for t in range(value + 1)]
+            ix = build_index(rows, 400, 8, (2, 1))
+        else:
+            rows = [(1, t, value, 0) for t in range(3)]
+            ix = build_index(rows, 4, 2, (value + 1, 1))
+        assert ix._fields(0)[column] == value
+        assert ix._record.format[1 + column] == code
+        back = TrajectoryIndex.from_bytes(ix.to_bytes())
+        assert back._records == ix._records
+        assert [back.object_position(1, t) for _, t, _, _ in rows] == \
+            [(x, y) for _, _, x, y in rows]
