@@ -161,12 +161,17 @@ def _cmd_oracle_check(args) -> int:
     ids = ix.object_ids
     bad = 0
     for n in range(args.queries):
-        kind = n % 3
-        if kind == 0:
+        kind = n % 4
+        if kind in (0, 3):
             oid = ids[int(rng.integers(0, len(ids)))]
             q = int(rng.integers(0, ix.horizon))
-            got, want = ix.object_position(oid, q), table.position(oid, q)
-            desc = f"object {oid} at {q}"
+            if kind == 0:
+                got, want = ix.object_position(oid, q), table.position(oid, q)
+                desc = f"object {oid} at {q}"
+            else:  # a window of up to three periods from q
+                e = min(ix.horizon - 1, q + int(rng.integers(0, 3 * ix.period)))
+                got, want = ix.trajectory(oid, q, e), table.trajectory(oid, q, e)
+                desc = f"trajectory of {oid} over {q}..{e}"
         else:
             x1 = int(rng.integers(0, extent[0]))
             y1 = int(rng.integers(0, extent[1]))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 import zlib
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
 
 import numpy as np
@@ -29,10 +30,10 @@ from trajindex.log import (
     check_stream_ends,
     check_window_ends,
     data_count,
+    decode,
     has_data,
     ordinal_range,
     position_at,
-    positions,
     records,
 )
 from trajindex.mbrtree import Mbr, MbrTree, TraversalStats
@@ -147,7 +148,7 @@ class TrajectoryIndex:
 
     def _log_fields(self, row: int) -> tuple[int, ...]:
         # the record less its tree's fields, for `position_at` and
-        # `positions`
+        # `decode`
         return self._log_part.unpack_from(self._records,
                                           row * self._record.size)
 
@@ -192,19 +193,22 @@ class TrajectoryIndex:
         if first > last:
             raise ValueError("empty instant range")
         d = self.period
-        out: list[tuple[int, int, int]] = []
+        fixes, pieces = [], []
         for k in range(first - first % d, last + 1, d):
             if k >= first:
                 pos = self._snapshots.fix(k // d, i)
                 if pos is not None:
-                    out.append((k, pos[0], pos[1]))
+                    fixes.append((k, *pos))
             lo, hi = max(first, k + 1), min(last, k + d - 1)
             row = self._rows[k // d * len(self._index) + i]
-            if lo > hi or row < 0:
-                continue
-            for t, x, y in positions(self._bits, self._words,
-                                     self._log_fields(row), lo - k, hi - k):
-                out.append((k + t, x, y))
+            if lo <= hi and row >= 0:
+                pieces.append((self._log_fields(row), k, lo - k, hi - k))
+        t, x, y = (a.tolist() for a in decode(self._bits, self._words, pieces))
+        out = list(zip(t, x, y))
+        # each snapshot fix goes before its period's log fixes; the last
+        # one first, so the places of the others hold
+        for fix in reversed(fixes):
+            out.insert(bisect_left(t, fix[0]), fix)
         return out
 
     # ------------------------------------------------------------- queries
@@ -525,7 +529,9 @@ def build_index(samples, period: int, leaf_capacity: int,
         raise ValueError(f"sample ({oid}, {t}, {x}, {y}) outside {w}x{h} grid")
     if rows[:, 1].min() < 0:
         raise ValueError("negative instant")
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    # by id, each object's rows kept in order; sorted rows need no sort
+    if (rows[1:, 0] < rows[:-1, 0]).any():
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
     oids, ts = rows[:, 0], rows[:, 1]
     _check_u32("object id", oids[0])
     _check_u32("object id", oids[-1])
@@ -553,8 +559,9 @@ def build_index(samples, period: int, leaf_capacity: int,
     # the snapshot, as an entrant unless it sits at the period start; the
     # rest is a log
     ks = ts - ts % period
-    starts = np.flatnonzero(np.r_[True, (oids[1:] != oids[:-1])
-                                  | (ks[1:] != ks[:-1])])
+    new_object = np.r_[True, oids[1:] != oids[:-1]]
+    ids = oids[new_object].astype(np.uint32)
+    starts = np.flatnonzero(new_object | np.r_[False, ks[1:] != ks[:-1]])
     ends = np.r_[starts[1:], len(rows)]
     order = np.lexsort((oids[starts], ks[starts]))
     starts, ends = starts[order], ends[order]
@@ -571,7 +578,6 @@ def build_index(samples, period: int, leaf_capacity: int,
     bad = (u32s < 0) | (u32s > U32_MAX)
     if bad.any():
         raise ValueError(f"log field {u32s[bad][0]} does not fit in a u32")
-    ids = np.unique(oids).astype(np.uint32)
     # the snapshot rows, each group's first, by period, cell and id
     snap_oids, _, xs, ys = rows[starts].T
     codes = morton_codes(xs, ys)

@@ -33,12 +33,17 @@ every record of an index out from the stored fields in one numpy pass,
 and an index keeps them as one table, each field at the narrowest width
 per column, chosen per index.  The functions here answer from a record,
 and the classes are views over it.
+
+`position_at` reads one position.  A run of fixes, of one log or of
+many, is one `decode`, the sequential read of the same sets: since the
+records give each bitmap's count of ones, one unpacking of every log's
+bitmaps finds each fix's offset and each member's high part by index,
+so a trajectory takes a few numpy calls, not a Python step per fix.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import count, islice
 
 import numpy as np
 
@@ -50,14 +55,11 @@ from trajindex.succinct import (
     SparseBitVector,
     UnaryDeltaStream,
     _SUPER_SHIFT,
-    _scan,
     elias_fano,
-    next_one,
     packed_at,
     packed_get,
     rank,
     select,
-    sparse_ones,
     word_starts,
     words_from,
 )
@@ -87,6 +89,7 @@ FILE_FIELDS = [0, 1, 2, SPEED, WIDTHS, X_FIRST, X_AXIS + 4, Y_FIRST,
                Y_AXIS + 4, TREE + 5, TREE + 1, TREE + 2, TREE + 3, TREE + 4]
 _BITMAPS = np.array([WINDOW, X_AXIS, Y_AXIS])  # each one's first word
 _STREAMS = _BITMAPS[1:]
+_ONE = np.ones(1, dtype=np.uint64)  # a word with a one, for `decode`
 
 
 def records(u32s: np.ndarray, leaf_capacity: int) -> tuple[np.ndarray, int, int]:
@@ -167,6 +170,19 @@ def _drift(words, f, a: int, b: int) -> tuple[int, int]:
     return r, (z >> 1) ^ -(z & 1)
 
 
+def _block_entries(words, f: np.ndarray, blk: np.ndarray):
+    # the reductions and the offsets, a column per axis, of block blk of
+    # the log in each row of the records f, as `_entry_array` and
+    # `_drift` read them
+    blocks = (f[:, DATA, None] + BLOCK - 2) >> BLOCK_SHIFT
+    width = f[:, WIDTHS, None] >> np.array([0, 8, 16, 24]) & 255
+    size = (blocks * width + 63) >> 6
+    base = f[:, ENTRIES, None] + np.cumsum(size, axis=1) - size
+    e = packed_at(words, (base << 6) + blk[:, None] * width, width)
+    z = e[:, 1::2]
+    return e[:, 0::2], (z >> 1) ^ -(z & 1)
+
+
 def data_count(f) -> int:
     """Instants with data in the log with fields f."""
     return f[DATA]
@@ -235,16 +251,9 @@ def check_stream_ends(f: np.ndarray, bits: BitPool, words) -> None:
     low = packed_at(words, (g[:, _STREAMS + 2] << 6) + (m - 1) * lw, lw)
     k = (g[:, 1] - g[:, 0])[:, None]
     fix = g[:, [X_FIRST, Y_FIRST]] + total - g[:, SPEED, None] * k
-    # the last block's entries of the logs that store any, as
-    # `_entry_array` and `_drift` read them
-    e = np.flatnonzero(g[:, WIDTHS])
-    blocks = (m[e] + BLOCK - 1) >> BLOCK_SHIFT
-    width = g[e, WIDTHS, None] >> np.array([0, 8, 16, 24]) & 255
-    size = (blocks * width + 63) >> 6
-    base = g[e, ENTRIES, None] + np.cumsum(size, axis=1) - size
-    entries = packed_at(words, (base << 6) + (blocks - 1) * width, width)
-    r, z = entries[:, 0::2], entries[:, 1::2]
-    fix[e] += r * k[e] - ((z >> 1) ^ -(z & 1))
+    e = np.flatnonzero(g[:, WIDTHS])  # the last block's, where stored
+    r, o = _block_entries(words, g[e], (g[e, DATA] - 2) >> BLOCK_SHIFT)
+    fix[e] += r * k[e] - o
     box = g[:, TREE + 1:TREE + 5]  # xmin, xmax, ymin, ymax
     if ((high != 1) | (low != last & ((1 << lw) - 1)) | (fix < box[:, 0::2])
             | (fix > box[:, 1::2])).any():
@@ -287,42 +296,68 @@ def position_at(bits: BitPool, words, f, i: int) -> tuple[int, int] | None:
     return x + rx * k - ox, y + ry * k - oy
 
 
-def positions(bits: BitPool, words, f, lo: int, hi: int):
-    """Yield (local instant, x, y) for each instant with data among local
-    instants lo..hi of the log with fields f: cursors over the two
-    streams' members, each opened with one select, and over the ones of
-    the window bitmap for each fix's offset; each block's entries are
-    read once."""
-    a, b = ordinal_range(bits, words, f, lo, hi)
-    if a == 1 and b >= 1:  # the first fix, member 0, has no increments
-        yield f[0], f[X_FIRST], f[Y_FIRST]
-        a = 2
-    if a > b:
-        return
-    m = f[DATA] - 1
-    offsets = count(a)  # each fix's window offset, from 1
-    if f[2]:
-        offsets = _scan(bits.words, f[WINDOW], f[X_AXIS], next_one(
-            bits, f[WINDOW], max(lo - f[0], 1) + 1))
-    xs = sparse_ones(bits, words, f, X_AXIS, m, a - 1)
-    ys = sparse_ones(bits, words, f, Y_AXIS, m, a - 1)
-    s, base = f[SPEED], f[0] - 1
-    # member j, at P(j) + j, is in block (j - 1) >> BLOCK_SHIFT.  Blocks
-    # end at member `end`; with no entries, never.  At offset off, x is
-    # cx + P_x(j) - sx*off, where cx holds x_1 + sx - o_b
-    sx = sy = s
-    cx, cy = f[X_FIRST] + s, f[Y_FIRST] + s
-    end = 0 if f[WIDTHS] else m
-    # the range comes first, so zip stops before the cursors run past b
-    for j, off, px, py in zip(range(a - 1, b), offsets, xs, ys):
-        if j > end:
-            blk = (j - 1) >> BLOCK_SHIFT
-            end = blk + 1 << BLOCK_SHIFT
-            rx, ox = _drift(words, f, 0, blk)
-            ry, oy = _drift(words, f, 1, blk)
-            sx, sy = s - rx, s - ry
-            cx, cy = f[X_FIRST] + sx - ox, f[Y_FIRST] + sy - oy
-        yield base + off, cx + px - j - sx * off, cy + py - j - sy * off
+def decode(bits: BitPool, words, pieces) -> tuple[np.ndarray, ...]:
+    """The instants, xs and ys, as int64 arrays, of the fixes among local
+    instants lo..hi of the log with fields f, for each piece (f, k, lo,
+    hi) in turn, each instant counted from k.
+
+    One numpy pass over all the pieces, each a run of ordinals that two
+    ranks give.  A log's window bitmap and its axes' high bits lie back
+    to back, so the words of every piece's are unpacked at once, and as
+    the record gives each bitmap's count of ones, the one of a fix or a
+    member is found by its index among them.  One packed read takes
+    both axes' lows, and the blocks' entries are read only when some
+    piece's log stores them."""
+    per, fs, runs = [], [], []
+    rows = ones = bit = 0  # the rows, ones and bits of the pieces before
+    for f, k, lo, hi in pieces:
+        a, b = ordinal_range(bits, words, f, lo, hi)
+        if a > b:
+            continue
+        g, m = f[DATA] if f[2] else 0, f[DATA] - 1
+        c = a - 1 - rows  # member j of a row, less the row's index
+        per.append((
+            # a row's ones among all the ones, less the row's index (the
+            # window's (j + 1)-th, each axis's j-th); the place before
+            # each bitmap among all the bits; the lows' first bits and
+            # widths, the first fix, s, its instant, the gaps and c
+            ones + c, ones + g - 1 + c, ones + g + m - 1 + c, bit - 1,
+            bit - 1 + (f[X_AXIS] - f[WINDOW] << 6),
+            bit - 1 + (f[Y_AXIS] - f[WINDOW] << 6),
+            f[X_AXIS + 2] << 6, f[Y_AXIS + 2] << 6, f[X_AXIS + 3],
+            f[Y_AXIS + 3], f[X_FIRST], f[Y_FIRST], f[SPEED], k + f[0],
+            f[2], c))
+        fs.append(f[:TREE])
+        runs.append((b - a + 1, f[WINDOW], f[Y_AXIS + 5]))
+        rows, ones = rows + b - a + 1, ones + g + 2 * m
+        bit += f[Y_AXIS + 5] - f[WINDOW] << 6
+    if not per:
+        return np.zeros((3, 0), dtype=np.int64)
+    # the words, then one whose one lies past them all, for the reads that
+    # no row uses: the axes' for a log's first fix, the window's with no
+    # gaps; and the place of every one
+    pool = np.frombuffer(bits.words, dtype=np.uint64)
+    chunk = np.concatenate([pool[w:e] for _, w, e in runs] + [_ONE])
+    places = np.flatnonzero(np.unpackbits(
+        chunk.astype("<u8", copy=False).view(np.uint8),
+        bitorder="little").view(bool))
+    counts = [n for n, _, _ in runs]
+    p = np.repeat(np.array(per), counts, axis=0)  # a row per fix
+    lows, lw, first = p[:, 6:8], p[:, 8:10], p[:, 10:12]
+    s, t, gappy = p[:, 12:13], p[:, 13:14], p[:, 14:15]
+    i = np.arange(rows)[:, None]
+    j = i + p[:, 15:]
+    q = places[i + p[:, :3]] - p[:, 3:6]  # each one's place, from 1
+    k = np.where(gappy, q[:, :1] - 1, j)  # each fix's step
+    # P(j), member j less j: its high part is where its one lies less j
+    low = packed_at(words, lows + (j - 1) * lw, lw)
+    moved = (q[:, 1:] - j << lw | low) + 1 - j
+    if any(f[WIDTHS] for f in fs):  # and the drift, r_b*k - o_b
+        red, off = _block_entries(words, np.repeat(fs, counts, axis=0),
+                                  (j[:, 0] - 1) >> BLOCK_SHIFT)
+        moved += red * k - off
+    xy = first - s * k + (j > 0) * moved  # a log's first fix is no member
+    return (t + k)[:, 0], xy[:, 0], xy[:, 1]
 
 
 class TimeIndex:
@@ -377,26 +412,10 @@ class AxisDeltas:
             SparseBitVector(self._bits, self._words, self._f, self._a, m), m)
 
     def _steps(self) -> np.ndarray:
-        # the whole axis in one numpy pass: each member's high part from
-        # the ones of its high bits, its low, and each fix's step from the
-        # window bitmap's ones
-        bits, words, f, a = self._bits, self._words, self._f, self._a
-        m, lw = f[DATA] - 1, f[a + 3]
-        j = np.arange(m)
-        high = _unpacked(bits, f[a], f[a + 5])
-        sums = ((high - j) << lw | packed_at(words, (f[a + 2] << 6) + j * lw,
-                                              lw)) - j
-        k = _unpacked(bits, f[WINDOW], f[X_AXIS])[1:] if f[2] else j + 1
-        axis = 0 if a == X_AXIS else 1
-        s = f[SPEED]
-        if f[WIDTHS]:  # each member's block's reduction and offset
-            blk = j >> BLOCK_SHIFT
-            r, z = (packed_at(words, (base << 6) + blk * width, width)
-                    for base, _, width in (_entry_array(f, 2 * axis),
-                                           _entry_array(f, 2 * axis + 1)))
-            s = s - r
-            sums -= (z >> 1) ^ -(z & 1)
-        coords = f[X_FIRST + axis] + np.append(0, sums - s * k)
+        # the whole axis, decoded in one numpy pass
+        f = self._f
+        coords = decode(self._bits, self._words, [(f, 0, f[0], f[1])])[
+            1 if self._a == X_AXIS else 2]
         return np.diff(coords, prepend=0)
 
     @property
@@ -419,13 +438,6 @@ class AxisDeltas:
         return (sum(n * width for _, n, width in (_entry_array(self._f, k),
                                                   _entry_array(self._f, k + 1)))
                 + self.stream.code_bits())
-
-
-def _unpacked(bits: BitPool, base: int, end: int) -> np.ndarray:
-    # the positions, from 0, of the set bits in words base..end-1
-    words = np.frombuffer(bits.words, dtype=np.uint64)[base:end]
-    return np.flatnonzero(np.unpackbits(words.astype("<u8").view(np.uint8),
-                                        bitorder="little"))
 
 
 class TrajectoryLog:
@@ -475,14 +487,14 @@ class TrajectoryLog:
                       j) + f[0] - 1
 
     def iter_positions(self, frm: int, to: int):
-        """Yield (local instant, x, y) for data ordinals frm..to: the
-        first to - frm + 1 of the `positions` walk from frm's instant."""
+        """(local instant, x, y) for data ordinals frm..to, an iterator
+        over one `decode` of their instants."""
         n = self.data_count
         if not 1 <= frm <= to <= n:
             raise IndexError(f"ordinal range {frm}..{to} out of range 1..{n}")
-        yield from islice(positions(self._bits, self._words, self._f,
-                                    self.unmap_ordinal(frm), self._f[1]),
-                          to - frm + 1)
+        t, x, y = decode(self._bits, self._words, [(
+            self._f, 0, self.unmap_ordinal(frm), self.unmap_ordinal(to))])
+        return zip(t.tolist(), x.tolist(), y.tolist())
 
     def scan_positions(self, frm: int, to: int) -> list[tuple[int, int, int]]:
         return list(self.iter_positions(frm, to))

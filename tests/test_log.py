@@ -23,9 +23,10 @@ from trajindex.log import (
     TrajectoryLog,
     bit_pool,
     build_log,
+    decode,
     has_data,
     ordinal_range,
-    positions,
+    position_at,
     records,
 )
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
@@ -90,6 +91,19 @@ def data_offset(log, j):
     """Window offset of the j-th instant with data, a select of the
     window bitmap."""
     return log.unmap_ordinal(j) - log._f[0] + 1
+
+
+def decoded(bits, words, pieces):
+    """`decode` of pieces (f, k, lo, hi), as (instant, x, y) rows."""
+    t, x, y = decode(bits, words, pieces)
+    return list(zip(t.tolist(), x.tolist(), y.tolist()))
+
+
+def pointwise(bits, words, f, k, lo, hi):
+    """The rows `decode` gives for one piece, from `position_at` at each
+    of its instants."""
+    return [(k + i, *pos) for i in range(lo, hi + 1)
+            if (pos := position_at(bits, words, f, i)) is not None]
 
 
 def random_track(rng, period, start=0, max_step=6, base=500):
@@ -806,7 +820,7 @@ class TestGappyLogs:
         assert f[1:3] == (last, last - 2) and log.data_count == 2
         assert [log.unmap_ordinal(j) for j in (1, 2)] == [1, last]
         assert log.scan_positions(1, 2) == rows
-        assert list(positions(log._bits, log._words, f, 2, 999)) == rows[1:]
+        assert decoded(log._bits, log._words, [(f, 0, 2, 999)]) == rows[1:]
         assert [data_upto(log, i) for i in (0, 1, last - 1, last, 999)] == \
             [0, 1, 1, 2, 2]
         if last > 3:
@@ -917,13 +931,12 @@ class TestWindowMarks:
 
 class TestAxisSteps:
     """`AxisDeltas._steps` decodes an axis in one numpy pass: the signed
-    steps of its coordinates, the first one the coordinate itself, as the
-    `positions` walk gives them."""
+    steps of its coordinates, the first one the coordinate itself, as
+    `position_at` gives them."""
 
     @staticmethod
     def check(log):
-        walk = list(positions(log._bits, log._words, log._f, 1,
-                              log._f[1]))
+        walk = pointwise(log._bits, log._words, log._f, 0, 1, log._f[1])
         for k, axis in ((1, log.dx), (2, log.dy)):
             coords = [p[k] for p in walk]
             assert axis._steps().tolist() == \
@@ -950,3 +963,123 @@ class TestAxisSteps:
         log = build_log(rows, 0, 200)
         assert log._f[WIDTHS]
         self.check(log)
+
+
+class TestDecode:
+    """`decode` gives, at every instant, what `position_at` gives: for
+    the whole period, for windows clipped at either end or holding no
+    fix, and for pieces of many logs in one call."""
+
+    @staticmethod
+    def check(log, period, rng, windows=12):
+        bits, words, f = log._bits, log._words, log._f
+        whole = pointwise(bits, words, f, 0, 1, period - 1)
+        assert decoded(bits, words, [(f, 0, 1, period - 1)]) == whole
+        # windows from the first instant, to the last, inside the log's
+        # window, around its ends, and random ones, with no fix or some
+        edges = {1, f[0] - 1, f[0], f[0] + 1, f[1] - 1, f[1], f[1] + 1,
+                 period - 1}
+        ends = sorted(e for e in edges if 1 <= e < period)
+        pieces = [(1, e) for e in ends] + [(e, period - 1) for e in ends]
+        for _ in range(windows):
+            lo = int(rng.integers(1, period))
+            pieces.append((lo, int(rng.integers(lo, period))))
+        for lo, hi in pieces:
+            want = [r for r in whole if lo <= r[0] <= hi]
+            assert decoded(bits, words, [(f, 0, lo, hi)]) == want, (lo, hi)
+        # all of them in one call, each counted from its own start
+        calls = [(f, n * period, lo, hi) for n, (lo, hi) in enumerate(pieces)]
+        assert decoded(bits, words, calls) == [
+            row for c in calls for row in pointwise(bits, words, *c)]
+
+    def test_random_logs(self):
+        rng = np.random.default_rng(181)
+        periods = [2, 3, 300] + rng.integers(2, 301, size=40).tolist()
+        for period in periods:
+            self.check(build_log(random_track(rng, period), 0, period),
+                       period, rng)
+
+    @pytest.mark.parametrize("window, density, seed", [
+        (2000, 0.01, 1), (1999, 0.40, 7), (6000, 0.90, 9)])
+    def test_gappy_logs(self, window, density, seed):
+        rng = np.random.default_rng(seed)
+        rows, gaps = gappy_rows(rng, window, int(density * window))
+        log = build_log(rows, 0, window + 3)
+        self.check(log, window + 3, rng, windows=40)
+        # two gaps side by side, at offsets a and a + 1, hold no fix
+        a = next(a for a, b in zip(gaps, gaps[1:]) if b == a + 1)
+        assert decoded(log._bits, log._words, [(log._f, 0, a + 1, a + 2)]) \
+            == []
+
+    def test_logs_with_entries(self):
+        rng = np.random.default_rng(183)
+        burst = [(t, 1000 + (500 if 40 <= t < 44 else 0) + t % 3,
+                  2000 - (t > 90) * 300) for t in range(1, 200) if t % 7]
+        cases = [(200, burst)]
+        for at in (2, 18, 360, 719):
+            cases.append((720, [(t, 5000 * (t >= at), 100 * (t == at))
+                                for t in range(1, 720) if t % 5]))
+        for period, rows in cases:
+            log = build_log(rows, 0, period)
+            assert log._f[WIDTHS]
+            self.check(log, period, rng, windows=40)
+
+    def test_one_fix_logs(self):
+        rng = np.random.default_rng(184)
+        for period, t in ((2, 1), (12, 1), (12, 5), (12, 11), (300, 150)):
+            log = build_log([(t, 3, 4)], 0, period)
+            self.check(log, period, rng)
+            whole = [(log._f, 0, 1, period - 1)]
+            assert decoded(log._bits, log._words, whole) == [(t, 3, 4)]
+
+    def test_no_pieces_and_no_fixes(self):
+        log = build_log([(5, 3, 4), (9, 6, 8)], 0, 12)
+        bits, words, f = log._bits, log._words, log._f
+        for pieces in ([], [(f, 0, 1, 4)], [(f, 0, 6, 8), (f, 12, 10, 11)]):
+            t, x, y = decode(bits, words, pieces)
+            assert len(t) == len(x) == len(y) == 0
+
+    def test_pieces_of_many_logs_in_one_call(self):
+        rng = np.random.default_rng(185)
+        fleet = make_fleet(12, 600, (400, 400), seed=186, drop_rate=0.3)
+        for period in (7, 120):
+            ix = TrajectoryIndex.from_bytes(build_index(
+                fleet.rows(), period, 8, fleet.extent,
+                horizon=fleet.horizon).to_bytes())
+            rows = [r for r in ix._rows if r >= 0]
+            for _ in range(20):
+                pieces = []
+                for row in rng.choice(rows, size=int(rng.integers(1, 9))):
+                    lo = int(rng.integers(1, period))
+                    hi = int(rng.integers(lo, period))
+                    pieces.append((ix._log_fields(int(row)),
+                                   int(rng.integers(0, 99)) * period, lo, hi))
+                assert decoded(ix._bits, ix._words, pieces) == [
+                    r for p in pieces
+                    for r in pointwise(ix._bits, ix._words, *p)]
+
+    def test_short_periods_against_the_oracle(self):
+        # d = 7: a trajectory crosses many periods; objects enter after a
+        # period's start, and some miss whole periods
+        rng = np.random.default_rng(187)
+        fleet = make_fleet(9, 400, (300, 300), seed=188, drop_rate=0.2)
+        for i in range(len(fleet.ids)):
+            for _ in range(6):
+                a = int(rng.integers(0, 380))
+                fleet.present[i, a:a + int(rng.integers(7, 30))] = False
+        fleet.present[:, 0] = True
+        ix = TrajectoryIndex.from_bytes(build_index(
+            fleet.rows(), 7, 3, fleet.extent,
+            horizon=fleet.horizon).to_bytes())
+        table = PositionTable(fleet.ids, fleet.present, fleet.xs, fleet.ys)
+        last = fleet.horizon - 1
+        held = [fleet.present[:, k:k + 7] for k in range(0, last, 7)]
+        assert sum((~p[:, 0] & p.any(1)).sum() for p in held) > 20  # entrants
+        assert sum((~p.any(1)).sum() for p in held) > 20  # missing periods
+        for oid in ix.object_ids:
+            whole = table.trajectory(oid, 0, last)
+            assert ix.trajectory(oid, 0, last) == whole
+            for _ in range(20):
+                a = int(rng.integers(0, last + 1))
+                b = int(rng.integers(a, min(a + 120, last) + 1))
+                assert ix.trajectory(oid, a, b) == table.trajectory(oid, a, b)
