@@ -13,7 +13,7 @@ from trajindex.ingest import (
     write_csv,
 )
 from trajindex.log import TimeIndex, TrajectoryLog, build_log
-from trajindex.mbrtree import Mbr, MbrTree, TraversalStats, build_mbr_tree
+from trajindex.mbrtree import MbrTree, TraversalStats, build_mbr_tree
 from trajindex.oracle import (
     PositionTable,
     oracle_interval,
@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BitVector",
     "K2Tree",
-    "Mbr",
     "MbrTree",
     "NormalizeConfig",
     "PackedIntArray",

@@ -20,6 +20,7 @@ import numpy as np
 
 from trajindex.encoder import U32_FIELDS, encode
 from trajindex.log import (
+    DATA,
     ENTRIES,
     FILE_FIELDS,
     RECORD_FIELDS,
@@ -29,14 +30,13 @@ from trajindex.log import (
     bit_pool,
     check_stream_ends,
     check_window_ends,
-    data_count,
     decode,
     has_data,
     ordinal_range,
     position_at,
     records,
 )
-from trajindex.mbrtree import Mbr, MbrTree, TraversalStats
+from trajindex.mbrtree import MbrTree, TraversalStats
 from trajindex.snapshot import Region, Snapshot, expanded_region, morton_codes
 from trajindex.succinct import U32_MAX, BitPool, Reader, Writer, nbytes, words_from
 
@@ -170,7 +170,7 @@ class TrajectoryIndex:
         return TrajectoryLog(self._bits, self._words, f, oid, k, self.period)
 
     def _tree(self, f) -> MbrTree:
-        return MbrTree(self._words, self.leaf_capacity, data_count(f), f, TREE)
+        return MbrTree(self._words, self.leaf_capacity, f[DATA], f, TREE)
 
     def object_position(self, oid: int, q: int) -> tuple[int, int] | None:
         """Where object oid was at instant q, or None if it sent nothing."""
@@ -244,7 +244,6 @@ class TrajectoryIndex:
         if first > last:
             raise ValueError("empty instant range")
         d = self.period
-        box = Mbr(region.x1, region.x2, region.y1, region.y2)
         rows, index, snaps = self._rows, self._index, self._snapshots
         found: set[int] = set()
         for k in range(first - first % d, last + 1, d):
@@ -291,9 +290,9 @@ class TrajectoryIndex:
                 if b1 > e1:
                     continue
                 hit = self._tree(f).first_hit(
-                    self._log(f, oid, k), box, b1, e1, self.max_speed, lo - k,
-                    hi - k, mbr_prune=mbr_prune, speed_prune=speed_prune,
-                    stats=stats)
+                    self._log(f, oid, k), region, b1, e1, self.max_speed,
+                    lo - k, hi - k, mbr_prune=mbr_prune,
+                    speed_prune=speed_prune, stats=stats)
                 if hit is not None:
                     found.add(oid)
         return sorted(found)

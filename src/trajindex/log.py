@@ -60,11 +60,13 @@ from trajindex.succinct import (
     packed_get,
     rank,
     select,
+    set_places,
     word_starts,
     words_from,
 )
 
-# A log's record (see `succinct` for a sparse set's six fields):
+# A log's record (see `succinct.SparseBitVector` for a sparse set's six
+# fields):
 #   0 first, 1 last, 2 gap count;
 #   3 the window bitmap's first word, 4 the ones before it, 5 the data
 #     count; a log with no gaps stores no bitmap;
@@ -181,11 +183,6 @@ def _block_entries(words, f: np.ndarray, blk: np.ndarray):
     e = packed_at(words, (base << 6) + blk[:, None] * width, width)
     z = e[:, 1::2]
     return e[:, 0::2], (z >> 1) ^ -(z & 1)
-
-
-def data_count(f) -> int:
-    """Instants with data in the log with fields f."""
-    return f[DATA]
 
 
 def _count_upto(bits, words, f, i):
@@ -338,9 +335,7 @@ def decode(bits: BitPool, words, pieces) -> tuple[np.ndarray, ...]:
     # gaps; and the place of every one
     pool = np.frombuffer(bits.words, dtype=np.uint64)
     chunk = np.concatenate([pool[w:e] for _, w, e in runs] + [_ONE])
-    places = np.flatnonzero(np.unpackbits(
-        chunk.astype("<u8", copy=False).view(np.uint8),
-        bitorder="little").view(bool))
+    places = set_places(chunk)
     counts = [n for n, _, _ in runs]
     p = np.repeat(np.array(per), counts, axis=0)  # a row per fix
     lows, lw, first = p[:, 6:8], p[:, 8:10], p[:, 10:12]
@@ -486,18 +481,15 @@ class TrajectoryLog:
         return select(self._bits, f[WINDOW], f[X_AXIS], f[WINDOW + 1],
                       j) + f[0] - 1
 
-    def iter_positions(self, frm: int, to: int):
-        """(local instant, x, y) for data ordinals frm..to, an iterator
-        over one `decode` of their instants."""
+    def scan_positions(self, frm: int, to: int) -> list[tuple[int, int, int]]:
+        """(local instant, x, y) for data ordinals frm..to, from one
+        `decode` of their instants."""
         n = self.data_count
         if not 1 <= frm <= to <= n:
             raise IndexError(f"ordinal range {frm}..{to} out of range 1..{n}")
         t, x, y = decode(self._bits, self._words, [(
             self._f, 0, self.unmap_ordinal(frm), self.unmap_ordinal(to))])
-        return zip(t.tolist(), x.tolist(), y.tolist())
-
-    def scan_positions(self, frm: int, to: int) -> list[tuple[int, int, int]]:
-        return list(self.iter_positions(frm, to))
+        return list(zip(t.tolist(), x.tolist(), y.tolist()))
 
     def code_bits(self) -> int:
         return self.time.code_bits() + self.dx.code_bits() + self.dy.code_bits()

@@ -8,16 +8,20 @@ packed at the width of the largest difference in the tree.
 
 Interval search walks the tree pruning on time coverage and box overlap.
 A box that lies wholly inside the region answers at once, with no decoding.
-A leaf scan jumps by the speed bound s: a fix at Chebyshev distance g from
-the region cannot be inside it for the next ceil(g/s) - 1 instants, so the
-scan decodes only the fixes where the object could first reach the region,
-and a landing past one leaf carries into the next.
+A box is a `snapshot.Region`, the index's one box type, but the walk
+carries each node's as a tuple of four ints and makes a `Region` for no
+node.  A leaf scan decodes one fix at a time with `position_at`, taking
+the next fix after a gap from the window bitmap.  A bare scan steps one
+instant on from each fix.  A pruned scan jumps by the speed bound s: a
+fix at Chebyshev distance g from the region cannot be inside it for the
+next ceil(g/s) - 1 instants, so the scan decodes only the fixes where the
+object could first reach the region, and a landing past one leaf carries
+into the next.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,33 +32,11 @@ from trajindex.log import (
     position_at,
     private_pools,
 )
+from trajindex.snapshot import Region
 from trajindex.succinct import U32_MAX, PackedIntArray, next_one, packed_get
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Mbr:
-    """Inclusive box.  Not frozen: a tree walk makes one for every node it
-    visits, and a frozen dataclass takes several times as long to make."""
-
-    xmin: int
-    xmax: int
-    ymin: int
-    ymax: int
-
-    def intersects(self, other: "Mbr") -> bool:
-        return (self.xmin <= other.xmax and other.xmin <= self.xmax
-                and self.ymin <= other.ymax and other.ymin <= self.ymax)
-
-    def contains(self, x: int, y: int) -> bool:
-        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
-    def within(self, other: "Mbr") -> bool:
-        return (other.xmin <= self.xmin and self.xmax <= other.xmax
-                and other.ymin <= self.ymin and self.ymax <= other.ymax)
-
-
-def _point_gap(r: Mbr, x: int, y: int) -> int:
-    return max(0, r.xmin - x, x - r.xmax, r.ymin - y, y - r.ymax)
+Mbr = Region  # the index's one box type, under its old name
 
 
 class TraversalStats:
@@ -66,8 +48,10 @@ class TraversalStats:
       "mbr_contain"  the node's box lies inside the region: its first
                      ordinal in the window is the answer, nothing decoded;
       "time_skip"    the node's subtree lies outside the ordinal window;
-      "leaf_abort"   a leaf scan's jump by the speed bound landed past
-                     the leaf's last instant (or s is 0): no hit in it;
+      "leaf_abort"   a leaf scan ended with no hit in it: a bare scan
+                     passed the leaf's last fix in the window, or a jump
+                     by the speed bound landed past its last instant (or
+                     s is 0);
       "hit"          a leaf scan decoded a position inside the region.
     No search records "speed_skip", so a count of it reads 0: a leaf
     scan's first jump rules out what a speed test on a subtree's box could.
@@ -95,7 +79,7 @@ class MbrTree:
     """Bounding boxes over one log, heap order, differential storage: a
     view of the diffs in a word pool."""
 
-    __slots__ = ("leaf_capacity", "leaf_count", "data_count", "width", "root",
+    __slots__ = ("leaf_capacity", "leaf_count", "data_count", "width", "_box",
                  "_words", "_xbase", "_ybase")
 
     def __init__(self, words: array, leaf_capacity: int, data_count: int,
@@ -107,7 +91,7 @@ class MbrTree:
         self.leaf_count = _leaf_count(data_count, leaf_capacity)
         self.data_count = data_count
         self.width = width = f[t + 5]
-        self.root = Mbr(f[t + 1], f[t + 2], f[t + 3], f[t + 4])
+        self._box = f[t + 1], f[t + 2], f[t + 3], f[t + 4]
         self._words = words
         self._xbase = base = f[t]
         self._ybase = base + ((self._diff_count() * width + 63) >> 6)
@@ -129,6 +113,10 @@ class MbrTree:
     def node_count(self) -> int:
         return 2 * self.leaf_count - 1
 
+    @property
+    def root(self) -> Region:
+        return Region(*self._box)
+
     def coverage(self, p: int) -> tuple[int, int] | None:
         """Ordinal range a node covers, clipped to real data, or None."""
         if not 1 <= p <= self.node_count:
@@ -141,24 +129,26 @@ class MbrTree:
             return None
         return lo, min(lo + span - 1, self.data_count)
 
-    def child_box(self, parent: Mbr, p: int) -> Mbr:
+    def child_box(self, parent: tuple, p: int) -> tuple[int, int, int, int]:
+        """The box of node p, (xmin, xmax, ymin, ymax), from its parent's."""
         i = 2 * (p - 2)
         words, w, xb, yb = self._words, self.width, self._xbase, self._ybase
-        return Mbr(parent.xmin + packed_get(words, xb, w, i),
-                   parent.xmax - packed_get(words, xb, w, i + 1),
-                   parent.ymin + packed_get(words, yb, w, i),
-                   parent.ymax - packed_get(words, yb, w, i + 1))
+        xmin, xmax, ymin, ymax = parent
+        return (xmin + packed_get(words, xb, w, i),
+                xmax - packed_get(words, xb, w, i + 1),
+                ymin + packed_get(words, yb, w, i),
+                ymax - packed_get(words, yb, w, i + 1))
 
-    def node_box(self, p: int) -> Mbr:
+    def node_box(self, p: int) -> Region:
         """Reconstruct the box of node p by walking down from the root."""
         if self.coverage(p) is None:
             raise ValueError(f"node {p} covers no data")
-        box = self.root
+        box = self._box
         for shift in range(p.bit_length() - 2, -1, -1):
             box = self.child_box(box, p >> shift)
-        return box
+        return Region(*box)
 
-    def first_hit(self, log: TrajectoryLog, region: Mbr, ord_lo: int,
+    def first_hit(self, log: TrajectoryLog, region: Region, ord_lo: int,
                   ord_hi: int, max_speed: int, t_lo: int, t_hi: int, *,
                   mbr_prune: bool = True, speed_prune: bool = True,
                   stats: TraversalStats | None = None) -> int | None:
@@ -166,29 +156,33 @@ class MbrTree:
         falls inside region, or None.
 
         ord_lo..ord_hi must be the data ordinals of local instants
-        t_lo..t_hi, the query window.  With speed_prune the leaf scans jump
-        by max_speed, a bound on the object's step per instant on either
-        axis, and t_lo and t_hi bound the first and the last of them, so a
-        scan that starts at ord_lo or ends at ord_hi looks up no instant.
+        t_lo..t_hi, the query window; t_lo and t_hi bound the first and
+        the last of them, so a scan that starts at ord_lo or ends at
+        ord_hi looks up no instant.  A leaf scan decodes the leaf's fixes
+        in the window one after the other, or, with speed_prune, jumps by
+        max_speed, a bound on the object's step per instant on either
+        axis.
         """
         if not 1 <= ord_lo <= ord_hi <= self.data_count:
             raise IndexError("ordinal window out of range")
         if stats is None:
             stats = TraversalStats()
         # no hit before instant at[0], which lies past ordinal at[1] - 1
-        at = [t_lo, ord_lo] if speed_prune else None
-        return self._search(1, self.root, log, region, ord_lo, ord_hi,
-                            max_speed, t_hi, at, mbr_prune, stats)
+        return self._search(1, self._box, log, region, ord_lo, ord_hi,
+                            max_speed if speed_prune else None, t_hi,
+                            [t_lo, ord_lo], mbr_prune, stats)
 
     def _search(self, p, box, log, r, olo, ohi, s, thi, at, mbr_prune,
                 stats) -> int | None:
         stats.nodes_visited += 1
         stats.event("visit", p)
         if mbr_prune:
-            if not box.intersects(r):
+            xmin, xmax, ymin, ymax = box
+            if not (xmin <= r.x2 and r.x1 <= xmax
+                    and ymin <= r.y2 and r.y1 <= ymax):
                 stats.event("mbr_reject", p)
                 return None
-            if box.within(r):
+            if r.x1 <= xmin and xmax <= r.x2 and r.y1 <= ymin and ymax <= r.y2:
                 # every position under p is in r, p meets the window, and
                 # the walk goes left first: p's first ordinal in the window
                 # is the earliest hit
@@ -216,20 +210,14 @@ class MbrTree:
                             ohi, s, thi, at, mbr_prune, stats)
 
     def _scan_leaf(self, p, log, r, olo, ohi, s, thi, at, stats) -> int | None:
+        # decode the first fix at or after t, then step on: by one instant
+        # on a bare scan, s is None; else by the speed bound, as a fix at
+        # distance g from r cannot be inside it before t + ceil(g/s).  Each
+        # step moves t on by at least 1, so the scan ends on any index.
         cov = self.coverage(p)
         lo, hi = max(cov[0], olo), min(cov[1], ohi)
-        if at is None:
-            for t, x, y in log.iter_positions(lo, hi):
-                stats.positions_decoded += 1
-                if r.contains(x, y):
-                    stats.event("hit", p)
-                    return t
-            return None
-        # decode the first fix at or after t; one at distance g from r
-        # cannot be inside it before t + ceil(g/s).  Each step moves t on
-        # by at least 1, so the scan ends on any index.
         bits, words, f = log._bits, log._words, log._f
-        t = max(at[0], f[0]) if lo == at[1] else max(at[0], log.unmap_ordinal(lo))
+        t = max(at[0], f[0] if lo == at[1] else log.unmap_ordinal(lo))
         end = thi if hi == ohi else log.unmap_ordinal(hi)
         while t <= end:
             pos = position_at(bits, words, f, t)
@@ -243,13 +231,15 @@ class MbrTree:
             if r.contains(x, y):
                 stats.event("hit", p)
                 return t
-            t = t - (-_point_gap(r, x, y) // s) if s else thi + 1
+            if s is None:
+                t += 1
+            elif s:  # g > 0, as (x, y) is outside r
+                t -= -max(r.x1 - x, x - r.x2, r.y1 - y, y - r.y2) // s
+            else:
+                t = thi + 1
         stats.event("leaf_abort", p)
         at[0], at[1] = t, hi + 1
         return None
-
-    def code_bits(self) -> int:
-        return self._diffs_x.code_bits() + self._diffs_y.code_bits()
 
 
 def _leaf_count(n: int, leaf_capacity: int) -> int:
@@ -275,8 +265,8 @@ def build_mbr_tree_xy(xs, ys, leaf_capacity: int) -> MbrTree:
         raise ValueError("cannot build a tree over an empty log")
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
-    root = Mbr(int(xs.min()), int(xs.max()), int(ys.min()), int(ys.max()))
-    if min(root.xmin, root.ymin) < 0 or max(root.xmax, root.ymax) > U32_MAX:
+    root = Region(int(xs.min()), int(xs.max()), int(ys.min()), int(ys.max()))
+    if min(root.x1, root.y1) < 0 or max(root.x2, root.y2) > U32_MAX:
         raise ValueError(f"box {root} cannot be stored: "
                          f"coordinates must lie in 0..{U32_MAX}")
     _, words, f = private_pools(np.column_stack((np.arange(1, n + 1), xs, ys)),

@@ -42,7 +42,9 @@ from trajindex.succinct import (
 
 @dataclass(frozen=True)
 class Region:
-    """Inclusive axis-aligned cell range."""
+    """Inclusive axis-aligned cell range: a query region, and the box of a
+    box-tree node (`MbrTree.root`, `node_box`), whose sides read as xmin,
+    xmax, ymin and ymax too."""
 
     x1: int
     x2: int
@@ -52,6 +54,11 @@ class Region:
     def __post_init__(self):
         if self.x1 > self.x2 or self.y1 > self.y2:
             raise ValueError(f"degenerate region {self}")
+
+    xmin = property(lambda self: self.x1)
+    xmax = property(lambda self: self.x2)
+    ymin = property(lambda self: self.y1)
+    ymax = property(lambda self: self.y2)
 
     def contains(self, x: int, y: int) -> bool:
         return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2

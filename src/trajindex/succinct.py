@@ -242,23 +242,12 @@ def next_one(pool: BitPool, base: int, i: int) -> int:
     return ((w - base) << 6) + (word & -word).bit_length()
 
 
-def _scan(words, base, end, p):
-    # p, a set bit of the words base..end-1, then every set bit after it
-    w = base + ((p - 1) >> 6)
-    cur = words[w] >> ((p - 1) & 63) >> 1
-    yield p
-    off = p
-    while True:
-        while cur:
-            low = cur & -cur
-            yield off + low.bit_length()
-            cur ^= low
-        # bits past the first are offsets from off; move to the next word
-        w += 1
-        if w >= end:
-            return
-        cur = words[w]
-        off = (w - base) << 6
+def set_places(words: np.ndarray) -> np.ndarray:
+    """The places, from 0, of the set bits of an array of uint64 words,
+    least significant bit first: one unpacking of all of them."""
+    return np.flatnonzero(np.unpackbits(
+        words.astype("<u8", copy=False).view(np.uint8),
+        bitorder="little").view(bool))
 
 
 def packed_at(words, at: np.ndarray, width) -> np.ndarray:
@@ -269,8 +258,8 @@ def packed_at(words, at: np.ndarray, width) -> np.ndarray:
         return np.zeros(np.shape(at), dtype=np.int64)
     w, off = at >> 6, (at & 63).astype(np.uint64)
     v = pool.take(w, mode="clip") >> off
-    # the next word's bits, shifted in two steps so no shift is by 64
-    v |= pool.take(w + 1, mode="clip") << (np.uint64(63) - off) << np.uint64(1)
+    # the next word's bits; numpy shifts a uint64 by 64 to 0
+    v |= pool.take(w + 1, mode="clip") << (np.uint64(64) - off)
     mask = (np.uint64(1) << np.asarray(width, dtype=np.uint64)) - np.uint64(1)
     return (v & mask).astype(np.int64)
 
@@ -286,31 +275,6 @@ def packed_get(words: array, base: int, width: int, i: int) -> int:
     if off + width > 64:
         v |= words[w + 1] << (64 - off)
     return v & ((1 << width) - 1)
-
-
-# A sparse set of m positions over [1, n] is six fields from f[s]: its
-# high bits' first word, the ones before them, its lows' first word, the
-# low width, n - m, and the word after its high bits.
-
-def sparse_ones(pool: BitPool, words: array, f, s: int, m: int, start: int):
-    """Yield the positions of the set's m members from the start-th on."""
-    if start > m:
-        return
-    j = start
-    hbase, hend, lbase, lw = f[s], f[s + 5], f[s + 2], f[s + 3]
-    at = (j - 1) * lw  # bit offset of the j-th low
-    for p in _scan(pool.words, hbase, hend,
-                   select(pool, hbase, hend, f[s + 1], start)):
-        low = 0
-        if lw:  # packed_get, inline: this loop decodes every position
-            w, off = lbase + (at >> 6), at & 63
-            low = words[w] >> off
-            if off + lw > 64:
-                low |= words[w + 1] << (64 - off)
-            low &= (1 << lw) - 1
-        yield (((p - j) << lw) | low) + 1
-        j += 1
-        at += lw
 
 
 # --------------------------------------------------------------- encoders
@@ -442,9 +406,9 @@ class BitVector:
         """Yield positions of set bits, beginning with the start-th one."""
         if start < 1:
             raise ValueError("start must be >= 1")
-        if start <= self._count:
-            yield from _scan(self._pool.words, self._base, self._end,
-                             self.select1(start))
+        words = np.frombuffer(self._pool.words, dtype=np.uint64)
+        yield from (set_places(words[self._base:self._end])[start - 1:]
+                    + 1).tolist()
 
 
 class PackedIntArray:
@@ -480,7 +444,9 @@ class SparseBitVector:
     The low bits of each (position - 1) go into packed lows in a word pool;
     the high halves become a unary-coded bitmap in a bit pool, where the
     j-th one sits at position high_j + j.  select1 is a single select on
-    the high bitmap and one packed read.
+    the high bitmap and one packed read.  The set is six fields from
+    f[s]: its high bits' first word, the ones before them, its lows' first
+    word, the low width, n - m, and the word after its high bits.
     """
 
     __slots__ = ("_pool", "_words", "_f", "_s", "_n", "_m", "_low_width")
@@ -532,13 +498,6 @@ class SparseBitVector:
             raise ValueError(f"select1({j}) out of range, only {self._m} ones")
         h = self._high.select1(j) - j
         return ((h << self._low_width) | self._lows[j - 1]) + 1
-
-    def ones(self, start: int = 1):
-        """Iterate member positions in order, beginning with the start-th."""
-        if start < 1:
-            raise ValueError("start must be >= 1")
-        return sparse_ones(self._pool, self._words, self._f, self._s, self._m,
-                           start)
 
     def code_bits(self) -> int:
         return len(self._high) + self._lows.code_bits()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from trajindex.log import FILE_FIELDS, TREE
-from trajindex.mbrtree import Mbr
+from trajindex.snapshot import Region
 from trajindex.succinct import Writer
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -83,11 +83,11 @@ def restamp(blob) -> bytes:
     return blob[:6] + crc.to_bytes(4, "little") + blob[10:]
 
 
-def pulled_in(box: Mbr):
+def pulled_in(box: Region):
     """box with each edge in turn pulled in by one cell, where it can be."""
-    if box.xmin < box.xmax:
-        yield Mbr(box.xmin + 1, box.xmax, box.ymin, box.ymax)
-        yield Mbr(box.xmin, box.xmax - 1, box.ymin, box.ymax)
-    if box.ymin < box.ymax:
-        yield Mbr(box.xmin, box.xmax, box.ymin + 1, box.ymax)
-        yield Mbr(box.xmin, box.xmax, box.ymin, box.ymax - 1)
+    if box.x1 < box.x2:
+        yield Region(box.x1 + 1, box.x2, box.y1, box.y2)
+        yield Region(box.x1, box.x2 - 1, box.y1, box.y2)
+    if box.y1 < box.y2:
+        yield Region(box.x1, box.x2, box.y1 + 1, box.y2)
+        yield Region(box.x1, box.x2, box.y1, box.y2 - 1)

@@ -13,7 +13,6 @@ import trajindex.log
 from conftest import REF_OBJECT, REF_PERIOD, REF_TRACK, pulled_in, restamp
 from reference_encoder import reference_blob
 from synth import make_fleet
-from trajindex import succinct
 from trajindex.encoder import U32_FIELDS
 from trajindex.engine import (
     MAX_PERIODS,
@@ -31,10 +30,9 @@ from trajindex.log import (
     X_FIRST,
     Y_AXIS,
     Y_FIRST,
-    TrajectoryLog,
     build_log,
 )
-from trajindex.mbrtree import Mbr, TraversalStats, build_mbr_tree
+from trajindex.mbrtree import TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region, Snapshot
 from trajindex.succinct import U32_MAX, Reader, Writer, nbytes
@@ -101,6 +99,19 @@ def sweep(ix) -> list:
         out.append([ix.time_interval(region, q, min(q + 7, ix.horizon - 1))
                     for q in range(0, ix.horizon, 3)])
     return out
+
+
+def refuse_decodes(monkeypatch, message):
+    """Make each decode of a log, of a run of fixes (`log.decode`) or of
+    one (`log.position_at`), raise AssertionError with message, under
+    every name a module holds it by."""
+    def refuse(*args):
+        raise AssertionError(message)
+
+    for name in ("trajindex.log.decode", "trajindex.log.position_at",
+                 "trajindex.engine.decode", "trajindex.engine.position_at",
+                 "trajindex.mbrtree.position_at"):
+        monkeypatch.setattr(name, refuse)
 
 
 @pytest.fixture
@@ -916,10 +927,7 @@ class TestColumnBuild:
                 oracle_interval(small_table, rect, a, b)
 
     def test_build_decodes_no_log(self, small_fleet, small_index, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the build decoded a log")
-
-        monkeypatch.setattr(TrajectoryLog, "iter_positions", refuse)
+        refuse_decodes(monkeypatch, "the build decoded a log")
         built = build_index(small_fleet.rows(), period=60, leaf_capacity=5,
                             extent=small_fleet.extent)
         assert built.to_bytes() == small_index.to_bytes()
@@ -1011,8 +1019,8 @@ def log_boxes(fleet, period):
             ts = k + 1 + np.flatnonzero(fleet.present[i, k + 1:k + period])
             if len(ts):
                 xs, ys = fleet.xs[i, ts], fleet.ys[i, ts]
-                out.append((int(oid), k, Mbr(int(xs.min()), int(xs.max()),
-                                             int(ys.min()), int(ys.max()))))
+                out.append((int(oid), k, Region(int(xs.min()), int(xs.max()),
+                                                int(ys.min()), int(ys.max()))))
     return out
 
 
@@ -1076,7 +1084,7 @@ class TestRootBoxFilter:
         log = build_log([(t, 30, 30) for t in range(1, 10)], 0, 10)
         alone = TraversalStats(trace=True)
         assert build_mbr_tree(log, 2).first_hit(
-            log, Mbr(10, 16, 10, 16), 1, 9, 4, 1, 9, stats=alone) is None
+            log, region, 1, 9, 4, 1, 9, stats=alone) is None
         assert alone.events == [("visit", 1), ("mbr_reject", 1)]
         # one root visit and its rejection, in the order first_hit makes them
         rejects = [i for i, e in enumerate(stats.events)
@@ -1101,7 +1109,7 @@ class TestRootBoxFilter:
         stats = TraversalStats(trace=True)
         assert ix.time_interval(region, 2, 9, stats=stats) == [1]
         alone = TraversalStats(trace=True)
-        assert tree.first_hit(log, Mbr(4, 8, 6, 9), 2, 9, ix.max_speed, 2, 9,
+        assert tree.first_hit(log, region, 2, 9, ix.max_speed, 2, 9,
                               stats=alone) == 2
         assert stats.events == alone.events == [("visit", 1),
                                                 ("mbr_contain", 1)]
@@ -1313,7 +1321,7 @@ class TestLoadedMemory:
     def test_a_load_reads_the_same_pieces_whatever_its_periods(self,
                                                                monkeypatch):
         # the snapshots are one section, decoded in one numpy pass: a
-        # load makes no read and walks no sparse set per period or row
+        # load makes no read per period or row, and decodes no log
         blobs = [self.blob(240, d) for d in (4, 40)]
         takes = []
         take = Reader.take
@@ -1322,11 +1330,8 @@ class TestLoadedMemory:
             takes.append(size)
             return take(self, size)
 
-        def refuse(*args):
-            raise AssertionError("the load walked a sparse set")
-
         monkeypatch.setattr(Reader, "take", counted)
-        monkeypatch.setattr(succinct, "sparse_ones", refuse)
+        refuse_decodes(monkeypatch, "the load decoded a log")
         reads = []
         for blob in blobs:
             takes.clear()

@@ -925,8 +925,13 @@ class TestWindowMarks:
             else:
                 assert f[WINDOW] == f[X_AXIS] and fixes == list(range(1, n + 1))
             for axis in (log.dx, log.dy):
-                assert len(list(axis.stream._members.ones())) == \
-                    log.data_count - 1
+                # the high bits hold a one per member, the last one's the
+                # last of them
+                members, m = axis.stream._members, log.data_count - 1
+                places = list(members._high.ones())
+                assert len(places) == m
+                if m:
+                    assert members._high.select1(m) == places[-1]
 
 
 class TestAxisSteps:

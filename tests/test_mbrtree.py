@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trajindex.mbrtree
 from conftest import REF_PERIOD, REF_TRACK, pulled_in, stored_tree
 from reference_encoder import Parts, write_tree
+from trajindex.engine import _MEETS, _MISSES, _WITHIN, build_index
 from trajindex.log import build_log, ordinal_range
 from trajindex.mbrtree import (
-    Mbr,
     MbrTree,
     TraversalStats,
     build_mbr_tree,
     build_mbr_tree_xy,
 )
 from trajindex.oracle import oracle_mbr
+from trajindex.snapshot import Region
 
 
 @pytest.fixture
@@ -46,13 +48,49 @@ def random_log(rng, period=None, max_step=5):
     return build_log(rows, 0, period), rows
 
 
-class TestMbr:
-    def test_geometry(self):
-        a = Mbr(0, 4, 0, 4)
-        b = Mbr(5, 9, 2, 3)
-        assert not a.intersects(b)
-        assert a.intersects(Mbr(4, 9, 2, 3))
-        assert a.contains(4, 0) and not a.contains(5, 0)
+# fixes at local instants 1..4 whose box is 0..4 by 0..4, and regions
+# that miss it, touch it on an edge or at a corner, or hold it up to an
+# edge: (region, how the box lies to it, its first fix in the region)
+BOX_FIXES = [(1, 0, 0), (2, 4, 2), (3, 2, 4), (4, 4, 4)]
+BOX_CASES = [
+    (Region(5, 9, 2, 3), _MISSES, None),  # beside the edge x = 4
+    (Region(5, 9, 5, 9), _MISSES, None),  # past the corner (4, 4)
+    (Region(4, 9, 2, 3), _MEETS, 2),  # on the edge x = 4
+    (Region(0, 1, 4, 9), _MEETS, None),  # on the edge y = 4, off its fixes
+    (Region(4, 9, 4, 9), _MEETS, 4),  # at the corner (4, 4)
+    (Region(0, 3, 0, 4), _MEETS, 1),  # a column short of the box
+    (Region(0, 4, 0, 4), _WITHIN, 1),  # the box itself
+    (Region(0, 4, 0, 9), _WITHIN, 1),  # up to the edges x = 0, 4, y = 0
+]
+
+
+class TestBoxes:
+    """Inclusive box tests: a tree's walk, and the engine's test of the
+    root box in a record, on each way a box can lie to a region."""
+
+    @pytest.mark.parametrize("region, lies, first", BOX_CASES)
+    def test_a_one_leaf_tree(self, region, lies, first):
+        log = build_log(BOX_FIXES, 0, 10)
+        tree = build_mbr_tree(log, 4)
+        assert tree.node_count == 1 and tree.root == Region(0, 4, 0, 4)
+        stats = TraversalStats(trace=True)
+        assert tree.first_hit(log, region, 1, 4, 4, 1, 4,
+                              stats=stats) == first
+        # a box that meets the region is scanned, to a hit or not
+        ends = {_MISSES: "mbr_reject", _WITHIN: "mbr_contain",
+                _MEETS: "leaf_abort" if first is None else "hit"}
+        assert stats.events == [("visit", 1), (ends[lies], 1)]
+        for speed in (True, False):
+            assert tree.first_hit(log, region, 1, 4, 4, 1, 4, mbr_prune=False,
+                                  speed_prune=speed) == first
+
+    @pytest.mark.parametrize("region, lies, first", BOX_CASES)
+    def test_the_root_box_of_a_record(self, region, lies, first):
+        rows = [(1, 0, 2, 2)] + [(1, *fix) for fix in BOX_FIXES]
+        ix = build_index(rows, period=10, leaf_capacity=4, extent=(16, 16))
+        assert ix._root_test(ix._rows[0], region) == lies
+        assert ix.time_interval(region, 1, 4) == ([] if first is None
+                                                  else [1])
 
 
 class TestReferenceTree:
@@ -65,10 +103,10 @@ class TestReferenceTree:
         assert ref_tree.coverage(7) == (7, 7)
 
     def test_boxes(self, ref_tree):
-        assert ref_tree.root == Mbr(2, 10, 4, 10)
-        assert ref_tree.node_box(2) == Mbr(2, 5, 4, 7)
-        assert ref_tree.node_box(4) == Mbr(2, 3, 4, 6)
-        assert ref_tree.node_box(5) == Mbr(3, 5, 5, 7)
+        assert ref_tree.root == Region(2, 10, 4, 10)
+        assert ref_tree.node_box(2) == Region(2, 5, 4, 7)
+        assert ref_tree.node_box(4) == Region(2, 3, 4, 6)
+        assert ref_tree.node_box(5) == Region(3, 5, 5, 7)
 
     def test_stored_x_differences_of_first_child(self, ref_tree):
         # node 2 shrinks the root's x-range [2,10] to [2,5]: stored (0, 5)
@@ -77,7 +115,7 @@ class TestReferenceTree:
     def test_worked_traversal(self, ref_log, ref_tree):
         # region [4,5]x[4,10] over local instants 3..5 (ordinals 2..4):
         # skip right subtree by time, reject node 4 by box, hit at instant 4
-        region = Mbr(4, 5, 4, 10)
+        region = Region(4, 5, 4, 10)
         stats = TraversalStats(trace=True)
         hit = ref_tree.first_hit(ref_log, region, 2, 4, 3, 3, 5, stats=stats)
         assert hit == 4
@@ -88,8 +126,8 @@ class TestReferenceTree:
 
     def test_disjoint_region_stops_at_root(self, ref_log, ref_tree):
         stats = TraversalStats()
-        out = ref_tree.first_hit(ref_log, Mbr(50, 60, 50, 60), 1, 7, 3, 2, 10,
-                                 stats=stats)
+        out = ref_tree.first_hit(ref_log, Region(50, 60, 50, 60), 1, 7, 3, 2,
+                                 10, stats=stats)
         assert out is None and stats.nodes_visited == 1
 
     def test_unused_node_rejected(self):
@@ -194,8 +232,8 @@ class TestSearch:
             for q in range(25):
                 cx = int(rng.integers(280, 330))
                 cy = int(rng.integers(280, 330))
-                region = Mbr(cx, cx + int(rng.integers(0, 14)),
-                             cy, cy + int(rng.integers(0, 14)))
+                region = Region(cx, cx + int(rng.integers(0, 14)),
+                                cy, cy + int(rng.integers(0, 14)))
                 a = int(rng.integers(1, n + 1))
                 b = int(rng.integers(a, n + 1))
                 t_window = (log.unmap_ordinal(a), log.unmap_ordinal(b))
@@ -216,7 +254,7 @@ class TestSearch:
             tree = build_mbr_tree(log, 4)
             s = observed_speed(rows)
             n = log.data_count
-            region = Mbr(280, 295, 280, 295)
+            region = Region(280, 295, 280, 295)
             on, off = TraversalStats(), TraversalStats()
             tree.first_hit(log, region, 1, n, s, log.unmap_ordinal(1),
                            log.unmap_ordinal(n), stats=on)
@@ -228,9 +266,9 @@ class TestSearch:
 
     def test_window_validation(self, ref_log, ref_tree):
         with pytest.raises(IndexError):
-            ref_tree.first_hit(ref_log, Mbr(0, 1, 0, 1), 0, 3, 3, 1, 5)
+            ref_tree.first_hit(ref_log, Region(0, 1, 0, 1), 0, 3, 3, 1, 5)
         with pytest.raises(IndexError):
-            ref_tree.first_hit(ref_log, Mbr(0, 1, 0, 1), 3, 8, 3, 1, 5)
+            ref_tree.first_hit(ref_log, Region(0, 1, 0, 1), 3, 8, 3, 1, 5)
 
     @pytest.mark.parametrize("rows", [
         [(1, 3, 4), (2, 0, -1)],
@@ -248,15 +286,15 @@ class TestSearch:
         log = build_log([(1, 5, 5), (3, 8, 9)], 0, 6)
         tree = build_mbr_tree(log, 10)
         assert tree.leaf_count == 1 and tree.node_count == 1
-        assert tree.first_hit(log, Mbr(8, 8, 9, 9), 1, 2, 3, 1, 5) == 3
-        assert tree.first_hit(log, Mbr(0, 1, 0, 1), 1, 2, 3, 1, 5) is None
+        assert tree.first_hit(log, Region(8, 8, 9, 9), 1, 2, 3, 1, 5) == 3
+        assert tree.first_hit(log, Region(0, 1, 0, 1), 1, 2, 3, 1, 5) is None
 
 
 class TestContainment:
     """A node whose box lies inside the region answers with its first
     ordinal in the window; nothing below it is decoded."""
 
-    GRID = Mbr(0, 1023, 0, 1023)
+    GRID = Region(0, 1023, 0, 1023)
 
     def check(self, tree, log, rows, region, a, b, s):
         want = next((t for t, x, y in rows[a - 1:b]
@@ -343,7 +381,7 @@ class TestSpeedJump:
     an instant and jumps ceil(g/s) instants on from a fix at Chebyshev
     distance g from the region, taking the first fix after a gap."""
 
-    REGION = Mbr(100, 105, 100, 105)
+    REGION = Region(100, 105, 100, 105)
 
     def search(self, rows, s, cap=64, t_window=None, **prune):
         log = build_log(rows, 0, rows[-1][0] + 2)
@@ -412,7 +450,7 @@ class TestSpeedJump:
         # and jumps to 5, past its last instant 3; leaf 5 starts there,
         # decodes (3,5), 6 off, and jumps to 7, past 5; leaf 6 starts at
         # the gap at 7, takes the fix at 8, (10,8), and hits
-        region = Mbr(9, 10, 8, 10)
+        region = Region(9, 10, 8, 10)
         stats = TraversalStats(trace=True)
         assert ref_tree.first_hit(ref_log, region, 1, 7, 3, 1, 12,
                                   mbr_prune=False, stats=stats) == 8
@@ -436,8 +474,8 @@ class TestSpeedJump:
             for q in range(12):
                 cx = int(rng.integers(280, 330))
                 cy = int(rng.integers(280, 330))
-                region = Mbr(cx, cx + int(rng.integers(0, 10)),
-                             cy, cy + int(rng.integers(0, 10)))
+                region = Region(cx, cx + int(rng.integers(0, 10)),
+                                cy, cy + int(rng.integers(0, 10)))
                 t_lo = int(rng.integers(1, period))
                 t_hi = int(rng.integers(t_lo, period))
                 a, b = ordinal_range(log._bits, log._words, log._f, t_lo,
@@ -455,3 +493,71 @@ class TestSpeedJump:
                 checked += 1
                 hits += want is not None
         assert checked > 800 and 0 < hits < checked
+
+
+class TestBareScan:
+    """With no speed pruning a leaf scan decodes the leaf's fixes in the
+    window one instant after another, taking the fix after a gap from the
+    window bitmap."""
+
+    # leaves of three fixes, gaps between each two leaves and a last leaf
+    # of one fix; x grows by one an instant, so each leaf has a box of its
+    # own
+    INSTANTS = [2, 3, 4, 7, 8, 9, 12, 13, 14, 17, 18, 19, 23]
+    ROWS = [(t, 10 + t, 50 + t % 2) for t in INSTANTS]
+    # windows from and to gaps at leaf ends, before the first fix and
+    # past the last, and from and to fixes
+    WINDOWS = [(5, 16), (6, 20), (10, 22), (1, 39), (3, 11), (5, 6),
+               (2, 23), (15, 15), (8, 18)]
+    REGIONS = [Region(0, 5, 0, 5), Region(23, 23, 50, 51),
+               Region(27, 40, 0, 99), Region(12, 14, 50, 50),
+               Region(0, 99, 0, 99), Region(19, 30, 51, 51)]
+
+    def test_decodes_the_window_s_fixes_in_the_leaves_it_scans(
+            self, monkeypatch):
+        log = build_log(self.ROWS, 0, 40)
+        tree = build_mbr_tree(log, 3)
+        decoded = []
+        read = trajindex.mbrtree.position_at
+
+        def spy(bits, words, f, t):
+            pos = read(bits, words, f, t)
+            if pos is not None:
+                decoded.append(t)
+            return pos
+
+        monkeypatch.setattr("trajindex.mbrtree.position_at", spy)
+        checked = 0
+        for t_lo, t_hi in self.WINDOWS:
+            a, b = ordinal_range(log._bits, log._words, log._f, t_lo, t_hi)
+            if a > b:
+                continue
+            fixes = [t for t in self.INSTANTS if t_lo <= t <= t_hi]
+            for region in self.REGIONS:
+                want = next((t for t, x, y in self.ROWS if t in fixes
+                             and region.contains(x, y)), None)
+                pruned = tree.first_hit(log, region, a, b, 1, t_lo, t_hi)
+                assert pruned == want
+                for mbr_prune in (True, False):
+                    stats = TraversalStats(trace=True)
+                    decoded.clear()
+                    assert tree.first_hit(
+                        log, region, a, b, 1, t_lo, t_hi, mbr_prune=mbr_prune,
+                        speed_prune=False, stats=stats) == want
+                    # every fix of the window in each scanned leaf, up to
+                    # the hit, and each scan ends on a hit or an abort
+                    scanned = [p for k, p in stats.events
+                               if k in ("hit", "leaf_abort")]
+                    leaves = [tree.coverage(p) for p in scanned]
+                    assert decoded == [
+                        t for t in fixes
+                        if any(lo <= self.INSTANTS.index(t) + 1 <= hi
+                               for lo, hi in leaves)
+                        and (want is None or t <= want)]
+                    assert stats.positions_decoded == len(decoded)
+                    if not mbr_prune:
+                        assert decoded == [t for t in fixes
+                                           if want is None or t <= want]
+                    checked += 1
+        # all but the windows (5, 6) and (15, 15), which hold only gaps
+        assert checked == 2 * len(self.REGIONS) * (len(self.WINDOWS) - 2)

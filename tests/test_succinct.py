@@ -22,7 +22,6 @@ from trajindex.succinct import (
     packed_get,
     rank,
     select,
-    sparse_ones,
     words_from,
 )
 
@@ -54,6 +53,15 @@ def alone(bits):
 def parts(sv):
     """A set's pool, words and fields, which the pool functions take."""
     return sv._pool, sv._words, sv._f
+
+
+def high_members(sv, start=1):
+    """The set's members from the start-th on, read as `log.decode` reads
+    a stream: the places of its high bits' ones (`BitVector.ones`), the
+    j-th less j above the j-th low, plus 1."""
+    lw = sv._low_width
+    return [((p - j) << lw | sv._lows[j - 1]) + 1
+            for j, p in enumerate(sv._high.ones(start), start)]
 
 
 def packed(values, width):
@@ -158,8 +166,8 @@ class TestSparseBitVector:
         sv = SparseBitVector.from_positions(32, [3, 7, 20])
         assert sv._f[3:5] == (3, 29)  # lows floor(log2(32/3)) bits wide
         assert sv.select1(2) == 7
-        assert list(sv.ones()) == [3, 7, 20]
-        assert list(sv.ones(3)) == [20]
+        assert high_members(sv) == [3, 7, 20]
+        assert high_members(sv, 3) == [20]
 
     def test_rejects_bad_positions(self):
         with pytest.raises(ValueError):
@@ -177,7 +185,7 @@ class TestSparseBitVector:
         pos = np.sort(rng.choice(n, size=m, replace=False)) + 1
         sv = SparseBitVector.from_positions(n, pos)
         assert [sv.select1(j) for j in range(1, m + 1)] == pos.tolist()
-        assert list(sv.ones()) == pos.tolist()
+        assert high_members(sv) == pos.tolist()
 
     @pytest.mark.parametrize("n, members", [
         # buckets of 2**7 values: a run of 100 members fills most of one,
@@ -192,9 +200,7 @@ class TestSparseBitVector:
         m = len(members)
         assert [sv.select1(j) for j in range(1, m + 1)] == members
         for start in range(1, m + 1, 7):
-            assert list(sparse_ones(*parts(sv), 0, m, start)) == \
-                members[start - 1:]
-            assert list(sv.ones(start)) == members[start - 1:]
+            assert high_members(sv, start) == members[start - 1:]
 
     def test_space_stays_near_information_bound(self):
         # code bits within m*ceil(log2(n/m)) + 4m for all shapes tried
@@ -207,11 +213,11 @@ class TestSparseBitVector:
             assert sv.code_bits() <= budget, (n, m, sv.code_bits(), budget)
 
 
-def prefixes(stream, m, start=0):
-    """The sums of the first start, start + 1, ..., m values of the
-    m-value stream, from the members the pool function a log's walk reads
-    them with yields: the j-th member is the sum of the first j plus j."""
-    members = sparse_ones(*parts(stream._members), 0, m, max(start, 1))
+def prefixes(stream, start=0):
+    """The sums of the first start, start + 1, ... values of the stream,
+    from its members as `log.decode` reads them: the j-th member is the
+    sum of the first j plus j."""
+    members = high_members(stream._members, max(start, 1))
     return [0] * (start == 0) + [p - j for j, p in
                                  enumerate(members, max(start, 1))]
 
@@ -221,9 +227,9 @@ class TestUnaryDeltaStream:
         st_ = UnaryDeltaStream.from_values([4, 3, 1, 0])
         assert st_.total == 8
         assert [st_.prefix_sum(i) for i in range(5)] == [0, 4, 7, 8, 8]
-        assert prefixes(st_, 4) == [0, 4, 7, 8, 8]
-        assert prefixes(st_, 4, 2) == [7, 8, 8]
-        assert prefixes(st_, 4, 4) == [8]
+        assert prefixes(st_) == [0, 4, 7, 8, 8]
+        assert prefixes(st_, 2) == [7, 8, 8]
+        assert prefixes(st_, 4) == [8]
 
     def test_fourth_sum_lands_on_bit_sixteen(self):
         # values 2,1,2,7: the 4th terminator sits at bit 16, so the sum of
@@ -234,7 +240,7 @@ class TestUnaryDeltaStream:
 
     def test_empty_and_zeroes(self):
         empty = UnaryDeltaStream.from_values([])
-        assert empty.total == 0 and prefixes(empty, 0) == [0]
+        assert empty.total == 0 and prefixes(empty) == [0]
         zs = UnaryDeltaStream.from_values([0, 0, 0])
         assert [zs.prefix_sum(i) for i in range(4)] == [0, 0, 0, 0]
 
@@ -250,7 +256,7 @@ class TestUnaryDeltaStream:
         for i in range(len(values) + 1):
             assert st_.prefix_sum(i) == expect[i]
         for start in range(len(values) + 1):
-            assert prefixes(st_, len(values), start) == list(expect[start:])
+            assert prefixes(st_, start) == list(expect[start:])
 
 
 class TestPackedIntArray:
@@ -274,6 +280,19 @@ class TestPackedIntArray:
             got = packed_at(words, np.arange(40) * width, width)
             assert got.tolist() == vals.tolist() == \
                 [packed_get(words, 0, width, i) for i in range(40)]
+
+    @pytest.mark.parametrize("count", [1, 3, 17, 100_000])
+    def test_packed_at_takes_nothing_from_the_next_word_at_offset_0(self,
+                                                                    count):
+        # a read from a word boundary shifts the next word by 64, which
+        # numpy makes 0 for uint64s; counts past a vector register's
+        # width take numpy's vectorized shift loops too
+        words = packed([0b10110, (1 << 64) - 1], 64)
+        at = np.zeros(count, dtype=np.int64)
+        at[1::2] = 2  # and reads from bit 2 between them
+        got = packed_at(words, at, 5)
+        assert set(got[0::2].tolist()) == {0b10110}
+        assert set(got[1::2].tolist()) <= {0b101}
 
     def test_bit_lengths_cover_every_uint64(self):
         # a snapshot's low width comes from quotients past 2**63 on tall
@@ -330,13 +349,12 @@ def check_bitmap(pool, base, before, bits):
 
 
 def check_sparse(pool, words, f, members):
-    """The set of members whose fields start at f[0]: its view, and the
-    pool function its cursor reads, against the members."""
+    """The set of members whose fields start at f[0]: its view, and its
+    high bits' ones as a decode reads them, against the members."""
     m = len(members)
     sv = SparseBitVector(pool, words, f, 0, m)
     assert [sv.select1(j) for j in range(1, m + 1)] == list(members)
-    assert list(sv.ones()) == list(members)
-    assert list(sparse_ones(pool, words, f, 0, m, 1)) == list(members)
+    assert high_members(sv) == list(members)
 
 
 def edge_sets():
@@ -395,8 +413,8 @@ class TestPoolBoundaries:
         assert st_.total == expect[-1]
         assert [st_.prefix_sum(i) for i in range(len(values) + 1)] == \
             list(expect)
-        assert prefixes(st_, len(values)) == list(expect)
-        assert prefixes(st_, len(values), len(values)) == [expect[-1]]
+        assert prefixes(st_) == list(expect)
+        assert prefixes(st_, len(values)) == [expect[-1]]
 
 
 def bitmap_layouts():

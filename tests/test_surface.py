@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from trajindex import log, mbrtree, succinct
+from trajindex import log, mbrtree, snapshot, succinct
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # perfbench's tracer test call on it
 CALLED = [
     (succinct.BitVector, ("from_bits", "__len__", "rank1", "select1", "ones")),
-    (succinct.SparseBitVector, ("select1", "ones", "code_bits")),
+    (succinct.SparseBitVector, ("select1", "code_bits")),
     (succinct.UnaryDeltaStream, ("from_values", "prefix_sum", "total",
                                  "code_bits")),
     (succinct.PackedIntArray, ("__len__", "__getitem__", "__iter__",
@@ -49,3 +49,10 @@ def test_called_view_methods_exist(cls, names):
 def test_ones_is_a_generator_function():
     # perfbench's tracer test counts the steps of BitVector.ones
     assert inspect.isgeneratorfunction(succinct.BitVector.ones)
+
+
+def test_the_one_box_type_answers_to_its_old_names():
+    # the acceptance gate imports mbrtree.Mbr and reads tree.root.xmin
+    assert mbrtree.Mbr is snapshot.Region
+    root = mbrtree.build_mbr_tree_xy([2, 10], [4, 7], 2).root
+    assert (root.xmin, root.xmax, root.ymin, root.ymax) == (2, 10, 4, 7)
