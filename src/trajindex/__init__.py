@@ -20,7 +20,7 @@ from trajindex.oracle import (
     oracle_mbr,
     oracle_slice,
 )
-from trajindex.snapshot import K2Tree, Region, Snapshot, expanded_region
+from trajindex.snapshot import K2Tree, Region, Snapshot
 from trajindex.succinct import (
     BitVector,
     PackedIntArray,
@@ -50,7 +50,6 @@ __all__ = [
     "build_log",
     "build_mbr_tree",
     "compute_max_speed",
-    "expanded_region",
     "interpolate_gaps",
     "normalize",
     "oracle_interval",

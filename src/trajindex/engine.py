@@ -2,10 +2,13 @@
 
 Time is cut into periods of d instants.  Instants 0, d, 2d, ... get a grid
 snapshot; movement strictly inside a period goes into one log per object,
-each with a bounding-box tree over its samples.  Spatial queries probe the
-snapshot with a region widened by how far anything can travel since the
-period began, which yields a complete candidate set; candidates are then
-confirmed against the exact compressed positions.
+each with a bounding-box tree over its samples.  Spatial queries probe a
+snapshot only at its own instant, with the region as given.  The logs of
+the query's periods are consecutive records, so one numpy pass over their
+columns keeps those whose window meets the query's, whose first fix is
+within reach of the region at the log's speed bound, and whose root box
+meets the region; the kept logs are then confirmed against the exact
+compressed positions, or settled from their columns alone.
 """
 
 from __future__ import annotations
@@ -24,8 +27,11 @@ from trajindex.log import (
     ENTRIES,
     FILE_FIELDS,
     RECORD_FIELDS,
+    SPEED,
     TREE,
     X_AXIS,
+    X_FIRST,
+    Y_FIRST,
     TrajectoryLog,
     bit_pool,
     check_stream_ends,
@@ -35,9 +41,10 @@ from trajindex.log import (
     ordinal_range,
     position_at,
     records,
+    surely_has_data,
 )
 from trajindex.mbrtree import MbrTree, TraversalStats
-from trajindex.snapshot import Region, Snapshot, expanded_region, morton_codes
+from trajindex.snapshot import Region, Snapshot, morton_codes
 from trajindex.succinct import U32_MAX, BitPool, Reader, Writer, nbytes, words_from
 
 _MAGIC = b"CTCT"
@@ -46,8 +53,15 @@ _PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
 _CRC_AT = 6  # offset of the CRC field, which the CRC skips
 _ROOT = TREE + 1
 MAX_PERIODS = 1 << 20  # each period costs a snapshot, data or not
-_MISSES, _MEETS, _WITHIN = 0, 1, 2  # a miss is the one false value
 _WIDTHS = {"B": 1, "H": 2, "I": 4}  # a record field's bytes by its code
+# the record fields that a spatial query reads of every log in its
+# window, as rows: the window's first and last instants, the first fix's
+# x twice and y twice, the root box (xmin, xmax, ymin, ymax), the speed
+# bound s and the gap count; and the sign of each of the first ten in
+# its test (see `_candidates`)
+_FILTERED = [0, 1, X_FIRST, X_FIRST, Y_FIRST, Y_FIRST,
+             *range(_ROOT, _ROOT + 4), SPEED, 2]
+_SIGNS = np.array([1, -1, -1, 1, -1, 1, 1, -1, 1, -1])[:, None]
 
 
 def _record(f: np.ndarray) -> struct.Struct:
@@ -102,13 +116,16 @@ class TrajectoryIndex:
         self._record = record = _record(f)
         # the parts of a record that queries read alone: the log's fields,
         # those before the tree's, which are all that a position reads;
-        # the head, those before the x axis's; and the root box, at byte
-        # _root_at
+        # the head, those before the x axis's; and the fields _FILTERED,
+        # as a numpy record that skips the rest
         codes = record.format[1:]
         self._log_part = struct.Struct("<" + codes[:TREE])
         self._head = struct.Struct("<" + codes[:X_AXIS])
-        self._root_box = struct.Struct("<" + codes[_ROOT:_ROOT + 4])
-        self._root_at = struct.Struct("<" + codes[:_ROOT]).size
+        at = np.cumsum([0] + [_WIDTHS[code] for code in codes])
+        self._filtered = np.dtype({
+            "names": [str(j) for j in range(len(_FILTERED))],
+            "formats": ["<" + codes[i] for i in _FILTERED],
+            "offsets": at[_FILTERED].tolist(), "itemsize": record.size})
         self._records = f.astype("<u4").view(np.uint8)[
             :, _kept(record)].tobytes()
         # [:] is an exact copy: an array made from bytes keeps up to a
@@ -151,20 +168,6 @@ class TrajectoryIndex:
         # `decode`
         return self._log_part.unpack_from(self._records,
                                           row * self._record.size)
-
-    def _root_test(self, row: int, region: Region) -> int:
-        # whether the root box of the log at row, which bounds every
-        # position in the log, misses region, meets it or lies within it;
-        # most candidates miss, so only the box is read
-        xmin, xmax, ymin, ymax = self._root_box.unpack_from(
-            self._records, row * self._record.size + self._root_at)
-        if not (xmin <= region.x2 and region.x1 <= xmax
-                and ymin <= region.y2 and region.y1 <= ymax):
-            return _MISSES
-        if (region.x1 <= xmin and xmax <= region.x2
-                and region.y1 <= ymin and ymax <= region.y2):
-            return _WITHIN
-        return _MEETS
 
     def _log(self, f, oid: int, k: int) -> TrajectoryLog:
         return TrajectoryLog(self._bits, self._words, f, oid, k, self.period)
@@ -213,27 +216,78 @@ class TrajectoryIndex:
 
     # ------------------------------------------------------------- queries
 
+    def _candidates(self, region: Region, first: int, last: int,
+                    mbr_prune: bool = True):
+        """The logs that may hold a position inside region at an instant
+        of first..last, or None where no log can.
+
+        The logs of the window's periods are consecutive rows, as a file
+        holds them by period and then by object, so one numpy pass reads
+        their fields `_FILTERED`, c, a row each, and keeps each log that
+        passes three tests: its window meets the query's local instants
+        lo..hi; its first fix lies within s * (hi - first) of region on
+        both axes, as no step of the log moves faster than its speed
+        bound s; and, with mbr_prune, its root box meets region.  Each
+        test is a row of t, the first ten of c with their `_SIGNS` less
+        a bound, so that a log passes where its rows 0..5, and 6..9 for
+        the box, are at most 0: first - hi, lo - last, the first fix's
+        distances past each side less s * (hi - first), and the root
+        box's past the far sides.  c and t are float64: every field and
+        bound is an integer below 2**33, held exactly, and s * (hi -
+        first), which may pass 2**64, is rounded only past 2**53, where
+        it exceeds any distance on the grid, so no test changes.
+
+        Returns the kept logs' places among the window's logs; each of
+        those logs' slot, counted from the first period's first; the row
+        of the first; c; t; and region's corners held to the grid.
+        """
+        d, n = self.period, len(self._index)
+        w, h = self.extent
+        x1, x2 = max(region.x1, 0), min(region.x2, w - 1)
+        y1, y2 = max(region.y1, 0), min(region.y2, h - 1)
+        # the periods with a log instant in the window
+        p0, p1 = first // d, last // d if last % d else last // d - 1
+        if x1 > x2 or y1 > y2 or p0 > p1:
+            return None  # every position and box is on the grid
+        slots = np.frombuffer(self._rows, np.int32, (p1 - p0 + 1) * n,
+                              4 * p0 * n)
+        at = (slots >= 0).nonzero()[0]
+        if not len(at):
+            return None
+        row = int(slots[at[0]])
+        r = np.frombuffer(self._records, self._filtered, len(at),
+                          row * self._record.size)
+        c = np.array([r[name] for name in r.dtype.names], dtype=np.float64)
+        lo, hi = max(first - p0 * d, 1), min(last - p1 * d, d - 1)
+        spans = p0 < p1
+        t = c[:10] * _SIGNS - np.array([
+            d - 1 if spans else hi, -1 if spans else -lo,
+            -x1, x2, -y1, y2, x2, -x1, y2, -y1])[:, None]
+        if spans:  # only the first and the last period clip the window
+            t[1, :at.searchsorted(n)] += lo - 1
+            t[0, at.searchsorted((p1 - p0) * n):] += d - 1 - hi
+        t[2:6] += c[10] * t[0]  # less s * (hi - first)
+        keep = t[:10 if mbr_prune else 6].max(axis=0) <= 0
+        return keep.nonzero()[0], at, row, c, t, (x1, x2, y1, y2)
+
     def time_slice(self, region: Region, q: int) -> list[tuple[int, int, int]]:
         """Objects inside region at instant q as (id, x, y), sorted by id."""
         self._check_instant(q)
         p, local = divmod(q, self.period)
-        k = q - local
         if not local:
-            return sorted(self._snapshots.range_report(
-                region, p, include_entrants=False))
-        wide = expanded_region(region, q, k, self.max_speed, self.extent)
-        rows, index = self._rows, self._index
-        first = p * len(index)
+            return sorted(self._snapshots.range_report(region, p))
+        got = self._candidates(region, q, q)
+        if got is None:
+            return []
+        keep, at, first_row = got[:3]
         out = []
-        for oid, _, _ in self._snapshots.range_report(wide, p):
-            row = rows[first + index[oid]]
-            if row < 0 or not self._root_test(row, region):
-                continue
+        for oid, row in zip(self._object_ids[at[keep]].tolist(),
+                            (keep + first_row).tolist()):
             pos = position_at(self._bits, self._words, self._log_fields(row),
-                              q - k)
+                              local)
             if pos is not None and region.contains(pos[0], pos[1]):
                 out.append((oid, pos[0], pos[1]))
-        return sorted(out)
+        return out
 
     def time_interval(self, region: Region, first: int, last: int, *,
                       mbr_prune: bool = True, speed_prune: bool = True,
@@ -243,58 +297,72 @@ class TrajectoryIndex:
         self._check_instant(last)
         if first > last:
             raise ValueError("empty instant range")
-        d = self.period
-        rows, index, snaps = self._rows, self._index, self._snapshots
+        d, n = self.period, len(self._index)
         found: set[int] = set()
-        for k in range(first - first % d, last + 1, d):
-            p = k // d
-            lo, hi = max(first, k + 1), min(last, k + d - 1)
-            logged = lo <= hi  # else the window ends at the snapshot instant
-            wide = (expanded_region(region, hi, k, self.max_speed, self.extent)
-                    if logged else region)
-            period_row = p * len(index)
-            # one probe serves the snapshot instant and the logs: when k is
-            # in the window, a non-entrant stored inside region is found
-            for oid, x, y in snaps.range_report(wide, p):
-                if oid in found:
-                    continue
-                i = index[oid]
-                if (k >= first and region.contains(x, y)
-                        and snaps.fix(p, i) is not None):
-                    found.add(oid)
-                    continue
-                if not logged:
-                    continue
-                row = rows[period_row + i]
-                if row < 0:
-                    continue
-                # the tree's first test, on its root box, is made here
-                # from the record; only a search that needs more makes views
-                root = self._root_test(row, region) if mbr_prune else _MEETS
-                if not root:
+        # a probe at each snapshot instant in the window, which reports
+        # no entrant
+        for k in range(first + -first % d, last + 1, d):
+            found.update(oid for oid, _, _ in
+                         self._snapshots.range_report(region, k // d))
+        got = self._candidates(region, first, last, mbr_prune)
+        if got is None:
+            return sorted(found)
+        keep, at, first_row, c, t, (x1, x2, y1, y2) = got
+        if stats is not None and mbr_prune:
+            # a root visit and its rejection, as `first_hit` records
+            # them, for each log that the root box alone rules out
+            rejected = (t[:6].max(axis=0) <= 0) & (t[6:10].max(axis=0) > 0)
+            for oid in self._object_ids[at[rejected] % n].tolist():
+                if oid not in found:
+                    stats.root_only("mbr_reject")
+        # a root box inside the region needs only a data instant in the
+        # window, which the columns mostly prove alone; the logs settled
+        # so are skipped below, their objects found
+        box_in = [False] * len(keep)
+        if mbr_prune:
+            inside = (t[6:10].take(keep, axis=1) + [
+                [x2 - x1], [x2 - x1], [y2 - y1], [y2 - y1]]).min(axis=0) >= 0
+            if inside.any():
+                contained = keep[inside]
+                f, (t0, t1) = (c.take(contained, axis=1),
+                               t[:2].take(contained, axis=1))
+                f0, f1 = f[0], f[1]  # lo and hi are f1 + t1 and f0 - t0
+                sure = surely_has_data(f0, f1, f[11], np.maximum(f1 + t1, f0),
+                                       np.minimum(f0 - t0, f1))
+                settled = self._object_ids[at[contained[sure]] % n].tolist()
+                if stats is not None:
+                    for _ in set(settled) - found:
+                        stats.root_only("mbr_contain")
+                found.update(settled)
+                box_in = inside.tolist()
+        # the rest take ranks of the window bitmap, or a walk of the tree
+        bits, words, p0 = self._bits, self._words, first // d
+        slots = at[keep]
+        for j, slot, oid, contains in zip(
+                keep.tolist(), slots.tolist(),
+                self._object_ids[slots % n].tolist(), box_in):
+            if oid in found:
+                continue
+            row, k = first_row + j, (slot // n + p0) * d
+            a, b = max(first - k, 1), min(last - k, d - 1)
+            if contains:
+                head = self._head.unpack_from(self._records,
+                                              row * self._record.size)
+                if has_data(bits, words, head, a, b):
                     if stats is not None:
-                        stats.root_only("mbr_reject")
-                    continue
-                # a root box inside region needs only a data instant in
-                # the window, which the record's head mostly proves alone
-                if root == _WITHIN:
-                    head = self._head.unpack_from(self._records,
-                                                  row * self._record.size)
-                    if has_data(self._bits, self._words, head, lo - k, hi - k):
-                        if stats is not None:
-                            stats.root_only("mbr_contain")
-                        found.add(oid)
-                    continue
-                f = self._fields(row)
-                b1, e1 = ordinal_range(self._bits, self._words, f, lo - k, hi - k)
-                if b1 > e1:
-                    continue
-                hit = self._tree(f).first_hit(
-                    self._log(f, oid, k), region, b1, e1, self.max_speed,
-                    lo - k, hi - k, mbr_prune=mbr_prune,
-                    speed_prune=speed_prune, stats=stats)
-                if hit is not None:
+                        stats.root_only("mbr_contain")
                     found.add(oid)
+                continue
+            f = self._fields(row)
+            b1, e1 = ordinal_range(bits, words, f, a, b)
+            if b1 > e1:
+                continue
+            hit = self._tree(f).first_hit(
+                self._log(f, oid, k), region, b1, e1, self.max_speed,
+                a, b, mbr_prune=mbr_prune, speed_prune=speed_prune,
+                stats=stats)
+            if hit is not None:
+                found.add(oid)
         return sorted(found)
 
     # ------------------------------------------------------ serialization

@@ -202,16 +202,24 @@ def ordinal_range(bits: BitPool, words, f, lo: int, hi: int) -> tuple[int, int]:
     return _count_upto(bits, words, f, lo - 1) + 1, _count_upto(bits, words, f, hi)
 
 
+def surely_has_data(first, last, gaps, a, b):
+    """Whether local instants a..b, a non-empty part of the window
+    first..last of a log with gaps gaps, have data by this rule alone:
+    the window begins and ends with data and holds every gap, so a..b
+    has data if it reaches either end or spans more instants than the
+    log has gaps.  Ints, or arrays of a log each."""
+    return (a == first) | (b == last) | (gaps <= b - a)
+
+
 def has_data(bits: BitPool, words, f, lo: int, hi: int) -> bool:
     """Whether any of local instants lo..hi of the log with fields f has
-    data.  The window begins and ends with data and holds every gap, so
-    a clipped window that reaches either end, or spans more instants
-    than the log has gaps, has data; only other windows take two ranks
-    of the window bitmap.  It reads no field of f from X_AXIS on."""
+    data.  Only a clipped window that `surely_has_data` cannot settle
+    takes two ranks of the window bitmap.  It reads no field of f from
+    X_AXIS on."""
     a, b = max(lo, f[0]), min(hi, f[1])
     if a > b:
         return False
-    if a == f[0] or b == f[1] or f[2] <= b - a:
+    if surely_has_data(f[0], f[1], f[2], a, b):
         return True
     first, last = ordinal_range(bits, words, f, a, b)
     return first <= last

@@ -13,9 +13,9 @@ each period's from a word boundary, then every row's id and one bitmap
 of entrants (see `Snapshot.write`).
 
 Objects whose first sample in a period comes after its first instant are
-carried as entrants: they are positioned at that first sample so range
-probes can use them as candidates, and a flag marks them so instant
-queries can tell them apart from objects really present.
+carried as entrants: they are positioned at that first sample, which a
+load checks against the first fix of their log, and a flag marks them so
+that probes and instant queries skip them.
 """
 
 from __future__ import annotations
@@ -62,24 +62,6 @@ class Region:
 
     def contains(self, x: int, y: int) -> bool:
         return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
-
-
-def expanded_region(region: Region, q: int, k: int, max_speed: int,
-                    extent: tuple[int, int]) -> Region:
-    """Grow a region by the distance an object can cover between k and q.
-
-    Anything inside `region` at instant q must have been inside the result
-    at instant k, so probing the snapshot with it yields a complete
-    candidate set.  A region that misses the grid comes back as it is:
-    nothing is inside it, and a probe with it reports nothing.
-    """
-    if q < k:
-        raise ValueError("query instant before snapshot instant")
-    reach = max_speed * (q - k)
-    w, h = extent
-    x1, x2 = max(0, region.x1 - reach), min(w - 1, region.x2 + reach)
-    y1, y2 = max(0, region.y1 - reach), min(h - 1, region.y2 + reach)
-    return Region(x1, x2, y1, y2) if x1 <= x2 and y1 <= y2 else region
 
 
 def _spread(v):
@@ -238,15 +220,12 @@ class Snapshot:
         return (np.asarray(self.tree.xs)[row], np.asarray(self.tree.ys)[row],
                 np.frombuffer(self._entrants, dtype=np.uint8)[row])
 
-    def range_report(self, region: Region, p: int,
-                     include_entrants: bool = True) -> list[tuple[int, int, int]]:
-        """(object id, x, y) for every row of period p inside region."""
+    def range_report(self, region: Region, p: int) -> list[tuple[int, int, int]]:
+        """(object id, x, y) for every fix of period p's first instant
+        inside region, by row; no entrant is reported."""
         lo, hi = self._starts[p], self._starts[p + 1]
         cells = self.tree.report_cells(region, lo, hi)
-        ids = self._ids[lo:hi]
-        if include_entrants:
-            return [(ids[row], x, y) for x, y, row in cells]
-        entrants = self._entrants[lo:hi]
+        ids, entrants = self._ids[lo:hi], self._entrants[lo:hi]
         return [(ids[row], x, y) for x, y, row in cells if not entrants[row]]
 
     def write(self, w: Writer) -> None:

@@ -161,7 +161,7 @@ class TestQuery:
         assert capsys.readouterr().out == ""
 
     def test_region_off_the_grid_exits_zero(self, capsys, built_index):
-        # past the grid's right edge even when widened for instant 3
+        # past the grid's right edge, so nothing is ever inside it
         for to in ([], ["--to", "5"]):
             capsys.readouterr()
             rc = main(["query", str(built_index), "--region", "50,60,0,3",
@@ -266,15 +266,16 @@ class TestOracleCheck:
             for row in fleet.rows():
                 fh.write(",".join(map(str, row)) + "\n")
         # count the interval candidates whose root box lies inside the
-        # region: large regions must reach them
+        # region, which the engine's window rule takes, an array at a
+        # time, before any rank: large regions must reach them
         contained = []
-        check = trajindex.engine.has_data
+        rule = trajindex.engine.surely_has_data
 
-        def counted(*args):
-            contained.append(args[3:])
-            return check(*args)
+        def counted(first, *args):
+            contained.extend(first.tolist())
+            return rule(first, *args)
 
-        monkeypatch.setattr("trajindex.engine.has_data", counted)
+        monkeypatch.setattr("trajindex.engine.surely_has_data", counted)
         rc = main(["oracle-check", "--input", str(path), "--period", "40",
                    "--leaf-size", "6", "--queries", "120", "--seed", "5"])
         assert rc == 0

@@ -32,7 +32,7 @@ from trajindex.log import (
     Y_FIRST,
     build_log,
 )
-from trajindex.mbrtree import TraversalStats, build_mbr_tree
+from trajindex.mbrtree import MbrTree, TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region, Snapshot
 from trajindex.succinct import U32_MAX, Reader, Writer, nbytes
@@ -151,9 +151,8 @@ class TestReferenceIndex:
         (20, 30, 20, 30), (0, 5, 30, 40)],
         ids=["left", "right", "below", "above", "corner", "far-above"])
     def test_regions_off_the_grid(self, ref_index, ref_rows, rect):
-        # widened by at most the speed times the instants since the
-        # snapshot, such a region can still miss the grid, and every
-        # instant and interval answers as the oracle does
+        # a region that misses the grid holds no position: every instant
+        # and interval answers as the oracle does
         table = PositionTable.from_samples(ref_rows, horizon=14)
         region = Region(*rect)
         for q in range(14):  # snapshot instants 0 and 13, logged ones between
@@ -1071,17 +1070,18 @@ class TestRootBoxFilter:
         assert touched > 40
 
     def test_root_reject_counts_as_a_rejected_root_visit(self):
-        # object 1 stays in the far corner, object 2 is the only one inside
-        # the region; with speed 4 over 9 instants both are snapshot
-        # candidates, but the root box of 1's log misses the region
-        rows = ([(1, t, 30, 30) for t in range(10)]
+        # object 1 paces in the far corner, object 2 is the only one
+        # inside the region; at 1's speed of 4 cells an instant its first
+        # fix comes within reach of the region, but its root box misses it
+        rows = ([(1, t, 30 - 4 * (t % 2), 30) for t in range(10)]
                 + [(2, t, 14 + t % 2, 14) for t in range(10)])
         ix = build_index(rows, period=10, leaf_capacity=2, extent=(40, 40),
                          max_speed=4)
         region = Region(10, 16, 10, 16)
         stats = TraversalStats(trace=True)
         assert ix.time_interval(region, 1, 9, stats=stats) == [2]
-        log = build_log([(t, 30, 30) for t in range(1, 10)], 0, 10)
+        log = build_log([(t, 30 - 4 * (t % 2), 30) for t in range(1, 10)],
+                        0, 10)
         alone = TraversalStats(trace=True)
         assert build_mbr_tree(log, 2).first_hit(
             log, region, 1, 9, 4, 1, 9, stats=alone) is None
@@ -1118,8 +1118,8 @@ class TestRootBoxFilter:
 
 class TestContainedIntervals:
     """Interval queries whose region holds whole boxes, and windows that
-    start or end on a snapshot instant, where one snapshot probe serves
-    both the instant and the logs."""
+    start or end on a snapshot instant, which a snapshot probe answers
+    while the logs answer the rest of the window."""
 
     def windows(self, d, horizon):
         for k in range(0, horizon, d):
@@ -1173,7 +1173,11 @@ class TestContainedIntervals:
                 + [(2, t, 8, 8) for t in range(14, 20)])
         ix = build_index(rows, period=10, leaf_capacity=2, extent=(32, 32))
         assert ix._snapshots.fix(1, 1) is None
-        assert (2, 8, 8) in ix._snapshots.range_report(Region(0, 31, 0, 31), 1)
+        # the snapshot keeps it at that fix, but a probe does not report it
+        cell = ix._snapshots.cells(np.array([1]), np.array([1]))
+        assert [c.tolist() for c in cell] == [[8], [8], [1]]
+        assert ix._snapshots.range_report(Region(0, 31, 0, 31), 1) == \
+            [(1, 3, 3)]
         region = Region(6, 10, 6, 10)
         assert ix.time_interval(region, 10, 10) == []
         assert ix.time_interval(region, 10, 13) == []
@@ -1183,32 +1187,47 @@ class TestContainedIntervals:
         assert ix.time_interval(Region(0, 31, 0, 31), 10, 13) == [1]
         assert ix.time_interval(Region(0, 31, 0, 31), 10, 14) == [1, 2]
 
-    def test_one_snapshot_probe_per_period(self, small_index, monkeypatch):
+    def test_probes_only_at_snapshot_instants(self, small_index,
+                                              monkeypatch):
+        # the logs answer every other instant from their records: a probe
+        # takes the region as given, once per snapshot instant in the
+        # window
         calls = []
         probe = Snapshot.range_report
 
-        def counted(snaps, region, p, include_entrants=True):
-            calls.append(p * small_index.period)
-            return probe(snaps, region, p, include_entrants)
+        def counted(snaps, region, p):
+            calls.append((region, p * small_index.period))
+            return probe(snaps, region, p)
 
         monkeypatch.setattr(Snapshot, "range_report", counted)
         d = small_index.period
-        for b, e in ((0, 0), (0, 5), (d, 3 * d), (d - 1, d + 1), (7, 2 * d - 1)):
+        region = Region(100, 300, 100, 300)
+        for q in (1, 7, d - 1, d + 1, 2 * d + 5):
+            small_index.time_slice(region, q)
+        assert calls == []
+        for q in (0, d, 2 * d):
+            small_index.time_slice(region, q)
+            assert calls.pop() == (region, q) and not calls
+        for b, e in ((0, 0), (0, 5), (1, d - 1), (d, 3 * d), (d - 1, d + 1),
+                     (7, 2 * d - 1), (d + 1, 3 * d - 1)):
             calls.clear()
-            small_index.time_interval(Region(100, 300, 100, 300), b, e)
-            assert calls == list(range(b - b % d, e + 1, d))
+            small_index.time_interval(region, b, e)
+            assert calls == [(region, k) for k in range(b, e + 1)
+                             if k % d == 0]
+            assert all(r is region for r, _ in calls)
 
     def test_whole_grid_decodes_nothing(self, small_index, small_table,
                                         monkeypatch):
         # over the whole grid every root box lies inside the region, and a
         # window that reaches its log's first or last instant has data, so
-        # the record answers every candidate: no decode and no rank of a
-        # window bitmap
+        # the records' columns answer every candidate: no decode, no
+        # `has_data` and no rank of a window bitmap
         def refused(*args):
             raise AssertionError(f"window bitmap ranked over {args[3:]}")
 
         monkeypatch.setattr("trajindex.engine.ordinal_range", refused)
         monkeypatch.setattr("trajindex.log.ordinal_range", refused)
+        monkeypatch.setattr("trajindex.engine.has_data", refused)
         w, h = small_index.extent
         grid = (0, w - 1, 0, h - 1)
         d, horizon = small_index.period, small_table.horizon
@@ -1255,6 +1274,145 @@ class TestContainedIntervals:
             assert ix.time_interval(grid, b, e, stats=stats) == [1]
             assert stats.events == [("visit", 1), ("mbr_contain", 1)]
         assert searched == []
+
+
+class TestRecordFilter:
+    """The logs a slice or an interval takes come from one pass over
+    their record columns: the window, the reach of the first fix at the
+    log's speed bound s, and the root box."""
+
+    # two objects run at 2 cells an instant, the index's speed bound,
+    # along y = 5 through period 1 (instants 20..39) towards x = 30..40;
+    # object 1's first fix in the period lies 20 cells short of it, so
+    # it enters at instant 31 = 21 + 20 / 2; object 2's lies a cell
+    # farther, so it enters at instant 32
+    REGION = Region(30, 40, 0, 10)
+
+    @staticmethod
+    def runners() -> TrajectoryIndex:
+        rows = []
+        for oid, x in ((1, 10), (2, 9)):
+            rows += [(oid, t, x - 2, 5) for t in range(21)]
+            rows += [(oid, t, x + 2 * (t - 21), 5) for t in range(21, 40)]
+        return build_index(rows, period=20, leaf_capacity=4,
+                           extent=(64, 64))
+
+    def test_the_reach_bound_holds_at_equality(self, monkeypatch):
+        ix = self.runners()
+        assert ix.max_speed == 2
+
+        # object 2's log is out of reach up to instant 31: neither a
+        # position nor a tree walk may be asked of it
+        def refuse(f):
+            if f[X_FIRST] == 9:
+                raise AssertionError("object 2's log was searched")
+
+        position, walk = trajindex.engine.position_at, MbrTree.first_hit
+
+        def checked_position(bits, words, f, i):
+            refuse(f)
+            return position(bits, words, f, i)
+
+        def checked_walk(tree, log, *args, **kwargs):
+            refuse(log._f)
+            return walk(tree, log, *args, **kwargs)
+
+        monkeypatch.setattr("trajindex.engine.position_at", checked_position)
+        monkeypatch.setattr(MbrTree, "first_hit", checked_walk)
+        region = self.REGION
+        assert ix.time_slice(region, 31) == [(1, 30, 5)]
+        assert ix.time_slice(region, 30) == []
+        for prune in (True, False):
+            for b in (0, 5, 21, 25):
+                assert ix.time_interval(region, b, 31, mbr_prune=prune) == [1]
+                assert ix.time_interval(region, b, 30, mbr_prune=prune) == []
+            assert ix.time_interval(region, 31, 31, mbr_prune=prune) == [1]
+        monkeypatch.undo()
+        # one instant on, object 2 is inside too
+        assert ix.time_slice(region, 32) == [(1, 32, 5), (2, 31, 5)]
+        assert ix.time_interval(region, 21, 32) == [1, 2]
+
+    def test_a_reach_past_2_to_the_63(self):
+        # a jump across a 2**32 - 1 wide grid makes s = 2**32 - 2; a window
+        # to the end of a period as long sets hi - first = 2**32 - 4, so
+        # s * (hi - first) passes what an int64 holds
+        top = 2**32 - 2
+        rows = [(1, 0, top, 0), (1, 1, top, 0), (1, 2, 0, 0)]
+        ix = build_index(rows, period=top + 1, leaf_capacity=1,
+                         extent=(top + 1, 1), horizon=top + 1)
+        assert ix._fields(0)[17] == top  # the log's speed bound
+        corner = Region(0, 0, 0, 0)
+        assert ix.time_interval(corner, 1, top - 1) == [1]
+        assert ix.time_interval(corner, 1, top - 1, mbr_prune=False) == [1]
+        assert ix.time_slice(corner, 2) == [(1, 0, 0)]
+        assert ix.time_interval(corner, 1, 1) == []
+
+    @staticmethod
+    def fleet(seed: int, d: int):
+        # a walk of at most 2 cells an instant on a 20x20 grid with a
+        # quarter of its fixes dropped, so some objects enter a period
+        # late; object 2 misses periods 1 to 3 whole; object 3 sends a fix
+        # at one instant of each period past its first, so each of its
+        # logs holds one fix and a speed bound of 0; object 4 also a fix
+        # at each period's first instant, and each of its logs one fix
+        rng = np.random.default_rng(seed)
+        objects, side = 6, 20
+        horizon = 7 * d + int(rng.integers(1, d))
+        steps = rng.integers(-2, 3, size=(2, objects, horizon))
+        start = rng.integers(0, side, size=(2, objects, 1))
+        xs, ys = np.clip(start + np.cumsum(steps, axis=2), 0, side - 1)
+        present = rng.random((objects, horizon)) >= 0.25
+        present[1, d:4 * d] = False
+        starts = np.arange(0, horizon, d)
+        lone = np.minimum(starts + rng.integers(1, d, len(starts)),
+                          horizon - 1)
+        present[2:4] = False
+        present[2:4, lone] = True
+        present[3, starts] = True
+        ids = np.arange(1, objects + 1)
+        table = PositionTable(ids, present, xs, ys)
+        o, t = np.nonzero(present)
+        rows = np.column_stack((ids[o], t, xs[o, t], ys[o, t]))
+        ix = build_index(rows, period=d, leaf_capacity=3,
+                         extent=(side, side), horizon=horizon)
+        return ix, table, side
+
+    @pytest.mark.parametrize("seed, d", [(70, 5), (71, 8), (72, 13)])
+    def test_small_fleets_match_the_oracle(self, seed, d):
+        ix, table, side = self.fleet(seed, d)
+        horizon = table.horizon
+        n = len(ix.object_ids)
+        logs = [ix._fields(row) for row in ix._rows if row >= 0]
+        snaps = ix._snapshots
+        # entrants, a one-fix log, and object 2 with no log in periods 1..3
+        assert len(snaps.tree.xs) > snaps.fix_count
+        assert any(f[DATA] == 1 and f[17] == 0 for f in logs)
+        assert all(ix._rows[p * n + 1] < 0 for p in (1, 2, 3))
+        rng = np.random.default_rng(seed)
+        rects = [(side, side + 4, 0, side - 1), (-6, -1, 3, 9),
+                 (0, side - 1, side + 2, side + 9), (0, side - 1, 0, side - 1)]
+        for _ in range(40):
+            x1, y1 = rng.integers(-3, side + 1, 2).tolist()
+            x2, y2 = x1 + int(rng.integers(0, 9)), y1 + int(rng.integers(0, 9))
+            rects.append((x1, x2, y1, y2))
+        long_windows = hits = 0
+        for rect in rects:
+            region = Region(*rect)
+            for q in rng.integers(0, horizon, 6).tolist():
+                assert ix.time_slice(region, q) == \
+                    oracle_slice(table, rect, q)
+            for _ in range(8):
+                b = int(rng.integers(0, horizon))
+                e = min(horizon - 1, b + int(rng.integers(0, 7 * d)))
+                want = oracle_interval(table, rect, b, e)
+                for prune in (True, False):
+                    assert ix.time_interval(region, b, e,
+                                            mbr_prune=prune) == want
+                assert ix.time_interval(region, b, e, mbr_prune=False,
+                                        speed_prune=False) == want
+                long_windows += e // d - b // d >= 5
+                hits += bool(want)
+        assert long_windows > 20 and hits > 40
 
 
 def load_cost(blob) -> tuple[int, int, TrajectoryIndex]:

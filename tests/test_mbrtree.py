@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import trajindex.mbrtree
 from conftest import REF_PERIOD, REF_TRACK, pulled_in, stored_tree
 from reference_encoder import Parts, write_tree
-from trajindex.engine import _MEETS, _MISSES, _WITHIN, build_index
-from trajindex.log import build_log, ordinal_range
+from trajindex.engine import build_index
+from trajindex.log import build_log, ordinal_range, position_at
 from trajindex.mbrtree import (
     MbrTree,
     TraversalStats,
@@ -52,6 +52,7 @@ def random_log(rng, period=None, max_step=5):
 # that miss it, touch it on an edge or at a corner, or hold it up to an
 # edge: (region, how the box lies to it, its first fix in the region)
 BOX_FIXES = [(1, 0, 0), (2, 4, 2), (3, 2, 4), (4, 4, 4)]
+_MISSES, _MEETS, _WITHIN = "misses", "meets", "within"
 BOX_CASES = [
     (Region(5, 9, 2, 3), _MISSES, None),  # beside the edge x = 4
     (Region(5, 9, 5, 9), _MISSES, None),  # past the corner (4, 4)
@@ -62,6 +63,13 @@ BOX_CASES = [
     (Region(0, 4, 0, 4), _WITHIN, 1),  # the box itself
     (Region(0, 4, 0, 9), _WITHIN, 1),  # up to the edges x = 0, 4, y = 0
 ]
+
+
+def box_ends(lies, first):
+    # the event after the root's visit: a box that meets the region is
+    # scanned, to a hit or not
+    return {_MISSES: "mbr_reject", _WITHIN: "mbr_contain",
+            _MEETS: "leaf_abort" if first is None else "hit"}[lies]
 
 
 class TestBoxes:
@@ -76,21 +84,45 @@ class TestBoxes:
         stats = TraversalStats(trace=True)
         assert tree.first_hit(log, region, 1, 4, 4, 1, 4,
                               stats=stats) == first
-        # a box that meets the region is scanned, to a hit or not
-        ends = {_MISSES: "mbr_reject", _WITHIN: "mbr_contain",
-                _MEETS: "leaf_abort" if first is None else "hit"}
-        assert stats.events == [("visit", 1), (ends[lies], 1)]
+        assert stats.events == [("visit", 1), (box_ends(lies, first), 1)]
         for speed in (True, False):
             assert tree.first_hit(log, region, 1, 4, 4, 1, 4, mbr_prune=False,
                                   speed_prune=speed) == first
 
     @pytest.mark.parametrize("region, lies, first", BOX_CASES)
-    def test_the_root_box_of_a_record(self, region, lies, first):
+    def test_the_root_box_of_a_record(self, region, lies, first,
+                                      monkeypatch):
+        # the log's first fix, (0, 0) at instant 1, lies within reach of
+        # every region here by instant 4, at its speed bound of 4 cells an
+        # instant, so the root box in its record settles it: an interval
+        # rejects the log, answers from the record, or walks its tree; a
+        # slice reads no position of a log whose box misses the region,
+        # nor one out of the first fix's reach
         rows = [(1, 0, 2, 2)] + [(1, *fix) for fix in BOX_FIXES]
         ix = build_index(rows, period=10, leaf_capacity=4, extent=(16, 16))
-        assert ix._root_test(ix._rows[0], region) == lies
-        assert ix.time_interval(region, 1, 4) == ([] if first is None
-                                                  else [1])
+        stats = TraversalStats(trace=True)
+        assert ix.time_interval(region, 1, 4, stats=stats) == (
+            [] if first is None else [1])
+        assert stats.events == [("visit", 1), (box_ends(lies, first), 1)]
+        # with no box test the log's one leaf is scanned, whatever its box
+        bare = TraversalStats(trace=True)
+        assert ix.time_interval(region, 1, 4, mbr_prune=False,
+                                stats=bare) == ([] if first is None else [1])
+        assert bare.events == [("visit", 1),
+                               ("leaf_abort" if first is None else "hit", 1)]
+        decoded = []
+
+        def counted(bits, words, f, i):
+            decoded.append(i)
+            return position_at(bits, words, f, i)
+
+        monkeypatch.setattr("trajindex.engine.position_at", counted)
+        for t, x, y in BOX_FIXES:
+            assert ix.time_slice(region, t) == (
+                [(1, x, y)] if region.contains(x, y) else [])
+        reach = [t for t, _, _ in BOX_FIXES
+                 if max(region.x1, region.y1) <= 4 * (t - 1)]
+        assert decoded == ([] if lies == _MISSES else reach)
 
 
 class TestReferenceTree:

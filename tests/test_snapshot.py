@@ -7,7 +7,6 @@ from trajindex.snapshot import (
     K2Tree,
     Region,
     Snapshot,
-    expanded_region,
     morton_codes,
 )
 from trajindex.succinct import Reader, Writer
@@ -24,44 +23,6 @@ class TestRegion:
         r = Region(2, 4, 3, 3)
         assert r.contains(2, 3) and r.contains(4, 3)
         assert not r.contains(5, 3) and not r.contains(3, 2)
-
-
-class TestExpandedRegion:
-    def test_zero_elapsed_is_identity(self):
-        r = Region(10, 20, 30, 40)
-        assert expanded_region(r, 60, 60, 55, (100, 100)) == r
-
-    def test_grows_by_speed_times_elapsed(self):
-        got = expanded_region(Region(100, 200, 100, 200), 62, 60, 55,
-                              (3000, 3000))
-        assert got == Region(0, 310, 0, 310)
-
-    def test_clamps_to_grid(self):
-        got = expanded_region(Region(5, 6, 5, 6), 9, 0, 2, (20, 10))
-        assert got == Region(0, 19, 0, 9)
-
-    def test_rejects_backwards_time(self):
-        with pytest.raises(ValueError):
-            expanded_region(Region(0, 1, 0, 1), 3, 5, 1, (10, 10))
-
-    def test_every_reachable_point_is_covered(self):
-        # any walk at per-axis speed <= s that ends inside the region must
-        # have started inside the expansion
-        rng = np.random.default_rng(13)
-        extent = (200, 200)
-        for trial in range(200):
-            s = int(rng.integers(0, 5))
-            k = int(rng.integers(0, 50))
-            q = k + int(rng.integers(0, 40))
-            x1 = int(rng.integers(0, 190)); y1 = int(rng.integers(0, 190))
-            r = Region(x1, x1 + 9, y1, y1 + 9)
-            wide = expanded_region(r, q, k, s, extent)
-            x = int(rng.integers(r.x1, r.x2 + 1))
-            y = int(rng.integers(r.y1, r.y2 + 1))
-            for t in range(q - k):
-                x = min(extent[0] - 1, max(0, x + int(rng.integers(-s, s + 1))))
-                y = min(extent[1] - 1, max(0, y + int(rng.integers(-s, s + 1))))
-            assert wide.contains(x, y)
 
 
 class TestMorton:
@@ -224,14 +185,16 @@ class TestSnapshot:
         assert snaps.fix(2, 1) == (6, 6)
         assert snaps.fix(2, 0) is None
         full = Region(0, 7, 0, 7)
-        assert sorted(snaps.range_report(full, 0)) == \
-            [(3, 0, 7), (5, 2, 2), (9, 2, 2), (12, 7, 0)]
-        assert sorted(snaps.range_report(full, 0, include_entrants=False)) \
-            == [(3, 0, 7), (5, 2, 2)]
-        assert sorted(snaps.range_report(Region(1, 3, 1, 3), 0)) == \
-            [(5, 2, 2), (9, 2, 2)]
+        # a probe reports no entrant; the table keeps an entrant's cell
+        assert sorted(snaps.range_report(full, 0)) == [(3, 0, 7), (5, 2, 2)]
+        assert snaps.range_report(Region(1, 3, 1, 3), 0) == [(5, 2, 2)]
+        assert snaps.range_report(Region(6, 7, 0, 1), 0) == []
         assert snaps.range_report(full, 1) == []
         assert snaps.range_report(full, 2) == [(5, 6, 6)]
+        x, y, entrant = snaps.cells(np.array([0, 0, 0, 0, 2]),
+                                    np.array([0, 1, 2, 3, 1]))
+        assert (x.tolist(), y.tolist(), entrant.tolist()) == \
+            ([0, 2, 2, 7, 6], [7, 2, 2, 0, 6], [0, 0, 1, 1, 0])
 
     def test_empty_snapshot(self):
         snaps = table((16, 16), [])
@@ -272,12 +235,15 @@ class TestSnapshot:
                     x1 = int(rng.integers(0, w)); x2 = int(rng.integers(x1, w))
                     y1 = int(rng.integers(0, h)); y2 = int(rng.integers(y1, h))
                     want = sorted((oid, x, y) for oid, x, y in rows
-                                  if x1 <= x <= x2 and y1 <= y <= y2)
+                                  if x1 <= x <= x2 and y1 <= y <= y2
+                                  and (p, oid) not in entrants)
                     got = sorted(snaps.range_report(Region(x1, x2, y1, y2), p))
                     assert got == want
-                    bare = sorted(snaps.range_report(Region(x1, x2, y1, y2), p,
-                                                     include_entrants=False))
-                    assert bare == [r for r in want if (p, r[0]) not in entrants]
+                # every row's cell and entrant flag, entrants' included
+                i = np.searchsorted(listed, [oid for oid, _, _ in rows])
+                x, y, entrant = snaps.cells(np.full(len(rows), p), i)
+                assert list(zip(x.tolist(), y.tolist(), entrant.tolist())) \
+                    == [(x, y, (p, oid) in entrants) for oid, x, y in rows]
 
     def test_round_trip(self):
         rows = [(oid, oid % 11, oid % 7) for oid in range(1, 40)]
