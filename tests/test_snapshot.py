@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_encoder import write_snapshots
 from trajindex.snapshot import (
+    ENTRANT,
+    FIX,
+    NO_ROW,
     K2Tree,
     Region,
     Snapshot,
@@ -39,25 +43,34 @@ class TestMorton:
         assert (gx, gy) == (x, y)
 
 
+def ints(values) -> np.ndarray:
+    return np.array(list(values), dtype=np.int64)
+
+
 def columns(width, height, *periods):
-    """A K2Tree over the (x, y) cells of each period, sorted by code within
-    it, and each period's first row, then the row count."""
-    codes = [np.sort(morton_codes([x for x, _ in cells], [y for _, y in cells]))
-             for cells in periods]
-    starts = np.cumsum([0, *map(len, codes)])
-    return K2Tree(width, height, np.concatenate([np.zeros(0, np.uint64), *codes]),
-                  starts), starts
+    """A K2Tree over the (x, y) cells of each period, a period's in its
+    first slots of as many as the longest period has cells, so a shorter
+    period leaves its last slots empty; and that slot count."""
+    n = max(map(len, periods), default=0)
+    slots = ints(p * n + j for p, cells in enumerate(periods)
+                 for j in range(len(cells)))
+    cells = [cell for cells in periods for cell in cells]
+    return K2Tree(width, height, len(periods) * n, slots,
+                  ints(x for x, _ in cells), ints(y for _, y in cells),
+                  np.zeros(len(cells))), n
 
 
 def table(extent, *periods, entrants=()):
     """The Snapshot of each period's (object id, x, y) rows, listing every
     id the periods hold; entrants: the (period, id) pairs of entrants."""
-    rows = sorted((p, int(morton_codes([x], [y])[0]), oid, (p, oid) in entrants)
-                  for p, period in enumerate(periods) for oid, x, y in period)
-    ids = np.array([r[2] for r in rows], dtype=np.int64)
-    return Snapshot(extent, np.unique(ids),
-                    np.array([r[1] for r in rows], dtype=np.uint64), ids,
-                    [r[3] for r in rows], [len(period) for period in periods])
+    rows = [(p, oid, x, y) for p, period in enumerate(periods)
+            for oid, x, y in period]
+    ids = np.unique(ints(r[1] for r in rows))
+    return Snapshot(extent, ids, len(periods),
+                    ints(p * len(ids) + np.searchsorted(ids, oid)
+                         for p, oid, _, _ in rows),
+                    ints(r[2] for r in rows), ints(r[3] for r in rows),
+                    [(p, oid) in entrants for p, oid, _, _ in rows])
 
 
 def written(snaps) -> Writer:
@@ -74,24 +87,32 @@ def read_back(blob, extent, object_ids, periods=1):
     return back
 
 
+def section(extent, *periods) -> Writer:
+    """The file's section for each period's (code, id, entrant) rows in
+    the order given, as the reference encoder writes it."""
+    w = Writer()
+    write_snapshots(w, extent, periods)
+    return w
+
+
 class TestK2Tree:
     def test_hand_checked_grid(self):
-        # codes: (0, 0) -> 0, (1, 2) -> 9, (3, 3) -> 15; (1, 2) holds two
-        # rows.  The period follows one of a single row, and its rows count
-        # from its own first row
-        t, _ = columns(4, 4, [(2, 2)], [(3, 3), (1, 2), (0, 0), (1, 2)])
-        assert len(t.xs) == 5
-        assert t.report_cells(Region(0, 3, 0, 3), 1, 5) == \
-            [(0, 0, 0), (1, 2, 1), (1, 2, 2), (3, 3, 3)]
-        assert t.report_cells(Region(1, 2, 1, 2), 1, 5) == [(1, 2, 1), (1, 2, 2)]
-        assert t.report_cells(Region(2, 3, 0, 1), 1, 5) == []
-        # codes 0..10 span rows 0-2; the filter drops (1, 2)
-        assert t.report_cells(Region(0, 0, 0, 3), 1, 5) == [(0, 0, 0)]
-        assert t.report_cells(Region(0, 3, 0, 3), 0, 1) == [(2, 2, 0)]
+        # (1, 2) holds two rows.  The period follows one of a single row,
+        # so its slots are 4..7, counted from 4, and slots 1..3 hold no row
+        t, n = columns(4, 4, [(2, 2)], [(3, 3), (1, 2), (0, 0), (1, 2)])
+        assert n == 4 and len(t.xs) == 8
+        assert t.report_cells(Region(0, 3, 0, 3), 4, 8) == \
+            [(3, 3, 0), (1, 2, 1), (0, 0, 2), (1, 2, 3)]
+        assert t.report_cells(Region(1, 2, 1, 2), 4, 8) == [(1, 2, 1), (1, 2, 3)]
+        assert t.report_cells(Region(2, 3, 0, 1), 4, 8) == []
+        assert t.report_cells(Region(0, 0, 0, 3), 4, 8) == [(0, 0, 2)]
+        # the empty slots sit at (0, 0) but hold no row
+        assert t.report_cells(Region(0, 3, 0, 3), 0, 4) == [(2, 2, 0)]
+        assert t.report_cells(Region(0, 0, 0, 0), 0, 4) == []
 
     def test_empty_grid(self):
-        t, _ = columns(16, 16, [], [])
-        assert len(t.xs) == 0
+        t, n = columns(16, 16, [], [])
+        assert n == 0 and len(t.xs) == 0
         assert t.report_cells(Region(0, 15, 0, 15), 0, 0) == []
 
     def test_single_cell_grid(self):
@@ -99,30 +120,37 @@ class TestK2Tree:
         assert t.report_cells(Region(0, 0, 0, 0), 0, 2) == [(0, 0, 0), (0, 0, 1)]
         assert t.report_cells(Region(1, 4, 0, 0), 0, 2) == []
 
-    def test_rejects_cells_off_the_grid_or_out_of_order(self):
-        with pytest.raises(ValueError, match="grid"):
-            K2Tree(4, 4, morton_codes([4], [0]), np.array([0, 1]))
-        with pytest.raises(ValueError, match="grid"):
-            K2Tree(4, 4, morton_codes([0], [4]), np.array([0, 1]))
-        with pytest.raises(ValueError, match="out of order"):
-            K2Tree(4, 4, morton_codes([3, 1], [3, 1]), np.array([0, 2]))
-        # a code may fall where a period begins
-        K2Tree(4, 4, morton_codes([3, 1], [3, 1]), np.array([0, 1, 2]))
-        with pytest.raises(ValueError, match="out of order"):
-            K2Tree(4, 4, morton_codes([0, 3, 1], [0, 3, 1]),
-                   np.array([0, 1, 3]))
-        with pytest.raises(ValueError):
-            K2Tree(0, 4, morton_codes([], []), np.array([0]))
-        with pytest.raises(ValueError, match="past 1..4294967295"):
-            K2Tree(1 << 32, 4, morton_codes([], []), np.array([0]))
+    def test_states(self):
+        t = K2Tree(4, 4, 4, ints([3, 0]), ints([1, 2]), ints([3, 0]), [1, 0])
+        assert list(t.state) == [FIX, NO_ROW, NO_ROW, ENTRANT]
+        # a probe reports an entrant's cell too
+        assert t.report_cells(Region(0, 3, 0, 3), 0, 4) == [(2, 0, 0),
+                                                            (1, 3, 3)]
 
-    def test_rejects_a_code_write_cannot_store(self):
-        # a period's row j is stored as its code plus j, an int64
-        big = np.array([0, (1 << 63) - 2], dtype=np.uint64)
-        side = (1 << 32) - 1
-        K2Tree(side, side, big, np.array([0, 1, 2]))
-        with pytest.raises(ValueError, match="Morton code"):
-            K2Tree(side, side, big, np.array([0, 2]))
+    @pytest.mark.parametrize("extent, dtype", [
+        ((1, 1), np.uint16), ((1 << 16, 3), np.uint16),
+        ((3, 1 << 16), np.uint16), ((1 << 16, 1 << 16), np.uint16),
+        ((1 << 16 | 1, 3), np.uint32), ((3, 1 << 16 | 1), np.uint32),
+        (((1 << 32) - 1, (1 << 32) - 1), np.uint32)])
+    def test_coordinates_take_the_narrowest_width_the_grid_allows(
+            self, extent, dtype):
+        w, h = extent
+        t, _ = columns(w, h, [(w - 1, h - 1), (0, 0)])
+        assert t.xs.dtype == t.ys.dtype == dtype
+        assert t.report_cells(Region(0, w - 1, 0, h - 1), 0, 2) == \
+            [(w - 1, h - 1, 0), (0, 0, 1)]
+
+    def test_rejects_cells_off_the_grid_or_a_slot_twice(self):
+        with pytest.raises(ValueError, match="off the 4x4 grid"):
+            columns(4, 4, [(4, 0)])
+        with pytest.raises(ValueError, match="off the 4x4 grid"):
+            columns(4, 4, [], [(0, 4)])
+        with pytest.raises(ValueError, match="twice"):
+            K2Tree(4, 4, 2, ints([1, 1]), ints([0, 1]), ints([0, 1]), [0, 0])
+        with pytest.raises(ValueError):
+            columns(0, 4, [])
+        with pytest.raises(ValueError, match="past 1..4294967295"):
+            columns(1 << 32, 4, [])
 
     def test_report_matches_linear_filter(self):
         rng = np.random.default_rng(4)
@@ -131,42 +159,38 @@ class TestK2Tree:
             periods = [[(int(x), int(y)) for x, y in
                         zip(rng.integers(0, w, k), rng.integers(0, h, k))]
                        for k in rng.integers(0, 121, 3)]
-            tree, starts = columns(w, h, *periods)
+            tree, n = columns(w, h, *periods)
             for q in range(6):
                 x1 = int(rng.integers(0, w)); x2 = int(rng.integers(x1, w))
                 y1 = int(rng.integers(0, h)); y2 = int(rng.integers(y1, h))
                 for p, cells in enumerate(periods):
-                    want = sorted(c for c in cells
-                                  if x1 <= c[0] <= x2 and y1 <= c[1] <= y2)
+                    want = [(x, y, slot) for slot, (x, y) in enumerate(cells)
+                            if x1 <= x <= x2 and y1 <= y <= y2]
                     got = tree.report_cells(Region(x1, x2, y1, y2),
-                                            starts[p], starts[p + 1])
-                    assert sorted((x, y) for x, y, _ in got) == want
-                    # rows come in order, each at most once
-                    rows = [r for _, _, r in got]
-                    assert rows == sorted(set(rows))
+                                            p * n, (p + 1) * n)
+                    # by slot, each at most once
+                    assert got == want
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_report_matches_linear_filter_anywhere(self, data):
         # odd and lopsided grids, empty ones, cells holding several rows,
-        # and regions that stick out of the grid or miss it altogether;
-        # the period probed follows another
+        # empty slots, and regions that stick out of the grid or miss it
+        # altogether; the period probed follows another
         w, h = data.draw(st.sampled_from([(1, 1), (3, 700), (1000, 5)])
                          | st.tuples(st.integers(1, 70), st.integers(1, 70)))
         cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
         lead = data.draw(st.lists(cell, max_size=10))
         cells = data.draw(st.lists(cell, max_size=60))
         cells += cells[:data.draw(st.integers(0, len(cells)))]
-        tree, starts = columns(w, h, lead, cells)
-        codes = morton_codes([x for x, _ in cells], [y for _, y in cells])
-        by_row = [cell for _, cell in sorted(zip(codes.tolist(), cells))]
+        tree, n = columns(w, h, lead, cells)
         x1 = data.draw(st.integers(-40, w + 40))
         x2 = data.draw(st.integers(x1, w + 80))
         y1 = data.draw(st.integers(-40, h + 40))
         y2 = data.draw(st.integers(y1, h + 80))
-        want = [(x, y, row) for row, (x, y) in enumerate(by_row)
+        want = [(x, y, slot) for slot, (x, y) in enumerate(cells)
                 if x1 <= x <= x2 and y1 <= y <= y2]
-        got = tree.report_cells(Region(x1, x2, y1, y2), starts[1], starts[2])
+        got = tree.report_cells(Region(x1, x2, y1, y2), n, 2 * n)
         assert got == want
         assert all(type(v) is int for c in got for v in c)
 
@@ -185,8 +209,9 @@ class TestSnapshot:
         assert snaps.fix(2, 1) == (6, 6)
         assert snaps.fix(2, 0) is None
         full = Region(0, 7, 0, 7)
-        # a probe reports no entrant; the table keeps an entrant's cell
-        assert sorted(snaps.range_report(full, 0)) == [(3, 0, 7), (5, 2, 2)]
+        # a probe reports no entrant, and its answers come by id; the
+        # table keeps an entrant's cell
+        assert snaps.range_report(full, 0) == [(3, 0, 7), (5, 2, 2)]
         assert snaps.range_report(Region(1, 3, 1, 3), 0) == [(5, 2, 2)]
         assert snaps.range_report(Region(6, 7, 0, 1), 0) == []
         assert snaps.range_report(full, 1) == []
@@ -195,23 +220,37 @@ class TestSnapshot:
                                     np.array([0, 1, 2, 3, 1]))
         assert (x.tolist(), y.tolist(), entrant.tolist()) == \
             ([0, 2, 2, 7, 6], [7, 2, 2, 0, 6], [0, 0, 1, 1, 0])
+        with pytest.raises(ValueError, match="no row in its period"):
+            snaps.cells(np.array([0, 1]), np.array([0, 1]))
 
     def test_empty_snapshot(self):
         snaps = table((16, 16), [])
         assert len(snaps) == 1 and snaps.fix_count == 0
         assert snaps.range_report(Region(0, 15, 0, 15), 0) == []
+        assert written(read_back(written(snaps), (16, 16), [])) == written(snaps)
 
     def test_rejects_duplicate_ids_and_stray_positions(self):
         with pytest.raises(ValueError, match="twice"):
             table((8, 8), [(1, 0, 0), (1, 3, 3)])
+        with pytest.raises(ValueError, match="twice"):
+            table((8, 8), [(1, 2, 2), (1, 2, 2)])
         table((8, 8), [(1, 0, 0)], [(1, 3, 3)])  # once in each period
         with pytest.raises(ValueError, match="grid"):
             table((8, 8), [(1, 8, 0)])
-        codes = morton_codes([1, 2], [1, 2])
-        with pytest.raises(ValueError, match="listed objects"):
-            Snapshot((8, 8), np.array([1, 2]), codes, [1, 3], [0, 0], [2])
-        with pytest.raises(ValueError, match="listed objects"):
-            Snapshot((8, 8), np.array([1, 2, 3]), codes, [1, 2], [0, 0], [2])
+
+    def test_rejects_a_code_write_cannot_store(self):
+        # a period's row j (from 1), in Morton order, is stored as its code
+        # plus j, an int64: (2**32 - 2, 2**31 - 1) has code 2**63 - 2
+        side = (1 << 32) - 1
+        rows = [(1, 0, 0), (2, side - 1, (1 << 31) - 1)]
+        assert morton_codes([side - 1], [(1 << 31) - 1])[0] == (1 << 63) - 2
+        table((side, side), rows[:1], rows[1:])
+        with pytest.raises(ValueError, match="Morton code"):
+            table((side, side), rows)
+        # a row at y >= 2**31 has a code past 2**63
+        table((8, side), [(1, 0, (1 << 31) - 1)])
+        with pytest.raises(ValueError, match="Morton code"):
+            table((8, side), [(1, 0, 1 << 31)])
 
     def test_matches_linear_filter(self):
         rng = np.random.default_rng(6)
@@ -237,13 +276,16 @@ class TestSnapshot:
                     want = sorted((oid, x, y) for oid, x, y in rows
                                   if x1 <= x <= x2 and y1 <= y <= y2
                                   and (p, oid) not in entrants)
-                    got = sorted(snaps.range_report(Region(x1, x2, y1, y2), p))
-                    assert got == want
+                    assert snaps.range_report(Region(x1, x2, y1, y2), p) == want
                 # every row's cell and entrant flag, entrants' included
                 i = np.searchsorted(listed, [oid for oid, _, _ in rows])
                 x, y, entrant = snaps.cells(np.full(len(rows), p), i)
                 assert list(zip(x.tolist(), y.tolist(), entrant.tolist())) \
                     == [(x, y, (p, oid) in entrants) for oid, x, y in rows]
+            back = read_back(written(snaps), (w, h), listed, len(periods))
+            assert back.tree.state == snaps.tree.state
+            assert (back.tree.xs == snaps.tree.xs).all()
+            assert (back.tree.ys == snaps.tree.ys).all()
 
     def test_round_trip(self):
         rows = [(oid, oid % 11, oid % 7) for oid in range(1, 40)]
@@ -256,6 +298,14 @@ class TestSnapshot:
         for p in range(3):
             assert back.range_report(full, p) == snaps.range_report(full, p)
         assert written(back) == written(snaps)
+
+    def test_writes_rows_by_code_and_then_id(self):
+        # ids 5..8 sit at codes 15, 0, 9 and 9: the file holds them as
+        # 6, 7, 8, 5, whatever their slots' order
+        snaps = table((4, 4), [(5, 3, 3), (6, 0, 0), (7, 1, 2), (8, 1, 2)],
+                      entrants={(0, 7)})
+        assert written(snaps) == section(
+            (4, 4), [(0, 6, 0), (9, 7, 1), (9, 8, 0), (15, 5, 0)])
 
     def test_hand_checked_bytes(self):
         # one period on a 4x4 grid (top code 15) with codes 0, 9 and 15:
@@ -288,6 +338,35 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="more rows"):
             read_back(w, (5, 8), [1])
 
+    def test_read_rejects_rows_out_of_order(self):
+        # codes 3 and 5 share their high part, so either order decodes;
+        # rows of one code go by id, and a new period may start lower
+        read_back(section((4, 4), [(3, 2, 0), (5, 1, 0)]), (4, 4), [1, 2])
+        read_back(section((4, 4), [(3, 1, 0), (3, 2, 0)]), (4, 4), [1, 2])
+        read_back(section((4, 4), [(5, 1, 0)], [(3, 1, 0)]), (4, 4), [1], 2)
+        for rows in ([(5, 1, 0), (3, 2, 0)], [(3, 2, 0), (3, 1, 0)]):
+            with pytest.raises(ValueError, match="out of order"):
+                read_back(section((4, 4), rows), (4, 4), [1, 2])
+
+    def test_read_rejects_a_code_write_cannot_store(self):
+        # one row on a tall grid: a low width of 63, so the high bits
+        # hold bit 63 of the code, at bit 0 or 1 of three; moving it up
+        # puts the row at y = 2**31 + 5, on the grid but past what write
+        # stores
+        extent = (8, (1 << 32) - 1)
+        blob = written(table(extent, [(1, 0, 5)]))
+        assert blob[12] == 0b001
+        blob[12] = 0b010
+        with pytest.raises(ValueError, match="Morton code"):
+            read_back(blob, extent, [1])
+
+    def test_read_rejects_ids_other_than_the_listed_ones(self):
+        w = written(table((8, 8), [(1, 1, 1), (2, 2, 2)]))
+        read_back(w, (8, 8), [1, 2])
+        for listed in ([1, 3], [1, 2, 3], [0, 2]):  # stray, missing, both
+            with pytest.raises(ValueError, match="listed objects"):
+                read_back(w, (8, 8), listed)
+
     @pytest.mark.parametrize("extent", [(1 << 16, 1 << 24), (8, (1 << 32) - 1),
                                         ((1 << 32) - 1, (1 << 32) - 1)],
                              ids=["24-bit-y", "tall", "widest"])
@@ -300,7 +379,7 @@ class TestSnapshot:
         back = read_back(written(snaps), extent, [1, 2], 2)
         full = Region(0, w - 1, 0, h - 1)
         assert back.range_report(full, 0) == [far]
-        assert sorted(back.range_report(full, 1)) == [(1, 1, 2), (2, 3, 5)]
+        assert back.range_report(full, 1) == [(1, 1, 2), (2, 3, 5)]
         assert written(back) == written(snaps)
 
     def test_read_rejects_an_id_repeated(self):
