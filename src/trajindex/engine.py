@@ -48,7 +48,7 @@ from trajindex.snapshot import Region, Snapshot
 from trajindex.succinct import U32_MAX, BitPool, Reader, Writer, nbytes, words_from
 
 _MAGIC = b"CTCT"
-_VERSION = 9
+_VERSION = 10
 _PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
 _CRC_AT = 6  # offset of the CRC field, which the CRC skips
 _ROOT = TREE + 1
@@ -395,9 +395,13 @@ class TrajectoryIndex:
         reader can work out:
           magic, u16 version, u32 CRC-32 of every other byte of the file;
           u32 width, height, horizon, period, leaf capacity, sample count,
-          max speed, object count; the object ids as u32s;
-          the snapshots of every period as one section (see `Snapshot.write`),
-          and a bitmap over periods and object ids marking who has a log;
+          max speed, object count; the object ids as u32s, and their sum
+          modulo 2**32;
+          the snapshots of every period as one slot table (see
+          `Snapshot.write`): a bitmap over periods and object ids marking
+          who has a row, a bitmap over the rows marking the entrants, and
+          the rows' xs and ys;
+          a bitmap over periods and object ids marking who has a log;
           then every log with its box tree, by period and then by id, as
           the index holds them (see `encoder`): their u32 fields, row
           after row, whatever their width in the records, the bit pool's
@@ -433,9 +437,9 @@ class TrajectoryIndex:
         """Load an index; a malformed, truncated or corrupt buffer, or one
         of another format version, raises ValueError.
 
-        The pools are copied as the file holds them, every record and
-        every snapshot code is worked out in one numpy pass, and each
-        pool's directory is built once.
+        The pools are copied as the file holds them, every record is
+        worked out in one numpy pass, the snapshot rows are scattered to
+        their slots in another, and each pool's directory is built once.
         """
         if len(buf) < _PREFIX.size or bytes(buf[:4]) != _MAGIC:
             raise ValueError("not an index file")
@@ -455,8 +459,11 @@ class TrajectoryIndex:
                              f"{leaf_capacity} or horizon {horizon}")
         _check_periods(horizon, period)
         object_ids = r.u32s(nobj)
+        id_sum, = r.u32s(1).tolist()
         if np.any(object_ids[1:] <= object_ids[:-1]):
             raise ValueError("object ids are not strictly increasing")
+        if _id_sum(object_ids) != id_sum:
+            raise ValueError("object ids do not add up to their stored sum")
         periods = -(-horizon // period)
         snapshots = Snapshot.read(r, (w, h), object_ids, periods)
         slots = np.flatnonzero(r.bits(periods * nobj))  # as __init__ wants
@@ -491,7 +498,14 @@ def _header(extent, horizon, period, leaf_capacity, sample_count, max_speed,
     w.u32(*extent, horizon, period, leaf_capacity, sample_count, max_speed,
           len(ids))
     w.u32s(ids)
+    w.u32(_id_sum(ids))
     return w
+
+
+def _id_sum(ids) -> int:
+    # the file's one copy of the ids carries their sum, so that a flipped
+    # id is refused
+    return int(np.sum(ids, dtype=np.uint64)) & U32_MAX
 
 
 def _framed(body: Writer) -> bytes:

@@ -6,8 +6,8 @@ so that a change to the package's own cannot move the reference), and
 `write_bits` lays out every bitmap and packed array.  Each adds its u32
 fields and its pieces to a `Parts`, log after log.
 `reference_blob` writes an index file from them: the header, the
-snapshot section, which `write_snapshots` writes a period at a time in
-plain Python ints, the presence bitmap, then the logs' fields, bit pool
+snapshot section, which `write_snapshots` writes slot by slot in plain
+Python ints, the presence bitmap, then the logs' fields, bit pool
 and word pool; the header and the frame come from the package.
 """
 
@@ -72,37 +72,20 @@ def write_unary(parts: Parts, values) -> None:
                bits_at(high_length, (v >> low_width) + np.arange(1, m + 1)))
 
 
-def morton(x: int, y: int) -> int:
-    """x's bits in the even positions, y's in the odd ones."""
-    return sum((x >> b & 1) << 2 * b | (y >> b & 1) << 2 * b + 1
-               for b in range(32))
-
-
-def write_snapshots(w: Writer, extent, periods) -> None:
-    """The snapshot section: periods holds, per period, its rows as
-    (code, id, entrant) sorted by code and id.  Each period's row count;
-    per period the lows of the set whose j-th member (from 1) is its
-    j-th code + j, over [1, top + m], then per period its high bits; the
-    ids; the entrant flags."""
-    top = morton(extent[0] - 1, extent[1] - 1)
-    w.u32(*(len(rows) for rows in periods))
-    highs = []
-    for rows in periods:
-        m = len(rows)
-        n = top + m
-        positions = [code + j for j, (code, _, _) in enumerate(rows, 1)]
-        if positions and positions[-1] >= 1 << 63:
-            raise ValueError("a snapshot cannot store the Morton code")
-        low_width = max(0, (n // m).bit_length() - 1) if m else 0
-        write_packed(w, [(p - 1) & ((1 << low_width) - 1) for p in positions],
-                     low_width)
-        high_length = m + ((n - 1) >> low_width) + 1 if m else 0
-        highs.append(bits_at(high_length, [((p - 1) >> low_width) + j for j, p
-                                           in enumerate(positions, 1)]))
-    for high in highs:
-        write_bits(w, high)
-    w.u32s([oid for rows in periods for _, oid, _ in rows])
-    write_bits(w, [entrant for rows in periods for _, _, entrant in rows])
+def write_snapshots(w: Writer, extent, ids, periods) -> None:
+    """The snapshot section: periods holds, per period, a dict from the id
+    of each object with a row to its (x, y, entrant).  A bit per (period,
+    object) slot, set where the slot holds a row; an entrant flag per row,
+    by slot; then every row's x and every row's y, by slot, as 2-byte
+    ints where both grid sides are at most 2**16 and 4-byte ones
+    otherwise."""
+    rows = [period[oid] for period in periods for oid in ids if oid in period]
+    write_bits(w, [oid in period for period in periods for oid in ids])
+    write_bits(w, [entrant for _, _, entrant in rows])
+    size = 2 if max(extent) <= 1 << 16 else 4
+    for axis in (0, 1):
+        for row in rows:
+            w += row[axis].to_bytes(size, "little")
 
 
 def write_log(parts: Parts, samples, start: int, period: int) -> None:
@@ -225,9 +208,10 @@ def reference_blob(rows, period: int, leaf_capacity: int, extent,
         for oid, t, x, y in rows:
             if k <= t < k + period:
                 tracks.setdefault(oid, []).append((t, x, y))
-        snapped.append(sorted((morton(x, y), oid, t != k)
-                              for oid, ((t, x, y), *_) in tracks.items()))
-        entrants = {oid for _, oid, entrant in snapped[-1] if entrant}
+        snapped.append({oid: (x, y, t != k)
+                        for oid, ((t, x, y), *_) in tracks.items()})
+        entrants = {oid for oid, (_, _, entrant) in snapped[-1].items()
+                    if entrant}
         logs = {oid: track[oid not in entrants:]
                 for oid, track in tracks.items()}
         logged = [oid for oid in sorted(logs) if logs[oid]]
@@ -236,7 +220,7 @@ def reference_blob(rows, period: int, leaf_capacity: int, extent,
             log = np.array(logs[oid], dtype=np.int64)
             write_log(parts, log, k, period)
             write_tree(parts, log[:, 1], log[:, 2], leaf_capacity)
-    write_snapshots(w, extent, snapped)
+    write_snapshots(w, extent, ids.tolist(), snapped)
     write_bits(w, np.concatenate(present))
     w.u32(*parts.fields)
     w += parts.bits

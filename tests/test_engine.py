@@ -35,27 +35,32 @@ from trajindex.log import (
 from trajindex.mbrtree import MbrTree, TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import ENTRANT, NO_ROW, Region, Snapshot
-from trajindex.succinct import U32_MAX, Reader, Writer, nbytes
+from trajindex.succinct import U32_MAX, Reader, nbytes
 
+
+# two objects on a small part of a tall grid: 1 has a fix at every instant,
+# 2 enters in period 1
+SMALL_ROWS = ([(1, t, t % 5, t % 3) for t in range(30)]
+              + [(2, t, 3, 1 + t % 2) for t in range(5, 30)])
 
 # the four fleets whose file digests are recorded: (period, leaf capacity,
 # seed, fleet options, file size, SHA-256 of the file)
 DIGEST_FLEETS = [
     pytest.param(
-        240, 16, 5, {"drop_rate": 0.03}, 33198,
-        "e4c4522a2654b486f7f8a173a4a53e7d709324c77d496603433c73c9f3c6a4b1",
+        240, 16, 5, {"drop_rate": 0.03}, 32966,
+        "d1941981b85efbb71ef9a74953037527528f602ecad9d1c573709ce1dc35ac60",
         id="sparse-gaps"),
     pytest.param(
-        60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 58206,
-        "3890da6e7ed298e496e2fb2ee09c990b8e317cc1b513777f11e7c379b888b92f",
+        60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 57350,
+        "f01132f6a75b31c71d4f87abc5654cddddb4397a92531254aa670154ae72905c",
         id="gappy-short-period"),
     pytest.param(
-        120, 80, 7, {"drop_rate": 0.05}, 33846,
-        "5410bbc0ffb744e71875be7ab638159c80eaedf4d6c2d4a91b5829d3b0e085ff",
+        120, 80, 7, {"drop_rate": 0.05}, 33406,
+        "8ea3f22acc4e9a031430cee92c8763617a492d464141080c1c013d4bbf48cf5b",
         id="range-shape"),
     pytest.param(
-        720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 26998,
-        "1db5c67bdb0d08b0f84e0445563118150cada8c2b9a4d25bab52b049fa117213",
+        720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 26902,
+        "66b93b520ca78c320b456c16f552c8fa7337ca6398d1553b0a43dac401dadd7a",
         id="lookup-shape"),
 ]
 
@@ -254,8 +259,6 @@ class TestBuildValidation:
         ([(1, 1, 1, 1)], {"extent": (8, 1 << 33)}, "height"),
         ([(1, 1, 1, 1)], {"horizon": 1 << 32}, "horizon"),
         ([(1, 1, 1, 1)], {"max_speed": 1 << 32}, "max speed"),
-        # a snapshot stores each row's Morton code plus its row as an int64
-        ([(1, 0, 0, 1 << 31)], {"extent": (8, (1 << 32) - 1)}, "Morton code"),
         ([(1 << 63, 1, 1, 1)], {}, "64-bit integers"),
         # floats and bools would be truncated to grid cells
         ([(1, 0, 0.9, 0), (1, 1, 1.7, 0)], {}, "64-bit integers"),
@@ -483,7 +486,7 @@ class TestSerialization:
         finally:
             (gc.enable if was else gc.disable)()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_old_version_file_is_rejected_by_name(self, tiny_blob, version):
         old = tiny_blob[:4] + version.to_bytes(2, "little") + tiny_blob[6:]
         with pytest.raises(ValueError, match=f"version {version}"):
@@ -658,41 +661,59 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{count + change} samples"):
             TrajectoryIndex.from_bytes(edited)
 
-    def test_ids_the_snapshots_do_not_hold_are_rejected(self, tiny_blob):
-        # still strictly increasing, but object 4 is in no snapshot
-        bad = restamp(tiny_blob[:50] + (4).to_bytes(4, "little")
-                      + tiny_blob[54:])
-        with pytest.raises(ValueError, match="listed objects"):
+    @pytest.mark.parametrize("at, value", [(50, 4), (50, 3 | 1 << 31),
+                                           (54, 7)],
+                             ids=["id-3-to-4", "id-3-top-bit", "sum"])
+    def test_a_flipped_id_is_caught_by_the_id_sum(self, tiny_blob, at, value):
+        # the ids stay strictly increasing, so only their sum, the u32
+        # after them, tells that one has changed
+        assert np.frombuffer(tiny_blob, "<u4", 4, 42).tolist() == [1, 2, 3, 6]
+        bad = restamp(tiny_blob[:at] + struct.pack("<I", value)
+                      + tiny_blob[at + 4:])
+        with pytest.raises(ValueError, match="stored sum"):
             TrajectoryIndex.from_bytes(bad)
 
+    def test_ids_the_snapshots_do_not_hold_are_rejected(self):
+        # object 2's one fix, at instant 5, is its entrant row in period 1
+        # and nothing more: with that slot's bit cleared, no period holds
+        # a row for it
+        rows = [(1, t, t, 0) for t in range(8)] + [(2, 5, 5, 5)]
+        ix = build_index(rows, period=4, leaf_capacity=2, extent=(8, 8))
+        blob = bytearray(ix.to_bytes())
+        slot = self.snapshot_at(ix, 1)[0] + 1
+        assert blob[slot // 8] >> slot % 8 & 1
+        blob[slot // 8] ^= 1 << slot % 8
+        with pytest.raises(ValueError, match="every listed object"):
+            TrajectoryIndex.from_bytes(restamp(blob))
+
     @staticmethod
-    def snapshot_at(ix, p) -> tuple[int, int]:
-        """The byte where period p's snapshot ids begin in the file of ix,
-        and the bit of its first entrant flag."""
-        snaps = ix._snapshots
-        w = Writer()
-        snaps.write(w)
-        # the rows of every period, and of those before p
-        held = np.frombuffer(snaps.tree.state, np.uint8) != NO_ROW
-        rows = np.count_nonzero(held)
-        first = np.count_nonzero(held[:p * len(ix.object_ids)])
-        # the frame and the header's u32s, the object ids, then the
-        # section up to its entrant bitmap
-        entrants = 42 + 4 * len(ix.object_ids) + len(w) - 8 * -(-rows // 64)
-        return entrants - 4 * (rows - first), 8 * entrants + first
+    def snapshot_at(ix, p) -> tuple[int, int, int, int]:
+        """Where period p's snapshot lies in the file of ix: the bit of its
+        first slot, the bit of its first row's entrant flag, and the bytes
+        of its first row's x and of its first row's y."""
+        n, tree = len(ix.object_ids), ix._snapshots.tree
+        held = np.frombuffer(tree.state, np.uint8) != NO_ROW
+        rows, first = np.count_nonzero(held), np.count_nonzero(held[:p * n])
+        # the frame and the header's u32s, the object ids and their sum;
+        # then the slot bitmap, the entrant bitmap, the xs and the ys
+        slots = 46 + 4 * n
+        entrants = slots + 8 * -(-len(held) // 64)
+        xs = entrants + 8 * -(-rows // 64) + tree.xs.itemsize * first
+        return (8 * slots + p * n, 8 * entrants + first, xs,
+                xs + tree.xs.itemsize * rows)
 
     def test_a_log_without_a_snapshot_row_is_rejected(self):
-        # object 1 has a log in period 0, but the snapshot row there names
-        # object 2, which is in period 1's snapshot too
+        # object 1 has a log in period 0, but its snapshot row there moves
+        # to object 2, which is in period 1's snapshot too
         rows = [(1, t, t, 0) for t in range(8)] + [(2, t, 5, 5)
                                                    for t in range(4, 8)]
         ix = build_index(rows, period=4, leaf_capacity=2, extent=(8, 8))
-        blob = ix.to_bytes()
-        ids, _ = self.snapshot_at(ix, 0)
-        assert blob[ids:ids + 4] == struct.pack("<I", 1)
-        edited = restamp(blob[:ids] + struct.pack("<I", 2) + blob[ids + 4:])
+        blob = bytearray(ix.to_bytes())
+        slot = self.snapshot_at(ix, 0)[0]
+        assert blob[slot // 8] >> slot % 8 & 0b11 == 0b01
+        blob[slot // 8] ^= 0b11 << slot % 8
         with pytest.raises(ValueError, match="no row in its period"):
-            TrajectoryIndex.from_bytes(edited)
+            TrajectoryIndex.from_bytes(restamp(blob))
 
     def test_an_entrant_away_from_its_logs_first_fix_is_rejected(self):
         # the row of object 1 at instant 0, (0, 0), marked an entrant,
@@ -700,7 +721,7 @@ class TestSerialization:
         rows = [(1, t, t, 0) for t in range(4)]
         ix = build_index(rows, period=4, leaf_capacity=2, extent=(8, 8))
         blob = bytearray(ix.to_bytes())
-        _, entrant = self.snapshot_at(ix, 0)
+        entrant = self.snapshot_at(ix, 0)[1]
         assert blob[entrant // 8] >> entrant % 8 & 1 == 0
         blob[entrant // 8] |= 1 << entrant % 8
         blob[30:34] = struct.pack("<I", 3)  # the sample count
@@ -708,18 +729,18 @@ class TestSerialization:
             TrajectoryIndex.from_bytes(restamp(blob))
 
     def test_a_fix_beyond_reach_of_its_logs_first_fix_is_rejected(self):
-        # objects 1 and 2 swap their snapshot rows: 1 sits at (7, 7) at
+        # objects 1 and 2 swap their snapshot cells: 1 sits at (7, 7) at
         # instant 0, and 6 cells away one instant later
         rows = ([(1, t, t, 0) for t in range(4)]
                 + [(2, t, 7, 7 - t) for t in range(4)])
         ix = build_index(rows, period=4, leaf_capacity=2, extent=(8, 8))
         assert ix.max_speed == 1
-        blob = ix.to_bytes()
-        ids, _ = self.snapshot_at(ix, 0)
-        assert blob[ids:ids + 8] == struct.pack("<2I", 1, 2)
-        edited = restamp(blob[:ids] + struct.pack("<2I", 2, 1) + blob[ids + 8:])
+        blob = bytearray(ix.to_bytes())
+        for at in self.snapshot_at(ix, 0)[2:]:  # the xs, then the ys
+            assert blob[at:at + 4] == struct.pack("<2H", 0, 7)
+            blob[at:at + 4] = struct.pack("<2H", 7, 0)
         with pytest.raises(ValueError, match="speed bound's reach"):
-            TrajectoryIndex.from_bytes(edited)
+            TrajectoryIndex.from_bytes(restamp(blob))
 
     def test_every_bit_flip_past_the_checksum_loads_the_same_ids_or_fails(self):
         # the CRC is re-stamped, so every flip reaches the parser: it must
@@ -802,51 +823,39 @@ class TestSerialization:
                     outcomes.append("same answers")
         assert len(outcomes) == 64 * logs and "refused" in outcomes
 
-    @pytest.mark.parametrize("sparse", [False, True],
-                             ids=["count-past-objects", "rows-past-file"])
-    def test_row_counts_are_bounded_before_any_allocation(self, tiny_blob,
-                                                          sparse):
-        # the row counts follow the object ids; a count of 2**32 - 1 would
-        # size arrays of billions of rows, and 30 periods of a row each
-        # counted full hold 900 rows, 3,600 bytes of ids alone
-        if sparse:
-            blob = build_index([(i, 2 * i, i, i) for i in range(30)], period=2,
-                               leaf_capacity=2, extent=(32, 32)).to_bytes()
-            at, counts = 42 + 4 * 30, [30] * 30
-        else:
-            blob, at, counts = tiny_blob, 42 + 4 * 3, [U32_MAX]
-        size = 4 * len(counts)
-        edited = restamp(blob[:at] + struct.pack(f"<{len(counts)}I", *counts)
-                         + blob[at + size:])
-        assert len(edited) < 3600
-        with pytest.raises(ValueError, match="more rows"):
-            TrajectoryIndex.from_bytes(edited)
-
-    @pytest.mark.parametrize("extent", [(8, U32_MAX), (U32_MAX, U32_MAX)],
-                             ids=["tall", "widest"])
-    def test_tall_grid_round_trip(self, extent):
-        # the grid's top code passes 2**63, and so does the universe of
-        # each period's codes: period 0 holds one row, whose low width
-        # comes from a quotient past 2**63; small coordinates keep every
-        # code storable
-        rows = ([(1, t, t % 5, t % 3) for t in range(30)]
-                + [(2, t, 3, 1 + t % 2) for t in range(5, 30)])
+    @pytest.mark.parametrize("extent, rows", [
+        ((8, U32_MAX), SMALL_ROWS), ((U32_MAX, U32_MAX), SMALL_ROWS),
+        # a fix at y = 2**31, whose Morton code passed what version 9
+        # stored, and a track near it that enters in period 0
+        ((8, U32_MAX), [(1, 0, 0, 1 << 31)]
+         + [(2, t, t % 5, (1 << 31) + t % 3) for t in range(3, 13)]),
+    ], ids=["tall", "widest", "y-past-2**31"])
+    def test_tall_grid_round_trip(self, tmp_path, extent, rows):
+        # u32 cells: built, saved and loaded, the index answers as the
+        # oracle does
         built = build_index(rows, period=4, leaf_capacity=2, extent=extent)
         blob = built.to_bytes()
         assert blob == reference_blob(rows, 4, 2, extent)
-        loaded = TrajectoryIndex.from_bytes(blob)
+        built.save(tmp_path / "tall.idx")
+        loaded = TrajectoryIndex.load(tmp_path / "tall.idx")
         assert loaded.to_bytes() == blob
-        table = {(oid, t): (x, y) for oid, t, x, y in rows}
-        for oid in (1, 2):
-            assert [loaded.object_position(oid, q) for q in range(30)] == \
-                [built.object_position(oid, q) for q in range(30)] == \
-                [table.get((oid, q)) for q in range(30)]
-        for region in (Region(0, 7, 0, 7), Region(3, 3, 1, 1)):
-            for q in range(30):
+        table = PositionTable.from_samples(rows)
+        horizon = table.horizon
+        for oid in table.object_ids:
+            assert [loaded.object_position(oid, q) for q in range(horizon)] \
+                == [table.position(oid, q) for q in range(horizon)]
+            assert loaded.trajectory(oid, 0, horizon - 1) == \
+                table.trajectory(oid, 0, horizon - 1)
+        w, h = extent
+        for rect in ((0, 7, 0, 7), (3, 3, 1, 1), (0, w - 1, 0, h - 1),
+                     (0, 2, 1 << 31, (1 << 31) + 1)):
+            region = Region(*rect)
+            for q in range(horizon):
                 assert loaded.time_slice(region, q) == \
-                    built.time_slice(region, q)
-            assert loaded.time_interval(region, 0, 29) == \
-                built.time_interval(region, 0, 29) == [1, 2]
+                    oracle_slice(table, rect, q)
+            for first, last in ((0, horizon - 1), (1, 3), (5, 9)):
+                assert loaded.time_interval(region, first, last) == \
+                    oracle_interval(table, rect, first, last)
 
     @pytest.mark.parametrize("order", [[2, 1, 3], [1, 1, 3]],
                              ids=["swapped", "duplicate"])
@@ -866,12 +875,12 @@ class TestSerialization:
     def test_bytes_match_recorded_digest(self, period, leaf, seed, kwargs,
                                          size, digest):
         # the file format is frozen: these digests were recorded when the
-        # format moved to version 9, where a log's axis streams hold a
-        # member per fix after the first and a log with gaps a bitmap over
-        # its window.  The first fleet has few gaps in every log, the
-        # second a median of about a fifth of each short window; the last
-        # two have the periods and leaf capacities of the two perfbench
-        # workloads.  All four match the per-log reference encoder
+        # format moved to version 10, where the snapshots are a slot table
+        # and the header holds the ids' sum.  The first fleet has few gaps
+        # in every log, the second a median of about a fifth of each short
+        # window; the last two have the periods and leaf capacities of the
+        # two perfbench workloads.  All four match the per-log reference
+        # encoder
         fleet = make_fleet(12, 1500, (256, 256), seed, **kwargs)
         blob = build_index(fleet.rows(), period, leaf, fleet.extent,
                            horizon=fleet.horizon).to_bytes()

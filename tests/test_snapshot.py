@@ -11,7 +11,6 @@ from trajindex.snapshot import (
     K2Tree,
     Region,
     Snapshot,
-    morton_codes,
 )
 from trajindex.succinct import Reader, Writer
 
@@ -27,20 +26,6 @@ class TestRegion:
         r = Region(2, 4, 3, 3)
         assert r.contains(2, 3) and r.contains(4, 3)
         assert not r.contains(5, 3) and not r.contains(3, 2)
-
-
-class TestMorton:
-    def test_known_codes(self):
-        assert list(morton_codes([0, 3, 1], [0, 3, 2])) == [0, 15, 9]
-
-    @given(st.integers(0, 2**20 - 1), st.integers(0, 2**20 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_interleave_is_injective(self, x, y):
-        code = int(morton_codes([x], [y])[0])
-        # un-interleave by picking alternate bits
-        gx = sum(((code >> (2 * b)) & 1) << b for b in range(32))
-        gy = sum(((code >> (2 * b + 1)) & 1) << b for b in range(32))
-        assert (gx, gy) == (x, y)
 
 
 def ints(values) -> np.ndarray:
@@ -87,11 +72,11 @@ def read_back(blob, extent, object_ids, periods=1):
     return back
 
 
-def section(extent, *periods) -> Writer:
-    """The file's section for each period's (code, id, entrant) rows in
-    the order given, as the reference encoder writes it."""
+def section(extent, ids, *periods) -> Writer:
+    """The file's section for each period's {id: (x, y, entrant)} rows,
+    as the reference encoder writes it."""
     w = Writer()
-    write_snapshots(w, extent, periods)
+    write_snapshots(w, extent, ids, periods)
     return w
 
 
@@ -238,20 +223,6 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="grid"):
             table((8, 8), [(1, 8, 0)])
 
-    def test_rejects_a_code_write_cannot_store(self):
-        # a period's row j (from 1), in Morton order, is stored as its code
-        # plus j, an int64: (2**32 - 2, 2**31 - 1) has code 2**63 - 2
-        side = (1 << 32) - 1
-        rows = [(1, 0, 0), (2, side - 1, (1 << 31) - 1)]
-        assert morton_codes([side - 1], [(1 << 31) - 1])[0] == (1 << 63) - 2
-        table((side, side), rows[:1], rows[1:])
-        with pytest.raises(ValueError, match="Morton code"):
-            table((side, side), rows)
-        # a row at y >= 2**31 has a code past 2**63
-        table((8, side), [(1, 0, (1 << 31) - 1)])
-        with pytest.raises(ValueError, match="Morton code"):
-            table((8, side), [(1, 0, 1 << 31)])
-
     def test_matches_linear_filter(self):
         rng = np.random.default_rng(6)
         for trial in range(30):
@@ -282,6 +253,10 @@ class TestSnapshot:
                 x, y, entrant = snaps.cells(np.full(len(rows), p), i)
                 assert list(zip(x.tolist(), y.tolist(), entrant.tolist())) \
                     == [(x, y, (p, oid) in entrants) for oid, x, y in rows]
+            assert written(snaps) == section(
+                (w, h), listed, *({oid: (x, y, (p, oid) in entrants)
+                                   for oid, x, y in rows}
+                                  for p, rows in enumerate(periods)))
             back = read_back(written(snaps), (w, h), listed, len(periods))
             assert back.tree.state == snaps.tree.state
             assert (back.tree.xs == snaps.tree.xs).all()
@@ -299,94 +274,71 @@ class TestSnapshot:
             assert back.range_report(full, p) == snaps.range_report(full, p)
         assert written(back) == written(snaps)
 
-    def test_writes_rows_by_code_and_then_id(self):
-        # ids 5..8 sit at codes 15, 0, 9 and 9: the file holds them as
-        # 6, 7, 8, 5, whatever their slots' order
-        snaps = table((4, 4), [(5, 3, 3), (6, 0, 0), (7, 1, 2), (8, 1, 2)],
-                      entrants={(0, 7)})
-        assert written(snaps) == section(
-            (4, 4), [(0, 6, 0), (9, 7, 1), (9, 8, 0), (15, 5, 0)])
-
     def test_hand_checked_bytes(self):
-        # one period on a 4x4 grid (top code 15) with codes 0, 9 and 15:
-        # members 1, 11 and 18 over [1, 18], a low width of floor(log2(18
-        # / 3)) = 2, so (member - 1) & 3 = 0, 2, 1 and high bits at
-        # ((member - 1) >> 2) + j = 0, 3 and 6 of 3 + (17 >> 2) + 1 = 8
-        snaps = table((4, 4), [(5, 0, 0), (6, 1, 2), (7, 3, 3)],
+        # objects 5, 6 and 7 over two periods, slots 0..5: 6 is an entrant
+        # in period 0, and period 1 holds only 6, at (2, 1).  Slot bits 0,
+        # 1, 2 and 4; entrant bit 1 of four rows; the xs then the ys as
+        # u16s, on a 4x4 grid
+        snaps = table((4, 4), [(5, 0, 0), (6, 1, 2), (7, 3, 3)], [(6, 2, 1)],
                       entrants={(0, 6)})
         blob = bytes(written(snaps))
-        assert blob == (b"\x03\0\0\0" + (0b011000).to_bytes(8, "little")
-                        + (0b1001001).to_bytes(8, "little")
-                        + np.array([5, 6, 7], "<u4").tobytes()
-                        + (0b010).to_bytes(8, "little"))
-        read_back(blob, (4, 4), [5, 6, 7])
-        for at, bit, part in ((4, 6, "lows"), (11, 7, "lows"),
-                              (12, 0, "high bits"), (12, 3, "high bits"),
-                              (13, 0, "high bits"), (19, 7, "high bits")):
-            # a bit set past the lows, a member's high bit cleared, or a
-            # bit set past the high bits
-            bad = bytearray(blob)
-            bad[at] ^= 1 << bit
-            with pytest.raises(ValueError, match=part):
-                read_back(bad, (4, 4), [5, 6, 7])
+        assert blob == ((0b10111).to_bytes(8, "little")
+                        + (0b0010).to_bytes(8, "little")
+                        + np.array([0, 1, 3, 2], "<u2").tobytes()
+                        + np.array([0, 2, 3, 1], "<u2").tobytes())
+        assert blob == section((4, 4), [5, 6, 7],
+                               {5: (0, 0, 0), 6: (1, 2, 1), 7: (3, 3, 0)},
+                               {6: (2, 1, 0)})
+        back = read_back(blob, (4, 4), [5, 6, 7], 2)
+        assert back.tree.state == snaps.tree.state
+        assert back.fix(1, 1) == (2, 1) and back.fix(0, 1) is None
 
-    def test_read_rejects_a_code_off_the_grid_or_too_many_rows(self):
-        w = written(table((5, 8), [(1, 4, 0)]))
-        with pytest.raises(ValueError, match="off the 4x8 grid"):
-            read_back(w, (4, 8), [1])  # under the top code
-        w[:4] = (2).to_bytes(4, "little")  # the row count
-        with pytest.raises(ValueError, match="more rows"):
-            read_back(w, (5, 8), [1])
+    @pytest.mark.parametrize("at, bit, message", [
+        (0, 6, "past its end"),    # slot 6: a bit past the slot bitmap
+        (7, 7, "past its end"),
+        (8, 4, "past its end"),    # row 4 of four: past the entrant bitmap
+        (15, 7, "past its end"),
+        (0, 5, "truncated"),       # a fifth row, whose cells the file lacks
+        (16, 2, "off the 4x4 grid"),   # the first row's x, 0 -> 4
+        (30, 3, "off the 4x4 grid"),   # the last row's y, 1 -> 9
+    ], ids=["slot-bit", "slot-word-end", "entrant-bit", "entrant-word-end",
+            "slot-without-cells", "x-off-grid", "y-off-grid"])
+    def test_read_rejects_a_corrupt_section(self, at, bit, message):
+        snaps = table((4, 4), [(5, 0, 0), (6, 1, 2), (7, 3, 3)], [(6, 2, 1)],
+                      entrants={(0, 6)})
+        bad = bytearray(written(snaps))
+        bad[at] ^= 1 << bit
+        with pytest.raises(ValueError, match=message):
+            read_back(bad, (4, 4), [5, 6, 7], 2)
 
-    def test_read_rejects_rows_out_of_order(self):
-        # codes 3 and 5 share their high part, so either order decodes;
-        # rows of one code go by id, and a new period may start lower
-        read_back(section((4, 4), [(3, 2, 0), (5, 1, 0)]), (4, 4), [1, 2])
-        read_back(section((4, 4), [(3, 1, 0), (3, 2, 0)]), (4, 4), [1, 2])
-        read_back(section((4, 4), [(5, 1, 0)], [(3, 1, 0)]), (4, 4), [1], 2)
-        for rows in ([(5, 1, 0), (3, 2, 0)], [(3, 2, 0), (3, 1, 0)]):
-            with pytest.raises(ValueError, match="out of order"):
-                read_back(section((4, 4), rows), (4, 4), [1, 2])
-
-    def test_read_rejects_a_code_write_cannot_store(self):
-        # one row on a tall grid: a low width of 63, so the high bits
-        # hold bit 63 of the code, at bit 0 or 1 of three; moving it up
-        # puts the row at y = 2**31 + 5, on the grid but past what write
-        # stores
-        extent = (8, (1 << 32) - 1)
-        blob = written(table(extent, [(1, 0, 5)]))
-        assert blob[12] == 0b001
-        blob[12] = 0b010
-        with pytest.raises(ValueError, match="Morton code"):
-            read_back(blob, extent, [1])
-
-    def test_read_rejects_ids_other_than_the_listed_ones(self):
-        w = written(table((8, 8), [(1, 1, 1), (2, 2, 2)]))
-        read_back(w, (8, 8), [1, 2])
-        for listed in ([1, 3], [1, 2, 3], [0, 2]):  # stray, missing, both
-            with pytest.raises(ValueError, match="listed objects"):
-                read_back(w, (8, 8), listed)
+    def test_read_rejects_an_object_with_no_row(self):
+        # object 3 is listed, but no period holds a row for it
+        snaps = Snapshot((8, 8), ints([1, 2, 3]), 2, ints([0, 1, 3]),
+                         ints([1, 2, 3]), ints([1, 2, 3]), [0, 0, 0])
+        w = written(snaps)
+        with pytest.raises(ValueError, match="every listed object"):
+            read_back(w, (8, 8), [1, 2, 3], 2)
+        # once in either period is enough
+        for slot in (2, 5):
+            read_back(written(Snapshot(
+                (8, 8), ints([1, 2, 3]), 2, ints([0, 1, slot]),
+                ints([1, 2, 3]), ints([1, 2, 3]), [0, 0, 0])), (8, 8),
+                [1, 2, 3], 2)
 
     @pytest.mark.parametrize("extent", [(1 << 16, 1 << 24), (8, (1 << 32) - 1),
                                         ((1 << 32) - 1, (1 << 32) - 1)],
                              ids=["24-bit-y", "tall", "widest"])
     def test_wide_grid_round_trip(self, extent):
-        # codes past 2**32, and on the tall grids top codes past 2**63,
-        # which set the low widths: one period of one row, one of two
+        # u32 cells, up to the grid's far corner: one period of one row,
+        # one of two
         w, h = extent
-        far = (1, w - 1, min(h - 1, 2**31 - 1))
+        far = (1, w - 1, h - 1)
         snaps = table(extent, [far], [(1, 1, 2), (2, 3, 5)])
+        assert snaps.tree.xs.dtype == np.uint32
         back = read_back(written(snaps), extent, [1, 2], 2)
         full = Region(0, w - 1, 0, h - 1)
         assert back.range_report(full, 0) == [far]
         assert back.range_report(full, 1) == [(1, 1, 2), (2, 3, 5)]
-        assert written(back) == written(snaps)
-
-    def test_read_rejects_an_id_repeated(self):
-        snaps = table((8, 8), [(4, 1, 1), (8, 2, 2)], [(8, 1, 1), (9, 2, 2)])
-        w = written(snaps)
-        at = len(w) - 8 - 16  # four u32 ids, then one word of entrant bits
-        assert np.frombuffer(w, "<u4", 4, at).tolist() == [4, 8, 8, 9]
-        w[at + 4:at + 8] = w[at:at + 4]
-        with pytest.raises(ValueError, match="twice"):
-            read_back(w, (8, 8), [4, 8, 9], 2)
+        assert written(back) == written(snaps) == section(
+            extent, [1, 2], {1: (w - 1, h - 1, 0)},
+            {1: (1, 2, 0), 2: (3, 5, 0)})
