@@ -9,10 +9,10 @@ widths) is one array operation over all logs, and every word-aligned
 piece of every log and tree is set in one of two bit buffers, one per
 pool, each packed once.
 
-The file holds three things: the u32 fields of every log and its tree,
-one row of U32_FIELDS per log, and two pools, each the pieces of every
-log in file order, each piece from a word boundary.  A loaded index
-holds the same pools, and each log's fields in its record (see `log`).
+The file holds three things: the fields of every log and its tree, a
+row of U32_FIELDS per log at the widths of the records (see `log`), and
+two pools, each the pieces of every log in file order, each piece from a
+word boundary; a loaded index holds the same pools and the records.
 A log's fields, in file order:
   first and last local instant, gap count;
   speed bound s, the largest step rate on either axis, and the widths of

@@ -20,6 +20,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 
 import numpy as np
+from numpy.lib.recfunctions import repack_fields
 
 from trajindex.encoder import U32_FIELDS, encode
 from trajindex.log import (
@@ -48,12 +49,14 @@ from trajindex.snapshot import Region, Snapshot
 from trajindex.succinct import U32_MAX, BitPool, Reader, Writer, nbytes, words_from
 
 _MAGIC = b"CTCT"
-_VERSION = 10
+_VERSION = 11
 _PREFIX = struct.Struct("<4sHI")  # magic, version, CRC-32
 _CRC_AT = 6  # offset of the CRC field, which the CRC skips
 _ROOT = TREE + 1
 MAX_PERIODS = 1 << 20  # each period costs a snapshot, data or not
-_WIDTHS = {"B": 1, "H": 2, "I": 4}  # a record field's bytes by its code
+_CODES = {1: "B", 2: "H", 4: "I"}  # a record field's code by its bytes
+_NAMES = [str(i) for i in range(RECORD_FIELDS)]  # fields in a numpy record
+_STORED = [_NAMES[i] for i in FILE_FIELDS]
 # the record fields that a spatial query reads of every log in its
 # window, as rows: the window's first and last instants, the first fix's
 # x twice and y twice, the root box (xmin, xmax, ymin, ymax), the speed
@@ -64,19 +67,11 @@ _FILTERED = [0, 1, X_FIRST, X_FIRST, Y_FIRST, Y_FIRST,
 _SIGNS = np.array([1, -1, -1, 1, -1, 1, 1, -1, 1, -1])[:, None]
 
 
-def _record(f: np.ndarray) -> struct.Struct:
-    # a log's record (see `log`), each field at the narrowest of 1, 2 or
-    # 4 bytes that holds its column's largest value among the records f
-    return struct.Struct("<" + "".join(
-        "B" if top < 1 << 8 else "H" if top < 1 << 16 else "I"
-        for top in f.max(axis=0, initial=0).tolist()))
-
-
-def _kept(record: struct.Struct) -> np.ndarray:
-    # the bytes that a record keeps of its fields as little-endian u32s:
-    # the first 1, 2 or 4 of each
-    return np.concatenate([4 * i + np.arange(_WIDTHS[code])
-                           for i, code in enumerate(record.format[1:])])
+def _codes(f: np.ndarray) -> str:
+    # each column of f at the narrowest of 1, 2 or 4 bytes that holds its
+    # largest value, as struct codes
+    return "".join(_CODES[1 if top < 1 << 8 else 2 if top < 1 << 16 else 4]
+                   for top in f.max(axis=0, initial=0).tolist())
 
 
 class TrajectoryIndex:
@@ -114,21 +109,19 @@ class TrajectoryIndex:
         self._snapshots = snapshots
         self._bits = bits
         self._words = words
-        self._record = record = _record(f)
+        codes = _codes(f)
+        self._record = struct.Struct("<" + codes)
         # the parts of a record that queries read alone: the log's fields,
         # those before the tree's, which are all that a position reads;
-        # the head, those before the x axis's; and the fields _FILTERED,
-        # as a numpy record that skips the rest
-        codes = record.format[1:]
+        # the head, those before the x axis's; and as a numpy record, by
+        # `_NAMES`, the columns that `_candidates` and the file read
         self._log_part = struct.Struct("<" + codes[:TREE])
         self._head = struct.Struct("<" + codes[:X_AXIS])
-        at = np.cumsum([0] + [_WIDTHS[code] for code in codes])
-        self._filtered = np.dtype({
-            "names": [str(j) for j in range(len(_FILTERED))],
-            "formats": ["<" + codes[i] for i in _FILTERED],
-            "offsets": at[_FILTERED].tolist(), "itemsize": record.size})
-        self._records = f.astype("<u4").view(np.uint8)[
-            :, _kept(record)].tobytes()
+        self._dtype = np.dtype({"names": _NAMES, "formats": ["<" + c for c in codes]})
+        records = np.empty(len(f), self._dtype)
+        for name, column in zip(_NAMES, f.T):
+            records[name] = column
+        self._records = records.tobytes()
         # [:] is an exact copy: an array made from bytes keeps up to a
         # sixteenth more room
         self._rows = array("i", rows.tobytes())[:]
@@ -256,9 +249,9 @@ class TrajectoryIndex:
         if not len(at):
             return None
         row = int(slots[at[0]])
-        r = np.frombuffer(self._records, self._filtered, len(at),
+        r = np.frombuffer(self._records, self._dtype, len(at),
                           row * self._record.size)
-        c = np.array([r[name] for name in r.dtype.names], dtype=np.float64)
+        c = np.array([r[_NAMES[i]] for i in _FILTERED], dtype=np.float64)
         lo, hi = max(first - p0 * d, 1), min(last - p1 * d, d - 1)
         spans = p0 < p1
         t = c[:10] * _SIGNS - np.array([
@@ -403,9 +396,10 @@ class TrajectoryIndex:
           the rows' xs and ys;
           a bitmap over periods and object ids marking who has a log;
           then every log with its box tree, by period and then by id, as
-          the index holds them (see `encoder`): their u32 fields, row
-          after row, whatever their width in the records, the bit pool's
-          words and the word pool's words.
+          the index holds them (see `encoder`): a byte per stored field
+          giving its width in the records, 1, 2 or 4; their stored fields,
+          row after row, at those widths; the bit pool's words and the
+          word pool's words.
         A log's axis streams hold a member per fix after its first, and a
         log with gaps a bitmap over its window, so an object's position is
         a rank and one select per axis (see `log`).
@@ -416,19 +410,18 @@ class TrajectoryIndex:
         self._snapshots.write(w)
         sizes = {"snapshots": len(w) - mark}
         w.bits(np.frombuffer(self._rows, dtype=np.int32) >= 0)
-        table = np.zeros((len(self._records) // self._record.size,
-                          4 * RECORD_FIELDS), dtype=np.uint8)
-        table[:, _kept(self._record)] = np.frombuffer(
-            self._records, dtype=np.uint8).reshape(-1, self._record.size)
-        f = table.view("<u4").astype(np.int64)
-        w.u32s(f[:, FILE_FIELDS])
+        f = np.frombuffer(self._records, self._dtype)
+        stored = repack_fields(f[_STORED])
+        widths = bytes(stored.dtype[name].itemsize for name in _STORED)
+        w += widths + stored.tobytes()
         w.words(self._bits.words)
         w.words(self._words)
         # a tree's diffs end where the next log's words begin, with its
         # entry arrays
-        diffs = np.append(f[1:, ENTRIES], len(self._words)) - f[:, TREE]
-        sizes["trees"] = 20 * len(f) + 8 * int(diffs.sum())
-        sizes["logs"] = (4 * U32_FIELDS * len(f) - sizes["trees"]
+        diffs = np.append(f[_NAMES[ENTRIES]][1:], len(self._words)) - f[_NAMES[TREE]]
+        # and its fields are the last five stored
+        sizes["trees"] = sum(widths[-5:]) * len(f) + 8 * int(diffs.sum())
+        sizes["logs"] = (stored.nbytes - sizes["trees"]
                          + nbytes(self._bits.words, self._words))
         return _framed(w), sizes
 
@@ -468,15 +461,22 @@ class TrajectoryIndex:
         snapshots = Snapshot.read(r, (w, h), object_ids, periods)
         slots = np.flatnonzero(r.bits(periods * nobj))  # as __init__ wants
         p, i = np.divmod(slots, max(nobj, 1))  # each log's period and object
-        table = r.u32s(U32_FIELDS * len(slots)).reshape(
-            -1, U32_FIELDS).astype(np.int64)
+        widths = bytes(r.take(U32_FIELDS))
+        if not set(widths) <= set(_CODES):
+            raise ValueError(f"log field widths {list(widths)} are not 1, 2 or 4")
+        codes = "".join(_CODES[width] for width in widths)
+        dtype = np.dtype({"names": _STORED, "formats": ["<" + c for c in codes]})
+        stored = np.frombuffer(r.take(dtype.itemsize * len(slots)), dtype)
+        table = np.array([stored[name] for name in _STORED], np.int64).T
+        if _codes(table) != codes:
+            raise ValueError("a log field's column is stored wider than its "
+                             "largest value needs")
         _check_table(table, p * period, period, horizon, (w, h), max_speed,
                      snapshots.cells(p, i))
-        fixes = (table[:, 1] - table[:, 0] + 1 - table[:, 2]).sum()
-        if fixes + snapshots.fix_count != sample_count:
+        f, bit_words, word_words = records(table, leaf_capacity)
+        if f[:, DATA].sum() + snapshots.fix_count != sample_count:
             raise ValueError(f"the logs and snapshots do not hold the "
                              f"{sample_count} samples the header counts")
-        f, bit_words, word_words = records(table, leaf_capacity)
         pools = r.take(8 * (bit_words + word_words))
         r.end()
         bits = bit_pool(f, pools[:8 * bit_words])

@@ -86,7 +86,7 @@ SPEED, WIDTHS, ENTRIES, X_FIRST, Y_FIRST = 17, 18, 19, 20, 21
 LOG_FIELDS = 23
 TREE = LOG_FIELDS - 1  # the tree's fields (see `MbrTree`) start here
 RECORD_FIELDS = LOG_FIELDS + 5
-# the record field of each u32 field the file stores, in file order
+# the record field of each field the file stores, in file order
 FILE_FIELDS = [0, 1, 2, SPEED, WIDTHS, X_FIRST, X_AXIS + 4, Y_FIRST,
                Y_AXIS + 4, TREE + 5, TREE + 1, TREE + 2, TREE + 3, TREE + 4]
 _BITMAPS = np.array([WINDOW, X_AXIS, Y_AXIS])  # each one's first word

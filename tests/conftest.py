@@ -2,9 +2,11 @@ import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
+from trajindex.engine import TrajectoryIndex
 from trajindex.log import FILE_FIELDS, TREE
 from trajindex.snapshot import Region
 from trajindex.succinct import Writer
@@ -81,6 +83,47 @@ def restamp(blob) -> bytes:
     blob = bytes(blob)
     crc = zlib.crc32(blob[10:], zlib.crc32(blob[:6]))
     return blob[:6] + crc.to_bytes(4, "little") + blob[10:]
+
+
+def stored_fields(blob):
+    """The stored log fields of an index file: the offset of their width
+    bytes, the offset where their table ends and the pools begin, each
+    column's width as its width byte gives it, and the table as int64
+    rows, a column per stored field in `FILE_FIELDS` order."""
+    ix = TrajectoryIndex.from_bytes(blob)
+    logs = len(ix._records) // ix._record.size
+    end = len(blob) - 8 * (len(ix._bits.words) + len(ix._words))
+    row = sum(ix._dtype[str(c)].itemsize for c in FILE_FIELDS)
+    at = end - logs * row - len(FILE_FIELDS)
+    widths = list(blob[at:at + len(FILE_FIELDS)])
+    dtype = np.dtype([(str(c), f"<u{w}") for c, w in zip(FILE_FIELDS, widths)])
+    assert dtype.itemsize == row
+    table = np.frombuffer(blob, dtype, logs, at + len(FILE_FIELDS))
+    return at, end, widths, np.array(table.tolist(), dtype=np.int64).reshape(
+        logs, len(FILE_FIELDS))
+
+
+def with_fields(blob, table, widths=None) -> bytes:
+    """blob, restamped, with table as its stored log fields (see
+    `stored_fields`), each column at its width in widths, by default the
+    narrowest of 1, 2 or 4 bytes that holds the column's largest value,
+    as an index writes it."""
+    at, end, _, _ = stored_fields(blob)
+    if widths is None:
+        widths = [1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
+                  for top in table.max(axis=0, initial=0).tolist()]
+    rows = b"".join(value.to_bytes(width, "little")
+                    for row in table.tolist() for value, width in zip(row, widths))
+    return restamp(blob[:at] + bytes(widths) + rows + blob[end:])
+
+
+def with_field(blob, row, column, value) -> bytes:
+    """blob, restamped, with record field column of log row set to value,
+    and its table rewritten at the widths its values need: a value too
+    large for its column's width widens the column."""
+    table = stored_fields(blob)[3]
+    table[row, FILE_FIELDS.index(column)] = value
+    return with_fields(blob, table)
 
 
 def pulled_in(box: Region):

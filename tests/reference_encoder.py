@@ -7,8 +7,9 @@ so that a change to the package's own cannot move the reference), and
 fields and its pieces to a `Parts`, log after log.
 `reference_blob` writes an index file from them: the header, the
 snapshot section, which `write_snapshots` writes slot by slot in plain
-Python ints, the presence bitmap, then the logs' fields, bit pool
-and word pool; the header and the frame come from the package.
+Python ints, the presence bitmap, then the logs' fields, which
+`write_fields` writes at each column's narrowest width, bit pool and
+word pool; the header and the frame come from the package.
 """
 
 from __future__ import annotations
@@ -86,6 +87,22 @@ def write_snapshots(w: Writer, extent, ids, periods) -> None:
     for axis in (0, 1):
         for row in rows:
             w += row[axis].to_bytes(size, "little")
+
+
+def write_fields(w: Writer, fields, per_log: int) -> None:
+    """The logs' fields, per_log of them to a log: a byte per column for
+    the width of its largest value, 1, 2 or 4, then row after row, each
+    field at its column's width."""
+    if not all(0 <= value <= U32_MAX for value in fields):
+        raise ValueError("a log field does not fit in a u32")
+    rows = [fields[at:at + per_log] for at in range(0, len(fields), per_log)]
+    tops = [max((row[c] for row in rows), default=0) for c in range(per_log)]
+    widths = [1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
+              for top in tops]
+    w += bytes(widths)
+    for row in rows:
+        for value, width in zip(row, widths):
+            w += value.to_bytes(width, "little")
 
 
 def write_log(parts: Parts, samples, start: int, period: int) -> None:
@@ -222,7 +239,7 @@ def reference_blob(rows, period: int, leaf_capacity: int, extent,
             write_tree(parts, log[:, 1], log[:, 2], leaf_capacity)
     write_snapshots(w, extent, ids.tolist(), snapped)
     write_bits(w, np.concatenate(present))
-    w.u32(*parts.fields)
+    write_fields(w, parts.fields, 14)  # nine of each log's, five of its tree's
     w += parts.bits
     w += parts.words
     return _framed(w)

@@ -10,10 +10,18 @@ import numpy as np
 import pytest
 
 import trajindex.log
-from conftest import REF_OBJECT, REF_PERIOD, REF_TRACK, pulled_in, restamp
+from conftest import (
+    REF_OBJECT,
+    REF_PERIOD,
+    REF_TRACK,
+    pulled_in,
+    restamp,
+    stored_fields,
+    with_field,
+    with_fields,
+)
 from reference_encoder import reference_blob
 from synth import make_fleet
-from trajindex.encoder import U32_FIELDS
 from trajindex.engine import (
     MAX_PERIODS,
     TrajectoryIndex,
@@ -24,6 +32,7 @@ from trajindex.ingest import RawRecord, parse_binary, write_binary
 from trajindex.log import (
     DATA,
     FILE_FIELDS,
+    SPEED,
     TREE,
     WIDTHS,
     X_AXIS,
@@ -47,20 +56,20 @@ SMALL_ROWS = ([(1, t, t % 5, t % 3) for t in range(30)]
 # seed, fleet options, file size, SHA-256 of the file)
 DIGEST_FLEETS = [
     pytest.param(
-        240, 16, 5, {"drop_rate": 0.03}, 32966,
-        "d1941981b85efbb71ef9a74953037527528f602ecad9d1c573709ce1dc35ac60",
+        240, 16, 5, {"drop_rate": 0.03}, 29620,
+        "e480fe69d074f8805f476bdef3d6d3f3b4547bc2ba02c5014257cde4700eb7b8",
         id="sparse-gaps"),
     pytest.param(
-        60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 57350,
-        "f01132f6a75b31c71d4f87abc5654cddddb4397a92531254aa670154ae72905c",
+        60, 8, 6, {"drop_rate": 0.2, "geometric": True}, 46264,
+        "884777b4f8fe7daac21ba1192fc43aa14aee377912526576e8cbc19588e55f58",
         id="gappy-short-period"),
     pytest.param(
-        120, 80, 7, {"drop_rate": 0.05}, 33406,
-        "8ea3f22acc4e9a031430cee92c8763617a492d464141080c1c013d4bbf48cf5b",
+        120, 80, 7, {"drop_rate": 0.05}, 27180,
+        "682512dd9a3a0b74e06d16fbe30e3334c1b2ee65004d2d070648b9a961552fed",
         id="range-shape"),
     pytest.param(
-        720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 26902,
-        "66b93b520ca78c320b456c16f552c8fa7337ca6398d1553b0a43dac401dadd7a",
+        720, 640, 8, {"drop_rate": 0.02, "max_step": 6}, 25512,
+        "55f636b26333c04374db2f02966f5bf3ef6c2b5fa7d062b4b62be24040e5cd7f",
         id="lookup-shape"),
 ]
 
@@ -486,7 +495,7 @@ class TestSerialization:
         finally:
             (gc.enable if was else gc.disable)()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_old_version_file_is_rejected_by_name(self, tiny_blob, version):
         old = tiny_blob[:4] + version.to_bytes(2, "little") + tiny_blob[6:]
         with pytest.raises(ValueError, match=f"version {version}"):
@@ -510,15 +519,17 @@ class TestSerialization:
         # the log's speed bound 3 and entry widths 0 (a log of one block
         # keeps s for both axes), first x 2 and x total 6 + 3 * 8 = 30;
         # its first y 4 and y total 5 + 3 * 8 = 29; its root box, x 2..10
-        # and y 4..10
-        pattern, shift = {"s": ((3, 0, 2, 30), 0), "x": ((3, 0, 2, 30), 8),
-                          "y": ((4, 29), 0), "xmax": ((2, 10, 4, 10), 4),
-                          "ymax": ((2, 10, 4, 10), 12)}[field]
-        pattern = struct.pack(f"<{len(pattern)}I", *pattern)
-        at = blob.find(pattern)
-        assert at > 0 and blob.find(pattern, at + 1) < 0
-        at += shift
-        edited = restamp(blob[:at] + struct.pack("<I", value) + blob[at + 4:])
+        # and y 4..10.  Each is a byte in the file, and xmax = 1000 takes
+        # its column to two
+        _, _, widths, table = stored_fields(blob)
+        stored = dict(zip(FILE_FIELDS, table[0].tolist()))
+        read = (SPEED, WIDTHS, X_FIRST, X_AXIS + 4, Y_FIRST, Y_AXIS + 4,
+                *range(TREE + 1, TREE + 5))
+        assert [stored[c] for c in read] == [3, 0, 2, 30, 4, 29, 2, 10, 4, 10]
+        assert widths == [1] * len(FILE_FIELDS)
+        column = {"s": SPEED, "x": X_FIRST, "y": Y_FIRST, "xmax": TREE + 2,
+                  "ymax": TREE + 4}[field]
+        edited = with_field(blob, 0, column, value)
         message = ("root box leaves the grid" if field.endswith("max")
                    else ok or "speed bound or first fix")
         if ok is True:
@@ -531,19 +542,14 @@ class TestSerialization:
     def test_widths_past_64_are_rejected(self, ref_rows, field):
         blob = build_index(ref_rows, period=REF_PERIOD, leaf_capacity=2,
                            extent=(16, 16), horizon=14).to_bytes()
-        # the log's entry widths follow its speed bound 3, the x
-        # reductions' in the low byte; its tree's diff width follows its
-        # first y 4 and y total 29
-        pattern = {"entries": (3, 0, 2, 30), "diffs": (4, 29)}[field]
-        at = blob.find(struct.pack(f"<{len(pattern)}I", *pattern))
-        at += 4 if field == "entries" else 8
+        # the x reductions' width is the low byte of the log's entry
+        # widths; the tree's diff width is a field of its own
+        column = {"entries": WIDTHS, "diffs": TREE + 5}[field]
         # a width of 64 passes the check, and the pools it implies are
         # longer than the file
         for width, message in ((64, "truncated"), (65, "64 bits")):
-            edited = restamp(blob[:at] + struct.pack("<I", width)
-                             + blob[at + 4:])
             with pytest.raises(ValueError, match=message):
-                TrajectoryIndex.from_bytes(edited)
+                TrajectoryIndex.from_bytes(with_field(blob, 0, column, width))
 
     @pytest.mark.parametrize("move, message", [
         (False, "wrong number of ones"), (True, "past its end")])
@@ -796,32 +802,59 @@ class TestSerialization:
     def test_every_flip_of_a_stream_total_fails_or_answers_the_same(
             self, tiny_blob):
         # a stream's total sets its low width and the length of its high
-        # bits; a flip that keeps every piece's word count must be
-        # refused at load, or leave an index that answers as the intact
-        # one does
+        # bits; a flip of any of the total's 32 bits, written at the width
+        # the flipped total needs, that keeps every piece's word count
+        # must be refused at load, or leave an index that answers as the
+        # intact one does
         ix = TrajectoryIndex.from_bytes(tiny_blob)
-        logs = len(ix._logs)
-        table = (len(tiny_blob) - 8 * (len(ix._bits.words) + len(ix._words))
-                 - 4 * U32_FIELDS * logs)
+        table = stored_fields(tiny_blob)[3]
         want = sweep(ix)
         outcomes = []
-        for row in range(logs):
+        for row in range(len(table)):
             for axis in (X_AXIS, Y_AXIS):
-                at = table + 4 * (U32_FIELDS * row
-                                  + FILE_FIELDS.index(axis + 4))
-                assert struct.unpack_from("<I", tiny_blob, at) == \
-                    (ix._fields(row)[axis + 4],)
+                total = ix._fields(row)[axis + 4]
+                assert table[row, FILE_FIELDS.index(axis + 4)] == total
                 for bit in range(32):
-                    flipped = bytearray(tiny_blob)
-                    flipped[at + bit // 8] ^= 1 << bit % 8
+                    flipped = with_field(tiny_blob, row, axis + 4,
+                                         total ^ 1 << bit)
                     try:
-                        loaded = TrajectoryIndex.from_bytes(restamp(flipped))
+                        loaded = TrajectoryIndex.from_bytes(flipped)
                     except ValueError:
                         outcomes.append("refused")
                         continue
                     assert sweep(loaded) == want, (row, axis, bit)
                     outcomes.append("same answers")
-        assert len(outcomes) == 64 * logs and "refused" in outcomes
+        assert len(outcomes) == 64 * len(table) and "refused" in outcomes
+
+    def test_every_flip_of_a_width_byte_is_refused(self, tiny_blob):
+        # a single-bit flip takes none of 1, 2 and 4 to another
+        at, _, widths, _ = stored_fields(tiny_blob)
+        for i in range(len(widths)):
+            for bit in range(8):
+                flipped = bytearray(tiny_blob)
+                flipped[at + i] ^= 1 << bit
+                with pytest.raises(ValueError, match="not 1, 2 or 4"):
+                    TrajectoryIndex.from_bytes(restamp(flipped))
+
+    def test_a_column_stored_one_width_too_wide_is_refused(self, tiny_blob):
+        _, _, widths, table = stored_fields(tiny_blob)
+        assert with_fields(tiny_blob, table) == tiny_blob
+        for i, width in enumerate(widths):
+            if width < 4:
+                wider = widths[:i] + [2 * width] + widths[i + 1:]
+                with pytest.raises(ValueError, match="wider than"):
+                    TrajectoryIndex.from_bytes(
+                        with_fields(tiny_blob, table, wider))
+
+    def test_a_table_cut_short_is_refused(self, tiny_blob):
+        # the reader asks for the whole table at the width bytes' end, 10
+        # bytes past the prefix
+        at, end, widths, _ = stored_fields(tiny_blob)
+        for cut in range(at + len(widths), end):
+            with pytest.raises(ValueError, match=f"truncated input: "
+                               f"{end - at - len(widths)} bytes wanted at "
+                               f"offset {at + len(widths) - 10},"):
+                TrajectoryIndex.from_bytes(restamp(tiny_blob[:cut]))
 
     @pytest.mark.parametrize("extent, rows", [
         ((8, U32_MAX), SMALL_ROWS), ((U32_MAX, U32_MAX), SMALL_ROWS),
@@ -875,8 +908,8 @@ class TestSerialization:
     def test_bytes_match_recorded_digest(self, period, leaf, seed, kwargs,
                                          size, digest):
         # the file format is frozen: these digests were recorded when the
-        # format moved to version 10, where the snapshots are a slot table
-        # and the header holds the ids' sum.  The first fleet has few gaps
+        # format moved to version 11, where the log fields are stored at
+        # their widths in the records.  The first fleet has few gaps
         # in every log, the second a median of about a fifth of each short
         # window; the last two have the periods and leaf capacities of the
         # two perfbench workloads.  All four match the per-log reference
@@ -1635,6 +1668,9 @@ class TestRecordWidths:
             ix = build_index(rows, 4, 2, (value + 1, 1))
         assert ix._fields(0)[column] == value
         assert ix._record.format[1 + column] == code
+        # and the file stores the column at the same width
+        assert stored_fields(ix.to_bytes())[2][FILE_FIELDS.index(column)] \
+            == struct.calcsize(code)
         back = TrajectoryIndex.from_bytes(ix.to_bytes())
         assert back._records == ix._records
         assert [back.object_position(1, t) for _, t, _, _ in rows] == \
