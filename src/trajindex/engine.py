@@ -8,7 +8,8 @@ the query's periods are consecutive records, so one numpy pass over their
 columns keeps those whose window meets the query's, whose first fix is
 within reach of the region at the log's speed bound, and whose root box
 meets the region; the kept logs are then confirmed against the exact
-compressed positions, or settled from their columns alone.
+compressed positions, `SLICE_BATCH` or fewer by `position_at` and more
+by `positions_at`, or settled from their columns alone.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from trajindex.log import (
     has_data,
     ordinal_range,
     position_at,
+    positions_at,
     records,
     surely_has_data,
 )
@@ -65,6 +67,7 @@ _STORED = [_NAMES[i] for i in FILE_FIELDS]
 _FILTERED = [0, 1, X_FIRST, X_FIRST, Y_FIRST, Y_FIRST,
              *range(_ROOT, _ROOT + 4), SPEED, 2]
 _SIGNS = np.array([1, -1, -1, 1, -1, 1, 1, -1, 1, -1])[:, None]
+SLICE_BATCH = 36  # past this many kept logs, one numpy read (break-even 32-35)
 
 
 def _codes(f: np.ndarray) -> str:
@@ -274,9 +277,17 @@ class TrajectoryIndex:
         if got is None:
             return []
         keep, at, first_row = got[:3]
+        oids = self._object_ids[at[keep]]
+        if len(keep) > SLICE_BATCH:  # the kept logs' fields, as int64 rows
+            r = np.frombuffer(self._records, self._dtype, keep[-1] + 1,
+                              first_row * self._record.size)
+            x, y, fix = positions_at(self._bits, self._words, np.array(
+                [r[name] for name in _NAMES[:TREE]], np.int64).T[keep], local)
+            fix &= ((x >= region.x1) & (x <= region.x2) & (y >= region.y1)
+                    & (y <= region.y2))
+            return list(zip(*(a[fix].tolist() for a in (oids, x, y))))
         out = []
-        for oid, row in zip(self._object_ids[at[keep]].tolist(),
-                            (keep + first_row).tolist()):
+        for oid, row in zip(oids.tolist(), (keep + first_row).tolist()):
             pos = position_at(self._bits, self._words, self._log_fields(row),
                               local)
             if pos is not None and region.contains(pos[0], pos[1]):

@@ -34,8 +34,9 @@ and an index keeps them as one table, each field at the narrowest width
 per column, chosen per index.  The functions here answer from a record,
 and the classes are views over it.
 
-`position_at` reads one position.  A run of fixes, of one log or of
-many, is one `decode`, the sequential read of the same sets: since the
+`position_at` reads one position, `positions_at` one of each of many
+logs.  A run of fixes, of one log or of many, is one `decode`, the
+sequential read of the same sets: since the
 records give each bitmap's count of ones, one unpacking of every log's
 bitmaps finds each fix's offset and each member's high part by index,
 so a trajectory takes a few numpy calls, not a Python step per fix.
@@ -44,6 +45,7 @@ so a trajectory takes a few numpy calls, not a Python step per fix.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +62,7 @@ from trajindex.succinct import (
     packed_get,
     rank,
     select,
+    select_many,
     set_places,
     word_starts,
     words_from,
@@ -301,6 +304,37 @@ def position_at(bits: BitPool, words, f, i: int) -> tuple[int, int] | None:
     return x + rx * k - ox, y + ry * k - oy
 
 
+def positions_at(bits: BitPool, words, f: np.ndarray, i: int) -> tuple:
+    """`position_at` at local instant i of the log in each row of the
+    int64 records f, in a fixed few dozen numpy calls: the xs, the ys, and
+    which logs have a fix at i; only those logs' xs and ys mean anything."""
+    k = i - f[:, 0]  # the step
+    fix = (k >= 0) & (i <= f[:, 1])
+    if not len(bits.words):  # no log has a gap or a member
+        return f[:, X_FIRST], f[:, Y_FIRST], k == 0
+    k[~fix] = 0  # so that every read below stays in the log's pieces
+    # j: k, or with gaps the rank before i's bit once that bit is set
+    gappy = fix & (f[:, 2] > 0)
+    p = np.where(gappy, (f[:, WINDOW] << 6) + k, 0)
+    w, off = p >> 6, (p & 63).astype(np.uint64)
+    word = np.frombuffer(bits.words, dtype=np.uint64)[w]
+    fix &= ~gappy | (word >> off & 1 == 1)
+    j = np.where(gappy, bits.ones_before(w) - f[:, WINDOW + 1]
+                 + np.bitwise_count(word << np.uint64(64) - off), k)[:, None]
+    # P(j) as `position_at` reads it; a first fix reads the pool's first one
+    member = fix[:, None] & (j > 0)
+    q = select_many(bits, np.where(member, f[:, _STREAMS + 1] + j, 1).ravel())
+    lw = f[:, _STREAMS + 3]
+    low = packed_at(words, (f[:, _STREAMS + 2] << 6) + (j - 1) * lw, lw)
+    moved = (q.reshape(lw.shape) - (f[:, _STREAMS] << 6) + 1 - j << lw
+             | low) + 1 - j
+    if f[:, WIDTHS].any():  # and the drift, r_b*k - o_b
+        red, off = _block_entries(words, f, (j[:, 0] - 1) >> BLOCK_SHIFT)
+        moved += red * k[:, None] - off
+    return (*(f[:, [X_FIRST, Y_FIRST]] - (f[:, SPEED] * k)[:, None]
+              + member * moved).T, fix)
+
+
 def decode(bits: BitPool, words, pieces) -> tuple[np.ndarray, ...]:
     """The instants, xs and ys, as int64 arrays, of the fixes among local
     instants lo..hi of the log with fields f, for each piece (f, k, lo,
@@ -398,11 +432,9 @@ class AxisDeltas:
     `sign`, `pos` and `neg` are the axis as signed steps, the first step
     being the coordinate itself: which steps are non-negative, and unary
     streams of the non-negative steps and of the negative ones'
-    magnitudes.  Nothing stores them; each is built from a decode of the
-    axis.
+    magnitudes.  Nothing stores them; each is built from the axis's
+    steps, which a view decodes once.
     """
-
-    __slots__ = ("_bits", "_words", "_f", "_a")
 
     def __init__(self, bits: BitPool, words, f, a: int):
         """The axis whose stream's fields start at f[a]."""
@@ -414,6 +446,7 @@ class AxisDeltas:
         return UnaryDeltaStream(SparseBitVector(self._bits, self._words, f, a, m),
                                 m, f[a + 4])
 
+    @cached_property
     def _steps(self) -> np.ndarray:
         # the whole axis, decoded in one numpy pass
         f = self._f
@@ -423,17 +456,15 @@ class AxisDeltas:
 
     @property
     def sign(self) -> BitVector:
-        return BitVector.from_bits(self._steps() >= 0)
+        return BitVector.from_bits(self._steps >= 0)
 
     @property
     def pos(self) -> UnaryDeltaStream:
-        steps = self._steps()
-        return UnaryDeltaStream.from_values(steps[steps >= 0])
+        return UnaryDeltaStream.from_values(self._steps[self._steps >= 0])
 
     @property
     def neg(self) -> UnaryDeltaStream:
-        steps = self._steps()
-        return UnaryDeltaStream.from_values(-steps[steps < 0])
+        return UnaryDeltaStream.from_values(-self._steps[self._steps < 0])
 
     def code_bits(self) -> int:
         """The bits of the stream and of the blocks' entries."""
@@ -446,7 +477,8 @@ class AxisDeltas:
 class TrajectoryLog:
     """Movement of one object within one period, positions in O(1)."""
 
-    __slots__ = ("_bits", "_words", "_f", "object_id", "start", "period")
+    __slots__ = ("_bits", "_words", "_f", "object_id", "start", "period",
+                 "__dict__")  # and the axes' views, once made
 
     def __init__(self, bits: BitPool, words, f, object_id: int, start: int,
                  period: int):
@@ -460,11 +492,11 @@ class TrajectoryLog:
     def time(self) -> TimeIndex:
         return TimeIndex(self._bits, self._words, self._f)
 
-    @property
+    @cached_property
     def dx(self) -> AxisDeltas:
         return AxisDeltas(self._bits, self._words, self._f, X_AXIS)
 
-    @property
+    @cached_property
     def dy(self) -> AxisDeltas:
         return AxisDeltas(self._bits, self._words, self._f, Y_AXIS)
 

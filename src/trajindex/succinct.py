@@ -5,7 +5,8 @@ least significant bit first, each from a word boundary, with one
 directory of ones over the whole pool.  Packed integers live in a plain
 word array, the word pool.  A bitmap is then its first word and the
 number of ones before that word: `rank` is the pool's count less those
-ones, and `select` bisects only the superblocks the bitmap spans.  Only
+ones, and `select` bisects only the superblocks the bitmap spans, while
+`select_many` searches the whole directory for many ones at once.  Only
 set bits are ever selected.  The functions below are the one
 implementation of rank and select; the classes are thin views over them,
 and callers that keep the bases elsewhere, such as a log's fields, call
@@ -34,6 +35,7 @@ import numpy as np
 U32_MAX = (1 << 32) - 1  # the largest value a u32 field holds
 _SUPER_SHIFT = 3
 _SUPER = 1 << _SUPER_SHIFT  # words per superblock, i.e. 512-bit superblocks
+_INNER = np.arange(1, _SUPER)[:, None]  # a superblock's words after its first
 _POP8 = bytes(bin(i).count("1") for i in range(256))
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -228,6 +230,21 @@ def select(pool: BitPool, base: int, end: int, ones: int, j: int) -> int:
         word >>= 8
         pos += 8
     return pos + _SELECT8[(k - 1) << 8 | (word & 0xFF)]
+
+
+def select_many(pool: BitPool, g: np.ndarray) -> np.ndarray:
+    """The place, from 0 among the pool's bits, of the g-th one of the
+    whole pool for each g of a flat int64 array: one `searchsorted` of the
+    pool's counts picks each superblock, its word counts the word and the
+    word's set places the bit."""
+    sup = np.frombuffer(pool.super1, dtype=np.int64)
+    s = (sup.searchsorted(g) - 1) << _SUPER_SHIFT
+    w = s + (pool.ones_before(s + _INNER) < g).sum(axis=0)
+    # word r's set places start at bit 64 * r among all the words'
+    word = np.frombuffer(pool.words, dtype=np.uint64)[w]
+    ones = np.bitwise_count(word)
+    at = ones.cumsum(dtype=np.int64) - ones + g - pool.ones_before(w) - 1
+    return set_places(word)[at] + (w - np.arange(len(w)) << 6)
 
 
 def next_one(pool: BitPool, base: int, i: int) -> int:

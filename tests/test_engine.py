@@ -1675,3 +1675,93 @@ class TestRecordWidths:
         assert back._records == ix._records
         assert [back.object_position(1, t) for _, t, _, _ in rows] == \
             [(x, y) for _, _, x, y in rows]
+
+
+@pytest.fixture
+def batched(monkeypatch):
+    """The kept-log count of each batched read that a slice makes."""
+    kept = []
+    read = trajindex.engine.positions_at
+
+    def counted(bits, words, f, i):
+        kept.append(len(f))
+        return read(bits, words, f, i)
+
+    monkeypatch.setattr("trajindex.engine.positions_at", counted)
+    return kept
+
+
+@pytest.fixture(params=[0, 1 << 30], ids=["all-batched", "none-batched"])
+def slice_batch(request, monkeypatch, batched):
+    """`SLICE_BATCH` forced below and above every fleet's object count, so
+    that a slice confirms all its kept logs with `positions_at`, or each
+    with `position_at`; the test must then have taken that path."""
+    monkeypatch.setattr("trajindex.engine.SLICE_BATCH", request.param)
+    yield
+    assert bool(batched) == (request.param == 0)
+
+
+@pytest.mark.usefixtures("slice_batch")
+class TestSliceCountRule:
+    """The slice sweeps against the oracle, on either side of the count
+    rule: a slice that keeps more than `SLICE_BATCH` logs confirms them
+    in one numpy read, and one that keeps fewer, one by one."""
+
+    def test_slices(self, small_index, small_table):
+        TestAgainstOracle().test_slices(small_index, small_table)
+
+    def test_period_choice(self, small_fleet, small_table):
+        TestAgainstOracle().test_period_choice_does_not_change_answers(
+            small_fleet, small_table)
+
+    def test_edge_regions(self, small_fleet, small_index, small_table):
+        TestRootBoxFilter().test_edge_regions_match_oracle(
+            small_fleet, small_index, small_table)
+
+    @pytest.mark.parametrize("seed, d", [(70, 5), (73, 4)])
+    def test_small_fleets(self, seed, d):
+        TestRecordFilter().test_small_fleets_match_the_oracle(seed, d)
+
+    @pytest.mark.parametrize("fleet, period, leaf, wide, width", [
+        pytest.param((6, 200, (200_000, 200_000), 22, 3, 0.05), 20, 4,
+                     [X_FIRST, Y_FIRST, *range(TREE + 1, TREE + 5)], 4,
+                     id="wide-grid"),
+        pytest.param((30, 1500, (1 << 20, 1 << 20), 23, 5000, 0.05), 120, 1,
+                     [X_AXIS + 2, Y_AXIS + 2, TREE, 4, X_AXIS + 1,
+                      Y_AXIS + 1], 4, id="pools-past-65535-words"),
+    ])
+    def test_wide_records(self, fleet, period, leaf, wide, width):
+        TestRecordWidths().test_each_column_takes_its_narrowest_width(
+            fleet, period, leaf, wide, width)
+
+
+def test_a_fleet_past_the_count_rule_matches_the_oracle(batched):
+    # more objects than SLICE_BATCH, a fifth of their fixes dropped, so
+    # logs have gaps and objects enter periods late; three objects send
+    # a fix at each period's first instant and one more in the period,
+    # so each of their logs holds that one fix
+    n = trajindex.engine.SLICE_BATCH + 24
+    fleet = make_fleet(n, 200, (300, 300), seed=197, drop_rate=0.2)
+    d = 40
+    rng = np.random.default_rng(197)
+    starts = np.arange(0, 200, d)
+    fleet.present[-3:] = False
+    fleet.present[-3:, np.r_[starts, starts + rng.integers(1, d, 5)]] = True
+    ix = build_index(fleet.rows(), period=d, leaf_capacity=4,
+                     extent=fleet.extent)
+    table = PositionTable(fleet.ids, fleet.present, fleet.xs, fleet.ys)
+    logs = [ix._fields(row) for row in ix._rows if row >= 0]
+    assert sum(f[DATA] == 1 for f in logs) >= 15
+    assert ENTRANT in ix._snapshots.tree.state
+    rects = [(0, 299, 0, 299), (0, 149, 0, 299), (40, 259, 40, 259)]
+    for _ in range(6):
+        x1, y1 = rng.integers(0, 300, 2).tolist()
+        rects.append((x1, x1 + 60, y1, y1 + 60))
+    for rect in rects:
+        for q in range(fleet.horizon):
+            assert ix.time_slice(Region(*rect), q) == \
+                oracle_slice(table, rect, q)
+    # at least every slice of the whole grid off a snapshot instant took
+    # the batched read, and none that kept fewer logs than the rule
+    assert len(batched) >= fleet.horizon - fleet.horizon // d
+    assert min(batched) > trajindex.engine.SLICE_BATCH

@@ -19,6 +19,7 @@ from trajindex.log import (
     WIDTHS,
     WINDOW,
     X_AXIS,
+    Y_AXIS,
     TimeIndex,
     TrajectoryLog,
     bit_pool,
@@ -27,6 +28,7 @@ from trajindex.log import (
     has_data,
     ordinal_range,
     position_at,
+    positions_at,
     records,
 )
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
@@ -944,7 +946,7 @@ class TestAxisSteps:
         walk = pointwise(log._bits, log._words, log._f, 0, 1, log._f[1])
         for k, axis in ((1, log.dx), (2, log.dy)):
             coords = [p[k] for p in walk]
-            assert axis._steps().tolist() == \
+            assert axis._steps.tolist() == \
                 np.diff(coords, prepend=0).tolist()
 
     def test_random_logs(self):
@@ -968,6 +970,69 @@ class TestAxisSteps:
         log = build_log(rows, 0, 200)
         assert log._f[WIDTHS]
         self.check(log)
+
+
+def batch_cases():
+    """(name, period, rows) for logs at the edges `positions_at` reads
+    across: gaps at word and superblock edges and one-fix logs (see
+    `edge_tracks`), windows and high bits over several superblocks, and
+    bursts that make the log store block entries."""
+    yield from edge_tracks()
+    rng = np.random.default_rng(191)
+    for window in (2000, 3000):
+        yield f"long-{window}", window + 3, gappy_rows(rng, window,
+                                                       window // 5)[0]
+    for at in (18, 360):  # a jump that stays, then a spike
+        yield f"park-at-{at}", 720, [(t, 100 * (t >= at), 0)
+                                     for t in range(1, 720) if t % 7]
+        yield f"spike-at-{at}", 720, [(t, 9, 5000 * (t == at))
+                                      for t in range(2, 719)]
+
+
+def batched(bits, words, f, i):
+    """`positions_at` of the records f at instant i, as `position_at`
+    answers: a position per log, or None."""
+    x, y, fix = positions_at(bits, words, np.asarray(f, dtype=np.int64), i)
+    return [(a, b) if ok else None
+            for a, b, ok in zip(x.tolist(), y.tolist(), fix.tolist())]
+
+
+class TestPositionsAt:
+    """`positions_at` answers as `position_at` does, log by log, at every
+    local instant: before a log's window, in it, at its gaps and after
+    it; one log at a time and all of them in one call."""
+
+    CASES = list(batch_cases())
+
+    @pytest.mark.parametrize("name, period, rows",
+                             [pytest.param(*c, id=c[0]) for c in CASES])
+    def test_each_log_at_every_instant(self, name, period, rows):
+        log = build_log(rows, 0, period)
+        table = {t: (x, y) for t, x, y in rows}
+        assert [batched(log._bits, log._words, [log._f], i)[0]
+                for i in range(1, period)] == \
+            [table.get(i) for i in range(1, period)]
+
+    def test_every_log_of_one_pool_in_one_call(self):
+        cols = np.concatenate([rows for _, _, rows in self.CASES])
+        sizes = [len(rows) for _, _, rows in self.CASES]
+        period = max(period for _, period, _ in self.CASES)
+        u32s, bit_words, word_words = encode(
+            *cols.T, np.cumsum(sizes) - sizes, np.zeros(len(sizes)), period, 4)
+        f = records(u32s, 4)[0]
+        bits, words = bit_pool(f, bit_words), words_from(word_words)
+        assert (f[:, WIDTHS] > 0).any() and (f[:, DATA] == 1).any()
+        logs = f.tolist()
+        for i in range(1, period):
+            assert batched(bits, words, f, i) == \
+                [position_at(bits, words, row, i) for row in logs], i
+        # the members' ones, of which each is selected at its instant,
+        # hold the first one of some superblock of the pool
+        sup = np.array(bits.super1)
+        firsts = set((sup[:-1][np.diff(sup) > 0] + 1).tolist())
+        members = {g for row in logs for a in (X_AXIS, Y_AXIS)
+                   for g in range(row[a + 1] + 1, row[a + 1] + row[DATA])}
+        assert firsts & members
 
 
 class TestDecode:

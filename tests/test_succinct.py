@@ -22,6 +22,7 @@ from trajindex.succinct import (
     packed_get,
     rank,
     select,
+    select_many,
     words_from,
 )
 
@@ -487,8 +488,42 @@ class TestNeighbouringBitmaps:
             cum, positions = brute(bits)
             assert [select(pool, base, end, before, j)
                     for j in range(1, len(positions) + 1)] == positions
+            # the same ones, all at once, among all the pool's
+            g = before + np.arange(1, len(positions) + 1)
+            assert (select_many(pool, g) + 1 - 64 * base).tolist() == positions
             assert [rank(pool, base, before, i)
                     for i in range(len(bits) + 1)] == list(cum)
             last = positions[-1] if positions else 0
             assert [next_one(pool, base, i) for i in range(1, last + 1)] == \
                 nexts(bits)[:last]
+
+
+class TestSelectMany:
+    """`select_many` finds the g-th one of a whole pool for many g at
+    once: the superblock by one search of the pool's counts, which tie
+    over a superblock with no ones, then the word and the bit."""
+
+    @pytest.mark.parametrize("density", [0.002, 0.05, 0.5, 0.97])
+    def test_every_one_of_a_pool(self, density):
+        rng = np.random.default_rng(int(1000 * density))
+        bits = (rng.random(64 * 70) < density).astype(np.uint8)
+        bits[64 * 16:64 * 40] = 0  # superblocks 2 to 4 hold no one
+        bits[64 * 40] = 1  # and the fifth's first one is its first bit
+        bits[64 * 47 + 63] = 1  # the last bit of a superblock
+        pool = alone(bits)[0]
+        places = np.flatnonzero(bits)
+        g = np.arange(1, len(places) + 1)
+        assert select_many(pool, g).tolist() == places.tolist()
+        # each superblock's first one, where it has any
+        sup = np.array(pool.super1)
+        starts = sup[:-1][np.diff(sup) > 0] + 1
+        assert 64 * 40 in select_many(pool, starts)
+        assert select_many(pool, starts).tolist() == \
+            places[starts - 1].tolist()
+        # in any order and more than once
+        g = rng.integers(1, len(places) + 1, size=80)
+        assert select_many(pool, g).tolist() == places[g - 1].tolist()
+
+    def test_a_pool_of_one_word(self):
+        pool = alone([0, 1, 1, 0, 0, 0, 0, 1])[0]
+        assert select_many(pool, np.array([3, 1, 2])).tolist() == [7, 1, 2]
