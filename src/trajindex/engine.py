@@ -31,7 +31,6 @@ from trajindex.log import (
     RECORD_FIELDS,
     SPEED,
     TREE,
-    X_AXIS,
     X_FIRST,
     Y_FIRST,
     TrajectoryLog,
@@ -39,7 +38,6 @@ from trajindex.log import (
     check_stream_ends,
     check_window_ends,
     decode,
-    has_data,
     ordinal_range,
     position_at,
     positions_at,
@@ -113,13 +111,9 @@ class TrajectoryIndex:
         self._bits = bits
         self._words = words
         codes = _codes(f)
+        # a record as a tuple of ints, and as a numpy record, by `_NAMES`,
+        # for the columns that `_candidates` and the file read
         self._record = struct.Struct("<" + codes)
-        # the parts of a record that queries read alone: the log's fields,
-        # those before the tree's, which are all that a position reads;
-        # the head, those before the x axis's; and as a numpy record, by
-        # `_NAMES`, the columns that `_candidates` and the file read
-        self._log_part = struct.Struct("<" + codes[:TREE])
-        self._head = struct.Struct("<" + codes[:X_AXIS])
         self._dtype = np.dtype({"names": _NAMES, "formats": ["<" + c for c in codes]})
         records = np.empty(len(f), self._dtype)
         for name, column in zip(_NAMES, f.T):
@@ -160,17 +154,11 @@ class TrajectoryIndex:
     def _fields(self, row: int) -> tuple[int, ...]:
         return self._record.unpack_from(self._records, row * self._record.size)
 
-    def _log_fields(self, row: int) -> tuple[int, ...]:
-        # the record less its tree's fields, for `position_at` and
-        # `decode`
-        return self._log_part.unpack_from(self._records,
-                                          row * self._record.size)
-
     def _log(self, f, oid: int, k: int) -> TrajectoryLog:
         return TrajectoryLog(self._bits, self._words, f, oid, k, self.period)
 
     def _tree(self, f) -> MbrTree:
-        return MbrTree(self._words, self.leaf_capacity, f[DATA], f, TREE)
+        return MbrTree(self._words, self.leaf_capacity, f)
 
     def object_position(self, oid: int, q: int) -> tuple[int, int] | None:
         """Where object oid was at instant q, or None if it sent nothing."""
@@ -182,8 +170,7 @@ class TrajectoryIndex:
         row = self._rows[p * len(self._index) + i]
         if row < 0:
             return None
-        return position_at(self._bits, self._words, self._log_fields(row),
-                           local)
+        return position_at(self._bits, self._words, self._fields(row), local)
 
     def trajectory(self, oid: int, first: int, last: int) -> list[tuple[int, int, int]]:
         """(instant, x, y) rows for oid over first..last, instants ascending."""
@@ -202,7 +189,7 @@ class TrajectoryIndex:
             lo, hi = max(first, k + 1), min(last, k + d - 1)
             row = self._rows[k // d * len(self._index) + i]
             if lo <= hi and row >= 0:
-                pieces.append((self._log_fields(row), k, lo - k, hi - k))
+                pieces.append((self._fields(row), k, lo - k, hi - k))
         t, x, y = (a.tolist() for a in decode(self._bits, self._words, pieces))
         out = list(zip(t, x, y))
         # each snapshot fix goes before its period's log fixes; the last
@@ -288,8 +275,7 @@ class TrajectoryIndex:
             return list(zip(*(a[fix].tolist() for a in (oids, x, y))))
         out = []
         for oid, row in zip(oids.tolist(), (keep + first_row).tolist()):
-            pos = position_at(self._bits, self._words, self._log_fields(row),
-                              local)
+            pos = position_at(self._bits, self._words, self._fields(row), local)
             if pos is not None and region.contains(pos[0], pos[1]):
                 out.append((oid, pos[0], pos[1]))
         return out
@@ -323,7 +309,6 @@ class TrajectoryIndex:
         # a root box inside the region needs only a data instant in the
         # window, which the columns mostly prove alone; the logs settled
         # so are skipped below, their objects found
-        box_in = [False] * len(keep)
         if mbr_prune:
             inside = (t[6:10].take(keep, axis=1) + [
                 [x2 - x1], [x2 - x1], [y2 - y1], [y2 - y1]]).min(axis=0) >= 0
@@ -339,27 +324,18 @@ class TrajectoryIndex:
                     for _ in set(settled) - found:
                         stats.root_only("mbr_contain")
                 found.update(settled)
-                box_in = inside.tolist()
-        # the rest take ranks of the window bitmap, or a walk of the tree
-        bits, words, p0 = self._bits, self._words, first // d
+        # the rest with data in the window walk their trees, whose root
+        # test answers for a root box inside the region
+        bits, p0 = self._bits, first // d
         slots = at[keep]
-        for j, slot, oid, contains in zip(
-                keep.tolist(), slots.tolist(),
-                self._object_ids[slots % n].tolist(), box_in):
+        for j, slot, oid in zip(keep.tolist(), slots.tolist(),
+                                self._object_ids[slots % n].tolist()):
             if oid in found:
                 continue
             row, k = first_row + j, (slot // n + p0) * d
             a, b = max(first - k, 1), min(last - k, d - 1)
-            if contains:
-                head = self._head.unpack_from(self._records,
-                                              row * self._record.size)
-                if has_data(bits, words, head, a, b):
-                    if stats is not None:
-                        stats.root_only("mbr_contain")
-                    found.add(oid)
-                continue
             f = self._fields(row)
-            b1, e1 = ordinal_range(bits, words, f, a, b)
+            b1, e1 = ordinal_range(bits, f, a, b)
             if b1 > e1:
                 continue
             hit = self._tree(f).first_hit(

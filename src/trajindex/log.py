@@ -188,7 +188,7 @@ def _block_entries(words, f: np.ndarray, blk: np.ndarray):
     return e[:, 0::2], (z >> 1) ^ -(z & 1)
 
 
-def _count_upto(bits, words, f, i):
+def _count_upto(bits, f, i):
     # data instants among local instants 1..i: a rank of the window bitmap
     if i < f[0]:
         return 0
@@ -199,10 +199,10 @@ def _count_upto(bits, words, f, i):
     return rank(bits, f[WINDOW], f[WINDOW + 1], i - f[0] + 1)
 
 
-def ordinal_range(bits: BitPool, words, f, lo: int, hi: int) -> tuple[int, int]:
+def ordinal_range(bits: BitPool, f, lo: int, hi: int) -> tuple[int, int]:
     """First and last data ordinals among local instants lo..hi of the
     log with fields f; the first is past the last when none has data."""
-    return _count_upto(bits, words, f, lo - 1) + 1, _count_upto(bits, words, f, hi)
+    return _count_upto(bits, f, lo - 1) + 1, _count_upto(bits, f, hi)
 
 
 def surely_has_data(first, last, gaps, a, b):
@@ -210,22 +210,9 @@ def surely_has_data(first, last, gaps, a, b):
     first..last of a log with gaps gaps, have data by this rule alone:
     the window begins and ends with data and holds every gap, so a..b
     has data if it reaches either end or spans more instants than the
-    log has gaps.  Ints, or arrays of a log each."""
+    log has gaps.  Where it fails, a..b may still have data, which the
+    two ranks of `ordinal_range` settle.  Ints, or arrays of a log each."""
     return (a == first) | (b == last) | (gaps <= b - a)
-
-
-def has_data(bits: BitPool, words, f, lo: int, hi: int) -> bool:
-    """Whether any of local instants lo..hi of the log with fields f has
-    data.  Only a clipped window that `surely_has_data` cannot settle
-    takes two ranks of the window bitmap.  It reads no field of f from
-    X_AXIS on."""
-    a, b = max(lo, f[0]), min(hi, f[1])
-    if a > b:
-        return False
-    if surely_has_data(f[0], f[1], f[2], a, b):
-        return True
-    first, last = ordinal_range(bits, words, f, a, b)
-    return first <= last
 
 
 def check_window_ends(f: np.ndarray, bits: BitPool) -> None:
@@ -350,7 +337,7 @@ def decode(bits: BitPool, words, pieces) -> tuple[np.ndarray, ...]:
     per, fs, runs = [], [], []
     rows = ones = bit = 0  # the rows, ones and bits of the pieces before
     for f, k, lo, hi in pieces:
-        a, b = ordinal_range(bits, words, f, lo, hi)
+        a, b = ordinal_range(bits, f, lo, hi)
         if a > b:
             continue
         g, m = f[DATA] if f[2] else 0, f[DATA] - 1

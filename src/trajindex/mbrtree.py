@@ -26,6 +26,7 @@ from array import array
 import numpy as np
 
 from trajindex.log import (
+    DATA,
     TREE,
     WINDOW,
     TrajectoryLog,
@@ -82,18 +83,17 @@ class MbrTree:
     __slots__ = ("leaf_capacity", "leaf_count", "data_count", "width", "_box",
                  "_words", "_xbase", "_ybase")
 
-    def __init__(self, words: array, leaf_capacity: int, data_count: int,
-                 f, t: int):
-        """The tree over data_count ordinals whose fields start at f[t]:
-        the word its diffs start at, then the root box and the diff
-        width."""
+    def __init__(self, words: array, leaf_capacity: int, f):
+        """The tree of the log with fields f, over its f[DATA] ordinals:
+        f[TREE] is the word its diffs start at, then come the root box
+        and the diff width."""
         self.leaf_capacity = leaf_capacity
+        self.data_count = data_count = f[DATA]
         self.leaf_count = _leaf_count(data_count, leaf_capacity)
-        self.data_count = data_count
-        self.width = width = f[t + 5]
-        self._box = f[t + 1], f[t + 2], f[t + 3], f[t + 4]
+        self.width = width = f[TREE + 5]
+        self._box = f[TREE + 1], f[TREE + 2], f[TREE + 3], f[TREE + 4]
         self._words = words
-        self._xbase = base = f[t]
+        self._xbase = base = f[TREE]
         self._ybase = base + ((self._diff_count() * width + 63) >> 6)
 
     def _diff_count(self) -> int:
@@ -271,4 +271,4 @@ def build_mbr_tree_xy(xs, ys, leaf_capacity: int) -> MbrTree:
                          f"coordinates must lie in 0..{U32_MAX}")
     _, words, f = private_pools(np.column_stack((np.arange(1, n + 1), xs, ys)),
                                 0, n + 1, leaf_capacity)
-    return MbrTree(words, leaf_capacity, n, f, TREE)
+    return MbrTree(words, leaf_capacity, f)

@@ -1265,14 +1265,13 @@ class TestContainedIntervals:
                                         monkeypatch):
         # over the whole grid every root box lies inside the region, and a
         # window that reaches its log's first or last instant has data, so
-        # the records' columns answer every candidate: no decode, no
-        # `has_data` and no rank of a window bitmap
+        # the records' columns answer every candidate: no decode and no
+        # rank of a window bitmap
         def refused(*args):
-            raise AssertionError(f"window bitmap ranked over {args[3:]}")
+            raise AssertionError(f"window bitmap ranked over {args[2:]}")
 
         monkeypatch.setattr("trajindex.engine.ordinal_range", refused)
         monkeypatch.setattr("trajindex.log.ordinal_range", refused)
-        monkeypatch.setattr("trajindex.engine.has_data", refused)
         w, h = small_index.extent
         grid = (0, w - 1, 0, h - 1)
         d, horizon = small_index.period, small_table.horizon
@@ -1298,13 +1297,13 @@ class TestContainedIntervals:
         ix = build_index(rows, period=20, leaf_capacity=2, extent=(16, 16))
         grid = Region(0, 15, 0, 15)
         searched = []
-        search = trajindex.log.ordinal_range
+        search = trajindex.engine.ordinal_range
 
-        def spy(bits, words, f, lo, hi):
+        def spy(bits, f, lo, hi):
             searched.append((lo, hi))
-            return search(bits, words, f, lo, hi)
+            return search(bits, f, lo, hi)
 
-        monkeypatch.setattr("trajindex.log.ordinal_range", spy)
+        monkeypatch.setattr("trajindex.engine.ordinal_range", spy)
         # strictly inside the log's window, no more instants than gaps:
         # the record cannot tell, and the search finds no data
         for b, e in ((5, 10), (4, 11), (6, 6)):
@@ -1312,6 +1311,14 @@ class TestContainedIntervals:
             assert ix.time_interval(grid, b, e, stats=stats) == []
             assert stats.events == []
         assert searched == [(5, 10), (4, 11), (6, 6)]
+        # the same, but with data: the search finds it, and the walk's
+        # root test, its box inside the region, answers
+        searched.clear()
+        for b, e in ((2, 9), (10, 13)):
+            stats = TraversalStats(trace=True)
+            assert ix.time_interval(grid, b, e, stats=stats) == [1]
+            assert stats.events == [("visit", 1), ("mbr_contain", 1)]
+        assert searched == [(2, 9), (10, 13)]
         # strictly inside too, but 9 instants for 8 gaps: one has data
         searched.clear()
         for b, e in ((3, 11), (4, 12), (2, 18)):

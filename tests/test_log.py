@@ -25,11 +25,11 @@ from trajindex.log import (
     bit_pool,
     build_log,
     decode,
-    has_data,
     ordinal_range,
     position_at,
     positions_at,
     records,
+    surely_has_data,
 )
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import Region
@@ -58,7 +58,7 @@ def reference_pieces(rows, start, period):
 
 def data_upto(log, i):
     # data instants among local instants 1..i (i may be 0)
-    return ordinal_range(log._bits, log._words, log._f, 1, i)[1]
+    return ordinal_range(log._bits, log._f, 1, i)[1]
 
 
 def gap_window(first, last, gaps):
@@ -188,7 +188,7 @@ class TestReferenceTrack:
             assert ref_log.position(t) is None
 
     def test_instant_ordinal_maps(self, ref_log):
-        f = (ref_log._bits, ref_log._words, ref_log._f)
+        f = (ref_log._bits, ref_log._f)
         assert ordinal_range(*f, 1, 9) == (1, 6)
         assert ordinal_range(*f, 1, 1) == (1, 0)
         assert ordinal_range(*f, 1, 12) == (1, 7)
@@ -254,18 +254,26 @@ class TestRandomTracks:
             for j in range(1, count + 1):
                 assert data_upto(log, log.unmap_ordinal(j)) == j
 
-    def test_has_data_matches_the_samples(self):
+    def test_data_in_a_window_matches_the_samples(self):
+        # ordinal_range is non-empty exactly where the samples have an
+        # instant, and surely_has_data, on the window clipped to the
+        # log's, claims data only where they do
         rng = np.random.default_rng(79)
         for trial in range(60):
             period = int(rng.integers(2, 40))
             rows = random_track(rng, period)
             log = build_log(rows, 0, period)
+            f = log._f
             held = np.zeros(period + 1, dtype=bool)
             held[[t for t, _, _ in rows]] = True
             for lo in range(1, period):
                 for hi in range(lo, period):
-                    assert has_data(log._bits, log._words, log._f, lo, hi) \
-                        == held[lo:hi + 1].any(), (rows, lo, hi)
+                    first, last = ordinal_range(log._bits, f, lo, hi)
+                    assert (first <= last) == held[lo:hi + 1].any(), \
+                        (rows, lo, hi)
+                    a, b = max(lo, f[0]), min(hi, f[1])
+                    if a <= b and surely_has_data(f[0], f[1], f[2], a, b):
+                        assert held[a:b + 1].any(), (rows, a, b)
 
     def test_scan_agrees_with_pointwise(self):
         rng = np.random.default_rng(78)
@@ -406,7 +414,7 @@ class TestWindowBitmap:
         for lo, hi in [(1, window + 2), (2, 2), (3, window)] + [
                 tuple(sorted(rng.integers(1, window + 3, size=2).tolist()))
                 for _ in range(300)]:
-            assert ordinal_range(bits, words, f, lo, hi) == \
+            assert ordinal_range(bits, f, lo, hi) == \
                 (bisect_left(instants, lo) + 1, bisect_right(instants, hi))
         table = {t: (x, y) for t, x, y in rows}
         assert [log.position(i) for i in range(1, window + 3)] == \
@@ -509,10 +517,10 @@ class TestGapPatterns:
                 for _ in range(200)] + [(o + 1, o + 1) for o in gaps]:
             first, last = bisect_left(instants, lo) + 1, \
                 bisect_right(instants, hi)
-            assert ordinal_range(log._bits, log._words, f, lo, hi) == \
-                (first, last)
-            assert has_data(log._bits, log._words, f, lo, hi) == \
-                (first <= last)
+            assert ordinal_range(log._bits, f, lo, hi) == (first, last)
+            a, b = max(lo, f[0]), min(hi, f[1])
+            if a <= b and surely_has_data(f[0], f[1], f[2], a, b):
+                assert first <= last, (lo, hi)
         assert log.scan_positions(1, len(rows)) == rows
 
 
@@ -802,8 +810,7 @@ class TestGappyLogs:
         # the next fix is at 500
         assert [next_one(log._bits, f[WINDOW], t - f[0] + 1) + f[0] - 1
                 for t in run] == [500] * len(run)
-        assert ordinal_range(log._bits, log._words, f, 300, 499) == \
-            (300, 299)
+        assert ordinal_range(log._bits, f, 300, 499) == (300, 299)
 
     def test_a_still_object(self):
         rng = np.random.default_rng(164)
@@ -826,7 +833,8 @@ class TestGappyLogs:
         assert [data_upto(log, i) for i in (0, 1, last - 1, last, 999)] == \
             [0, 1, 1, 2, 2]
         if last > 3:
-            assert not has_data(log._bits, log._words, f, 2, last - 1)
+            lo, hi = ordinal_range(log._bits, f, 2, last - 1)
+            assert lo > hi
         assert log.time.gaps_upto(last) == last - 2
         # in an index, after a snapshot fix at the period start; a window
         # of gaps alone has no data, and a box-tree walk from either end
@@ -1122,7 +1130,7 @@ class TestDecode:
                 for row in rng.choice(rows, size=int(rng.integers(1, 9))):
                     lo = int(rng.integers(1, period))
                     hi = int(rng.integers(lo, period))
-                    pieces.append((ix._log_fields(int(row)),
+                    pieces.append((ix._fields(int(row)),
                                    int(rng.integers(0, 99)) * period, lo, hi))
                 assert decoded(ix._bits, ix._words, pieces) == [
                     r for p in pieces

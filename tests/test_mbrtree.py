@@ -420,7 +420,7 @@ class TestSpeedJump:
         tree = build_mbr_tree(log, cap)
         t_lo, t_hi = t_window or (1, rows[-1][0] + 1)
         stats = TraversalStats(trace=True)
-        a, b = ordinal_range(log._bits, log._words, log._f, t_lo, t_hi)
+        a, b = ordinal_range(log._bits, log._f, t_lo, t_hi)
         hit = tree.first_hit(log, self.REGION, a, b, s, t_lo, t_hi,
                              stats=stats, **prune)
         return hit, stats
@@ -510,8 +510,7 @@ class TestSpeedJump:
                                 cy, cy + int(rng.integers(0, 10)))
                 t_lo = int(rng.integers(1, period))
                 t_hi = int(rng.integers(t_lo, period))
-                a, b = ordinal_range(log._bits, log._words, log._f, t_lo,
-                                     t_hi)
+                a, b = ordinal_range(log._bits, log._f, t_lo, t_hi)
                 if a > b:
                     continue
                 want = next((t for t, x, y in rows
@@ -561,7 +560,7 @@ class TestBareScan:
         monkeypatch.setattr("trajindex.mbrtree.position_at", spy)
         checked = 0
         for t_lo, t_hi in self.WINDOWS:
-            a, b = ordinal_range(log._bits, log._words, log._f, t_lo, t_hi)
+            a, b = ordinal_range(log._bits, log._f, t_lo, t_hi)
             if a > b:
                 continue
             fixes = [t for t in self.INSTANTS if t_lo <= t <= t_hi]
