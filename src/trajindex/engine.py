@@ -7,9 +7,10 @@ snapshot only at its own instant, with the region as given.  The logs of
 the query's periods are consecutive records, so one numpy pass over their
 columns keeps those whose window meets the query's, whose first fix is
 within reach of the region at the log's speed bound, and whose root box
-meets the region; the kept logs are then confirmed against the exact
+meets the region.  A slice confirms its kept logs against the exact
 compressed positions, `SLICE_BATCH` or fewer by `position_at` and more
-by `positions_at`, or settled from their columns alone.
+by `positions_at`; an interval settles what it can from their columns,
+and the rest walk their trees straight from their records (`mbrtree.walk`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from trajindex.log import (
     records,
     surely_has_data,
 )
-from trajindex.mbrtree import MbrTree, TraversalStats
+from trajindex.mbrtree import MbrTree, TraversalStats, walk
 from trajindex.snapshot import Region, Snapshot
 from trajindex.succinct import U32_MAX, BitPool, Reader, Writer, nbytes, words_from
 
@@ -138,7 +139,9 @@ class TrajectoryIndex:
             if row >= 0:
                 key = slot // len(ids) * d, ids[slot % len(ids)]
                 f = self._fields(row)
-                out[key] = self._log(f, key[1], key[0]), self._tree(f)
+                out[key] = (TrajectoryLog(self._bits, self._words, f, key[1],
+                                          key[0], d),
+                            MbrTree(self._words, self.leaf_capacity, f))
         return out
 
     def _check_instant(self, q: int) -> None:
@@ -153,12 +156,6 @@ class TrajectoryIndex:
 
     def _fields(self, row: int) -> tuple[int, ...]:
         return self._record.unpack_from(self._records, row * self._record.size)
-
-    def _log(self, f, oid: int, k: int) -> TrajectoryLog:
-        return TrajectoryLog(self._bits, self._words, f, oid, k, self.period)
-
-    def _tree(self, f) -> MbrTree:
-        return MbrTree(self._words, self.leaf_capacity, f)
 
     def object_position(self, oid: int, q: int) -> tuple[int, int] | None:
         """Where object oid was at instant q, or None if it sent nothing."""
@@ -300,7 +297,7 @@ class TrajectoryIndex:
             return sorted(found)
         keep, at, first_row, c, t, (x1, x2, y1, y2) = got
         if stats is not None and mbr_prune:
-            # a root visit and its rejection, as `first_hit` records
+            # a root visit and its rejection, as `walk` records
             # them, for each log that the root box alone rules out
             rejected = (t[:6].max(axis=0) <= 0) & (t[6:10].max(axis=0) > 0)
             for oid in self._object_ids[at[rejected] % n].tolist():
@@ -324,9 +321,10 @@ class TrajectoryIndex:
                     for _ in set(settled) - found:
                         stats.root_only("mbr_contain")
                 found.update(settled)
-        # the rest with data in the window walk their trees, whose root
-        # test answers for a root box inside the region
-        bits, p0 = self._bits, first // d
+        # the rest with data in the window walk their trees from their
+        # records, whose root test answers for a root box inside the region
+        bits, words, p0 = self._bits, self._words, first // d
+        s = self.max_speed if speed_prune else None
         slots = at[keep]
         for j, slot, oid in zip(keep.tolist(), slots.tolist(),
                                 self._object_ids[slots % n].tolist()):
@@ -336,13 +334,8 @@ class TrajectoryIndex:
             a, b = max(first - k, 1), min(last - k, d - 1)
             f = self._fields(row)
             b1, e1 = ordinal_range(bits, f, a, b)
-            if b1 > e1:
-                continue
-            hit = self._tree(f).first_hit(
-                self._log(f, oid, k), region, b1, e1, self.max_speed,
-                a, b, mbr_prune=mbr_prune, speed_prune=speed_prune,
-                stats=stats)
-            if hit is not None:
+            if b1 <= e1 and walk(bits, words, f, self.leaf_capacity, region,
+                                 b1, e1, a, b, s, mbr_prune, stats):
                 found.add(oid)
         return sorted(found)
 

@@ -205,6 +205,14 @@ def ordinal_range(bits: BitPool, f, lo: int, hi: int) -> tuple[int, int]:
     return _count_upto(bits, f, lo - 1) + 1, _count_upto(bits, f, hi)
 
 
+def instant_of(bits: BitPool, f, j: int) -> int:
+    """Local instant of data ordinal j of the log with fields f: a select
+    of the window bitmap, or none if the log has no gaps."""
+    if not f[2]:
+        return f[0] + j - 1
+    return select(bits, f[WINDOW], f[X_AXIS], f[WINDOW + 1], j) + f[0] - 1
+
+
 def surely_has_data(first, last, gaps, a, b):
     """Whether local instants a..b, a non-empty part of the window
     first..last of a log with gaps gaps, have data by this rule alone:
@@ -502,11 +510,7 @@ class TrajectoryLog:
         n = self.data_count
         if not 1 <= j <= n:
             raise IndexError(f"ordinal {j} out of range 1..{n}")
-        f = self._f
-        if not f[2]:
-            return f[0] + j - 1
-        return select(self._bits, f[WINDOW], f[X_AXIS], f[WINDOW + 1],
-                      j) + f[0] - 1
+        return instant_of(self._bits, self._f, j)
 
     def scan_positions(self, frm: int, to: int) -> list[tuple[int, int, int]]:
         """(local instant, x, y) for data ordinals frm..to, from one

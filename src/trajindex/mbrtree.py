@@ -6,17 +6,20 @@ the root box is stored outright.  Every other node keeps four non-negative
 differences against its parent (min grows, max shrinks as you descend),
 packed at the width of the largest difference in the tree.
 
-Interval search walks the tree pruning on time coverage and box overlap.
-A box that lies wholly inside the region answers at once, with no decoding.
-A box is a `snapshot.Region`, the index's one box type, but the walk
-carries each node's as a tuple of four ints and makes a `Region` for no
-node.  A leaf scan decodes one fix at a time with `position_at`, taking
-the next fix after a gap from the window bitmap.  A bare scan steps one
-instant on from each fix.  A pruned scan jumps by the speed bound s: a
-fix at Chebyshev distance g from the region cannot be inside it for the
-next ceil(g/s) - 1 instants, so the scan decodes only the fixes where the
-object could first reach the region, and a landing past one leaf carries
-into the next.
+`walk` searches a log's tree straight from its record and the pools, on
+a stack, left child first, pruning on time coverage and box overlap.  A
+child's ordinals are half its parent's, and its box is its parent's less
+its diffs, four ints, so a walk makes no view, no `snapshot.Region` (the
+one box type, which `MbrTree` hands out) and no call per node.  A box
+that lies wholly inside the region answers with its first ordinal in the
+window, with no decoding and no select; `MbrTree.first_hit` maps that to
+its instant.  A leaf scan decodes one fix at a time with `position_at`,
+taking the next fix after a gap from the window bitmap.  A bare scan
+steps one instant on from each fix.  A pruned scan jumps by the speed
+bound s: a fix at Chebyshev distance g from the region cannot be inside
+it for the next ceil(g/s) - 1 instants, so the scan decodes only the
+fixes where the object could first reach the region, and a landing past
+one leaf carries into the next.
 """
 
 from __future__ import annotations
@@ -30,21 +33,23 @@ from trajindex.log import (
     TREE,
     WINDOW,
     TrajectoryLog,
+    instant_of,
     position_at,
     private_pools,
 )
 from trajindex.snapshot import Region
-from trajindex.succinct import U32_MAX, PackedIntArray, next_one, packed_get
+from trajindex.succinct import U32_MAX, BitPool, PackedIntArray, next_one, packed_get
 
 
 Mbr = Region  # the index's one box type, under its old name
 
 
 class TraversalStats:
-    """Counters for one or more searches; events recorded only when traced.
+    """Counters for the walks given this object, and their events when
+    traced.
 
     Each event is a (kind, node) pair.  The kinds:
-      "visit"        the search entered the node;
+      "visit"        the walk entered the node;
       "mbr_reject"   the node's box misses the region: nothing below it;
       "mbr_contain"  the node's box lies inside the region: its first
                      ordinal in the window is the answer, nothing decoded;
@@ -54,7 +59,7 @@ class TraversalStats:
                      by the speed bound landed past its last instant (or
                      s is 0);
       "hit"          a leaf scan decoded a position inside the region.
-    No search records "speed_skip", so a count of it reads 0: a leaf
+    No walk records "speed_skip", so a count of it reads 0: a leaf
     scan's first jump rules out what a speed test on a subtree's box could.
     """
 
@@ -69,7 +74,7 @@ class TraversalStats:
 
     def root_only(self, kind: str) -> None:
         """Count a search its caller answered from the root box alone, as
-        `first_hit` would: the root is visited, then rejected
+        `walk` would: the root is visited, then rejected
         ("mbr_reject") or found inside the region ("mbr_contain")."""
         self.nodes_visited += 1
         self.event("visit", 1)
@@ -81,7 +86,7 @@ class MbrTree:
     view of the diffs in a word pool."""
 
     __slots__ = ("leaf_capacity", "leaf_count", "data_count", "width", "_box",
-                 "_words", "_xbase", "_ybase")
+                 "_words", "_f", "_xbase", "_ybase")
 
     def __init__(self, words: array, leaf_capacity: int, f):
         """The tree of the log with fields f, over its f[DATA] ordinals:
@@ -92,7 +97,7 @@ class MbrTree:
         self.leaf_count = _leaf_count(data_count, leaf_capacity)
         self.width = width = f[TREE + 5]
         self._box = f[TREE + 1], f[TREE + 2], f[TREE + 3], f[TREE + 4]
-        self._words = words
+        self._words, self._f = words, f
         self._xbase = base = f[TREE]
         self._ybase = base + ((self._diff_count() * width + 63) >> 6)
 
@@ -129,96 +134,101 @@ class MbrTree:
             return None
         return lo, min(lo + span - 1, self.data_count)
 
-    def child_box(self, parent: tuple, p: int) -> tuple[int, int, int, int]:
-        """The box of node p, (xmin, xmax, ymin, ymax), from its parent's."""
-        i = 2 * (p - 2)
-        words, w, xb, yb = self._words, self.width, self._xbase, self._ybase
-        xmin, xmax, ymin, ymax = parent
-        return (xmin + packed_get(words, xb, w, i),
-                xmax - packed_get(words, xb, w, i + 1),
-                ymin + packed_get(words, yb, w, i),
-                ymax - packed_get(words, yb, w, i + 1))
-
     def node_box(self, p: int) -> Region:
-        """Reconstruct the box of node p by walking down from the root."""
+        """Reconstruct the box of node p by walking down from the root: a
+        child's box is its parent's, less its diffs."""
         if self.coverage(p) is None:
             raise ValueError(f"node {p} covers no data")
-        box = self._box
+        words, w, xb, yb = self._words, self.width, self._xbase, self._ybase
+        xmin, xmax, ymin, ymax = self._box
         for shift in range(p.bit_length() - 2, -1, -1):
-            box = self.child_box(box, p >> shift)
-        return Region(*box)
+            i = 2 * (p >> shift) - 4
+            xmin += packed_get(words, xb, w, i)
+            xmax -= packed_get(words, xb, w, i + 1)
+            ymin += packed_get(words, yb, w, i)
+            ymax -= packed_get(words, yb, w, i + 1)
+        return Region(xmin, xmax, ymin, ymax)
 
     def first_hit(self, log: TrajectoryLog, region: Region, ord_lo: int,
                   ord_hi: int, max_speed: int, t_lo: int, t_hi: int, *,
                   mbr_prune: bool = True, speed_prune: bool = True,
                   stats: TraversalStats | None = None) -> int | None:
-        """Earliest local instant in ordinals ord_lo..ord_hi whose position
-        falls inside region, or None.
-
-        ord_lo..ord_hi must be the data ordinals of local instants
-        t_lo..t_hi, the query window; t_lo and t_hi bound the first and
-        the last of them, so a scan that starts at ord_lo or ends at
-        ord_hi looks up no instant.  A leaf scan decodes the leaf's fixes
-        in the window one after the other, or, with speed_prune, jumps by
-        max_speed, a bound on the object's step per instant on either
-        axis.
-        """
+        """Earliest local instant in ordinals ord_lo..ord_hi, those of
+        t_lo..t_hi, whose position falls inside region, or None: a `walk`
+        at speed bound max_speed, or none without speed_prune, whose hit
+        in a box inside region one select maps to its instant."""
         if not 1 <= ord_lo <= ord_hi <= self.data_count:
             raise IndexError("ordinal window out of range")
-        if stats is None:
-            stats = TraversalStats()
-        # no hit before instant at[0], which lies past ordinal at[1] - 1
-        return self._search(1, self._box, log, region, ord_lo, ord_hi,
-                            max_speed if speed_prune else None, t_hi,
-                            [t_lo, ord_lo], mbr_prune, stats)
+        t, j = walk(log._bits, log._words, log._f, self.leaf_capacity,
+                    region, ord_lo, ord_hi, t_lo, t_hi,
+                    max_speed if speed_prune else None, mbr_prune, stats,
+                    (self._words, self._f)) or (None, None)
+        return t if j is None else log.unmap_ordinal(j)
 
-    def _search(self, p, box, log, r, olo, ohi, s, thi, at, mbr_prune,
-                stats) -> int | None:
-        stats.nodes_visited += 1
-        stats.event("visit", p)
+
+def walk(bits: BitPool, words, f, leaf_capacity: int, r: Region, olo: int,
+         ohi: int, a: int, b: int, s: int | None, mbr_prune: bool = True,
+         stats: TraversalStats | None = None, tree=None):
+    """The earliest position inside r among data ordinals olo..ohi, in
+    1..f[DATA], of the log with fields f in the pools bits and words, by a
+    walk of its tree, with leaves of leaf_capacity ordinals: as (its local
+    instant, None) from a leaf scan, or as (None, its ordinal) from a box
+    inside r, with no select; or None.  olo..ohi must be the ordinals of
+    local instants a..b, which bound the first and the last of them.  A
+    leaf scan steps one instant on from a fix where s is None, else jumps
+    by the speed bound s.  tree is the tree's word pool and record where
+    they are not the log's.  Events are counted only into a given stats.
+    """
+    tw, tf = tree or (words, f)
+    n, c, width, xb = tf[DATA], leaf_capacity, tf[TREE + 5], tf[TREE]
+    span = _leaf_count(n, c) * c  # the root's, over ordinals 1..span
+    yb = xb + ((4 * (span // c - 1) * width + 63) >> 6)
+    x1, x2, y1, y2 = r.x1, r.x2, r.y1, r.y2
+    t, at = max(a, f[0]), olo  # no hit before instant t, past ordinal at - 1
+    # each node to visit, left child on top: its number, its first
+    # ordinal, its span of ordinals, and its parent's box
+    stack = [(1, 1, span, tf[TREE + 1:TREE + 5])]
+    while stack:
+        p, lo, span, box = stack.pop()
+        if stats is not None:
+            stats.nodes_visited += 1
+            stats.event("visit", p)
         if mbr_prune:
+            if p > 1:  # the parent's box, less p's diffs
+                i = 2 * p - 4
+                box = (box[0] + packed_get(tw, xb, width, i),
+                       box[1] - packed_get(tw, xb, width, i + 1),
+                       box[2] + packed_get(tw, yb, width, i),
+                       box[3] - packed_get(tw, yb, width, i + 1))
             xmin, xmax, ymin, ymax = box
-            if not (xmin <= r.x2 and r.x1 <= xmax
-                    and ymin <= r.y2 and r.y1 <= ymax):
-                stats.event("mbr_reject", p)
-                return None
-            if r.x1 <= xmin and xmax <= r.x2 and r.y1 <= ymin and ymax <= r.y2:
-                # every position under p is in r, p meets the window, and
-                # the walk goes left first: p's first ordinal in the window
-                # is the earliest hit
-                stats.event("mbr_contain", p)
-                return log.unmap_ordinal(max(self.coverage(p)[0], olo))
-        if p >= self.leaf_count:
-            return self._scan_leaf(p, log, r, olo, ohi, s, thi, at, stats)
-        left, right = 2 * p, 2 * p + 1
-        lcov = self.coverage(left)
-        rcov = self.coverage(right)
-        l_hit = lcov[0] <= ohi and olo <= lcov[1]
-        r_hit = rcov is not None and rcov[0] <= ohi and olo <= rcov[1]
-        # p meets the window, so one child does; a skip is recorded before
-        # the walk descends
-        if l_hit:
-            if not r_hit and rcov is not None:
-                stats.event("time_skip", right)
-            found = self._search(left, self.child_box(box, left), log, r,
-                                 olo, ohi, s, thi, at, mbr_prune, stats)
-            if found is not None or not r_hit:
-                return found
-        else:
-            stats.event("time_skip", left)
-        return self._search(right, self.child_box(box, right), log, r, olo,
-                            ohi, s, thi, at, mbr_prune, stats)
-
-    def _scan_leaf(self, p, log, r, olo, ohi, s, thi, at, stats) -> int | None:
-        # decode the first fix at or after t, then step on: by one instant
-        # on a bare scan, s is None; else by the speed bound, as a fix at
-        # distance g from r cannot be inside it before t + ceil(g/s).  Each
-        # step moves t on by at least 1, so the scan ends on any index.
-        cov = self.coverage(p)
-        lo, hi = max(cov[0], olo), min(cov[1], ohi)
-        bits, words, f = log._bits, log._words, log._f
-        t = max(at[0], f[0] if lo == at[1] else log.unmap_ordinal(lo))
-        end = thi if hi == ohi else log.unmap_ordinal(hi)
+            if xmin > x2 or x1 > xmax or ymin > y2 or y1 > ymax:
+                if stats is not None:
+                    stats.event("mbr_reject", p)
+                continue
+            if x1 <= xmin and xmax <= x2 and y1 <= ymin and ymax <= y2:
+                # all of p is in r, and p is the first node met left to
+                # right: its first ordinal in the window is the earliest hit
+                if stats is not None:
+                    stats.event("mbr_contain", p)
+                return None, max(lo, olo)
+        if span > c:  # p meets the window, so a child does; skip the other
+            span >>= 1
+            mid = lo + span  # the right child's first ordinal
+            if mid <= ohi:
+                stack.append((2 * p + 1, mid, span, box))
+            elif stats is not None and mid <= n:
+                stats.event("time_skip", 2 * p + 1)
+            if olo < mid:
+                stack.append((2 * p, lo, span, box))
+            elif stats is not None:
+                stats.event("time_skip", 2 * p)
+            continue
+        # a leaf: decode the first fix at or after t, then step on by one
+        # instant, or by the speed bound, as a fix at distance g from r is
+        # not inside it before t + ceil(g/s); t grows, so the scan ends
+        lo, hi = max(lo, olo), min(lo + span - 1, ohi)
+        t = t if lo == at else max(t, instant_of(bits, f, lo))
+        end = b if hi == ohi else instant_of(bits, f, hi)
         while t <= end:
             pos = position_at(bits, words, f, t)
             if pos is None:  # past the window, or a gap: on to the next fix
@@ -226,20 +236,23 @@ class MbrTree:
                     break
                 t = next_one(bits, f[WINDOW], t - f[0] + 1) + f[0] - 1
                 continue
-            stats.positions_decoded += 1
+            if stats is not None:
+                stats.positions_decoded += 1
             x, y = pos
-            if r.contains(x, y):
-                stats.event("hit", p)
-                return t
+            if x1 <= x <= x2 and y1 <= y <= y2:
+                if stats is not None:
+                    stats.event("hit", p)
+                return t, None
             if s is None:
                 t += 1
             elif s:  # g > 0, as (x, y) is outside r
-                t -= -max(r.x1 - x, x - r.x2, r.y1 - y, y - r.y2) // s
+                t -= -max(x1 - x, x - x2, y1 - y, y - y2) // s
             else:
-                t = thi + 1
-        stats.event("leaf_abort", p)
-        at[0], at[1] = t, hi + 1
-        return None
+                t = b + 1
+        if stats is not None:
+            stats.event("leaf_abort", p)
+        at = hi + 1
+    return None
 
 
 def _leaf_count(n: int, leaf_capacity: int) -> int:

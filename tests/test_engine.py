@@ -5,6 +5,8 @@ import struct
 import sys
 import tracemalloc
 from array import array
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ from trajindex.log import (
     Y_FIRST,
     build_log,
 )
-from trajindex.mbrtree import MbrTree, TraversalStats, build_mbr_tree
+from trajindex.mbrtree import TraversalStats, build_mbr_tree
 from trajindex.oracle import PositionTable, oracle_interval, oracle_slice
 from trajindex.snapshot import ENTRANT, NO_ROW, Region, Snapshot
 from trajindex.succinct import U32_MAX, Reader, nbytes
@@ -1327,6 +1329,45 @@ class TestContainedIntervals:
             assert stats.events == [("visit", 1), ("mbr_contain", 1)]
         assert searched == []
 
+    def test_a_contained_node_answers_without_a_select(self, monkeypatch):
+        # one gappy log of 8 fixes at local instants 1, 2, 5, 6, 9..12 in
+        # leaves of 2: node 2 holds ordinals 1..4, all at (5..6, 5..6),
+        # inside the region, and node 3 ordinals 5..8 at (12, 12), outside
+        instants = [1, 2, 5, 6, 9, 10, 11, 12]
+        rows = [(1, 0, 5, 5)] + [(1, t, 5 + (t > 2), 5 + (t > 2)) for t in
+                                 instants[:4]]
+        rows += [(1, t, 12, 12) for t in instants[4:]]
+        ix = build_index(rows, period=20, leaf_capacity=2, extent=(16, 16))
+        region = Region(4, 8, 4, 8)
+        log, tree = ix._logs[(0, 1)]
+        assert tree.node_box(2) == Region(5, 6, 5, 6)
+        assert tree.root == Region(5, 12, 5, 12)
+        selects, unmaps = [], []
+        select = trajindex.log.select
+        unmap = trajindex.log.TrajectoryLog.unmap_ordinal
+
+        def counted_select(*args):
+            selects.append(args)
+            return select(*args)
+
+        def counted_unmap(self, j):
+            unmaps.append(j)
+            return unmap(self, j)
+
+        monkeypatch.setattr("trajindex.log.select", counted_select)
+        monkeypatch.setattr(trajindex.log.TrajectoryLog, "unmap_ordinal",
+                            counted_unmap)
+        # from instant 3 the window's first ordinal is 3, at instant 5: the
+        # walk stops at node 2 with no select to find that instant
+        stats = TraversalStats(trace=True)
+        assert ix.time_interval(region, 3, 12, stats=stats) == [1]
+        assert stats.events == [("visit", 1), ("visit", 2),
+                                ("mbr_contain", 2)]
+        assert selects == [] and unmaps == []
+        # first_hit maps node 2's ordinal 3 to its instant, with a select
+        assert tree.first_hit(log, region, 3, 8, ix.max_speed, 3, 12) == 5
+        assert unmaps == [3] and len(selects) == 1
+
 
 class TestRecordFilter:
     """The logs a slice or an interval takes come from one pass over
@@ -1359,18 +1400,20 @@ class TestRecordFilter:
             if f[X_FIRST] == 9:
                 raise AssertionError("object 2's log was searched")
 
-        position, walk = trajindex.engine.position_at, MbrTree.first_hit
+        position, walk = trajindex.engine.position_at, trajindex.engine.walk
+        walked = []
 
         def checked_position(bits, words, f, i):
             refuse(f)
             return position(bits, words, f, i)
 
-        def checked_walk(tree, log, *args, **kwargs):
-            refuse(log._f)
-            return walk(tree, log, *args, **kwargs)
+        def checked_walk(bits, words, f, *args):
+            refuse(f)
+            walked.append(f[X_FIRST])
+            return walk(bits, words, f, *args)
 
         monkeypatch.setattr("trajindex.engine.position_at", checked_position)
-        monkeypatch.setattr(MbrTree, "first_hit", checked_walk)
+        monkeypatch.setattr("trajindex.engine.walk", checked_walk)
         region = self.REGION
         assert ix.time_slice(region, 31) == [(1, 30, 5)]
         assert ix.time_slice(region, 30) == []
@@ -1379,6 +1422,9 @@ class TestRecordFilter:
                 assert ix.time_interval(region, b, 31, mbr_prune=prune) == [1]
                 assert ix.time_interval(region, b, 30, mbr_prune=prune) == []
             assert ix.time_interval(region, 31, 31, mbr_prune=prune) == [1]
+        # the spy guards the walk that the engine makes: object 1's log
+        # is walked, its root box reaching past the region
+        assert walked and set(walked) == {10}
         monkeypatch.undo()
         # one instant on, object 2 is inside too
         assert ix.time_slice(region, 32) == [(1, 32, 5), (2, 31, 5)]
@@ -1489,6 +1535,40 @@ class TestRecordFilter:
                     assert ix.time_interval(region, b, e) == \
                         oracle_interval(table, rect, b, e)
         assert long_windows > 20 and hits > 40
+
+
+# the tree walks of every distinct interval query of perfbench's seed-4242
+# lists, under one traced stats: nodes visited, positions decoded, each
+# event but "visit", and the answers; the traced benchmark reports the same
+BENCH_WALKS = {
+    "lookup": (5478, 1214, {"mbr_reject": 2977, "mbr_contain": 1734,
+                            "time_skip": 361, "leaf_abort": 163, "hit": 218},
+               2436),
+    "range": (6331, 1115, {"mbr_reject": 4404, "mbr_contain": 1244,
+                           "time_skip": 233, "leaf_abort": 98, "hit": 215},
+              3065),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_WALKS))
+def test_the_benchmark_walks_do_the_pinned_work(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import inputs, measure
+    work = measure.WORKLOADS[workload]
+    fleet = inputs.make_fleet(4242)
+    ix = build_index(parse_binary(inputs.raw_records(fleet)), work.period,
+                     work.leaf_capacity, fleet.extent, horizon=fleet.horizon)
+    ops = inputs.make_stream(4242, fleet, work.recipe(), work.pools(),
+                             measure.ROUNDS)
+    stats = TraversalStats(trace=True)
+    answers = sum(
+        len(ix.time_interval(Region(*op[1]), op[2], op[3], stats=stats))
+        for op in sorted(set(ops))
+        if op[0] in (inputs.INTERVAL_S, inputs.INTERVAL_L))
+    events = Counter(kind for kind, _ in stats.events)
+    assert events.pop("visit") == stats.nodes_visited
+    assert (stats.nodes_visited, stats.positions_decoded, events,
+            answers) == BENCH_WALKS[workload]
 
 
 def load_cost(blob) -> tuple[int, int, TrajectoryIndex]:
