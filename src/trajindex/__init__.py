@@ -3,7 +3,6 @@
 from trajindex.engine import TrajectoryIndex, build_index, compute_max_speed
 from trajindex.ingest import (
     NormalizeConfig,
-    RawRecord,
     interpolate_gaps,
     normalize,
     parse_binary,
@@ -37,7 +36,6 @@ __all__ = [
     "NormalizeConfig",
     "PackedIntArray",
     "PositionTable",
-    "RawRecord",
     "Region",
     "Snapshot",
     "SparseBitVector",

@@ -25,6 +25,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trajindex", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True,
@@ -42,7 +49,8 @@ def _build_parser() -> _Parser:
     q = sub.add_parser("query", help="query a saved index")
     q.add_argument("index")
     q.add_argument("--object", type=int)
-    q.add_argument("--region", help="X1,X2,Y1,Y2 inclusive cell bounds")
+    q.add_argument("--region", help="X1,X2,Y1,Y2 inclusive cell bounds, "
+                                    "as --region=X1,... if X1 < 0")
     q.add_argument("--from", dest="first", type=int, required=True)
     q.add_argument("--to", dest="last", type=int)
 
@@ -58,7 +66,7 @@ def _build_parser() -> _Parser:
     o.add_argument("--period", type=int, default=120)
     o.add_argument("--leaf-size", type=int, default=80)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--queries", type=int, default=300)
+    o.add_argument("--queries", type=_count, default=300)
     return parser
 
 
@@ -73,10 +81,9 @@ def _read_records(path: str, fmt: str):
 def _sorted_rows(records) -> tuple[np.ndarray, tuple[int, int]]:
     """The records as rows sorted by object, then instant, and the
     smallest grid extent that holds them."""
-    rows = np.asarray(records)
-    if not len(rows):
+    if not len(records):
         raise ValueError("no records in input")
-    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    rows = records[np.lexsort((records[:, 1], records[:, 0]))]
     width, height = (int(v) for v in rows[:, 2:].max(0) + 1)
     return rows, (width, height)
 

@@ -19,12 +19,12 @@ import struct
 import zlib
 from array import array
 from bisect import bisect_left
-from collections.abc import Sequence
 
 import numpy as np
 from numpy.lib.recfunctions import repack_fields
 
 from trajindex.encoder import U32_FIELDS, encode
+from trajindex.ingest import as_rows
 from trajindex.log import (
     DATA,
     ENTRIES,
@@ -554,12 +554,12 @@ def build_index(samples, period: int, leaf_capacity: int,
                 max_speed: int | None = None) -> TrajectoryIndex:
     """Build the index from (object id, instant, x, y) rows of integers.
 
-    samples is an (n, 4) array-like, such as the `Records` that
-    `parse_binary` returns, or any iterable of rows.  Objects may come in
-    any order, each object's instants strictly increasing, all
-    coordinates on the extent grid.  max_speed may widen the computed
-    bound but never narrow it.  Every value the file keeps must fit its
-    u32 field.
+    samples is any rows `ingest.as_rows` accepts: an (n, 4) array-like,
+    such as the int64 array the `ingest` readers return, or any iterable
+    of rows.  Objects may come in any order, each object's instants
+    strictly increasing, all coordinates on the extent grid.  max_speed
+    may widen the computed bound but never narrow it.  Every value the
+    file keeps must fit its u32 field.
     """
     if period < 2:
         raise ValueError("period must be at least 2")
@@ -571,20 +571,9 @@ def build_index(samples, period: int, leaf_capacity: int,
                         ("max speed", max_speed)):
         if value is not None:
             _check_u32(name, value)
-    if not isinstance(samples, Sequence) and not hasattr(samples, "__array__"):
-        samples = list(samples)  # numpy reads an iterator as one object
-    not_rows = "samples must be rows of four 64-bit integers"
-    try:
-        rows = np.asarray(samples)
-    except ValueError as exc:  # ragged rows
-        raise ValueError(f"{not_rows}: {exc}") from None
-    if not rows.size:
+    rows = as_rows(samples)
+    if not len(rows):
         raise ValueError("no samples")
-    # floats and bools would be truncated, and ints past 64 bits come as
-    # objects
-    if rows.ndim != 2 or rows.shape[1] != 4 or rows.dtype.kind not in "iu":
-        raise ValueError(f"{not_rows}, not {rows.dtype} of shape {rows.shape}")
-    rows = rows.astype(np.int64, copy=False)
     off = (rows[:, 2:] < 0) | (rows[:, 2:] >= (w, h))
     if off.any():
         oid, t, x, y = rows[off.any(axis=1)][0]

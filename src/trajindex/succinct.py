@@ -131,13 +131,9 @@ class Reader:
             raise ValueError("bitmap has bits set past its end")
         return bits[:n]
 
-    def left(self) -> int:
-        """The bytes not yet read."""
-        return len(self._buf) - self._pos
-
     def end(self) -> None:
         """Raise ValueError unless every byte has been read."""
-        left = self.left()
+        left = len(self._buf) - self._pos
         if left:
             raise ValueError(f"{left} trailing bytes after the last record")
 

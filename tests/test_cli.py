@@ -8,7 +8,7 @@ from conftest import REF_OBJECT, REF_TRACK, restamp
 from synth import make_fleet
 from trajindex.cli import main
 from trajindex.engine import TrajectoryIndex, build_index
-from trajindex.ingest import RawRecord, write_binary
+from trajindex.ingest import write_binary
 
 
 @pytest.fixture
@@ -50,7 +50,7 @@ class TestBuild:
 
     def test_binary_input(self, tmp_path, ref_rows, capsys):
         path = tmp_path / "fix.bin"
-        path.write_bytes(write_binary([RawRecord(*r) for r in ref_rows]))
+        path.write_bytes(write_binary(ref_rows))
         out = tmp_path / "fix.idx"
         rc = main(["build", "--input", str(path), "--format", "bin",
                    "--period", "13", "--leaf-size", "2",
@@ -64,8 +64,7 @@ class TestBuild:
         built_text = capsys.readouterr().out
         extra = [(3, 0, 1, 1), (3, 1, 1, 2), (3, 13, 2, 2)]
         path = tmp_path / "shuffled.bin"
-        path.write_bytes(write_binary(
-            RawRecord(*r) for r in reversed(ref_rows + extra)))
+        path.write_bytes(write_binary(reversed(ref_rows + extra)))
         out = tmp_path / "shuffled.idx"
         rc = main(["build", "--input", str(path), "--format", "bin",
                    "--period", "13", "--leaf-size", "2",
@@ -168,6 +167,19 @@ class TestQuery:
                        "--from", "3", *to])
             assert rc == 0
             assert capsys.readouterr().out == ""
+
+    def test_region_past_the_left_edge_clamps(self, capsys, built_index):
+        # argparse takes "-5,9,0,9" after a space for a flag, so a
+        # negative bound is written after an equals sign
+        for to in ([], ["--to", "5"]):
+            outs = []
+            for region in ("--region=-5,9,0,9", "--region=0,9,0,9"):
+                capsys.readouterr()
+                rc = main(["query", str(built_index), region, "--from", "4",
+                           *to])
+                assert rc == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1] != ""
 
     def test_both_selectors_is_usage_error(self, built_index):
         with pytest.raises(SystemExit) as exc:
@@ -282,12 +294,19 @@ class TestOracleCheck:
         assert "ok: 120 queries" in capsys.readouterr().out
         assert len(contained) > 10
 
+    def test_negative_query_count_is_a_usage_error(self, fixture_csv,
+                                                   capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", "--input", str(fixture_csv),
+                  "--queries", "-3"])
+        assert exc.value.code == 1
+        assert "--queries: -3 is negative" in capsys.readouterr().err
+
     def test_binary_input_out_of_order_agrees(self, tmp_path, capsys):
         fleet = make_fleet(8, 200, (300, 300), seed=17, drop_rate=0.1)
         path = tmp_path / "fleet.bin"
         # latest instant first within each object
-        path.write_bytes(write_binary(
-            RawRecord(*r) for r in reversed(list(fleet.rows()))))
+        path.write_bytes(write_binary(reversed(list(fleet.rows()))))
         rc = main(["oracle-check", "--input", str(path), "--format", "bin",
                    "--period", "40", "--leaf-size", "6", "--queries", "120",
                    "--seed", "5"])

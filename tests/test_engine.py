@@ -30,7 +30,7 @@ from trajindex.engine import (
     build_index,
     compute_max_speed,
 )
-from trajindex.ingest import RawRecord, parse_binary, write_binary
+from trajindex.ingest import parse_binary, write_binary
 from trajindex.log import (
     DATA,
     FILE_FIELDS,
@@ -279,6 +279,8 @@ class TestBuildValidation:
         ([(1, 0, 8, 0)], {}, "outside 8x8 grid"),
         ([(1, 0, 0, 8)], {}, "outside 8x8 grid"),
         ([(1, 0, -1, 0)], {}, "outside 8x8 grid"),
+        # uint64 rows past int64 would wrap to negatives
+        (np.full((1, 4), 1 << 63, dtype=np.uint64), {}, "64-bit integers"),
     ])
     def test_rejects_values_the_file_cannot_store(self, rows, kwargs, field):
         args = {"period": 10, "leaf_capacity": 2, "extent": (8, 8), **kwargs}
@@ -978,26 +980,13 @@ class TestColumnBuild:
                             extent=small_fleet.extent)
         assert built.to_bytes() == small_index.to_bytes()
 
-    def test_parsed_records_build_with_no_object_per_fix(self, small_fleet,
-                                                         small_index,
-                                                         monkeypatch):
-        blob = write_binary(map(RawRecord._make, small_fleet.rows()))
-
-        def refuse(*args):
-            raise AssertionError("the build made a record object")
-
-        monkeypatch.setattr(RawRecord, "_make", refuse)
-        built = build_index(parse_binary(blob), period=60, leaf_capacity=5,
-                            extent=small_fleet.extent)
-        assert built.to_bytes() == small_index.to_bytes()
-
     @pytest.mark.parametrize("period, leaf, seed, kwargs, size, digest",
                              DIGEST_FLEETS)
     def test_records_lists_generators_and_arrays_build_the_same_bytes(
             self, period, leaf, seed, kwargs, size, digest):
         fleet = make_fleet(12, 1500, (256, 256), seed, **kwargs)
         rows = list(fleet.rows())
-        inputs = (parse_binary(write_binary(map(RawRecord._make, rows))),
+        inputs = (parse_binary(write_binary(rows)),
                   rows, (r for r in rows), np.array(rows, dtype=np.uint16))
         blobs = {build_index(samples, period, leaf, fleet.extent,
                              horizon=fleet.horizon).to_bytes()
